@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> header = {"npes",     "system",  "policy",
                                      "runtime_ms", "vs_random_pct", "steal_ms"};
   for (int tier = 1; tier <= ntiers; ++tier)
-    header.push_back("t" + std::to_string(tier) + "_pct");
+    header.push_back(std::string("t").append(std::to_string(tier)) + "_pct");
   t.set_header(header);
 
   const int inner = spec.levels.empty() ? 1 : spec.levels[0];

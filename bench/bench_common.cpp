@@ -39,7 +39,6 @@ BenchSettings BenchSettings::from_options(const Options& opt) {
   s.csv = opt.get("csv", false);
   s.seed = static_cast<std::uint64_t>(
       opt.get("seed", static_cast<std::int64_t>(s.seed)));
-  s.seq_reference = opt.get("seq-reference", false);
   s.trace_out = opt.get("trace-out", std::string(""));
   s.metrics_out = opt.get("metrics-out", std::string(""));
   s.timeseries_out = opt.get("timeseries-out", std::string(""));
@@ -85,7 +84,6 @@ ConfigResult run_config(core::QueueKind kind, int npes,
     rcfg.npes = npes;
     rcfg.seed = settings.seed + static_cast<std::uint64_t>(rep) * 1000003;
     rcfg.net = tweaks.net;
-    rcfg.sequencer_reference = settings.seq_reference;
     rcfg.engine_threads = settings.engine_threads;
     rcfg.metrics = want_metrics;
     rcfg.heap_bytes =

@@ -7,7 +7,6 @@
 //   --reps 5               repetitions per configuration
 //   --csv                  emit CSV instead of aligned tables
 //   --seed 42              base seed
-//   --seq-reference        legacy linear-scan sequencer (perf A/B)
 //   --engine-threads N     sharded parallel sequencer threads (1 = serial)
 //   --trace-out PREFIX     per config, dump the last repetition's Chrome
 //                          trace JSON to PREFIX.<kind>.p<npes>.json
@@ -42,9 +41,6 @@ struct BenchSettings {
   int reps = 5;
   bool csv = false;
   std::uint64_t seed = 42;
-  /// --seq-reference: run the sequencer in its legacy linear-scan mode
-  /// (same schedules; for measuring the heap + horizon-batching speedup).
-  bool seq_reference = false;
   /// --trace-out: filename prefix for per-config Chrome trace dumps
   /// ("" = tracing off). Tracing never perturbs virtual-time schedules
   /// (tests/test_determinism_ab.cpp), so traced runs measure real runs.

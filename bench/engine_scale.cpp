@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
   // really measuring probe pressure; a longer backoff ceiling keeps the
   // starved PEs from serializing the busy ones.
   tweaks.steal.backoff_max_ns = static_cast<net::Nanos>(
-      opt.get("backoff-max-ns", std::int64_t{tweaks.steal.backoff_max_ns}));
+      opt.get("backoff-max-ns",
+              static_cast<std::int64_t>(tweaks.steal.backoff_max_ns)));
   tweaks.steal.term_check_interval = static_cast<std::uint32_t>(opt.get(
       "term-check", std::int64_t{tweaks.steal.term_check_interval}));
 

@@ -5,7 +5,6 @@
 // metadata upkeep".
 #include <benchmark/benchmark.h>
 
-#include <thread>
 #include <vector>
 
 #include "core/queue_buffer.hpp"
@@ -137,31 +136,28 @@ BENCHMARK(BM_SdcReleaseAcquireCycle);
 // --- bench/sim_engine.cpp; these isolate per-event cost) ----------------
 
 /// Sequencer advance cost. range(0)==1: the staggered self-continue case
-/// (runs the lock-free run-to-horizon fast path); range(0)==0: lockstep,
-/// every advance is a pick + condvar baton switch between two PEs.
+/// (runs the run-to-horizon fast path); range(0)==0: lockstep, every
+/// advance is a pick + fiber switch between two PEs.
 void BM_SequencerAdvance(benchmark::State& state) {
   const bool selfrun = state.range(0) == 1;
   net::VirtualTimeModel tm(2);
-  std::atomic<bool> stop{false};
-  tm.reset(2);
-  // PE1 mirrors the measured PE0: parked far ahead for self-continue, or
-  // advancing in lockstep so every event switches the baton.
-  std::thread peer([&] {
-    tm.pe_begin(1);
-    if (selfrun) {
-      tm.advance(1, net::Nanos{1} << 40);
-    } else {
-      while (!stop.load(std::memory_order_relaxed)) tm.advance(1, 100);
+  bool stop = false;
+  tm.run_pes(2, [&](int pe) {
+    if (pe == 1) {
+      // PE1 mirrors the measured PE0: parked far ahead for self-continue,
+      // or advancing in lockstep so every event switches PEs.
+      if (selfrun) {
+        tm.advance(1, net::Nanos{1} << 40);
+      } else {
+        while (!stop) tm.advance(1, 100);
+      }
+      return;
     }
-    tm.pe_end(1);
+    for (auto _ : state) tm.advance(0, 100);
+    stop = true;
+    // Outrun the peer so it observes `stop` and finishes.
+    tm.advance(0, net::Nanos{1} << 41);
   });
-  tm.pe_begin(0);
-  for (auto _ : state) tm.advance(0, 100);
-  stop.store(true, std::memory_order_relaxed);
-  // Outrun the peer so it observes `stop` and finishes.
-  tm.advance(0, net::Nanos{1} << 41);
-  tm.pe_end(0);
-  peer.join();
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SequencerAdvance)->Arg(1)->Arg(0)->ArgNames({"selfrun"});
@@ -175,18 +171,17 @@ void BM_NbiEnqueueDeliver(benchmark::State& state) {
   std::vector<std::byte> arena(4096, std::byte{0});
   fab.register_arena(0, arena.data(), arena.size());
   std::vector<std::byte> src(payload > 0 ? payload : 1, std::byte{0x5a});
-  tm.reset(1);
-  tm.pe_begin(0);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    if (payload == 0)
-      fab.nbi_amo_add(0, 0, 64, 1);
-    else
-      fab.nbi_put(0, 0, 128, src.data(), payload);
-    if ((++i & 63) == 0) fab.quiet(0);
-  }
-  fab.quiet(0);
-  tm.pe_end(0);
+  tm.run_pes(1, [&](int) {
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+      if (payload == 0)
+        fab.nbi_amo_add(0, 0, 64, 1);
+      else
+        fab.nbi_put(0, 0, 128, src.data(), payload);
+      if ((++i & 63) == 0) fab.quiet(0);
+    }
+    fab.quiet(0);
+  });
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NbiEnqueueDeliver)

@@ -10,7 +10,7 @@
 //                    in real workloads: compute charges between comms).
 //  * seq_lockstep  — every PE advances by the same dt, so every event
 //                    hands the baton to the next PE (worst case: pick +
-//                    context switch per event).
+//                    fiber switch per event).
 //  * nbi_amo       — nbi_amo_add enqueue+deliver cycles through the
 //                    fabric's pending queue, quiesced every 64 ops.
 //  * nbi_put_small — 32 B payloads (inline-able in the effect pool).
@@ -21,9 +21,7 @@
 //                    schedules, different release machinery.
 //
 // Output: one JSON object per line on stdout (machine-readable); aligned
-// human summary on stderr. `--reference` re-runs the sequencer scenarios
-// with the legacy linear-scan strategy (no ready heap, no run-to-horizon
-// batching) so the speedup can be measured inside one binary.
+// human summary on stderr.
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -31,7 +29,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/options.hpp"
@@ -52,21 +49,6 @@ double wall_seconds(const std::function<void()>& f) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// SPMD over a bare time model: one thread per PE with begin/end framing.
-void run_pes(net::TimeModel& tm, int npes,
-             const std::function<void(int)>& body) {
-  tm.reset(npes);
-  std::vector<std::thread> ts;
-  ts.reserve(static_cast<std::size_t>(npes));
-  for (int pe = 0; pe < npes; ++pe)
-    ts.emplace_back([&, pe] {
-      tm.pe_begin(pe);
-      body(pe);
-      tm.pe_end(pe);
-    });
-  for (auto& t : ts) t.join();
-}
-
 struct Measurement {
   std::string bench;
   int pes = 0;
@@ -77,14 +59,13 @@ struct Measurement {
   double events_per_sec() const { return static_cast<double>(events) / wall_s; }
 };
 
-void emit(const Measurement& m, const std::string& mode) {
-  std::cout << "{\"bench\":\"" << m.bench << "\",\"mode\":\"" << mode
-            << "\",\"pes\":" << m.pes
+void emit(const Measurement& m) {
+  std::cout << "{\"bench\":\"" << m.bench << "\",\"pes\":" << m.pes
             << ",\"engine_threads\":" << m.engine_threads
             << ",\"events\":" << m.events << ",\"wall_s\":" << m.wall_s
             << ",\"events_per_sec\":" << m.events_per_sec() << "}\n";
   std::cerr << "  " << m.bench << " P=" << m.pes << " T=" << m.engine_threads
-            << " [" << mode << "]: "
+            << ": "
             << static_cast<std::uint64_t>(m.events_per_sec())
             << " events/s (" << m.events << " events in " << m.wall_s
             << " s)\n";
@@ -93,18 +74,20 @@ void emit(const Measurement& m, const std::string& mode) {
 /// One sequencer scenario: optional stagger so each PE's burst of B
 /// advances stays strictly below every other clock (self-continue), or no
 /// stagger so every advance is a baton hand-off (lockstep). The wall time
-/// of an identical zero-burst run is subtracted to remove thread spawn
-/// and teardown cost from the per-event figure.
+/// of an identical zero-burst run is subtracted to remove PE start-up and
+/// teardown cost from the per-event figure; an untimed run first maps the
+/// model's fiber stacks, which later runs reuse.
 Measurement seq_scenario(net::VirtualTimeModel& tm, const std::string& name,
                          int npes, std::uint64_t bursts, Nanos step,
                          bool stagger) {
   const auto body = [&](std::uint64_t b) {
-    run_pes(tm, npes, [&](int pe) {
+    tm.run_pes(npes, [&](int pe) {
       if (stagger)
         tm.advance(pe, static_cast<Nanos>(pe) * (b * step + 1000));
       for (std::uint64_t i = 0; i < b; ++i) tm.advance(pe, step);
     });
   };
+  body(0);
   const double setup = wall_seconds([&] { body(0); });
   const double total = wall_seconds([&] { body(bursts); });
   Measurement m;
@@ -132,7 +115,7 @@ Measurement nbi_scenario(net::VirtualTimeModel& tm, const std::string& name,
   m.pes = 2;
   m.events = events;
   m.wall_s = std::max(wall_seconds([&] {
-               run_pes(tm, 2, [&](int pe) {
+               tm.run_pes(2, [&](int pe) {
                  if (pe != 0) return;
                  for (std::uint64_t i = 0; i < events; ++i) {
                    if (payload == 0)
@@ -159,7 +142,7 @@ Measurement engine_scenario(net::TimeModel& tm, const std::string& name,
                             int npes, std::uint64_t bursts, Nanos step,
                             std::uint64_t global_every) {
   const auto body = [&](std::uint64_t b) {
-    run_pes(tm, npes, [&](int pe) {
+    tm.run_pes(npes, [&](int pe) {
       tm.advance(pe, static_cast<Nanos>(pe) * 3 + 1);
       for (std::uint64_t i = 0; i < b; ++i) {
         if ((i + 1) % global_every == 0) {
@@ -172,6 +155,7 @@ Measurement engine_scenario(net::TimeModel& tm, const std::string& name,
       }
     });
   };
+  body(0);
   const double setup = wall_seconds([&] { body(0); });
   const double total = wall_seconds([&] { body(bursts); });
   Measurement m;
@@ -200,34 +184,27 @@ int main(int argc, char** argv) {
       opt.get("events", std::int64_t{1'000'000}));
   const auto nbi_events = static_cast<std::uint64_t>(
       opt.get("nbi-events", std::int64_t{200'000}));
-  const bool reference = opt.get("reference", false);
-  const std::string mode = reference ? "reference" : "optimized";
-
   for (const int npes : pe_counts) {
     net::VirtualTimeModel tm(npes);
-    tm.set_reference_mode(reference);
     const std::uint64_t bursts =
         std::max<std::uint64_t>(seq_events / static_cast<std::uint64_t>(npes),
                                 1);
-    emit(seq_scenario(tm, "seq_selfrun", npes, bursts, 10, true), mode);
+    emit(seq_scenario(tm, "seq_selfrun", npes, bursts, 10, true));
     // Lockstep is P times more context switches for the same event count;
     // scale it down so the suite stays quick at 256 PEs.
     const std::uint64_t lock_bursts = std::max<std::uint64_t>(bursts / 8, 1);
-    emit(seq_scenario(tm, "seq_lockstep", npes, lock_bursts, 100, false),
-         mode);
+    emit(seq_scenario(tm, "seq_lockstep", npes, lock_bursts, 100, false));
   }
 
   {
     net::VirtualTimeModel tm(2);
-    tm.set_reference_mode(reference);
-    emit(nbi_scenario(tm, "nbi_amo", nbi_events, 0), mode);
-    emit(nbi_scenario(tm, "nbi_put_small", nbi_events, 32), mode);
-    emit(nbi_scenario(tm, "nbi_put_large", nbi_events / 2, 256), mode);
+    emit(nbi_scenario(tm, "nbi_amo", nbi_events, 0));
+    emit(nbi_scenario(tm, "nbi_put_small", nbi_events, 32));
+    emit(nbi_scenario(tm, "nbi_put_large", nbi_events / 2, 256));
   }
 
   // Engine-threads sweep: the serial sequencer at threads = 1 vs the
-  // sharded windowed engine. The windowed engine has no linear-scan
-  // reference variant, so --reference only reruns the serial baseline.
+  // sharded windowed engine.
   const std::vector<int> thread_counts =
       parse_pes(opt.get("engine-threads", std::string("1,2,4")));
   for (const int npes : pe_counts) {
@@ -236,18 +213,15 @@ int main(int argc, char** argv) {
     for (const int threads : thread_counts) {
       std::unique_ptr<net::TimeModel> tm;
       if (threads <= 1) {
-        auto serial = std::make_unique<net::VirtualTimeModel>(npes);
-        serial->set_reference_mode(reference);
-        tm = std::move(serial);
+        tm = std::make_unique<net::VirtualTimeModel>(npes);
       } else {
-        if (reference) continue;
         tm = std::make_unique<net::ParallelTimeModel>(
             npes, threads, net::NetworkParams{}.min_remote_latency());
       }
       Measurement m = engine_scenario(*tm, "engine_mixed", npes, bursts,
                                       /*step=*/10, /*global_every=*/64);
       m.engine_threads = threads;
-      emit(m, mode);
+      emit(m);
     }
   }
   return 0;

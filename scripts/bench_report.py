@@ -2,11 +2,10 @@
 """Machine-readable performance baseline for the simulator engine.
 
 Runs bench/sim_engine (the sequencer + nbi-path microbenchmarks, plus the
-engine_mixed engine-threads sweep) in both the optimized and the legacy
-linear-scan reference strategy, sweeps bench/engine_scale (end-to-end UTS
-wall clock, serial baton vs the sharded windowed engine), optionally times
-the end-to-end paper benchmarks (fig8 UTS, fig7 BPC), and writes one JSON
-file (BENCH_<pr>.json) that CI and future PRs diff against.
+engine_mixed engine-threads sweep), sweeps bench/engine_scale (end-to-end
+UTS wall clock, serial fiber sequencer vs the sharded windowed engine),
+optionally times the end-to-end paper benchmarks (fig8 UTS, fig7 BPC), and
+writes one JSON file (BENCH_<pr>.json) that CI and future PRs diff against.
 
 The committed file also carries a frozen "pre_change" section: the same
 scenarios measured on the tree *before* the sequencer overhaul (PR 4).
@@ -22,8 +21,8 @@ engine cannot exploit hardware parallelism, so engine speedups there
 measure pure synchronization savings (see docs/performance.md).
 
 Usage:
-  scripts/bench_report.py                    # full suite -> BENCH_9.json
-  scripts/bench_report.py --quick            # CI smoke: small, no e2e
+  scripts/bench_report.py --pr N             # full suite -> BENCH_N.json
+  scripts/bench_report.py --quick --out r.json   # CI smoke: small, no e2e
   scripts/bench_report.py --compare newest   # deltas vs newest BENCH_*.json
 """
 
@@ -46,18 +45,13 @@ E2E = {
 }
 
 
-def run_sim_engine(build_dir, mode, pes, events, nbi_events, threads):
+def run_sim_engine(build_dir, pes, events, nbi_events, threads):
     exe = os.path.join(build_dir, "bench", "sim_engine")
     cmd = [exe, "--pes", ",".join(str(p) for p in pes), "--events",
            str(events), "--nbi-events", str(nbi_events),
            "--engine-threads", ",".join(str(t) for t in threads)]
-    if mode == "reference":
-        cmd.append("--reference")
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    rows = [json.loads(line) for line in out.stdout.splitlines() if line]
-    for r in rows:
-        assert r.pop("mode") == mode
-    return rows
+    return [json.loads(line) for line in out.stdout.splitlines() if line]
 
 
 def run_engine_scale(build_dir, pes, threads):
@@ -101,16 +95,6 @@ def index_rows(rows):
     (no engine_threads field) index as threads = 1."""
     return {(r["bench"], r["pes"], r.get("engine_threads", 1)): r
             for r in rows}
-
-
-def speedups(optimized, reference):
-    """events/sec ratio per config present in both row sets."""
-    opt, ref = index_rows(optimized), index_rows(reference)
-    out = {}
-    for key in sorted(opt.keys() & ref.keys()):
-        out[row_name(key)] = round(
-            opt[key]["events_per_sec"] / ref[key]["events_per_sec"], 2)
-    return out
 
 
 def row_name(key):
@@ -207,7 +191,10 @@ def compare(path, report, warn_pct=10.0, fail_pct=25.0):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--build-dir", default=os.path.join(REPO, "build"))
-    ap.add_argument("--out", default=os.path.join(REPO, "BENCH_9.json"))
+    ap.add_argument("--pr", type=int,
+                    help="PR number the baseline belongs to; recorded in "
+                         "the report and names the default --out")
+    ap.add_argument("--out", help="report path (default BENCH_<pr>.json)")
     ap.add_argument("--quick", action="store_true",
                     help="CI smoke: 64 PEs, fewer events, no e2e runs")
     ap.add_argument("--skip-e2e", action="store_true")
@@ -232,6 +219,10 @@ def main():
                     help="seed the pre_change section: e2e wall times JSON "
                          "captured on the pre-overhaul tree")
     args = ap.parse_args()
+    if args.out is None:
+        if args.pr is None:
+            ap.error("give --pr or --out")
+        args.out = os.path.join(REPO, f"BENCH_{args.pr}.json")
 
     if args.quick:
         pes, events, nbi = [64], 200_000, 50_000
@@ -241,24 +232,19 @@ def main():
         scale_pes = [256, 1024, 2048]
     threads = [1, 2, 4]
 
-    print(f"sim_engine optimized (pes={pes})", file=sys.stderr)
-    optimized = run_sim_engine(args.build_dir, "optimized", pes, events, nbi,
-                               threads)
-    print("sim_engine reference (legacy linear scan)", file=sys.stderr)
-    reference = run_sim_engine(args.build_dir, "reference", pes, events, nbi,
-                               threads)
+    print(f"sim_engine (pes={pes})", file=sys.stderr)
+    optimized = run_sim_engine(args.build_dir, pes, events, nbi, threads)
     print(f"engine_scale uts_e2e (pes={scale_pes}, threads={threads})",
           file=sys.stderr)
     engine_scale = run_engine_scale(args.build_dir, scale_pes, threads)
 
     report = {
         "schema": "sws-bench",
-        "pr": 9,
+        "pr": args.pr,
         "quick": args.quick,
         "host": {"nproc": os.cpu_count()},
-        "sim_engine": {"optimized": optimized, "reference": reference},
+        "sim_engine": {"optimized": optimized},
         "engine_scale": engine_scale,
-        "speedup_vs_reference": speedups(optimized, reference),
         # Windowed engine vs the serial sequencer, same binary: event rate
         # for the engine_mixed microbenchmark, wall clock for e2e UTS.
         "engine_speedup_vs_serial": {

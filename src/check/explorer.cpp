@@ -80,14 +80,15 @@ int Explorer::arbitrate(int caller, const std::vector<int>& ready,
   const int pe = ready[static_cast<std::size_t>(c)];
   if (arb_.record) {
     const net::OpLabel& op = rt_->fabric().last_op(pe);
-    std::string line = "+" + std::to_string(now - kExploreEpochNs) + "ns pe" +
-                       std::to_string(pe) + " ";
+    std::string line = "+";
+    line += std::to_string(now - kExploreEpochNs) + "ns pe" +
+            std::to_string(pe) + " ";
     if (op.kind == net::OpKind::kCount_) {
       line += "start";
     } else {
       line += net::op_kind_name(op.kind);
-      line += " ->pe" + std::to_string(op.target) + " off=" +
-              std::to_string(op.offset);
+      line += " ->pe";
+      line += std::to_string(op.target) + " off=" + std::to_string(op.offset);
     }
     arb_.events.push_back(std::move(line));
   }

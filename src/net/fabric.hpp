@@ -46,7 +46,7 @@ class MetricsRegistry;
 
 namespace sws::net {
 
-/// Thrown on the crashing PE's own thread at the first operation boundary
+/// Thrown on the crashing PE itself at the first operation boundary
 /// at/after its planned crash time (FaultPlan::crashes). Deliberately not
 /// a std::exception: nothing may "handle" a crash — the runtime treats it
 /// as the planned end of that PE's execution, and the scheduler only

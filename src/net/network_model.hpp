@@ -45,7 +45,7 @@ struct NetworkParams {
   TopologySpec topology{};
   /// links[t-1] parameterizes tier t. Must have exactly
   /// topology.ntiers() entries (validate()).
-  std::vector<LinkParams> links{LinkParams{}};
+  std::vector<LinkParams> links = std::vector<LinkParams>(1);
 
   Nanos local_overhead = 60;       ///< any op whose target is the initiator
   double local_bandwidth = 100.0;  ///< local payload bytes per nanosecond

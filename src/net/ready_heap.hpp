@@ -13,7 +13,8 @@
 // any pick. Callers other than VirtualTimeModel should treat keys as
 // authoritative.
 //
-// Not thread-safe; the sequencer guards it with its own mutex.
+// Not thread-safe: the serial sequencer uses it from its one host thread,
+// the sharded one under each shard's lock.
 #pragma once
 
 #include <cstddef>
@@ -112,7 +113,7 @@ class ReadyHeap {
       sift_up(i);
   }
 
-  /// Remove `pe` (pe_end): swap with the last slot, then restore the heap
+  /// Remove `pe` (it finished): swap with the last slot, then restore the heap
   /// property in whichever direction the moved element violates it.
   void remove(int pe) {
     SWS_ASSERT(contains(pe));

@@ -1,10 +1,37 @@
 #include "net/time_model.hpp"
 
+#include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/assert.hpp"
 
 namespace sws::net {
+
+// ------------------------------------------------------------------ base
+
+void TimeModel::run_pes(int npes, const std::function<void(int)>& body) {
+  reset(npes);
+  std::mutex err_mu;
+  std::exception_ptr first_error;
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(npes));
+  for (int pe = 0; pe < npes; ++pe) {
+    threads.emplace_back([this, pe, &body, &err_mu, &first_error] {
+      pe_begin(pe);
+      try {
+        body(pe);
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(err_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+      // Always release the baton, even on error, or the sequencer stalls.
+      pe_end(pe);
+    });
+  }
+  for (auto& t : threads) t.join();
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 // ---------------------------------------------------------------- virtual
 
@@ -14,59 +41,66 @@ VirtualTimeModel::~VirtualTimeModel() = default;
 
 void VirtualTimeModel::reset(int npes) {
   SWS_CHECK(npes >= 0, "npes must be non-negative");
-  std::lock_guard<std::mutex> lk(mu_);
+  SWS_ASSERT_MSG(body_ == nullptr, "reset() during a run");
   slots_.clear();
   slots_.reserve(static_cast<std::size_t>(npes));
   for (int i = 0; i < npes; ++i) slots_.push_back(std::make_unique<PeSlot>());
   heap_.rebuild(npes);
-  // The baton starts with PE 0: all clocks are 0 and ties break by id.
-  // Horizons start at 0, so the first advance of every PE enters the
-  // sequencer and computes a real horizon.
+  // PE 0 runs first: all clocks are 0 and ties break by id. Horizons
+  // start at 0, so the first advance of every PE enters the sequencer and
+  // computes a real horizon.
   active_.store(npes > 0 ? 0 : -1, std::memory_order_relaxed);
   next_sample_ = sample_interval_;
 }
 
+void VirtualTimeModel::run_pes(int npes,
+                               const std::function<void(int)>& body) {
+  SWS_CHECK(body_ == nullptr, "VirtualTimeModel::run_pes is not reentrant");
+  reset(npes);
+  if (npes == 0) return;
+  const auto n = static_cast<std::size_t>(npes);
+  while (fibers_.size() < n) fibers_.push_back(std::make_unique<Fiber>());
+  fibers_.resize(n);
+  for (auto& f : fibers_) f->arm(&VirtualTimeModel::fiber_main, this);
+  body_ = &body;
+  fiber_switch(caller_, fibers_[0]->context());
+  // Every PE has finished; the last one switched back here.
+  body_ = nullptr;
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void VirtualTimeModel::fiber_main(void* self) {
+  auto& m = *static_cast<VirtualTimeModel*>(self);
+  // A fiber first runs when the sequencer activates it.
+  const int pe = m.active_.load(std::memory_order_relaxed);
+  try {
+    (*m.body_)(pe);
+  } catch (...) {
+    // Nothing may unwind past this frame: it is the bottom of the stack.
+    if (!m.error_) m.error_ = std::current_exception();
+  }
+  m.finish(pe);
+}
+
 void VirtualTimeModel::set_delivery_hook(DeliveryHook hook) {
-  std::lock_guard<std::mutex> lk(mu_);
   hook_ = std::move(hook);
 }
 
 void VirtualTimeModel::set_sample_hook(SampleHook hook, Nanos interval_ns) {
-  std::lock_guard<std::mutex> lk(mu_);
   sample_hook_ = std::move(hook);
   sample_interval_ = sample_hook_ ? interval_ns : 0;
   next_sample_ = sample_interval_;
 }
 
 void VirtualTimeModel::set_ready_arbiter(ReadyArbiter arb) {
-  std::lock_guard<std::mutex> lk(mu_);
   arbiter_ = std::move(arb);
 }
 
-void VirtualTimeModel::set_reference_mode(bool on) {
-  std::lock_guard<std::mutex> lk(mu_);
-  reference_ = on;
-}
-
-int VirtualTimeModel::pick_next_locked(int caller) {
-  int best = -1;
-  if (reference_) {
-    // Legacy strategy: O(N) scan, kept as the A/B measurement baseline.
-    for (int i = 0; i < static_cast<int>(slots_.size()); ++i) {
-      const auto& s = *slots_[static_cast<std::size_t>(i)];
-      if (s.finished) continue;
-      if (best < 0 ||
-          s.vtime.load(std::memory_order_relaxed) <
-              slots_[static_cast<std::size_t>(best)]->vtime.load(
-                  std::memory_order_relaxed))
-        best = i;
-    }
-  } else {
-    // The heap's (vtime, pe) order reproduces the scan's lowest-id
-    // tie-break exactly. Callers refresh the active PE's key before
-    // picking, so the top is authoritative.
-    best = heap_.top();
-  }
+int VirtualTimeModel::pick_next(int caller) {
+  // The heap's (vtime, pe) order breaks ties by lowest id. Callers
+  // refresh the active PE's key before picking, so the top is
+  // authoritative.
+  const int best = heap_.top();
   if (best < 0 || !arbiter_) return best;
 
   // Collect every PE tied at the minimum: each is a legal next event, and
@@ -91,7 +125,7 @@ int VirtualTimeModel::pick_next_locked(int caller) {
   return chosen;
 }
 
-Nanos VirtualTimeModel::horizon_locked(int pe) {
+Nanos VirtualTimeModel::refresh_horizon(int pe) {
   // Deliver everything that is now in the past before the PE resumes, so
   // it observes a consistent "nothing from the future" memory state; the
   // hook reports the earliest deadline still pending so batching can
@@ -110,40 +144,39 @@ Nanos VirtualTimeModel::horizon_locked(int pe) {
       next_sample_ += sample_interval_;
     }
   }
-  // Batching off: reference mode measures the legacy per-event lock, and
-  // an installed arbiter must see every advance as a potential tie.
-  if (reference_ || arbiter_) return 0;
+  // Batching off: an installed arbiter must see every advance as a
+  // potential tie.
+  if (arbiter_) return 0;
   Nanos h = heap_.second_vtime();
   if (next_deadline < h) h = next_deadline;
   // Cap batches at the next sampling boundary so samples land exactly
   // when the floor crosses it (a smaller horizon never changes the
-  // schedule — reference mode pins it to 0 and stays byte-identical).
+  // schedule — arbiter mode pins it to 0 and stays byte-identical).
   if (sample_interval_ > 0 && next_sample_ < h) h = next_sample_;
   return h;
 }
 
-void VirtualTimeModel::activate_locked(int next) {
+void VirtualTimeModel::activate(int next) {
   active_.store(next, std::memory_order_relaxed);
   if (next < 0) return;
-  PeSlot& slot = *slots_[static_cast<std::size_t>(next)];
-  slot.horizon = horizon_locked(next);
-  slot.cv.notify_one();
+  slots_[static_cast<std::size_t>(next)]->horizon = refresh_horizon(next);
 }
 
-void VirtualTimeModel::pe_begin(int pe) {
-  std::unique_lock<std::mutex> lk(mu_);
-  SWS_ASSERT(pe >= 0 && pe < static_cast<int>(slots_.size()));
-  auto& slot = *slots_[static_cast<std::size_t>(pe)];
-  slot.cv.wait(
-      lk, [&] { return active_.load(std::memory_order_relaxed) == pe; });
+void VirtualTimeModel::switch_from(int pe, bool exiting) {
+  SWS_ASSERT_MSG(body_ != nullptr, "PE handoff outside run_pes()");
+  const int next = active_.load(std::memory_order_relaxed);
+  FiberContext& to =
+      next < 0 ? caller_ : fibers_[static_cast<std::size_t>(next)]->context();
+  fiber_switch(fibers_[static_cast<std::size_t>(pe)]->context(), to, exiting);
 }
 
-void VirtualTimeModel::pe_end(int pe) {
-  std::unique_lock<std::mutex> lk(mu_);
+void VirtualTimeModel::finish(int pe) {
   SWS_ASSERT(active_.load(std::memory_order_relaxed) == pe);
   slots_[static_cast<std::size_t>(pe)]->finished = true;
-  if (!reference_) heap_.remove(pe);
-  activate_locked(pick_next_locked(pe));
+  heap_.remove(pe);
+  activate(pick_next(pe));
+  switch_from(pe, /*exiting=*/true);
+  SWS_UNREACHABLE();  // a finished fiber is only re-armed, never resumed
 }
 
 void VirtualTimeModel::advance(int pe, Nanos dt) {
@@ -159,20 +192,18 @@ void VirtualTimeModel::advance(int pe, Nanos dt) {
     slot.vtime.store(nv, std::memory_order_release);
     return;
   }
-  std::unique_lock<std::mutex> lk(mu_);
   slot.vtime.store(nv, std::memory_order_release);
-  if (!reference_) heap_.update(pe, nv);  // increase-key
-  const int next = pick_next_locked(pe);
+  heap_.update(pe, nv);  // increase-key
+  const int next = pick_next(pe);
   SWS_ASSERT(next >= 0);  // we are unfinished, so somebody is runnable
   if (next == pe) {
     // Still the minimum: deliver anything our own advance made due and
     // batch up to the refreshed horizon.
-    slot.horizon = horizon_locked(pe);
+    slot.horizon = refresh_horizon(pe);
     return;
   }
-  activate_locked(next);
-  slot.cv.wait(
-      lk, [&] { return active_.load(std::memory_order_relaxed) == pe; });
+  activate(next);
+  switch_from(pe, /*exiting=*/false);
 }
 
 Nanos VirtualTimeModel::now(int pe) const {

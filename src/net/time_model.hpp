@@ -1,42 +1,46 @@
 // Time backends for the simulated PGAS platform.
 //
 // The paper evaluates on a 44-node InfiniBand cluster. We reproduce its
-// experiments on one host by running each PE as a thread against one of
-// two interchangeable clocks:
+// experiments on one host by running each PE against one of two
+// interchangeable clocks:
 //
-//  * VirtualTimeModel — a discrete-event sequencer. Exactly one PE thread
-//    runs at a time; the runnable PE is always the one with the minimum
-//    (virtual clock, PE id). Communication latencies and task compute
-//    times are charged by advance(), so a 5 ms task costs nothing in wall
-//    time and results are bit-deterministic. All paper figures use this.
-//  * RealTimeModel — PE threads run concurrently and advance() injects
-//    real delays (spin for short, sleep for long). Used by stress tests
-//    that want genuinely preemptive interleavings, and by live examples.
+//  * VirtualTimeModel — a discrete-event sequencer. Every PE is a
+//    user-space fiber (net/fiber.hpp) on the host thread that calls
+//    run_pes(), and exactly one runs at a time: the runnable PE is always
+//    the one with the minimum (virtual clock, PE id). Communication
+//    latencies and task compute times are charged by advance(), so a 5 ms
+//    task costs nothing in wall time and results are bit-deterministic.
+//    All paper figures use this.
+//  * RealTimeModel — PEs are OS threads that run concurrently, and
+//    advance() injects real delays (spin for short, sleep for long). Used
+//    by stress tests that want genuinely preemptive interleavings, and by
+//    live examples.
 //
 // Both expose the same interface, so the whole runtime above this layer
 // is written once.
 //
 // Sequencer hot path (docs/performance.md): the ready set lives in an
-// indexed (vtime, pe) min-heap, and the baton holder caches a *horizon* —
+// indexed (vtime, pe) min-heap, and the running PE caches a *horizon* —
 // the minimum of every other PE's clock and the earliest pending nbi
 // deadline. advance() calls that keep the clock strictly below the
-// horizon touch no lock, fire no hook, and wake no thread; only crossing
-// the horizon enters the sequencer. Anything that could schedule an event
-// below the holder's horizon must shrink it via clamp_horizon() (the
-// fabric does this on every nbi enqueue), and the delivery hook reports
-// the earliest still-pending deadline so the sequencer can cap horizons
-// with it. Installing a ReadyArbiter disables horizon batching entirely:
-// the schedule explorer must observe every potential tie.
+// horizon touch no heap, fire no hook, and switch no fiber; only crossing
+// the horizon enters the sequencer, which picks the next PE from the heap
+// and switches straight to its fiber. Anything that could schedule an
+// event below the running PE's horizon must shrink it via clamp_horizon()
+// (the fabric does this on every nbi enqueue), and the delivery hook
+// reports the earliest still-pending deadline so the sequencer can cap
+// horizons with it. Installing a ReadyArbiter disables horizon batching
+// entirely: the schedule explorer must observe every potential tie.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
+#include "net/fiber.hpp"
 #include "net/ready_heap.hpp"
 #include "net/types.hpp"
 
@@ -51,7 +55,7 @@ inline constexpr Nanos kNoPendingDeadline = ~Nanos{0};
 /// operations whose deadline has passed. Returns the earliest deadline
 /// still pending after the sweep (kNoPendingDeadline if none) — the
 /// sequencer caps run-to-horizon batching with it so no delivery is ever
-/// skipped over. Runs under the sequencer lock — it must only touch
+/// skipped over. Runs inside the sequencer — it must only touch
 /// fabric/pending state, never call back into the time model.
 using DeliveryHook = std::function<Nanos(Nanos now)>;
 
@@ -60,8 +64,8 @@ using DeliveryHook = std::function<Nanos(Nanos now)>;
 /// queue holds a genuine ordering choice. `caller` is the PE that just
 /// advanced (or finished), `ready` the tied PEs in ascending id order, and
 /// `now` their common virtual time. Must return one element of `ready`.
-/// Runs under the sequencer lock: it must not call back into the time
-/// model or issue fabric operations. The schedule-exploration harness
+/// Runs inside the sequencer: it must not call back into the time model
+/// or issue fabric operations. The schedule-exploration harness
 /// (src/check/) installs one to enumerate interleavings; when unset, ties
 /// break by lowest id — the legacy deterministic order.
 using ReadyArbiter =
@@ -70,13 +74,13 @@ using ReadyArbiter =
 /// Observation-only callback fired by the virtual sequencers each time the
 /// global time floor crosses a sampling boundary (`boundary` = k*interval
 /// for k = 1, 2, ...; boundaries are never skipped, so a long batch fires
-/// one call per crossed boundary, in order). Runs under the sequencer's
-/// serialization — exactly one thread executes it, with every PE thread
-/// parked — so it may read clocks, metrics slabs, and scheduler state
-/// lock-free. It must never advance clocks, issue fabric operations, or
-/// call back into the time model: sampling is observation-only, and the
-/// determinism A/B suite enforces that sampled runs are byte-identical to
-/// unsampled ones. Real-time backends ignore it.
+/// one call per crossed boundary, in order). Runs inside the sequencer's
+/// serialization — with every other PE suspended — so it may read clocks,
+/// metrics slabs, and scheduler state lock-free. It must never advance
+/// clocks, issue fabric operations, or call back into the time model:
+/// sampling is observation-only, and the determinism A/B suite enforces
+/// that sampled runs are byte-identical to unsampled ones. Real-time
+/// backends ignore it.
 using SampleHook = std::function<void(Nanos boundary)>;
 
 class TimeModel {
@@ -84,12 +88,14 @@ class TimeModel {
   virtual ~TimeModel() = default;
 
   /// Re-initialize for a fresh run with `npes` participants. Must not be
-  /// called while PE threads are active.
+  /// called while PEs are running.
   virtual void reset(int npes) = 0;
 
-  /// Called by each PE thread when it starts/finishes executing.
-  virtual void pe_begin(int pe) = 0;
-  virtual void pe_end(int pe) = 0;
+  /// reset(npes), then run `body(pe)` for every PE in [0, npes) under this
+  /// clock; returns when every PE has finished. The first exception that
+  /// escapes a PE's body is rethrown here after all of them finish.
+  /// Default: one std::thread per PE, framed by pe_begin/pe_end.
+  virtual void run_pes(int npes, const std::function<void(int)>& body);
 
   /// Advance PE `pe`'s clock by `dt`, blocking the caller accordingly.
   virtual void advance(int pe, Nanos dt) = 0;
@@ -100,7 +106,7 @@ class TimeModel {
   /// Inform the sequencer that an event (e.g. an nbi delivery deadline)
   /// was scheduled at virtual time `deadline` by the running PE `pe`.
   /// Virtual backend: shrinks pe's batching horizon so the deadline is
-  /// not skipped over; may only be called by the baton holder. Real
+  /// not skipped over; may only be called by the running PE. Real
   /// backend: no-op (deliveries are driven by a progress thread).
   virtual void clamp_horizon(int pe, Nanos deadline) {
     (void)pe;
@@ -113,7 +119,7 @@ class TimeModel {
   /// hook. Virtual backends fire it at every multiple of `interval_ns`
   /// the global floor crosses, capping run-to-horizon batches (but never
   /// schedules) at the next boundary so samples land on time. Real
-  /// backend: no-op. Must not be called while PE threads are active.
+  /// backend: no-op. Must not be called while PEs are running.
   virtual void set_sample_hook(SampleHook hook, Nanos interval_ns) {
     (void)hook;
     (void)interval_ns;
@@ -163,6 +169,12 @@ class TimeModel {
   /// True when windows of PE threads may run concurrently — callers use it
   /// to gate global_begin/end/sync so the serial hot path stays untouched.
   virtual bool concurrent_windows() const noexcept { return false; }
+
+ protected:
+  /// The default run_pes() calls these on each PE thread right before and
+  /// after its body.
+  virtual void pe_begin(int pe) { (void)pe; }
+  virtual void pe_end(int pe) { (void)pe; }
 };
 
 /// Deterministic discrete-event sequencer (see file comment).
@@ -172,15 +184,15 @@ class VirtualTimeModel final : public TimeModel {
   ~VirtualTimeModel() override;
 
   void reset(int npes) override;
-  void pe_begin(int pe) override;
-  void pe_end(int pe) override;
+  /// Runs each PE as a fiber on the calling thread, PE 0 first. Fiber
+  /// stacks are kept across runs and only remapped when `npes` grows. Not
+  /// reentrant.
+  void run_pes(int npes, const std::function<void(int)>& body) override;
   void advance(int pe, Nanos dt) override;
 
-  /// Lock-free: reads the PE's published clock mirror. Exact when called
-  /// by `pe` itself (every advance publishes before returning) or by any
-  /// thread ordered after the writer (joined threads, the sequencer's
-  /// baton hand-off). A concurrent reader on another thread may observe a
-  /// slightly stale — but monotonic — value; there is no torn read.
+  /// Reads the PE's published clock. Exact when called by `pe` itself
+  /// (every advance publishes before returning), by any other PE (they
+  /// share one host thread), or after run_pes() returns.
   Nanos now(int pe) const override;
 
   void clamp_horizon(int pe, Nanos deadline) override;
@@ -191,58 +203,55 @@ class VirtualTimeModel final : public TimeModel {
 
   /// Install (or clear, with nullptr) the ready-set arbiter. Survives
   /// reset() — it is sequencer configuration, like the delivery hook.
-  /// Must not be called while PE threads are active. While installed,
+  /// Must not be called while PEs are running. While installed,
   /// run-to-horizon batching is disabled so every advance() is a
   /// potential branch point for the explorer.
   void set_ready_arbiter(ReadyArbiter arb);
 
-  /// Test/bench-only strategy switch: revert to the pre-heap linear ready
-  /// scan with no run-to-horizon batching (every advance takes the lock
-  /// and fires the delivery hook — the legacy implementation). Schedules
-  /// are identical either way; this exists so the determinism A/B test
-  /// and bench/sim_engine can compare both inside one binary. Must not be
-  /// toggled while PE threads are active.
-  void set_reference_mode(bool on);
-  bool reference_mode() const noexcept { return reference_; }
-
  private:
   struct PeSlot {
-    /// Authoritative clock, written only by the baton-holding thread (or
-    /// under mu_ during reset). Atomic so now() can read it lock-free.
+    /// Authoritative clock, written only by the running PE (or by reset).
     std::atomic<Nanos> vtime{0};
-    /// Fast-path cap: advance() stays lock-free while the resulting clock
-    /// is *strictly* below this. Written under mu_ when the baton is
-    /// handed over, then owned by the holder (clamp_horizon) until the
-    /// next hand-off; the cv round-trip orders the accesses.
+    /// Fast-path cap: advance() stays in the fast path while the
+    /// resulting clock is *strictly* below this. Set by the sequencer when
+    /// the PE is activated, then shrunk only by clamp_horizon().
     Nanos horizon = 0;
     bool finished = false;
-    std::condition_variable cv;
   };
 
   /// Pick the next runnable PE: minimum vtime, ties resolved by the
   /// arbiter when one is installed (else by id); -1 if none left.
   /// `caller` is the PE whose advance/finish triggered the pick.
-  int pick_next_locked(int caller);
-  /// Hand the baton to `next` (may equal current active): fire the
-  /// delivery hook for the new time floor, refresh `next`'s horizon,
-  /// and wake it.
-  void activate_locked(int next);
+  int pick_next(int caller);
+  /// Make `next` the running PE (-1: none left): fire the delivery hook
+  /// for the new time floor and refresh `next`'s horizon.
+  void activate(int next);
   /// Fire the hook at `pe`'s clock and compute its fresh horizon:
   /// min(second-lowest ready clock, earliest pending delivery deadline);
-  /// 0 (batching off) in reference/arbiter mode.
-  Nanos horizon_locked(int pe);
+  /// 0 (batching off) in arbiter mode.
+  Nanos refresh_horizon(int pe);
+  /// Suspend `pe`'s fiber and resume the active PE's, or the run_pes()
+  /// caller when none is active. `exiting`: `pe` has finished.
+  void switch_from(int pe, bool exiting);
+  /// Body of every PE fiber: run the PE that is active when it starts.
+  static void fiber_main(void* self);
+  /// `pe`'s body returned: retire it and switch away for good.
+  void finish(int pe);
 
-  mutable std::mutex mu_;
   std::vector<std::unique_ptr<PeSlot>> slots_;
-  ReadyHeap heap_;           ///< ready PEs keyed by (vtime, pe); guarded by mu_
-  std::atomic<int> active_{-1};  ///< written under mu_; read lock-free by asserts
+  ReadyHeap heap_;  ///< ready PEs keyed by (vtime, pe)
+  std::atomic<int> active_{-1};  ///< the running PE
   DeliveryHook hook_;
   ReadyArbiter arbiter_;
   SampleHook sample_hook_;
   Nanos sample_interval_ = 0;  ///< 0 = sampling off
-  Nanos next_sample_ = 0;      ///< next unfired boundary; guarded by mu_
-  bool reference_ = false;
-  std::vector<int> ready_scratch_;  ///< reused per pick; guarded by mu_
+  Nanos next_sample_ = 0;      ///< next unfired boundary
+  std::vector<int> ready_scratch_;  ///< reused per pick
+
+  std::vector<std::unique_ptr<Fiber>> fibers_;  ///< one per PE, reused
+  FiberContext caller_;  ///< the thread inside run_pes()
+  const std::function<void(int)>* body_ = nullptr;  ///< set while running
+  std::exception_ptr error_;  ///< first exception escaping a body
 };
 
 /// Wall-clock backend with injected delays.
@@ -253,8 +262,6 @@ class RealTimeModel final : public TimeModel {
   explicit RealTimeModel(int npes = 0, Nanos spin_threshold = 100'000);
 
   void reset(int npes) override;
-  void pe_begin(int pe) override {(void)pe;}
-  void pe_end(int pe) override {(void)pe;}
   void advance(int pe, Nanos dt) override;
   Nanos now(int pe) const override;
   void set_delivery_hook(DeliveryHook hook) override;

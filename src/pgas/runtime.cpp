@@ -1,8 +1,6 @@
 #include "pgas/runtime.hpp"
 
 #include <exception>
-#include <mutex>
-#include <thread>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -12,19 +10,16 @@ namespace sws::pgas {
 
 Runtime::Runtime(RuntimeConfig cfg) : cfg_(cfg) {
   SWS_CHECK(cfg_.npes > 0, "npes must be positive");
-  // The parallel engine serves plain virtual-time runs; the reference
-  // oracle stays serial by definition, and crash plans poll liveness
-  // across PEs in ways only the serial total order licenses.
+  // The parallel engine serves plain virtual-time runs; crash plans poll
+  // liveness across PEs in ways only the serial total order licenses.
   const bool parallel = cfg_.mode == TimeMode::kVirtual &&
-                        cfg_.engine_threads > 1 && !cfg_.sequencer_reference &&
+                        cfg_.engine_threads > 1 &&
                         cfg_.net.faults.crashes.empty();
   if (parallel) {
     time_ = std::make_unique<net::ParallelTimeModel>(
         cfg_.npes, cfg_.engine_threads, cfg_.net.min_remote_latency());
   } else if (cfg_.mode == TimeMode::kVirtual) {
-    auto vt = std::make_unique<net::VirtualTimeModel>(cfg_.npes);
-    vt->set_reference_mode(cfg_.sequencer_reference);
-    time_ = std::move(vt);
+    time_ = std::make_unique<net::VirtualTimeModel>(cfg_.npes);
   } else {
     time_ = std::make_unique<net::RealTimeModel>(cfg_.npes);
   }
@@ -53,7 +48,6 @@ Runtime::Runtime(RuntimeConfig cfg) : cfg_(cfg) {
 Runtime::~Runtime() = default;
 
 void Runtime::run(const std::function<void(PeContext&)>& body) {
-  time_->reset(cfg_.npes);
   fabric_->new_run();
 
   // Collective flags are generation counters that restart at 1 each run;
@@ -68,14 +62,10 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
     heap_->zero(pe, coll_.bcast_slot, sizeof(std::uint64_t));
   }
 
-  std::mutex err_mu;
+  // The first error is rethrown only after the run's accounting below.
   std::exception_ptr first_error;
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(cfg_.npes));
-  for (int pe = 0; pe < cfg_.npes; ++pe) {
-    threads.emplace_back([this, pe, &body, &err_mu, &first_error] {
-      time_->pe_begin(pe);
+  try {
+    time_->run_pes(cfg_.npes, [this, &body](int pe) {
       try {
         PeContext ctx(*this, pe);
         body(ctx);
@@ -83,15 +73,11 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
         // A planned crash-stop (FaultPlan::crashes): this PE's execution
         // simply ends here. Not an error — survivors keep running and the
         // run completes over the surviving set.
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!first_error) first_error = std::current_exception();
       }
-      // Always release the baton, even on error, or the sequencer stalls.
-      time_->pe_end(pe);
     });
+  } catch (...) {
+    first_error = std::current_exception();
   }
-  for (auto& t : threads) t.join();
 
   net::Nanos max_t = 0;
   for (int pe = 0; pe < cfg_.npes; ++pe)

@@ -1,5 +1,6 @@
-// The PGAS runtime: spawns one thread per PE over the selected time
-// backend, wires the symmetric heap into the fabric, and hands each PE a
+// The PGAS runtime: runs every PE over the selected time backend (as a
+// fiber on the serial virtual-time sequencer, as a thread on the other
+// backends), wires the symmetric heap into the fabric, and hands each PE a
 // PeContext — the per-PE handle through which all communication flows
 // (the moral equivalent of the OpenSHMEM API surface).
 #pragma once
@@ -24,29 +25,24 @@ struct RuntimeConfig {
   net::NetworkParams net{};
   TimeMode mode = TimeMode::kVirtual;
   std::uint64_t seed = 42;  ///< base seed for per-PE RNG streams
-  /// Virtual mode only: run the sequencer in its legacy linear-scan
-  /// strategy (no ready heap, no run-to-horizon batching). Schedules are
-  /// identical; exists for A/B determinism tests and benchmarks.
-  bool sequencer_reference = false;
   /// Virtual mode only: engine parallelism. 1 (default) = the serial
-  /// baton-passing sequencer. >1 = the sharded ParallelTimeModel with
+  /// fiber sequencer. >1 = the sharded ParallelTimeModel with
   /// this many shard lock groups, releasing *windows* of PEs that run
   /// concurrently below a conservative lookahead horizon. Schedules stay
   /// byte-identical across every value (tests/test_determinism_ab.cpp);
-  /// only wall-clock changes. Ignored (serial) under sequencer_reference
-  /// or when a crash plan is armed — crash-stop visibility polling
-  /// assumes the serial total order.
+  /// only wall-clock changes. Ignored (serial) when a crash plan is armed
+  /// — crash-stop visibility polling assumes the serial total order.
   int engine_threads = 1;
   /// Publish runtime/fabric accounting into the metrics registry at the
   /// end of every run() (docs/observability.md). Off the hot path either
-  /// way — publishing happens once, after the PE threads join.
+  /// way — publishing happens once, after every PE finished.
   bool metrics = false;
 };
 
 class Runtime;
 
 /// Per-PE handle; passed by reference to the SPMD body and to task code.
-/// Not thread-safe across PEs by design: each PE thread owns exactly one.
+/// Not thread-safe across PEs by design: each PE owns exactly one.
 class PeContext {
  public:
   PeContext(Runtime& rt, int pe);

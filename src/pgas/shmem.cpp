@@ -1,25 +1,31 @@
 #include "pgas/shmem.hpp"
 
 #include "common/assert.hpp"
+#include "net/fiber.hpp"
 
 namespace sws::pgas::shmem {
 namespace {
 
-thread_local PeContext* t_ctx = nullptr;
+// The bound context lives in the running PE's fiber-local slot, so it
+// follows each PE across fiber switches (and is per thread on the
+// threaded backends).
+PeContext* bound() {
+  return static_cast<PeContext*>(net::fiber_local());
+}
 
 }  // namespace
 
 Scope::Scope(PeContext& context) {
-  SWS_CHECK(t_ctx == nullptr, "shmem::Scope already bound on this thread");
-  t_ctx = &context;
+  SWS_CHECK(bound() == nullptr, "shmem::Scope already bound on this PE");
+  net::fiber_local() = &context;
 }
 
-Scope::~Scope() { t_ctx = nullptr; }
+Scope::~Scope() { net::fiber_local() = nullptr; }
 
 PeContext& ctx() {
-  SWS_ASSERT_MSG(t_ctx != nullptr,
-                 "shmem call outside a shmem::Scope-bound thread");
-  return *t_ctx;
+  PeContext* c = bound();
+  SWS_ASSERT_MSG(c != nullptr, "shmem call outside a shmem::Scope-bound PE");
+  return *c;
 }
 
 int my_pe() { return ctx().pe(); }

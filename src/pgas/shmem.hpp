@@ -2,11 +2,11 @@
 //
 // The paper's runtime is written against OpenSHMEM (§1, §5: Sandia
 // OpenSHMEM over UCX). This header exposes the familiar subset of that
-// API as free functions over a thread-bound PeContext, so code ported
+// API as free functions over a PE-bound PeContext, so code ported
 // from real SHMEM programs reads naturally:
 //
 //   rt.run([&](pgas::PeContext& ctx) {
-//     shmem::Scope scope(ctx);                 // bind this thread
+//     shmem::Scope scope(ctx);                 // bind this PE
 //     if (shmem::my_pe() == 0)
 //       shmem::ulong_p(flag, 1, 1);            // put to PE 1
 //     shmem::barrier_all();
@@ -23,8 +23,9 @@
 
 namespace sws::pgas::shmem {
 
-/// Binds `ctx` to the calling thread for the lifetime of the scope.
-/// Nesting is rejected — one PE per thread, as in SHMEM.
+/// Binds `ctx` to the calling PE (its fiber, or its thread on the
+/// threaded backends) for the lifetime of the scope. Nesting is rejected
+/// — one context per PE, as in SHMEM.
 class Scope {
  public:
   explicit Scope(PeContext& ctx);
@@ -33,7 +34,7 @@ class Scope {
   Scope& operator=(const Scope&) = delete;
 };
 
-/// The calling thread's bound context; aborts if none.
+/// The calling PE's bound context; aborts if none.
 PeContext& ctx();
 
 int my_pe();

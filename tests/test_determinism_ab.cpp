@@ -1,9 +1,9 @@
-// Determinism A/B harness for the sequencer overhaul: the optimized
-// strategy (ready heap + run-to-horizon batching + pooled pending
-// effects) must produce byte-identical executions — run to run, and
-// against the legacy linear-scan reference strategy kept behind
-// RuntimeConfig::sequencer_reference. A fig2-style UTS workload with
-// nbi-heavy stealing exercises every hot path the overhaul touched.
+// Determinism A/B harness for the sequencers: the serial fiber sequencer
+// (ready heap + run-to-horizon batching + pooled pending effects) must
+// produce byte-identical executions run to run, the sharded parallel
+// engine must match it at every thread count, and both must land on the
+// pinned golden fingerprints below. A fig2-style UTS workload with
+// nbi-heavy stealing exercises every hot path of both engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,15 +54,14 @@ void expect_identical(const RunTrace& a, const RunTrace& b,
         << what << ": PE " << pe << " diverged (ops/bytes/blocking_ns/clock)";
 }
 
-RunTrace run_uts(core::QueueKind kind, int npes, bool reference,
-                 bool trace = false, net::NetworkParams net = {},
+RunTrace run_uts(core::QueueKind kind, int npes, bool trace = false,
+                 net::NetworkParams net = {},
                  std::uint32_t bulk = 1, int engine_threads = 1,
                  net::Nanos sample_ns = 0) {
   pgas::RuntimeConfig rc;
   rc.npes = npes;
   rc.heap_bytes = 4 << 20;
   rc.seed = 42;
-  rc.sequencer_reference = reference;
   rc.net = net;
   rc.engine_threads = engine_threads;
   pgas::Runtime rt(rc);
@@ -115,16 +114,10 @@ RunTrace run_uts(core::QueueKind kind, int npes, bool reference,
 class DeterminismAb : public ::testing::TestWithParam<core::QueueKind> {};
 
 TEST_P(DeterminismAb, OptimizedRunsAreRepeatable) {
-  const RunTrace a = run_uts(GetParam(), 8, /*reference=*/false);
-  const RunTrace b = run_uts(GetParam(), 8, /*reference=*/false);
+  const RunTrace a = run_uts(GetParam(), 8);
+  const RunTrace b = run_uts(GetParam(), 8);
   ASSERT_GT(a.steals_ok, 10u) << "workload too small to exercise stealing";
-  expect_identical(a, b, "optimized run-to-run");
-}
-
-TEST_P(DeterminismAb, OptimizedMatchesReferenceStrategy) {
-  const RunTrace opt = run_uts(GetParam(), 8, /*reference=*/false);
-  const RunTrace ref = run_uts(GetParam(), 8, /*reference=*/true);
-  expect_identical(opt, ref, "optimized vs linear-scan reference");
+  expect_identical(a, b, "serial run-to-run");
 }
 
 TEST(DeterminismBulk, BulkClaimRunsAreRepeatable) {
@@ -132,29 +125,21 @@ TEST(DeterminismBulk, BulkClaimRunsAreRepeatable) {
   // thief-side adaptive state and owner-side pressure tracking; none of it
   // may introduce nondeterminism. Two identical bulk runs must match on
   // every per-PE fabric counter and clock.
-  const RunTrace a = run_uts(core::QueueKind::kSws, 8, /*reference=*/false,
-                             /*trace=*/false, {}, /*bulk=*/4);
-  const RunTrace b = run_uts(core::QueueKind::kSws, 8, /*reference=*/false,
-                             /*trace=*/false, {}, /*bulk=*/4);
+  const RunTrace a =
+      run_uts(core::QueueKind::kSws, 8, /*trace=*/false, {}, /*bulk=*/4);
+  const RunTrace b =
+      run_uts(core::QueueKind::kSws, 8, /*trace=*/false, {}, /*bulk=*/4);
   EXPECT_GT(a.bulk_claims, 0u)
       << "workload never exercised a multi-block claim";
   EXPECT_EQ(a.bulk_claims, b.bulk_claims);
   expect_identical(a, b, "bulk=4 run-to-run");
 }
 
-TEST(DeterminismBulk, BulkClaimMatchesReferenceStrategy) {
-  const RunTrace opt = run_uts(core::QueueKind::kSws, 8, /*reference=*/false,
-                               /*trace=*/false, {}, /*bulk=*/4);
-  const RunTrace ref = run_uts(core::QueueKind::kSws, 8, /*reference=*/true,
-                               /*trace=*/false, {}, /*bulk=*/4);
-  expect_identical(opt, ref, "bulk=4 optimized vs reference");
-}
-
 TEST(DeterminismBulk, BulkClaimOffNeverBulks) {
   // The default (bulk_claim_max = 1) is the legacy protocol; the golden
   // fingerprints above pin its schedule bit-for-bit. Belt and braces: it
   // must also never record a multi-block claim.
-  const RunTrace t = run_uts(core::QueueKind::kSws, 8, /*reference=*/false);
+  const RunTrace t = run_uts(core::QueueKind::kSws, 8);
   EXPECT_EQ(t.bulk_claims, 0u);
 }
 
@@ -162,25 +147,25 @@ TEST(DeterminismBulk, BulkClaimOffNeverBulks) {
 //
 // The sharded windowed sequencer must be invisible in every observable:
 // per-PE fabric counters, clocks, durations, steal/task totals. The serial
-// reference strategy is the oracle for all of it.
+// sequencer is the reference for all of it.
 
 TEST_P(DeterminismAb, ParallelEngineMatchesReference) {
-  const RunTrace ref = run_uts(GetParam(), 8, /*reference=*/true);
-  for (const int threads : {1, 2, 4}) {
-    const RunTrace t = run_uts(GetParam(), 8, /*reference=*/false,
-                               /*trace=*/false, {}, /*bulk=*/1, threads);
+  const RunTrace ref = run_uts(GetParam(), 8);
+  for (const int threads : {2, 4}) {
+    const RunTrace t =
+        run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1, threads);
     expect_identical(t, ref,
                      (std::string("engine_threads=") + std::to_string(threads) +
-                      " vs reference")
+                      " vs serial")
                          .c_str());
   }
 }
 
 TEST_P(DeterminismAb, ParallelEngineIsRepeatable) {
-  const RunTrace a = run_uts(GetParam(), 8, /*reference=*/false,
-                             /*trace=*/false, {}, /*bulk=*/1, /*threads=*/4);
-  const RunTrace b = run_uts(GetParam(), 8, /*reference=*/false,
-                             /*trace=*/false, {}, /*bulk=*/1, /*threads=*/4);
+  const RunTrace a = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
+                             /*threads=*/4);
+  const RunTrace b = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
+                             /*threads=*/4);
   ASSERT_GT(a.steals_ok, 10u) << "workload too small to exercise stealing";
   expect_identical(a, b, "4-thread engine run-to-run");
 }
@@ -188,29 +173,26 @@ TEST_P(DeterminismAb, ParallelEngineIsRepeatable) {
 TEST(DeterminismParallel, BulkClaimsUnderParallelEngineMatchReference) {
   // Bulk claims + windows together: the widened AMO protocol must stay on
   // the serial schedule when the engine runs concurrent windows.
-  const RunTrace ref = run_uts(core::QueueKind::kSws, 8, /*reference=*/true,
-                               /*trace=*/false, {}, /*bulk=*/4);
-  const RunTrace par = run_uts(core::QueueKind::kSws, 8, /*reference=*/false,
-                               /*trace=*/false, {}, /*bulk=*/4, /*threads=*/4);
+  const RunTrace ref = run_uts(core::QueueKind::kSws, 8, /*trace=*/false, {},
+                               /*bulk=*/4);
+  const RunTrace par = run_uts(core::QueueKind::kSws, 8, /*trace=*/false, {},
+                               /*bulk=*/4, /*threads=*/4);
   EXPECT_GT(par.bulk_claims, 0u);
-  expect_identical(par, ref, "bulk=4 under 4-thread engine vs reference");
+  expect_identical(par, ref, "bulk=4 under 4-thread engine vs serial");
 }
 
 TEST_P(DeterminismAb, TracingIsObservationOnly) {
   // Span tracing + the fabric-op observer read clocks but never advance
   // them: a traced run must be byte-identical to an untraced one.
-  const RunTrace off = run_uts(GetParam(), 8, /*reference=*/false);
-  const RunTrace on = run_uts(GetParam(), 8, /*reference=*/false,
-                              /*trace=*/true);
+  const RunTrace off = run_uts(GetParam(), 8);
+  const RunTrace on = run_uts(GetParam(), 8, /*trace=*/true);
   EXPECT_FALSE(on.trace_json.empty());
   expect_identical(off, on, "trace-off vs trace-on");
 }
 
 TEST_P(DeterminismAb, TracedRunsDumpByteIdenticalJson) {
-  const RunTrace a = run_uts(GetParam(), 8, /*reference=*/false,
-                             /*trace=*/true);
-  const RunTrace b = run_uts(GetParam(), 8, /*reference=*/false,
-                             /*trace=*/true);
+  const RunTrace a = run_uts(GetParam(), 8, /*trace=*/true);
+  const RunTrace b = run_uts(GetParam(), 8, /*trace=*/true);
   expect_identical(a, b, "traced run-to-run");
   // The dump includes every event in merged (time, pe, seq) order, so
   // any nondeterminism in spans/ops/ordering shows up as a byte diff.
@@ -221,21 +203,18 @@ TEST_P(DeterminismAb, WindowedSamplingIsObservationOnly) {
   // The time-series sampler drains windows at virtual-time boundaries but
   // reads counters and phase clocks without touching them: a sampled run
   // must be byte-identical to an unsampled one on every observable.
-  const RunTrace off = run_uts(GetParam(), 8, /*reference=*/false);
-  const RunTrace on = run_uts(GetParam(), 8, /*reference=*/false,
-                              /*trace=*/false, {}, /*bulk=*/1, /*threads=*/1,
-                              /*sample_ns=*/10'000);
+  const RunTrace off = run_uts(GetParam(), 8);
+  const RunTrace on = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
+                              /*threads=*/1, /*sample_ns=*/10'000);
   EXPECT_FALSE(on.timeseries_json.empty());
   expect_identical(off, on, "sampling-off vs sampling-on");
 }
 
 TEST_P(DeterminismAb, SampledRunsDumpByteIdenticalJson) {
-  const RunTrace a = run_uts(GetParam(), 8, /*reference=*/false,
-                             /*trace=*/false, {}, /*bulk=*/1, /*threads=*/1,
-                             /*sample_ns=*/10'000);
-  const RunTrace b = run_uts(GetParam(), 8, /*reference=*/false,
-                             /*trace=*/false, {}, /*bulk=*/1, /*threads=*/1,
-                             /*sample_ns=*/10'000);
+  const RunTrace a = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
+                             /*threads=*/1, /*sample_ns=*/10'000);
+  const RunTrace b = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
+                             /*threads=*/1, /*sample_ns=*/10'000);
   expect_identical(a, b, "sampled run-to-run");
   EXPECT_EQ(a.timeseries_json, b.timeseries_json);
 }
@@ -243,10 +222,9 @@ TEST_P(DeterminismAb, SampledRunsDumpByteIdenticalJson) {
 TEST_P(DeterminismAb, SamplingAndTracingComposeObservationOnly) {
   // Both observers on at once (the bench_common --trace-out --timeseries-out
   // path) must still land on the unobserved schedule.
-  const RunTrace off = run_uts(GetParam(), 8, /*reference=*/false);
-  const RunTrace on = run_uts(GetParam(), 8, /*reference=*/false,
-                              /*trace=*/true, {}, /*bulk=*/1, /*threads=*/1,
-                              /*sample_ns=*/10'000);
+  const RunTrace off = run_uts(GetParam(), 8);
+  const RunTrace on = run_uts(GetParam(), 8, /*trace=*/true, {}, /*bulk=*/1,
+                              /*threads=*/1, /*sample_ns=*/10'000);
   EXPECT_FALSE(on.trace_json.empty());
   EXPECT_FALSE(on.timeseries_json.empty());
   expect_identical(off, on, "unobserved vs trace+sampling");
@@ -285,8 +263,7 @@ TEST(DeterminismGolden, SchedulesMatchPreTopologyFingerprints) {
     const net::NetworkParams net =
         g.pes_per_node > 0 ? net::NetworkParams::two_level(g.pes_per_node)
                            : net::NetworkParams{};
-    const RunTrace t = run_uts(g.kind, 8, /*reference=*/false,
-                               /*trace=*/false, net);
+    const RunTrace t = run_uts(g.kind, 8, /*trace=*/false, net);
     std::uint64_t blocking = 0, ops = 0, clocks = 0;
     for (const PeSnapshot& s : t.per_pe) {
       blocking += s.fabric.blocking_ns;
@@ -309,8 +286,7 @@ TEST(DeterminismGolden, ParallelEngineMatchesFingerprints) {
     const net::NetworkParams net =
         g.pes_per_node > 0 ? net::NetworkParams::two_level(g.pes_per_node)
                            : net::NetworkParams{};
-    const RunTrace t = run_uts(g.kind, 8, /*reference=*/false,
-                               /*trace=*/false, net, /*bulk=*/1,
+    const RunTrace t = run_uts(g.kind, 8, /*trace=*/false, net, /*bulk=*/1,
                                /*threads=*/4);
     std::uint64_t blocking = 0, ops = 0, clocks = 0;
     for (const PeSnapshot& s : t.per_pe) {

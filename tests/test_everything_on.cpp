@@ -74,7 +74,12 @@ TEST_P(EverythingOn, FullFeatureRunIsCorrect) {
   const core::PoolRunReport r = pool.report();
   EXPECT_EQ(r.total.tasks_executed, truth.nodes + 25)
       << "UTS nodes + 25 hop tasks, each exactly once";
-  EXPECT_GT(r.total.steals_ok, 0u);
+  // Virtual time fixes the schedule, so this run always steals. On the
+  // real-time backend whether any PE gets to steal depends on how the host
+  // schedules the PE threads, so only the accounting below is asserted.
+  if (mode == pgas::TimeMode::kVirtual) {
+    EXPECT_GT(r.total.steals_ok, 0u);
+  }
   // Per-tier steal accounting covers every successful steal.
   EXPECT_EQ(r.total.steals_ok_by_tier[0] + r.total.steals_ok_by_tier[1],
             r.total.steals_ok);

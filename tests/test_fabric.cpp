@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -26,15 +25,7 @@ class FabricTest : public ::testing::Test {
 
   /// Drive `body(pe)` SPMD under the sequencer.
   void run(const std::function<void(int)>& body) {
-    time_.reset(kPes);
-    std::vector<std::thread> ts;
-    for (int pe = 0; pe < kPes; ++pe)
-      ts.emplace_back([&, pe] {
-        time_.pe_begin(pe);
-        body(pe);
-        time_.pe_end(pe);
-      });
-    for (auto& t : ts) t.join();
+    time_.run_pes(kPes, body);
   }
 
   std::uint64_t word_at(int pe, std::uint64_t off) {
@@ -292,26 +283,20 @@ TEST(FabricFaults, RetransmitDelayExtendsDeliveryNotHorizon) {
     fab.register_arena(pe, arenas.back().data(), 256);
   }
   const Nanos base = NetworkModel(params).delivery_delay(8, 1);
-  tm.reset(2);
-  std::vector<std::thread> ts;
-  for (int pe = 0; pe < 2; ++pe)
-    ts.emplace_back([&, pe] {
-      tm.pe_begin(pe);
-      if (pe == 0) {
-        fab.nbi_amo_add(0, 1, 0, 7);
-        tm.advance(0, base + 1);  // past the fault-free deadline
-        std::uint64_t v;
-        std::memcpy(&v, arenas[1].data(), 8);
-        EXPECT_EQ(v, 0u) << "delivered before the retransmit completed";
-        EXPECT_EQ(fab.pending(0), 1);
-        tm.advance(0, params.faults.retransmit_ns);  // past the real one
-        std::memcpy(&v, arenas[1].data(), 8);
-        EXPECT_EQ(v, 7u);
-        EXPECT_EQ(fab.pending(0), 0);
-      }
-      tm.pe_end(pe);
-    });
-  for (auto& t : ts) t.join();
+  tm.run_pes(2, [&](int pe) {
+    if (pe == 0) {
+      fab.nbi_amo_add(0, 1, 0, 7);
+      tm.advance(0, base + 1);  // past the fault-free deadline
+      std::uint64_t v;
+      std::memcpy(&v, arenas[1].data(), 8);
+      EXPECT_EQ(v, 0u) << "delivered before the retransmit completed";
+      EXPECT_EQ(fab.pending(0), 1);
+      tm.advance(0, params.faults.retransmit_ns);  // past the real one
+      std::memcpy(&v, arenas[1].data(), 8);
+      EXPECT_EQ(v, 7u);
+      EXPECT_EQ(fab.pending(0), 0);
+    }
+  });
   EXPECT_EQ(fab.fault_stats().drops, 1u);
 }
 
@@ -327,22 +312,16 @@ TEST(FabricFaults, DuplicatedLargePutSharesOneSlab) {
     arenas.emplace_back(512, std::byte{0});
     fab.register_arena(pe, arenas.back().data(), 512);
   }
-  tm.reset(2);
-  std::vector<std::thread> ts;
-  for (int pe = 0; pe < 2; ++pe)
-    ts.emplace_back([&, pe] {
-      tm.pe_begin(pe);
-      if (pe == 0) {
-        std::byte big[128];
-        std::fill(std::begin(big), std::end(big), std::byte{0x5a});
-        fab.nbi_put(0, 1, 0, big, sizeof(big));
-        EXPECT_EQ(fab.pending(0), 2) << "original + duplicate";
-        fab.quiet(0);
-        EXPECT_EQ(arenas[1][127], std::byte{0x5a});
-      }
-      tm.pe_end(pe);
-    });
-  for (auto& t : ts) t.join();
+  tm.run_pes(2, [&](int pe) {
+    if (pe == 0) {
+      std::byte big[128];
+      std::fill(std::begin(big), std::end(big), std::byte{0x5a});
+      fab.nbi_put(0, 1, 0, big, sizeof(big));
+      EXPECT_EQ(fab.pending(0), 2) << "original + duplicate";
+      fab.quiet(0);
+      EXPECT_EQ(arenas[1][127], std::byte{0x5a});
+    }
+  });
   const EffectPoolStats s = fab.effect_pool_stats();
   EXPECT_EQ(s.slab_grabs, 1u);
   EXPECT_EQ(fab.fault_stats().dups, 1u);
@@ -360,16 +339,12 @@ TEST(FabricRealTime, QuietUnderNbiStormDeliversEverything) {
     arenas.emplace_back(256, std::byte{0});
     fab.register_arena(pe, arenas.back().data(), 256);
   }
-  tm.reset(2);
-  std::vector<std::thread> ts;
-  for (int pe = 0; pe < 2; ++pe)
-    ts.emplace_back([&, pe] {
-      const int other = 1 - pe;
-      for (int i = 0; i < 500; ++i) fab.nbi_amo_add(pe, other, 0, 1);
-      fab.quiet(pe);
-      EXPECT_EQ(fab.pending(pe), 0);
-    });
-  for (auto& t : ts) t.join();
+  tm.run_pes(2, [&](int pe) {
+    const int other = 1 - pe;
+    for (int i = 0; i < 500; ++i) fab.nbi_amo_add(pe, other, 0, 1);
+    fab.quiet(pe);
+    EXPECT_EQ(fab.pending(pe), 0);
+  });
   EXPECT_EQ(fab.pending_to(0), 0);
   EXPECT_EQ(fab.pending_to(1), 0);
   for (int pe = 0; pe < 2; ++pe) {
@@ -466,15 +441,9 @@ TEST(FabricOccupancy, SameTargetOpsQueue) {
     arenas.emplace_back(256, std::byte{0});
     fab.register_arena(pe, arenas.back().data(), 256);
   }
-  tm.reset(4);
-  std::vector<std::thread> ts;
-  for (int pe = 0; pe < 4; ++pe)
-    ts.emplace_back([&, pe] {
-      tm.pe_begin(pe);
-      if (pe != 3) fab.amo_fetch_add(pe, 3, 0, 1);
-      tm.pe_end(pe);
-    });
-  for (auto& t : ts) t.join();
+  tm.run_pes(4, [&](int pe) {
+    if (pe != 3) fab.amo_fetch_add(pe, 3, 0, 1);
+  });
   // Baton order at t=0 is PE0, PE1, PE2: waits are 0, 300, 600.
   EXPECT_EQ(fab.stats(0).occupancy_wait_ns, 0u);
   EXPECT_EQ(fab.stats(1).occupancy_wait_ns, 300u);
@@ -491,15 +460,9 @@ TEST(FabricOccupancy, ZeroOccupancyDisablesQueueing) {
     arenas.emplace_back(256, std::byte{0});
     fab.register_arena(pe, arenas.back().data(), 256);
   }
-  tm.reset(3);
-  std::vector<std::thread> ts;
-  for (int pe = 0; pe < 3; ++pe)
-    ts.emplace_back([&, pe] {
-      tm.pe_begin(pe);
-      if (pe != 2) fab.amo_fetch_add(pe, 2, 0, 1);
-      tm.pe_end(pe);
-    });
-  for (auto& t : ts) t.join();
+  tm.run_pes(3, [&](int pe) {
+    if (pe != 2) fab.amo_fetch_add(pe, 2, 0, 1);
+  });
   EXPECT_EQ(fab.stats(0).occupancy_wait_ns, 0u);
   EXPECT_EQ(fab.stats(1).occupancy_wait_ns, 0u);
 }
@@ -555,23 +518,17 @@ TEST(FabricLocality, ChargesByNodeDistance) {
     arenas.emplace_back(256, std::byte{0});
     fab.register_arena(pe, arenas.back().data(), 256);
   }
-  tm.reset(3);
   Nanos intra_cost = 0, inter_cost = 0;
-  std::vector<std::thread> ts;
-  for (int pe = 0; pe < 3; ++pe)
-    ts.emplace_back([&, pe] {
-      tm.pe_begin(pe);
-      if (pe == 0) {
-        const Nanos t0 = tm.now(0);
-        fab.amo_fetch(0, 1, 0);  // intra-node
-        intra_cost = tm.now(0) - t0;
-        const Nanos t1 = tm.now(0);
-        fab.amo_fetch(0, 2, 0);  // inter-node
-        inter_cost = tm.now(0) - t1;
-      }
-      tm.pe_end(pe);
-    });
-  for (auto& t : ts) t.join();
+  tm.run_pes(3, [&](int pe) {
+    if (pe == 0) {
+      const Nanos t0 = tm.now(0);
+      fab.amo_fetch(0, 1, 0);  // intra-node
+      intra_cost = tm.now(0) - t0;
+      const Nanos t1 = tm.now(0);
+      fab.amo_fetch(0, 2, 0);  // inter-node
+      inter_cost = tm.now(0) - t1;
+    }
+  });
   EXPECT_LT(intra_cost, inter_cost / 3);
   // Per-tier op counters split the two AMOs by distance.
   EXPECT_EQ(fab.stats(0).tier_ops[0], 1u);

@@ -8,7 +8,6 @@
 
 #include <cstring>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -247,15 +246,7 @@ class FaultFabricTest : public ::testing::Test {
   }
 
   void run(const std::function<void(int)>& body) {
-    time_->reset(kPes);
-    std::vector<std::thread> ts;
-    for (int pe = 0; pe < kPes; ++pe)
-      ts.emplace_back([&, pe] {
-        time_->pe_begin(pe);
-        body(pe);
-        time_->pe_end(pe);
-      });
-    for (auto& t : ts) t.join();
+    time_->run_pes(kPes, body);
   }
 
   std::uint64_t word_at(int pe, std::uint64_t off) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <thread>
 
 #include "sws.hpp"
 
@@ -18,15 +17,9 @@ TEST(FabricNewRun, DrainsPendingEffectsInsteadOfDroppingThem) {
     arenas.emplace_back(64, std::byte{0});
     fab.register_arena(pe, arenas.back().data(), 64);
   }
-  tm.reset(2);
-  std::vector<std::thread> ts;
-  for (int pe = 0; pe < 2; ++pe)
-    ts.emplace_back([&, pe] {
-      tm.pe_begin(pe);
-      if (pe == 0) fab.nbi_amo_add(0, 1, 0, 42);  // never quiesced
-      tm.pe_end(pe);
-    });
-  for (auto& t : ts) t.join();
+  tm.run_pes(2, [&](int pe) {
+    if (pe == 0) fab.nbi_amo_add(0, 1, 0, 42);  // never quiesced
+  });
   ASSERT_EQ(fab.pending(0), 1) << "effect still parked at run end";
   fab.new_run();
   EXPECT_EQ(fab.pending(0), 0);

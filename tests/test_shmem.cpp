@@ -1,6 +1,8 @@
-// The OpenSHMEM-style veneer: thread binding, data movement, atomics,
+// The OpenSHMEM-style veneer: PE binding, data movement, atomics,
 // ordering, collectives — a small SHMEM program per test.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "pgas/shmem.hpp"
 
@@ -114,6 +116,28 @@ TEST(Shmem, ClassicPingPong) {
     }
     shmem::barrier_all();
   });
+}
+
+TEST(Shmem, ScopesFollowInterleavedPes) {
+  // Virtual-time PEs share one host thread as fibers, so a binding must
+  // follow its PE: all four hold a Scope while they interleave.
+  Runtime rt(rcfg(4));
+  const SymPtr word = rt.heap().alloc(8);
+  std::vector<int> resumed;
+  rt.run([&](PeContext& ctx) {
+    shmem::Scope scope(ctx);
+    // Shorter compute for higher ids: they resume in reverse order.
+    ctx.compute(static_cast<net::Nanos>(100 + 10 * (3 - ctx.pe())));
+    resumed.push_back(ctx.pe());
+    EXPECT_EQ(shmem::my_pe(), ctx.pe());
+    // Each PE owns the word on its successor: put, then read it back.
+    const int next = (shmem::my_pe() + 1) % shmem::n_pes();
+    const std::uint64_t mine = 1000 + static_cast<std::uint64_t>(ctx.pe());
+    shmem::ulong_p(word, mine, next);
+    EXPECT_EQ(shmem::ulong_g(word, next), mine);
+    EXPECT_EQ(shmem::my_pe(), ctx.pe());
+  });
+  EXPECT_EQ(resumed, (std::vector<int>{3, 2, 1, 0}));
 }
 
 TEST(Shmem, NestedScopeRejected) {

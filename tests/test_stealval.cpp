@@ -168,8 +168,9 @@ TEST(StealSeqProperty, FuzzBlockDecompositionIsExact) {
       ASSERT_GE(blk.size, 1u) << "itasks=" << itasks << " idx=" << i;
       ASSERT_EQ(blk.size, steal_block_size(itasks, i));
       ASSERT_EQ(blk.offset, steal_block_offset(itasks, i));
-      if (i > 0)
+      if (i > 0) {
         ASSERT_GT(blk.offset, prev_off) << "offsets must be strictly monotone";
+      }
       ASSERT_EQ(blk.offset, sum) << "block must start where the last ended";
       prev_off = blk.offset;
       sum += blk.size;

@@ -1,14 +1,19 @@
 // The virtual-time sequencer: the determinism and ordering guarantees the
 // whole reproduction rests on.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 #include <random>
-#include <thread>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "net/fabric.hpp"
+#include "net/fiber.hpp"
 #include "net/parallel_time_model.hpp"
 #include "net/ready_heap.hpp"
 #include "net/time_model.hpp"
@@ -16,23 +21,9 @@
 namespace sws::net {
 namespace {
 
-/// Run `body(pe)` on npes threads under the model, with begin/end framing.
-void run_pes(TimeModel& tm, int npes,
-             const std::function<void(int)>& body) {
-  tm.reset(npes);
-  std::vector<std::thread> ts;
-  for (int pe = 0; pe < npes; ++pe)
-    ts.emplace_back([&, pe] {
-      tm.pe_begin(pe);
-      body(pe);
-      tm.pe_end(pe);
-    });
-  for (auto& t : ts) t.join();
-}
-
 TEST(VirtualTime, ClocksAdvanceExactly) {
   VirtualTimeModel tm(2);
-  run_pes(tm, 2, [&](int pe) {
+  tm.run_pes(2, [&](int pe) {
     tm.advance(pe, pe == 0 ? 100 : 250);
     tm.advance(pe, 50);
   });
@@ -42,15 +33,15 @@ TEST(VirtualTime, ClocksAdvanceExactly) {
 
 TEST(VirtualTime, ExecutionOrderFollowsMinClock) {
   // Each PE appends its id after each advance; the interleaving must be
-  // exactly the (vtime, pe) order regardless of thread scheduling.
+  // exactly the (vtime, pe) order regardless of host scheduling.
   VirtualTimeModel tm(3);
   std::vector<int> order;
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<int> this_order;
-    run_pes(tm, 3, [&](int pe) {
+    tm.run_pes(3, [&](int pe) {
       for (int i = 0; i < 3; ++i) {
         tm.advance(pe, static_cast<Nanos>(100 * (pe + 1)));
-        this_order.push_back(pe);  // safe: only the baton holder runs
+        this_order.push_back(pe);  // safe: only one PE runs at a time
       }
     });
     if (trial == 0)
@@ -68,7 +59,7 @@ TEST(VirtualTime, ExecutionOrderFollowsMinClock) {
 TEST(VirtualTime, ZeroAdvanceKeepsBatonOnTies) {
   VirtualTimeModel tm(2);
   std::vector<int> order;
-  run_pes(tm, 2, [&](int pe) {
+  tm.run_pes(2, [&](int pe) {
     tm.advance(pe, 10);
     order.push_back(pe);
   });
@@ -92,7 +83,7 @@ TEST(VirtualTime, ArbiterReordersTiedPes) {
     return ready.back();  // deliberately invert the default tie-break
   });
   std::vector<int> order;
-  run_pes(tm, 3, [&](int pe) {
+  tm.run_pes(3, [&](int pe) {
     tm.advance(pe, 10);
     order.push_back(pe);
   });
@@ -103,7 +94,7 @@ TEST(VirtualTime, ArbiterReordersTiedPes) {
   // Clearing the arbiter restores the deterministic lowest-id default.
   tm.set_ready_arbiter(nullptr);
   order.clear();
-  run_pes(tm, 3, [&](int pe) {
+  tm.run_pes(3, [&](int pe) {
     tm.advance(pe, 10);
     order.push_back(pe);
   });
@@ -117,7 +108,7 @@ TEST(VirtualTime, DeliveryHookFiresAtTimeFloor) {
     hook_times.push_back(now);
     return net::kNoPendingDeadline;
   });
-  run_pes(tm, 2, [&](int pe) { tm.advance(pe, pe == 0 ? 100 : 70); });
+  tm.run_pes(2, [&](int pe) { tm.advance(pe, pe == 0 ? 100 : 70); });
   ASSERT_FALSE(hook_times.empty());
   // Hook times never decrease: deliveries respect global time order.
   for (std::size_t i = 1; i < hook_times.size(); ++i)
@@ -127,7 +118,7 @@ TEST(VirtualTime, DeliveryHookFiresAtTimeFloor) {
 TEST(VirtualTime, ManyPesTerminate) {
   VirtualTimeModel tm(64);
   std::atomic<int> done{0};
-  run_pes(tm, 64, [&](int pe) {
+  tm.run_pes(64, [&](int pe) {
     for (int i = 0; i < 10; ++i) tm.advance(pe, 17 + pe);
     done.fetch_add(1);
   });
@@ -136,7 +127,7 @@ TEST(VirtualTime, ManyPesTerminate) {
 
 TEST(VirtualTime, ResetClearsClocks) {
   VirtualTimeModel tm(2);
-  run_pes(tm, 2, [&](int pe) { tm.advance(pe, 500); });
+  tm.run_pes(2, [&](int pe) { tm.advance(pe, 500); });
   tm.reset(2);
   EXPECT_EQ(tm.now(0), 0u);
   EXPECT_EQ(tm.now(1), 0u);
@@ -159,7 +150,7 @@ TEST(VirtualTime, HorizonBatchingSkipsHookUntilReportedDeadline) {
     hook_times.push_back(now);
     return now < 100 ? Nanos{100} : kNoPendingDeadline;
   });
-  run_pes(tm, 1, [&](int pe) {
+  tm.run_pes(1, [&](int pe) {
     tm.advance(pe, 10);  // slow path (initial horizon 0): hook at 10
     tm.advance(pe, 30);  // 40  < 100: batched
     tm.advance(pe, 30);  // 70  < 100: batched
@@ -179,7 +170,7 @@ TEST(VirtualTime, ClampHorizonForcesDeliverySweep) {
     hook_times.push_back(now);
     return kNoPendingDeadline;  // hook reports nothing pending...
   });
-  run_pes(tm, 1, [&](int pe) {
+  tm.run_pes(1, [&](int pe) {
     tm.advance(pe, 10);          // hook at 10, horizon now unbounded
     tm.clamp_horizon(pe, 50);    // ...but an op was just scheduled for 50
     tm.advance(pe, 30);          // 40 < 50: batched
@@ -188,50 +179,13 @@ TEST(VirtualTime, ClampHorizonForcesDeliverySweep) {
   EXPECT_EQ(hook_times, (std::vector<Nanos>{10, 70}));
 }
 
-TEST(VirtualTime, ReferenceModeMatchesOptimizedSchedule) {
-  // The legacy linear-scan strategy and the heap + horizon-batching one
-  // must produce the same interleaving and the same final clocks.
-  const auto workload = [](VirtualTimeModel& tm, std::vector<int>& order) {
-    run_pes(tm, 3, [&](int pe) {
-      for (int i = 0; i < 3; ++i) {
-        tm.advance(pe, static_cast<Nanos>(100 * (pe + 1)));
-        order.push_back(pe);
-      }
-    });
-  };
-  VirtualTimeModel opt(3), ref(3);
-  ref.set_reference_mode(true);
-  EXPECT_TRUE(ref.reference_mode());
-  std::vector<int> opt_order, ref_order;
-  workload(opt, opt_order);
-  workload(ref, ref_order);
-  EXPECT_EQ(opt_order, ref_order);
-  for (int pe = 0; pe < 3; ++pe) EXPECT_EQ(opt.now(pe), ref.now(pe));
-}
-
-TEST(VirtualTime, ReferenceModeFiresHookEveryEvent) {
-  // Reference mode disables batching: every advance is a sequencer event
-  // and fires the delivery hook, like the pre-heap implementation.
-  VirtualTimeModel tm(1);
-  tm.set_reference_mode(true);
-  std::vector<Nanos> hook_times;
-  tm.set_delivery_hook([&](Nanos now) {
-    hook_times.push_back(now);
-    return kNoPendingDeadline;
-  });
-  run_pes(tm, 1, [&](int pe) {
-    for (int i = 1; i <= 4; ++i) tm.advance(pe, 10);
-  });
-  EXPECT_EQ(hook_times, (std::vector<Nanos>{10, 20, 30, 40}));
-}
-
 TEST(VirtualTime, NowIsReadableFromOtherPes) {
-  // now() is lock-free; the baton holder may read any parked PE's clock.
+  // The running PE may read any suspended PE's clock.
   VirtualTimeModel tm(2);
-  run_pes(tm, 2, [&](int pe) {
+  tm.run_pes(2, [&](int pe) {
     tm.advance(pe, pe == 0 ? 10 : 100);
     // When PE1's first advance returns (t=100), PE0 has already published
-    // its second advance (10 + 100) and parked waiting for the baton.
+    // its second advance (10 + 100) and is suspended waiting to run.
     if (pe == 1) {
       EXPECT_EQ(tm.now(0), 110u);
     }
@@ -239,6 +193,138 @@ TEST(VirtualTime, NowIsReadableFromOtherPes) {
   });
   EXPECT_EQ(tm.now(0), 110u);
   EXPECT_EQ(tm.now(1), 200u);
+}
+
+// --- the fiber engine -----------------------------------------------------
+
+TEST(FiberEngine, RerunsReuseStacks) {
+  VirtualTimeModel tm(4);
+  const auto body = [&](int pe) { tm.advance(pe, 10 + pe); };
+  const std::uint64_t before = Fiber::stacks_mapped();
+  tm.run_pes(4, body);
+  const std::uint64_t after_first = Fiber::stacks_mapped();
+  EXPECT_EQ(after_first - before, 4u);
+  tm.run_pes(4, body);
+  EXPECT_EQ(Fiber::stacks_mapped(), after_first) << "second run remapped";
+  for (int pe = 0; pe < 4; ++pe)
+    EXPECT_EQ(tm.now(pe), static_cast<Nanos>(10 + pe));
+}
+
+TEST(FiberEngine, LockstepRunAt4096Pes) {
+  // Equal steps: every advance hands off to the next PE.
+  constexpr int kPes = 4096;
+  constexpr int kSteps = 8;
+  VirtualTimeModel tm(kPes);
+  std::vector<int> order;
+  tm.run_pes(kPes, [&](int pe) {
+    for (int i = 0; i < kSteps; ++i) tm.advance(pe, 100);
+    order.push_back(pe);
+  });
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kPes));
+  for (int pe = 0; pe < kPes; ++pe) {
+    ASSERT_EQ(order[static_cast<std::size_t>(pe)], pe);
+    ASSERT_EQ(tm.now(pe), Nanos{100} * kSteps);
+  }
+}
+
+/// Advances once per frame on the way down `depth` frames, then dies at
+/// the bottom: the throw unwinds frames that were suspended and resumed.
+[[gnu::noinline]] void die_deep(VirtualTimeModel& tm, int pe, int depth) {
+  tm.advance(pe, 10);
+  if (depth == 0) throw PeKilled{pe, tm.now(pe)};
+  die_deep(tm, pe, depth - 1);
+  tm.advance(pe, 1'000'000);  // never reached; keeps the call non-tail
+}
+
+TEST(FiberEngine, PeKilledEndsOnlyItsOwnPe) {
+  VirtualTimeModel tm(4);
+  std::vector<PeKilled> deaths;
+  tm.run_pes(4, [&](int pe) {
+    try {
+      if (pe == 2) die_deep(tm, pe, 5);
+      for (int i = 0; i < 20; ++i) tm.advance(pe, static_cast<Nanos>(7 + pe));
+    } catch (const PeKilled& k) {
+      deaths.push_back(k);
+    }
+  });
+  ASSERT_EQ(deaths.size(), 1u);
+  EXPECT_EQ(deaths[0].pe, 2);
+  EXPECT_EQ(deaths[0].at_ns, 60u);  // six advances of 10, depth 5 to 0
+  EXPECT_EQ(tm.now(2), 60u);
+  for (const int pe : {0, 1, 3})
+    EXPECT_EQ(tm.now(pe), static_cast<Nanos>(20 * (7 + pe))) << "pe " << pe;
+}
+
+TEST(FiberEngine, FirstBodyExceptionIsRethrownAfterAllFinish) {
+  VirtualTimeModel tm(3);
+  int finished = 0;
+  EXPECT_THROW(tm.run_pes(3,
+                          [&](int pe) {
+                            tm.advance(pe, 10);
+                            if (pe == 1) throw std::runtime_error("boom");
+                            tm.advance(pe, 10);
+                            ++finished;
+                          }),
+               std::runtime_error);
+  EXPECT_EQ(finished, 2);
+  EXPECT_EQ(tm.now(0), 20u);
+  EXPECT_EQ(tm.now(2), 20u);
+}
+
+// Guard-page death test state: the overflowing fiber's guard page and a
+// canary at the top of another fiber's stack.
+const std::byte* g_guard_lo = nullptr;
+std::size_t g_page = 0;
+volatile std::uint64_t* g_canary = nullptr;
+constexpr std::uint64_t kCanary = 0x5eedfaceCafeF00dULL;
+
+void on_segv(int, siginfo_t* si, void*) {
+  const auto* addr = static_cast<const std::byte*>(si->si_addr);
+  const bool in_guard = addr >= g_guard_lo && addr < g_guard_lo + g_page;
+  const bool intact = *g_canary == kCanary;
+  const char* msg = !in_guard ? "fault outside the guard page\n"
+                    : !intact ? "guard page hit, neighbour corrupted\n"
+                              : "fault on the fiber guard page\n";
+  (void)!write(STDERR_FILENO, msg, std::strlen(msg));
+  _exit(in_guard && intact ? 3 : 4);
+}
+
+/// Unbounded in practice: `left` starts far beyond any stack.
+[[gnu::noinline]] int overflow_stack(volatile char* prev, std::uint64_t left) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(prev != nullptr ? prev[0] + 1 : 0);
+  if (left == 0) return frame[0];
+  return overflow_stack(frame, left - 1) + frame[0];
+}
+
+TEST(FiberEngineDeathTest, StackOverflowFaultsOnGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Fiber victim;
+        Fiber neighbour;
+        FiberContext host;
+        g_page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+        g_guard_lo = victim.stack_lo() - g_page;
+        g_canary = reinterpret_cast<volatile std::uint64_t*>(
+            const_cast<std::byte*>(neighbour.stack_lo()) +
+            Fiber::kStackBytes - 64);
+        *g_canary = kCanary;
+        // The handler needs a stack of its own: the faulting one is full.
+        static char alt[1 << 16];
+        stack_t ss{};
+        ss.ss_sp = alt;
+        ss.ss_size = sizeof alt;
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa {};
+        sa.sa_sigaction = on_segv;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        victim.arm([](void*) { overflow_stack(nullptr, ~std::uint64_t{0}); },
+                   nullptr);
+        fiber_switch(host, victim.context());
+      },
+      ::testing::ExitedWithCode(3), "fault on the fiber guard page");
 }
 
 TEST(ReadyHeap, TopFollowsUpdatesAndRemovals) {
@@ -329,7 +415,7 @@ TEST(ParallelTime, GatedActionsMatchSerialOrder) {
   const int npes = 6;
   auto program = [npes](TimeModel& tm, std::vector<std::pair<int, Nanos>>& log,
                         std::mutex& mu) {
-    run_pes(tm, npes, [&](int pe) {
+    tm.run_pes(npes, [&](int pe) {
       for (int i = 0; i < 60; ++i) {
         tm.advance(pe, 100 + 7 * ((pe * 31 + i) % 5));
         if (i % 3 == pe % 3) {
@@ -382,7 +468,7 @@ TEST(ParallelTime, SoloLicenseElidesGlobalParks) {
   // actions: after the first park, every further global_begin/global_sync
   // below its (unbounded) horizon must skip the park entirely.
   ParallelTimeModel tm(2, 2, /*lookahead=*/1400);
-  run_pes(tm, 2, [&](int pe) {
+  tm.run_pes(2, [&](int pe) {
     if (pe != 0) return;  // PE 1 exits immediately; PE 0 runs gated ops
     for (int i = 0; i < 20; ++i) {
       tm.global_begin(0, 1);
