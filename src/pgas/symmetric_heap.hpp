@@ -6,6 +6,10 @@
 // only on the allocating side (a first-fit free list with coalescing over
 // the shared offset space), because the layout is identical everywhere.
 //
+// Each arena is anonymous mapped memory, so a page is backed (and reads
+// zero) only once first touched: a run pays memory for the pages it uses,
+// not for the whole arena. A PROT_NONE guard page follows every arena.
+//
 // Allocation is expected during setup (before or between Runtime::run
 // calls); it is mutex-protected so collective allocation from PE code
 // also works.
@@ -16,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 namespace sws::pgas {
 
@@ -58,8 +61,11 @@ class OffsetAllocator {
 class SymmetricHeap {
  public:
   SymmetricHeap(int npes, std::size_t bytes_per_pe);
+  ~SymmetricHeap();
+  SymmetricHeap(const SymmetricHeap&) = delete;
+  SymmetricHeap& operator=(const SymmetricHeap&) = delete;
 
-  int npes() const noexcept { return static_cast<int>(arenas_.size()); }
+  int npes() const noexcept { return npes_; }
   std::size_t size() const noexcept { return bytes_; }
 
   /// Collective-style allocation: one call reserves the same offset range
@@ -79,8 +85,12 @@ class SymmetricHeap {
   void zero(int pe, SymPtr p, std::size_t bytes) const;
 
  private:
+  int npes_;
   std::size_t bytes_;
-  std::vector<std::vector<std::byte>> arenas_;
+  /// Arena bytes rounded up to whole pages, plus one guard page.
+  std::size_t stride_;
+  /// One mapping holding every arena, `stride_` bytes apart.
+  std::byte* map_;
   mutable std::mutex mu_;
   OffsetAllocator allocator_;
 };

@@ -1,65 +1,88 @@
 #include "sha1/sha1.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sws {
 namespace {
 
+constexpr std::uint32_t kInitH[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                                     0x10325476u, 0xC3D2E1F0u};
+
 constexpr std::uint32_t rotl32(std::uint32_t x, int k) noexcept {
   return (x << k) | (x >> (32 - k));
 }
 
-}  // namespace
-
-void Sha1::reset() noexcept {
-  h_[0] = 0x67452301u;
-  h_[1] = 0xEFCDAB89u;
-  h_[2] = 0x98BADCFEu;
-  h_[3] = 0x10325476u;
-  h_[4] = 0xC3D2E1F0u;
-  total_len_ = 0;
-  buffer_len_ = 0;
+inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
 }
 
-void Sha1::process_block(const std::uint8_t block[64]) noexcept {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 80; ++i)
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
 
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rotl32(a, 5) + f + e + k + w[i];
+/// One SHA-1 block compression: folds the 16-word block into the chaining
+/// words `h`. The message schedule is a 16-word ring (word t lives in
+/// w[t % 16]), and each group of 20 rounds has its own loop, so the round
+/// function and constant are fixed within a loop.
+inline void compress(std::uint32_t h[5],
+                     const std::uint32_t block[16]) noexcept {
+  std::uint32_t w[16];
+  std::memcpy(w, block, sizeof(w));
+  const auto word = [&w](int t) {
+    if (t >= 16)
+      w[t & 15] = rotl32(w[(t + 13) & 15] ^ w[(t + 8) & 15] ^
+                             w[(t + 2) & 15] ^ w[t & 15],
+                         1);
+    return w[t & 15];
+  };
+
+  std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wt) {
+    const std::uint32_t tmp = rotl32(a, 5) + f + e + k + wt;
     e = d;
     d = c;
     c = rotl32(b, 30);
     b = a;
     a = tmp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  };
+  // Unrolled, the ring indices become constants and the a..e shuffle
+  // becomes register renaming.
+#pragma GCC unroll 20
+  for (int t = 0; t < 20; ++t) round(d ^ (b & (c ^ d)), 0x5A827999u, word(t));
+#pragma GCC unroll 20
+  for (int t = 20; t < 40; ++t) round(b ^ c ^ d, 0x6ED9EBA1u, word(t));
+#pragma GCC unroll 20
+  for (int t = 40; t < 60; ++t)
+    round((b & c) | (d & (b | c)), 0x8F1BBCDCu, word(t));
+#pragma GCC unroll 20
+  for (int t = 60; t < 80; ++t) round(b ^ c ^ d, 0xCA62C1D6u, word(t));
+  h[0] += a;
+  h[1] += b;
+  h[2] += c;
+  h[3] += d;
+  h[4] += e;
+}
+
+/// compress() over a 64-byte block in message byte order.
+void compress_bytes(std::uint32_t h[5], const std::uint8_t bytes[64]) noexcept {
+  std::uint32_t block[16];
+  for (int i = 0; i < 16; ++i) block[i] = load_be32(bytes + i * 4);
+  compress(h, block);
+}
+
+}  // namespace
+
+void Sha1::reset() noexcept {
+  std::memcpy(h_, kInitH, sizeof(h_));
+  total_len_ = 0;
+  buffer_len_ = 0;
 }
 
 void Sha1::update(const void* data, std::size_t len) noexcept {
@@ -72,12 +95,12 @@ void Sha1::update(const void* data, std::size_t len) noexcept {
     p += take;
     len -= take;
     if (buffer_len_ == sizeof(buffer_)) {
-      process_block(buffer_);
+      compress_bytes(h_, buffer_);
       buffer_len_ = 0;
     }
   }
   while (len >= 64) {
-    process_block(p);
+    compress_bytes(h_, p);
     p += 64;
     len -= 64;
   }
@@ -88,25 +111,24 @@ void Sha1::update(const void* data, std::size_t len) noexcept {
 }
 
 Sha1Digest Sha1::finish() noexcept {
+  // Padding: a 1 bit, zeros up to byte 56 of a block, then the message
+  // length in bits as a big-endian u64. update() keeps buffer_len_ < 64,
+  // so the 0x80 byte always fits; if the length field no longer does, the
+  // padding spills into a second block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    compress_bytes(h_, buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
-  // Bypass total_len_ bookkeeping for the length field itself: feed it
-  // through update (it only fills the final block, already aligned).
-  update(len_be, 8);
+  store_be32(buffer_ + 56, static_cast<std::uint32_t>(bit_len >> 32));
+  store_be32(buffer_ + 60, static_cast<std::uint32_t>(bit_len));
+  compress_bytes(h_, buffer_);
 
   Sha1Digest out;
-  for (int i = 0; i < 5; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(h_[i]);
-  }
+  for (int i = 0; i < 5; ++i) store_be32(out.data() + i * 4, h_[i]);
   return out;
 }
 
@@ -129,20 +151,23 @@ std::string to_hex(const Sha1Digest& d) {
 
 Sha1Digest uts_child_digest(const Sha1Digest& parent,
                             std::uint32_t child_index) noexcept {
-  std::uint8_t buf[24];
-  std::memcpy(buf, parent.data(), parent.size());
-  buf[20] = static_cast<std::uint8_t>(child_index >> 24);
-  buf[21] = static_cast<std::uint8_t>(child_index >> 16);
-  buf[22] = static_cast<std::uint8_t>(child_index >> 8);
-  buf[23] = static_cast<std::uint8_t>(child_index);
-  return Sha1::hash(buf, sizeof(buf));
+  // The 24-byte message (parent || be32(index)) plus its padding fills
+  // exactly one block: the 0x80 byte, zeros, and the length, 192 bits.
+  std::uint32_t block[16] = {};
+  for (int i = 0; i < 5; ++i) block[i] = load_be32(parent.data() + i * 4);
+  block[5] = child_index;
+  block[6] = 0x80000000u;
+  block[15] = 24 * 8;
+  std::uint32_t h[5];
+  std::memcpy(h, kInitH, sizeof(h));
+  compress(h, block);
+  Sha1Digest out;
+  for (int i = 0; i < 5; ++i) store_be32(out.data() + i * 4, h[i]);
+  return out;
 }
 
 std::uint32_t digest_to_u32(const Sha1Digest& d) noexcept {
-  return (static_cast<std::uint32_t>(d[0]) << 24) |
-         (static_cast<std::uint32_t>(d[1]) << 16) |
-         (static_cast<std::uint32_t>(d[2]) << 8) |
-         static_cast<std::uint32_t>(d[3]);
+  return load_be32(d.data());
 }
 
 }  // namespace sws

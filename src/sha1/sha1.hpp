@@ -33,8 +33,6 @@ class Sha1 {
   }
 
  private:
-  void process_block(const std::uint8_t block[64]) noexcept;
-
   std::uint32_t h_[5];
   std::uint64_t total_len_;
   std::uint8_t buffer_[64];
@@ -45,7 +43,9 @@ class Sha1 {
 std::string to_hex(const Sha1Digest& d);
 
 /// UTS child derivation: digest of (parent digest || big-endian child index),
-/// exactly the composition the UTS benchmark uses to walk the tree.
+/// exactly the composition the UTS benchmark uses to walk the tree. The
+/// padded 24-byte message is one block, so this is a single compression
+/// with no streaming state; it equals Sha1::hash over the same bytes.
 Sha1Digest uts_child_digest(const Sha1Digest& parent,
                             std::uint32_t child_index) noexcept;
 

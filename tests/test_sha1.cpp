@@ -2,7 +2,9 @@
 // derivation that the tree generator relies on.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <utility>
 
 #include "sha1/sha1.hpp"
 
@@ -36,13 +38,23 @@ TEST(Sha1, ExactBlockBoundary) {
   // 64-byte input exercises the padding-into-new-block path.
   const std::string block(64, 'x');
   EXPECT_EQ(to_hex(Sha1::hash(block)), to_hex(Sha1::hash(block.data(), 64)));
-  // 55/56/57 bytes straddle the length-field boundary.
-  for (std::size_t n : {55u, 56u, 57u, 63u, 64u, 65u}) {
+  // 55 bytes is the longest message whose padding fits in one block;
+  // 56-63 spill the length field into a second block. Digests of n 'q's
+  // are from an independent SHA-1.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "7b271259bf2d2d3311f75d398745f5309ff76e09"},
+      {56, "cc30d5bc02bd26f3da6c5801880078dad9a63032"},
+      {57, "b509d761e51fa4809347ce57e1162d6797509860"},
+      {63, "0807f7f930492f9e95070290aeac189e3721bf07"},
+      {64, "ce2798652a5cbba06c6f736ddeca9724e479e5b7"},
+      {65, "b0931a65ae5cf3e027199de5f7c56eb0f073c552"},
+  };
+  for (const auto& [n, hex] : cases) {
     const std::string s(n, 'q');
     Sha1 incremental;
     for (char c : s) incremental.update(&c, 1);
-    EXPECT_EQ(to_hex(incremental.finish()), to_hex(Sha1::hash(s)))
-        << "length " << n;
+    EXPECT_EQ(to_hex(incremental.finish()), hex) << "length " << n;
+    EXPECT_EQ(to_hex(Sha1::hash(s)), hex) << "length " << n;
   }
 }
 
@@ -75,6 +87,28 @@ TEST(UtsDerivation, ChildDigestIsDeterministic) {
   const Sha1Digest c1 = uts_child_digest(parent, 1);
   EXPECT_EQ(c0a, c0b);
   EXPECT_NE(c0a, c1);
+  // SHA-1(SHA-1("root") || 00 00 00 00) from an independent SHA-1.
+  EXPECT_EQ(to_hex(c0a), "f4c709b16f62ce94c45cbfb71c9ce6ce746c03fe");
+}
+
+TEST(UtsDerivation, ChildDigestMatchesGenericHash) {
+  // The one-block kernel against the streaming hash of parent || be32(i),
+  // over 1,000 chained parents and indices that fill each index byte.
+  const std::uint32_t indices[] = {0,         1,         255,
+                                   256,       65535,     1u << 24,
+                                   1u << 31,  0xFFFFFFFFu};
+  Sha1Digest parent = Sha1::hash(std::string("chain"));
+  for (std::uint32_t n = 0; n < 1000; ++n) {
+    for (const std::uint32_t i : indices) {
+      std::uint8_t msg[24];
+      std::memcpy(msg, parent.data(), parent.size());
+      for (int b = 0; b < 4; ++b)
+        msg[20 + b] = static_cast<std::uint8_t>(i >> (24 - 8 * b));
+      ASSERT_EQ(uts_child_digest(parent, i), Sha1::hash(msg, sizeof msg))
+          << "parent " << n << " index " << i;
+    }
+    parent = uts_child_digest(parent, n);
+  }
 }
 
 TEST(UtsDerivation, ChildIndexIsBigEndianInHash) {

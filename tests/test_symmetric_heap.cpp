@@ -1,6 +1,10 @@
 // OffsetAllocator (first-fit free list with coalescing) and SymmetricHeap.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstring>
 #include <set>
 
 #include "common/rng.hpp"
@@ -164,11 +168,83 @@ TEST(SymmetricHeap, FreeRecyclesSpace) {
 }
 
 TEST(SymmetricHeap, ArenaStartsZeroed) {
-  SymmetricHeap h(1, 1024);
-  const SymPtr p = h.alloc(64);
-  for (int i = 0; i < 64; ++i)
-    EXPECT_EQ(static_cast<int>(*(h.local(0, p, static_cast<std::uint64_t>(i)))), 0);
+  // Fresh allocations read zero on every PE, across page boundaries.
+  SymmetricHeap h(8, 3 * 4096 + 100);
+  const SymPtr a = h.alloc(4096);
+  const SymPtr b = h.alloc(2 * 4096 + 100, 64);
+  for (int pe = 0; pe < h.npes(); ++pe) {
+    for (std::uint64_t i = 0; i < 4096; ++i)
+      ASSERT_EQ(static_cast<int>(*h.local(pe, a, i)), 0) << "pe " << pe;
+    for (std::uint64_t i = 0; i < 2 * 4096 + 100; ++i)
+      ASSERT_EQ(static_cast<int>(*h.local(pe, b, i)), 0) << "pe " << pe;
+  }
 }
+
+/// Resident set size in bytes, from /proc/self/statm.
+std::size_t resident_bytes() {
+  long pages_total = 0, pages_resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%ld %ld", &pages_total, &pages_resident) != 2)
+    pages_resident = 0;
+  std::fclose(f);
+  return static_cast<std::size_t>(pages_resident) *
+         static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(SymmetricHeap, LargeHeapIsNotResidentUntilTouched) {
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  SymmetricHeap h(4096, std::size_t{1} << 20);
+  const std::size_t after = resident_bytes();
+  EXPECT_LT(after, before + (std::size_t{64} << 20))
+      << "a 4 GiB heap must not be backed before first touch";
+  // The last PE's arena is mapped and writable.
+  const SymPtr p = h.alloc(4096);
+  std::memset(h.local(4095, p), 1, 4096);
+  EXPECT_EQ(static_cast<int>(*h.local(4095, p, 4095)), 1);
+}
+
+// Guard-page death test state: the address the write must fault on.
+const std::byte* g_guard = nullptr;
+
+void on_segv(int, siginfo_t* si, void*) {
+  const bool at_guard = si->si_addr == g_guard;
+  const char* msg = at_guard ? "fault on the arena guard page\n"
+                             : "fault outside the arena guard page\n";
+  (void)!write(STDERR_FILENO, msg, std::strlen(msg));
+  _exit(at_guard ? 3 : 4);
+}
+
+TEST(SymmetricHeapDeathTest, WritePastArenaFaultsOnGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_EXIT(
+      {
+        SymmetricHeap h(2, 4 * page);
+        g_guard = h.arena_base(0) + h.size();
+        struct sigaction sa {};
+        sa.sa_sigaction = on_segv;
+        sa.sa_flags = SA_SIGINFO;
+        sigaction(SIGSEGV, &sa, nullptr);
+        *reinterpret_cast<volatile std::byte*>(h.arena_base(0) + h.size()) =
+            std::byte{1};
+      },
+      ::testing::ExitedWithCode(3), "fault on the arena guard page");
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(SymmetricHeapDeathTest, AsanReportsReadPastUnroundedArena) {
+  // 5000 bytes leave page-rounding slack before the guard page; it is
+  // poisoned, so the first byte past the arena is still an ASan report.
+  EXPECT_DEATH(
+      {
+        SymmetricHeap h(2, 5000);
+        (void)*reinterpret_cast<volatile std::byte*>(h.arena_base(1) + 5000);
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace sws::pgas

@@ -112,6 +112,29 @@ TEST(Uts, SequentialCountIsDeterministic) {
   EXPECT_LE(a.max_depth, p.gen_mx);
 }
 
+TEST(Uts, BenchmarkTreesKnownAnswer) {
+  // The geometric trees the repository benchmark runs (linear shape,
+  // b0 4, seed 19), pinned so a change to the SHA-1 kernel or the
+  // branching rule cannot silently reshape them.
+  struct Known {
+    std::uint32_t depth;
+    std::uint64_t nodes, leaves;
+  };
+  for (const Known k :
+       {Known{15, 125'768, 67'330}, Known{18, 892'623, 472'007}}) {
+    UtsParams p;
+    p.shape = UtsParams::Shape::kGeometric;
+    p.geo_shape = UtsParams::GeoShape::kLinear;
+    p.b0 = 4;
+    p.gen_mx = k.depth;
+    p.root_seed = 19;
+    const UtsTreeInfo info = uts_sequential_count(p);
+    EXPECT_EQ(info.nodes, k.nodes) << "depth " << k.depth;
+    EXPECT_EQ(info.leaves, k.leaves) << "depth " << k.depth;
+    EXPECT_EQ(info.max_depth, k.depth);
+  }
+}
+
 TEST(Uts, DifferentSeedsGiveDifferentTrees) {
   UtsParams a, b;
   a.gen_mx = b.gen_mx = 8;
