@@ -46,8 +46,6 @@ BenchSettings BenchSettings::from_options(const Options& opt) {
       opt.get("sample-interval-ns", std::int64_t{0}));
   if (!s.timeseries_out.empty() && s.sample_interval_ns == 0)
     s.sample_interval_ns = 10'000;  // 10 µs default cadence
-  s.engine_threads = static_cast<int>(
-      opt.get("engine-threads", std::int64_t{s.engine_threads}));
   return s;
 }
 
@@ -84,7 +82,6 @@ ConfigResult run_config(core::QueueKind kind, int npes,
     rcfg.npes = npes;
     rcfg.seed = settings.seed + static_cast<std::uint64_t>(rep) * 1000003;
     rcfg.net = tweaks.net;
-    rcfg.engine_threads = settings.engine_threads;
     rcfg.metrics = want_metrics;
     rcfg.heap_bytes =
         tweaks.heap_bytes != 0

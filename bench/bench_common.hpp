@@ -7,7 +7,6 @@
 //   --reps 5               repetitions per configuration
 //   --csv                  emit CSV instead of aligned tables
 //   --seed 42              base seed
-//   --engine-threads N     sharded parallel sequencer threads (1 = serial)
 //   --trace-out PREFIX     per config, dump the last repetition's Chrome
 //                          trace JSON to PREFIX.<kind>.p<npes>.json
 //   --metrics-out PREFIX   per config, write the metrics snapshot merged
@@ -53,10 +52,6 @@ struct BenchSettings {
   /// --sample-interval-ns: virtual-time sampling cadence; 0 picks the
   /// default (10 µs) when --timeseries-out is set.
   net::Nanos sample_interval_ns = 0;
-  /// --engine-threads: host worker threads for the sharded parallel
-  /// sequencer (1 = serial engine; schedules are byte-identical either
-  /// way, only wall-clock changes).
-  int engine_threads = 1;
 
   static BenchSettings from_options(const Options& opt);
 };

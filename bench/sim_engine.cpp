@@ -15,10 +15,10 @@
 //                    fabric's pending queue, quiesced every 64 ops.
 //  * nbi_put_small — 32 B payloads (inline-able in the effect pool).
 //  * nbi_put_large — 256 B payloads (slab path).
-//  * engine_mixed  — mixed private/global event stream over the serial
-//                    sequencer (engine_threads = 1) and the sharded
-//                    windowed engine (engine_threads >= 2): same
-//                    schedules, different release machinery.
+//  * engine_mixed  — clocks staggered 3 ns apart with a 10 ns step:
+//                    nearly every advance passes other PEs' clocks, so
+//                    most events hand off, as in seq_lockstep but
+//                    without ties at the time floor.
 //
 // Output: one JSON object per line on stdout (machine-readable); aligned
 // human summary on stderr.
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,7 +33,6 @@
 #include "common/options.hpp"
 #include "net/fabric.hpp"
 #include "net/network_model.hpp"
-#include "net/parallel_time_model.hpp"
 #include "net/time_model.hpp"
 
 using namespace sws;
@@ -52,7 +50,6 @@ double wall_seconds(const std::function<void()>& f) {
 struct Measurement {
   std::string bench;
   int pes = 0;
-  int engine_threads = 1;
   std::uint64_t events = 0;
   double wall_s = 0;
 
@@ -61,11 +58,9 @@ struct Measurement {
 
 void emit(const Measurement& m) {
   std::cout << "{\"bench\":\"" << m.bench << "\",\"pes\":" << m.pes
-            << ",\"engine_threads\":" << m.engine_threads
             << ",\"events\":" << m.events << ",\"wall_s\":" << m.wall_s
             << ",\"events_per_sec\":" << m.events_per_sec() << "}\n";
-  std::cerr << "  " << m.bench << " P=" << m.pes << " T=" << m.engine_threads
-            << ": "
+  std::cerr << "  " << m.bench << " P=" << m.pes << ": "
             << static_cast<std::uint64_t>(m.events_per_sec())
             << " events/s (" << m.events << " events in " << m.wall_s
             << " s)\n";
@@ -131,35 +126,21 @@ Measurement nbi_scenario(net::VirtualTimeModel& tm, const std::string& name,
   return m;
 }
 
-/// Engine scenario: a mixed private/global event stream over a bare time
-/// model. Private advances dominate — the windowed engine grants a whole
-/// lookahead window per park, so most of them are a lock-free clock bump —
-/// and every `global_every`-th event runs a globally ordered section
-/// (global_begin/advance/global_end) that must serialize in (vtime, pe)
-/// order on any engine. Clocks are staggered a little so ties don't
-/// dominate the frontier scan.
-Measurement engine_scenario(net::TimeModel& tm, const std::string& name,
-                            int npes, std::uint64_t bursts, Nanos step,
-                            std::uint64_t global_every) {
+/// engine_mixed: clocks staggered 3 ns apart, then bursts of `step`
+/// advances (see the file comment).
+Measurement mixed_scenario(net::VirtualTimeModel& tm, int npes,
+                           std::uint64_t bursts, Nanos step) {
   const auto body = [&](std::uint64_t b) {
     tm.run_pes(npes, [&](int pe) {
       tm.advance(pe, static_cast<Nanos>(pe) * 3 + 1);
-      for (std::uint64_t i = 0; i < b; ++i) {
-        if ((i + 1) % global_every == 0) {
-          tm.global_begin(pe);
-          tm.advance(pe, step);
-          tm.global_end(pe);
-        } else {
-          tm.advance(pe, step);
-        }
-      }
+      for (std::uint64_t i = 0; i < b; ++i) tm.advance(pe, step);
     });
   };
   body(0);
   const double setup = wall_seconds([&] { body(0); });
   const double total = wall_seconds([&] { body(bursts); });
   Measurement m;
-  m.bench = name;
+  m.bench = "engine_mixed";
   m.pes = npes;
   m.events = bursts * static_cast<std::uint64_t>(npes);
   m.wall_s = std::max(total - setup, 1e-9);
@@ -203,26 +184,11 @@ int main(int argc, char** argv) {
     emit(nbi_scenario(tm, "nbi_put_large", nbi_events / 2, 256));
   }
 
-  // Engine-threads sweep: the serial sequencer at threads = 1 vs the
-  // sharded windowed engine.
-  const std::vector<int> thread_counts =
-      parse_pes(opt.get("engine-threads", std::string("1,2,4")));
   for (const int npes : pe_counts) {
+    net::VirtualTimeModel tm(npes);
     const std::uint64_t bursts = std::max<std::uint64_t>(
         seq_events / static_cast<std::uint64_t>(npes) / 4, 1);
-    for (const int threads : thread_counts) {
-      std::unique_ptr<net::TimeModel> tm;
-      if (threads <= 1) {
-        tm = std::make_unique<net::VirtualTimeModel>(npes);
-      } else {
-        tm = std::make_unique<net::ParallelTimeModel>(
-            npes, threads, net::NetworkParams{}.min_remote_latency());
-      }
-      Measurement m = engine_scenario(*tm, "engine_mixed", npes, bursts,
-                                      /*step=*/10, /*global_every=*/64);
-      m.engine_threads = threads;
-      emit(m);
-    }
+    emit(mixed_scenario(tm, npes, bursts, /*step=*/10));
   }
   return 0;
 }

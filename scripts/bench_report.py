@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Machine-readable performance baseline for the simulator engine.
 
-Runs bench/sim_engine (the sequencer + nbi-path microbenchmarks, plus the
-engine_mixed engine-threads sweep), sweeps bench/engine_scale (end-to-end
-UTS wall clock, serial fiber sequencer vs the sharded windowed engine),
+Runs bench/sim_engine (the sequencer + nbi-path microbenchmarks), sweeps
+bench/engine_scale (end-to-end UTS wall clock on the fiber sequencer),
 optionally times the end-to-end paper benchmarks (fig8 UTS, fig7 BPC), and
 writes one JSON file (BENCH_<pr>.json) that CI and future PRs diff against.
 
@@ -14,11 +13,10 @@ exists, pre_change is carried over verbatim, so the historical reference
 survives regeneration on any machine. See docs/performance.md for the
 schema and for how the speedup numbers are derived.
 
-Engine-threads rows carry an "engine_threads" field (1 = the serial
-sequencer); rows without one are serial-only scenarios. The host's core
-count is recorded under host.nproc — on a single-core host the windowed
-engine cannot exploit hardware parallelism, so engine speedups there
-measure pure synchronization savings (see docs/performance.md).
+Rows in the committed BENCH_4/BENCH_9 files may carry an "engine_threads"
+field from the since-deleted windowed parallel engine (1 = the serial
+sequencer); rows without one are serial, and new rows never carry it. The
+host's core count is recorded under host.nproc.
 
 Usage:
   scripts/bench_report.py --pr N             # full suite -> BENCH_N.json
@@ -45,27 +43,23 @@ E2E = {
 }
 
 
-def run_sim_engine(build_dir, pes, events, nbi_events, threads):
+def run_sim_engine(build_dir, pes, events, nbi_events):
     exe = os.path.join(build_dir, "bench", "sim_engine")
     cmd = [exe, "--pes", ",".join(str(p) for p in pes), "--events",
-           str(events), "--nbi-events", str(nbi_events),
-           "--engine-threads", ",".join(str(t) for t in threads)]
+           str(events), "--nbi-events", str(nbi_events)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
     return [json.loads(line) for line in out.stdout.splitlines() if line]
 
 
-def run_engine_scale(build_dir, pes, threads):
-    """End-to-end UTS wall clock across engine thread counts. One rep per
-    config: the schedule is byte-identical at every thread count, so the
-    wall delta is pure sequencer machinery."""
+def run_engine_scale(build_dir, pes):
+    """End-to-end UTS wall clock per PE count, one rep each."""
     exe = os.path.join(build_dir, "bench", "engine_scale")
-    cmd = [exe, "--pes", ",".join(str(p) for p in pes), "--threads",
-           ",".join(str(t) for t in threads), "--reps", "1"]
+    cmd = [exe, "--pes", ",".join(str(p) for p in pes), "--reps", "1"]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
     rows = [json.loads(line) for line in out.stdout.splitlines() if line]
     for r in rows:
-        print(f"  uts_e2e P={r['pes']} T={r['engine_threads']}: "
-              f"{r['wall_s']:.3g} s wall", file=sys.stderr)
+        print(f"  uts_e2e P={r['pes']}: {r['wall_s']:.3g} s wall",
+              file=sys.stderr)
     return rows
 
 
@@ -100,23 +94,6 @@ def index_rows(rows):
 def row_name(key):
     bench, pes, threads = key
     return f"{bench}_{pes}" + (f"_t{threads}" if threads != 1 else "")
-
-
-def engine_speedups(rows, metric, invert):
-    """Per (bench, pes): ratio of each threads > 1 row vs the threads = 1
-    row. `metric` is the column; `invert` for wall times (lower = faster)."""
-    idx = index_rows(rows)
-    out = {}
-    for (bench, pes, threads), r in sorted(idx.items()):
-        if threads == 1:
-            continue
-        base = idx.get((bench, pes, 1))
-        if base is None or not base.get(metric) or not r.get(metric):
-            continue
-        ratio = (base[metric] / r[metric]) if invert \
-            else (r[metric] / base[metric])
-        out[f"{bench}_{pes}_t{threads}"] = round(ratio, 2)
-    return out
 
 
 def newest_baseline(exclude):
@@ -230,13 +207,11 @@ def main():
     else:
         pes, events, nbi = [64, 128, 256], 1_000_000, 200_000
         scale_pes = [256, 1024, 2048]
-    threads = [1, 2, 4]
 
     print(f"sim_engine (pes={pes})", file=sys.stderr)
-    optimized = run_sim_engine(args.build_dir, pes, events, nbi, threads)
-    print(f"engine_scale uts_e2e (pes={scale_pes}, threads={threads})",
-          file=sys.stderr)
-    engine_scale = run_engine_scale(args.build_dir, scale_pes, threads)
+    optimized = run_sim_engine(args.build_dir, pes, events, nbi)
+    print(f"engine_scale uts_e2e (pes={scale_pes})", file=sys.stderr)
+    engine_scale = run_engine_scale(args.build_dir, scale_pes)
 
     report = {
         "schema": "sws-bench",
@@ -245,12 +220,6 @@ def main():
         "host": {"nproc": os.cpu_count()},
         "sim_engine": {"optimized": optimized},
         "engine_scale": engine_scale,
-        # Windowed engine vs the serial sequencer, same binary: event rate
-        # for the engine_mixed microbenchmark, wall clock for e2e UTS.
-        "engine_speedup_vs_serial": {
-            **engine_speedups(optimized, "events_per_sec", invert=False),
-            **engine_speedups(engine_scale, "wall_s", invert=True),
-        },
     }
     if not (args.quick or args.skip_e2e):
         print("end-to-end paper benchmarks", file=sys.stderr)

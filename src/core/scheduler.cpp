@@ -1,12 +1,10 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <string>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
-#include "net/parallel_time_model.hpp"
 
 namespace sws::core {
 
@@ -244,25 +242,6 @@ void TaskPool::setup_timeseries() {
   add_fabric("fabric.blocking_ns", &net::FabricStats::blocking_ns);
   add_fabric("fabric.occupancy_wait_ns",
              &net::FabricStats::occupancy_wait_ns);
-
-  // Sharded-engine gauges (PR 9) become windowed series when the runtime
-  // uses the parallel sequencer; engine_stats() is lock-free and the hook
-  // runs inside drive(), the engine's sole executor.
-  if (const auto* eng =
-          dynamic_cast<const net::ParallelTimeModel*>(&rt_.time())) {
-    using EngineStats = net::ParallelTimeModel::EngineStats;
-    const auto add_engine = [&](const char* name,
-                                std::uint64_t EngineStats::*field) {
-      ts.add_series(name, Mode::kDelta,
-                    [eng, field] { return eng->engine_stats().*field; });
-    };
-    add_engine("engine.windows", &EngineStats::windows);
-    add_engine("engine.window_pes", &EngineStats::window_pes);
-    add_engine("engine.solo_private", &EngineStats::solo_private);
-    add_engine("engine.solo_global", &EngineStats::solo_global);
-    add_engine("engine.deferred", &EngineStats::deferred);
-    add_engine("engine.parks", &EngineStats::parks);
-  }
 }
 
 void TaskPool::finalize_timeseries() const {
@@ -650,7 +629,7 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
     term_->on_exit(ctx);
     set_phase(PoolPhase::kBlockedNbi);
     ctx.quiet();
-    while (ctx.fabric().pending_to_synced(ctx.pe()) > 0)
+    while (ctx.fabric().pending_to(ctx.pe()) > 0)
       ctx.compute(recovery_->config().probe_backoff_ns);
   } else {
     set_phase(PoolPhase::kBlockedNbi);
@@ -685,35 +664,9 @@ void TaskPool::dump_trace_json(std::ostream& os) const {
   meta.topo = rt_.fabric().model().topology().spec().to_string();
   meta.crashes = rt_.fabric().crashes_planned();
   finalize_timeseries();
-  const auto* eng =
-      dynamic_cast<const net::ParallelTimeModel*>(&rt_.time());
   tracer_.dump_chrome_json(os, meta, [&](std::ostream& xs) {
     // Sampled series become Perfetto counter tracks alongside the events.
     if (timeseries_) timeseries_->write_chrome_counters(xs);
-    if (eng == nullptr) return;
-    // Parallel-engine gauges as single-point counter tracks at the run's
-    // end, so traced runs carry them even without windowed sampling.
-    net::Nanos tend = 0;
-    for (int pe = 0; pe < rt_.npes(); ++pe)
-      tend = std::max(tend, rt_.time().now(pe));
-    const auto es = eng->engine_stats();
-    const auto row = [&](const char* name, std::uint64_t v) {
-      xs << ",\n{\"name\":\"" << name << "\",\"ph\":\"C\",\"ts\":"
-         << tend / 1000 << "." << std::setw(3) << std::setfill('0')
-         << tend % 1000 << std::setfill(' ')
-         << ",\"pid\":0,\"tid\":0,\"args\":{\"value\":" << v << "}}";
-    };
-    row("engine.windows", es.windows);
-    row("engine.window_pes", es.window_pes);
-    row("engine.solo_private", es.solo_private);
-    row("engine.solo_global", es.solo_global);
-    row("engine.cap_lookahead", es.cap_lookahead);
-    row("engine.cap_global", es.cap_global);
-    row("engine.cap_deadline", es.cap_deadline);
-    row("engine.cap_target", es.cap_target);
-    row("engine.deferred", es.deferred);
-    row("engine.license_skips", es.license_skips);
-    row("engine.parks", es.parks);
   });
 }
 

@@ -166,8 +166,7 @@ class TaskPool {
   /// Chrome trace-event JSON of the last run, stamped with run metadata
   /// (protocol, npes, slot_bytes) so sws-analyze can validate protocol op
   /// signatures without side channels. With sampling enabled the dump also
-  /// carries one counter track per sampled series; traced parallel-engine
-  /// runs additionally get end-of-run engine.* gauge tracks.
+  /// carries one counter track per sampled series.
   void dump_trace_json(std::ostream& os) const;
   /// Null unless TraceConfig::sample_interval_ns > 0.
   obs::TimeSeries* timeseries() noexcept { return timeseries_.get(); }

@@ -227,7 +227,7 @@ std::uint32_t SdcQueue::reconcile_dead_claims(pgas::PeContext& ctx) {
   // record we are about to misread as missing. Claims from peers that
   // died are not in flight — the fabric dropped them at crash time.
   lock_own(ctx);
-  while (ctx.fabric().pending_to_synced(ctx.pe()) > 0)
+  while (ctx.fabric().pending_to(ctx.pe()) > 0)
     ctx.compute(cfg_.lock_backoff_ns);
   drain_completions(ctx);
 

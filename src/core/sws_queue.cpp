@@ -151,7 +151,7 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
       // before fencing what remains.
       recovery_->probe_all(ctx);
       if (recovery_->known_count(ctx.pe()) > 0) {
-        while (ctx.fabric().pending_to_synced(ctx.pe()) > 0) {
+        while (ctx.fabric().pending_to(ctx.pe()) > 0) {
           ctx.compute(cfg_.epoch_poll_ns);
           o.stats.acquire_poll_ns += cfg_.epoch_poll_ns;
         }
@@ -171,7 +171,7 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
   // Both copies of a duplicated op enter the fabric's pending set at
   // issue time, so pending_to(us)==0 certifies no stray copy remains.
   if (ctx.fabric().fault_duplicates_possible()) {
-    while (ctx.fabric().pending_to_synced(ctx.pe()) > 0) {
+    while (ctx.fabric().pending_to(ctx.pe()) > 0) {
       ctx.compute(cfg_.epoch_poll_ns);
       o.stats.acquire_poll_ns += cfg_.epoch_poll_ns;
     }
@@ -361,7 +361,7 @@ void SwsQueue::fence_dead(pgas::PeContext& ctx) {
     ctx.compute(cfg_.epoch_poll_ns);
     o.stats.acquire_poll_ns += cfg_.epoch_poll_ns;
   }
-  while (ctx.fabric().pending_to_synced(ctx.pe()) > 0)
+  while (ctx.fabric().pending_to(ctx.pe()) > 0)
     ctx.compute(cfg_.epoch_poll_ns);
   progress(ctx);
   if (!o.outstanding.empty()) fence_dead_claims(ctx);

@@ -9,38 +9,8 @@
 
 namespace sws::net {
 
-namespace {
-
-/// Brackets a globally ordered action under the parallel engine:
-/// global_begin parks the initiator until it is the unique (vtime, pe)
-/// frontier, so the action's charge and effect land at their exact serial
-/// position; global_end lets it continue privately. Inactive (zero-cost)
-/// under the serial engines and for self-targeted blocking ops, which
-/// touch only initiator-local state.
-class GlobalGate {
- public:
-  /// `target` is the op's conflict footprint (the PE whose state the op's
-  /// effect touches, or a TimeModel sentinel) — see Fabric::gate_footprint.
-  GlobalGate(TimeModel& time, int pe, bool active, int target)
-      : time_(time), pe_(pe), active_(active) {
-    if (active_) time_.global_begin(pe_, target);
-  }
-  ~GlobalGate() {
-    if (active_) time_.global_end(pe_);
-  }
-  GlobalGate(const GlobalGate&) = delete;
-  GlobalGate& operator=(const GlobalGate&) = delete;
-
- private:
-  TimeModel& time_;
-  int pe_;
-  bool active_;
-};
-
-}  // namespace
-
 Fabric::Fabric(TimeModel& time, NetworkModel model, int npes)
-    : concurrent_(time.concurrent_windows()), time_(time), model_(model) {
+    : time_(time), model_(model) {
   if (model_.params().faults.enabled())
     faults_ = std::make_unique<FaultInjector>(model_.params().faults, npes);
   crashes_armed_ = model_.params().faults.crashes_enabled();
@@ -362,8 +332,6 @@ void Fabric::charge(int initiator, int target, OpKind kind,
 
 void Fabric::put(int initiator, int target, std::uint64_t offset,
                  const void* src, std::size_t n) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kPut, offset);
   charge(initiator, target, OpKind::kPut, n);
   if (effect_suppressed(initiator, target)) return;
@@ -373,8 +341,6 @@ void Fabric::put(int initiator, int target, std::uint64_t offset,
 
 void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
                  std::size_t n) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kGet, offset);
   charge(initiator, target, OpKind::kGet, n);
   if (effect_suppressed(initiator, target)) {
@@ -387,8 +353,6 @@ void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
 
 void Fabric::put_words(int initiator, int target, std::uint64_t offset,
                        const std::uint64_t* src, std::size_t nwords) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kPut, offset);
   charge(initiator, target, OpKind::kPut, nwords * 8);
   if (effect_suppressed(initiator, target)) return;
@@ -403,8 +367,6 @@ void Fabric::put_words(int initiator, int target, std::uint64_t offset,
 
 void Fabric::get_words(int initiator, int target, std::uint64_t offset,
                        std::uint64_t* dst, std::size_t nwords) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kGet, offset);
   charge(initiator, target, OpKind::kGet, nwords * 8);
   if (effect_suppressed(initiator, target)) {
@@ -423,8 +385,6 @@ void Fabric::get_words(int initiator, int target, std::uint64_t offset,
 std::uint64_t Fabric::amo_fetch_add(int initiator, int target,
                                     std::uint64_t offset,
                                     std::uint64_t value) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kAmoFetchAdd, offset);
   charge(initiator, target, OpKind::kAmoFetchAdd, 8);
   if (effect_suppressed(initiator, target)) return kDeadFetchValue;
@@ -436,8 +396,6 @@ std::uint64_t Fabric::amo_compare_swap(int initiator, int target,
                                        std::uint64_t offset,
                                        std::uint64_t expected,
                                        std::uint64_t desired) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kAmoCompareSwap, offset);
   charge(initiator, target, OpKind::kAmoCompareSwap, 8);
   if (effect_suppressed(initiator, target)) return kDeadFetchValue;
@@ -449,8 +407,6 @@ std::uint64_t Fabric::amo_compare_swap(int initiator, int target,
 
 std::uint64_t Fabric::amo_swap(int initiator, int target, std::uint64_t offset,
                                std::uint64_t value) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kAmoSwap, offset);
   charge(initiator, target, OpKind::kAmoSwap, 8);
   if (effect_suppressed(initiator, target)) return kDeadFetchValue;
@@ -460,8 +416,6 @@ std::uint64_t Fabric::amo_swap(int initiator, int target, std::uint64_t offset,
 
 std::uint64_t Fabric::amo_fetch(int initiator, int target,
                                 std::uint64_t offset) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kAmoFetch, offset);
   charge(initiator, target, OpKind::kAmoFetch, 8);
   if (effect_suppressed(initiator, target)) return kDeadFetchValue;
@@ -471,8 +425,6 @@ std::uint64_t Fabric::amo_fetch(int initiator, int target,
 
 void Fabric::amo_set(int initiator, int target, std::uint64_t offset,
                      std::uint64_t value) {
-  GlobalGate gate(time_, initiator, concurrent_ && target != initiator,
-                  gate_footprint(target));
   note_op(initiator, target, OpKind::kAmoSet, offset);
   charge(initiator, target, OpKind::kAmoSet, 8);
   if (effect_suppressed(initiator, target)) return;
@@ -532,11 +484,6 @@ void Fabric::enqueue_nbi(int initiator, int target, OpKind kind,
 
 void Fabric::nbi_put(int initiator, int target, std::uint64_t offset,
                      const void* src, std::size_t n) {
-  // nbi enqueues are globally ordered even against self: they assign the
-  // shared delivery sequence number and move cross-initiator pending
-  // counters, so the gate covers target == initiator too.
-  GlobalGate gate(time_, initiator, concurrent_,
-                  gate_footprint(TimeModel::kNoConflictTarget));
   note_op(initiator, target, OpKind::kNbiPut, offset);
   charge(initiator, target, OpKind::kNbiPut, n);
   if (effect_suppressed(initiator, target)) return;
@@ -557,8 +504,6 @@ void Fabric::nbi_put(int initiator, int target, std::uint64_t offset,
 
 void Fabric::nbi_amo_add(int initiator, int target, std::uint64_t offset,
                          std::uint64_t value) {
-  GlobalGate gate(time_, initiator, concurrent_,
-                  gate_footprint(TimeModel::kNoConflictTarget));
   note_op(initiator, target, OpKind::kNbiAmoAdd, offset);
   charge(initiator, target, OpKind::kNbiAmoAdd, 8);
   if (effect_suppressed(initiator, target)) return;
@@ -571,8 +516,6 @@ void Fabric::nbi_amo_add(int initiator, int target, std::uint64_t offset,
 
 void Fabric::nbi_amo_set(int initiator, int target, std::uint64_t offset,
                          std::uint64_t value) {
-  GlobalGate gate(time_, initiator, concurrent_,
-                  gate_footprint(TimeModel::kNoConflictTarget));
   note_op(initiator, target, OpKind::kNbiAmoSet, offset);
   charge(initiator, target, OpKind::kNbiAmoSet, 8);
   if (effect_suppressed(initiator, target)) return;
@@ -584,9 +527,9 @@ void Fabric::nbi_amo_set(int initiator, int target, std::uint64_t offset,
 }
 
 Nanos Fabric::deliver_until(Nanos now) {
-  // Called from the sequencer (under its lock) each time global virtual
-  // time reaches a new floor. Applies every effect whose deadline passed,
-  // in (deadline, issue-sequence) order — deterministic.
+  // Called from the sequencer when global virtual time reaches a floor at
+  // or past the earliest pending deadline. Applies every effect whose
+  // deadline passed, in (deadline, issue-sequence) order — deterministic.
   std::lock_guard<std::mutex> lk(pend_mu_);
   while (!pending_.empty() && pending_.top().deadline <= now)
     apply_top_locked();
@@ -606,15 +549,6 @@ int Fabric::pending(int pe) const {
 int Fabric::pending_to(int pe) const {
   return pending_per_target_[static_cast<std::size_t>(pe)].load(
       std::memory_order_relaxed);
-}
-
-int Fabric::pending_to_synced(int pe) {
-  // Under the parallel engine another initiator released mid-window can
-  // enqueue an op targeting `pe` at a lex position *before* this read
-  // (issue overhead is below the lookahead). Serialize at the global
-  // frontier first so the count matches the serial schedule exactly.
-  if (concurrent_) time_.global_sync(pe);
-  return pending_to(pe);
 }
 
 void Fabric::quiet(int pe) {

@@ -195,12 +195,6 @@ class Fabric {
   /// Lets owners prove a completion region can no longer change under
   /// them before reusing it (SWS epoch recycle under duplication).
   int pending_to(int pe) const;
-  /// pending_to() for wait loops inside a run: under the parallel engine
-  /// the read is first serialized at the global frontier (other
-  /// initiators' enqueues mutate the counter at their lex positions), so
-  /// the observed count is the serial schedule's. Serial engines read
-  /// directly — same cost, same value.
-  int pending_to_synced(int pe);
 
   // --- crash-stop failures ----------------------------------------------
   /// Any CrashEvents in the plan? Constant over the fabric's lifetime;
@@ -326,17 +320,6 @@ class Fabric {
     ++stats_[static_cast<std::size_t>(initiator)].s.dead_target_ops;
     return true;
   }
-  /// Conflict footprint a gate declares to the parallel engine via
-  /// TimeModel::global_begin(pe, target): the PE whose observable state
-  /// the op touches when resuming from an in-gate park (blocking ops
-  /// apply their effect on `declared` after charging; nbi enqueues touch
-  /// only gated-shared pending state and declare kNoConflictTarget). With
-  /// fault or crash injection armed, op paths also touch shared injector
-  /// and death state, so the footprint degrades to kOpaqueTarget — the
-  /// fully conservative cap-every-window legacy rule.
-  int gate_footprint(int declared) const noexcept {
-    return (faults_ || crashes_armed_) ? TimeModel::kOpaqueTarget : declared;
-  }
   /// Charge a blocking op: stats + advance; returns nothing, effect is the
   /// caller's next statement.
   void charge(int initiator, int target, OpKind kind, std::size_t bytes);
@@ -344,7 +327,8 @@ class Fabric {
   void note_op(int initiator, int target, OpKind kind, std::uint64_t offset);
   /// Queue `effect` for delivery after the modeled nbi delay (plus any
   /// fault verdict), then clamp the initiator's sequencer horizon to the
-  /// deadline. When `slab_src` is non-null the payload is copied into a
+  /// deadline — which is also how the sequencer learns that a delivery is
+  /// due then (it only calls deliver_until() once one is). When `slab_src` is non-null the payload is copied into a
   /// pooled slab under pend_mu_ (effect.len bytes); inline payloads are
   /// already inside `effect`.
   void enqueue_nbi(int initiator, int target, OpKind kind, std::size_t bytes,
@@ -359,13 +343,6 @@ class Fabric {
   /// deadline still pending (kNoPendingDeadline if none) — the sequencer
   /// caps run-to-horizon batching with it.
   Nanos deliver_until(Nanos now);
-
-  /// Cached time_.concurrent_windows(): true under the parallel engine.
-  /// Every globally ordered action (cross-PE blocking op, any nbi enqueue,
-  /// pending_to_synced) brackets itself with global_begin/end (or
-  /// global_sync) when set; the serial engines skip the virtual calls
-  /// entirely.
-  bool concurrent_ = false;
 
   TimeModel& time_;
   NetworkModel model_;

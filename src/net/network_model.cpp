@@ -86,19 +86,6 @@ LinkParams& NetworkParams::link(Tier t) noexcept {
   return links[idx < links.size() ? idx : links.size() - 1];
 }
 
-Nanos NetworkParams::min_remote_latency() const noexcept {
-  Nanos m = 0;
-  bool first = true;
-  for (const LinkParams& l : links) {
-    Nanos tier_min = l.amo_latency;
-    if (l.get_latency < tier_min) tier_min = l.get_latency;
-    if (l.put_latency < tier_min) tier_min = l.put_latency;
-    if (first || tier_min < m) m = tier_min;
-    first = false;
-  }
-  return m;
-}
-
 void NetworkParams::validate(int npes) const {
   SWS_CHECK(links.size() == static_cast<std::size_t>(topology.ntiers()),
             "NetworkParams: link table size must equal the topology's tier "

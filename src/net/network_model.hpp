@@ -80,14 +80,6 @@ struct NetworkParams {
   const LinkParams& link(Tier t) const noexcept;
   LinkParams& link(Tier t) noexcept;
 
-  /// Cheapest possible cross-PE *blocking* op over any tier — the floor of
-  /// every remote charge, and therefore a safe conservative lookahead for
-  /// the parallel engine (ParallelTimeModel): nothing a PE does inside a
-  /// window of this width can affect another PE's state within the window.
-  /// (nbi delivery needs no floor — pending deadlines cap windows
-  /// directly.) 0 when the link table is empty.
-  Nanos min_remote_latency() const noexcept;
-
   /// Reject inconsistent configurations: the link table must match the
   /// topology's tier count, the spec must hold `npes` PEs, and rates
   /// must be positive. The runtime calls this at construction, so a

@@ -17,16 +17,13 @@ void TimeModel::run_pes(int npes, const std::function<void(int)>& body) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(npes));
   for (int pe = 0; pe < npes; ++pe) {
-    threads.emplace_back([this, pe, &body, &err_mu, &first_error] {
-      pe_begin(pe);
+    threads.emplace_back([pe, &body, &err_mu, &first_error] {
       try {
         body(pe);
       } catch (...) {
         std::lock_guard<std::mutex> lk(err_mu);
         if (!first_error) first_error = std::current_exception();
       }
-      // Always release the baton, even on error, or the sequencer stalls.
-      pe_end(pe);
     });
   }
   for (auto& t : threads) t.join();
@@ -42,10 +39,20 @@ VirtualTimeModel::~VirtualTimeModel() = default;
 void VirtualTimeModel::reset(int npes) {
   SWS_CHECK(npes >= 0, "npes must be non-negative");
   SWS_ASSERT_MSG(body_ == nullptr, "reset() during a run");
-  slots_.clear();
-  slots_.reserve(static_cast<std::size_t>(npes));
-  for (int i = 0; i < npes; ++i) slots_.push_back(std::make_unique<PeSlot>());
-  heap_.rebuild(npes);
+  if (npes > slot_capacity_) {
+    slots_ = std::make_unique<PeSlot[]>(static_cast<std::size_t>(npes));
+    slot_capacity_ = npes;
+  }
+  npes_ = npes;
+  for (int i = 0; i < npes; ++i) {
+    PeSlot& s = slot(i);
+    s.vtime.store(0, std::memory_order_relaxed);
+    s.horizon = 0;
+    s.finished = false;
+  }
+  ready_.reset(npes);
+  next_delivery_ = 0;
+  switches_ = 0;
   // PE 0 runs first: all clocks are 0 and ties break by id. Horizons
   // start at 0, so the first advance of every PE enters the sequencer and
   // computes a real horizon.
@@ -84,6 +91,7 @@ void VirtualTimeModel::fiber_main(void* self) {
 
 void VirtualTimeModel::set_delivery_hook(DeliveryHook hook) {
   hook_ = std::move(hook);
+  next_delivery_ = 0;  // the new hook has not been asked yet
 }
 
 void VirtualTimeModel::set_sample_hook(SampleHook hook, Nanos interval_ns) {
@@ -97,30 +105,27 @@ void VirtualTimeModel::set_ready_arbiter(ReadyArbiter arb) {
 }
 
 int VirtualTimeModel::pick_next(int caller) {
-  // The heap's (vtime, pe) order breaks ties by lowest id. Callers
+  // The tree's (vtime, pe) order breaks ties by lowest id. Callers
   // refresh the active PE's key before picking, so the top is
   // authoritative.
-  const int best = heap_.top();
+  const int best = ready_.top();
   if (best < 0 || !arbiter_) return best;
 
   // Collect every PE tied at the minimum: each is a legal next event, and
   // which one runs decides how the in-flight memory effects interleave.
   // Only worth O(N) when an arbiter is actually installed.
-  const Nanos floor =
-      slots_[static_cast<std::size_t>(best)]->vtime.load(
-          std::memory_order_relaxed);
+  const Nanos floor = slot(best).vtime.load(std::memory_order_relaxed);
   ready_scratch_.clear();
-  for (int i = 0; i < static_cast<int>(slots_.size()); ++i) {
-    const auto& s = *slots_[static_cast<std::size_t>(i)];
+  for (int i = 0; i < npes_; ++i) {
+    const PeSlot& s = slot(i);
     if (!s.finished && s.vtime.load(std::memory_order_relaxed) == floor)
       ready_scratch_.push_back(i);
   }
   if (ready_scratch_.size() == 1) return best;
   const int chosen = arbiter_(caller, ready_scratch_, floor);
-  SWS_ASSERT_MSG(chosen >= 0 && chosen < static_cast<int>(slots_.size()) &&
-                     !slots_[static_cast<std::size_t>(chosen)]->finished &&
-                     slots_[static_cast<std::size_t>(chosen)]->vtime.load(
-                         std::memory_order_relaxed) == floor,
+  SWS_ASSERT_MSG(chosen >= 0 && chosen < npes_ && !slot(chosen).finished &&
+                     slot(chosen).vtime.load(std::memory_order_relaxed) ==
+                         floor,
                  "arbiter returned a PE outside the ready set");
   return chosen;
 }
@@ -129,12 +134,13 @@ Nanos VirtualTimeModel::refresh_horizon(int pe) {
   // Deliver everything that is now in the past before the PE resumes, so
   // it observes a consistent "nothing from the future" memory state; the
   // hook reports the earliest deadline still pending so batching can
-  // never skip over a delivery.
-  Nanos next_deadline = kNoPendingDeadline;
-  const Nanos now =
-      slots_[static_cast<std::size_t>(pe)]->vtime.load(
-          std::memory_order_relaxed);
-  if (hook_) next_deadline = hook_(now);
+  // never skip over a delivery. Below that deadline nothing is due, so
+  // the hook is not asked: next_delivery_ only ever errs low (drops raise
+  // the true minimum; every enqueue lowers the cache via clamp_horizon),
+  // which costs one extra call, never a missed delivery.
+  const Nanos now = slot(pe).vtime.load(std::memory_order_relaxed);
+  if (now >= next_delivery_)
+    next_delivery_ = hook_ ? hook_(now) : kNoPendingDeadline;
   // Windowed sampling: fire once per boundary the floor has crossed, in
   // order. Observation-only — the hook reads state, never schedules
   // events — so the schedule is byte-identical with sampling off.
@@ -147,8 +153,8 @@ Nanos VirtualTimeModel::refresh_horizon(int pe) {
   // Batching off: an installed arbiter must see every advance as a
   // potential tie.
   if (arbiter_) return 0;
-  Nanos h = heap_.second_vtime();
-  if (next_deadline < h) h = next_deadline;
+  Nanos h = ready_.second_vtime();
+  if (next_delivery_ < h) h = next_delivery_;
   // Cap batches at the next sampling boundary so samples land exactly
   // when the floor crosses it (a smaller horizon never changes the
   // schedule — arbiter mode pins it to 0 and stays byte-identical).
@@ -159,12 +165,13 @@ Nanos VirtualTimeModel::refresh_horizon(int pe) {
 void VirtualTimeModel::activate(int next) {
   active_.store(next, std::memory_order_relaxed);
   if (next < 0) return;
-  slots_[static_cast<std::size_t>(next)]->horizon = refresh_horizon(next);
+  slot(next).horizon = refresh_horizon(next);
 }
 
 void VirtualTimeModel::switch_from(int pe, bool exiting) {
   SWS_ASSERT_MSG(body_ != nullptr, "PE handoff outside run_pes()");
   const int next = active_.load(std::memory_order_relaxed);
+  switches_ += next >= 0 ? 1 : 0;
   FiberContext& to =
       next < 0 ? caller_ : fibers_[static_cast<std::size_t>(next)]->context();
   fiber_switch(fibers_[static_cast<std::size_t>(pe)]->context(), to, exiting);
@@ -172,34 +179,34 @@ void VirtualTimeModel::switch_from(int pe, bool exiting) {
 
 void VirtualTimeModel::finish(int pe) {
   SWS_ASSERT(active_.load(std::memory_order_relaxed) == pe);
-  slots_[static_cast<std::size_t>(pe)]->finished = true;
-  heap_.remove(pe);
+  slot(pe).finished = true;
+  ready_.remove(pe);
   activate(pick_next(pe));
   switch_from(pe, /*exiting=*/true);
   SWS_UNREACHABLE();  // a finished fiber is only re-armed, never resumed
 }
 
 void VirtualTimeModel::advance(int pe, Nanos dt) {
-  SWS_ASSERT(pe >= 0 && pe < static_cast<int>(slots_.size()));
-  PeSlot& slot = *slots_[static_cast<std::size_t>(pe)];
+  SWS_ASSERT(pe >= 0 && pe < npes_);
+  PeSlot& s = slot(pe);
   SWS_ASSERT_MSG(active_.load(std::memory_order_relaxed) == pe,
                  "advance() by a PE not holding the baton");
-  const Nanos nv = slot.vtime.load(std::memory_order_relaxed) + dt;
-  if (nv < slot.horizon) {
+  const Nanos nv = s.vtime.load(std::memory_order_relaxed) + dt;
+  if (nv < s.horizon) {
     // Run-to-horizon fast path: still strictly the global minimum and
     // strictly before the next delivery deadline — nothing to pick,
     // nothing to deliver, nobody to wake. Publish the clock and return.
-    slot.vtime.store(nv, std::memory_order_release);
+    s.vtime.store(nv, std::memory_order_release);
     return;
   }
-  slot.vtime.store(nv, std::memory_order_release);
-  heap_.update(pe, nv);  // increase-key
+  s.vtime.store(nv, std::memory_order_release);
+  ready_.update(pe, nv);
   const int next = pick_next(pe);
   SWS_ASSERT(next >= 0);  // we are unfinished, so somebody is runnable
   if (next == pe) {
     // Still the minimum: deliver anything our own advance made due and
     // batch up to the refreshed horizon.
-    slot.horizon = refresh_horizon(pe);
+    s.horizon = refresh_horizon(pe);
     return;
   }
   activate(next);
@@ -207,17 +214,17 @@ void VirtualTimeModel::advance(int pe, Nanos dt) {
 }
 
 Nanos VirtualTimeModel::now(int pe) const {
-  SWS_ASSERT(pe >= 0 && pe < static_cast<int>(slots_.size()));
-  return slots_[static_cast<std::size_t>(pe)]->vtime.load(
-      std::memory_order_acquire);
+  SWS_ASSERT(pe >= 0 && pe < npes_);
+  return slot(pe).vtime.load(std::memory_order_acquire);
 }
 
 void VirtualTimeModel::clamp_horizon(int pe, Nanos deadline) {
-  SWS_ASSERT(pe >= 0 && pe < static_cast<int>(slots_.size()));
+  SWS_ASSERT(pe >= 0 && pe < npes_);
   SWS_ASSERT_MSG(active_.load(std::memory_order_relaxed) == pe,
                  "clamp_horizon() by a PE not holding the baton");
-  PeSlot& slot = *slots_[static_cast<std::size_t>(pe)];
-  if (deadline < slot.horizon) slot.horizon = deadline;
+  PeSlot& s = slot(pe);
+  if (deadline < s.horizon) s.horizon = deadline;
+  if (deadline < next_delivery_) next_delivery_ = deadline;
 }
 
 // ------------------------------------------------------------------ real

@@ -19,29 +19,31 @@
 // Both expose the same interface, so the whole runtime above this layer
 // is written once.
 //
-// Sequencer hot path (docs/performance.md): the ready set lives in an
-// indexed (vtime, pe) min-heap, and the running PE caches a *horizon* —
-// the minimum of every other PE's clock and the earliest pending nbi
-// deadline. advance() calls that keep the clock strictly below the
-// horizon touch no heap, fire no hook, and switch no fiber; only crossing
-// the horizon enters the sequencer, which picks the next PE from the heap
-// and switches straight to its fiber. Anything that could schedule an
-// event below the running PE's horizon must shrink it via clamp_horizon()
-// (the fabric does this on every nbi enqueue), and the delivery hook
-// reports the earliest still-pending deadline so the sequencer can cap
-// horizons with it. Installing a ReadyArbiter disables horizon batching
-// entirely: the schedule explorer must observe every potential tie.
+// Sequencer hot path (docs/performance.md): the ready set is a (vtime, pe)
+// tournament tree, and the running PE caches a *horizon* — the minimum of
+// every other PE's clock and the earliest pending nbi deadline. advance()
+// calls that keep the clock strictly below the horizon touch no tree, fire
+// no hook, and switch no fiber; only crossing the horizon enters the
+// sequencer, which picks the next PE from the tree and switches straight to
+// its fiber. Anything that could schedule an event below the running PE's
+// horizon must shrink it via clamp_horizon() (the fabric does this on every
+// nbi enqueue). The delivery hook reports the earliest still-pending
+// deadline; the sequencer caps horizons with it and calls the hook again
+// only once the time floor reaches it. Installing a ReadyArbiter disables
+// horizon batching entirely: the schedule explorer must observe every
+// potential tie.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "net/fiber.hpp"
-#include "net/ready_heap.hpp"
+#include "net/ready_tree.hpp"
 #include "net/types.hpp"
 
 namespace sws::net {
@@ -50,13 +52,17 @@ namespace sws::net {
 /// representable virtual time.
 inline constexpr Nanos kNoPendingDeadline = ~Nanos{0};
 
-/// Callback invoked by the virtual sequencer whenever global time reaches
-/// a new floor `now`; the fabric uses it to deliver pending non-blocking
-/// operations whose deadline has passed. Returns the earliest deadline
-/// still pending after the sweep (kNoPendingDeadline if none) — the
-/// sequencer caps run-to-horizon batching with it so no delivery is ever
-/// skipped over. Runs inside the sequencer — it must only touch
-/// fabric/pending state, never call back into the time model.
+/// Callback invoked by the virtual sequencer when global time reaches a
+/// new floor `now` at or past the earliest pending deadline it knows of;
+/// the fabric uses it to deliver pending non-blocking operations whose
+/// deadline has passed. Returns the earliest deadline still pending after
+/// the sweep (kNoPendingDeadline if none) — the sequencer caps
+/// run-to-horizon batching with it so no delivery is ever skipped over,
+/// and skips the call on floors below it. That skip needs every new
+/// pending deadline announced through clamp_horizon(); dropping pending
+/// operations needs nothing (the true minimum only rises). Runs inside the
+/// sequencer — it must only touch fabric/pending state, never call back
+/// into the time model.
 using DeliveryHook = std::function<Nanos(Nanos now)>;
 
 /// Consulted by the virtual sequencer whenever more than one PE is
@@ -94,7 +100,7 @@ class TimeModel {
   /// reset(npes), then run `body(pe)` for every PE in [0, npes) under this
   /// clock; returns when every PE has finished. The first exception that
   /// escapes a PE's body is rethrown here after all of them finish.
-  /// Default: one std::thread per PE, framed by pe_begin/pe_end.
+  /// Default: one std::thread per PE.
   virtual void run_pes(int npes, const std::function<void(int)>& body);
 
   /// Advance PE `pe`'s clock by `dt`, blocking the caller accordingly.
@@ -106,7 +112,8 @@ class TimeModel {
   /// Inform the sequencer that an event (e.g. an nbi delivery deadline)
   /// was scheduled at virtual time `deadline` by the running PE `pe`.
   /// Virtual backend: shrinks pe's batching horizon so the deadline is
-  /// not skipped over; may only be called by the running PE. Real
+  /// not skipped over, and makes the delivery hook fire once the time
+  /// floor reaches it; may only be called by the running PE. Real
   /// backend: no-op (deliveries are driven by a progress thread).
   virtual void clamp_horizon(int pe, Nanos deadline) {
     (void)pe;
@@ -127,54 +134,6 @@ class TimeModel {
 
   virtual bool is_virtual() const noexcept = 0;
   virtual int npes() const noexcept = 0;
-
-  // --- concurrent-window extensions (ParallelTimeModel) ------------------
-  //
-  // The sharded sequencer releases *windows* of PEs that run concurrently
-  // below a conservative lookahead horizon. Actions that touch another
-  // PE's state (or globally ordered fabric state like the nbi sequence
-  // counter) must first be serialized at the global (vtime, pe) frontier.
-  // The serial backends run one PE at a time, so these default to no-ops.
-
-  /// Conflict footprint sentinels for global_begin(pe, target):
-  ///  * kOpaqueTarget — unknown footprint: while this gate's PE is parked,
-  ///    no other PE may run past its clock (fully conservative; the
-  ///    fabric uses it when fault/crash injection adds shared state).
-  ///  * kNoConflictTarget — the gate only touches state shared with other
-  ///    gated actions (nbi pending queue, sequence counter): parked, it
-  ///    never needs to cap a concurrent window (deliveries are fenced
-  ///    separately by the pending-deadline cap).
-  static constexpr int kOpaqueTarget = -1;
-  static constexpr int kNoConflictTarget = -2;
-
-  /// `pe` is about to perform a globally ordered action (cross-PE blocking
-  /// op or nbi enqueue). Parks until `pe` is the unique global frontier;
-  /// on return the op's charge + effect run in exact serial lex order.
-  virtual void global_begin(int pe) { (void)pe; }
-  /// As above, with the action's conflict footprint: `target` is the PE
-  /// whose observable state the action touches when it resumes from parks
-  /// *inside* the gate (a blocking op applies its effect after charging),
-  /// or one of the sentinels. The sharded engine uses it to cap concurrent
-  /// windows per target instead of globally; serial backends ignore it.
-  virtual void global_begin(int pe, int target) {
-    (void)target;
-    global_begin(pe);
-  }
-  /// The globally ordered action completed; `pe` may continue privately.
-  virtual void global_end(int pe) { (void)pe; }
-  /// Serialize a read of globally mutated state (e.g. the per-target nbi
-  /// pending counter) without marking `pe` as inside an op: parks until
-  /// every lex-earlier global action has applied.
-  virtual void global_sync(int pe) { (void)pe; }
-  /// True when windows of PE threads may run concurrently — callers use it
-  /// to gate global_begin/end/sync so the serial hot path stays untouched.
-  virtual bool concurrent_windows() const noexcept { return false; }
-
- protected:
-  /// The default run_pes() calls these on each PE thread right before and
-  /// after its body.
-  virtual void pe_begin(int pe) { (void)pe; }
-  virtual void pe_end(int pe) { (void)pe; }
 };
 
 /// Deterministic discrete-event sequencer (see file comment).
@@ -199,7 +158,7 @@ class VirtualTimeModel final : public TimeModel {
   void set_delivery_hook(DeliveryHook hook) override;
   void set_sample_hook(SampleHook hook, Nanos interval_ns) override;
   bool is_virtual() const noexcept override { return true; }
-  int npes() const noexcept override { return static_cast<int>(slots_.size()); }
+  int npes() const noexcept override { return npes_; }
 
   /// Install (or clear, with nullptr) the ready-set arbiter. Survives
   /// reset() — it is sequencer configuration, like the delivery hook.
@@ -207,6 +166,11 @@ class VirtualTimeModel final : public TimeModel {
   /// run-to-horizon batching is disabled so every advance() is a
   /// potential branch point for the explorer.
   void set_ready_arbiter(ReadyArbiter arb);
+
+  /// PE-to-PE fiber handoffs in the current (or last) run: advances that
+  /// passed the baton plus finishing PEs that handed it on. 0 on a 1-PE
+  /// run. Deterministic for a given program and seed.
+  std::uint64_t switches() const noexcept { return switches_; }
 
  private:
   struct PeSlot {
@@ -226,9 +190,9 @@ class VirtualTimeModel final : public TimeModel {
   /// Make `next` the running PE (-1: none left): fire the delivery hook
   /// for the new time floor and refresh `next`'s horizon.
   void activate(int next);
-  /// Fire the hook at `pe`'s clock and compute its fresh horizon:
-  /// min(second-lowest ready clock, earliest pending delivery deadline);
-  /// 0 (batching off) in arbiter mode.
+  /// Fire the hook at `pe`'s clock if a delivery may be due, and compute
+  /// its fresh horizon: min(second-lowest ready clock, earliest pending
+  /// delivery deadline); 0 (batching off) in arbiter mode.
   Nanos refresh_horizon(int pe);
   /// Suspend `pe`'s fiber and resume the active PE's, or the run_pes()
   /// caller when none is active. `exiting`: `pe` has finished.
@@ -238,10 +202,23 @@ class VirtualTimeModel final : public TimeModel {
   /// `pe`'s body returned: retire it and switch away for good.
   void finish(int pe);
 
-  std::vector<std::unique_ptr<PeSlot>> slots_;
-  ReadyHeap heap_;  ///< ready PEs keyed by (vtime, pe)
+  PeSlot& slot(int pe) { return slots_[static_cast<std::size_t>(pe)]; }
+  const PeSlot& slot(int pe) const {
+    return slots_[static_cast<std::size_t>(pe)];
+  }
+
+  std::unique_ptr<PeSlot[]> slots_;  ///< slot_capacity_ slots, reused
+  int slot_capacity_ = 0;
+  int npes_ = 0;
+  ReadyTree ready_;  ///< ready PEs keyed by (vtime, pe)
   std::atomic<int> active_{-1};  ///< the running PE
   DeliveryHook hook_;
+  /// Lower bound on the earliest pending delivery deadline: what the hook
+  /// last reported, lowered by clamp_horizon(). The hook is skipped while
+  /// the time floor stays below it. 0 after reset(), so each run's first
+  /// event asks the hook.
+  Nanos next_delivery_ = 0;
+  std::uint64_t switches_ = 0;  ///< see switches()
   ReadyArbiter arbiter_;
   SampleHook sample_hook_;
   Nanos sample_interval_ = 0;  ///< 0 = sampling off

@@ -4,21 +4,12 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
-#include "net/parallel_time_model.hpp"
 
 namespace sws::pgas {
 
 Runtime::Runtime(RuntimeConfig cfg) : cfg_(cfg) {
   SWS_CHECK(cfg_.npes > 0, "npes must be positive");
-  // The parallel engine serves plain virtual-time runs; crash plans poll
-  // liveness across PEs in ways only the serial total order licenses.
-  const bool parallel = cfg_.mode == TimeMode::kVirtual &&
-                        cfg_.engine_threads > 1 &&
-                        cfg_.net.faults.crashes.empty();
-  if (parallel) {
-    time_ = std::make_unique<net::ParallelTimeModel>(
-        cfg_.npes, cfg_.engine_threads, cfg_.net.min_remote_latency());
-  } else if (cfg_.mode == TimeMode::kVirtual) {
+  if (cfg_.mode == TimeMode::kVirtual) {
     time_ = std::make_unique<net::VirtualTimeModel>(cfg_.npes);
   } else {
     time_ = std::make_unique<net::RealTimeModel>(cfg_.npes);
@@ -99,37 +90,11 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
       metrics_.set(metrics_.gauge("runtime.deaths",
                                   "PEs dead at end of the last run"),
                    0, static_cast<std::uint64_t>(fabric_->num_dead()));
-    if (const auto* pt =
-            dynamic_cast<const net::ParallelTimeModel*>(time_.get())) {
-      const auto es = pt->engine_stats();
-      const auto g = [&](const char* name, const char* help,
-                         std::uint64_t v) {
-        metrics_.set(metrics_.gauge(name, help), 0, v);
-      };
-      g("engine.windows", "concurrent multi-PE window releases", es.windows);
-      g("engine.window_pes", "PEs woken across all windows", es.window_pes);
-      g("engine.solo_private", "solo private frontier releases",
-        es.solo_private);
-      g("engine.solo_global", "serialized global ops/syncs", es.solo_global);
-      g("engine.cap_lookahead", "window edges set by the lookahead",
-        es.cap_lookahead);
-      g("engine.cap_global", "window edges set by an opaque-footprint gate",
-        es.cap_global);
-      g("engine.cap_deadline", "window edges set by an nbi deadline",
-        es.cap_deadline);
-      g("engine.cap_target", "window PEs horizon-capped by a targeted gate",
-        es.cap_target);
-      g("engine.deferred", "window candidates deferred to the solo path",
-        es.deferred);
-      g("engine.license_skips", "global parks elided by the solo license",
-        es.license_skips);
-      g("engine.parks", "total PE park events", es.parks);
-      const auto sr = metrics_.gauge("engine.shard_releases",
-                                     "releases granted per shard (slot = "
-                                     "shard index)");
-      for (int s = 0; s < pt->nshards(); ++s)
-        metrics_.set(sr, s, pt->shard_releases(s));
-    }
+    if (const auto* vt =
+            dynamic_cast<const net::VirtualTimeModel*>(time_.get()))
+      metrics_.set(metrics_.gauge("runtime.sequencer_switches",
+                                  "PE-to-PE fiber handoffs in the last run"),
+                   0, vt->switches());
   }
 
   if (first_error) std::rethrow_exception(first_error);

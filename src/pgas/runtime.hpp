@@ -1,6 +1,6 @@
 // The PGAS runtime: runs every PE over the selected time backend (as a
-// fiber on the serial virtual-time sequencer, as a thread on the other
-// backends), wires the symmetric heap into the fabric, and hands each PE a
+// fiber on the virtual-time sequencer, as a thread on the real-time
+// backend), wires the symmetric heap into the fabric, and hands each PE a
 // PeContext — the per-PE handle through which all communication flows
 // (the moral equivalent of the OpenSHMEM API surface).
 #pragma once
@@ -25,13 +25,8 @@ struct RuntimeConfig {
   net::NetworkParams net{};
   TimeMode mode = TimeMode::kVirtual;
   std::uint64_t seed = 42;  ///< base seed for per-PE RNG streams
-  /// Virtual mode only: engine parallelism. 1 (default) = the serial
-  /// fiber sequencer. >1 = the sharded ParallelTimeModel with
-  /// this many shard lock groups, releasing *windows* of PEs that run
-  /// concurrently below a conservative lookahead horizon. Schedules stay
-  /// byte-identical across every value (tests/test_determinism_ab.cpp);
-  /// only wall-clock changes. Ignored (serial) when a crash plan is armed
-  /// — crash-stop visibility polling assumes the serial total order.
+  /// Ignored: virtual mode always runs the one fiber sequencer. Kept so
+  /// existing callers that set it still compile; slated for removal.
   int engine_threads = 1;
   /// Publish runtime/fabric accounting into the metrics registry at the
   /// end of every run() (docs/observability.md). Off the hot path either

@@ -1,9 +1,8 @@
-// Determinism A/B harness for the sequencers: the serial fiber sequencer
-// (ready heap + run-to-horizon batching + pooled pending effects) must
-// produce byte-identical executions run to run, the sharded parallel
-// engine must match it at every thread count, and both must land on the
-// pinned golden fingerprints below. A fig2-style UTS workload with
-// nbi-heavy stealing exercises every hot path of both engines.
+// Determinism A/B harness for the sequencer: the fiber sequencer (ready
+// tree + run-to-horizon batching + on-demand nbi delivery + pooled pending
+// effects) must produce byte-identical executions run to run, with and
+// without observers, and land on the pinned golden fingerprints below. A
+// fig2-style UTS workload with nbi-heavy stealing exercises every hot path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,14 +55,12 @@ void expect_identical(const RunTrace& a, const RunTrace& b,
 
 RunTrace run_uts(core::QueueKind kind, int npes, bool trace = false,
                  net::NetworkParams net = {},
-                 std::uint32_t bulk = 1, int engine_threads = 1,
-                 net::Nanos sample_ns = 0) {
+                 std::uint32_t bulk = 1, net::Nanos sample_ns = 0) {
   pgas::RuntimeConfig rc;
   rc.npes = npes;
   rc.heap_bytes = 4 << 20;
   rc.seed = 42;
   rc.net = net;
-  rc.engine_threads = engine_threads;
   pgas::Runtime rt(rc);
 
   workloads::UtsParams p;
@@ -143,44 +140,6 @@ TEST(DeterminismBulk, BulkClaimOffNeverBulks) {
   EXPECT_EQ(t.bulk_claims, 0u);
 }
 
-// --- parallel engine (ParallelTimeModel) ----------------------------------
-//
-// The sharded windowed sequencer must be invisible in every observable:
-// per-PE fabric counters, clocks, durations, steal/task totals. The serial
-// sequencer is the reference for all of it.
-
-TEST_P(DeterminismAb, ParallelEngineMatchesReference) {
-  const RunTrace ref = run_uts(GetParam(), 8);
-  for (const int threads : {2, 4}) {
-    const RunTrace t =
-        run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1, threads);
-    expect_identical(t, ref,
-                     (std::string("engine_threads=") + std::to_string(threads) +
-                      " vs serial")
-                         .c_str());
-  }
-}
-
-TEST_P(DeterminismAb, ParallelEngineIsRepeatable) {
-  const RunTrace a = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
-                             /*threads=*/4);
-  const RunTrace b = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
-                             /*threads=*/4);
-  ASSERT_GT(a.steals_ok, 10u) << "workload too small to exercise stealing";
-  expect_identical(a, b, "4-thread engine run-to-run");
-}
-
-TEST(DeterminismParallel, BulkClaimsUnderParallelEngineMatchReference) {
-  // Bulk claims + windows together: the widened AMO protocol must stay on
-  // the serial schedule when the engine runs concurrent windows.
-  const RunTrace ref = run_uts(core::QueueKind::kSws, 8, /*trace=*/false, {},
-                               /*bulk=*/4);
-  const RunTrace par = run_uts(core::QueueKind::kSws, 8, /*trace=*/false, {},
-                               /*bulk=*/4, /*threads=*/4);
-  EXPECT_GT(par.bulk_claims, 0u);
-  expect_identical(par, ref, "bulk=4 under 4-thread engine vs serial");
-}
-
 TEST_P(DeterminismAb, TracingIsObservationOnly) {
   // Span tracing + the fabric-op observer read clocks but never advance
   // them: a traced run must be byte-identical to an untraced one.
@@ -205,16 +164,16 @@ TEST_P(DeterminismAb, WindowedSamplingIsObservationOnly) {
   // must be byte-identical to an unsampled one on every observable.
   const RunTrace off = run_uts(GetParam(), 8);
   const RunTrace on = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
-                              /*threads=*/1, /*sample_ns=*/10'000);
+                              /*sample_ns=*/10'000);
   EXPECT_FALSE(on.timeseries_json.empty());
   expect_identical(off, on, "sampling-off vs sampling-on");
 }
 
 TEST_P(DeterminismAb, SampledRunsDumpByteIdenticalJson) {
   const RunTrace a = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
-                             /*threads=*/1, /*sample_ns=*/10'000);
+                             /*sample_ns=*/10'000);
   const RunTrace b = run_uts(GetParam(), 8, /*trace=*/false, {}, /*bulk=*/1,
-                             /*threads=*/1, /*sample_ns=*/10'000);
+                             /*sample_ns=*/10'000);
   expect_identical(a, b, "sampled run-to-run");
   EXPECT_EQ(a.timeseries_json, b.timeseries_json);
 }
@@ -224,7 +183,7 @@ TEST_P(DeterminismAb, SamplingAndTracingComposeObservationOnly) {
   // path) must still land on the unobserved schedule.
   const RunTrace off = run_uts(GetParam(), 8);
   const RunTrace on = run_uts(GetParam(), 8, /*trace=*/true, {}, /*bulk=*/1,
-                              /*threads=*/1, /*sample_ns=*/10'000);
+                              /*sample_ns=*/10'000);
   EXPECT_FALSE(on.trace_json.empty());
   EXPECT_FALSE(on.timeseries_json.empty());
   expect_identical(off, on, "unobserved vs trace+sampling");
@@ -276,131 +235,6 @@ TEST(DeterminismGolden, SchedulesMatchPreTopologyFingerprints) {
     EXPECT_EQ(clocks, g.clocks) << g.what;
     EXPECT_EQ(t.tasks, g.tasks) << g.what;
     EXPECT_EQ(t.steals_ok, g.steals_ok) << g.what;
-  }
-}
-
-TEST(DeterminismGolden, ParallelEngineMatchesFingerprints) {
-  // The strongest gate: the 4-thread windowed engine must land on the
-  // *pinned* schedules — not merely agree with a same-binary reference.
-  for (const GoldenRun& g : kGolden) {
-    const net::NetworkParams net =
-        g.pes_per_node > 0 ? net::NetworkParams::two_level(g.pes_per_node)
-                           : net::NetworkParams{};
-    const RunTrace t = run_uts(g.kind, 8, /*trace=*/false, net, /*bulk=*/1,
-                               /*threads=*/4);
-    std::uint64_t blocking = 0, ops = 0, clocks = 0;
-    for (const PeSnapshot& s : t.per_pe) {
-      blocking += s.fabric.blocking_ns;
-      ops += s.fabric.total_ops();
-      clocks += static_cast<std::uint64_t>(s.clock);
-    }
-    EXPECT_EQ(t.duration, g.duration) << g.what << " (4-thread engine)";
-    EXPECT_EQ(blocking, g.blocking) << g.what << " (4-thread engine)";
-    EXPECT_EQ(ops, g.ops) << g.what << " (4-thread engine)";
-    EXPECT_EQ(clocks, g.clocks) << g.what << " (4-thread engine)";
-    EXPECT_EQ(t.tasks, g.tasks) << g.what << " (4-thread engine)";
-    EXPECT_EQ(t.steals_ok, g.steals_ok) << g.what << " (4-thread engine)";
-  }
-}
-
-// --- ReadyHeap shard partition fuzz ---------------------------------------
-//
-// The parallel driver computes the global frontier as the lex (vtime, pe)
-// minimum over per-shard heap tops. Fuzz that scan against a single-heap
-// oracle under a random mix of monotone advances, cross-shard clamps
-// (decrease-key), parks (insert) and releases (remove).
-
-TEST(ReadyHeapShard, PartitionedFrontierMatchesSingleHeapOracle) {
-  using net::Nanos;
-  using net::ReadyHeap;
-  for (const int nshards : {1, 2, 3, 5, 8}) {
-    const int npes = 24;
-    std::uint64_t state = 0x9E3779B97F4A7C15ull ^
-                          (static_cast<std::uint64_t>(nshards) << 32);
-    const auto rnd = [&state]() {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      return state >> 11;
-    };
-    ReadyHeap oracle;
-    oracle.rebuild(npes);
-    std::vector<ReadyHeap> shards(static_cast<std::size_t>(nshards));
-    for (auto& h : shards) h.clear(npes);
-    std::vector<int> shard_of(npes);
-    for (int pe = 0; pe < npes; ++pe) {
-      shard_of[static_cast<std::size_t>(pe)] = pe % nshards;
-      shards[static_cast<std::size_t>(pe % nshards)].insert(pe, 0);
-    }
-    std::vector<Nanos> vt(npes, 0);
-    std::vector<bool> present(npes, true);
-
-    const auto frontier = [&](Nanos& fc, int& fp) {
-      fc = ReadyHeap::kNoVtime;
-      fp = -1;
-      for (const ReadyHeap& h : shards) {
-        const int p = h.top();
-        if (p < 0) continue;
-        const Nanos c = h.top_vtime();
-        if (c < fc || (c == fc && p < fp)) {
-          fc = c;
-          fp = p;
-        }
-      }
-    };
-
-    for (int step = 0; step < 20000; ++step) {
-      const int pe = static_cast<int>(rnd() % npes);
-      ReadyHeap& sh = shards[static_cast<std::size_t>(shard_of[pe])];
-      switch (rnd() % 4) {
-        case 0:
-        case 1: {  // monotone advance
-          if (!present[pe]) break;
-          vt[pe] += static_cast<Nanos>(rnd() % 500);
-          oracle.update(pe, vt[pe]);
-          sh.update(pe, vt[pe]);
-          break;
-        }
-        case 2: {  // release / park cycle
-          if (present[pe]) {
-            present[pe] = false;
-            oracle.remove(pe);
-            sh.remove(pe);
-          } else {
-            present[pe] = true;
-            vt[pe] += static_cast<Nanos>(rnd() % 300);
-            oracle.insert(pe, vt[pe]);
-            sh.insert(pe, vt[pe]);
-          }
-          break;
-        }
-        case 3: {  // cross-shard clamp: decrease-key
-          if (!present[pe]) break;
-          const Nanos cut = std::min<Nanos>(vt[pe], rnd() % 200);
-          vt[pe] -= cut;
-          oracle.update(pe, vt[pe]);
-          sh.update(pe, vt[pe]);
-          break;
-        }
-      }
-      Nanos fc;
-      int fp;
-      frontier(fc, fp);
-      ASSERT_EQ(fp, oracle.top()) << "nshards=" << nshards << " step=" << step;
-      ASSERT_EQ(fc, oracle.top_vtime())
-          << "nshards=" << nshards << " step=" << step;
-      ASSERT_EQ(sh.contains(pe), present[pe]);
-    }
-
-    // Drain: the partitioned heaps must yield the oracle's exact order.
-    while (oracle.top() >= 0) {
-      Nanos fc;
-      int fp;
-      frontier(fc, fp);
-      ASSERT_EQ(fp, oracle.top());
-      ASSERT_EQ(fc, oracle.top_vtime());
-      shards[static_cast<std::size_t>(shard_of[fp])].remove(fp);
-      oracle.remove(oracle.top());
-    }
-    for (const ReadyHeap& h : shards) EXPECT_TRUE(h.empty());
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <vector>
 
 #include "pgas/runtime.hpp"
 
@@ -181,6 +182,41 @@ TEST(Collectives, SequentialRunsDontLeakBarrierState) {
       EXPECT_EQ(ctx.sum_u64(1), 4u);
     });
   }
+}
+
+/// Runs a seeded mix of compute and remote AMOs `runs` times on one
+/// Runtime; returns the runtime.sequencer_switches gauge after each run.
+std::vector<std::uint64_t> sequencer_switches(int npes, int runs) {
+  RuntimeConfig c = cfg(npes);
+  c.seed = 7;
+  c.metrics = true;
+  Runtime rt(c);
+  const SymPtr word = rt.heap().alloc(8, 8);
+  std::vector<std::uint64_t> out;
+  for (int r = 0; r < runs; ++r) {
+    rt.run([&](PeContext& ctx) {
+      for (int i = 0; i < 30; ++i) {
+        ctx.compute(100 + ctx.rng().next() % 400);
+        ctx.fetch_add(static_cast<int>(ctx.rng().next() %
+                                       static_cast<std::uint64_t>(npes)),
+                      word, 1);
+      }
+    });
+    const auto snap = rt.metrics().snapshot();
+    const auto* e = snap.find("runtime.sequencer_switches");
+    EXPECT_NE(e, nullptr);
+    out.push_back(e != nullptr ? e->total() : ~std::uint64_t{0});
+  }
+  return out;
+}
+
+TEST(Runtime, SequencerSwitchesGaugeRepeatsForASeed) {
+  // Each run restarts the per-PE RNG streams, so both runs are the same
+  // schedule: the gauge counts the last run only and repeats exactly.
+  const std::vector<std::uint64_t> s = sequencer_switches(8, 2);
+  EXPECT_GT(s[0], 0u);
+  EXPECT_EQ(s[1], s[0]);
+  EXPECT_EQ(sequencer_switches(1, 1)[0], 0u);  // one PE never hands off
 }
 
 TEST(RuntimeReal, RealModeRunsToo) {

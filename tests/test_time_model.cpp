@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -14,8 +13,7 @@
 
 #include "net/fabric.hpp"
 #include "net/fiber.hpp"
-#include "net/parallel_time_model.hpp"
-#include "net/ready_heap.hpp"
+#include "net/ready_tree.hpp"
 #include "net/time_model.hpp"
 
 namespace sws::net {
@@ -156,7 +154,7 @@ TEST(VirtualTime, HorizonBatchingSkipsHookUntilReportedDeadline) {
     tm.advance(pe, 30);  // 70  < 100: batched
     tm.advance(pe, 30);  // 100 >= 100: hook at 100
   });
-  // pe_end leaves no runnable PE, so no further hook fires.
+  // The PE's exit leaves no runnable PE, so no further hook fires.
   EXPECT_EQ(hook_times, (std::vector<Nanos>{10, 100}));
 }
 
@@ -327,159 +325,162 @@ TEST(FiberEngineDeathTest, StackOverflowFaultsOnGuardPage) {
       ::testing::ExitedWithCode(3), "fault on the fiber guard page");
 }
 
-TEST(ReadyHeap, TopFollowsUpdatesAndRemovals) {
-  ReadyHeap h;
-  h.rebuild(4);
-  EXPECT_EQ(h.top(), 0);  // all zero: lowest id wins
-  EXPECT_EQ(h.second_vtime(), 0u);
-  h.update(0, 50);  // increase-key
-  EXPECT_EQ(h.top(), 1);
-  h.update(1, 30);
-  h.update(2, 20);
-  h.update(3, 40);
-  EXPECT_EQ(h.top(), 2);
-  EXPECT_EQ(h.top_vtime(), 20u);
-  EXPECT_EQ(h.second_vtime(), 30u);
-  h.update(3, 10);  // decrease-key
-  EXPECT_EQ(h.top(), 3);
-  EXPECT_EQ(h.second_vtime(), 20u);
-  h.remove(3);
-  EXPECT_EQ(h.top(), 2);
-  EXPECT_FALSE(h.contains(3));
-  EXPECT_EQ(h.vtime_of(0), 50u);
-  h.remove(2);
-  h.remove(1);
-  EXPECT_EQ(h.top(), 0);
-  EXPECT_EQ(h.second_vtime(), ReadyHeap::kNoVtime);
-  h.remove(0);
-  EXPECT_TRUE(h.empty());
-  EXPECT_EQ(h.top(), -1);
-  EXPECT_EQ(h.top_vtime(), ReadyHeap::kNoVtime);
+// --- the ready tree ---------------------------------------------------------
+
+TEST(ReadyTree, TopFollowsUpdatesAndRemovals) {
+  ReadyTree t;
+  t.reset(4);
+  EXPECT_EQ(t.top(), 0);  // all zero: lowest id wins
+  EXPECT_EQ(t.second_vtime(), 0u);
+  t.update(0, 50);  // increase-key
+  EXPECT_EQ(t.top(), 1);
+  t.update(1, 30);
+  t.update(2, 20);
+  t.update(3, 40);
+  EXPECT_EQ(t.top(), 2);
+  EXPECT_EQ(t.second_vtime(), 30u);
+  t.update(3, 10);  // decrease-key
+  EXPECT_EQ(t.top(), 3);
+  EXPECT_EQ(t.second_vtime(), 20u);
+  t.remove(3);
+  EXPECT_EQ(t.top(), 2);
+  EXPECT_EQ(t.second_vtime(), 30u);  // the removed PE no longer counts
+  t.remove(2);
+  t.remove(1);
+  EXPECT_EQ(t.top(), 0);
+  EXPECT_EQ(t.second_vtime(), ReadyTree::kNoVtime);
+  t.remove(0);
+  EXPECT_EQ(t.top(), -1);
+  EXPECT_EQ(t.second_vtime(), ReadyTree::kNoVtime);
 }
 
-TEST(ReadyHeap, MatchesNaiveScanUnderRandomOps) {
-  // Reference check against the linear scan the heap replaced: after
-  // every random update/remove, top() and second_vtime() must agree.
-  std::mt19937_64 rng(12345);
-  const int n = 17;
-  ReadyHeap h;
-  h.rebuild(n);
-  std::vector<Nanos> naive(n, 0);
-  std::vector<bool> alive(n, true);
-  const auto naive_top = [&] {
-    int best = -1;
-    for (int i = 0; i < n; ++i) {
-      if (!alive[i]) continue;
-      if (best < 0 || naive[i] < naive[best]) best = i;
-    }
-    return best;
-  };
-  const auto naive_second = [&] {
-    const int t = naive_top();
-    Nanos s = ReadyHeap::kNoVtime;
-    for (int i = 0; i < n; ++i)
-      if (alive[i] && i != t && naive[i] < s) s = naive[i];
-    return s;
-  };
-  for (int step = 0; step < 2000; ++step) {
-    const int pe = static_cast<int>(rng() % n);
-    if (!alive[pe]) continue;
-    if (rng() % 16 == 0 && h.size() > 1) {
-      h.remove(pe);
-      alive[pe] = false;
-    } else {
-      // Mostly increase-key (the advance() pattern), sometimes decrease.
-      const Nanos v = rng() % 8 == 0 ? naive[pe] / 2 : naive[pe] + rng() % 100;
-      h.update(pe, v);
-      naive[pe] = v;
-    }
-    ASSERT_EQ(h.top(), naive_top()) << "step " << step;
-    ASSERT_EQ(h.second_vtime(), naive_second()) << "step " << step;
-  }
+TEST(ReadyTree, EmptyTreeHasNoTop) {
+  ReadyTree t;
+  t.reset(0);
+  EXPECT_EQ(t.top(), -1);
+  EXPECT_EQ(t.second_vtime(), ReadyTree::kNoVtime);
 }
 
-// --- ParallelTimeModel: the sharded windowed sequencer, bare ------------
-//
-// End-to-end byte-identity is enforced by tests/test_determinism_ab.cpp;
-// these exercise the model directly: gated actions (with declared
-// conflict footprints) must serialize in exact (vtime, pe) order at any
-// shard count, and the solo license must elide redundant global parks.
-
-TEST(ParallelTime, GatedActionsMatchSerialOrder) {
-  // Mixed private/gated event stream. Each PE logs (pe, clock) at every
-  // gate entry — the global serialization point — and the sequence must
-  // be identical between the serial sequencer (global_begin is a no-op:
-  // one PE runs at a time) and the windowed engine at several shard
-  // counts, which exercises windows, per-target caps, deferrals, and
-  // license skips on the same schedule.
-  const int npes = 6;
-  auto program = [npes](TimeModel& tm, std::vector<std::pair<int, Nanos>>& log,
-                        std::mutex& mu) {
-    tm.run_pes(npes, [&](int pe) {
-      for (int i = 0; i < 60; ++i) {
-        tm.advance(pe, 100 + 7 * ((pe * 31 + i) % 5));
-        if (i % 3 == pe % 3) {
-          const int target = (pe + 1 + i) % npes;
-          if (target == pe) continue;
-          tm.global_begin(pe, target);
-          {
-            // The append runs right after gate entry, where the PE is
-            // the sole (or licensed solo) runner, so appends are already
-            // serialized in virtual order; the mutex only keeps the
-            // data-race checker happy.
-            std::lock_guard<std::mutex> lk(mu);
-            log.emplace_back(pe, tm.now(pe));
-          }
-          tm.advance(pe, 1500);  // mid-charge park: past the lookahead
-          tm.global_end(pe);
-        }
+TEST(ReadyTree, MatchesNaiveScanUnderRandomOps) {
+  // Oracle: the linear (vtime, pe) scan the sequencer once ran on every
+  // advance. Updates and removals hit any leaf, not only the top (the
+  // explorer's arbiter activates tied PEs that are not the top), keys
+  // collide often so ties are common, and the sizes straddle powers of
+  // two so padding leaves take part in the matches.
+  for (const int n : {1, 2, 3, 5, 64, 255, 256, 257, 1000}) {
+    std::mt19937_64 rng(12345 + static_cast<std::uint64_t>(n));
+    ReadyTree t;
+    t.reset(n);
+    std::vector<Nanos> key(static_cast<std::size_t>(n), 0);
+    std::vector<bool> alive(static_cast<std::size_t>(n), true);
+    int live = n;
+    const auto naive_top = [&] {
+      int best = -1;
+      for (int i = 0; i < n; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        if (alive[u] && (best < 0 || key[u] < key[static_cast<std::size_t>(
+                                                   best)]))
+          best = i;
       }
-    });
-  };
-
-  std::vector<std::pair<int, Nanos>> serial_log;
-  std::vector<Nanos> serial_clocks;
-  {
-    VirtualTimeModel tm(npes);
-    std::mutex mu;
-    program(tm, serial_log, mu);
-    for (int pe = 0; pe < npes; ++pe) serial_clocks.push_back(tm.now(pe));
-  }
-  ASSERT_FALSE(serial_log.empty());
-
-  for (const int shards : {1, 2, 4}) {
-    ParallelTimeModel tm(npes, shards, /*lookahead=*/1400);
-    std::vector<std::pair<int, Nanos>> log;
-    std::mutex mu;
-    program(tm, log, mu);
-    EXPECT_EQ(log, serial_log) << "shards=" << shards;
-    for (int pe = 0; pe < npes; ++pe)
-      EXPECT_EQ(tm.now(pe), serial_clocks[static_cast<std::size_t>(pe)])
-          << "shards=" << shards << " pe=" << pe;
-    const auto es = tm.engine_stats();
-    // Every park is matched by exactly one release.
-    EXPECT_EQ(es.parks,
-              es.window_pes + es.solo_private + es.solo_global);
+      return best;
+    };
+    const auto naive_second = [&](int top) {
+      Nanos s = ReadyTree::kNoVtime;
+      for (int i = 0; i < n; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        if (alive[u] && i != top && key[u] < s) s = key[u];
+      }
+      return s;
+    };
+    const int steps = std::max(2000, 8 * n);
+    for (int step = 0; step < steps && live > 0; ++step) {
+      const int pe = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+      const auto u = static_cast<std::size_t>(pe);
+      if (!alive[u]) continue;
+      if (rng() % 32 == 0) {
+        t.remove(pe);
+        alive[u] = false;
+        --live;
+      } else {
+        // Mostly increase-key (the advance() pattern), sometimes
+        // decrease; a narrow value range makes ties frequent.
+        const Nanos v =
+            rng() % 8 == 0 ? key[u] / 2 : key[u] + rng() % 4 * 25;
+        t.update(pe, v);
+        key[u] = v;
+      }
+      const int top = naive_top();
+      ASSERT_EQ(t.top(), top) << "n=" << n << " step " << step;
+      ASSERT_EQ(t.second_vtime(), naive_second(top))
+          << "n=" << n << " step " << step;
+    }
+    // Drain: once every PE is removed there is no top.
+    for (int i = 0; i < n; ++i) t.remove(i);
+    EXPECT_EQ(t.top(), -1) << "n=" << n;
+    EXPECT_EQ(t.second_vtime(), ReadyTree::kNoVtime) << "n=" << n;
   }
 }
 
-TEST(ParallelTime, SoloLicenseElidesGlobalParks) {
-  // One PE left alone in the system keeps the solo license across gated
-  // actions: after the first park, every further global_begin/global_sync
-  // below its (unbounded) horizon must skip the park entirely.
-  ParallelTimeModel tm(2, 2, /*lookahead=*/1400);
-  tm.run_pes(2, [&](int pe) {
-    if (pe != 0) return;  // PE 1 exits immediately; PE 0 runs gated ops
-    for (int i = 0; i < 20; ++i) {
-      tm.global_begin(0, 1);
-      tm.advance(0, 1500);
-      tm.global_end(0);
-      tm.global_sync(0);
+TEST(ReadyTree, ResetReusesForAnotherSize) {
+  ReadyTree t;
+  t.reset(300);
+  for (int i = 0; i < 300; ++i) t.update(i, static_cast<Nanos>(1000 - i));
+  EXPECT_EQ(t.top(), 299);
+  t.reset(3);
+  EXPECT_EQ(t.top(), 0);
+  t.update(0, 7);
+  EXPECT_EQ(t.top(), 1);
+  EXPECT_EQ(t.second_vtime(), 0u);
+}
+
+// --- delivery hook: asked only when a delivery may be due -----------------
+
+TEST(VirtualTime, DeliveryHookIsNotAskedWhenNothingIsDue) {
+  // 64 PEs in lockstep: every advance hands off, so every advance is a
+  // sequencer event. A hook that never has anything pending is asked at
+  // the run's first event and then never again.
+  constexpr int kPes = 64;
+  constexpr int kSteps = 50;
+  VirtualTimeModel tm(kPes);
+  int calls = 0;
+  tm.set_delivery_hook([&](Nanos) {
+    ++calls;
+    return kNoPendingDeadline;
+  });
+  tm.run_pes(kPes, [&](int pe) {
+    for (int i = 0; i < kSteps; ++i) tm.advance(pe, 100);
+  });
+  EXPECT_GT(tm.switches(), std::uint64_t{kPes} * kSteps / 2);
+  EXPECT_EQ(calls, 1);
+  // Every run starts over: the hook is asked again, once.
+  tm.run_pes(kPes, [&](int pe) { tm.advance(pe, 100); });
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(VirtualTime, ClampedDeadlineFiresHookAtFirstFloorPastIt) {
+  // PE 0 schedules a delivery for t=250 mid-run; the hook must be asked
+  // at the first time floor >= 250, with that floor as `now`, and not on
+  // the events before it.
+  VirtualTimeModel tm(4);
+  std::vector<Nanos> hook_times;
+  tm.set_delivery_hook([&](Nanos now) {
+    hook_times.push_back(now);
+    return kNoPendingDeadline;
+  });
+  std::vector<Nanos> floors;  // the clock every PE resumes at
+  tm.run_pes(4, [&](int pe) {
+    for (int i = 0; i < 6; ++i) {
+      tm.advance(pe, 60 + 10 * static_cast<Nanos>(pe));
+      floors.push_back(tm.now(pe));
+      if (pe == 0 && i == 0) tm.clamp_horizon(pe, 250);
     }
   });
-  const auto es = tm.engine_stats();
-  EXPECT_GE(es.license_skips, 30u);  // 40 gated actions, minus warm-up
-  EXPECT_LE(es.solo_global, 10u);
+  ASSERT_EQ(hook_times.size(), 2u);
+  EXPECT_EQ(hook_times[0], 0u);  // the run's first event: PE 1 starts
+  Nanos first_past = kNoPendingDeadline;
+  for (const Nanos f : floors)
+    if (f >= 250 && f < first_past) first_past = f;
+  EXPECT_EQ(hook_times[1], first_past);
 }
 
 TEST(RealTime, AdvanceTakesAtLeastDt) {
