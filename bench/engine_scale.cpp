@@ -5,7 +5,11 @@
 //
 // Output: one JSON object per PE count on stdout,
 // aligned human summary on stderr — scripts/bench_report.py folds the
-// JSON into BENCH_*.json.
+// JSON into BENCH_*.json. Each row's peak_rss_mib is the process's peak
+// RSS so far: process-wide and monotone, so with ascending --pes each row
+// reports the peak of its own PE count.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -65,13 +69,17 @@ int main(int argc, char** argv) {
         });
     const auto t1 = std::chrono::steady_clock::now();
     const double wall_s = std::chrono::duration<double>(t1 - t0).count();
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const double peak_rss_mib = static_cast<double>(ru.ru_maxrss) / 1024.0;
     std::cout << "{\"bench\":\"uts_e2e\",\"pes\":" << npes
               << ",\"wall_s\":" << wall_s
               << ",\"virtual_ms\":" << r.runtime_ms.mean()
               << ",\"tasks\":" << r.tasks << ",\"steals\":" << r.steals
-              << "}\n";
+              << ",\"peak_rss_mib\":" << peak_rss_mib << "}\n";
     std::cerr << "  uts_e2e P=" << npes << ": " << wall_s
-              << " s wall, virtual " << r.runtime_ms.mean() << " ms\n";
+              << " s wall, virtual " << r.runtime_ms.mean() << " ms, peak RSS "
+              << peak_rss_mib << " MiB\n";
   }
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "core/inbox.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -22,11 +23,18 @@ TaskInbox::TaskInbox(pgas::Runtime& rt, std::uint32_t capacity,
 }
 
 void TaskInbox::reset_pe(pgas::PeContext& ctx) {
+  // Senders reserve by CAS before they put or tag, so every slot the last
+  // run wrote has seq < reserve. Runtime::run applies every leftover nbi
+  // effect before any reset, and symmetric allocations start zeroed, so
+  // zeroing the header and that used prefix leaves the ring all zero.
+  const std::uint64_t used = std::min<std::uint64_t>(
+      ctx.local_load(base_.plus(kReserveOff)), capacity_);
   std::memset(ctx.local(base_), 0,
-              kSlotsOff +
-                  static_cast<std::size_t>(capacity_) * (8 + slot_bytes_));
-  auto& ledger = ledgers_[static_cast<std::size_t>(ctx.pe())];
-  ledger.per_target.assign(static_cast<std::size_t>(ctx.npes()), {});
+              kSlotsOff + static_cast<std::size_t>(used) * (8 + slot_bytes_));
+  if (recovery_ == nullptr) return;  // the ledger is crash-mode state
+  auto& rows = ledgers_[static_cast<std::size_t>(ctx.pe())].per_target;
+  if (rows.empty()) rows.resize(static_cast<std::size_t>(ctx.npes()));
+  for (auto& row : rows) row.clear();
 }
 
 bool TaskInbox::remote_push(pgas::PeContext& sender, int target,

@@ -22,7 +22,8 @@
 // never have drained; reroute_dead() hands them back for local
 // re-execution. A task the target drained *and ran* just before dying can
 // be rerouted too — execution is at-least-once with multiplicity <= 2,
-// bounded to this reroute window (docs/resilience.md).
+// bounded to this reroute window (docs/resilience.md). Crash-free runs
+// build no ledger.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +74,7 @@ class TaskInbox {
 
   /// Install the pool's death registry; enables the sender-side ledger
   /// (only consulted when the fabric has crashes armed). Null detaches.
+  /// The ledger rows are built by the next reset_pe.
   void attach_recovery(DeathRegistry* registry) { recovery_ = registry; }
 
   /// Crash mode: move every ledgered task sent to (now known-dead)
@@ -93,6 +95,8 @@ class TaskInbox {
 
   /// Host-side send ledger, one row per sender PE (crash mode only):
   /// per-target queues of {seq, task} pushed and not yet seen drained.
+  /// `per_target` stays empty unless a registry is attached: P rows per PE
+  /// is P² deques, far more than a crash-free run may pay for.
   struct alignas(64) SenderLedger {
     std::vector<std::deque<std::pair<std::uint64_t, Task>>> per_target;
   };

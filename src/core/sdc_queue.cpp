@@ -1,5 +1,6 @@
 #include "core/sdc_queue.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -27,8 +28,16 @@ SdcQueue::SdcQueue(pgas::Runtime& rt, const QueueConfig& queue, SdcConfig cfg)
 void SdcQueue::reset_pe(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
   o = OwnerState{};
-  std::memset(ctx.local(meta_), 0,
-              kRingOff + sizeof(std::uint64_t) * cfg_.completion_ring * 2);
+  // Zero only what the last run can have written (Runtime::run applies
+  // every leftover nbi effect before any reset, and symmetric allocations
+  // start zeroed). Completion records exist only for claimed sequences,
+  // below the cursor; a crash-mode thief writes intent[seq] before its
+  // claim advances the cursor and may die in between, hence the + 1.
+  const std::uint64_t used = std::min<std::uint64_t>(
+      ctx.local_load(meta_.plus(kSeqOff)) + 1, cfg_.completion_ring);
+  std::byte* meta = ctx.local(meta_);
+  std::memset(meta, 0, kRingOff + sizeof(std::uint64_t) * used);
+  std::memset(meta + intent_off(0), 0, sizeof(std::uint64_t) * used);
 }
 
 std::uint64_t SdcQueue::owner_tail(pgas::PeContext& ctx) const {
@@ -179,10 +188,9 @@ void SdcQueue::drain_completions(pgas::PeContext& ctx) {
   // its block of ring space. Records are sequence-tagged, so reclaim is
   // monotone even when the fabric duplicates or delays completion AMOs.
   for (;;) {
-    const std::uint64_t slot_off =
-        kRingOff + (o.reclaim_seq % cfg_.completion_ring) * 8;
     auto slot = std::atomic_ref<std::uint64_t>(
-        *reinterpret_cast<std::uint64_t*>(ctx.local(meta_.plus(slot_off))));
+        *reinterpret_cast<std::uint64_t*>(
+            ctx.local(meta_.plus(completion_off(o.reclaim_seq)))));
     const std::uint64_t v = slot.load(std::memory_order_seq_cst);
     if (v == 0) break;
     const std::uint64_t tag = v >> kCountBits;
@@ -370,8 +378,7 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
   // (6) passive completion notification; the owner reclaims ring space on
   // its next progress() pass. The record carries its claim sequence and is
   // written with an idempotent set, so duplicated delivery is harmless.
-  fab.nbi_amo_set(thief.pe(), victim,
-                  meta_.off + kRingOff + (seq % cfg_.completion_ring) * 8,
+  fab.nbi_amo_set(thief.pe(), victim, meta_.off + completion_off(seq),
                   encode_completion(seq, take));
 
   ++st.steals_ok;

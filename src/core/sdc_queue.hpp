@@ -72,6 +72,14 @@ class SdcQueue final : public TaskQueue {
   std::uint64_t lock_offset_for_test() const noexcept {
     return meta_.off + kLockOff;
   }
+  /// Symmetric offsets of steal sequence `seq`'s completion record and
+  /// claim intent (tests/diagnostics).
+  std::uint64_t completion_offset_for_test(std::uint64_t seq) const noexcept {
+    return meta_.off + completion_off(seq);
+  }
+  std::uint64_t intent_offset_for_test(std::uint64_t seq) const noexcept {
+    return meta_.off + intent_off(seq);
+  }
 
  private:
   struct alignas(64) OwnerState {
@@ -110,6 +118,9 @@ class SdcQueue final : public TaskQueue {
   static constexpr std::uint64_t encode_completion(std::uint64_t seq,
                                                    std::uint64_t take) {
     return ((seq + 1) << kCountBits) | take;
+  }
+  std::uint64_t completion_off(std::uint64_t seq) const noexcept {
+    return kRingOff + (seq % cfg_.completion_ring) * 8;
   }
 
   // Claim-intent ring (crash-mode only): before a thief's tail/seq claim

@@ -43,12 +43,13 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
 
   // Collective flags are generation counters that restart at 1 each run;
   // clear the persistent symmetric space so stale generations can't
-  // satisfy the first barrier early.
+  // satisfy the first barrier early. Reductions write their slots only on
+  // PE 0 (the root), so only PE 0's P slots need clearing.
+  heap_->zero(0, coll_.reduce_slots,
+              sizeof(std::uint64_t) * static_cast<std::size_t>(cfg_.npes));
   for (int pe = 0; pe < cfg_.npes; ++pe) {
     heap_->zero(pe, coll_.barrier_flags,
                 sizeof(std::uint64_t) * CollectiveSpace::kMaxRounds);
-    heap_->zero(pe, coll_.reduce_slots,
-                sizeof(std::uint64_t) * static_cast<std::size_t>(cfg_.npes));
     heap_->zero(pe, coll_.reduce_result, sizeof(std::uint64_t));
     heap_->zero(pe, coll_.bcast_slot, sizeof(std::uint64_t));
   }

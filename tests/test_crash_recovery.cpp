@@ -94,18 +94,11 @@ struct CrashRun {
   int ndead = 0;
 };
 
-CrashRun run_uts_crash(core::QueueKind kind, int npes,
-                       const std::vector<net::CrashEvent>& crashes) {
-  pgas::Runtime rt(crash_rcfg(npes, crashes));
-  core::TaskRegistry reg;
-  workloads::UtsBenchmark uts(reg, crash_uts_params());
-  core::TaskPool pool(rt, reg, pcfg(kind));
-  rt.run([&](pgas::PeContext& ctx) {
-    pool.run_pe(ctx, [&](core::Worker& w) { uts.seed(w); });
-  });
+/// The last run of `pool` on `rt`.
+CrashRun snapshot(pgas::Runtime& rt, const core::TaskPool& pool) {
   CrashRun r;
   r.report = pool.report();
-  for (int pe = 0; pe < npes; ++pe) {
+  for (int pe = 0; pe < rt.npes(); ++pe) {
     const core::WorkerStats& s = pool.worker_stats(pe);
     r.per_pe.push_back({s.tasks_executed, s.tasks_spawned, s.tasks_stolen,
                         s.steals_ok, s.steal_attempts, s.tasks_reexecuted,
@@ -114,6 +107,41 @@ CrashRun run_uts_crash(core::QueueKind kind, int npes,
   r.duration = rt.last_run_duration();
   r.ndead = rt.fabric().num_dead();
   return r;
+}
+
+/// Runs UTS `runs` times on one Runtime and pool; every run replays the
+/// same crash plan. Returns one CrashRun per run.
+std::vector<CrashRun> run_uts_crash(core::QueueKind kind, int npes,
+                                    const std::vector<net::CrashEvent>& crashes,
+                                    int runs) {
+  pgas::Runtime rt(crash_rcfg(npes, crashes));
+  core::TaskRegistry reg;
+  workloads::UtsBenchmark uts(reg, crash_uts_params());
+  core::TaskPool pool(rt, reg, pcfg(kind));
+  std::vector<CrashRun> out;
+  for (int run = 0; run < runs; ++run) {
+    rt.run([&](pgas::PeContext& ctx) {
+      pool.run_pe(ctx, [&](core::Worker& w) { uts.seed(w); });
+    });
+    out.push_back(snapshot(rt, pool));
+  }
+  return out;
+}
+
+CrashRun run_uts_crash(core::QueueKind kind, int npes,
+                       const std::vector<net::CrashEvent>& crashes) {
+  return run_uts_crash(kind, npes, crashes, 1)[0];
+}
+
+/// Determinism: same seed + same fault plan => identical survivor work,
+/// identical recovery actions, identical virtual duration.
+void expect_same_run(const CrashRun& a, const CrashRun& b) {
+  EXPECT_EQ(a.duration, b.duration);
+  EXPECT_EQ(a.ndead, b.ndead);
+  ASSERT_EQ(a.per_pe.size(), b.per_pe.size());
+  for (std::size_t pe = 0; pe < a.per_pe.size(); ++pe)
+    EXPECT_TRUE(a.per_pe[pe] == b.per_pe[pe])
+        << "pe " << pe << " diverged between identical runs";
 }
 
 /// The watchdog check every crash test runs: the job finished on its own
@@ -151,19 +179,26 @@ TEST(CrashRecovery, VictimCrashMidRunSws) {
 // SDC: a PE that dies can take the per-queue lock with it. Three crash
 // instants sample different protocol stages; each must break the dead
 // holder's lease rather than spin on the lock forever.
+// Each plan also runs a second time on the same pool: the rerun starts
+// from reset claim-intent and completion rings and must replay run 1.
 TEST(CrashRecovery, LockHolderCrashSdc) {
   for (const net::Nanos at : {200'000, 350'000, 500'000}) {
-    const CrashRun r = run_uts_crash(core::QueueKind::kSdc, 4, {{2, at}});
+    const std::vector<CrashRun> runs =
+        run_uts_crash(core::QueueKind::kSdc, 4, {{2, at}}, 2);
+    const CrashRun& r = runs[0];
     expect_clean_finish(r, 1);
     EXPECT_GT(r.report.total.tasks_executed, 0u) << "crash at " << at;
     EXPECT_GE(r.report.total.deaths_witnessed, 1u) << "crash at " << at;
+    expect_same_run(r, runs[1]);
   }
 }
 
 // A PE dies with spawn_on traffic aimed at it: ring chains push through
 // every PE continuously, so the dead PE's inbox has undrained tasks and
 // senders mid-push against it. Senders must reroute or re-home those
-// tasks; without that, chains stall and termination never fires.
+// tasks; without that, chains stall and termination never fires. A
+// second run on the same pool starts from cleared sender ledgers and
+// must replay the first.
 TEST(CrashRecovery, InboxCrashWithPendingTasks) {
   constexpr int kNpes = 8;
   pgas::Runtime rt(crash_rcfg(kNpes, {{3, 300'000}}));
@@ -178,18 +213,21 @@ TEST(CrashRecovery, InboxCrashWithPendingTasks) {
         w.spawn_on((w.pe() + 1) % w.npes(), core::Task::of(fn, hops - 1));
       });
   core::TaskPool pool(rt, reg, pcfg(core::QueueKind::kSws));
-  rt.run([&](pgas::PeContext& ctx) {
-    pool.run_pe(ctx, [&](core::Worker& w) {
-      for (std::uint32_t c = 0; c < 4; ++c)
-        w.spawn(core::Task::of(fn, std::uint32_t{64}));
+  std::vector<CrashRun> runs;
+  for (int run = 0; run < 2; ++run) {
+    rt.run([&](pgas::PeContext& ctx) {
+      pool.run_pe(ctx, [&](core::Worker& w) {
+        for (std::uint32_t c = 0; c < 4; ++c)
+          w.spawn(core::Task::of(fn, std::uint32_t{64}));
+      });
     });
-  });
-  EXPECT_LT(rt.last_run_duration(), kWatchdogNs)
-      << "run only ended because the watchdog killed it — recovery hung";
-  EXPECT_EQ(rt.fabric().num_dead(), 1);
-  const core::PoolRunReport r = pool.report();
+    runs.push_back(snapshot(rt, pool));
+  }
+  expect_clean_finish(runs[0], 1);
+  const core::PoolRunReport& r = runs[0].report;
   EXPECT_GT(r.total.tasks_executed, 0u);
   EXPECT_GE(r.total.deaths_witnessed, 1u);
+  expect_same_run(runs[0], runs[1]);
 }
 
 // --------------------------------------------- acceptance: 16-PE survival
@@ -213,14 +251,7 @@ TEST(CrashRecovery, UtsSurvivorsDeterministic) {
       EXPECT_LE(a.report.total.tasks_executed, 2 * truth.nodes)
           << "at-least-once multiplicity bound breached";
       EXPECT_GE(a.report.total.deaths_witnessed, 1u);
-      // Determinism: same seed + same fault plan => identical survivor
-      // work, identical recovery actions, identical virtual duration.
-      EXPECT_EQ(a.duration, b.duration);
-      EXPECT_EQ(a.ndead, b.ndead);
-      ASSERT_EQ(a.per_pe.size(), b.per_pe.size());
-      for (std::size_t pe = 0; pe < a.per_pe.size(); ++pe)
-        EXPECT_TRUE(a.per_pe[pe] == b.per_pe[pe])
-            << "pe " << pe << " diverged between identical runs";
+      expect_same_run(a, b);
     }
   }
 }
@@ -241,26 +272,12 @@ TEST(CrashRecovery, BpcSurvivorsDeterministic) {
       rt.run([&](pgas::PeContext& ctx) {
         pool.run_pe(ctx, [&](core::Worker& w) { bpc.seed(w); });
       });
-      CrashRun r;
-      r.report = pool.report();
-      for (int pe = 0; pe < 16; ++pe) {
-        const core::WorkerStats& s = pool.worker_stats(pe);
-        r.per_pe.push_back({s.tasks_executed, s.tasks_spawned,
-                            s.tasks_stolen, s.steals_ok, s.steal_attempts,
-                            s.tasks_reexecuted, s.tasks_rerouted,
-                            s.deaths_witnessed});
-      }
-      r.duration = rt.last_run_duration();
-      r.ndead = rt.fabric().num_dead();
-      runs.push_back(std::move(r));
+      runs.push_back(snapshot(rt, pool));
     }
     expect_clean_finish(runs[0], 1);
     EXPECT_GT(runs[0].report.total.tasks_executed, 0u);
     EXPECT_LE(runs[0].report.total.tasks_executed, 2 * bp.expected_tasks());
-    EXPECT_EQ(runs[0].duration, runs[1].duration);
-    for (std::size_t pe = 0; pe < runs[0].per_pe.size(); ++pe)
-      EXPECT_TRUE(runs[0].per_pe[pe] == runs[1].per_pe[pe])
-          << "pe " << pe << " diverged between identical runs";
+    expect_same_run(runs[0], runs[1]);
   }
 }
 

@@ -2,6 +2,8 @@
 // Worker::spawn_on integration.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <mutex>
 #include <set>
 
@@ -90,6 +92,59 @@ TEST(Inbox, RingReusesSlotsAcrossManyWraps) {
         EXPECT_EQ(got[3], round * 4 + 3);
       }
       ctx.barrier();
+    }
+  });
+}
+
+TEST(Inbox, ResetClearsUndrainedSlotsOfTheLastRun) {
+  // reset_pe zeroes only the slots the last run can have written: the
+  // prefix below the reserve cursor, or the whole ring once the cursor has
+  // wrapped. Each run here leaves published slots undrained; the next
+  // run's drain must stop after the tasks that run pushed.
+  pgas::Runtime rt(rcfg(2));
+  TaskInbox inbox(rt, 8, 32);
+  auto push = [&](pgas::PeContext& ctx, std::uint32_t from, std::uint32_t to) {
+    if (ctx.pe() == 1) {
+      for (std::uint32_t i = from; i < to; ++i)
+        EXPECT_TRUE(inbox.remote_push(ctx, 0, mk(i))) << i;
+    }
+    ctx.barrier();
+  };
+  auto drain = [&](pgas::PeContext& ctx) {
+    std::vector<std::uint32_t> got;
+    if (ctx.pe() == 0)
+      inbox.drain(ctx, [&](const Task& t) { got.push_back(id_of(t)); });
+    ctx.barrier();
+    return got;
+  };
+  // Run 1: 4 drained, then 6 more wrap the cursor to 10 and stay
+  // published in slots 4-7 and 0-1.
+  rt.run([&](pgas::PeContext& ctx) {
+    inbox.reset_pe(ctx);
+    ctx.barrier();
+    push(ctx, 0, 4);
+    EXPECT_EQ(drain(ctx).size(), ctx.pe() == 0 ? 4u : 0u);
+    push(ctx, 4, 10);
+  });
+  // Run 2: 4 pushed and drained, then 3 left published below the
+  // unwrapped cursor.
+  rt.run([&](pgas::PeContext& ctx) {
+    inbox.reset_pe(ctx);
+    ctx.barrier();
+    push(ctx, 100, 104);
+    const std::vector<std::uint32_t> got = drain(ctx);
+    if (ctx.pe() == 0) {
+      EXPECT_EQ(got, (std::vector<std::uint32_t>{100, 101, 102, 103}));
+    }
+    push(ctx, 104, 107);
+  });
+  // Run 3: nothing pushed, nothing drained.
+  rt.run([&](pgas::PeContext& ctx) {
+    inbox.reset_pe(ctx);
+    ctx.barrier();
+    EXPECT_TRUE(drain(ctx).empty());
+    if (ctx.pe() == 0) {
+      EXPECT_TRUE(inbox.looks_empty(ctx));
     }
   });
 }
@@ -260,6 +315,62 @@ TEST(InboxPool, SpawnOnMovesTasksAcrossPes) {
   // The chain visits PEs round-robin: 0,1,2,3,0,... — every PE executed.
   for (int pe = 0; pe < 4; ++pe)
     EXPECT_GE(pool.worker_stats(pe).tasks_executed, 3u) << "pe " << pe;
+}
+
+TEST(InboxPool, RerunAfterRingWrapConservesTasks) {
+  // One chain on 2 PEs hops PE to PE through the inboxes (a PE never holds
+  // two chain tasks, so none is released or stolen). Run 1's 40 hops push
+  // 20 tasks into each capacity-8 inbox, wrapping both reserve cursors;
+  // run 2 on the same pool pushes a handful. Each run executes exactly
+  // the tasks it spawned.
+  pgas::Runtime rt(rcfg(2));
+  TaskRegistry reg;
+  RemoteChain chain(reg);
+  PoolConfig pc;
+  pc.queue.slot_bytes = 32;
+  pc.inbox_capacity = 8;
+  TaskPool pool(rt, reg, pc);
+  for (const std::uint32_t hops : {40u, 5u}) {
+    rt.run([&](pgas::PeContext& ctx) {
+      pool.run_pe(ctx, [&](Worker& w) {
+        if (w.pe() == 0) w.spawn(Task::of(chain.fn, hops));
+      });
+    });
+    EXPECT_EQ(pool.report().total.tasks_executed, hops + 1) << hops;
+    EXPECT_EQ(pool.worker_stats(1).tasks_executed, (hops + 1) / 2) << hops;
+  }
+}
+
+TEST(InboxPool, CrashFreeRunHeapGrowsLinearlyInPes) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer allocator bypasses mallinfo2";
+#else
+  // The crash ledger (P rows of deques per PE) is built only in crash mode,
+  // so a crash-free run's malloc heap grows linearly in P, not with P².
+  constexpr int kNpes = 512;
+  pgas::Runtime rt(rcfg(kNpes));
+  TaskRegistry reg;
+  TaskFnId fn = reg.register_fn("leaf", [](Worker& w,
+                                           std::span<const std::byte>) {
+    w.compute(100);
+  });
+  TaskPool pool(rt, reg, PoolConfig{});
+  const auto heap = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+  };
+  const std::size_t before = heap();
+  rt.run([&](pgas::PeContext& ctx) {
+    pool.run_pe(ctx, [&](Worker& w) {
+      if (w.pe() == 0) w.spawn(Task(fn, nullptr, 0));
+    });
+  });
+  const std::size_t after = heap();
+  const std::size_t growth = after > before ? after - before : 0;
+  EXPECT_EQ(pool.report().total.tasks_executed, 1u);
+  EXPECT_LT(growth, std::size_t{4096} * kNpes)
+      << "malloc heap grew by " << growth << " bytes";
+#endif
 }
 
 TEST(InboxPool, SpawnOnManyDeliversABurstPerTarget) {

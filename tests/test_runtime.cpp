@@ -182,6 +182,14 @@ TEST(Collectives, SequentialRunsDontLeakBarrierState) {
       EXPECT_EQ(ctx.sum_u64(1), 4u);
     });
   }
+  // Reductions after a run that reduced larger values return this run's.
+  for (const std::uint64_t base : {1000u, 10u}) {
+    rt.run([&](PeContext& ctx) {
+      const auto v = base + static_cast<std::uint64_t>(ctx.pe());
+      EXPECT_EQ(ctx.sum_u64(v), 4 * base + 6);
+      EXPECT_EQ(ctx.max_u64(v), base + 3);
+    });
+  }
 }
 
 /// Runs a seeded mix of compute and remote AMOs `runs` times on one

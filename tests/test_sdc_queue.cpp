@@ -179,5 +179,104 @@ TEST(SdcQueue, AcquireLocksAgainstThieves) {
   });
 }
 
+/// One steal round on 2 PEs: PE 0 pushes two tasks and exposes one, PE 1
+/// steals it, PE 0 runs the other. Returns the tasks this PE ran or stole.
+std::uint64_t steal_round(SdcQueue& q, pgas::PeContext& ctx) {
+  std::uint64_t n = 0;
+  if (ctx.pe() == 0) {
+    (void)q.push_local(ctx, mk(0));
+    (void)q.push_local(ctx, mk(1));
+    EXPECT_TRUE(q.try_release(ctx));
+  }
+  ctx.barrier();
+  if (ctx.pe() == 1) {
+    std::vector<Task> loot;
+    EXPECT_EQ(q.steal(ctx, 0, loot).outcome, StealOutcome::kSuccess);
+    n = loot.size();
+    ctx.quiet();
+  }
+  ctx.barrier();
+  Task t;
+  if (ctx.pe() == 0)
+    while (q.pop_local(ctx, t)) ++n;
+  return n;
+}
+
+/// PE 0: every completion record and claim intent reads zero.
+void expect_rings_zero(const SdcQueue& q, pgas::PeContext& ctx) {
+  for (std::uint64_t s = 0; s < q.config().completion_ring; ++s) {
+    EXPECT_EQ(ctx.local_load(pgas::SymPtr{q.completion_offset_for_test(s)}),
+              0u) << "completion slot " << s;
+    EXPECT_EQ(ctx.local_load(pgas::SymPtr{q.intent_offset_for_test(s)}), 0u)
+        << "intent slot " << s;
+  }
+}
+
+TEST(SdcQueue, RerunAfterRingWrapStartsClean) {
+  // reset_pe zeroes only the ring prefix the last run can have written.
+  // Run 1's 10 steals wrap the 8-slot completion ring, and the owner
+  // leaves the last 4 records (slots 6, 7, 0, 1) undrained; run 2 must
+  // start from an all-zero ring and conserve its tasks.
+  pgas::Runtime rt(rcfg(2));
+  SdcConfig cfg;
+  cfg.completion_ring = 8;
+  SdcQueue q(rt, qcfg(), cfg);
+  rt.run([&](pgas::PeContext& ctx) {
+    q.reset_pe(ctx);
+    ctx.barrier();
+    std::uint64_t n = 0;
+    for (int round = 0; round < 10; ++round) {
+      n += steal_round(q, ctx);
+      if (ctx.pe() == 0 && round < 6) q.progress(ctx);
+    }
+    EXPECT_EQ(ctx.sum_u64(n), 20u);
+  });
+  rt.run([&](pgas::PeContext& ctx) {
+    q.reset_pe(ctx);
+    ctx.barrier();
+    if (ctx.pe() == 0) expect_rings_zero(q, ctx);
+    std::uint64_t n = 0;
+    for (int round = 0; round < 4; ++round) {
+      n += steal_round(q, ctx);
+      if (ctx.pe() == 0) q.progress(ctx);
+    }
+    EXPECT_EQ(ctx.sum_u64(n), 8u) << "every task ran exactly once";
+    EXPECT_EQ(q.audit(ctx), "");
+  });
+}
+
+TEST(SdcQueue, ResetClearsTheIntentOfAClaimThatNeverLanded) {
+  // With a crash plan armed, a thief writes intent[seq] before its claim
+  // advances the steal cursor to seq + 1, and may die in between: the
+  // intent ring's used prefix is one past the cursor. Run 1 leaves such a
+  // record at the cursor (the put a thief dying there made); run 2 must
+  // find both rings zero.
+  pgas::RuntimeConfig c = rcfg(2);
+  c.net.faults.crashes.push_back({1, 1'000'000'000});  // never reached
+  pgas::Runtime rt(c);
+  SdcConfig cfg;
+  cfg.completion_ring = 8;
+  SdcQueue q(rt, qcfg(), cfg);
+  rt.run([&](pgas::PeContext& ctx) {
+    q.reset_pe(ctx);
+    ctx.barrier();
+    const std::uint64_t n = steal_round(q, ctx);
+    if (ctx.pe() == 0) q.progress(ctx);
+    EXPECT_EQ(ctx.sum_u64(n), 2u);
+    if (ctx.pe() == 1) {
+      // Intent {seq 1, thief 1, take 1}: cursor 1 was never claimed.
+      const std::uint64_t intent = (2ull << 32) | (1ull << 24) | 1;
+      ctx.fabric().put_words(1, 0, q.intent_offset_for_test(1), &intent, 1);
+    }
+    ctx.barrier();
+  });
+  rt.run([&](pgas::PeContext& ctx) {
+    q.reset_pe(ctx);
+    ctx.barrier();
+    if (ctx.pe() == 0) expect_rings_zero(q, ctx);
+    EXPECT_EQ(ctx.sum_u64(steal_round(q, ctx)), 2u);
+  });
+}
+
 }  // namespace
 }  // namespace sws::core
