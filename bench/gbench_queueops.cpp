@@ -14,10 +14,19 @@
 #include "net/fabric.hpp"
 #include "net/time_model.hpp"
 #include "sha1/sha1.hpp"
+#include "sha1/sha1_kernels.hpp"
 
 namespace {
 
 using namespace sws;
+
+/// The compression kernel uts_child_digest(s) runs on this host.
+const char* sha1_kernel_label() {
+#if defined(SWS_SHA1_HAVE_SHANI)
+  if (sha1_kernels::shani_supported()) return "sha-ni";
+#endif
+  return "scalar";
+}
 
 void BM_StealvalEncodeDecode(benchmark::State& state) {
   std::uint64_t x = 12345;
@@ -50,8 +59,27 @@ void BM_Sha1UtsChild(benchmark::State& state) {
     d = uts_child_digest(d, i++);
     benchmark::DoNotOptimize(d);
   }
+  state.SetLabel(sha1_kernel_label());
 }
 BENCHMARK(BM_Sha1UtsChild);
+
+/// All children of one node in one call; per_child is the cost of each.
+void BM_Sha1UtsChildren(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<Sha1Digest> out(n);
+  Sha1Digest d = Sha1::hash("bench", 5);
+  for (auto _ : state) {
+    uts_child_digests(d, 0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    d = out[n - 1];
+  }
+  state.counters["per_child"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+  state.SetLabel(sha1_kernel_label());
+}
+BENCHMARK(BM_Sha1UtsChildren)->Arg(1)->Arg(4)->Arg(32);
 
 void BM_TaskSerializeRoundTrip(benchmark::State& state) {
   const auto payload = static_cast<std::uint32_t>(state.range(0));

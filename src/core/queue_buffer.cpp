@@ -39,7 +39,7 @@ Task QueueBuffer::read_local(pgas::PeContext& ctx, std::uint64_t abs) const {
   return Task::deserialize(slot_ptr(ctx, abs), slot_bytes_);
 }
 
-void QueueBuffer::get_remote(pgas::PeContext& thief, int victim,
+bool QueueBuffer::get_remote(pgas::PeContext& thief, int victim,
                              std::uint32_t start_mod, std::uint32_t n,
                              std::vector<Task>& out) const {
   SWS_ASSERT(n <= capacity_);
@@ -57,10 +57,14 @@ void QueueBuffer::get_remote(pgas::PeContext& thief, int victim,
               static_cast<std::size_t>(n - first) * slot_bytes_);
   }
 
+  const net::Fabric& fab = thief.fabric();
+  if (fab.crashes_planned() && !fab.alive(victim)) return false;
+
   out.reserve(out.size() + n);
   for (std::uint32_t i = 0; i < n; ++i)
     out.push_back(Task::deserialize(
         raw.data() + static_cast<std::size_t>(i) * slot_bytes_, slot_bytes_));
+  return true;
 }
 
 }  // namespace sws::core

@@ -43,7 +43,10 @@ class QueueBuffer {
   /// Thief-side: one-sided get of `n` slots starting at slot index
   /// `start_mod` on `victim`, deserialized into `out`. Issues one get, or
   /// two when the block wraps the ring (real RDMA pays the same split).
-  void get_remote(pgas::PeContext& thief, int victim, std::uint32_t start_mod,
+  /// Returns false, appending nothing, when the victim died under the
+  /// copy: the get then returned the fabric's filler (the blocking op's
+  /// NIC error status), not task slots.
+  bool get_remote(pgas::PeContext& thief, int victim, std::uint32_t start_mod,
                   std::uint32_t n, std::vector<Task>& out) const;
 
  private:

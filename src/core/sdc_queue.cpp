@@ -364,16 +364,10 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
   // (4) release the lock — the copy proceeds outside the critical section.
   unlock(thief, victim);
 
-  // (5) copy the stolen block (deferred copy).
-  const std::size_t out_base = out.size();
-  buffer_.get_remote(thief, victim, buffer_.wrap(tail), take, out);
-  if (fab.crashes_planned() && !fab.alive(victim)) {
-    // The victim died under the copy: the get returned filler (the
-    // blocking op's local NIC error status, not an oracle). Drop it; the
-    // claim dies with the victim's queue.
-    out.resize(out_base);
+  // (5) copy the stolen block (deferred copy). If the victim died under
+  // the copy, the claim dies with the victim's queue.
+  if (!buffer_.get_remote(thief, victim, buffer_.wrap(tail), take, out))
     return dead_victim();
-  }
 
   // (6) passive completion notification; the owner reclaims ring space on
   // its next progress() pass. The record carries its claim sequence and is

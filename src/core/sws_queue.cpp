@@ -525,16 +525,10 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
 
   // (2) copy the claimed blocks — contiguous in the ring, so even a
   // multi-block claim is one coalesced get (two when it wraps).
-  const std::size_t out_base = out.size();
-  buffer_.get_remote(thief, victim, start_mod, ntasks, out);
-  if (fab.crashes_planned() && !fab.alive(victim)) {
-    // The victim died between our claim and the copy: the get returned
-    // filler, not tasks (the blocking op's local NIC error status, not an
-    // oracle). Drop the garbage. The claim itself dies with the victim —
-    // no completion is owed to anyone.
-    out.resize(out_base);
+  // If the victim died between our claim and the copy, the claim dies
+  // with it: no completion is owed to anyone.
+  if (!buffer_.get_remote(thief, victim, start_mod, ntasks, out))
     return dead_victim();
-  }
 
   // (3) passive completion notification, one non-blocking AMO per claimed
   // block — the owner's finished-prefix reclaim is per block, so a bulk

@@ -73,7 +73,9 @@ class Task {
  private:
   TaskFnId fn_ = 0;
   std::uint32_t len_ = 0;
-  std::array<std::byte, kMaxTaskPayload> buf_{};
+  /// Left uninitialized: only [0, len_) is ever read, and zeroing all of
+  /// it would cost more than a typical task's whole payload copy.
+  std::array<std::byte, kMaxTaskPayload> buf_;
 };
 
 }  // namespace sws::core

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sha1/sha1_kernels.hpp"
+
 namespace sws {
 namespace {
 
@@ -27,12 +29,13 @@ inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
-/// One SHA-1 block compression: folds the 16-word block into the chaining
-/// words `h`. The message schedule is a 16-word ring (word t lives in
-/// w[t % 16]), and each group of 20 rounds has its own loop, so the round
-/// function and constant are fixed within a loop.
-inline void compress(std::uint32_t h[5],
-                     const std::uint32_t block[16]) noexcept {
+}  // namespace
+
+/// The portable kernel. The message schedule is a 16-word ring (word t
+/// lives in w[t % 16]), and each group of 20 rounds has its own loop, so
+/// the round function and constant are fixed within a loop.
+void sha1_kernels::compress(std::uint32_t h[5],
+                            const std::uint32_t block[16]) noexcept {
   std::uint32_t w[16];
   std::memcpy(w, block, sizeof(w));
   const auto word = [&w](int t) {
@@ -70,11 +73,33 @@ inline void compress(std::uint32_t h[5],
   h[4] += e;
 }
 
-/// compress() over a 64-byte block in message byte order.
+namespace {
+
+/// The scalar compress() over a 64-byte block in message byte order: the
+/// streaming Sha1 class stays on the FIPS reference kernel.
 void compress_bytes(std::uint32_t h[5], const std::uint8_t bytes[64]) noexcept {
   std::uint32_t block[16];
   for (int i = 0; i < 16; ++i) block[i] = load_be32(bytes + i * 4);
-  compress(h, block);
+  sha1_kernels::compress(h, block);
+}
+
+#if defined(SWS_SHA1_HAVE_SHANI)
+/// CPUID, read on first use.
+bool use_shani() noexcept {
+  static const bool kShani = sha1_kernels::shani_supported();
+  return kShani;
+}
+#endif
+
+/// The fastest kernel this CPU runs.
+void compress_one(std::uint32_t h[5], const std::uint32_t block[16]) noexcept {
+#if defined(SWS_SHA1_HAVE_SHANI)
+  if (use_shani()) {
+    sha1_kernels::compress_shani(h, block);
+    return;
+  }
+#endif
+  sha1_kernels::compress(h, block);
 }
 
 }  // namespace
@@ -149,20 +174,46 @@ std::string to_hex(const Sha1Digest& d) {
   return out;
 }
 
-Sha1Digest uts_child_digest(const Sha1Digest& parent,
-                            std::uint32_t child_index) noexcept {
+void uts_child_digests(const Sha1Digest& parent, std::uint32_t first,
+                       std::span<Sha1Digest> out) noexcept {
   // The 24-byte message (parent || be32(index)) plus its padding fills
   // exactly one block: the 0x80 byte, zeros, and the length, 192 bits.
-  std::uint32_t block[16] = {};
-  for (int i = 0; i < 5; ++i) block[i] = load_be32(parent.data() + i * 4);
-  block[5] = child_index;
-  block[6] = 0x80000000u;
-  block[15] = 24 * 8;
-  std::uint32_t h[5];
-  std::memcpy(h, kInitH, sizeof(h));
-  compress(h, block);
+  // Siblings' blocks differ only in word 5, the index.
+  std::uint32_t block[2][16] = {};
+  for (int i = 0; i < 5; ++i) block[0][i] = load_be32(parent.data() + i * 4);
+  block[0][6] = 0x80000000u;
+  block[0][15] = 24 * 8;
+  std::memcpy(block[1], block[0], sizeof(block[0]));
+  std::uint32_t h[2][5];
+  const auto store = [&h, &out](std::size_t lane, std::size_t i) {
+    for (int w = 0; w < 5; ++w) store_be32(out[i].data() + w * 4, h[lane][w]);
+  };
+  std::size_t i = 0;
+#if defined(SWS_SHA1_HAVE_SHANI)
+  if (use_shani()) {
+    for (; i + 1 < out.size(); i += 2) {
+      block[0][5] = first + static_cast<std::uint32_t>(i);
+      block[1][5] = block[0][5] + 1;
+      std::memcpy(h[0], kInitH, sizeof(kInitH));
+      std::memcpy(h[1], kInitH, sizeof(kInitH));
+      sha1_kernels::compress_shani_x2(h[0], block[0], h[1], block[1]);
+      store(0, i);
+      store(1, i + 1);
+    }
+  }
+#endif
+  for (; i < out.size(); ++i) {
+    block[0][5] = first + static_cast<std::uint32_t>(i);
+    std::memcpy(h[0], kInitH, sizeof(kInitH));
+    compress_one(h[0], block[0]);
+    store(0, i);
+  }
+}
+
+Sha1Digest uts_child_digest(const Sha1Digest& parent,
+                            std::uint32_t child_index) noexcept {
   Sha1Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + i * 4, h[i]);
+  uts_child_digests(parent, child_index, {&out, 1});
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace sws {
@@ -46,8 +47,16 @@ std::string to_hex(const Sha1Digest& d);
 /// exactly the composition the UTS benchmark uses to walk the tree. The
 /// padded 24-byte message is one block, so this is a single compression
 /// with no streaming state; it equals Sha1::hash over the same bytes.
+/// On x86-64 CPUs with the SHA extensions the compression runs on them
+/// (chosen once from CPUID); elsewhere it is the portable scalar kernel.
 Sha1Digest uts_child_digest(const Sha1Digest& parent,
                             std::uint32_t child_index) noexcept;
+
+/// Children first .. first + out.size() - 1 of `parent`, in order: equal to
+/// that many uts_child_digest calls, but the shared block is built once
+/// and, with the SHA extensions, siblings are hashed two at a time.
+void uts_child_digests(const Sha1Digest& parent, std::uint32_t first,
+                       std::span<Sha1Digest> out) noexcept;
 
 /// Interpret the leading 4 bytes of a digest as a big-endian u32 — the
 /// "random value" UTS extracts from a node to decide its branching.

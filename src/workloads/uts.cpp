@@ -1,5 +1,6 @@
 #include "workloads/uts.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -15,49 +16,92 @@ double digest_uniform(const Sha1Digest& d) noexcept {
   return static_cast<double>(digest_to_u32(d)) * 0x1.0p-32;
 }
 
+/// The depth-only half of the geometric rule: log(1 - prob(d)), or 0 when
+/// nodes at depth d have no children. A node with children has
+/// b(d) <= b0 < 2^32, so prob >= 1/(1 + 2^32) and the log is below 0.
+double geo_log_q(std::uint32_t depth, const UtsParams& p) noexcept {
+  if (depth >= p.gen_mx) return 0.0;
+  // Depth-dependent expected branching factor per the configured shape
+  // function; children drawn from a geometric distribution via inverse
+  // transform on the digest value.
+  const double frac =
+      static_cast<double>(depth) / static_cast<double>(p.gen_mx);
+  double b_d = static_cast<double>(p.b0);
+  switch (p.geo_shape) {
+    case UtsParams::GeoShape::kLinear:
+      b_d *= 1.0 - frac;
+      break;
+    case UtsParams::GeoShape::kExpDec:
+      b_d *= (1.0 - frac) * (1.0 - frac) * (1.0 - frac);
+      break;
+    case UtsParams::GeoShape::kCyclic:
+      // Branchy bands alternating with thin bands down the tree.
+      b_d *= 0.5 * (1.0 + std::cos(3.141592653589793 * frac * 4.0));
+      break;
+    case UtsParams::GeoShape::kFixed:
+      break;
+  }
+  if (b_d <= 0.0) return 0.0;
+  const double prob = 1.0 / (1.0 + b_d);
+  return std::log(1.0 - prob);
+}
+
+/// The digest half of the geometric rule.
+std::uint32_t geo_children(const Sha1Digest& digest, double log_q,
+                           const UtsParams& p) noexcept {
+  if (log_q == 0.0) return 0;
+  const double u = digest_uniform(digest);
+  const double m = std::floor(std::log(1.0 - u) / log_q);
+  if (m <= 0.0) return 0;
+  return static_cast<std::uint32_t>(std::min<double>(m, p.max_children));
+}
+
+std::uint32_t binomial_children(const Sha1Digest& digest, std::uint32_t depth,
+                                const UtsParams& p) noexcept {
+  if (depth == 0) return p.b0;
+  return digest_uniform(digest) < p.bin_q ? std::min(p.bin_m, p.max_children)
+                                          : 0;
+}
+
+/// Children of one node per batch of uts_child_digests: small enough for
+/// a fiber's stack, large enough that nearly every node is one batch.
+constexpr std::uint32_t kChildBatch = 32;
+
+/// Calls fn(digest) for children 0 .. k-1 of `parent`, in index order.
+template <typename Fn>
+void for_each_child(const Sha1Digest& parent, std::uint32_t k, Fn&& fn) {
+  Sha1Digest batch[kChildBatch];
+  for (std::uint32_t first = 0; first < k; first += kChildBatch) {
+    const std::uint32_t n = std::min(k - first, kChildBatch);
+    uts_child_digests(parent, first, {batch, n});
+    for (std::uint32_t i = 0; i < n; ++i) fn(batch[i]);
+  }
+}
+
 }  // namespace
 
 std::uint32_t uts_num_children(const Sha1Digest& digest, std::uint32_t depth,
                                const UtsParams& p) noexcept {
   switch (p.shape) {
-    case UtsParams::Shape::kGeometric: {
-      if (depth >= p.gen_mx) return 0;
-      // Depth-dependent expected branching factor per the configured shape
-      // function; children drawn from a geometric distribution via inverse
-      // transform on the digest value.
-      const double frac =
-          static_cast<double>(depth) / static_cast<double>(p.gen_mx);
-      double b_d = static_cast<double>(p.b0);
-      switch (p.geo_shape) {
-        case UtsParams::GeoShape::kLinear:
-          b_d *= 1.0 - frac;
-          break;
-        case UtsParams::GeoShape::kExpDec:
-          b_d *= (1.0 - frac) * (1.0 - frac) * (1.0 - frac);
-          break;
-        case UtsParams::GeoShape::kCyclic:
-          // Branchy bands alternating with thin bands down the tree.
-          b_d *= 0.5 * (1.0 + std::cos(3.141592653589793 * frac * 4.0));
-          break;
-        case UtsParams::GeoShape::kFixed:
-          break;
-      }
-      if (b_d <= 0.0) return 0;
-      const double prob = 1.0 / (1.0 + b_d);
-      const double u = digest_uniform(digest);
-      const double m = std::floor(std::log(1.0 - u) / std::log(1.0 - prob));
-      if (m <= 0.0) return 0;
-      return static_cast<std::uint32_t>(
-          std::min<double>(m, p.max_children));
-    }
-    case UtsParams::Shape::kBinomial: {
-      if (depth == 0) return p.b0;
-      return digest_uniform(digest) < p.bin_q
-                 ? std::min(p.bin_m, p.max_children)
-                 : 0;
-    }
+    case UtsParams::Shape::kGeometric:
+      return geo_children(digest, geo_log_q(depth, p), p);
+    case UtsParams::Shape::kBinomial:
+      return binomial_children(digest, depth, p);
   }
   return 0;
+}
+
+UtsBranching::UtsBranching(const UtsParams& p) : p_(p) {
+  if (p.shape != UtsParams::Shape::kGeometric) return;
+  log_q_.resize(p.gen_mx);
+  for (std::uint32_t d = 0; d < p.gen_mx; ++d) log_q_[d] = geo_log_q(d, p);
+}
+
+std::uint32_t UtsBranching::num_children(const Sha1Digest& digest,
+                                         std::uint32_t depth) const noexcept {
+  if (p_.shape == UtsParams::Shape::kBinomial)
+    return binomial_children(digest, depth, p_);
+  return depth < log_q_.size() ? geo_children(digest, log_q_[depth], p_) : 0;
 }
 
 Sha1Digest uts_root_digest(const UtsParams& p) noexcept {
@@ -75,6 +119,7 @@ UtsTreeInfo uts_sequential_count(const UtsParams& p) {
     Sha1Digest digest;
     std::uint32_t depth;
   };
+  const UtsBranching branching(p);
   UtsTreeInfo info;
   std::vector<Frame> stack;
   stack.push_back({uts_root_digest(p), 0});
@@ -83,37 +128,36 @@ UtsTreeInfo uts_sequential_count(const UtsParams& p) {
     stack.pop_back();
     ++info.nodes;
     info.max_depth = std::max(info.max_depth, f.depth);
-    const std::uint32_t k = uts_num_children(f.digest, f.depth, p);
+    const std::uint32_t k = branching.num_children(f.digest, f.depth);
     if (k == 0) {
       ++info.leaves;
       continue;
     }
-    for (std::uint32_t i = 0; i < k; ++i)
-      stack.push_back({uts_child_digest(f.digest, i), f.depth + 1});
+    for_each_child(f.digest, k, [&](const Sha1Digest& c) {
+      stack.push_back({c, f.depth + 1});
+    });
   }
   return info;
 }
 
 UtsBenchmark::UtsBenchmark(core::TaskRegistry& registry, UtsParams params)
-    : params_(params) {
+    : params_(params), branching_(params) {
   node_fn_ = registry.register_fn(
-      "uts.node",
-      [this, p = params_](core::Worker& w, std::span<const std::byte> bytes) {
+      "uts.node", [this](core::Worker& w, std::span<const std::byte> bytes) {
         Payload in;
         SWS_ASSERT(bytes.size() == sizeof(in));
         std::memcpy(&in, bytes.data(), sizeof(in));
         Sha1Digest digest;
         std::memcpy(digest.data(), in.digest, sizeof(in.digest));
 
-        w.compute(p.node_compute_ns);
-        const std::uint32_t k = uts_num_children(digest, in.depth, p);
-        for (std::uint32_t i = 0; i < k; ++i) {
+        w.compute(params_.node_compute_ns);
+        const std::uint32_t k = branching_.num_children(digest, in.depth);
+        for_each_child(digest, k, [&](const Sha1Digest& cd) {
           Payload child;
-          const Sha1Digest cd = uts_child_digest(digest, i);
           std::memcpy(child.digest, cd.data(), cd.size());
           child.depth = in.depth + 1;
           w.spawn(core::Task::of(node_fn_, child));
-        }
+        });
       });
 }
 

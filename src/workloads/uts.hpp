@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "sha1/sha1.hpp"
@@ -51,6 +52,21 @@ struct UtsParams {
 std::uint32_t uts_num_children(const Sha1Digest& digest, std::uint32_t depth,
                                const UtsParams& p) noexcept;
 
+/// The same rule with its depth-only half computed once per depth: for
+/// geometric trees, the denominator log(1 - prob(d)) of the inverse
+/// transform, so a node costs one log. Counts equal uts_num_children.
+class UtsBranching {
+ public:
+  explicit UtsBranching(const UtsParams& p);
+
+  std::uint32_t num_children(const Sha1Digest& digest,
+                             std::uint32_t depth) const noexcept;
+
+ private:
+  UtsParams p_;
+  std::vector<double> log_q_;  ///< geometric: per depth < gen_mx; 0 = none
+};
+
 /// Root digest for a parameter set.
 Sha1Digest uts_root_digest(const UtsParams& p) noexcept;
 
@@ -79,6 +95,7 @@ class UtsBenchmark {
   };
 
   UtsParams params_;
+  UtsBranching branching_;
   core::TaskFnId node_fn_ = 0;
 };
 

@@ -193,6 +193,34 @@ TEST(CrashRecovery, LockHolderCrashSdc) {
   }
 }
 
+// A victim dies under an SDC thief's deferred copy: the get returns the
+// fabric's all-ones filler, which must be dropped, not parsed as task
+// slots ("corrupt task slot"). The configuration is the SDC run of
+// ablation_faults' two-crash row at its fifth default seed (--npes 8
+// --depth 9, 48-byte slots, PEs 2 and 5 dying at 150 and 270 us).
+TEST(CrashRecovery, VictimDiesUnderDeferredCopySdc) {
+  workloads::UtsParams p;
+  p.b0 = 4;
+  p.gen_mx = 9;
+  p.node_compute_ns = 200;
+  const auto truth = workloads::uts_sequential_count(p);
+  pgas::Runtime rt(
+      crash_rcfg(8, {{2, 150'000}, {5, 270'000}}, 42 + 4 * 1'000'003));
+  core::TaskRegistry reg;
+  workloads::UtsBenchmark uts(reg, p);
+  core::PoolConfig pc = pcfg(core::QueueKind::kSdc);
+  pc.queue.slot_bytes = 48;
+  core::TaskPool pool(rt, reg, pc);
+  rt.run([&](pgas::PeContext& ctx) {
+    pool.run_pe(ctx, [&](core::Worker& w) { uts.seed(w); });
+  });
+  const CrashRun r = snapshot(rt, pool);
+  expect_clean_finish(r, 2);
+  EXPECT_GT(r.report.total.tasks_executed, 0u);
+  EXPECT_LE(r.report.total.tasks_executed, 2 * truth.nodes);
+  EXPECT_GE(r.report.total.deaths_witnessed, 1u);
+}
+
 // A PE dies with spawn_on traffic aimed at it: ring chains push through
 // every PE continuously, so the dead PE's inbox has undrained tasks and
 // senders mid-push against it. Senders must reroute or re-home those

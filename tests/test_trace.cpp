@@ -93,6 +93,24 @@ TEST(Tracer, RingOverwritesOldest) {
   EXPECT_EQ(evs[3].a, 9u);
 }
 
+TEST(Tracer, RecordedCountsSurviveWrap) {
+  Tracer t(2, 4);
+  for (std::uint64_t i = 0; i < 10; ++i)
+    t.record(0, i, TraceKind::kTaskExec, i);
+  t.begin(1, 1, TraceKind::kStealSpan, 7);
+  t.end(1, 2, TraceKind::kStealSpan, 7);
+  for (std::uint64_t i = 0; i < 5; ++i)
+    t.record(1, 3 + i, TraceKind::kStealEmpty);
+  ASSERT_TRUE(t.truncated());
+  EXPECT_EQ(t.count(TraceKind::kTaskExec), 4u) << "retained only";
+  EXPECT_EQ(t.recorded(TraceKind::kTaskExec), 10u);
+  EXPECT_EQ(t.count(TraceKind::kStealSpan), 0u);
+  EXPECT_EQ(t.recorded(TraceKind::kStealSpan), 2u) << "begin and end";
+  EXPECT_EQ(t.recorded(TraceKind::kStealEmpty), 5u);
+  t.clear();
+  EXPECT_EQ(t.recorded(TraceKind::kTaskExec), 0u);
+}
+
 TEST(Tracer, CountByKind) {
   Tracer t(2, 16);
   t.record(0, 1, TraceKind::kStealOk);

@@ -199,6 +199,42 @@ TEST(Uts, GeoShapesProduceDistinctTrees) {
   EXPECT_EQ(sizes.size(), 4u) << "shape functions must actually differ";
 }
 
+TEST(Uts, PerDepthBranchingTableMatchesDirectRule) {
+  // The table the task body and the sequential count use must give the
+  // direct formula's count for every shape, at every depth up to and past
+  // the cutoff, on 1,000 digests per depth.
+  for (const auto shape :
+       {UtsParams::GeoShape::kLinear, UtsParams::GeoShape::kExpDec,
+        UtsParams::GeoShape::kCyclic, UtsParams::GeoShape::kFixed}) {
+    UtsParams p;
+    p.b0 = 6;
+    p.gen_mx = 16;
+    p.max_children = 9;  // the cap binds on some draws
+    p.geo_shape = shape;
+    const UtsBranching table(p);
+    Sha1Digest d = uts_root_digest(p);
+    for (std::uint32_t depth = 0; depth <= p.gen_mx + 1; ++depth) {
+      for (std::uint32_t i = 0; i < 1000; ++i) {
+        d = uts_child_digest(d, i);
+        ASSERT_EQ(table.num_children(d, depth), uts_num_children(d, depth, p))
+            << "shape " << static_cast<int>(shape) << " depth " << depth;
+      }
+    }
+  }
+  UtsParams bin;
+  bin.shape = UtsParams::Shape::kBinomial;
+  bin.b0 = 7;
+  bin.bin_q = 0.3;
+  const UtsBranching table(bin);
+  Sha1Digest d = uts_root_digest(bin);
+  for (std::uint32_t depth = 0; depth < 4; ++depth) {
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+      d = uts_child_digest(d, i);
+      ASSERT_EQ(table.num_children(d, depth), uts_num_children(d, depth, bin));
+    }
+  }
+}
+
 TEST(Uts, ExpDecIsSmallerThanLinear) {
   // (1-f)^3 <= (1-f): expected branching never exceeds linear's.
   UtsParams lin, exp;
