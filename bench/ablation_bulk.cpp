@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
   double base2_stolen_per_s = 0, base2_ops_per_stolen = 0;
   double best2_stolen_per_s = 0, best2_ops_per_stolen = 0;
   for (const std::uint32_t bulk : {1u, 2u, 4u, 8u}) {
-    tweaks.steal.bulk_claim_max = bulk;
+    tweaks.sws.bulk_claim_max = bulk;
     const bench::ConfigResult r = bench::run_config(
         core::QueueKind::kSws, npes, settings, tweaks,
         [p](core::TaskRegistry& reg) -> std::function<void(core::Worker&)> {

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
                   ? core::QueueKind::kSdc
                   : core::QueueKind::kSws;
   pcfg.queue.slot_bytes = 48;
-  pcfg.steal.bulk_claim_max =
+  pcfg.sws.bulk_claim_max =
       static_cast<std::uint32_t>(opt.get("bulk", std::int64_t{1}));
   pcfg.victim.policy = core::parse_victim_policy(
       opt.get("victim", std::string("random")));

@@ -77,9 +77,6 @@ class CheckedTermination final : public core::TerminationDetector {
   explicit CheckedTermination(std::unique_ptr<core::TerminationDetector> inner)
       : inner_(std::move(inner)) {}
 
-  core::TerminationKind kind() const noexcept override {
-    return inner_->kind();
-  }
   void reset_pe(pgas::PeContext& ctx) override;
   void count_created(pgas::PeContext& ctx, std::uint64_t n) override;
   void count_completed(pgas::PeContext& ctx, std::uint64_t n) override;

@@ -202,12 +202,12 @@ class QueueStealRelease final : public ScenarioInstance {
 // ------------------------------------------------- termination scenarios
 
 /// Full pool run: PE 0 seeds a root task that remote-spawns a child onto
-/// the next PE, under a real detector wrapped in CheckedTermination. The
-/// scenario is green iff no schedule lets the detector fire with the
+/// the next PE, under the counter detector wrapped in CheckedTermination.
+/// The scenario is green iff no schedule lets the detector fire with the
 /// child (or root) still outstanding.
 class TermScenario final : public ScenarioInstance {
  public:
-  TermScenario(pgas::Runtime& rt, core::TerminationKind kind) {
+  explicit TermScenario(pgas::Runtime& rt) {
     fn_child_ = reg_.register_fn(
         "check_child", [](core::Worker& w, std::span<const std::byte>) {
           w.compute(1'000);
@@ -221,13 +221,12 @@ class TermScenario final : public ScenarioInstance {
     core::PoolConfig pc;
     pc.kind = core::QueueKind::kSws;
     pc.queue = core::QueueConfig{64, 32};
-    pc.termination = kind;
     // Tight, bounded pacing keeps the explored schedule tree shallow.
     pc.steal.backoff_min_ns = 500;
     pc.steal.backoff_max_ns = 2'000;
     pool_ = std::make_unique<core::TaskPool>(rt, reg_, pc);
-    auto checked =
-        std::make_unique<CheckedTermination>(core::make_detector(rt, kind));
+    auto checked = std::make_unique<CheckedTermination>(
+        std::make_unique<core::CounterTermination>(rt));
     checked_ = checked.get();
     pool_->set_detector(std::move(checked));
   }
@@ -449,17 +448,7 @@ Scenario counter_termination_scenario(int npes) {
   s.name = "counter-termination";
   s.npes = npes;
   s.make = [](pgas::Runtime& rt) -> std::unique_ptr<ScenarioInstance> {
-    return std::make_unique<TermScenario>(rt, core::TerminationKind::kCounter);
-  };
-  return s;
-}
-
-Scenario token_termination_scenario(int npes) {
-  Scenario s;
-  s.name = "token-termination";
-  s.npes = npes;
-  s.make = [](pgas::Runtime& rt) -> std::unique_ptr<ScenarioInstance> {
-    return std::make_unique<TermScenario>(rt, core::TerminationKind::kToken);
+    return std::make_unique<TermScenario>(rt);
   };
   return s;
 }

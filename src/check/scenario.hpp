@@ -141,8 +141,6 @@ Scenario sdc_steal_release_scenario(int npes = 2);
 /// termination detector wrapped in CheckedTermination: any schedule where
 /// check() answers true with tasks outstanding is flagged.
 Scenario counter_termination_scenario(int npes = 2);
-/// As above with the token (Mattern two-wave) detector.
-Scenario token_termination_scenario(int npes = 2);
 
 /// Deliberately racy non-atomic read-modify-write: a known-broken
 /// protocol the explorer must be able to catch. Self-test for the

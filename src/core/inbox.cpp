@@ -37,65 +37,15 @@ void TaskInbox::reset_pe(pgas::PeContext& ctx) {
   for (auto& row : rows) row.clear();
 }
 
-bool TaskInbox::remote_push(pgas::PeContext& sender, int target,
-                            const Task& t) {
-  auto& fab = sender.fabric();
-  // Bounded reservation: CAS the reserve cursor only while the ring has
-  // room. The drained cursor read may be stale, which can only make us
-  // refuse — never overrun.
-  const bool crash_mode = fab.crashes_planned() && recovery_ != nullptr;
-  std::uint64_t seq;
-  std::uint64_t drained;
-  for (;;) {
-    const std::uint64_t reserve =
-        fab.amo_fetch(sender.pe(), target, base_.off + kReserveOff);
-    drained = fab.amo_fetch(sender.pe(), target, base_.off + kDrainedOff);
-    if (crash_mode && (reserve == net::kDeadFetchValue ||
-                       drained == net::kDeadFetchValue)) {
-      // Poisoned cursor: the target died. Record the death and let the
-      // caller run the task locally.
-      recovery_->note_dead(sender.pe(), target);
-      return false;
-    }
-    if (reserve - drained >= capacity_) return false;  // full
-    if (fab.amo_compare_swap(sender.pe(), target, base_.off + kReserveOff,
-                             reserve, reserve + 1) == reserve) {
-      seq = reserve;
-      break;
-    }
-    // Lost the race to another sender; re-check occupancy and retry.
-  }
-
-  // Stage the payload, then publish with the generation tag. Blocking ops
-  // complete in order, so the owner can never see a tagged-but-torn slot.
-  std::vector<std::byte> staged(slot_bytes_);
-  t.serialize(staged.data(), slot_bytes_);
-  sender.put(target, base_, slot_off(seq) + 8, staged.data(), slot_bytes_);
-  fab.amo_set(sender.pe(), target, base_.off + slot_off(seq), seq + 1);
-
-  if (crash_mode) {
-    // Ledger the push and prune everything the drained cursor we just read
-    // proves consumed. The cursor predates our own push, so our entry can
-    // never be pruned by its own read.
-    auto& row = ledgers_[static_cast<std::size_t>(sender.pe())]
-                    .per_target[static_cast<std::size_t>(target)];
-    while (!row.empty() && row.front().first < drained) row.pop_front();
-    row.emplace_back(seq, t);
-  }
-  return true;
-}
-
-std::uint32_t TaskInbox::remote_push_many(pgas::PeContext& sender, int target,
-                                          std::span<const Task> tasks) {
+std::uint32_t TaskInbox::remote_push(pgas::PeContext& sender, int target,
+                                     std::span<const Task> tasks) {
   if (tasks.empty()) return 0;
-  if (tasks.size() == 1)
-    return remote_push(sender, target, tasks[0]) ? 1 : 0;
   auto& fab = sender.fabric();
   const bool crash_mode = fab.crashes_planned() && recovery_ != nullptr;
 
-  // Reserve a run of slots with one CAS: same bounded reservation as the
-  // single push, except the cursor advances by however many of `tasks`
-  // the (possibly stale — only ever pessimistic) room estimate covers.
+  // Bounded reservation: CAS the reserve cursor forward by however many of
+  // `tasks` the ring has room for. The drained cursor read may be stale,
+  // which can only make us refuse — never overrun.
   std::uint64_t seq;
   std::uint64_t drained;
   std::uint64_t n;
@@ -105,6 +55,8 @@ std::uint32_t TaskInbox::remote_push_many(pgas::PeContext& sender, int target,
     drained = fab.amo_fetch(sender.pe(), target, base_.off + kDrainedOff);
     if (crash_mode && (reserve == net::kDeadFetchValue ||
                        drained == net::kDeadFetchValue)) {
+      // Poisoned cursor: the target died. Record the death and let the
+      // caller run the tasks locally.
       recovery_->note_dead(sender.pe(), target);
       return 0;
     }
@@ -150,6 +102,9 @@ std::uint32_t TaskInbox::remote_push_many(pgas::PeContext& sender, int target,
   fab.amo_set(sender.pe(), target, base_.off + slot_off(seq), seq + 1);
 
   if (crash_mode) {
+    // Ledger the push and prune everything the drained cursor we just read
+    // proves consumed. The cursor predates our own push, so our entries
+    // can never be pruned by their own read.
     auto& row = ledgers_[static_cast<std::size_t>(sender.pe())]
                     .per_target[static_cast<std::size_t>(target)];
     while (!row.empty() && row.front().first < drained) row.pop_front();

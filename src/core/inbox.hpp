@@ -1,12 +1,12 @@
 // Remote task spawning (paper §3: "a process may spawn tasks onto remote
 // queues, although with more overhead due to communication").
 //
-// Each PE owns a symmetric MPSC inbox ring. A sender reserves a slot with
-// a bounded CAS on the reserve cursor, one-sided-puts the serialized task,
-// then publishes it by setting the slot's generation tag. The owner drains
-// published slots in order during scheduler progress. Per remote spawn:
-// 2 AMOs + a get + a put + a set — deliberately heavier than local
-// spawning, matching the paper's caveat.
+// Each PE owns a symmetric MPSC inbox ring. A sender reserves a run of
+// slots with a bounded CAS on the reserve cursor, one-sided-puts the
+// serialized tasks, then publishes them by setting the first slot's
+// generation tag. The owner drains published slots in order during
+// scheduler progress. Per remote spawn: 2 fetches + a CAS + a put + a set —
+// deliberately heavier than local spawning, matching the paper's caveat.
 //
 // Symmetric layout:
 //   +0   reserve   next slot sequence number (senders, CAS)
@@ -50,18 +50,15 @@ class TaskInbox {
   /// Collective per-PE reset; barrier before use.
   void reset_pe(pgas::PeContext& ctx);
 
-  /// Deliver `t` to `target`'s inbox. Returns false when the inbox is
-  /// full (sender should retry later or fall back to local execution).
-  bool remote_push(pgas::PeContext& sender, int target, const Task& t);
-
-  /// Batched push: reserve a run of slots with one CAS, stage every
-  /// payload (and every tag but the first) into 1–2 vectorized puts, then
-  /// publish the whole run with a single tag AMO — the owner drains in
-  /// sequence order, so tagging the first slot releases the run. Pushes as
-  /// many of `tasks` as the ring has room for; returns that count (0 when
-  /// full or the target is dead).
-  std::uint32_t remote_push_many(pgas::PeContext& sender, int target,
-                                 std::span<const Task> tasks);
+  /// Deliver `tasks` to `target`'s inbox: reserve a run of slots with one
+  /// CAS, stage every payload (and every tag but the first) into 1–2
+  /// vectorized puts, then publish the whole run with a single tag AMO —
+  /// the owner drains in sequence order, so tagging the first slot
+  /// releases the run. A one-task push is fetch, fetch, CAS, one
+  /// slot_bytes put and the tag set. Pushes as many of `tasks` as the ring
+  /// has room for; returns that count (0 when full or the target is dead).
+  std::uint32_t remote_push(pgas::PeContext& sender, int target,
+                            std::span<const Task> tasks);
 
   /// Owner: consume every published task in sequence order.
   /// Returns the number drained.

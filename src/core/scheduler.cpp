@@ -25,50 +25,12 @@ void Worker::spawn(const Task& t) {
   execute(t);
 }
 
-void Worker::spawn_on(int target, const Task& t) {
+void Worker::spawn_on(int target, std::span<const Task> tasks) {
+  if (tasks.empty()) return;
   if (target == pe() || !pool_.inbox_ ||
       (pool_.recovery_ && pool_.recovery_->known_dead(pe(), target))) {
     // No inbox, self-target, or a target we know is dead: spawn here.
     // Tasks are location-independent, so local execution is always legal.
-    spawn(t);
-    return;
-  }
-  pool_.term_->count_created(ctx_, 1);
-  ++stats_.tasks_spawned;
-  if (pool_.tracer_.enabled())
-    pool_.tracer_.record(pe(), ctx_.now(), TraceKind::kSpawnRemote,
-                         static_cast<std::uint64_t>(target));
-  // Flush the created-delta BEFORE the task escapes to another PE. Once
-  // the push lands, the target can execute the task and flush its
-  // completion while our +1 still sits in the local delta — the global
-  // counter then transiently reads zero with this task's *parent* still
-  // running, and a termination check in that window ends the run early.
-  // (Local spawns are safe without this: the executing parent's own
-  // completion is unflushed until after its spawns, anchoring the counter
-  // above zero.)
-  pool_.term_->task_boundary(ctx_);
-  // Bounded retries against a full inbox, then run it here — the task
-  // must execute somewhere, and local execution is always legal under the
-  // Scioto model (tasks are location-independent).
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    if (pool_.inbox_->remote_push(ctx_, target, t)) return;
-    if (pool_.recovery_ && pool_.recovery_->known_dead(pe(), target)) {
-      // The push failed because the target died (poisoned inbox cursor,
-      // noted by remote_push). Run the task here instead.
-      execute(t);
-      return;
-    }
-    ctx_.compute(pool_.cfg_.steal.backoff_min_ns);
-  }
-  SWS_WARN("PE " << pe() << ": inbox of PE " << target
-                 << " stayed full; executing task locally");
-  execute(t);
-}
-
-void Worker::spawn_on_many(int target, std::span<const Task> tasks) {
-  if (tasks.empty()) return;
-  if (target == pe() || !pool_.inbox_ ||
-      (pool_.recovery_ && pool_.recovery_->known_dead(pe(), target))) {
     for (const Task& t : tasks) spawn(t);
     return;
   }
@@ -77,19 +39,32 @@ void Worker::spawn_on_many(int target, std::span<const Task> tasks) {
   if (pool_.tracer_.enabled())
     pool_.tracer_.record(pe(), ctx_.now(), TraceKind::kSpawnRemote,
                          static_cast<std::uint64_t>(target), tasks.size());
-  // Same escape hazard as spawn_on, batched: flush the whole created-delta
-  // before any of the tasks can land remotely.
+  // Flush the created-delta BEFORE any task escapes to another PE. Once
+  // a push lands, the target can execute the task and flush its
+  // completion while our +n still sits in the local delta — the global
+  // counter then transiently reads zero with this task's *parent* still
+  // running, and a termination check in that window ends the run early.
+  // (Local spawns are safe without this: the executing parent's own
+  // completion is unflushed until after its spawns, anchoring the counter
+  // above zero.)
   pool_.term_->task_boundary(ctx_);
+  // Bounded retries against a full inbox, then run the remainder here —
+  // every task must execute somewhere, and local execution is always
+  // legal under the Scioto model (tasks are location-independent).
   std::size_t done = 0;
-  for (int attempt = 0; attempt < 8 && done < tasks.size(); ++attempt) {
-    done += pool_.inbox_->remote_push_many(ctx_, target,
-                                           tasks.subspan(done));
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    done += pool_.inbox_->remote_push(ctx_, target, tasks.subspan(done));
     if (done == tasks.size()) return;
-    if (pool_.recovery_ && pool_.recovery_->known_dead(pe(), target)) break;
+    if (pool_.recovery_ && pool_.recovery_->known_dead(pe(), target)) {
+      // The push failed because the target died (poisoned inbox cursor,
+      // noted by remote_push). Run the rest here instead.
+      for (const Task& t : tasks.subspan(done)) execute(t);
+      return;
+    }
     ctx_.compute(pool_.cfg_.steal.backoff_min_ns);
   }
-  // Whatever the target could not take runs here — always legal under the
-  // Scioto model (tasks are location-independent).
+  SWS_WARN("PE " << pe() << ": inbox of PE " << target
+                 << " stayed full; executing tasks locally");
   for (const Task& t : tasks.subspan(done)) execute(t);
 }
 
@@ -117,11 +92,6 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
       cfg_(cfg),
       phase_(static_cast<std::size_t>(rt.npes())),
       last_stats_(static_cast<std::size_t>(rt.npes())) {
-  // The bulk-claim knob lives on StealTuning (the user-facing pacing
-  // struct) but the queue implements it; mirror so either spelling works,
-  // larger wins.
-  cfg_.sws.bulk_claim_max =
-      std::max(cfg_.sws.bulk_claim_max, cfg_.steal.bulk_claim_max);
   switch (cfg_.kind) {
     case QueueKind::kSws:
       queue_ = std::make_unique<SwsQueue>(rt, cfg_.queue, cfg_.sws);
@@ -130,14 +100,14 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
       queue_ = std::make_unique<SdcQueue>(rt, cfg_.queue, cfg_.sdc);
       break;
   }
-  term_ = make_detector(rt, cfg_.termination);
+  term_ = std::make_unique<CounterTermination>(rt);
   if (cfg_.remote_spawn)
     inbox_ = std::make_unique<TaskInbox>(rt, cfg_.inbox_capacity,
                                          cfg_.queue.slot_bytes);
   if (rt.fabric().crashes_planned()) {
     // Crash mode: wire every layer to the shared death registry and swap
     // the termination protocol for the crash-tolerant idle-wave consensus
-    // (both base detectors hang once a PE dies). None of this exists in a
+    // (the counter hangs once a PE dies). None of this exists in a
     // crash-free pool — those runs stay byte-identical to older builds.
     recovery_ = std::make_unique<DeathRegistry>();
     recovery_->init(rt, RecoveryConfig{});

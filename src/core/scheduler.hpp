@@ -48,11 +48,6 @@ struct StealTuning {
   std::uint32_t retry_budget = 4;
   /// Failed steal attempts between termination-detector polls.
   std::uint32_t term_check_interval = 4;
-  /// SWS bulk claims: most steal-half blocks one steal AMO may take
-  /// (1..kMaxBulkClaim; 1 = legacy single-block protocol, bit-identical
-  /// schedules). Mirrored into SwsConfig::bulk_claim_max by the pool; the
-  /// larger of the two wins. Ignored by the SDC baseline.
-  std::uint32_t bulk_claim_max = 1;
 };
 
 /// Scheduler event tracing (off by default — recording is cheap but
@@ -75,7 +70,6 @@ struct PoolConfig {
   QueueConfig queue{};              ///< ring geometry, shared by both kinds
   SwsConfig sws{};                  ///< SWS protocol knobs
   SdcConfig sdc{};                  ///< SDC protocol knobs
-  TerminationKind termination = TerminationKind::kCounter;
   /// Victim-selection policy. Locality-aware policies read the machine
   /// shape from the runtime's NetworkParams::topology — the single
   /// source of truth; there is no separate node-size field to agree with.
@@ -107,16 +101,13 @@ class Worker {
   void spawn(const Task& t);
 
   /// Spawn onto another PE's queue via its symmetric inbox (paper §3:
-  /// possible "although with more overhead due to communication").
-  /// Requires PoolConfig::remote_spawn; falls back to local execution if
-  /// the target inbox stays full.
-  void spawn_on(int target, const Task& t);
-
-  /// Batched spawn_on: reserve a run of inbox slots with one CAS, ship all
-  /// payloads in one vectorized put, publish with a single completion tag.
-  /// Same fallback semantics as spawn_on, applied to whatever remainder
-  /// the target could not accept.
-  void spawn_on_many(int target, std::span<const Task> tasks);
+  /// possible "although with more overhead due to communication"). The
+  /// whole batch reserves a run of inbox slots with one CAS, ships its
+  /// payloads in one vectorized put and publishes with a single completion
+  /// tag. Requires PoolConfig::remote_spawn; whatever the target inbox
+  /// cannot take after bounded retries runs here instead.
+  void spawn_on(int target, std::span<const Task> tasks);
+  void spawn_on(int target, const Task& t) { spawn_on(target, {&t, 1}); }
 
   /// Charge task computation time (virtual in DES mode).
   void compute(net::Nanos dt);

@@ -1,6 +1,5 @@
 #include "core/termination.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -55,86 +54,6 @@ bool CounterTermination::check(pgas::PeContext& ctx) {
   return ctx.fetch(/*target=*/0, counter_) == 0;
 }
 
-// ---------------------------------------------------------------- token
-
-TokenTermination::TokenTermination(pgas::Runtime& rt)
-    : space_(rt.heap().alloc(kBytes, 8)),
-      local_(static_cast<std::size_t>(rt.npes())) {}
-
-void TokenTermination::reset_pe(pgas::PeContext& ctx) {
-  local_[static_cast<std::size_t>(ctx.pe())] = PerPe{};
-  std::memset(ctx.local(space_), 0, kBytes);
-}
-
-void TokenTermination::count_created(pgas::PeContext& ctx, std::uint64_t n) {
-  local_[static_cast<std::size_t>(ctx.pe())].created += n;
-}
-
-void TokenTermination::count_completed(pgas::PeContext& ctx,
-                                       std::uint64_t n) {
-  local_[static_cast<std::size_t>(ctx.pe())].executed += n;
-}
-
-void TokenTermination::task_boundary(pgas::PeContext& ctx) { (void)ctx; }
-
-void TokenTermination::forward_token(pgas::PeContext& ctx,
-                                     std::uint64_t created,
-                                     std::uint64_t executed,
-                                     std::uint64_t wave) {
-  const int next = (ctx.pe() + 1) % ctx.npes();
-  const std::uint64_t payload[3] = {created, executed, wave};
-  ctx.fabric().put_words(ctx.pe(), next, space_.off + kCreatedOff, payload, 3);
-  // Data first, then the valid flag — blocking ops complete in order, so
-  // the receiver can never observe a half-written token.
-  ctx.fabric().amo_set(ctx.pe(), next, space_.off + kValidOff, 1);
-}
-
-bool TokenTermination::check(pgas::PeContext& ctx) {
-  auto& me = local_[static_cast<std::size_t>(ctx.pe())];
-
-  if (ctx.npes() == 1) return me.created == me.executed;
-  if (ctx.local_load(space_.plus(kFlagOff)) != 0) return true;
-
-  const bool token_here = ctx.local_load(space_.plus(kValidOff)) != 0;
-
-  if (ctx.pe() != 0) {
-    if (!token_here) return false;
-    const std::uint64_t c = ctx.local_load(space_.plus(kCreatedOff));
-    const std::uint64_t e = ctx.local_load(space_.plus(kExecutedOff));
-    const std::uint64_t w = ctx.local_load(space_.plus(kWaveOff));
-    ctx.fabric().amo_set(ctx.pe(), ctx.pe(), space_.off + kValidOff, 0);
-    forward_token(ctx, c + me.created, e + me.executed, w);
-    return false;
-  }
-
-  // PE 0: wave initiator and terminator.
-  if (!me.initiated) {
-    me.initiated = true;
-    forward_token(ctx, me.created, me.executed, /*wave=*/1);
-    return false;
-  }
-  if (!token_here) return false;
-
-  const std::uint64_t c = ctx.local_load(space_.plus(kCreatedOff));
-  const std::uint64_t e = ctx.local_load(space_.plus(kExecutedOff));
-  const std::uint64_t w = ctx.local_load(space_.plus(kWaveOff));
-  ctx.fabric().amo_set(ctx.pe(), ctx.pe(), space_.off + kValidOff, 0);
-
-  // Four-counter criterion (conservative form): two consecutive waves with
-  // identical, balanced monotonic sums ⇒ no task was created or executed
-  // between them and none is outstanding.
-  if (me.prev_valid && c == e && c == me.prev_c && e == me.prev_e) {
-    for (int pe = 1; pe < ctx.npes(); ++pe)
-      ctx.fabric().amo_set(ctx.pe(), pe, space_.off + kFlagOff, 1);
-    return true;
-  }
-  me.prev_c = c;
-  me.prev_e = e;
-  me.prev_valid = true;
-  forward_token(ctx, me.created, me.executed, w + 1);
-  return false;
-}
-
 // ------------------------------------------------------------- resilient
 
 ResilientTermination::ResilientTermination(
@@ -152,10 +71,6 @@ ResilientTermination::ResilientTermination(
 
 ResilientTermination::~ResilientTermination() = default;
 
-TerminationKind ResilientTermination::kind() const noexcept {
-  return inner_->kind();
-}
-
 void ResilientTermination::reset_pe(pgas::PeContext& ctx) {
   auto& me = local_[static_cast<std::size_t>(ctx.pe())];
   me = PerPe{};
@@ -163,15 +78,14 @@ void ResilientTermination::reset_pe(pgas::PeContext& ctx) {
   ctx.heap().zero(ctx.pe(), slots_,
                   sizeof(std::uint64_t) * static_cast<std::size_t>(npes_));
   ctx.heap().zero(ctx.pe(), done_, sizeof(std::uint64_t));
-  // The inner detector is inert while we're installed, but its symmetric
-  // state must still reset so kind()-based tests and a later crash-free
-  // run see a clean detector.
+  // The wrapped counter is inert while we're installed; reset it anyway so
+  // its symmetric word never carries a stale count.
   inner_->reset_pe(ctx);
 }
 
 // Counting is local-only: the wave protocol needs exact local totals, and
-// forwarding to the inner detector would send real traffic at a PE (the
-// counter home, the ring successor) that may already be dead.
+// forwarding to the wrapped counter would send real traffic at its home
+// PE, which may already be dead.
 void ResilientTermination::count_created(pgas::PeContext& ctx,
                                          std::uint64_t n) {
   (void)ctx;
@@ -269,17 +183,6 @@ void ResilientTermination::on_exit(pgas::PeContext& ctx) {
     if (r == ctx.pe() || registry_->known_dead(ctx.pe(), r)) continue;
     ctx.fabric().amo_set(ctx.pe(), r, done_.off, 1);
   }
-}
-
-std::unique_ptr<TerminationDetector> make_detector(pgas::Runtime& rt,
-                                                   TerminationKind kind) {
-  switch (kind) {
-    case TerminationKind::kCounter:
-      return std::make_unique<CounterTermination>(rt);
-    case TerminationKind::kToken:
-      return std::make_unique<TokenTermination>(rt);
-  }
-  SWS_UNREACHABLE();
 }
 
 }  // namespace sws::core

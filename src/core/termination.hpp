@@ -1,28 +1,20 @@
 // Distributed termination detection (paper §2.1: "this mode of operation
 // requires distributed termination detection").
 //
-// Two detectors, selectable per pool:
+// CounterTermination — a single outstanding-task counter on PE 0. Each
+// worker applies the net delta (children spawned − tasks completed) with
+// batched remote fetch-adds under the invariant that a worker's
+// *unflushed* delta is never positive: positive deltas flush immediately,
+// negative deltas may batch. Then
+//     global_counter = outstanding − Σ unflushed_i  with unflushed_i ≤ 0
+// so global_counter == 0 implies outstanding == 0 — a single remote read
+// suffices and can never report termination early.
 //
-//  * CounterTermination (default) — a single outstanding-task counter on
-//    PE 0. Each worker applies the net delta (children spawned − tasks
-//    completed) with batched remote fetch-adds under the invariant that a
-//    worker's *unflushed* delta is never positive: positive deltas flush
-//    immediately, negative deltas may batch. Then
-//        global_counter = outstanding − Σ unflushed_i  with unflushed_i ≤ 0
-//    so global_counter == 0 implies outstanding == 0 — a single remote
-//    read suffices and can never report termination early.
-//
-//  * TokenTermination — Mattern's four-counter / two-wave scheme over a
-//    ring: a token gathers every PE's (created, executed) totals; two
-//    consecutive waves observing the same quiescent sums prove
-//    termination. Message-free between waves; kept as the conservative
-//    alternative and as a cross-check in tests.
-// A third, crash-tolerant detector wraps either of the above when a crash
-// plan is armed: ResilientTermination (bottom of this file) replaces the
-// counter/token protocol with an idle-wave consensus over the surviving
-// set, because both base detectors hang once a PE dies (a dead PE's
-// unflushed deltas keep the global counter nonzero forever; a token
-// forwarded to a dead PE vanishes). See docs/resilience.md.
+// When a crash plan is armed, the pool wraps the counter in
+// ResilientTermination (bottom of this file), an idle-wave consensus over
+// the surviving set: the counter alone hangs once a PE dies, because a
+// dead PE's unflushed deltas keep the global counter nonzero forever. See
+// docs/resilience.md.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +27,9 @@ namespace sws::core {
 
 class DeathRegistry;
 
-enum class TerminationKind { kCounter, kToken };
-
 class TerminationDetector {
  public:
   virtual ~TerminationDetector() = default;
-
-  virtual TerminationKind kind() const noexcept = 0;
 
   /// Collective per-PE reset; barrier before use.
   virtual void reset_pe(pgas::PeContext& ctx) = 0;
@@ -67,9 +55,6 @@ class CounterTermination final : public TerminationDetector {
  public:
   explicit CounterTermination(pgas::Runtime& rt);
 
-  TerminationKind kind() const noexcept override {
-    return TerminationKind::kCounter;
-  }
   void reset_pe(pgas::PeContext& ctx) override;
   void count_created(pgas::PeContext& ctx, std::uint64_t n) override;
   void count_completed(pgas::PeContext& ctx, std::uint64_t n) override;
@@ -86,48 +71,11 @@ class CounterTermination final : public TerminationDetector {
   std::vector<PerPe> local_;
 };
 
-class TokenTermination final : public TerminationDetector {
- public:
-  explicit TokenTermination(pgas::Runtime& rt);
-
-  TerminationKind kind() const noexcept override {
-    return TerminationKind::kToken;
-  }
-  void reset_pe(pgas::PeContext& ctx) override;
-  void count_created(pgas::PeContext& ctx, std::uint64_t n) override;
-  void count_completed(pgas::PeContext& ctx, std::uint64_t n) override;
-  void task_boundary(pgas::PeContext& ctx) override;
-  bool check(pgas::PeContext& ctx) override;
-
- private:
-  // Symmetric layout per PE: {token_valid, token_created, token_executed,
-  // token_wave, term_flag} — the token is "present" at a PE when its
-  // token_valid word is nonzero.
-  static constexpr std::uint64_t kValidOff = 0;
-  static constexpr std::uint64_t kCreatedOff = 8;
-  static constexpr std::uint64_t kExecutedOff = 16;
-  static constexpr std::uint64_t kWaveOff = 24;
-  static constexpr std::uint64_t kFlagOff = 32;
-  static constexpr std::size_t kBytes = 40;
-
-  void forward_token(pgas::PeContext& ctx, std::uint64_t created,
-                     std::uint64_t executed, std::uint64_t wave);
-
-  struct alignas(64) PerPe {
-    std::uint64_t created = 0;   ///< exact local totals (no remote flushes)
-    std::uint64_t executed = 0;
-    std::uint64_t prev_c = 0;    ///< PE0: sums seen by the previous wave
-    std::uint64_t prev_e = 0;
-    bool prev_valid = false;
-    bool initiated = false;      ///< PE0: a wave is in flight
-  };
-  pgas::SymPtr space_;
-  std::vector<PerPe> local_;
-};
-
 /// Crash-tolerant idle-wave consensus, installed by the pool only when the
 /// runtime's fault plan schedules crashes (never constructed otherwise —
-/// crash-free runs keep the wrapped detector's exact traffic).
+/// crash-free runs keep the counter's exact traffic). It wraps the pool's
+/// CounterTermination, which stays allocated so crash mode keeps the
+/// crash-free symmetric heap layout, but sends it no counts.
 ///
 /// Protocol: every idle PE publishes a report into the coordinator's slot
 /// for it — coordinator = lowest PE the reporter believes alive — packed
@@ -149,9 +97,6 @@ class ResilientTermination final : public TerminationDetector {
                        DeathRegistry* registry);
   ~ResilientTermination() override;
 
-  /// Reports the wrapped detector's kind: the wrapper is a fault-model
-  /// substitution, not a separately configurable protocol.
-  TerminationKind kind() const noexcept override;
   void reset_pe(pgas::PeContext& ctx) override;
   void count_created(pgas::PeContext& ctx, std::uint64_t n) override;
   void count_completed(pgas::PeContext& ctx, std::uint64_t n) override;
@@ -186,9 +131,5 @@ class ResilientTermination final : public TerminationDetector {
   DeathRegistry* registry_;
   std::vector<PerPe> local_;
 };
-
-/// Factory.
-std::unique_ptr<TerminationDetector> make_detector(pgas::Runtime& rt,
-                                                   TerminationKind kind);
 
 }  // namespace sws::core

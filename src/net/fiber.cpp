@@ -91,10 +91,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_stacks_mapped{0};
 
-/// The running fiber's context; nullptr on a host thread's own stack.
-thread_local FiberContext* t_running = nullptr;
-/// fiber_local() outside any fiber.
-thread_local void* t_host_local = nullptr;
 #if defined(SWS_FIBER_ASAN)
 /// The context the last switch on this thread left.
 thread_local FiberContext* t_switched_from = nullptr;
@@ -229,7 +225,6 @@ void fiber_switch(FiberContext& from, FiberContext& to, bool from_exits) {
   SWS_ASSERT_MSG(std::current_exception() == nullptr,
                  "fiber switch inside a catch handler");
 #endif
-  t_running = to.fiber != nullptr ? &to : nullptr;
 #if defined(SWS_FIBER_ASAN)
   t_switched_from = &from;
   __sanitizer_start_switch_fiber(from_exits ? nullptr : &from.asan_fake_stack,
@@ -247,10 +242,6 @@ void fiber_switch(FiberContext& from, FiberContext& to, bool from_exits) {
   swapcontext(&from.uc, &to.uc);
 #endif
   after_switch(from);
-}
-
-void*& fiber_local() noexcept {
-  return t_running != nullptr ? t_running->local : t_host_local;
 }
 
 }  // namespace sws::net

@@ -47,7 +47,6 @@ struct FiberContext {
   ucontext_t uc{};
 #endif
   Fiber* fiber = nullptr;  ///< owning fiber; nullptr for a host thread
-  void* local = nullptr;   ///< fiber_local() slot
   // Sanitizer bookkeeping (unused in plain builds).
   const void* stack_lo = nullptr;  ///< ASan: stack bounds
   std::size_t stack_size = 0;
@@ -99,10 +98,5 @@ class Fiber {
 /// before it is re-armed, so ASan can drop its fake stack.
 void fiber_switch(FiberContext& from, FiberContext& to,
                   bool from_exits = false);
-
-/// One pointer of storage local to the running fiber; on a host thread
-/// outside any fiber, local to that thread. pgas::shmem keeps each PE's
-/// bound context here.
-void*& fiber_local() noexcept;
 
 }  // namespace sws::net

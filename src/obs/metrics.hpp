@@ -69,8 +69,8 @@ struct MetricsSnapshot {
 
   /// Aligned human-readable table, one metric per line.
   void write_text(std::ostream& os) const;
-  /// {"schema":"sws-metrics", ...} — the format scripts/analyze_trace.py
-  /// and the CI artifacts consume.
+  /// {"schema":"sws-metrics", ...} — the format of the CI metrics
+  /// artifacts (bench_common --metrics-out).
   void write_json(std::ostream& os) const;
 };
 

@@ -16,7 +16,7 @@
 //  * kLevel — the source is a level (a gauge); exports emit it verbatim.
 //
 // Exports: a compact JSON document (schema "sws-timeseries", consumed by
-// scripts/analyze_trace.py and sws-analyze --report) and Chrome-trace
+// sws-analyze --timeseries=FILE) and Chrome-trace
 // counter rows ("ph":"C") for injection into a merged trace, one Perfetto
 // counter track per series.
 //

@@ -1,6 +1,5 @@
-// Offline analysis of Tracer::dump_chrome_json output — the C++ core
-// behind tools/sws-analyze (scripts/analyze_trace.py is the pure-python
-// fallback for machines without the build tree).
+// Offline analysis of Tracer::dump_chrome_json output — the core behind
+// tools/sws-analyze.
 //
 // The analyzer reconstructs steal/release/acquire spans and their child
 // fabric ops from a trace file, then derives the quantities the paper
@@ -173,8 +172,8 @@ void write_diff(std::ostream& os, const AnalyzeReport& a,
 /// finished last, jump at each successful steal to the victim that held
 /// the tasks beforehand, back to t=0. Every nanosecond of the walked path
 /// is blamed on exactly one category (the four *_ns fields sum to
-/// path_ns) — the "where did the makespan go" view scripts/
-/// analyze_trace.py mirrors.
+/// path_ns) — the "where did the makespan go" view of
+/// sws-analyze --report.
 struct CriticalPath {
   int end_pe = -1;             ///< PE whose event closes the run
   std::uint64_t path_ns = 0;   ///< walked span (== run duration)

@@ -2,32 +2,6 @@
 
 namespace sws::workloads {
 
-FixedWork::FixedWork(core::TaskRegistry& registry, FixedWorkParams params)
-    : params_(params) {
-  fn_ = registry.register_fn(
-      "synthetic.fixed",
-      [p = params_](core::Worker& w, std::span<const std::byte>) {
-        w.compute(p.task_ns);
-      });
-}
-
-void FixedWork::seed(core::Worker& w) const {
-  if (params_.seed_on_root_only) {
-    if (w.pe() != 0) return;
-    for (std::uint64_t i = 0; i < params_.tasks; ++i)
-      w.spawn(core::Task(fn_, nullptr, 0));
-    return;
-  }
-  // Block distribution: PE i seeds tasks [i*chunk, ...).
-  const std::uint64_t base = params_.tasks / static_cast<std::uint64_t>(w.npes());
-  const std::uint64_t extra =
-      params_.tasks % static_cast<std::uint64_t>(w.npes());
-  const std::uint64_t mine =
-      base + (static_cast<std::uint64_t>(w.pe()) < extra ? 1 : 0);
-  for (std::uint64_t i = 0; i < mine; ++i)
-    w.spawn(core::Task(fn_, nullptr, 0));
-}
-
 SparseEndgame::SparseEndgame(core::TaskRegistry& registry,
                              SparseEndgameParams params)
     : params_(params) {

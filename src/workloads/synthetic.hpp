@@ -1,11 +1,7 @@
-// Synthetic workloads for microbenchmarks and ablations:
-//
-//  * FixedWork — N independent tasks of fixed duration, seeded on one PE
-//    or block-distributed. Used for Fig 6 steal-time curves and the steal
-//    microbenchmark, where the interesting quantity is the steal itself.
-//  * SparseEndgame — a few long tasks among many idle PEs: almost every
-//    steal attempt fails, which is exactly the regime steal damping
-//    (paper §4.3) targets.
+// Synthetic workload for the steal-damping ablation (bench/ablation_damping):
+// SparseEndgame puts a few long tasks among many idle PEs, so almost every
+// steal attempt fails — exactly the regime steal damping (paper §4.3)
+// targets.
 #pragma once
 
 #include <cstdint>
@@ -13,30 +9,6 @@
 #include "core/scheduler.hpp"
 
 namespace sws::workloads {
-
-struct FixedWorkParams {
-  std::uint64_t tasks = 1024;
-  net::Nanos task_ns = 1000;
-  bool seed_on_root_only = true;  ///< false = block-distribute the seeds
-};
-
-class FixedWork {
- public:
-  FixedWork(core::TaskRegistry& registry, FixedWorkParams params);
-
-  const FixedWorkParams& params() const noexcept { return params_; }
-  core::TaskFnId fn() const noexcept { return fn_; }
-
-  void seed(core::Worker& w) const;
-
-  net::Nanos total_compute_ns() const noexcept {
-    return params_.tasks * params_.task_ns;
-  }
-
- private:
-  FixedWorkParams params_;
-  core::TaskFnId fn_ = 0;
-};
 
 struct SparseEndgameParams {
   std::uint32_t busy_pes = 1;       ///< PEs that get any work at all

@@ -74,7 +74,7 @@ RunTrace run_uts(core::QueueKind kind, int npes, bool trace = false,
   pc.kind = kind;
   pc.queue.capacity = 8192;
   pc.queue.slot_bytes = 64;
-  pc.steal.bulk_claim_max = bulk;
+  pc.sws.bulk_claim_max = bulk;
   if (trace) {
     pc.trace.enable = true;
     pc.trace.events = std::size_t{1} << 18;

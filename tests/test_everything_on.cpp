@@ -1,8 +1,8 @@
 // "Everything on" integration: the full feature surface engaged at once —
-// two-level fabric, NIC occupancy, distance-weighted victims, remote spawning,
-// tracing, token termination, completion epochs, damping — on both queue
-// protocols and both time backends. If feature interactions break
-// anything, this is where it shows.
+// two-level fabric, NIC occupancy, distance-weighted victims, remote
+// spawning, tracing, completion epochs, damping — on both queue protocols
+// and both time backends. If feature interactions break anything, this is
+// where it shows.
 #include <gtest/gtest.h>
 
 #include "sws.hpp"
@@ -57,7 +57,6 @@ TEST_P(EverythingOn, FullFeatureRunIsCorrect) {
   pc.queue.capacity = 8192;
   pc.queue.slot_bytes = 48;
   pc.victim.policy = core::VictimPolicy::kDistanceWeighted;
-  pc.termination = core::TerminationKind::kToken;
   pc.trace.enable = true;
   pc.trace.events = 1 << 15;
   pc.sws.damping = true;

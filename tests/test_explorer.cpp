@@ -98,16 +98,6 @@ TEST(Explorer, CounterTerminationSound) {
   EXPECT_FALSE(rep.failed) << rep.summary();
 }
 
-TEST(Explorer, TokenTerminationSound) {
-  ExploreOptions opts;
-  opts.mode = ExploreMode::kRandom;
-  opts.max_schedules = 150;
-  opts.seed = 5;
-  Explorer ex(token_termination_scenario(2), opts);
-  const ExploreReport rep = ex.run();
-  EXPECT_FALSE(rep.failed) << rep.summary();
-}
-
 TEST(Explorer, FindsReplaysAndShrinksLostUpdate) {
   ExploreOptions opts;
   opts.mode = ExploreMode::kExhaustive;

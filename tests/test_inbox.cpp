@@ -22,6 +22,11 @@ pgas::RuntimeConfig rcfg(int npes) {
 
 Task mk(std::uint32_t id) { return Task::of(0, id); }
 std::uint32_t id_of(const Task& t) { return t.payload_as<std::uint32_t>(); }
+/// One-task push through the batched remote_push.
+bool push_one(TaskInbox& inbox, pgas::PeContext& ctx, int target,
+              const Task& t) {
+  return inbox.remote_push(ctx, target, {&t, 1}) == 1;
+}
 
 TEST(Inbox, SingleSenderDeliversInOrder) {
   pgas::Runtime rt(rcfg(2));
@@ -31,7 +36,7 @@ TEST(Inbox, SingleSenderDeliversInOrder) {
     ctx.barrier();
     if (ctx.pe() == 1) {
       for (std::uint32_t i = 0; i < 10; ++i)
-        ASSERT_TRUE(inbox.remote_push(ctx, 0, mk(i)));
+        ASSERT_TRUE(push_one(inbox, ctx, 0, mk(i)));
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
@@ -54,8 +59,8 @@ TEST(Inbox, RefusesWhenFull) {
     ctx.barrier();
     if (ctx.pe() == 1) {
       for (std::uint32_t i = 0; i < 8; ++i)
-        ASSERT_TRUE(inbox.remote_push(ctx, 0, mk(i)));
-      EXPECT_FALSE(inbox.remote_push(ctx, 0, mk(99)));
+        ASSERT_TRUE(push_one(inbox, ctx, 0, mk(i)));
+      EXPECT_FALSE(push_one(inbox, ctx, 0, mk(99)));
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
@@ -66,7 +71,7 @@ TEST(Inbox, RefusesWhenFull) {
     ctx.barrier();
     if (ctx.pe() == 1) {
       // Space reclaimed after the drain: pushes succeed again.
-      EXPECT_TRUE(inbox.remote_push(ctx, 0, mk(100)));
+      EXPECT_TRUE(push_one(inbox, ctx, 0, mk(100)));
     }
     ctx.barrier();
   });
@@ -81,7 +86,7 @@ TEST(Inbox, RingReusesSlotsAcrossManyWraps) {
     for (std::uint32_t round = 0; round < 20; ++round) {
       if (ctx.pe() == 1) {
         for (std::uint32_t i = 0; i < 4; ++i)
-          ASSERT_TRUE(inbox.remote_push(ctx, 0, mk(round * 4 + i)));
+          ASSERT_TRUE(push_one(inbox, ctx, 0, mk(round * 4 + i)));
       }
       ctx.barrier();
       if (ctx.pe() == 0) {
@@ -106,7 +111,7 @@ TEST(Inbox, ResetClearsUndrainedSlotsOfTheLastRun) {
   auto push = [&](pgas::PeContext& ctx, std::uint32_t from, std::uint32_t to) {
     if (ctx.pe() == 1) {
       for (std::uint32_t i = from; i < to; ++i)
-        EXPECT_TRUE(inbox.remote_push(ctx, 0, mk(i))) << i;
+        EXPECT_TRUE(push_one(inbox, ctx, 0, mk(i))) << i;
     }
     ctx.barrier();
   };
@@ -157,8 +162,8 @@ TEST(Inbox, MultipleSendersAllDeliver) {
     ctx.barrier();
     if (ctx.pe() != 0) {
       for (std::uint32_t i = 0; i < 16; ++i)
-        ASSERT_TRUE(inbox.remote_push(
-            ctx, 0, mk(static_cast<std::uint32_t>(ctx.pe()) * 100 + i)));
+        ASSERT_TRUE(push_one(
+            inbox, ctx, 0, mk(static_cast<std::uint32_t>(ctx.pe()) * 100 + i)));
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
@@ -172,8 +177,42 @@ TEST(Inbox, MultipleSendersAllDeliver) {
   });
 }
 
+TEST(Inbox, SinglePushIsTwoFetchesCasPutAndTag) {
+  // A one-task batch is the remote-spawn wire shape and nothing more: read
+  // both cursors, reserve by CAS, put the payload past the tag word, then
+  // publish the tag.
+  pgas::Runtime rt(rcfg(2));
+  TaskInbox inbox(rt, 64, 32);
+  rt.run([&](pgas::PeContext& ctx) {
+    inbox.reset_pe(ctx);
+    ctx.barrier();
+    if (ctx.pe() == 1) {
+      const net::FabricStats before = ctx.fabric().stats(1);
+      ASSERT_TRUE(push_one(inbox, ctx, 0, mk(7)));
+      const net::FabricStats after = ctx.fabric().stats(1);
+      const auto delta = [&](net::OpKind k) {
+        return after.ops[static_cast<int>(k)] - before.ops[static_cast<int>(k)];
+      };
+      EXPECT_EQ(delta(net::OpKind::kAmoFetch), 2u);
+      EXPECT_EQ(delta(net::OpKind::kAmoCompareSwap), 1u);
+      EXPECT_EQ(delta(net::OpKind::kPut), 1u);
+      EXPECT_EQ(delta(net::OpKind::kAmoSet), 1u);
+      EXPECT_EQ(after.total_ops() - before.total_ops(), 5u);
+      EXPECT_EQ(after.bytes_put - before.bytes_put, 32u)
+          << "one slot_bytes payload; the tag rides the closing AMO";
+    }
+    ctx.barrier();
+    if (ctx.pe() == 0) {
+      std::vector<std::uint32_t> got;
+      inbox.drain(ctx, [&](const Task& t) { got.push_back(id_of(t)); });
+      EXPECT_EQ(got, (std::vector<std::uint32_t>{7}));
+    }
+    ctx.barrier();
+  });
+}
+
 TEST(Inbox, BatchPushDeliversInOrderWithOnePutAndOneTag) {
-  // remote_push_many vectorizes the slot writes: one reservation CAS, one
+  // remote_push vectorizes the slot writes: one reservation CAS, one
   // put covering the whole contiguous run, and a single closing AMO that
   // publishes the first slot's tag — the owner's strict in-order drain
   // keeps the rest invisible until then.
@@ -186,7 +225,7 @@ TEST(Inbox, BatchPushDeliversInOrderWithOnePutAndOneTag) {
       std::vector<Task> batch;
       for (std::uint32_t i = 0; i < 10; ++i) batch.push_back(mk(i));
       const net::FabricStats before = ctx.fabric().stats(1);
-      EXPECT_EQ(inbox.remote_push_many(ctx, 0, batch), 10u);
+      EXPECT_EQ(inbox.remote_push(ctx, 0, batch), 10u);
       const net::FabricStats after = ctx.fabric().stats(1);
       EXPECT_EQ(after.ops[static_cast<int>(net::OpKind::kPut)] -
                     before.ops[static_cast<int>(net::OpKind::kPut)],
@@ -220,7 +259,7 @@ TEST(Inbox, BatchPushWrapsRingInTwoPuts) {
     // Advance the ring cursor to 5 so a 6-task batch straddles the wrap.
     if (ctx.pe() == 1) {
       for (std::uint32_t i = 0; i < 5; ++i)
-        ASSERT_TRUE(inbox.remote_push(ctx, 0, mk(100 + i)));
+        ASSERT_TRUE(push_one(inbox, ctx, 0, mk(100 + i)));
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
@@ -233,7 +272,7 @@ TEST(Inbox, BatchPushWrapsRingInTwoPuts) {
       std::vector<Task> batch;
       for (std::uint32_t i = 0; i < 6; ++i) batch.push_back(mk(i));
       const net::FabricStats before = ctx.fabric().stats(1);
-      EXPECT_EQ(inbox.remote_push_many(ctx, 0, batch), 6u);
+      EXPECT_EQ(inbox.remote_push(ctx, 0, batch), 6u);
       const net::FabricStats after = ctx.fabric().stats(1);
       EXPECT_EQ(after.ops[static_cast<int>(net::OpKind::kPut)] -
                     before.ops[static_cast<int>(net::OpKind::kPut)],
@@ -262,13 +301,13 @@ TEST(Inbox, BatchPushTakesPartialRunWhenShortOnRoom) {
     ctx.barrier();
     if (ctx.pe() == 1) {
       for (std::uint32_t i = 0; i < 5; ++i)
-        ASSERT_TRUE(inbox.remote_push(ctx, 0, mk(i)));
+        ASSERT_TRUE(push_one(inbox, ctx, 0, mk(i)));
       std::vector<Task> batch;
       for (std::uint32_t i = 5; i < 11; ++i) batch.push_back(mk(i));
       // Only 3 slots left: the batch is clipped, never split or dropped.
-      EXPECT_EQ(inbox.remote_push_many(ctx, 0, batch), 3u);
+      EXPECT_EQ(inbox.remote_push(ctx, 0, batch), 3u);
       // Completely full: a further batch refuses outright.
-      EXPECT_EQ(inbox.remote_push_many(ctx, 0, batch), 0u);
+      EXPECT_EQ(inbox.remote_push(ctx, 0, batch), 0u);
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
@@ -373,8 +412,8 @@ TEST(InboxPool, CrashFreeRunHeapGrowsLinearlyInPes) {
 #endif
 }
 
-TEST(InboxPool, SpawnOnManyDeliversABurstPerTarget) {
-  // Worker::spawn_on_many pushes a whole burst through one batched inbox
+TEST(InboxPool, SpawnOnDeliversABurstPerTarget) {
+  // Worker::spawn_on pushes a whole burst through one batched inbox
   // put instead of a push per task; every task must still run exactly
   // once, wherever it lands.
   pgas::Runtime rt(rcfg(4));
@@ -394,7 +433,7 @@ TEST(InboxPool, SpawnOnManyDeliversABurstPerTarget) {
       std::vector<Task> burst;
       for (int i = 0; i < 24; ++i)
         burst.push_back(Task::of(fn, std::uint32_t{0}));
-      for (int pe = 1; pe < w.npes(); ++pe) w.spawn_on_many(pe, burst);
+      for (int pe = 1; pe < w.npes(); ++pe) w.spawn_on(pe, burst);
     });
   });
   EXPECT_EQ(ran.load(), 72u);

@@ -561,9 +561,10 @@ struct UtsRun {
   MetricsSnapshot metrics;
 };
 
-UtsRun run_uts_traced(core::QueueKind kind) {
+UtsRun run_uts_traced(core::QueueKind kind, int npes = 2,
+                      std::uint32_t bulk_claim_max = 1) {
   pgas::RuntimeConfig rcfg;
-  rcfg.npes = 2;
+  rcfg.npes = npes;
   rcfg.metrics = true;
   pgas::Runtime rt(rcfg);
 
@@ -577,6 +578,7 @@ UtsRun run_uts_traced(core::QueueKind kind) {
   core::PoolConfig pcfg;
   pcfg.kind = kind;
   pcfg.queue.slot_bytes = 48;
+  pcfg.sws.bulk_claim_max = bulk_claim_max;
   pcfg.trace.enable = true;
   pcfg.trace.events = std::size_t{1} << 18;
   core::TaskPool pool(rt, registry, pcfg);
@@ -625,6 +627,27 @@ TEST(TraceAnalysisLive, SdcStealIsSixOpSequence) {
             "amo_cswap:1 amo_set:1 get:2 nbi_amo_set:1 put:1");
   EXPECT_DOUBLE_EQ(r.ops_per_success, 6.0);
   EXPECT_DOUBLE_EQ(r.blocking_per_success, 5.0);
+}
+
+TEST(TraceAnalysisLive, SwsBulkClaimsKeepOneFetchAdd) {
+  // Bulk claims widen the SWS steal: still one fetch-add and one coalesced
+  // copy, but one completion add per claimed block. The self-check must
+  // admit that shape, and an 8-PE storm must actually claim several
+  // blocks at least once.
+  const UtsRun run = run_uts_traced(core::QueueKind::kSws, /*npes=*/8,
+                                    /*bulk_claim_max=*/4);
+  const AnalyzeReport& r = run.report;
+  ASSERT_FALSE(r.truncated) << "grow the trace ring";
+  ASSERT_GT(r.steals_ok, 0u);
+  EXPECT_EQ(r.steals_ok, run.pool_report.total.steals_ok);
+  EXPECT_TRUE(r.violations.empty()) << r.violations.front();
+  std::uint64_t multi_block = 0;
+  for (const auto& [sig, n] : r.signatures) {
+    const std::size_t at = sig.find("nbi_amo_add:");
+    ASSERT_NE(at, std::string::npos) << sig;
+    if (std::stoi(sig.substr(at + 12)) > 1) multi_block += n;
+  }
+  EXPECT_GE(multi_block, 1u) << "no steal claimed more than one block";
 }
 
 TEST(TraceAnalysisLive, CrashModeShapesAdmittedAndSummarized) {

@@ -77,6 +77,61 @@ TEST(Runtime, LocalLoadSeesOwnArena) {
   });
 }
 
+TEST(Runtime, NbiAddsCompleteAtQuiet) {
+  Runtime rt(cfg(2));
+  const SymPtr word = rt.heap().alloc(8);
+  rt.run([&](PeContext& ctx) {
+    if (ctx.pe() == 0) {
+      for (int i = 0; i < 4; ++i) ctx.nbi_add(1, word, 1);
+      ctx.quiet();
+    }
+    ctx.barrier();
+    if (ctx.pe() == 1) {
+      EXPECT_EQ(ctx.local_load(word), 4u);
+    }
+    ctx.barrier();
+  });
+}
+
+TEST(Runtime, PingPongThroughRemoteSets) {
+  // Bounce a counter between two PEs: each waits on its own word for the
+  // other's remote set, polling with compute so virtual time advances.
+  Runtime rt(cfg(2));
+  const SymPtr flag = rt.heap().alloc(8);
+  rt.run([&](PeContext& ctx) {
+    const int other = 1 - ctx.pe();
+    for (std::uint64_t round = 1; round <= 10; ++round) {
+      if (ctx.pe() == static_cast<int>(round % 2)) {
+        ctx.set(other, flag, round);
+      } else {
+        while (ctx.local_load(flag) < round) ctx.compute(200);
+      }
+    }
+    ctx.barrier();
+  });
+}
+
+TEST(Runtime, PesResumeInVirtualTimeOrder) {
+  // Virtual-time PEs share one host thread as fibers: after unequal
+  // computes they resume in virtual-time order, each with its own context.
+  Runtime rt(cfg(4));
+  const SymPtr word = rt.heap().alloc(8);
+  std::vector<int> resumed;
+  rt.run([&](PeContext& ctx) {
+    // Shorter compute for higher ids: they resume in reverse order.
+    ctx.compute(static_cast<net::Nanos>(100 + 10 * (3 - ctx.pe())));
+    resumed.push_back(ctx.pe());
+    // Each PE owns the word on its successor: put, then read it back.
+    const int next = (ctx.pe() + 1) % ctx.npes();
+    const std::uint64_t mine = 1000 + static_cast<std::uint64_t>(ctx.pe());
+    ctx.put(next, word, 0, &mine, sizeof(mine));
+    std::uint64_t back = 0;
+    ctx.get(next, word, 0, &back, sizeof(back));
+    EXPECT_EQ(back, mine);
+  });
+  EXPECT_EQ(resumed, (std::vector<int>{3, 2, 1, 0}));
+}
+
 TEST(Runtime, ExceptionInOnePePropagates) {
   Runtime rt(cfg(4));
   EXPECT_THROW(rt.run([&](PeContext& ctx) {

@@ -147,24 +147,6 @@ TEST_P(SchedulerBoth, DeterministicUnderVirtualTime) {
   EXPECT_EQ(runtimes[0], runtimes[1]);
 }
 
-TEST_P(SchedulerBoth, TokenDetectorAgreesWithCounter) {
-  for (const TerminationKind kind :
-       {TerminationKind::kCounter, TerminationKind::kToken}) {
-    pgas::Runtime rt(rcfg(4));
-    TaskRegistry reg;
-    FanOut fan(reg, 3, 3000);
-    PoolConfig pc = pcfg(GetParam());
-    pc.termination = kind;
-    TaskPool pool(rt, reg, pc);
-    rt.run([&](pgas::PeContext& ctx) {
-      pool.run_pe(ctx, [&](Worker& w) {
-        if (w.pe() == 0) w.spawn(Task::of(fan.fn, std::uint32_t{4}));
-      });
-    });
-    EXPECT_EQ(pool.report().total.tasks_executed, fan.expected(4));
-  }
-}
-
 TEST_P(SchedulerBoth, RoundRobinVictimsAlsoWork) {
   pgas::Runtime rt(rcfg(4));
   TaskRegistry reg;

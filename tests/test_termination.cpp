@@ -1,5 +1,5 @@
-// Termination detectors: safety (never fire early) and liveness (always
-// fire once quiescent), plus cross-detector agreement.
+// The counter termination detector: safety (never fire early) and
+// liveness (always fire once quiescent).
 #include <gtest/gtest.h>
 
 #include "core/termination.hpp"
@@ -14,130 +14,119 @@ pgas::RuntimeConfig rcfg(int npes) {
   return c;
 }
 
-class TerminationBoth : public ::testing::TestWithParam<TerminationKind> {};
-
-TEST_P(TerminationBoth, EmptySystemTerminatesImmediately) {
+TEST(CounterTermination, EmptySystemTerminatesImmediately) {
   pgas::Runtime rt(rcfg(4));
-  auto det = make_detector(rt, GetParam());
+  CounterTermination det(rt);
   rt.run([&](pgas::PeContext& ctx) {
-    det->reset_pe(ctx);
+    det.reset_pe(ctx);
     ctx.barrier();
     // Nothing was ever created: detection must fire within bounded polls.
     bool done = false;
     for (int i = 0; i < 200 && !done; ++i) {
-      done = det->check(ctx);
+      done = det.check(ctx);
       if (!done) ctx.compute(500);
     }
     EXPECT_TRUE(done);
   });
 }
 
-TEST_P(TerminationBoth, OutstandingWorkBlocksTermination) {
+TEST(CounterTermination, OutstandingWorkBlocksTermination) {
   pgas::Runtime rt(rcfg(4));
-  auto det = make_detector(rt, GetParam());
+  CounterTermination det(rt);
   rt.run([&](pgas::PeContext& ctx) {
-    det->reset_pe(ctx);
+    det.reset_pe(ctx);
     ctx.barrier();
     if (ctx.pe() == 0) {
-      det->count_created(ctx, 3);
-      det->task_boundary(ctx);  // flush the positive delta
+      det.count_created(ctx, 3);
+      det.task_boundary(ctx);  // flush the positive delta
     }
     ctx.barrier();
     for (int i = 0; i < 20; ++i) {
-      EXPECT_FALSE(det->check(ctx)) << "tasks outstanding on PE 0";
+      EXPECT_FALSE(det.check(ctx)) << "tasks outstanding on PE 0";
       ctx.compute(500);
     }
     ctx.barrier();
     // Complete the work; everyone must now detect termination.
     if (ctx.pe() == 0) {
-      det->count_completed(ctx, 3);
-      det->task_boundary(ctx);
+      det.count_completed(ctx, 3);
+      det.task_boundary(ctx);
     }
     ctx.barrier();
     bool done = false;
     for (int i = 0; i < 500 && !done; ++i) {
-      done = det->check(ctx);
+      done = det.check(ctx);
       if (!done) ctx.compute(500);
     }
     EXPECT_TRUE(done);
   });
 }
 
-TEST_P(TerminationBoth, CrossPeCreationAndCompletionBalances) {
+TEST(CounterTermination, CrossPeCreationAndCompletionBalances) {
   // PE 0 "creates" tasks that PE 1..3 "execute" (the steal pattern).
   pgas::Runtime rt(rcfg(4));
-  auto det = make_detector(rt, GetParam());
+  CounterTermination det(rt);
   rt.run([&](pgas::PeContext& ctx) {
-    det->reset_pe(ctx);
+    det.reset_pe(ctx);
     ctx.barrier();
     if (ctx.pe() == 0) {
-      det->count_created(ctx, 9);
-      det->task_boundary(ctx);
+      det.count_created(ctx, 9);
+      det.task_boundary(ctx);
     }
     ctx.barrier();
     if (ctx.pe() != 0) {
-      det->count_completed(ctx, 3);
-      det->task_boundary(ctx);
+      det.count_completed(ctx, 3);
+      det.task_boundary(ctx);
     }
     ctx.barrier();
     bool done = false;
     for (int i = 0; i < 500 && !done; ++i) {
-      done = det->check(ctx);
+      done = det.check(ctx);
       if (!done) ctx.compute(500);
     }
     EXPECT_TRUE(done);
   });
 }
 
-TEST_P(TerminationBoth, WorksOnSinglePe) {
+TEST(CounterTermination, WorksOnSinglePe) {
   pgas::Runtime rt(rcfg(1));
-  auto det = make_detector(rt, GetParam());
+  CounterTermination det(rt);
   rt.run([&](pgas::PeContext& ctx) {
-    det->reset_pe(ctx);
-    det->count_created(ctx, 2);
-    det->task_boundary(ctx);
-    EXPECT_FALSE(det->check(ctx));
-    det->count_completed(ctx, 2);
+    det.reset_pe(ctx);
+    det.count_created(ctx, 2);
+    det.task_boundary(ctx);
+    EXPECT_FALSE(det.check(ctx));
+    det.count_completed(ctx, 2);
     bool done = false;
-    for (int i = 0; i < 50 && !done; ++i) done = det->check(ctx);
+    for (int i = 0; i < 50 && !done; ++i) done = det.check(ctx);
     EXPECT_TRUE(done);
   });
 }
 
-TEST_P(TerminationBoth, ResetsCleanlyBetweenRuns) {
+TEST(CounterTermination, ResetsCleanlyBetweenRuns) {
   pgas::Runtime rt(rcfg(2));
-  auto det = make_detector(rt, GetParam());
+  CounterTermination det(rt);
   for (int run = 0; run < 3; ++run) {
     rt.run([&](pgas::PeContext& ctx) {
-      det->reset_pe(ctx);
+      det.reset_pe(ctx);
       ctx.barrier();
       if (ctx.pe() == 0) {
-        det->count_created(ctx, 1);
-        det->task_boundary(ctx);
+        det.count_created(ctx, 1);
+        det.task_boundary(ctx);
       }
       ctx.barrier();
-      EXPECT_FALSE(det->check(ctx));
+      EXPECT_FALSE(det.check(ctx));
       ctx.barrier();
-      if (ctx.pe() == 0) det->count_completed(ctx, 1);
+      if (ctx.pe() == 0) det.count_completed(ctx, 1);
       ctx.barrier();
       bool done = false;
       for (int i = 0; i < 500 && !done; ++i) {
-        done = det->check(ctx);
+        done = det.check(ctx);
         if (!done) ctx.compute(500);
       }
       EXPECT_TRUE(done);
     });
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Detectors, TerminationBoth,
-                         ::testing::Values(TerminationKind::kCounter,
-                                           TerminationKind::kToken),
-                         [](const auto& info) {
-                           return info.param == TerminationKind::kCounter
-                                      ? "Counter"
-                                      : "Token";
-                         });
 
 TEST(CounterTermination, NegativeDeltasBatchUntilCheck) {
   // Completions may sit locally (the counter only over-estimates), but a

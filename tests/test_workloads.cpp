@@ -320,38 +320,6 @@ INSTANTIATE_TEST_SUITE_P(BothQueues, UtsBoth,
 
 // ------------------------------------------------------------- synthetic
 
-TEST(FixedWork, RootSeedingExecutesAll) {
-  pgas::Runtime rt(rcfg(4));
-  core::TaskRegistry reg;
-  FixedWorkParams p;
-  p.tasks = 500;
-  p.task_ns = 5000;
-  FixedWork fw(reg, p);
-  core::TaskPool pool(rt, reg, pcfg(core::QueueKind::kSws, 32));
-  rt.run([&](pgas::PeContext& ctx) {
-    pool.run_pe(ctx, [&](core::Worker& w) { fw.seed(w); });
-  });
-  EXPECT_EQ(pool.report().total.tasks_executed, 500u);
-  EXPECT_EQ(fw.total_compute_ns(), 500u * 5000);
-}
-
-TEST(FixedWork, BlockDistributionSplitsSeeds) {
-  pgas::Runtime rt(rcfg(3));
-  core::TaskRegistry reg;
-  FixedWorkParams p;
-  p.tasks = 10;
-  p.seed_on_root_only = false;
-  FixedWork fw(reg, p);
-  core::TaskPool pool(rt, reg, pcfg(core::QueueKind::kSws, 32));
-  rt.run([&](pgas::PeContext& ctx) {
-    pool.run_pe(ctx, [&](core::Worker& w) { fw.seed(w); });
-  });
-  // 10 = 4 + 3 + 3 spawned across PEs; all executed.
-  EXPECT_EQ(pool.report().total.tasks_executed, 10u);
-  EXPECT_EQ(pool.worker_stats(0).tasks_spawned, 4u);
-  EXPECT_EQ(pool.worker_stats(1).tasks_spawned, 3u);
-}
-
 TEST(SparseEndgame, OnlyBusyPesSeed) {
   pgas::Runtime rt(rcfg(4));
   core::TaskRegistry reg;

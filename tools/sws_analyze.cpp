@@ -3,7 +3,8 @@
 //   sws-analyze <trace.json>                  full report
 //   sws-analyze --report <trace.json>         run summary: report + critical
 //                                             path + hot-victim convoys
-//   sws-analyze --diff <a.json> <b.json>      A/B comparison
+//   sws-analyze --diff <a.json> <b.json>      A/B comparison (takes no
+//                                             other mode or --timeseries)
 //   sws-analyze --self-check <trace.json>     protocol op-shape check;
 //                                             exit 1 on any violation
 //
@@ -34,6 +35,22 @@ int usage() {
             << "       sws-analyze --diff <a.json> <b.json>\n"
             << "       options: --window-ns=N --timeseries=FILE\n";
   return 2;
+}
+
+/// Summarizes a sampled time series and verifies its accounting
+/// invariant; returns 1 if any window's category deltas fail to sum to
+/// the elapsed delta, else 0.
+int check_timeseries(const std::string& file) {
+  const auto ts = sws::obs::parse_timeseries_file(file);
+  sws::obs::write_timeseries_summary(std::cout, ts);
+  const auto errs = sws::obs::check_accounting(ts);
+  for (const std::string& e : errs) std::cerr << "  ! " << e << "\n";
+  if (!errs.empty()) {
+    std::cerr << "accounting self-check: FAILED\n";
+    return 1;
+  }
+  std::cout << "accounting self-check: OK (" << ts.t.size() << " windows)\n";
+  return 0;
 }
 
 }  // namespace
@@ -69,6 +86,13 @@ int main(int argc, char** argv) {
     }
 
     if (diff) {
+      // The diff writes only the A/B comparison: refuse a mode flag next
+      // to it rather than ignore it and exit 0 with nothing checked.
+      if (self_check || report_mode || !timeseries_file.empty()) {
+        std::cerr << "sws-analyze: --diff takes no --self-check, --report "
+                     "or --timeseries\n";
+        return usage();
+      }
       if (files.size() != 2) return usage();
       const auto a = sws::obs::analyze(
           sws::obs::parse_chrome_trace_file(files[0]), wc);
@@ -80,19 +104,8 @@ int main(int argc, char** argv) {
 
     // --timeseries alone (no trace) is a valid invocation: summarize and
     // self-check the sampled document.
-    if (files.empty() && !timeseries_file.empty() && !self_check) {
-      const auto ts = sws::obs::parse_timeseries_file(timeseries_file);
-      sws::obs::write_timeseries_summary(std::cout, ts);
-      const auto errs = sws::obs::check_accounting(ts);
-      for (const std::string& e : errs) std::cerr << "  ! " << e << "\n";
-      if (!errs.empty()) {
-        std::cerr << "accounting self-check: FAILED\n";
-        return 1;
-      }
-      std::cout << "accounting self-check: OK (" << ts.t.size()
-                << " windows)\n";
-      return 0;
-    }
+    if (files.empty() && !timeseries_file.empty() && !self_check)
+      return check_timeseries(timeseries_file);
 
     if (files.size() != 1) return usage();
     const auto rt = sws::obs::parse_chrome_trace_file(files[0]);
@@ -104,20 +117,8 @@ int main(int argc, char** argv) {
       sws::obs::write_convoy(std::cout, sws::obs::convoy_report(rt, wc));
     }
 
-    int rc = 0;
-    if (!timeseries_file.empty()) {
-      const auto ts = sws::obs::parse_timeseries_file(timeseries_file);
-      sws::obs::write_timeseries_summary(std::cout, ts);
-      const auto errs = sws::obs::check_accounting(ts);
-      for (const std::string& e : errs) std::cerr << "  ! " << e << "\n";
-      if (!errs.empty()) {
-        std::cerr << "accounting self-check: FAILED\n";
-        rc = 1;
-      } else {
-        std::cout << "accounting self-check: OK (" << ts.t.size()
-                  << " windows)\n";
-      }
-    }
+    const int rc =
+        timeseries_file.empty() ? 0 : check_timeseries(timeseries_file);
 
     if (self_check) {
       if (report.protocol.empty()) {
