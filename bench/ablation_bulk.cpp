@@ -160,6 +160,16 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(opt.get("tasks", std::int64_t{6000}));
   const auto task_ns =
       static_cast<net::Nanos>(opt.get("task-ns", std::int64_t{2000}));
+  // The scheduler storm's tree (part 2 below).
+  workloads::UtsParams p;
+  p.shape = workloads::UtsParams::Shape::kGeometric;
+  p.b0 = 4;
+  p.gen_mx = static_cast<std::uint32_t>(opt.get("depth", std::int64_t{13}));
+  p.root_seed =
+      static_cast<std::uint32_t>(opt.get("tree-seed", std::int64_t{19}));
+  p.node_compute_ns =
+      static_cast<net::Nanos>(opt.get("node-ns", std::int64_t{400}));
+  opt.exit_if_unknown();
   const int reps = std::max(settings.reps, 1);
 
   Table t("Ablation — SWS bulk claims: steal storm, " +
@@ -227,15 +237,6 @@ int main(int argc, char** argv) {
   // (2) Scheduler storm: the end-to-end regime. An imbalanced geometric
   // UTS tree with microsecond tasks keeps every PE stealing hard; here a
   // bulk claim's amortization shows up as whole-program throughput.
-  workloads::UtsParams p;
-  p.shape = workloads::UtsParams::Shape::kGeometric;
-  p.b0 = 4;
-  p.gen_mx = static_cast<std::uint32_t>(opt.get("depth", std::int64_t{13}));
-  p.root_seed =
-      static_cast<std::uint32_t>(opt.get("tree-seed", std::int64_t{19}));
-  p.node_compute_ns =
-      static_cast<net::Nanos>(opt.get("node-ns", std::int64_t{400}));
-
   bench::PoolTweaks tweaks;
   tweaks.queue.slot_bytes = 48;
   tweaks.queue.capacity = 16384;

@@ -96,6 +96,7 @@ ContentionResult run_contended(core::QueueKind kind, int thieves, int reps,
 int main(int argc, char** argv) {
   Options opt(argc, argv);
   auto settings = bench::BenchSettings::from_options(opt);
+  opt.exit_if_unknown();
   const int reps = std::max(settings.reps, 3);
 
   Table t("Ablation — contended victim: N thieves, one target");

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   p.busy_pes = 2;
   p.tasks_per_busy =
       static_cast<std::uint64_t>(opt.get("tasks", std::int64_t{96}));
+  opt.exit_if_unknown();
   p.task_ns = 250'000;
 
   const auto factory =

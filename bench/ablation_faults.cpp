@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   workloads::UtsParams p;
   p.b0 = 4;
   p.gen_mx = static_cast<std::uint32_t>(opt.get("depth", std::int64_t{12}));
+  opt.exit_if_unknown();
   p.node_compute_ns = 200;
 
   const auto factory =

@@ -54,11 +54,13 @@ const char* kind_name(core::QueueKind k) {
 }
 
 net::NetworkParams net_from_options(const Options& opt) {
+  // Read both keys up front so neither trips Options::exit_if_unknown;
+  // --topo wins when both are given.
   const std::string spec = opt.get("topo", std::string(""));
+  const auto node = static_cast<int>(opt.get("node-size", std::int64_t{0}));
   if (!spec.empty())
     return net::NetworkParams::tiered(net::TopologySpec::parse(spec));
-  return net::NetworkParams::two_level(
-      static_cast<int>(opt.get("node-size", std::int64_t{0})));
+  return net::NetworkParams::two_level(node);
 }
 
 void emit(const Table& t, const BenchSettings& settings) {
@@ -83,12 +85,9 @@ ConfigResult run_config(core::QueueKind kind, int npes,
     rcfg.seed = settings.seed + static_cast<std::uint64_t>(rep) * 1000003;
     rcfg.net = tweaks.net;
     rcfg.metrics = want_metrics;
-    rcfg.heap_bytes =
-        tweaks.heap_bytes != 0
-            ? tweaks.heap_bytes
-            : static_cast<std::size_t>(tweaks.queue.capacity) *
-                      tweaks.queue.slot_bytes +
-                  (std::size_t{256} << 10);
+    rcfg.heap_bytes = static_cast<std::size_t>(tweaks.queue.capacity) *
+                          tweaks.queue.slot_bytes +
+                      (std::size_t{256} << 10);
     pgas::Runtime rt(rcfg);
 
     core::TaskRegistry registry;
@@ -98,9 +97,6 @@ ConfigResult run_config(core::QueueKind kind, int npes,
     pcfg.kind = kind;
     pcfg.queue = tweaks.queue;
     pcfg.sws = tweaks.sws;
-    pcfg.sdc = tweaks.sdc;
-    pcfg.steal = tweaks.steal;
-    pcfg.victim = tweaks.victim;
     if (want_trace) {
       pcfg.trace.enable = true;
       // Large rings: a truncated trace still loads in Perfetto but makes

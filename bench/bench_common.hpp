@@ -86,11 +86,7 @@ struct ConfigResult {
 struct PoolTweaks {
   core::QueueConfig queue{};
   core::SwsConfig sws{};
-  core::SdcConfig sdc{};
-  core::StealTuning steal{};
-  core::VictimConfig victim{};
   net::NetworkParams net{};
-  std::size_t heap_bytes = 0;  ///< 0 = derive from queue geometry
 };
 
 /// Topology options shared by every bench binary:

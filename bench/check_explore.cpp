@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
   const auto seed =
       static_cast<std::uint64_t>(opt.get("seed", std::int64_t{42}));
   const bool csv = opt.get("csv", false);
+  opt.exit_if_unknown();
 
   Table t("explorer throughput (2-PE SWS steal/release)");
   t.set_header({"mode", "schedules", "branch_points", "sched_per_sec"});

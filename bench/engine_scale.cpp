@@ -42,22 +42,15 @@ int main(int argc, char** argv) {
   p.node_compute_ns =
       static_cast<net::Nanos>(opt.get("node-ns", std::int64_t{400}));
 
-  const auto tree = workloads::uts_sequential_count(p);
-  std::cerr << "UTS tree: " << tree.nodes << " nodes, max depth "
-            << tree.max_depth << "\n";
-
   bench::PoolTweaks tweaks;
   tweaks.queue.slot_bytes = 48;
   tweaks.queue.capacity = 16384;
   tweaks.net = bench::net_from_options(opt);
-  // Idle-thief pacing: at 1024+ PEs most sequencer events are failed
-  // probes of starved thieves, so the backoff ceiling sets how much of
-  // the sweep is probe pressure.
-  tweaks.steal.backoff_max_ns = static_cast<net::Nanos>(
-      opt.get("backoff-max-ns",
-              static_cast<std::int64_t>(tweaks.steal.backoff_max_ns)));
-  tweaks.steal.term_check_interval = static_cast<std::uint32_t>(opt.get(
-      "term-check", std::int64_t{tweaks.steal.term_check_interval}));
+  opt.exit_if_unknown();
+
+  const auto tree = workloads::uts_sequential_count(p);
+  std::cerr << "UTS tree: " << tree.nodes << " nodes, max depth "
+            << tree.max_depth << "\n";
 
   for (const int npes : settings.pe_counts) {
     const auto t0 = std::chrono::steady_clock::now();

@@ -58,6 +58,7 @@ void measure(const char* name, Queue& q, pgas::Runtime& rt, Table& t) {
 int main(int argc, char** argv) {
   Options opt(argc, argv);
   const auto settings = bench::BenchSettings::from_options(opt);
+  opt.exit_if_unknown();
 
   pgas::RuntimeConfig rcfg;
   rcfg.npes = 3;

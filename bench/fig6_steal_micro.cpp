@@ -71,6 +71,7 @@ double measure_steal_us(core::QueueKind kind, std::uint32_t volume,
 int main(int argc, char** argv) {
   Options opt(argc, argv);
   auto settings = bench::BenchSettings::from_options(opt);
+  opt.exit_if_unknown();
   const int reps = std::max(settings.reps, 3);
 
   const std::uint32_t volumes[] = {1, 2, 4, 8, 16, 32, 64, 128,

@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   // --node-size 48 reproduces the paper's 48-core-node cluster shape;
   // --topo "44x48" additionally bounds the node count.
   tweaks.net = bench::net_from_options(opt);
+  opt.exit_if_unknown();
 
   bench::run_six_panels(
       "Fig 7", "BPC", settings, tweaks,

@@ -24,16 +24,17 @@ int main(int argc, char** argv) {
   p.node_compute_ns =
       static_cast<net::Nanos>(opt.get("node-ns", std::int64_t{400}));
 
-  const auto tree = workloads::uts_sequential_count(p);
-  std::cerr << "UTS tree: " << tree.nodes << " nodes, max depth "
-            << tree.max_depth << "\n";
-
   bench::PoolTweaks tweaks;
   tweaks.queue.slot_bytes = 48;
   tweaks.queue.capacity = 16384;
   // --node-size 48 reproduces the paper's 48-core-node cluster shape;
   // --topo "44x48" additionally bounds the node count.
   tweaks.net = bench::net_from_options(opt);
+  opt.exit_if_unknown();
+
+  const auto tree = workloads::uts_sequential_count(p);
+  std::cerr << "UTS tree: " << tree.nodes << " nodes, max depth "
+            << tree.max_depth << "\n";
 
   bench::run_six_panels(
       "Fig 8", "UTS", settings, tweaks,

@@ -165,6 +165,7 @@ int main(int argc, char** argv) {
       opt.get("events", std::int64_t{1'000'000}));
   const auto nbi_events = static_cast<std::uint64_t>(
       opt.get("nbi-events", std::int64_t{200'000}));
+  opt.exit_if_unknown();
   for (const int npes : pe_counts) {
     net::VirtualTimeModel tm(npes);
     const std::uint64_t bursts =

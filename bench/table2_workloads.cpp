@@ -10,6 +10,7 @@ using namespace sws;
 int main(int argc, char** argv) {
   Options opt(argc, argv);
   const auto settings = bench::BenchSettings::from_options(opt);
+  opt.exit_if_unknown();
 
   // The scaled defaults used by fig7/fig8 (see those binaries).
   workloads::BpcParams bpc;

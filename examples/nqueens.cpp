@@ -99,6 +99,7 @@ int main(int argc, char** argv) {
   pcfg.kind = opt.get("queue", std::string("sws")) == "sdc"
                   ? core::QueueKind::kSdc
                   : core::QueueKind::kSws;
+  opt.exit_if_unknown();
   pcfg.queue.slot_bytes = 32;
   core::TaskPool pool(rt, registry, pcfg);
 

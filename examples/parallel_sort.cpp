@@ -92,6 +92,7 @@ int main(int argc, char** argv) {
   pcfg.kind = opt.get("queue", std::string("sws")) == "sdc"
                   ? core::QueueKind::kSdc
                   : core::QueueKind::kSws;
+  opt.exit_if_unknown();
   pcfg.queue.slot_bytes = 32;
   pcfg.queue.capacity = 16384;
   core::TaskPool pool(rt, registry, pcfg);

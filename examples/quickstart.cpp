@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   const auto depth = static_cast<std::uint32_t>(opt.get("depth", std::int64_t{6}));
   const auto task_ns =
       static_cast<net::Nanos>(opt.get("task-us", std::int64_t{50})) * 1000;
+  opt.exit_if_unknown();
 
   pgas::Runtime rt(rcfg);
   core::TaskRegistry registry;

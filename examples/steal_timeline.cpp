@@ -27,11 +27,12 @@ int main(int argc, char** argv) {
   pgas::RuntimeConfig rcfg;
   rcfg.npes = static_cast<int>(opt.get("npes", std::int64_t{8}));
   const std::string topo = opt.get("topo", std::string(""));
+  const auto node_size =
+      static_cast<int>(opt.get("node-size", std::int64_t{0}));
   if (!topo.empty())
     rcfg.net = net::NetworkParams::tiered(net::TopologySpec::parse(topo));
   else
-    rcfg.net = net::NetworkParams::two_level(
-        static_cast<int>(opt.get("node-size", std::int64_t{0})));
+    rcfg.net = net::NetworkParams::two_level(node_size);
   pgas::Runtime rt(rcfg);
 
   workloads::UtsParams p;
@@ -51,6 +52,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(opt.get("bulk", std::int64_t{1}));
   pcfg.victim.policy = core::parse_victim_policy(
       opt.get("victim", std::string("random")));
+  const std::string json_path = opt.get("chrome-json", std::string(""));
+  opt.exit_if_unknown();
   pcfg.trace.enable = true;
   pcfg.trace.events = 1 << 18;
   core::TaskPool pool(rt, registry, pcfg);
@@ -128,7 +131,6 @@ int main(int argc, char** argv) {
                                    : "")
             << "\n";
 
-  const std::string json_path = opt.get("chrome-json", std::string(""));
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     // The pool's dump embeds run metadata (protocol, npes, slot size) —

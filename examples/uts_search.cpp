@@ -34,6 +34,8 @@ int main(int argc, char** argv) {
   pcfg.kind = opt.get("queue", std::string("sws")) == "sdc"
                   ? core::QueueKind::kSdc
                   : core::QueueKind::kSws;
+  const bool verify = opt.get("verify", true);
+  opt.exit_if_unknown();
   pcfg.queue.slot_bytes = 48;  // paper Table 2: 48-byte UTS tasks
   core::TaskPool pool(rt, registry, pcfg);
 
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
             << r.per_pe_executed.max() << " nodes/PE (mean "
             << r.per_pe_executed.mean() << ")\n";
 
-  if (opt.get("verify", true)) {
+  if (verify) {
     const auto truth = workloads::uts_sequential_count(p);
     if (truth.nodes != r.total.tasks_executed) {
       std::cerr << "MISMATCH: sequential traversal found " << truth.nodes

@@ -19,6 +19,11 @@ for b in "$build"/bench/*; do
       echo "== $name =="
       "$b" --benchmark_min_time=0.05 >"$outdir/$name.txt" 2>/dev/null
       ;;
+    sim_engine)
+      # JSON lines only; it has no --csv table.
+      echo "== $name =="
+      "$b" >"$outdir/$name.txt" 2>/dev/null
+      ;;
     *)
       echo "== $name =="
       "$b" >"$outdir/$name.txt" 2>/dev/null

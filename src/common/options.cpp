@@ -1,5 +1,7 @@
 #include "common/options.hpp"
 
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace sws {
@@ -81,6 +83,14 @@ std::vector<std::string> Options::unused() const {
   for (const auto& [k, v] : kv_)
     if (!used_.count(k)) out.push_back(k);
   return out;
+}
+
+void Options::exit_if_unknown() const {
+  const std::vector<std::string> bad = unused();
+  if (bad.empty()) return;
+  for (const std::string& k : bad)
+    std::cerr << "unknown option --" << k << "\n";
+  std::exit(2);
 }
 
 }  // namespace sws

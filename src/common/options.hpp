@@ -2,7 +2,8 @@
 //
 // Supports --key=value, --key value, and bare --flag booleans. Unknown
 // options are an error (fail fast beats silently ignored typos in a
-// benchmark sweep). Not a general-purpose CLI library on purpose.
+// benchmark sweep): every binary calls exit_if_unknown() after its last
+// get(). Not a general-purpose CLI library on purpose.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +30,11 @@ class Options {
     return positional_;
   }
 
-  /// Keys that were parsed but never queried — useful for typo detection:
-  /// call after all get()s and warn/throw if non-empty.
+  /// Keys that were parsed but never queried (typos, removed flags).
   std::vector<std::string> unused() const;
+  /// Exit with status 2, naming each unused() key on stderr, if there are
+  /// any. Call once, after the last get() and before any real work.
+  void exit_if_unknown() const;
 
  private:
   std::map<std::string, std::string> kv_;

@@ -8,6 +8,23 @@
 
 namespace sws::core {
 
+namespace {
+
+// Steal-search pacing (StealTuning describes the scheme).
+constexpr double kBackoffJitter = 0.25;       ///< pause scaled by 1 ± this
+constexpr std::uint32_t kFastRetries = 4;     ///< hint-paced kRetry attempts
+constexpr std::uint32_t kTermCheckEvery = 4;  ///< failed attempts per poll
+/// Local tasks needed before release exposes work to thieves.
+constexpr std::uint32_t kReleaseThreshold = 2;
+
+/// Args of a span's end event, derived from the spanned op's result.
+struct SpanEnd {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+};
+
+}  // namespace
+
 // ----------------------------------------------------------------- worker
 
 Worker::Worker(TaskPool& pool, pgas::PeContext& ctx)
@@ -27,9 +44,9 @@ void Worker::spawn(const Task& t) {
 
 void Worker::spawn_on(int target, std::span<const Task> tasks) {
   if (tasks.empty()) return;
-  if (target == pe() || !pool_.inbox_ ||
+  if (target == pe() ||
       (pool_.recovery_ && pool_.recovery_->known_dead(pe(), target))) {
-    // No inbox, self-target, or a target we know is dead: spawn here.
+    // Self-target, or a target we know is dead: spawn here.
     // Tasks are location-independent, so local execution is always legal.
     for (const Task& t : tasks) spawn(t);
     return;
@@ -101,9 +118,8 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
       break;
   }
   term_ = std::make_unique<CounterTermination>(rt);
-  if (cfg_.remote_spawn)
-    inbox_ = std::make_unique<TaskInbox>(rt, cfg_.inbox_capacity,
-                                         cfg_.queue.slot_bytes);
+  inbox_ = std::make_unique<TaskInbox>(rt, cfg_.inbox_capacity,
+                                       cfg_.queue.slot_bytes);
   if (rt.fabric().crashes_planned()) {
     // Crash mode: wire every layer to the shared death registry and swap
     // the termination protocol for the crash-tolerant idle-wave consensus
@@ -112,7 +128,7 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
     recovery_ = std::make_unique<DeathRegistry>();
     recovery_->init(rt, RecoveryConfig{});
     queue_->attach_recovery(recovery_.get());
-    if (inbox_) inbox_->attach_recovery(recovery_.get());
+    inbox_->attach_recovery(recovery_.get());
     term_ = std::make_unique<ResilientTermination>(rt, std::move(term_),
                                                    recovery_.get());
   }
@@ -225,7 +241,6 @@ void TaskPool::finalize_timeseries() const {
 }
 
 std::uint32_t TaskPool::drain_inbox(Worker& w) {
-  if (!inbox_) return 0;
   const std::uint32_t n = inbox_->drain(w.ctx(), [&](const Task& t) {
     // Already counted as created by the sender.
     if (!queue_->push_local(w.ctx(), t)) w.execute(t);
@@ -272,7 +287,7 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
 
   queue_->reset_pe(ctx);
   term_->reset_pe(ctx);
-  if (inbox_) inbox_->reset_pe(ctx);
+  inbox_->reset_pe(ctx);
   if (recovery_) recovery_->reset_pe(ctx);
   if (ctx.pe() == 0) {
     tracer_.clear();
@@ -292,8 +307,8 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
                                    rt_.config().seed);
   const StealTuning& st = cfg_.steal;
   // Dedicated stream for backoff jitter: draws must not perturb the
-  // workload's ctx.rng() sequence, or enabling jitter would change
-  // task-level results under virtual time.
+  // workload's ctx.rng() sequence, or backoff would change task-level
+  // results under virtual time.
   Xoshiro256 backoff_rng(rt_.config().seed ^ 0xB0FF'0FF5'0000'0000ULL,
                          static_cast<std::uint64_t>(ctx.pe()));
   std::vector<Task> loot;
@@ -325,9 +340,24 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
   // count this PE's spans. Restarting per run is fine — the tracer is
   // cleared above.
   std::uint64_t span_seq = 0;
-  const auto next_span = [&]() noexcept {
-    return (static_cast<std::uint64_t>(ctx.pe() + 1) << 40) | ++span_seq;
+  // Runs `op` inside a traced span of `kind`: begin (carrying `arg`),
+  // label the fabric so op's own fabric ops land as child events, run,
+  // clear the label, end with the args `close` derives from op's result.
+  // Untraced runs just call op.
+  const auto in_span = [&](TraceKind kind, std::uint64_t arg, auto&& op,
+                           auto&& close) {
+    if (!tracer_.enabled()) return op();
+    const std::uint64_t span =
+        (static_cast<std::uint64_t>(ctx.pe() + 1) << 40) | ++span_seq;
+    tracer_.begin(ctx.pe(), ctx.now(), kind, span, arg);
+    ctx.fabric().set_span(ctx.pe(), span);
+    const auto r = op();
+    ctx.fabric().set_span(ctx.pe(), 0);
+    const SpanEnd e = close(r);
+    tracer_.end(ctx.pe(), ctx.now(), kind, span, e.a, e.b);
+    return r;
   };
+  const auto ok_end = [](bool ok) { return SpanEnd{ok ? 1u : 0u}; };
 
   bool done = false;
   while (!done) {
@@ -340,20 +370,12 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
 
     // Release: shared portion exhausted but local work remains (paper §3).
     if (!queue_->shared_available(ctx) &&
-        queue_->local_count(ctx) >= cfg_.release_threshold) {
-      if (tracer_.enabled()) {
-        const std::uint64_t span = next_span();
-        tracer_.begin(ctx.pe(), ctx.now(), TraceKind::kReleaseSpan, span);
-        ctx.fabric().set_span(ctx.pe(), span);
-        const bool released = queue_->try_release(ctx);
-        ctx.fabric().set_span(ctx.pe(), 0);
-        tracer_.end(ctx.pe(), ctx.now(), TraceKind::kReleaseSpan, span,
-                    released ? 1 : 0);
-        if (released)
-          tracer_.record(ctx.pe(), ctx.now(), TraceKind::kRelease);
-      } else {
-        queue_->try_release(ctx);
-      }
+        queue_->local_count(ctx) >= kReleaseThreshold) {
+      const bool released =
+          in_span(TraceKind::kReleaseSpan, 0,
+                  [&] { return queue_->try_release(ctx); }, ok_end);
+      if (released && tracer_.enabled())
+        tracer_.record(ctx.pe(), ctx.now(), TraceKind::kRelease);
     }
 
     if (queue_->pop_local(ctx, t)) {
@@ -367,26 +389,19 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
       }
       continue;
     }
-    bool acquired;
-    if (tracer_.enabled()) {
-      const std::uint64_t span = next_span();
-      tracer_.begin(ctx.pe(), ctx.now(), TraceKind::kAcquireSpan, span);
-      ctx.fabric().set_span(ctx.pe(), span);
-      acquired = queue_->try_acquire(ctx);
-      ctx.fabric().set_span(ctx.pe(), 0);
-      tracer_.end(ctx.pe(), ctx.now(), TraceKind::kAcquireSpan, span,
-                  acquired ? 1 : 0);
-      if (acquired)
+    const bool acquired =
+        in_span(TraceKind::kAcquireSpan, 0,
+                [&] { return queue_->try_acquire(ctx); }, ok_end);
+    if (acquired) {
+      if (tracer_.enabled())
         tracer_.record(ctx.pe(), ctx.now(), TraceKind::kAcquire);
-    } else {
-      acquired = queue_->try_acquire(ctx);
+      continue;
     }
-    if (acquired) continue;
 
     // Out of local and own-shared work: search the system. Successful
     // attempts count as steal time, failures as search time (§5.3).
-    // kRetry failures get `retry_budget` fast retries paced by the
-    // queue's hint; past that (and for empty victims) the pause grows
+    // kRetry failures get kFastRetries fast retries paced by the queue's
+    // hint; past that (and for empty victims) the pause grows
     // exponentially with jitter, and resets on the next search.
     std::uint32_t fails = 0;
     std::uint32_t fast_retries = 0;
@@ -405,40 +420,32 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
         if (ctx.now() - last_fence >= recovery_->config().lease_ns) {
           last_fence = ctx.now();
           set_phase(PoolPhase::kRecovering);
-          std::uint64_t span = 0;
-          if (tracer_.enabled()) {
-            span = next_span();
-            tracer_.begin(ctx.pe(), ctx.now(), TraceKind::kRecoverySpan,
-                          span);
-            ctx.fabric().set_span(ctx.pe(), span);
-          }
-          queue_->fence_dead(ctx);
-          std::uint32_t recovered = drain_recovered(w);
-          if (inbox_) {
-            for (int p = 0; p < ctx.npes(); ++p) {
-              if (inbox_rerouted[static_cast<std::size_t>(p)] ||
-                  !recovery_->known_dead(ctx.pe(), p))
-                continue;
-              inbox_rerouted[static_cast<std::size_t>(p)] = 1;
-              loot.clear();
-              const std::uint32_t n = inbox_->reroute_dead(ctx, p, loot);
-              if (n == 0) continue;
-              w.stats_.tasks_rerouted += n;
-              recovered += n;
-              if (tracer_.enabled())
-                tracer_.record(ctx.pe(), ctx.now(), TraceKind::kRerouted,
-                               static_cast<std::uint64_t>(p), n);
-              // Already counted created at the original spawn_on.
-              for (const Task& rr : loot) {
-                if (!queue_->push_local(ctx, rr)) w.execute(rr);
-              }
-            }
-          }
-          if (tracer_.enabled()) {
-            ctx.fabric().set_span(ctx.pe(), 0);
-            tracer_.end(ctx.pe(), ctx.now(), TraceKind::kRecoverySpan, span,
-                        recovered);
-          }
+          const std::uint32_t recovered = in_span(
+              TraceKind::kRecoverySpan, 0,
+              [&] {
+                queue_->fence_dead(ctx);
+                std::uint32_t n_rec = drain_recovered(w);
+                for (int p = 0; p < ctx.npes(); ++p) {
+                  if (inbox_rerouted[static_cast<std::size_t>(p)] ||
+                      !recovery_->known_dead(ctx.pe(), p))
+                    continue;
+                  inbox_rerouted[static_cast<std::size_t>(p)] = 1;
+                  loot.clear();
+                  const std::uint32_t n = inbox_->reroute_dead(ctx, p, loot);
+                  if (n == 0) continue;
+                  w.stats_.tasks_rerouted += n;
+                  n_rec += n;
+                  if (tracer_.enabled())
+                    tracer_.record(ctx.pe(), ctx.now(), TraceKind::kRerouted,
+                                   static_cast<std::uint64_t>(p), n);
+                  // Already counted created at the original spawn_on.
+                  for (const Task& rr : loot) {
+                    if (!queue_->push_local(ctx, rr)) w.execute(rr);
+                  }
+                }
+                return n_rec;
+              },
+              [](std::uint32_t n) { return SpanEnd{n}; });
           set_phase(PoolPhase::kProbing);
           if (recovered > 0 || queue_->local_count(ctx) > 0)
             break;  // recovered work to process
@@ -465,21 +472,15 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
         const net::Nanos t0 = ctx.now();
         loot.clear();
         const net::Tier vtier = netm.tier(ctx.pe(), victim);
-        std::uint64_t span = 0;
-        if (tracer_.enabled()) {
-          span = next_span();
-          tracer_.begin(ctx.pe(), ctx.now(), TraceKind::kStealSpan, span,
-                        static_cast<std::uint64_t>(victim));
-          ctx.fabric().set_span(ctx.pe(), span);
-        }
-        const StealResult res = queue_->steal(ctx, victim, loot);
-        if (tracer_.enabled()) {
-          ctx.fabric().set_span(ctx.pe(), 0);
-          tracer_.end(ctx.pe(), ctx.now(), TraceKind::kStealSpan, span,
-                      static_cast<std::uint64_t>(victim),
-                      static_cast<std::uint64_t>(res.outcome) |
-                          (static_cast<std::uint64_t>(res.ntasks) << 8));
-        }
+        const auto vid = static_cast<std::uint64_t>(victim);
+        const StealResult res = in_span(
+            TraceKind::kStealSpan, vid,
+            [&] { return queue_->steal(ctx, victim, loot); },
+            [vid](const StealResult& r) {
+              return SpanEnd{vid, static_cast<std::uint64_t>(r.outcome) |
+                                      (static_cast<std::uint64_t>(r.ntasks)
+                                       << 8)};
+            });
         const net::Nanos dt = ctx.now() - t0;
         ++w.stats_.steal_attempts;
         if (vtier >= 1)
@@ -516,7 +517,7 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
         w.stats_.search_time_ns += dt;
         hint = res.retry_after_ns;
         fast = res.outcome == StealOutcome::kRetry &&
-               fast_retries < st.retry_budget;
+               fast_retries < kFastRetries;
         if (tracer_.enabled())
           tracer_.record(ctx.pe(), ctx.now(),
                          res.outcome == StealOutcome::kRetry
@@ -528,7 +529,7 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
         ++fails;
       }
 
-      if (fails % st.term_check_interval == 0 || ctx.npes() == 1) {
+      if (fails % kTermCheckEvery == 0 || ctx.npes() == 1) {
         const net::Nanos t0 = ctx.now();
         set_phase(PoolPhase::kIdleTerm);
         const bool finished = term_->check(ctx);
@@ -550,30 +551,20 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
       } else {
         fast_retries = 0;
         pause = backoff;
-        if (st.jitter > 0.0 && pause > 0) {
+        if (pause > 0) {
           // Jitter, then clamp: the scaled pause must stay inside
           // [backoff_min_ns, backoff_max_ns] — jitter decorrelates convoys,
           // it must not grow the pause past the configured cap (or shrink
-          // it below the floor). Clamp in double BEFORE the cast: for
-          // extreme jitter/mult configurations the scaled value can exceed
-          // the integer range, and a double→Nanos cast of such a value is
-          // undefined behavior.
+          // it below the floor).
           const double f =
-              1.0 + st.jitter * (2.0 * backoff_rng.uniform() - 1.0);
+              1.0 + kBackoffJitter * (2.0 * backoff_rng.uniform() - 1.0);
           double scaled = static_cast<double>(pause) * f;
           scaled = std::min(scaled, static_cast<double>(st.backoff_max_ns));
           scaled = std::max(scaled, static_cast<double>(st.backoff_min_ns));
           pause = static_cast<net::Nanos>(scaled);
         }
         if (hint > pause) pause = hint;
-        // Grow in double and compare before casting — casting first
-        // overflows (UB) once backoff_mult compounds the value past the
-        // integer range, and only then clamping is too late.
-        const double grown =
-            static_cast<double>(backoff) * st.backoff_mult;
-        backoff = grown >= static_cast<double>(st.backoff_max_ns)
-                      ? st.backoff_max_ns
-                      : static_cast<net::Nanos>(grown);
+        backoff = std::min(2 * backoff, st.backoff_max_ns);
       }
       const net::Nanos t0 = ctx.now();
       set_phase(PoolPhase::kParked);

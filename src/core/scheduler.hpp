@@ -34,20 +34,13 @@
 
 namespace sws::core {
 
-/// Steal-search pacing. Failed searches back off exponentially with
-/// jitter (decorrelates thief convoys under faulty or contended fabrics);
-/// kRetry outcomes get a budget of fast retries first, paced by the
-/// queue's own StealResult::retry_after_ns hint.
+/// Steal-search pacing. Failed searches back off exponentially (x2 per
+/// failed round) with +-25% jitter, which decorrelates thief convoys under
+/// faulty or contended fabrics; kRetry outcomes first get four fast
+/// retries paced by the queue's own StealResult::retry_after_ns hint.
 struct StealTuning {
   net::Nanos backoff_min_ns = 1000;   ///< first (and post-success) pause
   net::Nanos backoff_max_ns = 64'000; ///< exponential growth cap
-  double backoff_mult = 2.0;          ///< growth factor per failed round
-  /// Uniform jitter fraction: pause is scaled by 1 ± jitter.
-  double jitter = 0.25;
-  /// Fast kRetry attempts (hint-paced) before exponential backoff kicks in.
-  std::uint32_t retry_budget = 4;
-  /// Failed steal attempts between termination-detector polls.
-  std::uint32_t term_check_interval = 4;
 };
 
 /// Scheduler event tracing (off by default — recording is cheap but
@@ -75,10 +68,7 @@ struct PoolConfig {
   /// source of truth; there is no separate node-size field to agree with.
   VictimConfig victim{};
   StealTuning steal{};
-  /// Minimum local tasks before release considers exposing work.
-  std::uint32_t release_threshold = 2;
-  /// Enable Worker::spawn_on (remote task spawning via symmetric inboxes).
-  bool remote_spawn = true;
+  /// Per-PE remote-spawn inbox slots (Worker::spawn_on).
   std::uint32_t inbox_capacity = 1024;
   TraceConfig trace{};
 };
@@ -104,8 +94,8 @@ class Worker {
   /// possible "although with more overhead due to communication"). The
   /// whole batch reserves a run of inbox slots with one CAS, ships its
   /// payloads in one vectorized put and publishes with a single completion
-  /// tag. Requires PoolConfig::remote_spawn; whatever the target inbox
-  /// cannot take after bounded retries runs here instead.
+  /// tag. Whatever the target inbox cannot take after bounded retries runs
+  /// here instead.
   void spawn_on(int target, std::span<const Task> tasks);
   void spawn_on(int target, const Task& t) { spawn_on(target, {&t, 1}); }
 
@@ -168,8 +158,6 @@ class TaskPool {
   /// under the pool.* / queue.* namespaces (docs/observability.md).
   /// Overwrites previously published values.
   void publish_metrics(obs::MetricsRegistry& reg) const;
-  /// Null when remote_spawn is disabled.
-  TaskInbox* inbox() noexcept { return inbox_.get(); }
   /// Null unless the runtime's fault plan schedules crashes. When present,
   /// the pool runs in crash mode: queue/inbox recovery hooks are attached
   /// and the termination detector is wrapped in ResilientTermination.

@@ -10,6 +10,15 @@
 
 namespace sws::core {
 
+namespace {
+
+/// Pause between lock attempts (thieves and the owner alike), and the
+/// retry hint a thief returns after max_lock_attempts: the holder needs
+/// roughly this long to drain.
+constexpr net::Nanos kLockBackoffNs = 400;
+
+}  // namespace
+
 SdcQueue::SdcQueue(pgas::Runtime& rt, const QueueConfig& queue, SdcConfig cfg)
     : qcfg_(queue),
       cfg_(cfg),
@@ -110,7 +119,7 @@ void SdcQueue::lock_own(pgas::PeContext& ctx) {
       lease_start = ctx.now();
       continue;
     }
-    ctx.compute(cfg_.lock_backoff_ns);
+    ctx.compute(kLockBackoffNs);
   }
 }
 
@@ -236,7 +245,7 @@ std::uint32_t SdcQueue::reconcile_dead_claims(pgas::PeContext& ctx) {
   // died are not in flight — the fabric dropped them at crash time.
   lock_own(ctx);
   while (ctx.fabric().pending_to(ctx.pe()) > 0)
-    ctx.compute(cfg_.lock_backoff_ns);
+    ctx.compute(kLockBackoffNs);
   drain_completions(ctx);
 
   std::uint32_t fenced = 0;
@@ -326,9 +335,9 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
     if (++attempts >= cfg_.max_lock_attempts) {
       ++st.steals_retry;
       // Lock convoy: the holder needs roughly one backoff to drain.
-      return {StealOutcome::kRetry, 0, cfg_.lock_backoff_ns};
+      return {StealOutcome::kRetry, 0, kLockBackoffNs};
     }
-    thief.compute(cfg_.lock_backoff_ns);
+    thief.compute(kLockBackoffNs);
   }
 
   // (2) fetch the metadata to size the steal.

@@ -31,8 +31,6 @@ namespace sws::core {
 struct SdcConfig {
   /// CAS attempts against a held lock before giving up with kRetry.
   std::uint32_t max_lock_attempts = 4;
-  /// Thief backoff between lock attempts.
-  net::Nanos lock_backoff_ns = 400;
   /// Completion-ring slots; bounds claimed-but-uncopied steals in flight.
   std::uint32_t completion_ring = 1024;
 };

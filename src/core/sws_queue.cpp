@@ -34,6 +34,14 @@ SwsConfig validated(SwsConfig c) {
 /// makes the next release expose 3/4 of the local portion instead of half.
 constexpr std::uint32_t kHighPressure = 8;
 
+/// Owner poll interval while waiting for an epoch's steals to finish; also
+/// the retry hint a thief gets while the owner holds the stealval locked.
+constexpr net::Nanos kEpochPollNs = 400;
+
+/// Damping (§4.3): failed attempts past a target's exhaustion before a
+/// thief puts it in empty-mode.
+constexpr std::uint32_t kDampingSlack = 8;
+
 }  // namespace
 
 SwsQueue::SwsQueue(pgas::Runtime& rt, const QueueConfig& queue, SwsConfig cfg)
@@ -152,8 +160,8 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
       recovery_->probe_all(ctx);
       if (recovery_->known_count(ctx.pe()) > 0) {
         while (ctx.fabric().pending_to(ctx.pe()) > 0) {
-          ctx.compute(cfg_.epoch_poll_ns);
-          o.stats.acquire_poll_ns += cfg_.epoch_poll_ns;
+          ctx.compute(kEpochPollNs);
+          o.stats.acquire_poll_ns += kEpochPollNs;
         }
         progress(ctx);  // absorb completions that just landed
         if (must_wait()) fence_dead_claims(ctx);
@@ -161,8 +169,8 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
       lease_start = ctx.now();
       continue;
     }
-    ctx.compute(cfg_.epoch_poll_ns);
-    o.stats.acquire_poll_ns += cfg_.epoch_poll_ns;
+    ctx.compute(kEpochPollNs);
+    o.stats.acquire_poll_ns += kEpochPollNs;
   }
 
   // Under duplication faults, a finished prefix proves the *originals*
@@ -172,8 +180,8 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
   // issue time, so pending_to(us)==0 certifies no stray copy remains.
   if (ctx.fabric().fault_duplicates_possible()) {
     while (ctx.fabric().pending_to(ctx.pe()) > 0) {
-      ctx.compute(cfg_.epoch_poll_ns);
-      o.stats.acquire_poll_ns += cfg_.epoch_poll_ns;
+      ctx.compute(kEpochPollNs);
+      o.stats.acquire_poll_ns += kEpochPollNs;
     }
   }
 
@@ -358,11 +366,11 @@ void SwsQueue::fence_dead(pgas::PeContext& ctx) {
   // to a dead thief.
   const net::Nanos until = ctx.now() + recovery_->config().lease_ns;
   while (ctx.now() < until) {
-    ctx.compute(cfg_.epoch_poll_ns);
-    o.stats.acquire_poll_ns += cfg_.epoch_poll_ns;
+    ctx.compute(kEpochPollNs);
+    o.stats.acquire_poll_ns += kEpochPollNs;
   }
   while (ctx.fabric().pending_to(ctx.pe()) > 0)
-    ctx.compute(cfg_.epoch_poll_ns);
+    ctx.compute(kEpochPollNs);
   progress(ctx);
   if (!o.outstanding.empty()) fence_dead_claims(ctx);
   progress(ctx);
@@ -490,7 +498,7 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
     ++st.steals_retry;
     // The owner rotates epochs on its poll cadence; retrying sooner than
     // that only re-reads the sentinel.
-    return {StealOutcome::kRetry, 0, cfg_.epoch_poll_ns};
+    return {StealOutcome::kRetry, 0, kEpochPollNs};
   }
   if (sv.asteals + want > kAStealsSoftCap) {
     // Wraparound protection (thief half): a claim whose last unit would
@@ -501,11 +509,11 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
     mode = 1;
     shrink_claim();
     ++st.steals_retry;
-    return {StealOutcome::kRetry, 0, cfg_.epoch_poll_ns};
+    return {StealOutcome::kRetry, 0, kEpochPollNs};
   }
   const std::uint32_t nblocks = steal_block_count(sv.itasks);
   if (sv.itasks == 0 || sv.asteals >= nblocks) {
-    if (cfg_.damping && sv.asteals >= nblocks + cfg_.damping_slack) mode = 1;
+    if (cfg_.damping && sv.asteals >= nblocks + kDampingSlack) mode = 1;
     ++st.steals_empty;
     return {StealOutcome::kEmpty, 0};
   }

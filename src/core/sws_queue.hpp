@@ -35,11 +35,6 @@ struct SwsConfig {
   /// Steal damping (§4.3): thieves that find a target empty past the
   /// threshold fall back to read-only probes until work reappears.
   bool damping = true;
-  /// Extra failed attempts past exhaustion before a target enters
-  /// empty-mode.
-  std::uint32_t damping_slack = 8;
-  /// Owner poll interval while waiting for an epoch's steals to finish.
-  net::Nanos epoch_poll_ns = 400;
   /// Bulk claims: the most steal-half blocks one thief fetch-add may claim
   /// (1..kMaxBulkClaim). 1 = legacy single-block protocol, bit-identical
   /// schedules. Above 1, thieves grow their per-victim claim size on

@@ -1,6 +1,7 @@
 #include "core/victim.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -80,16 +81,13 @@ class RoundRobinSelector final : public VictimSelector {
 };
 
 /// wstealer-style near-first stealing: stay at the closest populated
-/// tier, widen one tier per `escalate_after` consecutive failures, snap
-/// back on success.
+/// tier, widen one tier per kEscalateAfter consecutive failures, snap back
+/// on success.
 class TieredSelector final : public VictimSelector {
  public:
-  TieredSelector(const VictimConfig& cfg, const net::Topology& topo, int self,
+  TieredSelector(const net::Topology& topo, int self,
                  std::uint64_t seed) noexcept
-      : topo_(topo),
-        self_(self),
-        escalate_after_(cfg.escalate_after < 1 ? 1 : cfg.escalate_after),
-        rng_(victim_stream(self, seed)) {
+      : topo_(topo), self_(self), rng_(victim_stream(self, seed)) {
     tier_ = nearest_tier();
   }
 
@@ -108,7 +106,7 @@ class TieredSelector final : public VictimSelector {
       tier_ = nearest_tier();
       return;
     }
-    if (++fails_ < escalate_after_) return;
+    if (++fails_ < kEscalateAfter) return;
     fails_ = 0;
     for (net::Tier t = tier_ + 1; t <= topo_.ntiers(); ++t) {
       if (topo_.peer_count(self_, t) > 0) {
@@ -132,43 +130,36 @@ class TieredSelector final : public VictimSelector {
     return 1;
   }
 
+  /// Consecutive failed steals at the current tier before escalating.
+  static constexpr int kEscalateAfter = 2;
+
   const net::Topology& topo_;
   int self_;
-  int escalate_after_;
   net::Tier tier_ = 1;
   int fails_ = 0;
   Xoshiro256 rng_;
 };
 
 /// Distance-weighted sampling: tier t is picked with probability
-/// proportional to bias[t] * peer_count(t), then a uniform peer inside
-/// it. bias defaults to 4x decay per tier outward.
+/// proportional to bias(t) * peer_count(t), then a uniform peer inside
+/// it. bias decays 4x per tier outward: 4^(ntiers - t).
 class DistanceWeightedSelector final : public VictimSelector {
  public:
-  DistanceWeightedSelector(const VictimConfig& cfg, const net::Topology& topo,
-                           int self, std::uint64_t seed)
+  DistanceWeightedSelector(const net::Topology& topo, int self,
+                           std::uint64_t seed)
       : topo_(topo), self_(self), rng_(victim_stream(self, seed)) {
     const int nt = topo.ntiers();
     weights_.resize(static_cast<std::size_t>(nt));
     total_ = 0.0;
     for (net::Tier t = 1; t <= nt; ++t) {
-      double bias;
-      if (!cfg.tier_bias.empty()) {
-        const std::size_t i = static_cast<std::size_t>(t - 1);
-        bias = i < cfg.tier_bias.size() ? cfg.tier_bias[i]
-                                        : cfg.tier_bias.back();
-      } else {
-        bias = 1.0;
-        for (net::Tier u = t; u < nt; ++u) bias *= 4.0;
-      }
-      SWS_CHECK(bias >= 0.0, "tier_bias entries must be non-negative");
+      double bias = 1.0;
+      for (net::Tier u = t; u < nt; ++u) bias *= 4.0;
       const double w = bias * topo.peer_count(self, t);
       weights_[static_cast<std::size_t>(t - 1)] = w;
       total_ += w;
     }
     SWS_CHECK(total_ > 0.0,
-              "distance-weighted victim selection needs a stealable peer "
-              "with nonzero bias");
+              "distance-weighted victim selection needs a stealable peer");
   }
 
   int next() override {
@@ -213,9 +204,9 @@ std::unique_ptr<VictimSelector> make_victim_selector(
     case VictimPolicy::kRoundRobin:
       return std::make_unique<RoundRobinSelector>(self, topo.npes());
     case VictimPolicy::kTiered:
-      return std::make_unique<TieredSelector>(cfg, topo, self, seed);
+      return std::make_unique<TieredSelector>(topo, self, seed);
     case VictimPolicy::kDistanceWeighted:
-      return std::make_unique<DistanceWeightedSelector>(cfg, topo, self, seed);
+      return std::make_unique<DistanceWeightedSelector>(topo, self, seed);
   }
   SWS_UNREACHABLE();
 }

@@ -9,11 +9,11 @@
 //  * kRoundRobin  — deterministic cycle, for tests and worst-case scans.
 //  * kTiered      — near-first with escalation, after distbdd-spin17's
 //                   wstealer (VERYNEAR → ... → VERYFAR): steal from the
-//                   closest tier that has peers; after `escalate_after`
-//                   consecutive failures widen to the next tier; any
-//                   success snaps back to the closest tier.
+//                   closest tier that has peers; after two consecutive
+//                   failures widen to the next tier; any success snaps
+//                   back to the closest tier.
 //  * kDistanceWeighted — every steal samples a tier with probability
-//                   proportional to tier_bias[t] * peers(t), then a
+//                   proportional to 4^(ntiers - t) * peers(t), then a
 //                   uniform peer within it; a soft version of kTiered
 //                   that never fixates on a starved near tier.
 //
@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "net/topology.hpp"
@@ -39,13 +38,6 @@ VictimPolicy parse_victim_policy(const std::string& name);
 
 struct VictimConfig {
   VictimPolicy policy = VictimPolicy::kRandom;
-  /// kDistanceWeighted: relative per-tier weight, tier_bias[t-1] for tier
-  /// t. Empty = geometric default (each tier outward is 4x less likely
-  /// per peer than the one inside it).
-  std::vector<double> tier_bias;
-  /// kTiered: consecutive failed steals at the current tier before
-  /// escalating to the next one.
-  int escalate_after = 2;
 };
 
 /// Pluggable selection policy. The scheduler asks next() for a victim

@@ -302,8 +302,7 @@ void Fabric::charge(int initiator, int target, OpKind kind,
   }
 
   if (faults_)
-    c += faults_->charge_penalty(initiator, target, kind,
-                                 time_.now(initiator), c);
+    c += faults_->charge_penalty(initiator, c);
 
   s.blocking_ns += c;
   // Span-scoped op observation: report the charge window to the tracer
@@ -434,18 +433,16 @@ void Fabric::amo_set(int initiator, int target, std::uint64_t offset,
 
 // --------------------------------------------------------- non-blocking
 
-void Fabric::enqueue_nbi(int initiator, int target, OpKind kind,
-                         std::size_t bytes, PendingEffect effect,
-                         const void* slab_src) {
+void Fabric::enqueue_nbi(int initiator, int target, std::size_t bytes,
+                         PendingEffect effect, const void* slab_src) {
   const Nanos base_delay =
       model_.delivery_delay(bytes, model_.tier(initiator, target));
   Nanos deadline = time_.now(initiator) + base_delay;
   bool duplicate = false;
   Nanos dup_deadline = 0;
   if (faults_) {
-    const FaultInjector::Delivery v = faults_->delivery_verdict(
-        initiator, target, kind, time_.now(initiator), base_delay);
-    deadline += v.extra_delay;  // jitter + retransmits after loss
+    const FaultInjector::Delivery v = faults_->delivery_verdict(initiator);
+    deadline += v.extra_delay;  // retransmits after loss
     if (v.duplicate) {
       duplicate = true;
       dup_deadline = deadline + v.dup_extra_delay;
@@ -494,11 +491,11 @@ void Fabric::nbi_put(int initiator, int target, std::uint64_t offset,
   e.len = static_cast<std::uint32_t>(n);
   if (n <= PendingEffect::kInlineBytes) {
     std::memcpy(e.inline_buf.data(), src, n);
-    enqueue_nbi(initiator, target, OpKind::kNbiPut, n, e, nullptr);
+    enqueue_nbi(initiator, target, n, e, nullptr);
   } else {
     // `src` is copied into a pooled slab inside enqueue_nbi, before this
     // call returns, so the caller's buffer lifetime contract is unchanged.
-    enqueue_nbi(initiator, target, OpKind::kNbiPut, n, e, src);
+    enqueue_nbi(initiator, target, n, e, src);
   }
 }
 
@@ -511,7 +508,7 @@ void Fabric::nbi_amo_add(int initiator, int target, std::uint64_t offset,
   e.kind = PendingEffect::Kind::kAmoAdd;
   e.dst = translate_u64(target, offset);
   e.value = value;
-  enqueue_nbi(initiator, target, OpKind::kNbiAmoAdd, 8, e, nullptr);
+  enqueue_nbi(initiator, target, 8, e, nullptr);
 }
 
 void Fabric::nbi_amo_set(int initiator, int target, std::uint64_t offset,
@@ -523,7 +520,7 @@ void Fabric::nbi_amo_set(int initiator, int target, std::uint64_t offset,
   e.kind = PendingEffect::Kind::kAmoSet;
   e.dst = translate_u64(target, offset);
   e.value = value;
-  enqueue_nbi(initiator, target, OpKind::kNbiAmoSet, 8, e, nullptr);
+  enqueue_nbi(initiator, target, 8, e, nullptr);
 }
 
 Nanos Fabric::deliver_until(Nanos now) {
@@ -653,10 +650,6 @@ void Fabric::publish_metrics(obs::MetricsRegistry& reg) const {
               [](const FaultStats& s) { return s.retransmit_extra_ns; });
     set_fault("spike_extra_ns", "delay paid to spikes",
               [](const FaultStats& s) { return s.spike_extra_ns; });
-    set_fault("partition_hits", "ops that crossed an active partition",
-              [](const FaultStats& s) { return s.partition_hits; });
-    set_fault("partition_extra_ns", "delay paid to partition crossings",
-              [](const FaultStats& s) { return s.partition_extra_ns; });
   }
 }
 

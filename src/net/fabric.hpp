@@ -331,7 +331,7 @@ class Fabric {
   /// due then (it only calls deliver_until() once one is). When `slab_src` is non-null the payload is copied into a
   /// pooled slab under pend_mu_ (effect.len bytes); inline payloads are
   /// already inside `effect`.
-  void enqueue_nbi(int initiator, int target, OpKind kind, std::size_t bytes,
+  void enqueue_nbi(int initiator, int target, std::size_t bytes,
                    PendingEffect effect, const void* slab_src);
   /// Acquire a slab holding [src, src+n) with `refs` queued references;
   /// caller holds pend_mu_.

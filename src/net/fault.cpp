@@ -1,7 +1,5 @@
 #include "net/fault.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 #include "net/topology.hpp"
 
@@ -28,21 +26,8 @@ FaultInjector::FaultInjector(FaultPlan plan, int npes) : plan_(std::move(plan)) 
             "drop_rate must be a probability");
   SWS_CHECK(plan_.dup_rate >= 0.0 && plan_.dup_rate <= 1.0,
             "dup_rate must be a probability");
-  SWS_CHECK(plan_.jitter >= 0.0, "jitter must be non-negative");
   SWS_CHECK(plan_.spike_factor >= 1.0, "spike_factor must be >= 1");
-  for (const SlowWindow& w : plan_.slow_windows)
-    SWS_CHECK(w.factor >= 1.0 && w.from_ns <= w.until_ns,
-              "malformed slow window");
-  for (PartitionWindow& w : plan_.partitions) {
-    SWS_CHECK(w.charge_factor >= 1.0 && w.from_ns <= w.until_ns,
-              "malformed partition window");
-    std::sort(w.pes.begin(), w.pes.end());  // membership by binary search
-  }
   reset(npes);
-}
-
-bool FaultInjector::in_partition(const PartitionWindow& w, int pe) noexcept {
-  return std::binary_search(w.pes.begin(), w.pes.end(), pe);
 }
 
 void FaultInjector::reset(int npes) {
@@ -56,66 +41,21 @@ void FaultInjector::new_run() {
     pes_[pe].rng = Xoshiro256(plan_.seed ^ kFaultStreamTag, pe);
 }
 
-Nanos FaultInjector::charge_penalty(int initiator, int target, OpKind kind,
-                                    Nanos now, Nanos base) {
+Nanos FaultInjector::charge_penalty(int initiator, Nanos base) {
   PerPe& p = pes_[static_cast<std::size_t>(initiator)];
-  Nanos extra = 0;
-  if (plan_.spikes_enabled() &&
-      (plan_.spike_op_mask & op_bit(kind)) != 0 &&
-      (plan_.spike_target < 0 || plan_.spike_target == target) &&
-      p.rng.uniform() < plan_.spike_rate) {
-    const Nanos add = scaled(base, plan_.spike_factor - 1.0);
-    ++p.stats.spikes;
-    p.stats.spike_extra_ns += add;
-    extra += add;
-  }
-  for (const SlowWindow& w : plan_.slow_windows) {
-    if (w.pe == initiator && now >= w.from_ns && now < w.until_ns) {
-      const Nanos add = scaled(base, w.factor - 1.0);
-      ++p.stats.slow_hits;
-      p.stats.slow_extra_ns += add;
-      extra += add;
-    }
-  }
-  for (const PartitionWindow& w : plan_.partitions) {
-    if (initiator != target && now >= w.from_ns && now < w.until_ns &&
-        in_partition(w, initiator) != in_partition(w, target)) {
-      const Nanos add = scaled(base, w.charge_factor - 1.0);
-      ++p.stats.partition_hits;
-      p.stats.partition_extra_ns += add;
-      extra += add;
-    }
-  }
-  return extra;
+  if (!plan_.spikes_enabled() || p.rng.uniform() >= plan_.spike_rate)
+    return 0;
+  const Nanos add = scaled(base, plan_.spike_factor - 1.0);
+  ++p.stats.spikes;
+  p.stats.spike_extra_ns += add;
+  return add;
 }
 
-FaultInjector::Delivery FaultInjector::delivery_verdict(int initiator,
-                                                        int target,
-                                                        OpKind kind, Nanos now,
-                                                        Nanos base_delay) {
+FaultInjector::Delivery FaultInjector::delivery_verdict(int initiator) {
   Delivery v;
-  if (!plan_.delivery_faults_enabled() ||
-      (plan_.delivery_op_mask & op_bit(kind)) == 0)
-    return v;
+  if (!plan_.delivery_faults_enabled()) return v;
   PerPe& p = pes_[static_cast<std::size_t>(initiator)];
-  // Partition windows are deterministic (no stream draw): a crossing nbi
-  // op during the cut simply delivers late.
-  for (const PartitionWindow& w : plan_.partitions) {
-    if (initiator != target && now >= w.from_ns && now < w.until_ns &&
-        in_partition(w, initiator) != in_partition(w, target)) {
-      ++p.stats.partition_hits;
-      p.stats.partition_extra_ns += w.delivery_extra_ns;
-      v.extra_delay += w.delivery_extra_ns;
-    }
-  }
-  // Draw order is fixed (jitter, drops, dup) so streams replay identically.
-  if (plan_.jitter > 0.0) {
-    const Nanos add =
-        static_cast<Nanos>(p.rng.uniform() * plan_.jitter *
-                           static_cast<double>(base_delay));
-    p.stats.jitter_extra_ns += add;
-    v.extra_delay += add;
-  }
+  // Draw order is fixed (drops, then dup) so streams replay identically.
   if (plan_.drop_rate > 0.0) {
     std::uint32_t lost = 0;
     while (lost < plan_.max_retransmits &&
@@ -147,46 +87,7 @@ FaultStats FaultInjector::total_stats() const {
   return t;
 }
 
-// ---------------------------------------------------- topology presets
-
-FaultPlan slow_group_plan(const Topology& topo, Tier tier, int group,
-                          Nanos from_ns, Nanos until_ns, double factor) {
-  SWS_CHECK(tier >= 1 && tier <= topo.ntiers(), "slow group: bad tier");
-  FaultPlan plan;
-  for (int pe : topo.group_members(tier, group))
-    plan.slow_windows.push_back(SlowWindow{pe, from_ns, until_ns, factor});
-  SWS_CHECK(!plan.slow_windows.empty(), "slow group: empty group");
-  return plan;
-}
-
-FaultPlan partition_group_plan(const Topology& topo, Tier tier, int group,
-                               Nanos from_ns, Nanos until_ns,
-                               double charge_factor, Nanos delivery_extra_ns) {
-  SWS_CHECK(tier >= 1 && tier <= topo.ntiers(), "partition group: bad tier");
-  PartitionWindow w;
-  w.pes = topo.group_members(tier, group);
-  SWS_CHECK(!w.pes.empty(), "partition group: empty group");
-  w.from_ns = from_ns;
-  w.until_ns = until_ns;
-  w.charge_factor = charge_factor;
-  w.delivery_extra_ns = delivery_extra_ns;
-  FaultPlan plan;
-  plan.partitions.push_back(std::move(w));
-  return plan;
-}
-
-FaultPlan slow_rack_plan(const Topology& topo, int rack, Nanos from_ns,
-                         Nanos until_ns, double factor) {
-  // "Rack" = the largest grouping below the whole machine; on a two-level
-  // fabric that is the node tier itself.
-  const Tier t = topo.ntiers() > 1 ? topo.ntiers() - 1 : 1;
-  return slow_group_plan(topo, t, rack, from_ns, until_ns, factor);
-}
-
-FaultPlan partitioned_node_plan(const Topology& topo, int node, Nanos from_ns,
-                                Nanos until_ns) {
-  return partition_group_plan(topo, 1, node, from_ns, until_ns);
-}
+// ---------------------------------------------------- crash presets
 
 FaultPlan crash_plan(int pe, Nanos at_ns) {
   SWS_CHECK(pe >= 0, "crash plan: bad pe");
@@ -210,6 +111,8 @@ FaultPlan node_failure_plan(const Topology& topo, int node, Nanos at_ns) {
 }
 
 FaultPlan rack_failure_plan(const Topology& topo, int rack, Nanos at_ns) {
+  // "Rack" = the largest grouping below the whole machine; on a two-level
+  // fabric that is the node tier itself.
   const Tier t = topo.ntiers() > 1 ? topo.ntiers() - 1 : 1;
   return crash_group_plan(topo, t, rack, at_ns);
 }

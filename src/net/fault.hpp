@@ -1,16 +1,15 @@
 // Deterministic fault injection for the simulated fabric.
 //
 // A FaultPlan describes adverse network behaviour — latency spikes,
-// jittered delivery, dropped-then-retransmitted or duplicated
-// non-blocking ops, and per-PE "slow" windows emulating OS noise. The
-// FaultInjector draws every decision from per-initiator-PE Xoshiro
-// streams seeded from the plan, and all penalties are charged in the
-// fabric's (virtual or real) time, so faulty runs are exactly as
-// reproducible as clean ones.
+// dropped-then-retransmitted or duplicated non-blocking ops, and
+// crash-stop PE failures. The FaultInjector draws every decision from
+// per-initiator-PE Xoshiro streams seeded from the plan, and all penalties
+// are charged in the fabric's (virtual or real) time, so faulty runs are
+// exactly as reproducible as clean ones.
 //
 // Fault semantics (docs/protocols.md "Fault model"):
-//  * A latency spike or slow window stretches the initiator-blocking
-//    charge of an op; it never reorders memory effects by itself.
+//  * A latency spike stretches the initiator-blocking charge of an op; it
+//    never reorders memory effects by itself.
 //  * A "dropped" nbi op models transport-level loss with retransmission:
 //    the memory effect still happens, but only after one or more
 //    retransmit delays. The op stays pending the whole time, so
@@ -30,41 +29,6 @@
 
 namespace sws::net {
 
-/// Bitmask helpers for selecting op kinds in a FaultPlan.
-constexpr std::uint32_t op_bit(OpKind k) noexcept {
-  return 1u << static_cast<int>(k);
-}
-constexpr std::uint32_t kAllOpsMask = (1u << kNumOpKinds) - 1;
-constexpr std::uint32_t kNbiOpsMask = op_bit(OpKind::kNbiPut) |
-                                      op_bit(OpKind::kNbiAmoAdd) |
-                                      op_bit(OpKind::kNbiAmoSet);
-
-/// One interval during which `pe` runs slow: every op it *initiates* with
-/// issue time in [from_ns, until_ns) pays `factor` times its base cost.
-struct SlowWindow {
-  int pe = -1;
-  Nanos from_ns = 0;
-  Nanos until_ns = 0;
-  double factor = 4.0;
-};
-
-/// One interval during which a group of PEs is partitioned from the rest
-/// of the machine: every op *crossing* the boundary (initiator inside,
-/// target outside, or vice versa) pays `charge_factor` times its base
-/// blocking cost, and crossing non-blocking ops deliver
-/// `delivery_extra_ns` late (transport routing around the cut). Ops
-/// entirely inside or entirely outside the group are untouched — a
-/// partitioned node keeps computing, it just can't reach the rest
-/// cheaply. Build `pes` from Topology::group_members (see
-/// partition_group_plan / partitioned_node_plan).
-struct PartitionWindow {
-  std::vector<int> pes;  ///< one side of the cut, ascending
-  Nanos from_ns = 0;
-  Nanos until_ns = 0;
-  double charge_factor = 8.0;
-  Nanos delivery_extra_ns = 40'000;
-};
-
 /// A crash-stop failure: PE `pe` dies permanently at the first operation
 /// boundary (fabric op issue, compute slice, quiet poll) whose virtual
 /// time is >= `at_ns`. A dead PE's thread unwinds via net::PeKilled, its
@@ -83,35 +47,23 @@ struct CrashEvent {
 struct FaultPlan {
   std::uint64_t seed = 0xFA17;  ///< base seed for the per-PE decision streams
 
-  // --- latency spikes on blocking charges -------------------------------
+  // --- latency spikes on blocking charges (every op kind) ---------------
   double spike_rate = 0.0;     ///< probability an op's charge spikes
   double spike_factor = 10.0;  ///< spiked charge = base * factor
-  std::uint32_t spike_op_mask = kAllOpsMask;  ///< which op kinds can spike
-  int spike_target = -1;       ///< restrict spikes to this target PE (-1: any)
 
   // --- delivery-time faults on non-blocking ops -------------------------
-  double jitter = 0.0;         ///< extra delivery delay, uniform in
-                               ///< [0, jitter * base_delay)
   double drop_rate = 0.0;      ///< per-transmission loss probability
   Nanos retransmit_ns = 20'000;  ///< delay added per lost transmission
   std::uint32_t max_retransmits = 16;  ///< loss bound (keeps delays finite)
   double dup_rate = 0.0;       ///< probability an nbi op delivers twice
   Nanos dup_delay_ns = 5'000;  ///< extra delay of the duplicate copy
-  std::uint32_t delivery_op_mask = kNbiOpsMask;  ///< which nbi kinds fault
-
-  // --- OS-noise windows -------------------------------------------------
-  std::vector<SlowWindow> slow_windows;
-
-  // --- topology-cut windows ---------------------------------------------
-  std::vector<PartitionWindow> partitions;
 
   // --- crash-stop failures ----------------------------------------------
   std::vector<CrashEvent> crashes;
 
   bool spikes_enabled() const noexcept { return spike_rate > 0.0; }
   bool delivery_faults_enabled() const noexcept {
-    return jitter > 0.0 || drop_rate > 0.0 || dup_rate > 0.0 ||
-           !partitions.empty();
+    return drop_rate > 0.0 || dup_rate > 0.0;
   }
   bool duplicates_possible() const noexcept { return dup_rate > 0.0; }
   /// Any crash-stop failures planned? Crashes bypass the injector: the
@@ -121,8 +73,7 @@ struct FaultPlan {
   /// Anything at all to inject? The fabric only instantiates an injector
   /// (and only pays any per-op cost) when this is true.
   bool enabled() const noexcept {
-    return spikes_enabled() || delivery_faults_enabled() ||
-           !slow_windows.empty() || !partitions.empty();
+    return spikes_enabled() || delivery_faults_enabled();
   }
 };
 
@@ -130,26 +81,16 @@ struct FaultPlan {
 struct FaultStats {
   std::uint64_t spikes = 0;
   std::uint64_t spike_extra_ns = 0;
-  std::uint64_t slow_hits = 0;
-  std::uint64_t slow_extra_ns = 0;
-  std::uint64_t jitter_extra_ns = 0;
   std::uint64_t drops = 0;  ///< lost transmissions (an op may lose several)
   std::uint64_t retransmit_extra_ns = 0;
   std::uint64_t dups = 0;
-  std::uint64_t partition_hits = 0;  ///< ops that crossed an active cut
-  std::uint64_t partition_extra_ns = 0;
 
   void merge(const FaultStats& o) noexcept {
     spikes += o.spikes;
     spike_extra_ns += o.spike_extra_ns;
-    slow_hits += o.slow_hits;
-    slow_extra_ns += o.slow_extra_ns;
-    jitter_extra_ns += o.jitter_extra_ns;
     drops += o.drops;
     retransmit_extra_ns += o.retransmit_extra_ns;
     dups += o.dups;
-    partition_hits += o.partition_hits;
-    partition_extra_ns += o.partition_extra_ns;
   }
 };
 
@@ -168,21 +109,18 @@ class FaultInjector {
   /// accumulated stats (they are per-process, like FabricStats).
   void new_run();
 
-  /// Extra initiator-blocking time for an op whose base charge is `base`,
-  /// issued at `now`. Folds in spikes and slow windows.
-  Nanos charge_penalty(int initiator, int target, OpKind kind, Nanos now,
-                       Nanos base);
+  /// Extra initiator-blocking time (a spike, or 0) for an op whose base
+  /// charge is `base`.
+  Nanos charge_penalty(int initiator, Nanos base);
 
   struct Delivery {
     Nanos extra_delay = 0;      ///< added to the op's delivery deadline
     bool duplicate = false;     ///< enqueue a second copy of the effect
     Nanos dup_extra_delay = 0;  ///< duplicate lands this much later again
   };
-  /// Delivery-time verdict for a non-blocking op with base delivery delay
-  /// `base_delay`, issued at `now`. Called at issue time, on the
-  /// initiating PE.
-  Delivery delivery_verdict(int initiator, int target, OpKind kind, Nanos now,
-                            Nanos base_delay);
+  /// Delivery-time verdict for a non-blocking op. Called at issue time,
+  /// on the initiating PE.
+  Delivery delivery_verdict(int initiator);
 
   const FaultStats& stats(int pe) const;
   FaultStats total_stats() const;
@@ -193,36 +131,11 @@ class FaultInjector {
     FaultStats stats{};
   };
 
-  /// Is `pe` inside window `w`'s partitioned group?
-  static bool in_partition(const PartitionWindow& w, int pe) noexcept;
-
   FaultPlan plan_;
   std::vector<PerPe> pes_;
 };
 
 class Topology;
-
-/// Chaos presets over a topology group (docs/topology.md "Fault
-/// presets"). Each returns a plan with only that fault class set; merge
-/// fields by hand for combined scenarios.
-///
-/// Every PE of tier-`tier` group `group` runs `factor`x slow during
-/// [from_ns, until_ns) — OS-noise across a whole node/rack at once.
-FaultPlan slow_group_plan(const Topology& topo, Tier tier, int group,
-                          Nanos from_ns, Nanos until_ns, double factor = 4.0);
-/// Tier-`tier` group `group` is cut off during [from_ns, until_ns): ops
-/// crossing the boundary pay charge_factor x and nbi deliveries crossing
-/// it land delivery_extra_ns late.
-FaultPlan partition_group_plan(const Topology& topo, Tier tier, int group,
-                               Nanos from_ns, Nanos until_ns,
-                               double charge_factor = 8.0,
-                               Nanos delivery_extra_ns = 40'000);
-/// Named shapes the chaos suite exercises: a slow outermost-tier group
-/// (rack) and a partitioned innermost-tier group (node).
-FaultPlan slow_rack_plan(const Topology& topo, int rack, Nanos from_ns,
-                         Nanos until_ns, double factor = 4.0);
-FaultPlan partitioned_node_plan(const Topology& topo, int node, Nanos from_ns,
-                                Nanos until_ns);
 
 /// Crash-stop presets (docs/resilience.md "Writing a crash plan").
 /// A single PE dies at virtual time `at_ns`.

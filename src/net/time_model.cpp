@@ -229,10 +229,8 @@ void VirtualTimeModel::clamp_horizon(int pe, Nanos deadline) {
 
 // ------------------------------------------------------------------ real
 
-RealTimeModel::RealTimeModel(int npes, Nanos spin_threshold)
-    : epoch_(std::chrono::steady_clock::now()),
-      spin_threshold_(spin_threshold),
-      npes_(npes) {}
+RealTimeModel::RealTimeModel(int npes)
+    : epoch_(std::chrono::steady_clock::now()), npes_(npes) {}
 
 void RealTimeModel::reset(int npes) {
   npes_ = npes;
@@ -241,9 +239,12 @@ void RealTimeModel::reset(int npes) {
 
 void RealTimeModel::advance(int pe, Nanos dt) {
   (void)pe;
+  // Delays below this busy-wait (accuracy); longer ones sleep (the host
+  // has few cores; spinning starves other PE threads).
+  constexpr Nanos kSpinThresholdNs = 100'000;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::nanoseconds(dt);
-  if (dt >= spin_threshold_) {
+  if (dt >= kSpinThresholdNs) {
     std::this_thread::sleep_until(deadline);
   } else {
     while (std::chrono::steady_clock::now() < deadline) {

@@ -234,9 +234,7 @@ class VirtualTimeModel final : public TimeModel {
 /// Wall-clock backend with injected delays.
 class RealTimeModel final : public TimeModel {
  public:
-  /// Delays below `spin_threshold` busy-wait (accuracy); longer ones sleep
-  /// (the host has few cores; spinning starves other PE threads).
-  explicit RealTimeModel(int npes = 0, Nanos spin_threshold = 100'000);
+  explicit RealTimeModel(int npes = 0);
 
   void reset(int npes) override;
   void advance(int pe, Nanos dt) override;
@@ -247,7 +245,6 @@ class RealTimeModel final : public TimeModel {
 
  private:
   std::chrono::steady_clock::time_point epoch_;
-  Nanos spin_threshold_;
   int npes_ = 0;
 };
 

@@ -1,6 +1,6 @@
 // Collectives built from one-sided operations, in the style PGAS runtimes
 // actually use: a dissemination barrier (log2 P rounds of 8-byte puts with
-// generation-number flags) and centralized reductions/broadcast for the
+// generation-number flags) and a centralized sum reduction for the
 // low-frequency setup/teardown paths.
 #include "common/assert.hpp"
 #include "pgas/runtime.hpp"
@@ -52,34 +52,6 @@ std::uint64_t PeContext::sum_u64(std::uint64_t value) {
   }
   barrier();
   return fetch(/*target=*/0, coll.reduce_result);
-}
-
-std::uint64_t PeContext::max_u64(std::uint64_t value) {
-  const auto& coll = rt_.coll();
-  const SymPtr slot =
-      coll.reduce_slots.plus(static_cast<std::uint64_t>(pe_) * 8);
-  fabric().amo_set(pe_, /*target=*/0, slot.off, value);
-  barrier();
-  if (pe_ == 0) {
-    std::uint64_t best = 0;
-    for (int i = 0; i < npes(); ++i)
-      best = std::max(best, local_load(coll.reduce_slots.plus(
-                                static_cast<std::uint64_t>(i) * 8)));
-    fabric().amo_set(pe_, 0, coll.reduce_result.off, best);
-  }
-  barrier();
-  return fetch(/*target=*/0, coll.reduce_result);
-}
-
-std::uint64_t PeContext::bcast_u64(std::uint64_t value, int root) {
-  SWS_ASSERT(root >= 0 && root < npes());
-  const auto& coll = rt_.coll();
-  if (pe_ == root) fabric().amo_set(pe_, root, coll.bcast_slot.off, value);
-  barrier();
-  const std::uint64_t out =
-      pe_ == root ? value : fetch(root, coll.bcast_slot);
-  barrier();  // nobody re-publishes before every PE has read this round
-  return out;
 }
 
 }  // namespace pgas

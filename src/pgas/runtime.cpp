@@ -31,7 +31,6 @@ Runtime::Runtime(RuntimeConfig cfg) : cfg_(cfg) {
   coll_.reduce_slots = heap_->alloc(
       sizeof(std::uint64_t) * static_cast<std::size_t>(cfg_.npes), 64);
   coll_.reduce_result = heap_->alloc(sizeof(std::uint64_t), 8);
-  coll_.bcast_slot = heap_->alloc(sizeof(std::uint64_t), 8);
 
   metrics_.reset(cfg_.npes);
 }
@@ -51,7 +50,6 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
     heap_->zero(pe, coll_.barrier_flags,
                 sizeof(std::uint64_t) * CollectiveSpace::kMaxRounds);
     heap_->zero(pe, coll_.reduce_result, sizeof(std::uint64_t));
-    heap_->zero(pe, coll_.bcast_slot, sizeof(std::uint64_t));
   }
 
   // The first error is rethrown only after the run's accounting below.

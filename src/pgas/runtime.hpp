@@ -64,7 +64,6 @@ class PeContext {
   std::uint64_t fetch_add(int target, SymPtr p, std::uint64_t value);
   std::uint64_t compare_swap(int target, SymPtr p, std::uint64_t expected,
                              std::uint64_t desired);
-  std::uint64_t swap(int target, SymPtr p, std::uint64_t value);
   std::uint64_t fetch(int target, SymPtr p);
   void set(int target, SymPtr p, std::uint64_t value);
   void nbi_put(int target, SymPtr p, std::uint64_t delta, const void* src,
@@ -87,10 +86,6 @@ class PeContext {
   void barrier();
   /// All-reduce sum of a 64-bit value (centralized at PE 0).
   std::uint64_t sum_u64(std::uint64_t value);
-  /// All-reduce max.
-  std::uint64_t max_u64(std::uint64_t value);
-  /// Broadcast from `root` to everyone.
-  std::uint64_t bcast_u64(std::uint64_t value, int root);
 
  private:
   Runtime& rt_;
@@ -134,7 +129,6 @@ class Runtime {
     SymPtr barrier_flags;  ///< kMaxRounds u64 generation flags per PE
     SymPtr reduce_slots;   ///< npes u64 contribution slots (used on root)
     SymPtr reduce_result;  ///< 1 u64
-    SymPtr bcast_slot;     ///< 1 u64
     static constexpr int kMaxRounds = 16;  // supports up to 65536 PEs
   };
   const CollectiveSpace& coll() const noexcept { return coll_; }

@@ -60,7 +60,6 @@ TEST_P(EverythingOn, FullFeatureRunIsCorrect) {
   pc.trace.enable = true;
   pc.trace.events = 1 << 15;
   pc.sws.damping = true;
-  pc.sws.damping_slack = 4;
   core::TaskPool pool(rt, reg, pc);
 
   rt.run([&](pgas::PeContext& ctx) {

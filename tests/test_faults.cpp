@@ -1,6 +1,6 @@
 // Chaos suite for the fault-injection subsystem: injector unit semantics,
 // fabric-level fault effects, and full-pool runs under a fault-plan
-// matrix (drops + duplicates, latency spikes, slow windows) on both queue
+// matrix (drops + duplicates, latency spikes) on both queue
 // protocols and both time backends. The invariant everywhere: every task
 // executes exactly once and termination never misfires, no matter what
 // the fabric does to individual messages.
@@ -10,7 +10,6 @@
 #include <sstream>
 #include <vector>
 
-#include "net/topology.hpp"
 #include "obs/trace_analysis.hpp"
 #include "sws.hpp"
 
@@ -21,8 +20,6 @@ using net::FaultInjector;
 using net::FaultPlan;
 using net::Nanos;
 using net::OpKind;
-using net::Topology;
-using net::TopologySpec;
 
 // ---------------------------------------------------------------- plans
 
@@ -35,19 +32,11 @@ FaultPlan drop_dup_plan() {
   return f;
 }
 
-FaultPlan slow_pe_plan(Nanos until_ns) {
-  FaultPlan f;
-  f.slow_windows.push_back({/*pe=*/1, /*from_ns=*/0, until_ns,
-                            /*factor=*/8.0});
-  return f;
-}
-
+/// Every random fault class at once: 10% drop + 10% dup, 10% 10x spikes.
 FaultPlan combined_plan() {
   FaultPlan f = drop_dup_plan();
   f.spike_rate = 0.10;
   f.spike_factor = 10.0;
-  f.jitter = 0.5;
-  f.slow_windows.push_back({1, 0, 2'000'000, 4.0});
   return f;
 }
 
@@ -72,12 +61,6 @@ TEST(FaultPlanTest, EachKnobEnablesThePlan) {
   f.dup_rate = 0.1;
   EXPECT_TRUE(f.enabled());
   EXPECT_TRUE(f.duplicates_possible());
-  f = FaultPlan{};
-  f.jitter = 0.1;
-  EXPECT_TRUE(f.enabled());
-  f = FaultPlan{};
-  f.slow_windows.push_back({0, 0, 100, 2.0});
-  EXPECT_TRUE(f.enabled());
 }
 
 TEST(FaultInjectorTest, CertainSpikeChargesFactorMinusOne) {
@@ -86,71 +69,9 @@ TEST(FaultInjectorTest, CertainSpikeChargesFactorMinusOne) {
   f.spike_factor = 10.0;
   FaultInjector inj(f, 2);
   const Nanos base = 1000;
-  EXPECT_EQ(inj.charge_penalty(0, 1, OpKind::kGet, 0, base), 9 * base);
+  EXPECT_EQ(inj.charge_penalty(0, base), 9 * base);
   EXPECT_EQ(inj.stats(0).spikes, 1u);
   EXPECT_EQ(inj.stats(0).spike_extra_ns, 9000u);
-}
-
-TEST(FaultInjectorTest, SpikeMaskAndTargetFilter) {
-  FaultPlan f;
-  f.spike_rate = 1.0;
-  f.spike_op_mask = net::op_bit(OpKind::kGet);
-  f.spike_target = 1;
-  FaultInjector inj(f, 3);
-  EXPECT_GT(inj.charge_penalty(0, 1, OpKind::kGet, 0, 1000), 0);
-  EXPECT_EQ(inj.charge_penalty(0, 1, OpKind::kPut, 0, 1000), 0);
-  EXPECT_EQ(inj.charge_penalty(0, 2, OpKind::kGet, 0, 1000), 0);
-}
-
-TEST(FaultInjectorTest, SlowWindowAppliesOnlyInsideItsInterval) {
-  FaultInjector inj(slow_pe_plan(/*until_ns=*/10'000), 2);
-  // Wrong PE: no penalty.
-  EXPECT_EQ(inj.charge_penalty(0, 1, OpKind::kGet, 500, 1000), 0);
-  // Right PE, inside the window: (factor - 1) * base.
-  EXPECT_EQ(inj.charge_penalty(1, 0, OpKind::kGet, 500, 1000), 7000);
-  // Right PE, after the window closed.
-  EXPECT_EQ(inj.charge_penalty(1, 0, OpKind::kGet, 10'000, 1000), 0);
-  EXPECT_EQ(inj.stats(1).slow_hits, 1u);
-}
-
-TEST(FaultInjectorTest, PartitionPenalizesOnlyCrossingOps) {
-  // Node 1 of a 2x2 machine ({2, 3}) is cut off for [0, 100us).
-  const Topology topo(TopologySpec::two_level(2), 4);
-  const FaultPlan plan = net::partitioned_node_plan(topo, 1, 0, 100'000);
-  ASSERT_EQ(plan.partitions.size(), 1u);
-  EXPECT_TRUE(plan.enabled());
-  FaultInjector inj(plan, 4);
-  const double factor = plan.partitions[0].charge_factor;
-  // Crossing the cut, both directions: (charge_factor - 1) * base.
-  EXPECT_EQ(inj.charge_penalty(0, 2, OpKind::kGet, 50, 1000),
-            static_cast<Nanos>((factor - 1.0) * 1000));
-  EXPECT_EQ(inj.charge_penalty(3, 1, OpKind::kGet, 50, 1000),
-            static_cast<Nanos>((factor - 1.0) * 1000));
-  // Entirely inside / entirely outside the group: untouched.
-  EXPECT_EQ(inj.charge_penalty(2, 3, OpKind::kGet, 50, 1000), 0);
-  EXPECT_EQ(inj.charge_penalty(0, 1, OpKind::kGet, 50, 1000), 0);
-  // After the window closes: untouched.
-  EXPECT_EQ(inj.charge_penalty(0, 2, OpKind::kGet, 100'000, 1000), 0);
-  // Crossing deliveries land late, deterministically (no random draw).
-  const auto d = inj.delivery_verdict(0, 2, OpKind::kNbiAmoAdd, 50, 1'800);
-  EXPECT_EQ(d.extra_delay, plan.partitions[0].delivery_extra_ns);
-  const auto inside = inj.delivery_verdict(2, 3, OpKind::kNbiAmoAdd, 50, 1'800);
-  EXPECT_EQ(inside.extra_delay, 0);
-  EXPECT_GE(inj.total_stats().partition_hits, 3u);
-}
-
-TEST(FaultInjectorTest, SlowGroupCoversEveryMemberOfTheGroup) {
-  // slow_rack on the outermost tier of "2x4": rack 1 = PEs {4..7}.
-  const Topology topo(TopologySpec::parse("2x4"), 8);
-  const FaultPlan plan = net::slow_rack_plan(topo, 1, 0, 10'000, 8.0);
-  EXPECT_EQ(plan.slow_windows.size(), 4u);
-  FaultInjector inj(plan, 8);
-  for (int pe = 4; pe < 8; ++pe)
-    EXPECT_EQ(inj.charge_penalty(pe, 0, OpKind::kGet, 500, 1000), 7000)
-        << "pe " << pe;
-  for (int pe = 0; pe < 4; ++pe)
-    EXPECT_EQ(inj.charge_penalty(pe, 5, OpKind::kGet, 500, 1000), 0)
-        << "pe " << pe;
 }
 
 TEST(FaultInjectorTest, CertainDropPaysRetransmitDelays) {
@@ -159,7 +80,7 @@ TEST(FaultInjectorTest, CertainDropPaysRetransmitDelays) {
   f.retransmit_ns = 1000;
   f.max_retransmits = 5;
   FaultInjector inj(f, 1);
-  const auto d = inj.delivery_verdict(0, 0, OpKind::kNbiAmoAdd, 100, 1'800);
+  const auto d = inj.delivery_verdict(0);
   EXPECT_EQ(d.extra_delay, 5 * 1000);
   EXPECT_FALSE(d.duplicate);
   EXPECT_EQ(inj.stats(0).drops, 5u);
@@ -170,33 +91,22 @@ TEST(FaultInjectorTest, CertainDupFlagsADuplicate) {
   f.dup_rate = 1.0;
   f.dup_delay_ns = 777;
   FaultInjector inj(f, 1);
-  const auto d = inj.delivery_verdict(0, 0, OpKind::kNbiAmoSet, 100, 1'800);
+  const auto d = inj.delivery_verdict(0);
   EXPECT_TRUE(d.duplicate);
   EXPECT_EQ(d.dup_extra_delay, 777);
   EXPECT_EQ(inj.stats(0).dups, 1u);
-}
-
-TEST(FaultInjectorTest, DeliveryMaskExemptsOpKinds) {
-  FaultPlan f;
-  f.drop_rate = 1.0;
-  f.dup_rate = 1.0;
-  f.delivery_op_mask = net::op_bit(OpKind::kNbiPut);
-  FaultInjector inj(f, 1);
-  const auto d = inj.delivery_verdict(0, 0, OpKind::kNbiAmoAdd, 100, 1'800);
-  EXPECT_EQ(d.extra_delay, 0);
-  EXPECT_FALSE(d.duplicate);
 }
 
 TEST(FaultInjectorTest, NewRunReproducesTheDecisionSequence) {
   FaultInjector inj(combined_plan(), 4);
   std::vector<Nanos> first;
   for (int i = 0; i < 64; ++i) {
-    const auto d = inj.delivery_verdict(2, 0, OpKind::kNbiAmoAdd, 500, 1'800);
+    const auto d = inj.delivery_verdict(2);
     first.push_back(d.extra_delay + (d.duplicate ? 1 : 0));
   }
   inj.new_run();
   for (int i = 0; i < 64; ++i) {
-    const auto d = inj.delivery_verdict(2, 0, OpKind::kNbiAmoAdd, 500, 1'800);
+    const auto d = inj.delivery_verdict(2);
     EXPECT_EQ(first[static_cast<std::size_t>(i)],
               d.extra_delay + (d.duplicate ? 1 : 0))
         << "draw " << i;
@@ -208,9 +118,9 @@ TEST(FaultInjectorTest, PerPeStreamsAreIndependent) {
   FaultInjector a(drop_dup_plan(), 2);
   FaultInjector b(drop_dup_plan(), 2);
   for (int i = 0; i < 32; ++i) {
-    const auto da = a.delivery_verdict(0, 1, OpKind::kNbiAmoAdd, 500, 1'800);
-    (void)b.delivery_verdict(1, 0, OpKind::kNbiAmoAdd, 500, 1'800);
-    const auto db = b.delivery_verdict(0, 1, OpKind::kNbiAmoAdd, 500, 1'800);
+    const auto da = a.delivery_verdict(0);
+    (void)b.delivery_verdict(1);
+    const auto db = b.delivery_verdict(0);
     EXPECT_EQ(da.extra_delay, db.extra_delay) << "draw " << i;
     EXPECT_EQ(da.duplicate, db.duplicate) << "draw " << i;
   }
@@ -220,8 +130,8 @@ TEST(FaultInjectorTest, TotalStatsMergesAllPes) {
   FaultPlan f;
   f.dup_rate = 1.0;
   FaultInjector inj(f, 3);
-  (void)inj.delivery_verdict(0, 1, OpKind::kNbiAmoAdd, 100, 1'800);
-  (void)inj.delivery_verdict(2, 1, OpKind::kNbiAmoAdd, 100, 1'800);
+  (void)inj.delivery_verdict(0);
+  (void)inj.delivery_verdict(2);
   EXPECT_EQ(inj.total_stats().dups, 2u);
 }
 
@@ -271,7 +181,6 @@ TEST_F(FaultFabricTest, CertainSpikeStretchesBlockingCharge) {
   FaultPlan f;
   f.spike_rate = 1.0;
   f.spike_factor = 10.0;
-  f.spike_op_mask = net::op_bit(OpKind::kGet);
   build(f);
   const net::NetworkModel model{};
   run([&](int pe) {
@@ -456,34 +365,25 @@ class ChaosMatrix
 TEST_P(ChaosMatrix, UtsSurvivesDropsDuplicatesAndSpikes) {
   // The acceptance bar: >= 10% drop + 10% dup and 10x spikes, zero lost
   // or double-executed tasks.
-  FaultPlan plan = drop_dup_plan();
-  plan.spike_rate = 0.10;
-  plan.spike_factor = 10.0;
   const workloads::UtsParams p = is_virtual() ? big_uts() : small_uts();
   const auto truth = workloads::uts_sequential_count(p);
-  const ChaosOutcome r = run_uts_chaos(kind(), mode(), plan, p);
+  const ChaosOutcome r = run_uts_chaos(kind(), mode(), combined_plan(), p);
   EXPECT_EQ(r.tasks, truth.nodes)
       << "lost or double-executed tasks under drop+dup+spikes";
-  EXPECT_GT(r.steals, 0u);
+  // Real-time PE threads on saturated cores can run one after another,
+  // so no steal need ever happen there; virtual time always interleaves.
+  if (is_virtual()) {
+    EXPECT_GT(r.steals, 0u);
+  }
   EXPECT_GT(r.faults.drops + r.faults.dups + r.faults.spikes, 0u)
       << "the plan must actually have fired";
 }
 
 TEST_P(ChaosMatrix, BpcSurvivesDropsDuplicatesAndSpikes) {
-  FaultPlan plan = drop_dup_plan();
-  plan.spike_rate = 0.10;
-  plan.spike_factor = 10.0;
   const workloads::BpcParams p = chaos_bpc();
-  const ChaosOutcome r = run_bpc_chaos(kind(), mode(), plan, p);
+  const ChaosOutcome r = run_bpc_chaos(kind(), mode(), combined_plan(), p);
   EXPECT_EQ(r.tasks, p.expected_tasks());
   EXPECT_GT(r.faults.drops + r.faults.dups + r.faults.spikes, 0u);
-}
-
-TEST_P(ChaosMatrix, UtsSurvivesCombinedPlanWithSlowWindows) {
-  const workloads::UtsParams p = small_uts();
-  const auto truth = workloads::uts_sequential_count(p);
-  const ChaosOutcome r = run_uts_chaos(kind(), mode(), combined_plan(), p);
-  EXPECT_EQ(r.tasks, truth.nodes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -497,72 +397,6 @@ INSTANTIATE_TEST_SUITE_P(
                              : "Sdc") +
              (std::get<1>(info.param) ? "Virtual" : "Real");
     });
-
-// ----------------------------------------- topology-preset chaos runs
-
-ChaosOutcome run_uts_on_net(core::QueueKind kind, const net::NetworkParams& net,
-                            const workloads::UtsParams& p) {
-  pgas::RuntimeConfig c;
-  c.npes = 8;
-  c.heap_bytes = 8 << 20;
-  c.seed = 42;
-  c.net = net;
-  pgas::Runtime rt(c);
-  core::TaskRegistry reg;
-  workloads::UtsBenchmark uts(reg, p);
-  core::TaskPool pool(rt, reg, chaos_pcfg(kind));
-  rt.run([&](pgas::PeContext& ctx) {
-    pool.run_pe(ctx, [&](core::Worker& w) { uts.seed(w); });
-  });
-  const auto r = pool.report();
-  return {r.total.tasks_executed, r.total.steals_ok, rt.fabric().fault_stats(),
-          rt.last_run_duration()};
-}
-
-TEST(ChaosTopologyPresets, UtsDegradesGracefullyUnderSlowRack) {
-  // Node 1 of a two-level 8-PE machine runs 4x slow for its first 2 ms.
-  // Graceful degradation = every task still executes exactly once and the
-  // preset demonstrably fired; work shifts away, nothing is lost.
-  const workloads::UtsParams p = small_uts();
-  const auto truth = workloads::uts_sequential_count(p);
-  const Topology topo(TopologySpec::two_level(4), 8);
-  net::NetworkParams net = net::NetworkParams::two_level(4);
-  net.faults = net::slow_rack_plan(topo, 1, 0, 2'000'000);
-  for (const auto kind : {core::QueueKind::kSws, core::QueueKind::kSdc}) {
-    const ChaosOutcome r = run_uts_on_net(kind, net, p);
-    EXPECT_EQ(r.tasks, truth.nodes);
-    EXPECT_GT(r.faults.slow_hits, 0u) << "the slow window never fired";
-    EXPECT_GT(r.faults.slow_extra_ns, 0u);
-  }
-}
-
-TEST(ChaosTopologyPresets, UtsDegradesGracefullyUnderPartitionedNode) {
-  // Node 1 is cut off from the rest of the machine for [0, 1.5 ms): ops
-  // crossing the cut pay 8x and deliveries land 40 us late, yet the run
-  // still executes the full tree.
-  const workloads::UtsParams p = small_uts();
-  const auto truth = workloads::uts_sequential_count(p);
-  const Topology topo(TopologySpec::two_level(4), 8);
-  net::NetworkParams net = net::NetworkParams::two_level(4);
-  net.faults = net::partitioned_node_plan(topo, 1, 0, 1'500'000);
-  for (const auto kind : {core::QueueKind::kSws, core::QueueKind::kSdc}) {
-    const ChaosOutcome r = run_uts_on_net(kind, net, p);
-    EXPECT_EQ(r.tasks, truth.nodes);
-    EXPECT_GT(r.faults.partition_hits, 0u) << "the partition never fired";
-  }
-}
-
-TEST(ChaosTopologyPresets, PresetRunsAreBitReproducible) {
-  const workloads::UtsParams p = small_uts();
-  const Topology topo(TopologySpec::two_level(4), 8);
-  net::NetworkParams net = net::NetworkParams::two_level(4);
-  net.faults = net::partitioned_node_plan(topo, 1, 0, 1'500'000);
-  const ChaosOutcome a = run_uts_on_net(core::QueueKind::kSws, net, p);
-  const ChaosOutcome b = run_uts_on_net(core::QueueKind::kSws, net, p);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.faults.partition_hits, b.faults.partition_hits);
-  EXPECT_EQ(a.faults.partition_extra_ns, b.faults.partition_extra_ns);
-}
 
 TEST(ChaosDeterminism, FaultyVirtualRunsAreBitReproducible) {
   // Faulty runs must be exactly as deterministic as clean ones: same
@@ -604,7 +438,7 @@ TEST(ChaosDeterminism, FaultsOffMatchesPlainRunExactly) {
 
 TEST(ChaosTracing, SpanLifecycleSurvivesFaultInjection) {
   // Every steal/release/acquire span opened under the combined fault plan
-  // (drops + dups + spikes + jitter + a slow PE) must still close exactly
+  // (drops + dups + spikes) must still close exactly
   // once, and every traced fabric op must land inside an open span —
   // retransmits and duplicate deliveries never leak span state.
   const workloads::UtsParams p = small_uts();

@@ -461,27 +461,6 @@ TEST(InboxPool, SpawnOnSelfBehavesLikeSpawn) {
   EXPECT_EQ(pool.report().total.tasks_executed, 5u);
 }
 
-TEST(InboxPool, RemoteSpawnDisabledFallsBackToLocal) {
-  pgas::Runtime rt(rcfg(2));
-  TaskRegistry reg;
-  TaskFnId fn = reg.register_fn("noop", [](Worker& w,
-                                           std::span<const std::byte>) {
-    w.compute(100);
-  });
-  PoolConfig pc;
-  pc.queue.slot_bytes = 32;
-  pc.remote_spawn = false;
-  TaskPool pool(rt, reg, pc);
-  EXPECT_EQ(pool.inbox(), nullptr);
-  rt.run([&](pgas::PeContext& ctx) {
-    pool.run_pe(ctx, [&](Worker& w) {
-      if (w.pe() == 0) w.spawn_on(1, Task(fn, nullptr, 0));
-    });
-  });
-  EXPECT_EQ(pool.report().total.tasks_executed, 1u);
-  EXPECT_EQ(pool.worker_stats(0).tasks_executed, 1u) << "ran locally";
-}
-
 TEST(InboxPool, OverflowedInboxFallsBackToLocalExecution) {
   // PE 1 sits at the post-seed barrier while PE 0 scatters 32 tasks into
   // its capacity-4 inbox: the pushes past the first 4 must exhaust their

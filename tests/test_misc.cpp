@@ -91,50 +91,6 @@ core::PoolRunReport run_fan(const core::PoolConfig& pc, std::uint32_t depth) {
   return pool.report();
 }
 
-TEST(SchedulerKnobs, TermCheckIntervalOneStillCorrect) {
-  core::PoolConfig pc;
-  pc.queue.slot_bytes = 32;
-  pc.steal.term_check_interval = 1;
-  EXPECT_EQ(run_fan(pc, 5).total.tasks_executed, 1365u);
-}
-
-TEST(SchedulerKnobs, LargeTermCheckIntervalStillTerminates) {
-  core::PoolConfig pc;
-  pc.queue.slot_bytes = 32;
-  pc.steal.term_check_interval = 64;
-  EXPECT_EQ(run_fan(pc, 5).total.tasks_executed, 1365u);
-}
-
-TEST(SchedulerKnobs, HighReleaseThresholdReducesReleases) {
-  core::PoolConfig lo, hi;
-  lo.queue.slot_bytes = hi.queue.slot_bytes = 32;
-  lo.release_threshold = 2;
-  hi.release_threshold = 64;
-
-  std::uint64_t releases[2];
-  int i = 0;
-  for (const auto* pc : {&lo, &hi}) {
-    pgas::RuntimeConfig rc;
-    rc.npes = 4;
-    rc.heap_bytes = 2 << 20;
-    pgas::Runtime rt(rc);
-    core::TaskRegistry reg;
-    Fan fan(reg);
-    core::TaskPool pool(rt, reg, *pc);
-    rt.run([&](pgas::PeContext& ctx) {
-      pool.run_pe(ctx, [&](core::Worker& w) {
-        if (w.pe() == 0) w.spawn(core::Task::of(fan.fn, std::uint32_t{5}));
-      });
-    });
-    EXPECT_EQ(pool.report().total.tasks_executed, 1365u);
-    std::uint64_t rel = 0;
-    for (int pe = 0; pe < 4; ++pe) rel += pool.queue().op_stats(pe).releases;
-    releases[i++] = rel;
-  }
-  EXPECT_LT(releases[1], releases[0])
-      << "a higher threshold must release less often";
-}
-
 TEST(SchedulerKnobs, ZeroBackoffStillTerminates) {
   core::PoolConfig pc;
   pc.queue.slot_bytes = 32;

@@ -201,11 +201,14 @@ TEST(SwsQueue, ThiefHittingLockedQueueRetries) {
   });
 }
 
+// SwsQueue's damping slack: an empty target's fetch-add that returns
+// asteals >= slack (the 9th failed attempt) flips it to empty-mode.
+constexpr int kDampingSlack = 8;
+
 TEST(SwsQueue, DampingMovesExhaustedTargetsToProbeMode) {
   pgas::Runtime rt(rcfg(2));
   SwsConfig c;
   c.damping = true;
-  c.damping_slack = 2;
   SwsQueue q(rt, qcfg(), c);
   rt.run([&](pgas::PeContext& ctx) {
     q.reset_pe(ctx);
@@ -214,9 +217,9 @@ TEST(SwsQueue, DampingMovesExhaustedTargetsToProbeMode) {
       std::vector<Task> loot;
       // Hammer an empty target: after slack failures it flips to
       // empty-mode, where attempts become read-only probes.
-      for (int i = 0; i < 10; ++i)
+      for (int i = 0; i < kDampingSlack + 3; ++i)
         EXPECT_EQ(q.steal(ctx, 0, loot).outcome, StealOutcome::kEmpty);
-      EXPECT_GT(q.op_stats(1).damping_probes, 0u);
+      EXPECT_EQ(q.op_stats(1).damping_probes, 2u);
       // asteals stopped growing once probing started.
     }
     ctx.barrier();
@@ -227,7 +230,6 @@ TEST(SwsQueue, DampingProbesStopInflatingAsteals) {
   pgas::Runtime rt(rcfg(2));
   SwsConfig c;
   c.damping = true;
-  c.damping_slack = 2;
   SwsQueue q(rt, qcfg(), c);
   rt.run([&](pgas::PeContext& ctx) {
     q.reset_pe(ctx);
@@ -238,9 +240,9 @@ TEST(SwsQueue, DampingProbesStopInflatingAsteals) {
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
-      // Without damping asteals would be 50; with it, growth stops at the
-      // slack threshold.
-      EXPECT_LE(q.owner_stealval(ctx).asteals, 4u);
+      // Without damping asteals would be 50; with it, growth stops one
+      // past the slack threshold.
+      EXPECT_EQ(q.owner_stealval(ctx).asteals, kDampingSlack + 1u);
     }
     ctx.barrier();
   });
@@ -250,14 +252,14 @@ TEST(SwsQueue, DampedTargetRecoversWhenWorkAppears) {
   pgas::Runtime rt(rcfg(2));
   SwsConfig c;
   c.damping = true;
-  c.damping_slack = 1;
   SwsQueue q(rt, qcfg(), c);
   rt.run([&](pgas::PeContext& ctx) {
     q.reset_pe(ctx);
     ctx.barrier();
     if (ctx.pe() == 1) {
       std::vector<Task> loot;
-      for (int i = 0; i < 6; ++i) (void)q.steal(ctx, 0, loot);  // → empty-mode
+      for (int i = 0; i < kDampingSlack + 3; ++i)
+        (void)q.steal(ctx, 0, loot);  // → empty-mode
     }
     ctx.barrier();
     if (ctx.pe() == 0) {

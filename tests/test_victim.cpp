@@ -14,10 +14,8 @@ using net::Topology;
 using net::TopologySpec;
 
 std::unique_ptr<VictimSelector> make(VictimPolicy policy, const Topology& topo,
-                                     int self, std::uint64_t seed,
-                                     VictimConfig cfg = {}) {
-  cfg.policy = policy;
-  return make_victim_selector(cfg, topo, self, seed);
+                                     int self, std::uint64_t seed) {
+  return make_victim_selector(VictimConfig{policy}, topo, self, seed);
 }
 
 TEST(Victim, RandomNeverPicksSelf) {
@@ -101,9 +99,7 @@ TEST(Victim, TieredStaysOnNearestTierWhileSucceeding) {
 
 TEST(Victim, TieredEscalatesAfterFailuresAndSnapsBack) {
   const Topology topo(TopologySpec::two_level(4), 16);
-  VictimConfig cfg;
-  cfg.escalate_after = 2;
-  auto v = make(VictimPolicy::kTiered, topo, 5, 11, cfg);
+  auto v = make(VictimPolicy::kTiered, topo, 5, 11);
   // Two failures at tier 1 escalate to tier 2 (off-node victims only);
   // two more at the widest tier cycle back to the nearest.
   v->report(v->next(), false);
@@ -174,19 +170,17 @@ TEST(Victim, DistanceWeightedPrefersNearTiers) {
   EXPECT_NEAR(static_cast<double>(local) / kN, 0.5, 0.03);
 }
 
-TEST(Victim, DistanceWeightedHonorsExplicitBias) {
-  // Explicit 9:1 per-peer bias on a 12-PE two-level fabric, self = 0:
-  // tier 1 weight = 3*9 = 27, tier 2 weight = 8*1 = 8; intra fraction
-  // 27/35 ≈ 0.771.
+TEST(Victim, DistanceWeightedDefaultBiasIsFourToOne) {
+  // Fixed 4:1 per-peer bias on a 12-PE two-level fabric, self = 0:
+  // tier 1 weight = 3*4 = 12, tier 2 weight = 8*1 = 8; intra fraction
+  // 12/20 = 0.6.
   const Topology topo(TopologySpec::two_level(4), 12);
-  VictimConfig cfg;
-  cfg.tier_bias = {9.0, 1.0};
-  auto v = make(VictimPolicy::kDistanceWeighted, topo, 0, 3, cfg);
+  auto v = make(VictimPolicy::kDistanceWeighted, topo, 0, 3);
   int local = 0;
   constexpr int kN = 30000;
   for (int i = 0; i < kN; ++i)
     if (v->next() < 4) ++local;
-  EXPECT_NEAR(static_cast<double>(local) / kN, 27.0 / 35.0, 0.02);
+  EXPECT_NEAR(static_cast<double>(local) / kN, 12.0 / 20.0, 0.02);
 }
 
 TEST(Victim, DistanceWeightedCoversEveryPeer) {
