@@ -10,18 +10,6 @@
 
 #include "common/assert.hpp"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define SWS_FIBER_ASAN 1
-#elif defined(__SANITIZE_THREAD__)
-#define SWS_FIBER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SWS_FIBER_ASAN 1
-#elif __has_feature(thread_sanitizer)
-#define SWS_FIBER_TSAN 1
-#endif
-#endif
-
 #if defined(SWS_FIBER_ASAN)
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
@@ -32,9 +20,10 @@
 #if defined(__x86_64__)
 // sws_fiber_jump(save_sp, new_sp): push the System V callee-saved
 // registers and the MXCSR / x87 control words, store the stack pointer in
-// *save_sp, load new_sp, and pop the same frame from there. A fresh
-// fiber's frame (Fiber::arm) "returns" into sws_fiber_trampoline, which
-// calls sws_fiber_start(r12 = the Fiber) on a 16-byte aligned stack.
+// *save_sp, load new_sp, and pop the same frame from there. A freshly
+// armed context's frame (Fiber::arm) "returns" into sws_fiber_trampoline,
+// which calls sws_fiber_start(r12 = the context, r13 = the entry, r14 =
+// its argument) on a 16-byte aligned stack.
 asm(R"(
   .text
   .p2align 4
@@ -75,6 +64,8 @@ sws_fiber_trampoline:
   .cfi_startproc
   .cfi_undefined rip
   movq %r12, %rdi
+  movq %r13, %rsi
+  movq %r14, %rdx
   andq $-16, %rsp
   call sws_fiber_start
   ud2
@@ -104,7 +95,7 @@ void after_switch(FiberContext& self) {
   __sanitizer_finish_switch_fiber(self.asan_fake_stack, &from_lo, &from_size);
   // A host thread's stack bounds are learned when it first switches away;
   // they are what a later switch back to it must announce.
-  if (t_switched_from != nullptr && t_switched_from->fiber == nullptr) {
+  if (t_switched_from != nullptr && !t_switched_from->on_fiber) {
     t_switched_from->stack_lo = from_lo;
     t_switched_from->stack_size = from_size;
   }
@@ -113,27 +104,37 @@ void after_switch(FiberContext& self) {
 #endif
 }
 
-}  // namespace
-
-// Entered on a freshly armed fiber's stack; the entry never returns.
-void fiber_start(Fiber* f) {
-  after_switch(f->ctx_);
-  f->entry_(f->arg_);
+// Entered on a freshly armed context's stack; the entry never returns.
+void fiber_start(FiberContext* ctx, Fiber::Entry entry, void* arg) {
+  after_switch(*ctx);
+  entry(arg);
   SWS_UNREACHABLE();
 }
+
+}  // namespace
 
 }  // namespace sws::net
 
 #if defined(__x86_64__)
-extern "C" void sws_fiber_start(void* f) {
-  sws::net::fiber_start(static_cast<sws::net::Fiber*>(f));
+// Called only from the trampoline's asm, which link-time optimization
+// cannot see: `used` keeps the definition.
+extern "C" __attribute__((used)) void sws_fiber_start(
+    sws::net::FiberContext* ctx, sws::net::Fiber::Entry entry, void* arg) {
+  sws::net::fiber_start(ctx, entry, arg);
 }
 #else
 namespace {
-// makecontext passes int arguments only: the Fiber* arrives in two halves.
-void uc_start(unsigned hi, unsigned lo) {
-  const auto p = (static_cast<std::uintptr_t>(hi) << 32) | lo;
-  sws::net::fiber_start(reinterpret_cast<sws::net::Fiber*>(p));
+// makecontext passes int arguments only: each pointer arrives in halves.
+void* join_halves(unsigned hi, unsigned lo) {
+  return reinterpret_cast<void*>((static_cast<std::uintptr_t>(hi) << 32) |
+                                 lo);
+}
+void uc_start(unsigned ctx_hi, unsigned ctx_lo, unsigned entry_hi,
+              unsigned entry_lo, unsigned arg_hi, unsigned arg_lo) {
+  sws::net::fiber_start(
+      static_cast<sws::net::FiberContext*>(join_halves(ctx_hi, ctx_lo)),
+      reinterpret_cast<sws::net::Fiber::Entry>(join_halves(entry_hi, entry_lo)),
+      join_halves(arg_hi, arg_lo));
 }
 }  // namespace
 #endif
@@ -156,14 +157,11 @@ Fiber::Fiber() {
   }
   g_stacks_mapped.fetch_add(1, std::memory_order_relaxed);
   stack_lo_ = static_cast<std::byte*>(map_) + page;
-  ctx_.fiber = this;
-  ctx_.stack_lo = stack_lo_;
-  ctx_.stack_size = kStackBytes;
 }
 
 Fiber::~Fiber() {
 #if defined(SWS_FIBER_TSAN)
-  if (ctx_.tsan_fiber != nullptr) __tsan_destroy_fiber(ctx_.tsan_fiber);
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
   munmap(map_, map_bytes_);
 }
@@ -172,24 +170,27 @@ std::uint64_t Fiber::stacks_mapped() noexcept {
   return g_stacks_mapped.load(std::memory_order_relaxed);
 }
 
-void Fiber::arm(Entry entry, void* arg) {
-  entry_ = entry;
-  arg_ = arg;
+void Fiber::arm(FiberContext& ctx, Entry entry, void* arg) {
 #if defined(SWS_FIBER_ASAN)
   // Frames abandoned by a previous entry never returned, so their
   // redzones are still poisoned.
   __asan_unpoison_memory_region(stack_lo_, kStackBytes);
-  ctx_.asan_fake_stack = nullptr;
+  ctx.on_fiber = true;
+  ctx.stack_lo = stack_lo_;
+  ctx.stack_size = kStackBytes;
+  ctx.asan_fake_stack = nullptr;
 #elif defined(SWS_FIBER_TSAN)
   // Likewise, drop the previous entry's shadow call stack.
-  if (ctx_.tsan_fiber != nullptr) __tsan_destroy_fiber(ctx_.tsan_fiber);
-  ctx_.tsan_fiber = __tsan_create_fiber(0);
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+  tsan_fiber_ = __tsan_create_fiber(0);
+  ctx.on_fiber = true;
+  ctx.tsan_fiber = tsan_fiber_;
 #endif
 #if defined(__x86_64__)
   // The frame sws_fiber_jump pops, highest address first: a null return
   // address ending the trampoline's frame, the trampoline as the return
-  // address, rbp, rbx, r12 (= this), r13, r14, r15, then the control
-  // words, taken from the arming thread.
+  // address, rbp, rbx, r12 (= &ctx), r13 (= entry), r14 (= arg), r15,
+  // then the control words, taken from the arming thread.
   std::uint32_t mxcsr = 0;
   std::uint16_t fpucw = 0;
   asm volatile("stmxcsr %0" : "=m"(mxcsr));
@@ -200,23 +201,27 @@ void Fiber::arm(Entry entry, void* arg) {
   auto* sp = reinterpret_cast<std::uint64_t*>(top);
   *--sp = 0;
   *--sp = reinterpret_cast<std::uint64_t>(&sws_fiber_trampoline);
-  *--sp = 0;                                    // rbp
-  *--sp = 0;                                    // rbx
-  *--sp = reinterpret_cast<std::uint64_t>(this);  // r12
-  *--sp = 0;                                    // r13
-  *--sp = 0;                                    // r14
-  *--sp = 0;                                    // r15
+  *--sp = 0;                                       // rbp
+  *--sp = 0;                                       // rbx
+  *--sp = reinterpret_cast<std::uint64_t>(&ctx);   // r12
+  *--sp = reinterpret_cast<std::uint64_t>(entry);  // r13
+  *--sp = reinterpret_cast<std::uint64_t>(arg);    // r14
+  *--sp = 0;                                       // r15
   *--sp = mxcsr | (static_cast<std::uint64_t>(fpucw) << 32);
-  ctx_.sp = sp;
+  ctx.sp = sp;
 #else
-  if (getcontext(&ctx_.uc) != 0)
+  if (getcontext(&ctx.uc) != 0)
     throw std::system_error(errno, std::generic_category(), "getcontext");
-  ctx_.uc.uc_stack.ss_sp = stack_lo_;
-  ctx_.uc.uc_stack.ss_size = kStackBytes;
-  ctx_.uc.uc_link = nullptr;
-  const auto p = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&ctx_.uc, reinterpret_cast<void (*)()>(&uc_start), 2,
-              static_cast<unsigned>(p >> 32), static_cast<unsigned>(p));
+  ctx.uc.uc_stack.ss_sp = stack_lo_;
+  ctx.uc.uc_stack.ss_size = kStackBytes;
+  ctx.uc.uc_link = nullptr;
+  const auto c = reinterpret_cast<std::uintptr_t>(&ctx);
+  const auto e = reinterpret_cast<std::uintptr_t>(entry);
+  const auto a = reinterpret_cast<std::uintptr_t>(arg);
+  makecontext(&ctx.uc, reinterpret_cast<void (*)()>(&uc_start), 6,
+              static_cast<unsigned>(c >> 32), static_cast<unsigned>(c),
+              static_cast<unsigned>(e >> 32), static_cast<unsigned>(e),
+              static_cast<unsigned>(a >> 32), static_cast<unsigned>(a));
 #endif
 }
 
@@ -233,7 +238,7 @@ void fiber_switch(FiberContext& from, FiberContext& to, bool from_exits) {
   (void)from_exits;
 #endif
 #if defined(SWS_FIBER_TSAN)
-  if (from.fiber == nullptr) from.tsan_fiber = __tsan_get_current_fiber();
+  if (!from.on_fiber) from.tsan_fiber = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
 #if defined(__x86_64__)

@@ -1,10 +1,12 @@
 // User-space fibers: the execution substrate of the virtual-time sequencer.
 //
 // VirtualTimeModel runs one PE at a time, so it needs no parallelism from
-// the host, only separate stacks. Each PE is a Fiber: a stack of its own
-// plus a saved register context, run on whatever host thread switches to
-// it. A handoff is one call to fiber_switch() (callee-saved registers and
-// FP control words saved, stack pointer swapped), with no kernel involved.
+// the host, only separate stacks. Each PE runs on a Fiber — a stack of its
+// own — with its saved register state in a FiberContext that lives
+// wherever the owner keeps per-PE data (the sequencer puts it in the PE's
+// slot, next to the clock it reads on the same handoff). A handoff is one
+// call to fiber_switch() (callee-saved registers and FP control words
+// saved, stack pointer swapped), with no kernel involved.
 //
 // Stacks are mmap'd with MAP_NORESERVE and a PROT_NONE guard page below
 // them, so an overflow faults instead of running into the neighbouring
@@ -12,7 +14,8 @@
 //
 // Sanitizers: under ASan every switch is announced with
 // __sanitizer_{start,finish}_switch_fiber, and under TSan each fiber is a
-// TSan fiber (__tsan_create_fiber / __tsan_switch_to_fiber).
+// TSan fiber (__tsan_create_fiber / __tsan_switch_to_fiber). Their
+// bookkeeping fields exist in FiberContext only in those builds.
 //
 // C++ exceptions may be thrown and caught inside one fiber, but must never
 // unwind across a switch, and no switch may happen while a catch handler
@@ -28,14 +31,24 @@
 #include <ucontext.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SWS_FIBER_ASAN 1
+#elif defined(__SANITIZE_THREAD__)
+#define SWS_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SWS_FIBER_ASAN 1
+#elif __has_feature(thread_sanitizer)
+#define SWS_FIBER_TSAN 1
+#endif
+#endif
+
 namespace sws::net {
 
-class Fiber;
-
-/// Saved state of a suspended execution context: a Fiber's, or that of a
-/// host thread that switched into fibers (a default-constructed context,
-/// which has no stack of its own). Filled in by fiber_switch(); opaque to
-/// everything else.
+/// Saved state of a suspended execution context: one armed on a Fiber's
+/// stack (Fiber::arm), or that of a host thread that switched into fibers
+/// (a default-constructed context, which has no stack of its own). Filled
+/// in by Fiber::arm() and fiber_switch(); opaque to everything else.
 struct FiberContext {
   FiberContext() = default;
   FiberContext(const FiberContext&) = delete;
@@ -46,12 +59,16 @@ struct FiberContext {
 #else
   ucontext_t uc{};
 #endif
-  Fiber* fiber = nullptr;  ///< owning fiber; nullptr for a host thread
-  // Sanitizer bookkeeping (unused in plain builds).
-  const void* stack_lo = nullptr;  ///< ASan: stack bounds
+#if defined(SWS_FIBER_ASAN) || defined(SWS_FIBER_TSAN)
+  bool on_fiber = false;  ///< armed on a Fiber; false for a host thread
+#endif
+#if defined(SWS_FIBER_ASAN)
+  const void* stack_lo = nullptr;  ///< stack bounds
   std::size_t stack_size = 0;
   void* asan_fake_stack = nullptr;
-  void* tsan_fiber = nullptr;
+#elif defined(SWS_FIBER_TSAN)
+  void* tsan_fiber = nullptr;  ///< owned by the Fiber armed last
+#endif
 };
 
 class Fiber {
@@ -68,12 +85,12 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Make the next switch into this fiber call entry(arg) at the top of
-  /// its stack. Any frames of a previous entry are abandoned. `entry` must
-  /// never return: it leaves by switching away with `from_exits` set.
-  void arm(Entry entry, void* arg);
-
-  FiberContext& context() noexcept { return ctx_; }
+  /// Make the next switch into `ctx` call entry(arg) at the top of this
+  /// fiber's stack. Any frames of a previous entry are abandoned. `entry`
+  /// must never return: it leaves by switching away with `from_exits` set.
+  /// `ctx` must not be moved while armed; re-arming it on another stack
+  /// is allowed.
+  void arm(FiberContext& ctx, Entry entry, void* arg);
 
   /// Lowest usable stack address; the guard page is the page below it.
   const std::byte* stack_lo() const noexcept { return stack_lo_; }
@@ -82,14 +99,12 @@ class Fiber {
   static std::uint64_t stacks_mapped() noexcept;
 
  private:
-  friend void fiber_start(Fiber* f);
-
   void* map_ = nullptr;  ///< guard page + stack
   std::size_t map_bytes_ = 0;
   std::byte* stack_lo_ = nullptr;
-  Entry entry_ = nullptr;
-  void* arg_ = nullptr;
-  FiberContext ctx_;
+#if defined(SWS_FIBER_TSAN)
+  void* tsan_fiber_ = nullptr;  ///< the last arm()'s TSan fiber
+#endif
 };
 
 /// Suspend the running context, saving it in `from`, and resume `to` (a

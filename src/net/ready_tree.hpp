@@ -1,16 +1,22 @@
 // Tournament (winner) tree over PE ids keyed by (vtime, pe) — the ready
 // structure of the virtual-time sequencer. The leaves are the PEs, padded
-// to a power of two with kNoVtime; every internal node holds the
-// (vtime, pe) entry of its subtree's minimum, so the root is the runnable
-// PE. The (vtime, pe) order breaks ties by lowest id, the sequencer's
-// deterministic default.
+// to a power of two; every internal node holds its subtree's minimum key,
+// so the root is the runnable PE.
+//
+// A key is one uint64_t, `vtime << b | pe`, where b = log2(padded leaf
+// count) is fixed by reset(). Integer order on keys is (vtime, pe) order,
+// so ties break by lowest id — the sequencer's deterministic default —
+// and every match is a plain std::min. The all-ones key marks a finished
+// PE or a padding leaf; real clocks stay below 2^(64-b) - 1 so no real
+// key reaches it (update() checks; at 4096 PEs that is 52 days of virtual
+// time).
 //
 // update() replays the log2(leaves) matches on the leaf's fixed path to
-// the root: each level loads the sibling's winner and keeps the smaller
-// entry with a branch-free select, so the loop has a fixed trip count and
-// no data-dependent branches to mispredict. A winner tree (not a loser
-// tree) because the replay is valid for *any* leaf: the schedule explorer's
-// arbiter activates tied PEs that are not the current top.
+// the root: each level loads the sibling's key and keeps the smaller, so
+// the loop has a fixed trip count and no data-dependent branches. A
+// winner tree (not a loser tree) because the replay is valid for *any*
+// leaf: the schedule explorer's arbiter activates tied PEs that are not
+// the current top.
 //
 // The sequencer exploits one staleness freedom: the *active* PE's key may
 // lag its true clock while it runs below its horizon (run-to-horizon
@@ -21,7 +27,10 @@
 // Not thread-safe: the sequencer uses it from its one host thread.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -40,18 +49,22 @@ class ReadyTree {
     SWS_ASSERT(n >= 0);
     npes_ = n;
     const auto un = static_cast<std::size_t>(n);
-    leaves_ = 1;
-    while (leaves_ < un) leaves_ *= 2;
+    leaves_ = std::bit_ceil(std::max<std::size_t>(un, 1));
+    bits_ = std::countr_zero(leaves_);
     node_.resize(2 * leaves_);
     for (std::size_t i = 0; i < leaves_; ++i)
-      node_[leaves_ + i] = Entry{i < un ? 0 : kNoVtime, static_cast<int>(i)};
+      node_[leaves_ + i] = i < un ? i : kNone;
     for (std::size_t i = leaves_ - 1; i >= 1; --i)
-      node_[i] = winner(node_[2 * i], node_[2 * i + 1]);
+      node_[i] = std::min(node_[2 * i], node_[2 * i + 1]);
   }
+
+  /// Clocks at or above this fail update(): their keys would reach the
+  /// sentinel.
+  Nanos vtime_limit() const noexcept { return kNone >> bits_; }
 
   /// PE id with the minimum (vtime, pe); -1 when every PE is removed.
   int top() const noexcept {
-    return node_[1].vtime == kNoVtime ? -1 : node_[1].pe;
+    return node_[1] == kNone ? -1 : static_cast<int>(node_[1] & pe_mask());
   }
 
   /// Minimum vtime among every PE except the top — the top's "horizon":
@@ -59,53 +72,41 @@ class ReadyTree {
   /// lost exactly one match to the top, so it is the minimum over the
   /// sibling subtrees along the top's path.
   Nanos second_vtime() const noexcept {
-    Nanos s = kNoVtime;
-    for (std::size_t i = leaves_ + static_cast<std::size_t>(node_[1].pe);
-         i > 1; i >>= 1) {
-      const Nanos v = node_[i ^ 1].vtime;
-      s = v < s ? v : s;
-    }
-    return s;
+    Key s = kNone;
+    for (std::size_t i = leaves_ + (node_[1] & pe_mask()); i > 1; i >>= 1)
+      s = std::min(s, node_[i ^ 1]);
+    return s == kNone ? kNoVtime : s >> bits_;
   }
 
   /// Re-key `pe` to `vtime` (increase or decrease) and replay its path.
   void update(int pe, Nanos vtime) {
-    std::size_t i = leaf(pe);
-    Entry w{vtime, pe};
-    node_[i] = w;
-    for (; i > 1; i >>= 1) {
-      w = winner(w, node_[i ^ 1]);
-      node_[i >> 1] = w;
-    }
+    SWS_CHECK(vtime < vtime_limit(),
+              "virtual clock beyond the ready tree's key range");
+    replay(pe, vtime << bits_ | static_cast<Key>(pe));
   }
 
   /// Retire `pe` (it finished): it never wins again.
-  void remove(int pe) { update(pe, kNoVtime); }
+  void remove(int pe) { replay(pe, kNone); }
 
  private:
-  struct Entry {
-    Nanos vtime;
-    int pe;
-  };
+  using Key = std::uint64_t;
+  static constexpr Key kNone = ~Key{0};
 
-  std::size_t leaf(int pe) const {
+  Key pe_mask() const noexcept { return (Key{1} << bits_) - 1; }
+
+  void replay(int pe, Key k) {
     SWS_ASSERT(pe >= 0 && pe < npes_);
-    return leaves_ + static_cast<std::size_t>(pe);
+    std::size_t i = leaves_ + static_cast<std::size_t>(pe);
+    node_[i] = k;
+    for (; i > 1; i >>= 1) {
+      k = std::min(k, node_[i ^ 1]);
+      node_[i >> 1] = k;
+    }
   }
 
-  /// The (vtime, pe)-smaller of `a` and `b`, selected with masks rather
-  /// than a branch.
-  static Entry winner(Entry a, Entry b) noexcept {
-    const bool b_first =
-        (b.vtime < a.vtime) | ((b.vtime == a.vtime) & (b.pe < a.pe));
-    const Nanos mask = Nanos{0} - static_cast<Nanos>(b_first);
-    a.vtime ^= (a.vtime ^ b.vtime) & mask;
-    a.pe ^= (a.pe ^ b.pe) & static_cast<int>(mask);
-    return a;
-  }
-
-  std::vector<Entry> node_;  ///< [1] root, [leaves_, 2*leaves_) the leaves
-  std::size_t leaves_ = 1;   ///< leaf count: npes_ rounded up to a power of 2
+  std::vector<Key> node_;   ///< [1] root, [leaves_, 2*leaves_) the leaves
+  std::size_t leaves_ = 1;  ///< leaf count: npes_ rounded up to a power of 2
+  int bits_ = 0;            ///< log2(leaves_): the pe field's width in a key
   int npes_ = 0;
 };
 

@@ -68,9 +68,13 @@ void VirtualTimeModel::run_pes(int npes,
   const auto n = static_cast<std::size_t>(npes);
   while (fibers_.size() < n) fibers_.push_back(std::make_unique<Fiber>());
   fibers_.resize(n);
-  for (auto& f : fibers_) f->arm(&VirtualTimeModel::fiber_main, this);
+  // reset() may have reallocated the slots, and every context is
+  // abandoned mid-run by the last one anyway: arm them all afresh.
+  for (int pe = 0; pe < npes; ++pe)
+    fibers_[static_cast<std::size_t>(pe)]->arm(
+        slot(pe).ctx, &VirtualTimeModel::fiber_main, this);
   body_ = &body;
-  fiber_switch(caller_, fibers_[0]->context());
+  fiber_switch(caller_, slot(0).ctx);
   // Every PE has finished; the last one switched back here.
   body_ = nullptr;
   if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
@@ -172,9 +176,7 @@ void VirtualTimeModel::switch_from(int pe, bool exiting) {
   SWS_ASSERT_MSG(body_ != nullptr, "PE handoff outside run_pes()");
   const int next = active_.load(std::memory_order_relaxed);
   switches_ += next >= 0 ? 1 : 0;
-  FiberContext& to =
-      next < 0 ? caller_ : fibers_[static_cast<std::size_t>(next)]->context();
-  fiber_switch(fibers_[static_cast<std::size_t>(pe)]->context(), to, exiting);
+  fiber_switch(slot(pe).ctx, next < 0 ? caller_ : slot(next).ctx, exiting);
 }
 
 void VirtualTimeModel::finish(int pe) {

@@ -19,19 +19,20 @@
 // Both expose the same interface, so the whole runtime above this layer
 // is written once.
 //
-// Sequencer hot path (docs/performance.md): the ready set is a (vtime, pe)
-// tournament tree, and the running PE caches a *horizon* — the minimum of
-// every other PE's clock and the earliest pending nbi deadline. advance()
-// calls that keep the clock strictly below the horizon touch no tree, fire
-// no hook, and switch no fiber; only crossing the horizon enters the
-// sequencer, which picks the next PE from the tree and switches straight to
-// its fiber. Anything that could schedule an event below the running PE's
-// horizon must shrink it via clamp_horizon() (the fabric does this on every
-// nbi enqueue). The delivery hook reports the earliest still-pending
-// deadline; the sequencer caps horizons with it and calls the hook again
-// only once the time floor reaches it. Installing a ReadyArbiter disables
-// horizon batching entirely: the schedule explorer must observe every
-// potential tie.
+// Sequencer hot path (docs/performance.md): the ready set is a tournament
+// tree of packed 8-byte (vtime, pe) keys, and the running PE caches a
+// *horizon* — the minimum of every other PE's clock and the earliest
+// pending nbi deadline. advance() calls that keep the clock strictly below
+// the horizon touch no tree, fire no hook, and switch no fiber; only
+// crossing the horizon enters the sequencer, which picks the next PE from
+// the tree and switches straight to its fiber, whose saved context sits in
+// the PE's slot beside its clock and horizon. Anything that could schedule
+// an event below the running PE's horizon must shrink it via
+// clamp_horizon() (the fabric does this on every nbi enqueue). The delivery
+// hook reports the earliest still-pending deadline; the sequencer caps
+// horizons with it and calls the hook again only once the time floor
+// reaches it. Installing a ReadyArbiter disables horizon batching
+// entirely: the schedule explorer must observe every potential tie.
 #pragma once
 
 #include <atomic>
@@ -173,13 +174,19 @@ class VirtualTimeModel final : public TimeModel {
   std::uint64_t switches() const noexcept { return switches_; }
 
  private:
-  struct PeSlot {
+  /// Everything a handoff touches of the PE it switches to — the clock
+  /// its horizon is computed from, the horizon, and the saved stack
+  /// pointer — in one 32-byte-aligned slot (32 bytes in plain builds).
+  struct alignas(32) PeSlot {
     /// Authoritative clock, written only by the running PE (or by reset).
     std::atomic<Nanos> vtime{0};
     /// Fast-path cap: advance() stays in the fast path while the
     /// resulting clock is *strictly* below this. Set by the sequencer when
     /// the PE is activated, then shrunk only by clamp_horizon().
     Nanos horizon = 0;
+    /// The PE's fiber while it is switched out; armed on fibers_[pe]'s
+    /// stack by run_pes().
+    FiberContext ctx;
     bool finished = false;
   };
 
@@ -225,7 +232,7 @@ class VirtualTimeModel final : public TimeModel {
   Nanos next_sample_ = 0;      ///< next unfired boundary
   std::vector<int> ready_scratch_;  ///< reused per pick
 
-  std::vector<std::unique_ptr<Fiber>> fibers_;  ///< one per PE, reused
+  std::vector<std::unique_ptr<Fiber>> fibers_;  ///< PE stacks, reused
   FiberContext caller_;  ///< the thread inside run_pes()
   const std::function<void(int)>* body_ = nullptr;  ///< set while running
   std::exception_ptr error_;  ///< first exception escaping a body

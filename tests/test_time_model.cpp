@@ -208,6 +208,54 @@ TEST(FiberEngine, RerunsReuseStacks) {
     EXPECT_EQ(tm.now(pe), static_cast<Nanos>(10 + pe));
 }
 
+TEST(FiberEngine, RerunsAcrossPeCounts) {
+  // Growing the PE count reallocates the slot array that holds the fiber
+  // contexts, and shrinking it unmaps the spare stacks, so every run must
+  // arm each context afresh on its PE's current stack. Each run is checked
+  // against the order its clocks imply and against a fresh model.
+  const auto steps = [](int pe) { return 2 + pe % 3; };
+  const auto step = [](int pe) {
+    return Nanos{1} + static_cast<Nanos>(pe * 37 % 11);
+  };
+  VirtualTimeModel tm;
+  for (const int n : {4, 4100, 3, 4100}) {
+    const auto run = [&](VirtualTimeModel& m) {
+      std::vector<int> order;
+      m.run_pes(n, [&](int pe) {
+        for (int i = 0; i < steps(pe); ++i) m.advance(pe, step(pe));
+        order.push_back(pe);
+      });
+      return order;
+    };
+    // The fresh model runs first and is gone before `tm` runs: TSan caps
+    // live fibers near 8k.
+    std::vector<int> fresh_order;
+    std::uint64_t fresh_switches = 0;
+    {
+      VirtualTimeModel fresh;
+      fresh_order = run(fresh);
+      fresh_switches = fresh.switches();
+    }
+    const std::vector<int> order = run(tm);
+    // With positive steps a PE finishes when (its final clock, its id) is
+    // the minimum among those still running.
+    std::vector<int> want(static_cast<std::size_t>(n));
+    for (int pe = 0; pe < n; ++pe) want[static_cast<std::size_t>(pe)] = pe;
+    const auto final_clock = [&](int pe) {
+      return static_cast<Nanos>(steps(pe)) * step(pe);
+    };
+    std::stable_sort(want.begin(), want.end(), [&](int a, int b) {
+      return final_clock(a) < final_clock(b);
+    });
+    ASSERT_EQ(order, want) << "n=" << n;
+    for (int pe = 0; pe < n; ++pe)
+      ASSERT_EQ(tm.now(pe), final_clock(pe)) << "n=" << n << " pe " << pe;
+    EXPECT_EQ(fresh_order, order) << "n=" << n;
+    EXPECT_EQ(tm.switches(), fresh_switches) << "n=" << n;
+    EXPECT_GT(tm.switches(), 0u) << "n=" << n;
+  }
+}
+
 TEST(FiberEngine, LockstepRunAt4096Pes) {
   // Equal steps: every advance hands off to the next PE.
   constexpr int kPes = 4096;
@@ -302,6 +350,7 @@ TEST(FiberEngineDeathTest, StackOverflowFaultsOnGuardPage) {
         Fiber victim;
         Fiber neighbour;
         FiberContext host;
+        FiberContext victim_ctx;
         g_page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
         g_guard_lo = victim.stack_lo() - g_page;
         g_canary = reinterpret_cast<volatile std::uint64_t*>(
@@ -318,9 +367,11 @@ TEST(FiberEngineDeathTest, StackOverflowFaultsOnGuardPage) {
         sa.sa_sigaction = on_segv;
         sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
         sigaction(SIGSEGV, &sa, nullptr);
-        victim.arm([](void*) { overflow_stack(nullptr, ~std::uint64_t{0}); },
-                   nullptr);
-        fiber_switch(host, victim.context());
+        victim.arm(
+            victim_ctx,
+            [](void*) { overflow_stack(nullptr, ~std::uint64_t{0}); },
+            nullptr);
+        fiber_switch(host, victim_ctx);
       },
       ::testing::ExitedWithCode(3), "fault on the fiber guard page");
 }
@@ -361,64 +412,148 @@ TEST(ReadyTree, EmptyTreeHasNoTop) {
   EXPECT_EQ(t.second_vtime(), ReadyTree::kNoVtime);
 }
 
+/// Drives a tree of `n` PEs with random updates and removals and checks
+/// it against the linear (vtime, pe) scan the sequencer once ran on every
+/// advance. Updates and removals hit any leaf, not only the top (the
+/// explorer's arbiter activates tied PEs that are not the top), and keys
+/// collide often so ties are common. Clocks are `base` plus an offset that
+/// mostly grows and is capped at `cap`, so a run near the key limit piles
+/// PEs up at the largest representable clock.
+void check_against_naive_scan(int n, Nanos base, Nanos cap) {
+  std::mt19937_64 rng(12345 + static_cast<std::uint64_t>(n));
+  ReadyTree t;
+  t.reset(n);
+  std::vector<Nanos> key(static_cast<std::size_t>(n), base);
+  for (int i = 0; i < n; ++i) t.update(i, base);
+  std::vector<bool> alive(static_cast<std::size_t>(n), true);
+  int live = n;
+  const auto naive_top = [&] {
+    int best = -1;
+    for (int i = 0; i < n; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      if (alive[u] &&
+          (best < 0 || key[u] < key[static_cast<std::size_t>(best)]))
+        best = i;
+    }
+    return best;
+  };
+  const auto naive_second = [&](int top) {
+    Nanos s = ReadyTree::kNoVtime;
+    for (int i = 0; i < n; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      if (alive[u] && i != top && key[u] < s) s = key[u];
+    }
+    return s;
+  };
+  const int steps = std::max(2000, 8 * n);
+  for (int step = 0; step < steps && live > 0; ++step) {
+    const int pe = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    const auto u = static_cast<std::size_t>(pe);
+    if (!alive[u]) continue;
+    if (rng() % 32 == 0) {
+      t.remove(pe);
+      alive[u] = false;
+      --live;
+    } else {
+      // Mostly increase-key (the advance() pattern), sometimes decrease;
+      // a narrow value range makes ties frequent.
+      const Nanos off = key[u] - base;
+      const Nanos v =
+          base + std::min(cap, rng() % 8 == 0 ? off / 2 : off + rng() % 4 * 25);
+      t.update(pe, v);
+      key[u] = v;
+    }
+    const int top = naive_top();
+    ASSERT_EQ(t.top(), top) << "n=" << n << " step " << step;
+    ASSERT_EQ(t.second_vtime(), naive_second(top))
+        << "n=" << n << " step " << step;
+  }
+  // Drain: once every PE is removed there is no top.
+  for (int i = 0; i < n; ++i) t.remove(i);
+  EXPECT_EQ(t.top(), -1) << "n=" << n;
+  EXPECT_EQ(t.second_vtime(), ReadyTree::kNoVtime) << "n=" << n;
+}
+
 TEST(ReadyTree, MatchesNaiveScanUnderRandomOps) {
-  // Oracle: the linear (vtime, pe) scan the sequencer once ran on every
-  // advance. Updates and removals hit any leaf, not only the top (the
-  // explorer's arbiter activates tied PEs that are not the top), keys
-  // collide often so ties are common, and the sizes straddle powers of
-  // two so padding leaves take part in the matches.
+  // The sizes straddle powers of two so padding leaves take part in the
+  // matches; each size runs from clock 0 and again just below the key
+  // limit, where the largest clock's keys sit next to the sentinel.
   for (const int n : {1, 2, 3, 5, 64, 255, 256, 257, 1000}) {
-    std::mt19937_64 rng(12345 + static_cast<std::uint64_t>(n));
+    check_against_naive_scan(n, 0, ~Nanos{0});
     ReadyTree t;
     t.reset(n);
-    std::vector<Nanos> key(static_cast<std::size_t>(n), 0);
-    std::vector<bool> alive(static_cast<std::size_t>(n), true);
-    int live = n;
-    const auto naive_top = [&] {
-      int best = -1;
-      for (int i = 0; i < n; ++i) {
-        const auto u = static_cast<std::size_t>(i);
-        if (alive[u] && (best < 0 || key[u] < key[static_cast<std::size_t>(
-                                                   best)]))
-          best = i;
-      }
-      return best;
-    };
-    const auto naive_second = [&](int top) {
-      Nanos s = ReadyTree::kNoVtime;
-      for (int i = 0; i < n; ++i) {
-        const auto u = static_cast<std::size_t>(i);
-        if (alive[u] && i != top && key[u] < s) s = key[u];
-      }
-      return s;
-    };
-    const int steps = std::max(2000, 8 * n);
-    for (int step = 0; step < steps && live > 0; ++step) {
-      const int pe = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
-      const auto u = static_cast<std::size_t>(pe);
-      if (!alive[u]) continue;
-      if (rng() % 32 == 0) {
-        t.remove(pe);
-        alive[u] = false;
-        --live;
-      } else {
-        // Mostly increase-key (the advance() pattern), sometimes
-        // decrease; a narrow value range makes ties frequent.
-        const Nanos v =
-            rng() % 8 == 0 ? key[u] / 2 : key[u] + rng() % 4 * 25;
-        t.update(pe, v);
-        key[u] = v;
-      }
-      const int top = naive_top();
-      ASSERT_EQ(t.top(), top) << "n=" << n << " step " << step;
-      ASSERT_EQ(t.second_vtime(), naive_second(top))
-          << "n=" << n << " step " << step;
-    }
-    // Drain: once every PE is removed there is no top.
-    for (int i = 0; i < n; ++i) t.remove(i);
-    EXPECT_EQ(t.top(), -1) << "n=" << n;
-    EXPECT_EQ(t.second_vtime(), ReadyTree::kNoVtime) << "n=" << n;
+    const Nanos max = t.vtime_limit() - 1;  // the largest legal clock
+    check_against_naive_scan(n, max - 4000, 4000);
   }
+}
+
+TEST(ReadyTree, LargestClockAtTwoAndAt4096Leaves) {
+  // b = log2(leaves) bits of pe id below the clock; the all-ones key is
+  // the sentinel, so the largest clock is 2^(64-b) - 2. Its key for the
+  // highest id is one below the sentinel and must still be a live PE.
+  for (const auto& [n, bits] : {std::pair{2, 1}, std::pair{4096, 12}}) {
+    ReadyTree t;
+    t.reset(n);
+    const Nanos limit = (Nanos{1} << (64 - bits)) - 1;
+    ASSERT_EQ(t.vtime_limit(), limit) << "n=" << n;
+    const Nanos max = limit - 1;
+    for (int pe = 0; pe < n; ++pe) t.update(pe, max);
+    EXPECT_EQ(t.top(), 0) << "n=" << n;
+    EXPECT_EQ(t.second_vtime(), max) << "n=" << n;
+    for (int pe = 0; pe < n - 1; ++pe) t.remove(pe);
+    EXPECT_EQ(t.top(), n - 1) << "n=" << n;
+    EXPECT_EQ(t.second_vtime(), ReadyTree::kNoVtime) << "n=" << n;
+    t.remove(n - 1);
+    EXPECT_EQ(t.top(), -1) << "n=" << n;
+  }
+  // At 4096 PEs the clock may run for 2^52 - 2 ns, over 52 days.
+  ReadyTree t;
+  t.reset(4096);
+  EXPECT_GE(t.vtime_limit() / 1'000'000'000 / 86'400, 52u);
+}
+
+TEST(ReadyTree, TiesAtTheHighestPeId) {
+  // n = 8 fills every leaf; n = 6 leaves padding above the highest id.
+  for (const int n : {6, 8}) {
+    ReadyTree t;
+    t.reset(n);
+    const Nanos max = t.vtime_limit() - 1;
+    for (const Nanos v : {Nanos{70}, max}) {
+      // The lower ids lose: one tick later, or (no room above the
+      // largest clock) retired.
+      for (int pe = 0; pe < n - 2; ++pe)
+        v == max ? t.remove(pe) : t.update(pe, v + 1);
+      t.update(n - 2, v);
+      t.update(n - 1, v);
+      EXPECT_EQ(t.top(), n - 2) << "n=" << n << " v=" << v;
+      EXPECT_EQ(t.second_vtime(), v) << "n=" << n << " v=" << v;
+      t.remove(n - 2);
+      EXPECT_EQ(t.top(), n - 1) << "n=" << n << " v=" << v;
+      t.update(n - 2, v);  // back: wins the tie again
+      EXPECT_EQ(t.top(), n - 2) << "n=" << n << " v=" << v;
+    }
+  }
+}
+
+TEST(ReadyTree, ClockAtTheKeyLimitFailsCheck) {
+  ReadyTree t;
+  t.reset(4096);
+  t.update(7, 100);
+  EXPECT_THROW(t.update(3, t.vtime_limit()), std::invalid_argument);
+  EXPECT_THROW(t.update(3, ReadyTree::kNoVtime), std::invalid_argument);
+  EXPECT_EQ(t.top(), 0);  // the failed update left the tree as it was
+  EXPECT_EQ(t.second_vtime(), 0u);
+
+  // Through the sequencer: the over-limit advance fails that PE's body
+  // and run_pes() rethrows it after the others finish.
+  VirtualTimeModel tm(2);
+  EXPECT_THROW(tm.run_pes(2,
+                          [&](int pe) {
+                            tm.advance(pe, 10);
+                            if (pe == 0) tm.advance(pe, Nanos{1} << 63);
+                          }),
+               std::invalid_argument);
+  EXPECT_EQ(tm.now(1), 10u);
 }
 
 TEST(ReadyTree, ResetReusesForAnotherSize) {
