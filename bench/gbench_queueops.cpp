@@ -96,8 +96,7 @@ BENCHMARK(BM_TaskSerializeRoundTrip)->Arg(16)->Arg(184);
 template <typename QueueT>
 void bench_local_ops(benchmark::State& state) {
   pgas::RuntimeConfig rcfg;
-  rcfg.npes = 1;
-  rcfg.mode = pgas::TimeMode::kReal;  // no sequencer: pure op cost
+  rcfg.npes = 1;  // no other PE to switch to: pure op cost
   rcfg.heap_bytes = 4 << 20;
   pgas::Runtime rt(rcfg);
   const core::QueueConfig qc{/*capacity=*/8192, /*slot_bytes=*/32};
@@ -127,7 +126,6 @@ template <typename QueueT>
 void bench_release_acquire(benchmark::State& state) {
   pgas::RuntimeConfig rcfg;
   rcfg.npes = 1;
-  rcfg.mode = pgas::TimeMode::kReal;
   rcfg.net.local_overhead = 0;  // isolate the metadata bookkeeping
   rcfg.heap_bytes = 4 << 20;
   pgas::Runtime rt(rcfg);

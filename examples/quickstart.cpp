@@ -2,7 +2,7 @@
 // balance them across simulated PEs.
 //
 //   ./quickstart [--npes 8] [--queue sws|sdc] [--fanout 4] [--depth 6]
-//                [--task-us 50] [--mode virtual|real]
+//                [--task-us 50] [--seed 42]
 //
 // Each task charges `task-us` of compute and spawns `fanout` children
 // until `depth` reaches zero; the pool prints where the work actually ran.
@@ -26,9 +26,6 @@ int main(int argc, char** argv) {
 
   pgas::RuntimeConfig rcfg;
   rcfg.npes = static_cast<int>(opt.get("npes", std::int64_t{8}));
-  rcfg.mode = opt.get("mode", std::string("virtual")) == "real"
-                  ? pgas::TimeMode::kReal
-                  : pgas::TimeMode::kVirtual;
   rcfg.seed = static_cast<std::uint64_t>(opt.get("seed", std::int64_t{42}));
 
   core::PoolConfig pcfg;

@@ -27,18 +27,16 @@ Explorer::Explorer(const Scenario& scenario, ExploreOptions opts)
   rt_ = std::make_unique<pgas::Runtime>(rc);
   inst_ = scen_.make(*rt_);
   SWS_CHECK(inst_ != nullptr, "scenario factory returned null");
-  vt_ = dynamic_cast<net::VirtualTimeModel*>(&rt_->time());
-  SWS_CHECK(vt_ != nullptr, "explorer requires the virtual time backend");
   env_.set_on_end(
       [this](int) { arb_.ended.fetch_add(1, std::memory_order_relaxed); });
-  vt_->set_ready_arbiter(
+  rt_->time().set_ready_arbiter(
       [this](int caller, const std::vector<int>& ready, net::Nanos now) {
         return arbitrate(caller, ready, now);
       });
 }
 
 Explorer::~Explorer() {
-  if (vt_ != nullptr) vt_->set_ready_arbiter(nullptr);
+  rt_->time().set_ready_arbiter(nullptr);
 }
 
 int Explorer::arbitrate(int caller, const std::vector<int>& ready,

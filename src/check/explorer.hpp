@@ -136,7 +136,6 @@ class Explorer {
   ScenarioEnv env_;
   std::unique_ptr<pgas::Runtime> rt_;
   std::unique_ptr<ScenarioInstance> inst_;
-  net::VirtualTimeModel* vt_ = nullptr;
   ArbState arb_;
   std::unordered_set<std::uint64_t> visited_;
   bool prune_now_ = false;  ///< pruning active for the current run()

@@ -5,10 +5,10 @@
 //
 // Everything here is host-side bookkeeping with no fabric traffic, so
 // instrumenting a scenario does not perturb the schedule being explored.
-// Under the virtual time backend all PE threads are baton-serialized
-// (every switch goes through the sequencer mutex), so plain containers
-// are safe; the few atomics below exist for the real-time backend and for
-// reads from the test harness thread.
+// PEs are fibers on one host thread that run one at a time, handing the
+// baton over only through the sequencer, so plain containers are safe.
+// The few atomics below are not needed for that; the serialization
+// alone orders every access.
 #pragma once
 
 #include <atomic>

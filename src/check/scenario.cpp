@@ -18,7 +18,6 @@ pgas::RuntimeConfig exploration_runtime_config(int npes,
   pgas::RuntimeConfig rc;
   rc.npes = npes;
   rc.heap_bytes = heap_bytes;
-  rc.mode = pgas::TimeMode::kVirtual;
   // Zero-cost network: every fabric op charges 0 ns, so PEs stay tied at
   // one instant and the arbiter decides the order of *memory effects*.
   // Only explicit waits (barrier polls, backoff, compute) advance clocks,

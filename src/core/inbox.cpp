@@ -1,6 +1,7 @@
 #include "core/inbox.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <vector>
 

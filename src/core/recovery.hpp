@@ -20,6 +20,7 @@
 // to pre-crash-subsystem builds.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -42,8 +43,8 @@ struct RecoveryConfig {
 
 /// Per-observer death knowledge plus the probe protocol (file comment).
 /// One instance per TaskPool; reset_pe()/reset() follow the pool's run
-/// lifecycle. Flags are atomic only for the real-time backend — under the
-/// virtual sequencer all accesses are baton-serialized.
+/// lifecycle. All accesses are baton-serialized by the sequencer, so the
+/// atomic flags need nothing stronger than relaxed ordering.
 class DeathRegistry {
  public:
   /// Size for `npes` observers and allocate the heartbeat word from `rt`'s

@@ -99,7 +99,7 @@ class Worker {
   void spawn_on(int target, std::span<const Task> tasks);
   void spawn_on(int target, const Task& t) { spawn_on(target, {&t, 1}); }
 
-  /// Charge task computation time (virtual in DES mode).
+  /// Charge task computation time, in virtual ns.
   void compute(net::Nanos dt);
 
   const WorkerStats& stats() const noexcept { return stats_; }
@@ -167,8 +167,8 @@ class TaskPool {
   friend class Worker;
 
   /// Live per-PE phase accounting (PoolPhase taxonomy). Owner-written by
-  /// the PE's thread at phase boundaries; the sampling hook reads it while
-  /// every PE thread is parked (the sequencer's serialization orders the
+  /// the PE's fiber at phase boundaries; the sampling hook reads it while
+  /// every PE fiber is parked (the sequencer's serialization orders the
   /// accesses), so no atomics are needed.
   struct alignas(64) PhaseSlot {
     std::array<net::Nanos, kNumPoolPhases> accrued{};

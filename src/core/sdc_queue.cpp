@@ -326,7 +326,7 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
     if (lockword == 0) break;
     if (lockword == net::kDeadFetchValue) return dead_victim();
     std::uint64_t meta[3];  // split, tail, seq
-    fab.get_words(thief.pe(), victim, meta_.off + kSplitOff, meta, 3);
+    fab.get(thief.pe(), victim, meta_.off + kSplitOff, meta, sizeof meta);
     if (meta[0] == net::kDeadFetchValue) return dead_victim();
     if (meta[1] >= meta[0]) {
       ++st.steals_empty;
@@ -342,7 +342,7 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
 
   // (2) fetch the metadata to size the steal.
   std::uint64_t meta[3];  // split, tail, seq
-  fab.get_words(thief.pe(), victim, meta_.off + kSplitOff, meta, 3);
+  fab.get(thief.pe(), victim, meta_.off + kSplitOff, meta, sizeof meta);
   if (meta[0] == net::kDeadFetchValue) return dead_victim();
   const std::uint64_t split = meta[0];
   const std::uint64_t tail = meta[1];
@@ -363,12 +363,12 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
   // we held (see encode_intent). Blocking put inside the critical section.
   if (fab.crashes_planned()) {
     const std::uint64_t iv = encode_intent(seq, thief.pe(), take);
-    fab.put_words(thief.pe(), victim, meta_.off + intent_off(seq), &iv, 1);
+    fab.put(thief.pe(), victim, meta_.off + intent_off(seq), &iv, sizeof iv);
   }
 
   // (3) claim: advance the tail and the steal sequence in one put.
   const std::uint64_t claim[2] = {tail + take, seq + 1};
-  fab.put_words(thief.pe(), victim, meta_.off + kTailOff, claim, 2);
+  fab.put(thief.pe(), victim, meta_.off + kTailOff, claim, sizeof claim);
 
   // (4) release the lock — the copy proceeds outside the critical section.
   unlock(thief, victim);

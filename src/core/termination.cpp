@@ -1,5 +1,6 @@
 #include "core/termination.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "common/assert.hpp"

@@ -1,6 +1,7 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <string>
 
@@ -9,34 +10,16 @@
 
 namespace sws::net {
 
-Fabric::Fabric(TimeModel& time, NetworkModel model, int npes)
+Fabric::Fabric(VirtualTimeModel& time, NetworkModel model, int npes)
     : time_(time), model_(model) {
   if (model_.params().faults.enabled())
     faults_ = std::make_unique<FaultInjector>(model_.params().faults, npes);
   crashes_armed_ = model_.params().faults.crashes_enabled();
   reset(npes);
-  if (time_.is_virtual()) {
-    time_.set_delivery_hook([this](Nanos now) { return deliver_until(now); });
-  } else {
-    // Real-time backend: a progress thread plays the NIC, applying nbi
-    // effects once their wall-clock deadline passes.
-    delivery_thread_ = std::thread([this] { delivery_loop(); });
-  }
+  time_.set_delivery_hook([this](Nanos now) { return deliver_until(now); });
 }
 
-Fabric::~Fabric() {
-  if (delivery_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(pend_mu_);
-      stopping_ = true;
-    }
-    pend_cv_.notify_all();
-    delivery_thread_.join();
-  }
-}
-
-std::uint32_t Fabric::grab_slab_locked(const void* src, std::size_t n,
-                                       int refs) {
+std::uint32_t Fabric::grab_slab(const void* src, std::size_t n, int refs) {
   ++pool_stats_.slab_grabs;
   std::uint32_t idx;
   if (slab_free_ != Slab::kNone) {
@@ -55,9 +38,7 @@ std::uint32_t Fabric::grab_slab_locked(const void* src, std::size_t n,
   return idx;
 }
 
-void Fabric::apply_effect_locked(const PendingEffect& e) {
-  // Atomics/memcpy on arenas: safe off-thread (real backend's progress
-  // thread) as well as under the sequencer hook.
+void Fabric::apply_effect(const PendingEffect& e) {
   switch (e.kind) {
     case PendingEffect::Kind::kAmoAdd:
       std::atomic_ref<std::uint64_t>(*static_cast<std::uint64_t*>(e.dst))
@@ -84,67 +65,40 @@ void Fabric::apply_effect_locked(const PendingEffect& e) {
   }
 }
 
-void Fabric::apply_top_locked() {
+void Fabric::apply_top() {
   const PendingOp& top = pending_.top();
   const PendingEffect effect = top.effect;
   const int initiator = top.initiator;
   const int target = top.target;
   pending_.pop();
-  apply_effect_locked(effect);
-  pending_per_pe_[static_cast<std::size_t>(initiator)].fetch_sub(
-      1, std::memory_order_relaxed);
-  pending_per_target_[static_cast<std::size_t>(target)].fetch_sub(
-      1, std::memory_order_relaxed);
-}
-
-void Fabric::delivery_loop() {
-  std::unique_lock<std::mutex> lk(pend_mu_);
-  while (!stopping_) {
-    if (pending_.empty()) {
-      pend_cv_.wait(lk);
-      continue;
-    }
-    const Nanos due = pending_.top().deadline;
-    const Nanos now = time_.now(0);  // real backend: one global clock
-    if (now < due) {
-      pend_cv_.wait_for(lk, std::chrono::nanoseconds(due - now));
-      continue;
-    }
-    apply_top_locked();
-    pend_cv_.notify_all();  // wake quiet() waiters
-  }
+  apply_effect(effect);
+  --pending_per_pe_[static_cast<std::size_t>(initiator)];
+  --pending_per_target_[static_cast<std::size_t>(target)];
 }
 
 void Fabric::reset(int npes) {
   SWS_CHECK(npes >= 0, "npes must be non-negative");
-  {
-    std::lock_guard<std::mutex> lk(pend_mu_);
-    while (!pending_.empty()) pending_.pop();
-    next_seq_ = 0;
-    // Dropped ops never deliver, so rebuild the slab free list from
-    // scratch; buffers (and their capacity) are kept for reuse.
-    slab_free_ = Slab::kNone;
-    for (std::uint32_t i = 0; i < slabs_.size(); ++i) {
-      slabs_[i].refs = 0;
-      slabs_[i].next_free = slab_free_;
-      slab_free_ = i;
-    }
+  while (!pending_.empty()) pending_.pop();
+  next_seq_ = 0;
+  // Dropped ops never deliver, so rebuild the slab free list from
+  // scratch; buffers (and their capacity) are kept for reuse.
+  slab_free_ = Slab::kNone;
+  for (std::uint32_t i = 0; i < slabs_.size(); ++i) {
+    slabs_[i].refs = 0;
+    slabs_[i].next_free = slab_free_;
+    slab_free_ = i;
   }
   model_.resize(npes);
   arenas_.assign(static_cast<std::size_t>(npes), Arena{});
   busy_until_.assign(static_cast<std::size_t>(npes), Nanos{0});
   stats_.assign(static_cast<std::size_t>(npes), PaddedStats{});
   labels_.assign(static_cast<std::size_t>(npes), PaddedLabel{});
-  pending_per_pe_ = std::vector<std::atomic<int>>(static_cast<std::size_t>(npes));
-  for (auto& p : pending_per_pe_) p.store(0, std::memory_order_relaxed);
-  pending_per_target_ =
-      std::vector<std::atomic<int>>(static_cast<std::size_t>(npes));
-  for (auto& p : pending_per_target_) p.store(0, std::memory_order_relaxed);
+  pending_per_pe_.assign(static_cast<std::size_t>(npes), 0);
+  pending_per_target_.assign(static_cast<std::size_t>(npes), 0);
   if (faults_) faults_->reset(npes);
   crash_at_.assign(static_cast<std::size_t>(npes), kNoPendingDeadline);
-  dead_ = std::vector<std::atomic<bool>>(static_cast<std::size_t>(npes));
-  for (auto& d : dead_) d.store(false, std::memory_order_relaxed);
-  ndead_.store(0, std::memory_order_relaxed);
+  dead_.assign(static_cast<std::size_t>(npes), false);
+  ndead_ = 0;
   if (crashes_armed_) arm_crashes();
 }
 
@@ -157,22 +111,18 @@ void Fabric::arm_crashes() {
 }
 
 void Fabric::new_run() {
-  {
-    std::lock_guard<std::mutex> lk(pend_mu_);
-    // Apply any leftovers so no memory effect is silently dropped. (A run
-    // that drives raw queues without a final quiet may legitimately end
-    // with in-flight completions; a TaskPool run may not — its teardown
-    // asserts pending(pe)==0 after quiet-at-barrier.)
-    while (!pending_.empty()) apply_top_locked();
-    // After the drain, the per-PE counters must agree with the (now
-    // empty) queue — anything else means an op leaked across runs.
-    for (const auto& p : pending_per_pe_)
-      SWS_ASSERT_MSG(p.load(std::memory_order_relaxed) == 0,
-                     "pending nbi ops leaked across runs (initiator count)");
-    for (const auto& p : pending_per_target_)
-      SWS_ASSERT_MSG(p.load(std::memory_order_relaxed) == 0,
-                     "pending nbi ops leaked across runs (target count)");
-  }
+  // Apply any leftovers so no memory effect is silently dropped. (A run
+  // that drives raw queues without a final quiet may legitimately end
+  // with in-flight completions; a TaskPool run may not — its teardown
+  // asserts pending(pe)==0 after quiet-at-barrier.)
+  while (!pending_.empty()) apply_top();
+  // After the drain, the per-PE counters must agree with the (now empty)
+  // queue — anything else means an op leaked across runs.
+  for (const int p : pending_per_pe_)
+    SWS_ASSERT_MSG(p == 0,
+                   "pending nbi ops leaked across runs (initiator count)");
+  for (const int p : pending_per_target_)
+    SWS_ASSERT_MSG(p == 0, "pending nbi ops leaked across runs (target count)");
   std::fill(busy_until_.begin(), busy_until_.end(), Nanos{0});
   std::fill(labels_.begin(), labels_.end(), PaddedLabel{});
   // Reseed the fault streams so run N+1 replays run N's decisions.
@@ -181,8 +131,8 @@ void Fabric::new_run() {
     // Clocks restart at 0, so the planned crashes re-fire: every PE is
     // alive again and the same CrashEvents replay — run N+1 reproduces
     // run N's deaths exactly.
-    for (auto& d : dead_) d.store(false, std::memory_order_relaxed);
-    ndead_.store(0, std::memory_order_relaxed);
+    std::fill(dead_.begin(), dead_.end(), false);
+    ndead_ = 0;
     std::fill(crash_at_.begin(), crash_at_.end(), kNoPendingDeadline);
     arm_crashes();
   }
@@ -202,8 +152,9 @@ void Fabric::maybe_crash(int pe) {
 void Fabric::mark_dead(int pe) {
   SWS_ASSERT(pe >= 0 && pe < npes());
   const std::size_t i = static_cast<std::size_t>(pe);
-  if (dead_[i].exchange(true, std::memory_order_seq_cst)) return;
-  ndead_.fetch_add(1, std::memory_order_relaxed);
+  if (dead_[i]) return;
+  dead_[i] = true;
+  ++ndead_;
   crash_at_[i] = kNoPendingDeadline;
 
   // Drop the dead PE's in-flight traffic: effects it issued die on the
@@ -211,7 +162,6 @@ void Fabric::mark_dead(int pe) {
   // queue here (rather than filtering at delivery) keeps pending()/
   // pending_to() exact, which quiet() loops and the new_run() leak asserts
   // rely on.
-  std::lock_guard<std::mutex> lk(pend_mu_);
   std::priority_queue<PendingOp, std::vector<PendingOp>, std::greater<>> keep;
   while (!pending_.empty()) {
     PendingOp op = pending_.top();
@@ -227,10 +177,8 @@ void Fabric::mark_dead(int pe) {
         slab_free_ = op.effect.slab;
       }
     }
-    pending_per_pe_[static_cast<std::size_t>(op.initiator)].fetch_sub(
-        1, std::memory_order_relaxed);
-    pending_per_target_[static_cast<std::size_t>(op.target)].fetch_sub(
-        1, std::memory_order_relaxed);
+    --pending_per_pe_[static_cast<std::size_t>(op.initiator)];
+    --pending_per_target_[static_cast<std::size_t>(op.target)];
   }
   pending_.swap(keep);
 }
@@ -288,10 +236,9 @@ void Fabric::charge(int initiator, int target, OpKind kind,
   if (remote) ++s.tier_ops[static_cast<std::size_t>(tier - 1)];
 
   // Target-NIC occupancy: concurrent remote ops against one PE queue
-  // behind each other. Only meaningful (and only safe without locking —
-  // the baton serializes us) under the virtual-time backend.
+  // behind each other.
   const Nanos occ = remote ? model_.params().link(tier).target_occupancy : 0;
-  if (remote && occ > 0 && time_.is_virtual()) {
+  if (occ > 0) {
     const Nanos now = time_.now(initiator);
     Nanos& busy = busy_until_[static_cast<std::size_t>(target)];
     const Nanos start = std::max(now, busy);
@@ -348,37 +295,6 @@ void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
   }
   std::memcpy(dst, translate(target, offset, n), n);
   stats_[static_cast<std::size_t>(initiator)].s.bytes_got += n;
-}
-
-void Fabric::put_words(int initiator, int target, std::uint64_t offset,
-                       const std::uint64_t* src, std::size_t nwords) {
-  note_op(initiator, target, OpKind::kPut, offset);
-  charge(initiator, target, OpKind::kPut, nwords * 8);
-  if (effect_suppressed(initiator, target)) return;
-  SWS_ASSERT_MSG(offset % 8 == 0, "word put must be 8-byte aligned");
-  auto* dst =
-      reinterpret_cast<std::uint64_t*>(translate(target, offset, nwords * 8));
-  for (std::size_t i = 0; i < nwords; ++i)
-    std::atomic_ref<std::uint64_t>(dst[i]).store(src[i],
-                                                 std::memory_order_seq_cst);
-  stats_[static_cast<std::size_t>(initiator)].s.bytes_put += nwords * 8;
-}
-
-void Fabric::get_words(int initiator, int target, std::uint64_t offset,
-                       std::uint64_t* dst, std::size_t nwords) {
-  note_op(initiator, target, OpKind::kGet, offset);
-  charge(initiator, target, OpKind::kGet, nwords * 8);
-  if (effect_suppressed(initiator, target)) {
-    for (std::size_t i = 0; i < nwords; ++i) dst[i] = kDeadFetchValue;
-    return;
-  }
-  SWS_ASSERT_MSG(offset % 8 == 0, "word get must be 8-byte aligned");
-  const auto* src = reinterpret_cast<const std::uint64_t*>(
-      translate(target, offset, nwords * 8));
-  for (std::size_t i = 0; i < nwords; ++i)
-    dst[i] = std::atomic_ref<const std::uint64_t>(src[i]).load(
-        std::memory_order_seq_cst);
-  stats_[static_cast<std::size_t>(initiator)].s.bytes_got += nwords * 8;
 }
 
 std::uint64_t Fabric::amo_fetch_add(int initiator, int target,
@@ -448,34 +364,26 @@ void Fabric::enqueue_nbi(int initiator, int target, std::size_t bytes,
       dup_deadline = deadline + v.dup_extra_delay;
     }
   }
-  {
-    std::lock_guard<std::mutex> lk(pend_mu_);
-    const int copies = duplicate ? 2 : 1;
-    if (slab_src != nullptr) {
-      effect.in_slab = true;
-      effect.slab = grab_slab_locked(slab_src, effect.len, copies);
-    } else {
-      ++pool_stats_.inline_effects;
-    }
-    pending_per_pe_[static_cast<std::size_t>(initiator)].fetch_add(
-        copies, std::memory_order_relaxed);
-    pending_per_target_[static_cast<std::size_t>(target)].fetch_add(
-        copies, std::memory_order_relaxed);
-    pending_.push(PendingOp{deadline, next_seq_++, initiator, target, effect});
-    if (duplicate) {
-      // Both copies enter pending_ atomically with the original (sharing
-      // one slab via refcount), so pending_to(target)==0 proves no stray
-      // duplicate is in flight.
-      pending_.push(
-          PendingOp{dup_deadline, next_seq_++, initiator, target, effect});
-    }
+  const int copies = duplicate ? 2 : 1;
+  if (slab_src != nullptr) {
+    effect.in_slab = true;
+    effect.slab = grab_slab(slab_src, effect.len, copies);
+  } else {
+    ++pool_stats_.inline_effects;
   }
-  if (!time_.is_virtual()) pend_cv_.notify_all();
-  // Only the baton holder issues ops under the virtual backend, so this
-  // needs no lock: shrink our batching horizon so the sequencer cannot
-  // run past the new deadline without delivering. Fault-extended (and
-  // duplicate) deadlines are covered: the original's deadline is the
-  // earliest of the copies.
+  pending_per_pe_[static_cast<std::size_t>(initiator)] += copies;
+  pending_per_target_[static_cast<std::size_t>(target)] += copies;
+  pending_.push(PendingOp{deadline, next_seq_++, initiator, target, effect});
+  if (duplicate) {
+    // Both copies enter pending_ together with the original (sharing one
+    // slab via refcount), so pending_to(target)==0 proves no stray
+    // duplicate is in flight.
+    pending_.push(
+        PendingOp{dup_deadline, next_seq_++, initiator, target, effect});
+  }
+  // Shrink our batching horizon so the sequencer cannot run past the new
+  // deadline without delivering. Fault-extended (and duplicate) deadlines
+  // are covered: the original's deadline is the earliest of the copies.
   time_.clamp_horizon(initiator, deadline);
 }
 
@@ -527,47 +435,30 @@ Nanos Fabric::deliver_until(Nanos now) {
   // Called from the sequencer when global virtual time reaches a floor at
   // or past the earliest pending deadline. Applies every effect whose
   // deadline passed, in (deadline, issue-sequence) order — deterministic.
-  std::lock_guard<std::mutex> lk(pend_mu_);
-  while (!pending_.empty() && pending_.top().deadline <= now)
-    apply_top_locked();
+  while (!pending_.empty() && pending_.top().deadline <= now) apply_top();
   return pending_.empty() ? kNoPendingDeadline : pending_.top().deadline;
 }
 
-EffectPoolStats Fabric::effect_pool_stats() const {
-  std::lock_guard<std::mutex> lk(pend_mu_);
-  return pool_stats_;
-}
+EffectPoolStats Fabric::effect_pool_stats() const { return pool_stats_; }
 
 int Fabric::pending(int pe) const {
-  return pending_per_pe_[static_cast<std::size_t>(pe)].load(
-      std::memory_order_relaxed);
+  return pending_per_pe_[static_cast<std::size_t>(pe)];
 }
 
 int Fabric::pending_to(int pe) const {
-  return pending_per_target_[static_cast<std::size_t>(pe)].load(
-      std::memory_order_relaxed);
+  return pending_per_target_[static_cast<std::size_t>(pe)];
 }
 
 void Fabric::quiet(int pe) {
-  if (time_.is_virtual()) {
-    // Advance until all of our in-flight ops are delivered. Deliveries
-    // fire from the sequencer hook as time passes; the step is the
-    // outermost tier's nbi delay so we overshoot by at most one delivery
-    // window.
-    const Nanos outer_delay = model_.params().link(model_.ntiers()).nbi_delay;
-    const Nanos step = outer_delay > 0 ? outer_delay : Nanos{100};
-    while (pending(pe) > 0) {
-      if (crashes_armed_) maybe_crash(pe);  // a dying PE dies here too
-      time_.advance(pe, step);
-    }
-    return;
+  // Advance until all of our in-flight ops are delivered. Deliveries fire
+  // from the sequencer hook as time passes; the step is the outermost
+  // tier's nbi delay so we overshoot by at most one delivery window.
+  const Nanos outer_delay = model_.params().link(model_.ntiers()).nbi_delay;
+  const Nanos step = outer_delay > 0 ? outer_delay : Nanos{100};
+  while (pending(pe) > 0) {
+    if (crashes_armed_) maybe_crash(pe);  // a dying PE dies here too
+    time_.advance(pe, step);
   }
-  // Real backend: block until the progress thread drains our ops.
-  std::unique_lock<std::mutex> lk(pend_mu_);
-  pend_cv_.wait(lk, [&] {
-    return pending_per_pe_[static_cast<std::size_t>(pe)].load(
-               std::memory_order_relaxed) == 0;
-  });
 }
 
 // ------------------------------------------------------------ accounting
@@ -624,8 +515,7 @@ void Fabric::publish_metrics(obs::MetricsRegistry& reg) const {
                            "ops issued against crashed PEs"),
                [](const FabricStats& s) { return s.dead_target_ops; });
 
-  // Effect-pool counters are fabric-global (guarded by pend_mu_); they
-  // land on PE 0's slot.
+  // Effect-pool counters are fabric-global; they land on PE 0's slot.
   const EffectPoolStats pool = effect_pool_stats();
   reg.set(reg.counter("fabric.effect_pool.inline", "inline nbi effects"), 0,
           pool.inline_effects);

@@ -1,6 +1,6 @@
 // The simulated RDMA fabric: executes one-sided operations against
-// registered per-PE memory arenas, charges time through the TimeModel,
-// and accounts traffic per PE.
+// registered per-PE memory arenas, charges time through the sequencer
+// (net/time_model.hpp), and accounts traffic per PE.
 //
 // Semantics (DESIGN.md §5):
 //  * Blocking ops stall the initiator for the modeled cost, then apply
@@ -11,8 +11,7 @@
 //    effect is queued and delivered when time passes `now +
 //    delivery_delay` — i.e. completions genuinely arrive late, which is
 //    what the paper's completion epochs (§4.2) exist to absorb. The
-//    virtual backend delivers via the sequencer hook; the real-time
-//    backend via a fabric progress thread.
+//    sequencer's delivery hook applies them.
 //  * quiet(pe) blocks until all of pe's outstanding nbi ops delivered
 //    (the OpenSHMEM shmem_quiet contract).
 //
@@ -24,15 +23,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -68,8 +63,7 @@ inline constexpr std::uint64_t kDeadFetchValue = ~std::uint64_t{0};
 /// op's time charge, so while a PE is parked inside the sequencer its
 /// label names the op whose memory effect it will apply on resume. The
 /// schedule-exploration harness reads these to render human-readable
-/// event traces. Only meaningful under the virtual backend, where the
-/// baton serializes writer and reader.
+/// event traces; the sequencer's baton serializes writer and reader.
 struct OpLabel {
   OpKind kind = OpKind::kCount_;  ///< kCount_ = no op issued yet
   int target = -1;
@@ -96,8 +90,8 @@ struct OpRecord {
   Nanos dur = 0;
 };
 
-/// Called for every op issued under a nonzero span, from the initiating
-/// PE's thread, after the cost is computed and before the clock advances.
+/// Called for every op issued under a nonzero span, on the initiating
+/// PE's fiber, after the cost is computed and before the clock advances.
 /// Must only observe (record into a per-PE trace ring) — it runs on the
 /// hot path and must not touch the fabric or the clock.
 using OpObserver = std::function<void(const OpRecord&)>;
@@ -129,8 +123,7 @@ struct EffectPoolStats {
 
 class Fabric {
  public:
-  Fabric(TimeModel& time, NetworkModel model, int npes);
-  ~Fabric();
+  Fabric(VirtualTimeModel& time, NetworkModel model, int npes);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -146,7 +139,7 @@ class Fabric {
   void register_arena(int pe, std::byte* base, std::size_t size);
 
   int npes() const noexcept { return static_cast<int>(arenas_.size()); }
-  TimeModel& time() noexcept { return time_; }
+  VirtualTimeModel& time() noexcept { return time_; }
   const NetworkModel& model() const noexcept { return model_; }
 
   // --- blocking one-sided data movement --------------------------------
@@ -154,15 +147,6 @@ class Fabric {
            std::size_t n);
   void get(int initiator, int target, std::uint64_t offset, void* dst,
            std::size_t n);
-
-  /// Word-granular variants for metadata that other PEs mutate
-  /// concurrently: charged as a single put/get of 8*nwords bytes, applied
-  /// as per-word atomics so no torn values are observable under the
-  /// real-time backend.
-  void put_words(int initiator, int target, std::uint64_t offset,
-                 const std::uint64_t* src, std::size_t nwords);
-  void get_words(int initiator, int target, std::uint64_t offset,
-                 std::uint64_t* dst, std::size_t nwords);
 
   // --- blocking 64-bit atomics (OpenSHMEM AMO set) ---------------------
   std::uint64_t amo_fetch_add(int initiator, int target, std::uint64_t offset,
@@ -205,12 +189,9 @@ class Fabric {
   /// through poison verdicts / DeathRegistry probes, not by polling this;
   /// it exists for the fabric's own op handling, assertions, and tests.
   bool alive(int pe) const noexcept {
-    return !dead_[static_cast<std::size_t>(pe)].load(
-        std::memory_order_relaxed);
+    return !dead_[static_cast<std::size_t>(pe)];
   }
-  int num_dead() const noexcept {
-    return ndead_.load(std::memory_order_relaxed);
-  }
+  int num_dead() const noexcept { return ndead_; }
   /// Crash check for non-op wait points (PeContext::compute, quiet polls):
   /// throws PeKilled iff `pe`'s planned crash time has passed. Every
   /// fabric op checks implicitly via charge().
@@ -252,8 +233,7 @@ class Fabric {
   /// observer. 0 clears the span. Per-PE state — each PE sets its own.
   void set_span(int pe, std::uint64_t span) noexcept;
   std::uint64_t current_span(int pe) const noexcept;
-  /// Install (or clear, with nullptr) the op observer. Not thread-safe
-  /// against in-flight ops: install before the PEs run.
+  /// Install (or clear, with nullptr) the op observer before the PEs run.
   void set_op_observer(OpObserver cb) { observer_ = std::move(cb); }
 
   /// Publish this fabric's accounting (per-PE op counts and bytes, the
@@ -328,40 +308,38 @@ class Fabric {
   /// Queue `effect` for delivery after the modeled nbi delay (plus any
   /// fault verdict), then clamp the initiator's sequencer horizon to the
   /// deadline — which is also how the sequencer learns that a delivery is
-  /// due then (it only calls deliver_until() once one is). When `slab_src` is non-null the payload is copied into a
-  /// pooled slab under pend_mu_ (effect.len bytes); inline payloads are
-  /// already inside `effect`.
+  /// due then (it only calls deliver_until() once one is). When
+  /// `slab_src` is non-null the payload (effect.len bytes) is copied into
+  /// a pooled slab; inline payloads are already inside `effect`.
   void enqueue_nbi(int initiator, int target, std::size_t bytes,
                    PendingEffect effect, const void* slab_src);
-  /// Acquire a slab holding [src, src+n) with `refs` queued references;
-  /// caller holds pend_mu_.
-  std::uint32_t grab_slab_locked(const void* src, std::size_t n, int refs);
-  void apply_effect_locked(const PendingEffect& e);
-  /// Pop + apply one delivered op; caller holds pend_mu_.
-  void apply_top_locked();
+  /// Acquire a slab holding [src, src+n) with `refs` queued references.
+  std::uint32_t grab_slab(const void* src, std::size_t n, int refs);
+  void apply_effect(const PendingEffect& e);
+  /// Pop + apply one delivered op.
+  void apply_top();
   /// Apply every pending effect with deadline <= now; returns the earliest
   /// deadline still pending (kNoPendingDeadline if none) — the sequencer
   /// caps run-to-horizon batching with it.
   Nanos deliver_until(Nanos now);
 
-  TimeModel& time_;
+  VirtualTimeModel& time_;
   NetworkModel model_;
   std::vector<Arena> arenas_;
-  /// Per-target NIC busy horizon (virtual mode only; baton-serialized).
+  /// Per-target NIC busy horizon.
   std::vector<Nanos> busy_until_;
   mutable std::vector<PaddedStats> stats_;
   std::vector<PaddedLabel> labels_;
   OpObserver observer_;
 
-  mutable std::mutex pend_mu_;
   std::priority_queue<PendingOp, std::vector<PendingOp>, std::greater<>>
       pending_;
-  std::vector<std::atomic<int>> pending_per_pe_;
-  std::vector<std::atomic<int>> pending_per_target_;
+  std::vector<int> pending_per_pe_;
+  std::vector<int> pending_per_target_;
   std::uint64_t next_seq_ = 0;
-  std::vector<Slab> slabs_;                    ///< guarded by pend_mu_
-  std::uint32_t slab_free_ = Slab::kNone;      ///< free-list head
-  EffectPoolStats pool_stats_;                 ///< guarded by pend_mu_
+  std::vector<Slab> slabs_;
+  std::uint32_t slab_free_ = Slab::kNone;  ///< free-list head
+  EffectPoolStats pool_stats_;
 
   /// Present iff model_.params().faults.enabled(); a null injector means
   /// every fault hook short-circuits to the pre-fault fast path.
@@ -370,21 +348,11 @@ class Fabric {
   // Crash-stop state. crashes_armed_ is constant after construction and
   // gates every check, so un-planned runs pay one predicted-not-taken
   // branch per op and nothing else. crash_at_ is written only by the
-  // owning PE (disarm) or under reset/new_run; dead_ flags are atomic for
-  // the real-time backend and cross-thread test reads.
+  // owning PE (disarm) or under reset/new_run.
   bool crashes_armed_ = false;
   std::vector<Nanos> crash_at_;
-  std::vector<std::atomic<bool>> dead_;
-  std::atomic<int> ndead_{0};
-
-  // Real-time backend: a progress thread applies queued nbi effects once
-  // their wall-clock deadline passes, so completion notifications arrive
-  // late under true concurrency as well. (The virtual backend delivers
-  // through the sequencer hook instead.)
-  void delivery_loop();
-  std::thread delivery_thread_;
-  std::condition_variable pend_cv_;
-  bool stopping_ = false;
+  std::vector<bool> dead_;
+  int ndead_ = 0;
 };
 
 }  // namespace sws::net

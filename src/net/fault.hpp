@@ -95,8 +95,8 @@ struct FaultStats {
 };
 
 /// Draws fault decisions. One instance per Fabric; per-PE RNG streams and
-/// stats keep it safe under the real-time backend's true concurrency and
-/// deterministic under the virtual sequencer.
+/// stats keep it deterministic under the sequencer: a PE's verdicts do not
+/// depend on how other PEs' ops interleave with its own.
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, int npes);

@@ -32,8 +32,7 @@ struct LinkParams {
   /// NIC occupancy at the target: each op over this link holds the
   /// target's NIC for this long, so concurrent ops against one PE
   /// serialize — what makes a contended victim (thief storms, lock
-  /// convoys) expensive. 0 disables the queueing model. Applied by the
-  /// virtual-time backend.
+  /// convoys) expensive. 0 disables the queueing model.
   Nanos target_occupancy = 250;
 
   LinkParams scaled(double factor) const noexcept;

@@ -1,40 +1,12 @@
 #include "net/time_model.hpp"
 
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace sws::net {
 
-// ------------------------------------------------------------------ base
-
-void TimeModel::run_pes(int npes, const std::function<void(int)>& body) {
-  reset(npes);
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(npes));
-  for (int pe = 0; pe < npes; ++pe) {
-    threads.emplace_back([pe, &body, &err_mu, &first_error] {
-      try {
-        body(pe);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-// ---------------------------------------------------------------- virtual
-
 VirtualTimeModel::VirtualTimeModel(int npes) { reset(npes); }
-
-VirtualTimeModel::~VirtualTimeModel() = default;
 
 void VirtualTimeModel::reset(int npes) {
   SWS_CHECK(npes >= 0, "npes must be non-negative");
@@ -46,7 +18,7 @@ void VirtualTimeModel::reset(int npes) {
   npes_ = npes;
   for (int i = 0; i < npes; ++i) {
     PeSlot& s = slot(i);
-    s.vtime.store(0, std::memory_order_relaxed);
+    s.vtime = 0;
     s.horizon = 0;
     s.finished = false;
   }
@@ -56,7 +28,7 @@ void VirtualTimeModel::reset(int npes) {
   // PE 0 runs first: all clocks are 0 and ties break by id. Horizons
   // start at 0, so the first advance of every PE enters the sequencer and
   // computes a real horizon.
-  active_.store(npes > 0 ? 0 : -1, std::memory_order_relaxed);
+  active_ = npes > 0 ? 0 : -1;
   next_sample_ = sample_interval_;
 }
 
@@ -83,7 +55,7 @@ void VirtualTimeModel::run_pes(int npes,
 void VirtualTimeModel::fiber_main(void* self) {
   auto& m = *static_cast<VirtualTimeModel*>(self);
   // A fiber first runs when the sequencer activates it.
-  const int pe = m.active_.load(std::memory_order_relaxed);
+  const int pe = m.active_;
   try {
     (*m.body_)(pe);
   } catch (...) {
@@ -118,18 +90,17 @@ int VirtualTimeModel::pick_next(int caller) {
   // Collect every PE tied at the minimum: each is a legal next event, and
   // which one runs decides how the in-flight memory effects interleave.
   // Only worth O(N) when an arbiter is actually installed.
-  const Nanos floor = slot(best).vtime.load(std::memory_order_relaxed);
+  const Nanos floor = slot(best).vtime;
   ready_scratch_.clear();
   for (int i = 0; i < npes_; ++i) {
     const PeSlot& s = slot(i);
-    if (!s.finished && s.vtime.load(std::memory_order_relaxed) == floor)
+    if (!s.finished && s.vtime == floor)
       ready_scratch_.push_back(i);
   }
   if (ready_scratch_.size() == 1) return best;
   const int chosen = arbiter_(caller, ready_scratch_, floor);
   SWS_ASSERT_MSG(chosen >= 0 && chosen < npes_ && !slot(chosen).finished &&
-                     slot(chosen).vtime.load(std::memory_order_relaxed) ==
-                         floor,
+                     slot(chosen).vtime == floor,
                  "arbiter returned a PE outside the ready set");
   return chosen;
 }
@@ -142,7 +113,7 @@ Nanos VirtualTimeModel::refresh_horizon(int pe) {
   // the hook is not asked: next_delivery_ only ever errs low (drops raise
   // the true minimum; every enqueue lowers the cache via clamp_horizon),
   // which costs one extra call, never a missed delivery.
-  const Nanos now = slot(pe).vtime.load(std::memory_order_relaxed);
+  const Nanos now = slot(pe).vtime;
   if (now >= next_delivery_)
     next_delivery_ = hook_ ? hook_(now) : kNoPendingDeadline;
   // Windowed sampling: fire once per boundary the floor has crossed, in
@@ -167,20 +138,20 @@ Nanos VirtualTimeModel::refresh_horizon(int pe) {
 }
 
 void VirtualTimeModel::activate(int next) {
-  active_.store(next, std::memory_order_relaxed);
+  active_ = next;
   if (next < 0) return;
   slot(next).horizon = refresh_horizon(next);
 }
 
 void VirtualTimeModel::switch_from(int pe, bool exiting) {
   SWS_ASSERT_MSG(body_ != nullptr, "PE handoff outside run_pes()");
-  const int next = active_.load(std::memory_order_relaxed);
+  const int next = active_;
   switches_ += next >= 0 ? 1 : 0;
   fiber_switch(slot(pe).ctx, next < 0 ? caller_ : slot(next).ctx, exiting);
 }
 
 void VirtualTimeModel::finish(int pe) {
-  SWS_ASSERT(active_.load(std::memory_order_relaxed) == pe);
+  SWS_ASSERT(active_ == pe);
   slot(pe).finished = true;
   ready_.remove(pe);
   activate(pick_next(pe));
@@ -191,17 +162,16 @@ void VirtualTimeModel::finish(int pe) {
 void VirtualTimeModel::advance(int pe, Nanos dt) {
   SWS_ASSERT(pe >= 0 && pe < npes_);
   PeSlot& s = slot(pe);
-  SWS_ASSERT_MSG(active_.load(std::memory_order_relaxed) == pe,
-                 "advance() by a PE not holding the baton");
-  const Nanos nv = s.vtime.load(std::memory_order_relaxed) + dt;
+  SWS_ASSERT_MSG(active_ == pe, "advance() by a PE not holding the baton");
+  const Nanos nv = s.vtime + dt;
   if (nv < s.horizon) {
     // Run-to-horizon fast path: still strictly the global minimum and
     // strictly before the next delivery deadline — nothing to pick,
-    // nothing to deliver, nobody to wake. Publish the clock and return.
-    s.vtime.store(nv, std::memory_order_release);
+    // nothing to deliver, nobody to wake. Store the clock and return.
+    s.vtime = nv;
     return;
   }
-  s.vtime.store(nv, std::memory_order_release);
+  s.vtime = nv;
   ready_.update(pe, nv);
   const int next = pick_next(pe);
   SWS_ASSERT(next >= 0);  // we are unfinished, so somebody is runnable
@@ -217,55 +187,16 @@ void VirtualTimeModel::advance(int pe, Nanos dt) {
 
 Nanos VirtualTimeModel::now(int pe) const {
   SWS_ASSERT(pe >= 0 && pe < npes_);
-  return slot(pe).vtime.load(std::memory_order_acquire);
+  return slot(pe).vtime;
 }
 
 void VirtualTimeModel::clamp_horizon(int pe, Nanos deadline) {
   SWS_ASSERT(pe >= 0 && pe < npes_);
-  SWS_ASSERT_MSG(active_.load(std::memory_order_relaxed) == pe,
+  SWS_ASSERT_MSG(active_ == pe,
                  "clamp_horizon() by a PE not holding the baton");
   PeSlot& s = slot(pe);
   if (deadline < s.horizon) s.horizon = deadline;
   if (deadline < next_delivery_) next_delivery_ = deadline;
-}
-
-// ------------------------------------------------------------------ real
-
-RealTimeModel::RealTimeModel(int npes)
-    : epoch_(std::chrono::steady_clock::now()), npes_(npes) {}
-
-void RealTimeModel::reset(int npes) {
-  npes_ = npes;
-  epoch_ = std::chrono::steady_clock::now();
-}
-
-void RealTimeModel::advance(int pe, Nanos dt) {
-  (void)pe;
-  // Delays below this busy-wait (accuracy); longer ones sleep (the host
-  // has few cores; spinning starves other PE threads).
-  constexpr Nanos kSpinThresholdNs = 100'000;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(dt);
-  if (dt >= kSpinThresholdNs) {
-    std::this_thread::sleep_until(deadline);
-  } else {
-    while (std::chrono::steady_clock::now() < deadline) {
-      // Busy-wait; yield so oversubscribed hosts still make progress.
-      std::this_thread::yield();
-    }
-  }
-}
-
-Nanos RealTimeModel::now(int pe) const {
-  (void)pe;
-  return static_cast<Nanos>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - epoch_)
-                                .count());
-}
-
-void RealTimeModel::set_delivery_hook(DeliveryHook hook) {
-  // Real mode applies non-blocking ops immediately; nothing to deliver.
-  (void)hook;
 }
 
 }  // namespace sws::net

@@ -1,23 +1,13 @@
-// Time backends for the simulated PGAS platform.
+// The clock of the simulated PGAS platform.
 //
 // The paper evaluates on a 44-node InfiniBand cluster. We reproduce its
-// experiments on one host by running each PE against one of two
-// interchangeable clocks:
-//
-//  * VirtualTimeModel — a discrete-event sequencer. Every PE is a
-//    user-space fiber (net/fiber.hpp) on the host thread that calls
-//    run_pes(), and exactly one runs at a time: the runnable PE is always
-//    the one with the minimum (virtual clock, PE id). Communication
-//    latencies and task compute times are charged by advance(), so a 5 ms
-//    task costs nothing in wall time and results are bit-deterministic.
-//    All paper figures use this.
-//  * RealTimeModel — PEs are OS threads that run concurrently, and
-//    advance() injects real delays (spin for short, sleep for long). Used
-//    by stress tests that want genuinely preemptive interleavings, and by
-//    live examples.
-//
-// Both expose the same interface, so the whole runtime above this layer
-// is written once.
+// experiments on one host with a discrete-event sequencer: every PE is a
+// user-space fiber (net/fiber.hpp) on the host thread that calls
+// run_pes(), and exactly one runs at a time — the runnable PE is always
+// the one with the minimum (virtual clock, PE id). Communication latencies
+// and task compute times are charged by advance(), so a 5 ms task costs
+// nothing in wall time and results are bit-deterministic. Every figure,
+// golden and benchmark runs on it.
 //
 // Sequencer hot path (docs/performance.md): the ready set is a tournament
 // tree of packed 8-byte (vtime, pe) keys, and the running PE caches a
@@ -35,8 +25,6 @@
 // entirely: the schedule explorer must observe every potential tie.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -78,7 +66,7 @@ using DeliveryHook = std::function<Nanos(Nanos now)>;
 using ReadyArbiter =
     std::function<int(int caller, const std::vector<int>& ready, Nanos now)>;
 
-/// Observation-only callback fired by the virtual sequencers each time the
+/// Observation-only callback fired by the sequencer each time the
 /// global time floor crosses a sampling boundary (`boundary` = k*interval
 /// for k = 1, 2, ...; boundaries are never skipped, so a long batch fires
 /// one call per crossed boundary, in order). Runs inside the sequencer's
@@ -86,80 +74,50 @@ using ReadyArbiter =
 /// metrics slabs, and scheduler state lock-free. It must never advance
 /// clocks, issue fabric operations, or call back into the time model:
 /// sampling is observation-only, and the determinism A/B suite enforces
-/// that sampled runs are byte-identical to unsampled ones. Real-time
-/// backends ignore it.
+/// that sampled runs are byte-identical to unsampled ones.
 using SampleHook = std::function<void(Nanos boundary)>;
 
-class TimeModel {
+/// Deterministic discrete-event sequencer (see file comment).
+class VirtualTimeModel {
  public:
-  virtual ~TimeModel() = default;
+  explicit VirtualTimeModel(int npes = 0);
 
   /// Re-initialize for a fresh run with `npes` participants. Must not be
   /// called while PEs are running.
-  virtual void reset(int npes) = 0;
+  void reset(int npes);
 
-  /// reset(npes), then run `body(pe)` for every PE in [0, npes) under this
-  /// clock; returns when every PE has finished. The first exception that
-  /// escapes a PE's body is rethrown here after all of them finish.
-  /// Default: one std::thread per PE.
-  virtual void run_pes(int npes, const std::function<void(int)>& body);
+  /// reset(npes), then run `body(pe)` for every PE in [0, npes) as a fiber
+  /// on the calling thread, PE 0 first; returns when every PE has
+  /// finished. The first exception that escapes a PE's body is rethrown
+  /// here after all of them finish. Fiber stacks are kept across runs and
+  /// only remapped when `npes` grows. Not reentrant.
+  void run_pes(int npes, const std::function<void(int)>& body);
 
-  /// Advance PE `pe`'s clock by `dt`, blocking the caller accordingly.
-  virtual void advance(int pe, Nanos dt) = 0;
+  /// Advance PE `pe`'s clock by `dt`; may only be called by the running
+  /// PE, and hands the host thread to another PE once `pe` is no longer
+  /// the minimum.
+  void advance(int pe, Nanos dt);
 
-  /// Current clock of PE `pe`.
-  virtual Nanos now(int pe) const = 0;
+  /// PE `pe`'s clock. Exact from any PE (they share one host thread) and
+  /// after run_pes() returns.
+  Nanos now(int pe) const;
 
   /// Inform the sequencer that an event (e.g. an nbi delivery deadline)
-  /// was scheduled at virtual time `deadline` by the running PE `pe`.
-  /// Virtual backend: shrinks pe's batching horizon so the deadline is
-  /// not skipped over, and makes the delivery hook fire once the time
-  /// floor reaches it; may only be called by the running PE. Real
-  /// backend: no-op (deliveries are driven by a progress thread).
-  virtual void clamp_horizon(int pe, Nanos deadline) {
-    (void)pe;
-    (void)deadline;
-  }
+  /// was scheduled at virtual time `deadline` by the running PE `pe`:
+  /// shrinks pe's batching horizon so the deadline is not skipped over,
+  /// and makes the delivery hook fire once the time floor reaches it.
+  void clamp_horizon(int pe, Nanos deadline);
 
-  virtual void set_delivery_hook(DeliveryHook hook) = 0;
+  void set_delivery_hook(DeliveryHook hook);
 
   /// Install (or clear, with nullptr / interval 0) the windowed sampling
-  /// hook. Virtual backends fire it at every multiple of `interval_ns`
-  /// the global floor crosses, capping run-to-horizon batches (but never
-  /// schedules) at the next boundary so samples land on time. Real
-  /// backend: no-op. Must not be called while PEs are running.
-  virtual void set_sample_hook(SampleHook hook, Nanos interval_ns) {
-    (void)hook;
-    (void)interval_ns;
-  }
+  /// hook. Fires at every multiple of `interval_ns` the global floor
+  /// crosses, capping run-to-horizon batches (but never schedules) at the
+  /// next boundary so samples land on time. Must not be called while PEs
+  /// are running.
+  void set_sample_hook(SampleHook hook, Nanos interval_ns);
 
-  virtual bool is_virtual() const noexcept = 0;
-  virtual int npes() const noexcept = 0;
-};
-
-/// Deterministic discrete-event sequencer (see file comment).
-class VirtualTimeModel final : public TimeModel {
- public:
-  explicit VirtualTimeModel(int npes = 0);
-  ~VirtualTimeModel() override;
-
-  void reset(int npes) override;
-  /// Runs each PE as a fiber on the calling thread, PE 0 first. Fiber
-  /// stacks are kept across runs and only remapped when `npes` grows. Not
-  /// reentrant.
-  void run_pes(int npes, const std::function<void(int)>& body) override;
-  void advance(int pe, Nanos dt) override;
-
-  /// Reads the PE's published clock. Exact when called by `pe` itself
-  /// (every advance publishes before returning), by any other PE (they
-  /// share one host thread), or after run_pes() returns.
-  Nanos now(int pe) const override;
-
-  void clamp_horizon(int pe, Nanos deadline) override;
-  void set_delivery_hook(DeliveryHook hook) override;
-  void set_sample_hook(SampleHook hook, Nanos interval_ns) override;
-  bool is_virtual() const noexcept override { return true; }
-  int npes() const noexcept override { return npes_; }
+  int npes() const noexcept { return npes_; }
 
   /// Install (or clear, with nullptr) the ready-set arbiter. Survives
   /// reset() — it is sequencer configuration, like the delivery hook.
@@ -179,7 +137,7 @@ class VirtualTimeModel final : public TimeModel {
   /// pointer — in one 32-byte-aligned slot (32 bytes in plain builds).
   struct alignas(32) PeSlot {
     /// Authoritative clock, written only by the running PE (or by reset).
-    std::atomic<Nanos> vtime{0};
+    Nanos vtime = 0;
     /// Fast-path cap: advance() stays in the fast path while the
     /// resulting clock is *strictly* below this. Set by the sequencer when
     /// the PE is activated, then shrunk only by clamp_horizon().
@@ -218,7 +176,7 @@ class VirtualTimeModel final : public TimeModel {
   int slot_capacity_ = 0;
   int npes_ = 0;
   ReadyTree ready_;  ///< ready PEs keyed by (vtime, pe)
-  std::atomic<int> active_{-1};  ///< the running PE
+  int active_ = -1;  ///< the running PE
   DeliveryHook hook_;
   /// Lower bound on the earliest pending delivery deadline: what the hook
   /// last reported, lowered by clamp_horizon(). The hook is skipped while
@@ -236,23 +194,6 @@ class VirtualTimeModel final : public TimeModel {
   FiberContext caller_;  ///< the thread inside run_pes()
   const std::function<void(int)>* body_ = nullptr;  ///< set while running
   std::exception_ptr error_;  ///< first exception escaping a body
-};
-
-/// Wall-clock backend with injected delays.
-class RealTimeModel final : public TimeModel {
- public:
-  explicit RealTimeModel(int npes = 0);
-
-  void reset(int npes) override;
-  void advance(int pe, Nanos dt) override;
-  Nanos now(int pe) const override;
-  void set_delivery_hook(DeliveryHook hook) override;
-  bool is_virtual() const noexcept override { return false; }
-  int npes() const noexcept override { return npes_; }
-
- private:
-  std::chrono::steady_clock::time_point epoch_;
-  int npes_ = 0;
 };
 
 }  // namespace sws::net

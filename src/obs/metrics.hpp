@@ -3,9 +3,9 @@
 //
 // A metric is registered once by name ("fabric.ops.put", "pool.steals_ok")
 // and updated per PE: each PE writes its own cache-line-padded slab, so
-// hot-path increments never bounce lines between PE threads under the
-// real-time backend. Reads (snapshot, exporters) are owner-biased and
-// intended for quiescent points — between runs, at teardown, in tests.
+// one PE's hot-path increments never share a line with another's. Reads
+// (snapshot, exporters) are owner-biased and intended for quiescent
+// points — between runs, at teardown, in tests.
 //
 // Three metric kinds:
 //  * counter   — monotone u64; merges by summation

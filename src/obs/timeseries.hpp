@@ -21,7 +21,7 @@
 // counter track per series.
 //
 // Not thread-safe by itself: sample() is designed to run under the
-// sequencer's serialization (every PE thread parked), where plain reads of
+// sequencer's serialization (every PE fiber parked), where plain reads of
 // per-PE state are race-free.
 #pragma once
 
@@ -42,7 +42,7 @@ class TimeSeries {
   };
 
   /// Cumulative-value reader, invoked once per sample. Must be pure
-  /// observation: no locking against the PE threads is performed.
+  /// observation: it runs while every PE fiber is parked.
   using Source = std::function<std::uint64_t()>;
 
   /// `interval_ns` is recorded in the export header (the sampler owns the

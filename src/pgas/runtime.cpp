@@ -1,5 +1,6 @@
 #include "pgas/runtime.hpp"
 
+#include <atomic>
 #include <exception>
 
 #include "common/assert.hpp"
@@ -7,20 +8,14 @@
 
 namespace sws::pgas {
 
-Runtime::Runtime(RuntimeConfig cfg) : cfg_(cfg) {
+Runtime::Runtime(RuntimeConfig cfg) : cfg_(cfg), time_(cfg_.npes) {
   SWS_CHECK(cfg_.npes > 0, "npes must be positive");
-  if (cfg_.mode == TimeMode::kVirtual) {
-    time_ = std::make_unique<net::VirtualTimeModel>(cfg_.npes);
-  } else {
-    time_ = std::make_unique<net::RealTimeModel>(cfg_.npes);
-  }
-
   // Reject conflicting topology / link-table specs up front: every layer
   // (cost model, victim selection, fault presets) reads the same
   // NetworkParams::topology, so a bad spec must not get as far as a run.
   cfg_.net.validate(cfg_.npes);
   fabric_ = std::make_unique<net::Fabric>(
-      *time_, net::NetworkModel(cfg_.net, cfg_.npes), cfg_.npes);
+      time_, net::NetworkModel(cfg_.net, cfg_.npes), cfg_.npes);
   heap_ = std::make_unique<SymmetricHeap>(cfg_.npes, cfg_.heap_bytes);
   for (int pe = 0; pe < cfg_.npes; ++pe)
     fabric_->register_arena(pe, heap_->arena_base(pe), heap_->size());
@@ -55,7 +50,7 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
   // The first error is rethrown only after the run's accounting below.
   std::exception_ptr first_error;
   try {
-    time_->run_pes(cfg_.npes, [this, &body](int pe) {
+    time_.run_pes(cfg_.npes, [this, &body](int pe) {
       try {
         PeContext ctx(*this, pe);
         body(ctx);
@@ -71,7 +66,7 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
 
   net::Nanos max_t = 0;
   for (int pe = 0; pe < cfg_.npes; ++pe)
-    max_t = std::max(max_t, time_->now(pe));
+    max_t = std::max(max_t, time_.now(pe));
   last_duration_ = max_t;
 
   if (cfg_.metrics) {
@@ -79,7 +74,7 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
     const auto clock = metrics_.gauge("runtime.pe_clock_ns",
                                       "per-PE clock at end of run");
     for (int pe = 0; pe < cfg_.npes; ++pe)
-      metrics_.set(clock, pe, static_cast<std::uint64_t>(time_->now(pe)));
+      metrics_.set(clock, pe, static_cast<std::uint64_t>(time_.now(pe)));
     metrics_.set(metrics_.gauge("runtime.last_run_duration_ns",
                                 "max PE clock of the last run"),
                  0, static_cast<std::uint64_t>(max_t));
@@ -89,11 +84,9 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
       metrics_.set(metrics_.gauge("runtime.deaths",
                                   "PEs dead at end of the last run"),
                    0, static_cast<std::uint64_t>(fabric_->num_dead()));
-    if (const auto* vt =
-            dynamic_cast<const net::VirtualTimeModel*>(time_.get()))
-      metrics_.set(metrics_.gauge("runtime.sequencer_switches",
-                                  "PE-to-PE fiber handoffs in the last run"),
-                   0, vt->switches());
+    metrics_.set(metrics_.gauge("runtime.sequencer_switches",
+                                "PE-to-PE fiber handoffs in the last run"),
+                 0, time_.switches());
   }
 
   if (first_error) std::rethrow_exception(first_error);

@@ -1,6 +1,5 @@
-// The PGAS runtime: runs every PE over the selected time backend (as a
-// fiber on the virtual-time sequencer, as a thread on the real-time
-// backend), wires the symmetric heap into the fabric, and hands each PE a
+// The PGAS runtime: runs every PE as a fiber on the virtual-time
+// sequencer, wires the symmetric heap into the fabric, and hands each PE a
 // PeContext — the per-PE handle through which all communication flows
 // (the moral equivalent of the OpenSHMEM API surface).
 #pragma once
@@ -17,15 +16,12 @@
 
 namespace sws::pgas {
 
-enum class TimeMode { kVirtual, kReal };
-
 struct RuntimeConfig {
   int npes = 4;
   std::size_t heap_bytes = std::size_t{4} << 20;  ///< per-PE arena size
   net::NetworkParams net{};
-  TimeMode mode = TimeMode::kVirtual;
   std::uint64_t seed = 42;  ///< base seed for per-PE RNG streams
-  /// Ignored: virtual mode always runs the one fiber sequencer. Kept so
+  /// Ignored: every run goes through the one fiber sequencer. Kept so
   /// existing callers that set it still compile; slated for removal.
   int engine_threads = 1;
   /// Publish runtime/fabric accounting into the metrics registry at the
@@ -37,7 +33,7 @@ struct RuntimeConfig {
 class Runtime;
 
 /// Per-PE handle; passed by reference to the SPMD body and to task code.
-/// Not thread-safe across PEs by design: each PE owns exactly one.
+/// Each PE owns exactly one.
 class PeContext {
  public:
   PeContext(Runtime& rt, int pe);
@@ -48,7 +44,7 @@ class PeContext {
   net::Fabric& fabric() noexcept;
   SymmetricHeap& heap() noexcept;
 
-  /// Current time on this PE's clock (virtual ns in DES mode).
+  /// Current time on this PE's clock, in virtual ns.
   net::Nanos now() const;
   /// Charge `dt` of task computation to this PE (the DES analogue of
   /// "this task runs for 5 ms").
@@ -106,7 +102,7 @@ class Runtime {
   const RuntimeConfig& config() const noexcept { return cfg_; }
   SymmetricHeap& heap() noexcept { return *heap_; }
   net::Fabric& fabric() noexcept { return *fabric_; }
-  net::TimeModel& time() noexcept { return *time_; }
+  net::VirtualTimeModel& time() noexcept { return time_; }
 
   /// Execute `body(ctx)` on every PE (SPMD); returns when all PEs finish.
   /// Clocks restart at 0 each call; heap contents persist across calls.
@@ -135,7 +131,7 @@ class Runtime {
 
  private:
   RuntimeConfig cfg_;
-  std::unique_ptr<net::TimeModel> time_;
+  net::VirtualTimeModel time_;
   std::unique_ptr<net::Fabric> fabric_;
   std::unique_ptr<SymmetricHeap> heap_;
   CollectiveSpace coll_{};

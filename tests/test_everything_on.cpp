@@ -1,8 +1,7 @@
 // "Everything on" integration: the full feature surface engaged at once —
 // two-level fabric, NIC occupancy, distance-weighted victims, remote
-// spawning, tracing, completion epochs, damping — on both queue protocols
-// and both time backends. If feature interactions break anything, this is
-// where it shows.
+// spawning, tracing, completion epochs, damping — on both queue protocols.
+// If feature interactions break anything, this is where it shows.
 #include <gtest/gtest.h>
 
 #include "sws.hpp"
@@ -10,27 +9,21 @@
 namespace sws {
 namespace {
 
-struct EverythingParams {
-  core::QueueKind kind;
-  pgas::TimeMode mode;
-};
-
-class EverythingOn : public ::testing::TestWithParam<EverythingParams> {};
+class EverythingOn : public ::testing::TestWithParam<core::QueueKind> {};
 
 TEST_P(EverythingOn, FullFeatureRunIsCorrect) {
-  const auto [kind, mode] = GetParam();
+  const core::QueueKind kind = GetParam();
 
   workloads::UtsParams p;
   p.b0 = 4;
   p.gen_mx = 9;
   p.geo_shape = workloads::UtsParams::GeoShape::kCyclic;
-  p.node_compute_ns = mode == pgas::TimeMode::kReal ? 500 : 5000;
+  p.node_compute_ns = 5000;
   const auto truth = workloads::uts_sequential_count(p);
   ASSERT_GT(truth.nodes, 50u);
 
   pgas::RuntimeConfig rcfg;
   rcfg.npes = 12;
-  rcfg.mode = mode;
   rcfg.heap_bytes = 4 << 20;
   rcfg.net = net::NetworkParams::two_level(4);  // two-level fabric, 3 nodes
   for (net::Tier t = 1; t <= 2; ++t) {
@@ -72,45 +65,29 @@ TEST_P(EverythingOn, FullFeatureRunIsCorrect) {
   const core::PoolRunReport r = pool.report();
   EXPECT_EQ(r.total.tasks_executed, truth.nodes + 25)
       << "UTS nodes + 25 hop tasks, each exactly once";
-  // Virtual time fixes the schedule, so this run always steals. On the
-  // real-time backend whether any PE gets to steal depends on how the host
-  // schedules the PE threads, so only the accounting below is asserted.
-  if (mode == pgas::TimeMode::kVirtual) {
-    EXPECT_GT(r.total.steals_ok, 0u);
-  }
+  EXPECT_GT(r.total.steals_ok, 0u);
   // Per-tier steal accounting covers every successful steal.
   EXPECT_EQ(r.total.steals_ok_by_tier[0] + r.total.steals_ok_by_tier[1],
             r.total.steals_ok);
-  // The trace agrees with the stats even with every feature engaged. Under
-  // host load, real-time idle thieves can record enough search events to
-  // wrap the rings, so the task count is checked against the lifetime
-  // per-kind count, which a wrap does not lose; virtual time fixes the
-  // schedule, and there the rings must not wrap at all.
-  if (mode == pgas::TimeMode::kVirtual) {
-    EXPECT_FALSE(pool.tracer().truncated());
-    EXPECT_EQ(pool.tracer().count(core::TraceKind::kTaskExec),
-              r.total.tasks_executed);
-  }
+  // The trace agrees with the stats even with every feature engaged: the
+  // rings must not wrap, and the retained and lifetime per-kind counts
+  // both match.
+  EXPECT_FALSE(pool.tracer().truncated());
+  EXPECT_EQ(pool.tracer().count(core::TraceKind::kTaskExec),
+            r.total.tasks_executed);
   EXPECT_EQ(pool.tracer().recorded(core::TraceKind::kTaskExec),
             r.total.tasks_executed);
   EXPECT_EQ(pool.tracer().recorded(core::TraceKind::kTerminated), 12u);
 }
 
-std::string name(const ::testing::TestParamInfo<EverythingParams>& info) {
-  std::string s =
-      info.param.kind == core::QueueKind::kSdc ? "SDC" : "SWS";
-  s += info.param.mode == pgas::TimeMode::kVirtual ? "_virtual" : "_real";
-  return s;
+std::string name(const ::testing::TestParamInfo<core::QueueKind>& info) {
+  return info.param == core::QueueKind::kSdc ? "SDC_virtual" : "SWS_virtual";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, EverythingOn,
-    ::testing::Values(
-        EverythingParams{core::QueueKind::kSws, pgas::TimeMode::kVirtual},
-        EverythingParams{core::QueueKind::kSdc, pgas::TimeMode::kVirtual},
-        EverythingParams{core::QueueKind::kSws, pgas::TimeMode::kReal},
-        EverythingParams{core::QueueKind::kSdc, pgas::TimeMode::kReal}),
-    name);
+INSTANTIATE_TEST_SUITE_P(Matrix, EverythingOn,
+                         ::testing::Values(core::QueueKind::kSws,
+                                           core::QueueKind::kSdc),
+                         name);
 
 }  // namespace
 }  // namespace sws

@@ -1,7 +1,7 @@
 // Chaos suite for the fault-injection subsystem: injector unit semantics,
 // fabric-level fault effects, and full-pool runs under a fault-plan
 // matrix (drops + duplicates, latency spikes) on both queue
-// protocols and both time backends. The invariant everywhere: every task
+// protocols. The invariant everywhere: every task
 // executes exactly once and termination never misfires, no matter what
 // the fabric does to individual messages.
 #include <gtest/gtest.h>
@@ -267,13 +267,11 @@ TEST_F(FaultFabricTest, NewRunReproducesFaultyDeliverySchedule) {
 
 // ------------------------------------------------- full-pool chaos runs
 
-pgas::RuntimeConfig chaos_rcfg(int npes, const FaultPlan& plan,
-                               pgas::TimeMode mode) {
+pgas::RuntimeConfig chaos_rcfg(int npes, const FaultPlan& plan) {
   pgas::RuntimeConfig c;
   c.npes = npes;
   c.heap_bytes = 8 << 20;
   c.seed = 42;
-  c.mode = mode;
   c.net.faults = plan;
   return c;
 }
@@ -293,11 +291,9 @@ struct ChaosOutcome {
   net::Nanos duration = 0;
 };
 
-ChaosOutcome run_uts_chaos(core::QueueKind kind, pgas::TimeMode mode,
-                           const FaultPlan& plan,
+ChaosOutcome run_uts_chaos(core::QueueKind kind, const FaultPlan& plan,
                            const workloads::UtsParams& p) {
-  pgas::Runtime rt(chaos_rcfg(mode == pgas::TimeMode::kVirtual ? 8 : 4, plan,
-                              mode));
+  pgas::Runtime rt(chaos_rcfg(8, plan));
   core::TaskRegistry reg;
   workloads::UtsBenchmark uts(reg, p);
   core::TaskPool pool(rt, reg, chaos_pcfg(kind));
@@ -309,10 +305,9 @@ ChaosOutcome run_uts_chaos(core::QueueKind kind, pgas::TimeMode mode,
           rt.last_run_duration()};
 }
 
-ChaosOutcome run_bpc_chaos(core::QueueKind kind, pgas::TimeMode mode,
-                           const FaultPlan& plan, const workloads::BpcParams& p) {
-  pgas::Runtime rt(chaos_rcfg(mode == pgas::TimeMode::kVirtual ? 8 : 4, plan,
-                              mode));
+ChaosOutcome run_bpc_chaos(core::QueueKind kind, const FaultPlan& plan,
+                           const workloads::BpcParams& p) {
+  pgas::Runtime rt(chaos_rcfg(8, plan));
   core::TaskRegistry reg;
   workloads::BpcBenchmark bpc(reg, p);
   core::TaskPool pool(rt, reg, chaos_pcfg(kind));
@@ -324,7 +319,7 @@ ChaosOutcome run_bpc_chaos(core::QueueKind kind, pgas::TimeMode mode,
           rt.last_run_duration()};
 }
 
-/// ~1e5-node tree for the acceptance-scale chaos runs (virtual backend).
+/// ~1e5-node tree for the acceptance-scale chaos runs.
 workloads::UtsParams big_uts() {
   workloads::UtsParams p;
   p.b0 = 5;
@@ -333,7 +328,7 @@ workloads::UtsParams big_uts() {
   return p;
 }
 
-/// Smaller tree for the real-time backend (latencies are real sleeps).
+/// Smaller tree for the repeated-run determinism checks.
 workloads::UtsParams small_uts() {
   workloads::UtsParams p;
   p.b0 = 4;
@@ -351,51 +346,34 @@ workloads::BpcParams chaos_bpc() {
   return p;
 }
 
-class ChaosMatrix
-    : public ::testing::TestWithParam<std::tuple<core::QueueKind, bool>> {
- protected:
-  core::QueueKind kind() const { return std::get<0>(GetParam()); }
-  pgas::TimeMode mode() const {
-    return std::get<1>(GetParam()) ? pgas::TimeMode::kVirtual
-                                   : pgas::TimeMode::kReal;
-  }
-  bool is_virtual() const { return std::get<1>(GetParam()); }
-};
+class ChaosMatrix : public ::testing::TestWithParam<core::QueueKind> {};
 
 TEST_P(ChaosMatrix, UtsSurvivesDropsDuplicatesAndSpikes) {
   // The acceptance bar: >= 10% drop + 10% dup and 10x spikes, zero lost
   // or double-executed tasks.
-  const workloads::UtsParams p = is_virtual() ? big_uts() : small_uts();
+  const workloads::UtsParams p = big_uts();
   const auto truth = workloads::uts_sequential_count(p);
-  const ChaosOutcome r = run_uts_chaos(kind(), mode(), combined_plan(), p);
+  const ChaosOutcome r = run_uts_chaos(GetParam(), combined_plan(), p);
   EXPECT_EQ(r.tasks, truth.nodes)
       << "lost or double-executed tasks under drop+dup+spikes";
-  // Real-time PE threads on saturated cores can run one after another,
-  // so no steal need ever happen there; virtual time always interleaves.
-  if (is_virtual()) {
-    EXPECT_GT(r.steals, 0u);
-  }
+  EXPECT_GT(r.steals, 0u);
   EXPECT_GT(r.faults.drops + r.faults.dups + r.faults.spikes, 0u)
       << "the plan must actually have fired";
 }
 
 TEST_P(ChaosMatrix, BpcSurvivesDropsDuplicatesAndSpikes) {
   const workloads::BpcParams p = chaos_bpc();
-  const ChaosOutcome r = run_bpc_chaos(kind(), mode(), combined_plan(), p);
+  const ChaosOutcome r = run_bpc_chaos(GetParam(), combined_plan(), p);
   EXPECT_EQ(r.tasks, p.expected_tasks());
   EXPECT_GT(r.faults.drops + r.faults.dups + r.faults.spikes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     QueuesAndBackends, ChaosMatrix,
-    ::testing::Combine(::testing::Values(core::QueueKind::kSws,
-                                         core::QueueKind::kSdc),
-                       ::testing::Bool()),
+    ::testing::Values(core::QueueKind::kSws, core::QueueKind::kSdc),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) == core::QueueKind::kSws
-                             ? "Sws"
-                             : "Sdc") +
-             (std::get<1>(info.param) ? "Virtual" : "Real");
+      return info.param == core::QueueKind::kSws ? "SwsVirtual"
+                                                 : "SdcVirtual";
     });
 
 TEST(ChaosDeterminism, FaultyVirtualRunsAreBitReproducible) {
@@ -403,10 +381,8 @@ TEST(ChaosDeterminism, FaultyVirtualRunsAreBitReproducible) {
   // plan, same seed, same virtual duration and fault counts, twice.
   const workloads::UtsParams p = small_uts();
   for (const auto kind : {core::QueueKind::kSws, core::QueueKind::kSdc}) {
-    const ChaosOutcome a =
-        run_uts_chaos(kind, pgas::TimeMode::kVirtual, combined_plan(), p);
-    const ChaosOutcome b =
-        run_uts_chaos(kind, pgas::TimeMode::kVirtual, combined_plan(), p);
+    const ChaosOutcome a = run_uts_chaos(kind, combined_plan(), p);
+    const ChaosOutcome b = run_uts_chaos(kind, combined_plan(), p);
     EXPECT_EQ(a.duration, b.duration);
     EXPECT_EQ(a.faults.drops, b.faults.drops);
     EXPECT_EQ(a.faults.dups, b.faults.dups);
@@ -418,8 +394,7 @@ TEST(ChaosDeterminism, FaultsOffMatchesPlainRunExactly) {
   // A default FaultPlan must not change a single virtual nanosecond.
   const workloads::UtsParams p = small_uts();
   for (const auto kind : {core::QueueKind::kSws, core::QueueKind::kSdc}) {
-    const ChaosOutcome off =
-        run_uts_chaos(kind, pgas::TimeMode::kVirtual, FaultPlan{}, p);
+    const ChaosOutcome off = run_uts_chaos(kind, FaultPlan{}, p);
     pgas::RuntimeConfig c;
     c.npes = 8;
     c.heap_bytes = 8 << 20;
@@ -443,8 +418,7 @@ TEST(ChaosTracing, SpanLifecycleSurvivesFaultInjection) {
   // retransmits and duplicate deliveries never leak span state.
   const workloads::UtsParams p = small_uts();
   for (const auto kind : {core::QueueKind::kSws, core::QueueKind::kSdc}) {
-    pgas::Runtime rt(
-        chaos_rcfg(8, combined_plan(), pgas::TimeMode::kVirtual));
+    pgas::Runtime rt(chaos_rcfg(8, combined_plan()));
     core::TaskRegistry reg;
     workloads::UtsBenchmark uts(reg, p);
     core::PoolConfig pcfg = chaos_pcfg(kind);
@@ -482,7 +456,7 @@ TEST(ChaosReRun, PoolSurvivesBackToBackFaultyRuns) {
   // between runs; the second run must match the first exactly.
   const workloads::UtsParams p = small_uts();
   const auto truth = workloads::uts_sequential_count(p);
-  pgas::Runtime rt(chaos_rcfg(8, drop_dup_plan(), pgas::TimeMode::kVirtual));
+  pgas::Runtime rt(chaos_rcfg(8, drop_dup_plan()));
   core::TaskRegistry reg;
   workloads::UtsBenchmark uts(reg, p);
   core::TaskPool pool(rt, reg, chaos_pcfg(core::QueueKind::kSws));

@@ -4,7 +4,7 @@
 
 #include <malloc.h>
 
-#include <mutex>
+#include <atomic>
 #include <set>
 
 #include "core/inbox.hpp"
@@ -485,30 +485,6 @@ TEST(InboxPool, OverflowedInboxFallsBackToLocalExecution) {
   EXPECT_GE(pool.worker_stats(0).tasks_executed, 28u)
       << "overflowed spawns must execute on the sender";
   EXPECT_LE(pool.worker_stats(1).tasks_executed, 4u);
-}
-
-TEST(InboxPool, OverflowFallbackConservesTasksOnRealBackend) {
-  // Same overflow pressure with preemptive threads: the receiver may or
-  // may not drain mid-storm, but conservation must hold either way.
-  pgas::RuntimeConfig rc = rcfg(2);
-  rc.mode = pgas::TimeMode::kReal;
-  pgas::Runtime rt(rc);
-  TaskRegistry reg;
-  TaskFnId fn = reg.register_fn("noop", [](Worker& w,
-                                           std::span<const std::byte>) {
-    w.compute(100);
-  });
-  PoolConfig pc;
-  pc.queue.slot_bytes = 32;
-  pc.inbox_capacity = 4;
-  TaskPool pool(rt, reg, pc);
-  rt.run([&](pgas::PeContext& ctx) {
-    pool.run_pe(ctx, [&](Worker& w) {
-      if (w.pe() == 0)
-        for (int i = 0; i < 64; ++i) w.spawn_on(1, Task(fn, nullptr, 0));
-    });
-  });
-  EXPECT_EQ(pool.report().total.tasks_executed, 64u);
 }
 
 TEST(InboxPool, ScatterFromRootBalancesWithoutStealing) {

@@ -7,7 +7,6 @@
 // including ring wrap-around and interleaved allotment resets.
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <set>
 
 #include "common/rng.hpp"
@@ -22,7 +21,6 @@ struct FuzzParams {
   int npes;
   std::uint32_t capacity;
   std::uint64_t seed;
-  pgas::TimeMode mode;
   std::uint32_t bulk = 1;  ///< SWS bulk_claim_max (ignored by SDC)
 };
 
@@ -33,7 +31,6 @@ TEST_P(QueueFuzz, NothingLostNothingDuplicated) {
   pgas::RuntimeConfig rcfg;
   rcfg.npes = fp.npes;
   rcfg.seed = fp.seed;
-  rcfg.mode = fp.mode;
   rcfg.heap_bytes = 2 << 20;
   pgas::Runtime rt(rcfg);
 
@@ -47,16 +44,15 @@ TEST_P(QueueFuzz, NothingLostNothingDuplicated) {
     q = std::make_unique<SdcQueue>(rt, qc);
   }
 
-  std::mutex mu;
+  // PEs are fibers on one thread, so plain shared tallies are race-free.
   std::set<std::uint64_t> consumed;  // ids seen exactly once
-  std::atomic<std::uint64_t> pushed{0};
-  std::atomic<std::uint64_t> eaten{0};
+  std::uint64_t pushed = 0;
+  std::uint64_t eaten = 0;
   bool duplicate = false;
 
   auto consume = [&](std::uint64_t id) {
-    std::lock_guard<std::mutex> lk(mu);
     if (!consumed.insert(id).second) duplicate = true;
-    eaten.fetch_add(1, std::memory_order_relaxed);
+    ++eaten;
   };
 
   constexpr int kSteps = 2500;
@@ -76,7 +72,7 @@ TEST_P(QueueFuzz, NothingLostNothingDuplicated) {
           for (std::uint64_t i = 0; i < n; ++i) {
             if (q->push_local(ctx, Task::of(0, next_id))) {
               ++next_id;
-              pushed.fetch_add(1, std::memory_order_relaxed);
+              ++pushed;
             }
           }
           break;
@@ -128,9 +124,8 @@ TEST_P(QueueFuzz, NothingLostNothingDuplicated) {
   });
 
   EXPECT_FALSE(duplicate) << "a task id was consumed twice";
-  EXPECT_EQ(pushed.load(), eaten.load())
-      << "pushed and consumed totals must match";
-  EXPECT_EQ(consumed.size(), pushed.load());
+  EXPECT_EQ(pushed, eaten) << "pushed and consumed totals must match";
+  EXPECT_EQ(consumed.size(), pushed);
 }
 
 std::string fuzz_name(const ::testing::TestParamInfo<FuzzParams>& info) {
@@ -138,7 +133,7 @@ std::string fuzz_name(const ::testing::TestParamInfo<FuzzParams>& info) {
   std::string s = p.kind == QueueKind::kSdc ? "SDC" : "SWS";
   s += "_p" + std::to_string(p.npes) + "_c" + std::to_string(p.capacity) +
        "_s" + std::to_string(p.seed);
-  s += p.mode == pgas::TimeMode::kVirtual ? "_virt" : "_real";
+  s += "_virt";
   if (p.bulk > 1) s += "_b" + std::to_string(p.bulk);
   return s;
 }
@@ -146,23 +141,23 @@ std::string fuzz_name(const ::testing::TestParamInfo<FuzzParams>& info) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, QueueFuzz,
     ::testing::Values(
-        FuzzParams{QueueKind::kSws, 2, 64, 1, pgas::TimeMode::kVirtual},
-        FuzzParams{QueueKind::kSws, 4, 128, 2, pgas::TimeMode::kVirtual},
-        FuzzParams{QueueKind::kSws, 4, 4096, 3, pgas::TimeMode::kVirtual},
-        FuzzParams{QueueKind::kSws, 8, 256, 4, pgas::TimeMode::kVirtual},
-        FuzzParams{QueueKind::kSdc, 2, 64, 1, pgas::TimeMode::kVirtual},
-        FuzzParams{QueueKind::kSdc, 4, 128, 2, pgas::TimeMode::kVirtual},
-        FuzzParams{QueueKind::kSdc, 4, 4096, 3, pgas::TimeMode::kVirtual},
-        FuzzParams{QueueKind::kSdc, 8, 256, 4, pgas::TimeMode::kVirtual},
-        FuzzParams{QueueKind::kSws, 4, 128, 5, pgas::TimeMode::kReal},
-        FuzzParams{QueueKind::kSdc, 4, 128, 5, pgas::TimeMode::kReal},
+        FuzzParams{QueueKind::kSws, 2, 64, 1},
+        FuzzParams{QueueKind::kSws, 4, 128, 2},
+        FuzzParams{QueueKind::kSws, 4, 4096, 3},
+        FuzzParams{QueueKind::kSws, 8, 256, 4},
+        FuzzParams{QueueKind::kSdc, 2, 64, 1},
+        FuzzParams{QueueKind::kSdc, 4, 128, 2},
+        FuzzParams{QueueKind::kSdc, 4, 4096, 3},
+        FuzzParams{QueueKind::kSdc, 8, 256, 4},
+        FuzzParams{QueueKind::kSws, 4, 128, 5},
+        FuzzParams{QueueKind::kSdc, 4, 128, 5},
         // SWS bulk claims: multi-block fetch-adds interleaved with the
         // same random release/acquire/epoch churn must stay conservative.
-        FuzzParams{QueueKind::kSws, 2, 64, 6, pgas::TimeMode::kVirtual, 4},
-        FuzzParams{QueueKind::kSws, 4, 128, 7, pgas::TimeMode::kVirtual, 4},
-        FuzzParams{QueueKind::kSws, 4, 4096, 8, pgas::TimeMode::kVirtual, 8},
-        FuzzParams{QueueKind::kSws, 8, 256, 9, pgas::TimeMode::kVirtual, 32},
-        FuzzParams{QueueKind::kSws, 4, 128, 10, pgas::TimeMode::kReal, 4}),
+        FuzzParams{QueueKind::kSws, 2, 64, 6, 4},
+        FuzzParams{QueueKind::kSws, 4, 128, 7, 4},
+        FuzzParams{QueueKind::kSws, 4, 4096, 8, 8},
+        FuzzParams{QueueKind::kSws, 8, 256, 9, 32},
+        FuzzParams{QueueKind::kSws, 4, 128, 10, 4}),
     fuzz_name);
 
 }  // namespace

@@ -262,18 +262,5 @@ TEST(Runtime, SequencerSwitchesGaugeRepeatsForASeed) {
   EXPECT_EQ(sequencer_switches(1, 1)[0], 0u);  // one PE never hands off
 }
 
-TEST(RuntimeReal, RealModeRunsToo) {
-  RuntimeConfig c = cfg(4);
-  c.mode = TimeMode::kReal;
-  Runtime rt(c);
-  std::atomic<int> count{0};
-  rt.run([&](PeContext& ctx) {
-    ctx.barrier();
-    count.fetch_add(1);
-    EXPECT_EQ(ctx.sum_u64(2), 8u);
-  });
-  EXPECT_EQ(count.load(), 4);
-}
-
 }  // namespace
 }  // namespace sws::pgas

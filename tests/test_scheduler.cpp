@@ -201,21 +201,6 @@ TEST_P(SchedulerBoth, TinyQueueFallsBackToInlineExecution) {
   EXPECT_EQ(pool.report().total.tasks_executed, fan.expected(3));
 }
 
-TEST_P(SchedulerBoth, RealTimeModeCompletes) {
-  pgas::RuntimeConfig rc = rcfg(4);
-  rc.mode = pgas::TimeMode::kReal;
-  pgas::Runtime rt(rc);
-  TaskRegistry reg;
-  FanOut fan(reg, 3, 5000);
-  TaskPool pool(rt, reg, pcfg(GetParam()));
-  rt.run([&](pgas::PeContext& ctx) {
-    pool.run_pe(ctx, [&](Worker& w) {
-      if (w.pe() == 0) w.spawn(Task::of(fan.fn, std::uint32_t{4}));
-    });
-  });
-  EXPECT_EQ(pool.report().total.tasks_executed, fan.expected(4));
-}
-
 INSTANTIATE_TEST_SUITE_P(BothQueues, SchedulerBoth,
                          ::testing::Values(QueueKind::kSdc, QueueKind::kSws),
                          [](const auto& info) {

@@ -266,7 +266,8 @@ TEST(SdcQueue, ResetClearsTheIntentOfAClaimThatNeverLanded) {
     if (ctx.pe() == 1) {
       // Intent {seq 1, thief 1, take 1}: cursor 1 was never claimed.
       const std::uint64_t intent = (2ull << 32) | (1ull << 24) | 1;
-      ctx.fabric().put_words(1, 0, q.intent_offset_for_test(1), &intent, 1);
+      ctx.fabric().put(1, 0, q.intent_offset_for_test(1), &intent,
+                        sizeof intent);
     }
     ctx.barrier();
   });
