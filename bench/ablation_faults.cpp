@@ -27,6 +27,16 @@ net::FaultPlan plan_at(double rate) {
   return f;
 }
 
+/// `s` with `tag` (".rate0.02", ".crash2") appended to every output
+/// prefix, so each sweep row writes its own trace, metrics and time-series
+/// files instead of overwriting the previous row's.
+bench::BenchSettings row_settings(bench::BenchSettings s,
+                                  const std::string& tag) {
+  for (std::string* prefix : {&s.trace_out, &s.metrics_out, &s.timeseries_out})
+    if (!prefix->empty()) *prefix += tag;
+  return s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,10 +68,11 @@ int main(int argc, char** argv) {
     bench::PoolTweaks tweaks;
     tweaks.queue.slot_bytes = 48;
     tweaks.net.faults = plan_at(rate);
-    const auto sdc = bench::run_config(core::QueueKind::kSdc, npes, settings,
-                                       tweaks, factory);
-    const auto sws = bench::run_config(core::QueueKind::kSws, npes, settings,
-                                       tweaks, factory);
+    const auto s2 = row_settings(settings, ".rate" + Table::num(rate, 2));
+    const auto sdc =
+        bench::run_config(core::QueueKind::kSdc, npes, s2, tweaks, factory);
+    const auto sws =
+        bench::run_config(core::QueueKind::kSws, npes, s2, tweaks, factory);
     if (rate == 0.0) {
       base_sdc = sdc.runtime_ms.mean();
       base_sws = sws.runtime_ms.mean();
@@ -100,11 +111,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < k; ++i)
       tweaks.net.faults.crashes.push_back(
           {(i + 1) * npes / (k + 1), 150'000 + i * net::Nanos{120'000}});
-    auto s2 = settings;
-    if (!s2.metrics_out.empty())
-      s2.metrics_out += ".crash" + std::to_string(k);
-    if (!s2.trace_out.empty())
-      s2.trace_out += ".crash" + std::to_string(k);
+    const auto s2 = row_settings(settings, ".crash" + std::to_string(k));
     const auto sdc =
         bench::run_config(core::QueueKind::kSdc, npes, s2, tweaks, factory);
     const auto sws =

@@ -93,14 +93,24 @@ int main(int argc, char** argv) {
       const int col = std::min<int>(
           kCols - 1,
           static_cast<int>(static_cast<double>(e.time) / span * kCols));
+      // Steal, release and acquire results are read off their span ends.
+      const bool end = e.phase == core::TracePhase::kEnd;
       char g = 0;
       switch (e.kind) {
         case core::TraceKind::kTaskExec: g = '#'; break;
-        case core::TraceKind::kStealOk: g = 's'; break;
-        case core::TraceKind::kRelease: g = 'r'; break;
-        case core::TraceKind::kAcquire: g = 'a'; break;
-        case core::TraceKind::kStealEmpty:
-        case core::TraceKind::kStealRetry:
+        case core::TraceKind::kStealSpan:
+          if (end)
+            g = static_cast<core::StealOutcome>(e.b & 0xFF) ==
+                        core::StealOutcome::kSuccess
+                    ? 's'
+                    : '.';
+          break;
+        case core::TraceKind::kReleaseSpan:
+          if (end && e.a == 1) g = 'r';
+          break;
+        case core::TraceKind::kAcquireSpan:
+          if (end && e.a == 1) g = 'a';
+          break;
         case core::TraceKind::kTermCheck: g = '.'; break;
         default: break;
       }

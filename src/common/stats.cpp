@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 namespace sws {
 
@@ -65,14 +64,6 @@ void LogHistogram::merge(const LogHistogram& other) noexcept {
   total_ += other.total_;
 }
 
-void LogHistogram::subtract(const LogHistogram& other) noexcept {
-  total_ = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    buckets_[b] -= std::min(buckets_[b], other.buckets_[b]);
-    total_ += buckets_[b];
-  }
-}
-
 std::uint64_t LogHistogram::quantile(double q) const noexcept {
   if (total_ == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
@@ -104,15 +95,6 @@ std::uint64_t LogHistogram::quantile(double q) const noexcept {
                        static_cast<double>(upper - lower) * frac);
   }
   return ~std::uint64_t{0};  // unreachable: seen reaches total_ > target
-}
-
-std::string LogHistogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    if (buckets_[b] == 0) continue;
-    os << "[2^" << b << ", 2^" << b + 1 << "): " << buckets_[b] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace sws

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sws {
@@ -49,11 +48,6 @@ class LogHistogram {
 
   void add(std::uint64_t x) noexcept;
   void merge(const LogHistogram& other) noexcept;
-  /// Per-bucket saturating subtraction: the windowed delta of two
-  /// cumulative histograms (`later.subtract(earlier)`). Buckets never go
-  /// negative even if the operands are unrelated; the total is recomputed
-  /// from the surviving buckets so it stays consistent.
-  void subtract(const LogHistogram& other) noexcept;
 
   std::uint64_t count() const noexcept { return total_; }
   std::uint64_t bucket(std::size_t b) const noexcept { return buckets_[b]; }
@@ -64,9 +58,6 @@ class LogHistogram {
   /// value every recorded sample is <= (saturating to UINT64_MAX in the
   /// last bucket).
   std::uint64_t quantile(double q) const noexcept;
-
-  /// Multi-line human-readable rendering of occupied buckets.
-  std::string to_string() const;
 
  private:
   std::uint64_t buckets_[kBuckets] = {};

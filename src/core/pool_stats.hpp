@@ -5,8 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/stats.hpp"
 #include "net/types.hpp"
@@ -98,18 +96,15 @@ struct WorkerStats {
 struct PoolRunReport {
   WorkerStats total;             ///< sums (run_time = max across PEs)
   Summary per_pe_executed;       ///< load balance across PEs
-  Summary per_pe_steal_ms;
-  Summary per_pe_search_ms;
   int npes = 0;
+
+  /// Fold in one PE's stats.
+  void add(const WorkerStats& w);
 
   /// Approximate steal-latency quantile in nanoseconds (q in [0,1]).
   std::uint64_t steal_latency_ns(double q) const {
     return total.steal_latency.quantile(q);
   }
-
-  std::string to_string() const;
 };
-
-PoolRunReport aggregate_reports(const std::vector<WorkerStats>& per_pe);
 
 }  // namespace sws::core

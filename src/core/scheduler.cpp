@@ -27,8 +27,8 @@ struct SpanEnd {
 
 // ----------------------------------------------------------------- worker
 
-Worker::Worker(TaskPool& pool, pgas::PeContext& ctx)
-    : pool_(pool), ctx_(ctx) {}
+Worker::Worker(TaskPool& pool, pgas::PeContext& ctx, WorkerStats& stats)
+    : pool_(pool), ctx_(ctx), stats_(stats) {}
 
 void Worker::spawn(const Task& t) {
   pool_.term_->count_created(ctx_, 1);
@@ -107,8 +107,7 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
     : rt_(rt),
       registry_(registry),
       cfg_(cfg),
-      phase_(static_cast<std::size_t>(rt.npes())),
-      last_stats_(static_cast<std::size_t>(rt.npes())) {
+      slots_(static_cast<std::size_t>(rt.npes())) {
   switch (cfg_.kind) {
     case QueueKind::kSws:
       queue_ = std::make_unique<SwsQueue>(rt, cfg_.queue, cfg_.sws);
@@ -165,7 +164,6 @@ TaskPool::~TaskPool() {
 }
 
 void TaskPool::setup_timeseries() {
-  using Mode = obs::TimeSeries::Mode;
   obs::TimeSeries& ts = *timeseries_;
   const int npes = rt_.npes();
   ts.add_meta("protocol",
@@ -179,21 +177,21 @@ void TaskPool::setup_timeseries() {
   for (std::size_t c = 0; c < kNumPoolPhases; ++c) {
     ts.add_series(
         std::string("acct.") + pool_phase_name(static_cast<PoolPhase>(c)),
-        Mode::kDelta, [this, c, npes] {
+        [this, c, npes] {
           std::uint64_t sum = 0;
           for (int pe = 0; pe < npes; ++pe) {
-            const PhaseSlot& ps = phase_[static_cast<std::size_t>(pe)];
-            sum += ps.accrued[c];
+            const PeSlot& ps = slots_[static_cast<std::size_t>(pe)];
+            sum += ps.stats.phase_ns[c];
             if (ps.active && static_cast<std::size_t>(ps.cur) == c)
               sum += rt_.time().now(pe) - ps.mark;
           }
           return sum;
         });
   }
-  ts.add_series("acct.elapsed_ns", Mode::kDelta, [this, npes] {
+  ts.add_series("acct.elapsed_ns", [this, npes] {
     std::uint64_t sum = 0;
     for (int pe = 0; pe < npes; ++pe) {
-      const PhaseSlot& ps = phase_[static_cast<std::size_t>(pe)];
+      const PeSlot& ps = slots_[static_cast<std::size_t>(pe)];
       sum += (ps.active ? rt_.time().now(pe) : ps.end) - ps.base;
     }
     return sum;
@@ -201,14 +199,10 @@ void TaskPool::setup_timeseries() {
 
   const auto add_pool = [&](const char* name,
                             std::uint64_t WorkerStats::*field) {
-    ts.add_series(name, Mode::kDelta, [this, npes, field] {
+    ts.add_series(name, [this, npes, field] {
       std::uint64_t sum = 0;
-      for (int pe = 0; pe < npes; ++pe) {
-        const PhaseSlot& ps = phase_[static_cast<std::size_t>(pe)];
-        const WorkerStats& s =
-            ps.live ? *ps.live : last_stats_[static_cast<std::size_t>(pe)];
-        sum += s.*field;
-      }
+      for (int pe = 0; pe < npes; ++pe)
+        sum += slots_[static_cast<std::size_t>(pe)].stats.*field;
       return sum;
     });
   };
@@ -218,7 +212,7 @@ void TaskPool::setup_timeseries() {
 
   const auto add_fabric = [&](const char* name,
                               std::uint64_t net::FabricStats::*field) {
-    ts.add_series(name, Mode::kDelta, [this, npes, field] {
+    ts.add_series(name, [this, npes, field] {
       std::uint64_t sum = 0;
       for (int pe = 0; pe < npes; ++pe) sum += rt_.fabric().stats(pe).*field;
       return sum;
@@ -267,20 +261,41 @@ std::uint32_t TaskPool::drain_recovered(Worker& w) {
 
 WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
                              const std::function<void(Worker&)>& seed) {
-  Worker w(*this, ctx);
-
   // Phase accounting starts before anything can advance this PE's clock:
   // every later nanosecond lands in exactly one PoolPhase bucket. The
   // sampler cannot observe this slot mid-reset — no boundary can be
   // crossed until every PE (including this one) has advanced past it.
-  PhaseSlot& ps = phase_[static_cast<std::size_t>(ctx.pe())];
-  ps = PhaseSlot{};
-  ps.base = ps.mark = ctx.now();
+  PeSlot& ps = slots_[static_cast<std::size_t>(ctx.pe())];
+  ps = PeSlot{};
+  ps.base = ps.start = ps.mark = ctx.now();
   ps.active = true;
-  ps.live = &w.stats_;
+  try {
+    run_loop(ctx, seed, ps);
+  } catch (const net::PeKilled&) {
+    // A planned crash ends this PE here. Freeze its record at the death
+    // time so report() and the sampler count its pre-crash work, then let
+    // Runtime::run retire the PE.
+    ps.stats.run_time_ns = ctx.now() - ps.start;
+    close_slot(ps, ctx.now());
+    throw;
+  }
+  return ps.stats;
+}
+
+void TaskPool::close_slot(PeSlot& ps, net::Nanos now) {
+  ps.stats.phase_ns[static_cast<std::size_t>(ps.cur)] += now - ps.mark;
+  ps.mark = ps.end = now;
+  ps.active = false;
+  ps.stats.accounted_ns = ps.end - ps.base;
+}
+
+void TaskPool::run_loop(pgas::PeContext& ctx,
+                        const std::function<void(Worker&)>& seed,
+                        PeSlot& ps) {
+  Worker w(*this, ctx, ps.stats);
   const auto set_phase = [&](PoolPhase p) {
     const net::Nanos pnow = ctx.now();
-    ps.accrued[static_cast<std::size_t>(ps.cur)] += pnow - ps.mark;
+    ps.stats.phase_ns[static_cast<std::size_t>(ps.cur)] += pnow - ps.mark;
     ps.mark = pnow;
     ps.cur = p;
   };
@@ -299,7 +314,7 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
   term_->task_boundary(ctx);  // flush seed counts before anyone checks
   ctx.barrier();
 
-  const net::Nanos t_start = ctx.now();
+  ps.start = ctx.now();
   const net::NetworkModel& netm = rt_.fabric().model();
   std::unique_ptr<VictimSelector> victims;
   if (ctx.npes() > 1)
@@ -371,11 +386,8 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
     // Release: shared portion exhausted but local work remains (paper §3).
     if (!queue_->shared_available(ctx) &&
         queue_->local_count(ctx) >= kReleaseThreshold) {
-      const bool released =
-          in_span(TraceKind::kReleaseSpan, 0,
-                  [&] { return queue_->try_release(ctx); }, ok_end);
-      if (released && tracer_.enabled())
-        tracer_.record(ctx.pe(), ctx.now(), TraceKind::kRelease);
+      in_span(TraceKind::kReleaseSpan, 0,
+              [&] { return queue_->try_release(ctx); }, ok_end);
     }
 
     if (queue_->pop_local(ctx, t)) {
@@ -389,14 +401,9 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
       }
       continue;
     }
-    const bool acquired =
-        in_span(TraceKind::kAcquireSpan, 0,
-                [&] { return queue_->try_acquire(ctx); }, ok_end);
-    if (acquired) {
-      if (tracer_.enabled())
-        tracer_.record(ctx.pe(), ctx.now(), TraceKind::kAcquire);
+    if (in_span(TraceKind::kAcquireSpan, 0,
+                [&] { return queue_->try_acquire(ctx); }, ok_end))
       continue;
-    }
 
     // Out of local and own-shared work: search the system. Successful
     // attempts count as steal time, failures as search time (§5.3).
@@ -497,17 +504,16 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
                                    cfg_.queue.slot_bytes;
           if (res.blocks > 0) w.stats_.claim_blocks.add(res.blocks);
           w.stats_.steal_latency.add(dt);
-          if (tracer_.enabled())
-            tracer_.record(ctx.pe(), ctx.now(), TraceKind::kStealOk,
-                           static_cast<std::uint64_t>(victim), res.ntasks);
           // The attempt accrued as kProbing (its outcome was unknown while
           // it ran); it succeeded, so re-attribute its span to kStealing.
           // Closing first guarantees the probing bucket holds >= dt. A
           // window boundary inside the span can make that window's probing
           // delta locally negative — the exports carry signed deltas.
           set_phase(PoolPhase::kProbing);
-          ps.accrued[static_cast<std::size_t>(PoolPhase::kProbing)] -= dt;
-          ps.accrued[static_cast<std::size_t>(PoolPhase::kStealing)] += dt;
+          ps.stats.phase_ns[static_cast<std::size_t>(PoolPhase::kProbing)] -=
+              dt;
+          ps.stats.phase_ns[static_cast<std::size_t>(PoolPhase::kStealing)] +=
+              dt;
           set_phase(PoolPhase::kWorking);
           for (const Task& stolen : loot) {
             if (!queue_->push_local(ctx, stolen)) w.execute(stolen);
@@ -518,12 +524,6 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
         hint = res.retry_after_ns;
         fast = res.outcome == StealOutcome::kRetry &&
                fast_retries < kFastRetries;
-        if (tracer_.enabled())
-          tracer_.record(ctx.pe(), ctx.now(),
-                         res.outcome == StealOutcome::kRetry
-                             ? TraceKind::kStealRetry
-                             : TraceKind::kStealEmpty,
-                         static_cast<std::uint64_t>(victim));
         ++fails;
       } else {
         ++fails;
@@ -576,7 +576,7 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
   if (tracer_.enabled())
     tracer_.record(ctx.pe(), ctx.now(), TraceKind::kTerminated);
 
-  w.stats_.run_time_ns = ctx.now() - t_start;
+  w.stats_.run_time_ns = ctx.now() - ps.start;
   if (crash_mode) {
     // Survivor teardown. A crash scheduled for after termination must not
     // fire during it, and the dead cannot join a barrier — so disarm our
@@ -604,17 +604,7 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
   SWS_ASSERT_MSG(ctx.fabric().pending(ctx.pe()) == 0,
                  "nbi ops still pending after pool teardown quiet");
 
-  // Freeze the accounting: close the open phase, publish the taxonomy into
-  // the stats, then retire the live pointer so late samples (other PEs
-  // still tearing down) read the just-copied last_stats_ instead.
-  set_phase(ps.cur);
-  ps.end = ps.mark;
-  ps.active = false;
-  w.stats_.phase_ns = ps.accrued;
-  w.stats_.accounted_ns = ps.end - ps.base;
-  last_stats_[static_cast<std::size_t>(ctx.pe())] = w.stats_;
-  ps.live = nullptr;
-  return w.stats_;
+  close_slot(ps, ctx.now());
 }
 
 void TaskPool::dump_trace_json(std::ostream& os) const {
@@ -642,11 +632,13 @@ void TaskPool::dump_timeseries_json(std::ostream& os) const {
 }
 
 void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
-  const int npes = static_cast<int>(last_stats_.size());
+  const int npes = static_cast<int>(slots_.size());
+  const auto stats = [&](int pe) -> const WorkerStats& {
+    return slots_[static_cast<std::size_t>(pe)].stats;
+  };
   auto set_worker = [&](const char* name, const char* help, auto&& field) {
     const auto id = reg.counter(name, help);
-    for (int pe = 0; pe < npes; ++pe)
-      reg.set(id, pe, field(last_stats_[static_cast<std::size_t>(pe)]));
+    for (int pe = 0; pe < npes; ++pe) reg.set(id, pe, field(stats(pe)));
   };
   set_worker("pool.tasks_executed", "tasks run to completion",
              [](const WorkerStats& s) { return s.tasks_executed; });
@@ -668,7 +660,7 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
     const auto ok = reg.counter("pool.steals_ok_by_tier" + suffix,
                                 "successful steals at this tier distance");
     for (int pe = 0; pe < npes; ++pe) {
-      const WorkerStats& s = last_stats_[static_cast<std::size_t>(pe)];
+      const WorkerStats& s = stats(pe);
       reg.set(attempts, pe,
               s.steal_attempts_by_tier[static_cast<std::size_t>(t - 1)]);
       reg.set(ok, pe, s.steals_ok_by_tier[static_cast<std::size_t>(t - 1)]);
@@ -690,7 +682,7 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
             pool_phase_name(static_cast<PoolPhase>(c)) + "_ns",
         "time attributed to this phase (taxonomy sums to accounted_ns)");
     for (int pe = 0; pe < npes; ++pe)
-      reg.set(id, pe, last_stats_[static_cast<std::size_t>(pe)].phase_ns[c]);
+      reg.set(id, pe, stats(pe).phase_ns[c]);
   }
   set_worker("pool.phase.accounted_ns",
              "elapsed span the phase taxonomy covers",
@@ -698,17 +690,15 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
   const auto run_time =
       reg.gauge("pool.run_time_ns", "per-PE whole-run time (max = Fig 8 y)");
   for (int pe = 0; pe < npes; ++pe)
-    reg.set(run_time, pe, last_stats_[static_cast<std::size_t>(pe)].run_time_ns);
+    reg.set(run_time, pe, stats(pe).run_time_ns);
   const auto lat = reg.histogram("pool.steal_latency_ns",
                                  "per-successful-steal latency");
   for (int pe = 0; pe < npes; ++pe)
-    reg.set_hist(lat, pe,
-                 last_stats_[static_cast<std::size_t>(pe)].steal_latency);
+    reg.set_hist(lat, pe, stats(pe).steal_latency);
   const auto cblocks = reg.histogram("pool.claim_blocks",
                                      "blocks per successful steal claim");
   for (int pe = 0; pe < npes; ++pe)
-    reg.set_hist(cblocks, pe,
-                 last_stats_[static_cast<std::size_t>(pe)].claim_blocks);
+    reg.set_hist(cblocks, pe, stats(pe).claim_blocks);
 
   auto set_queue = [&](const char* name, const char* help, auto&& field) {
     const auto id = reg.counter(name, help);
@@ -754,11 +744,15 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
   }
 }
 
-PoolRunReport TaskPool::report() const { return aggregate_reports(last_stats_); }
+PoolRunReport TaskPool::report() const {
+  PoolRunReport r;
+  for (const PeSlot& ps : slots_) r.add(ps.stats);
+  return r;
+}
 
 const WorkerStats& TaskPool::worker_stats(int pe) const {
-  SWS_ASSERT(pe >= 0 && pe < static_cast<int>(last_stats_.size()));
-  return last_stats_[static_cast<std::size_t>(pe)];
+  SWS_ASSERT(pe >= 0 && pe < static_cast<int>(slots_.size()));
+  return slots_[static_cast<std::size_t>(pe)].stats;
 }
 
 }  // namespace sws::core

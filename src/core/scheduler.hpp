@@ -43,8 +43,12 @@ struct StealTuning {
   net::Nanos backoff_max_ns = 64'000; ///< exponential growth cap
 };
 
-/// Scheduler event tracing (off by default — recording is cheap but
-/// reading the clock per event is not free).
+/// Scheduler event tracing (off by default). Each steal, release and
+/// acquire attempt is one span whose end event carries its result (see
+/// TraceKind); task executions, spawns, inbox drains and termination
+/// checks are instants; queue depth and in-flight nbi ops are counter
+/// tracks. Tracing reads clocks but never advances them, so traced runs
+/// stay byte-identical to untraced ones.
 struct TraceConfig {
   bool enable = false;
   std::size_t events = 4096;  ///< per-PE trace ring size
@@ -79,7 +83,8 @@ class TaskPool;
 /// charge compute time.
 class Worker {
  public:
-  Worker(TaskPool& pool, pgas::PeContext& ctx);
+  /// `stats` is the pool's per-PE record; the worker accumulates into it.
+  Worker(TaskPool& pool, pgas::PeContext& ctx, WorkerStats& stats);
 
   int pe() const noexcept { return ctx_.pe(); }
   int npes() const noexcept { return ctx_.npes(); }
@@ -102,15 +107,13 @@ class Worker {
   /// Charge task computation time, in virtual ns.
   void compute(net::Nanos dt);
 
-  const WorkerStats& stats() const noexcept { return stats_; }
-
  private:
   friend class TaskPool;
   void execute(const Task& t);
 
   TaskPool& pool_;
   pgas::PeContext& ctx_;
-  WorkerStats stats_;
+  WorkerStats& stats_;
 };
 
 class TaskPool {
@@ -124,11 +127,14 @@ class TaskPool {
 
   /// SPMD entry point: call once per PE inside Runtime::run. `seed` runs
   /// after the collective reset (spawn initial tasks from any PE); the
-  /// processing loop then runs to global termination.
+  /// processing loop then runs to global termination. A planned crash
+  /// (net::PeKilled) finalizes this PE's record at its death time before
+  /// it propagates.
   WorkerStats run_pe(pgas::PeContext& ctx,
                      const std::function<void(Worker&)>& seed);
 
-  /// Aggregated statistics of the last completed run.
+  /// Aggregated statistics of the last completed run, crashed PEs'
+  /// pre-crash work included.
   PoolRunReport report() const;
   const WorkerStats& worker_stats(int pe) const;
 
@@ -149,8 +155,6 @@ class TaskPool {
   /// signatures without side channels. With sampling enabled the dump also
   /// carries one counter track per sampled series.
   void dump_trace_json(std::ostream& os) const;
-  /// Null unless TraceConfig::sample_interval_ns > 0.
-  obs::TimeSeries* timeseries() noexcept { return timeseries_.get(); }
   /// Compact "sws-timeseries" JSON of the sampled windows (final partial
   /// window included). Requires sampling; no-ops (empty object) otherwise.
   void dump_timeseries_json(std::ostream& os) const;
@@ -166,21 +170,28 @@ class TaskPool {
  private:
   friend class Worker;
 
-  /// Live per-PE phase accounting (PoolPhase taxonomy). Owner-written by
-  /// the PE's fiber at phase boundaries; the sampling hook reads it while
-  /// every PE fiber is parked (the sequencer's serialization orders the
-  /// accesses), so no atomics are needed.
-  struct alignas(64) PhaseSlot {
-    std::array<net::Nanos, kNumPoolPhases> accrued{};
-    net::Nanos base = 0;  ///< run_pe entry time
-    net::Nanos mark = 0;  ///< start of the open phase
-    net::Nanos end = 0;   ///< teardown time (valid once !active)
+  /// One PE's record: its WorkerStats plus the open-phase bookkeeping of
+  /// the PoolPhase taxonomy. Owner-written by the PE's fiber (the Worker
+  /// accumulates into `stats`; `stats.phase_ns` holds the closed phases);
+  /// the sampling hook reads it while every PE fiber is parked (the
+  /// sequencer's serialization orders the accesses), so no atomics are
+  /// needed. Reset at run_pe entry; after the PE leaves run_pe — by
+  /// termination or by a planned crash — it holds that PE's final stats.
+  struct alignas(64) PeSlot {
+    WorkerStats stats;
+    net::Nanos base = 0;   ///< run_pe entry time
+    net::Nanos start = 0;  ///< processing-loop start (run_time_ns origin)
+    net::Nanos mark = 0;   ///< start of the open phase
+    net::Nanos end = 0;    ///< teardown or death time (valid once !active)
     PoolPhase cur = PoolPhase::kWorking;
     bool active = false;
-    /// The owner's live WorkerStats (stack of run_pe) while running; null
-    /// between runs — samplers fall back to last_stats_.
-    const WorkerStats* live = nullptr;
   };
+
+  /// run_pe's body, from the collective reset through teardown.
+  void run_loop(pgas::PeContext& ctx, const std::function<void(Worker&)>& seed,
+                PeSlot& ps);
+  /// Close `ps`'s open phase at `now` and freeze its accounting.
+  static void close_slot(PeSlot& ps, net::Nanos now);
 
   /// Register the sampled series on timeseries_ (ctor helper).
   void setup_timeseries();
@@ -202,8 +213,7 @@ class TaskPool {
   std::unique_ptr<DeathRegistry> recovery_;  ///< crash-mode runs only
   Tracer tracer_;
   std::unique_ptr<obs::TimeSeries> timeseries_;  ///< sampling runs only
-  std::vector<PhaseSlot> phase_;
-  std::vector<WorkerStats> last_stats_;
+  std::vector<PeSlot> slots_;
 };
 
 }  // namespace sws::core

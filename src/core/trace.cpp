@@ -14,11 +14,6 @@ const char* trace_kind_name(TraceKind k) noexcept {
     case TraceKind::kTaskExec: return "task_exec";
     case TraceKind::kSpawn: return "spawn";
     case TraceKind::kSpawnRemote: return "spawn_remote";
-    case TraceKind::kRelease: return "release";
-    case TraceKind::kAcquire: return "acquire";
-    case TraceKind::kStealOk: return "steal_ok";
-    case TraceKind::kStealEmpty: return "steal_empty";
-    case TraceKind::kStealRetry: return "steal_retry";
     case TraceKind::kInboxDrain: return "inbox_drain";
     case TraceKind::kTermCheck: return "term_check";
     case TraceKind::kTerminated: return "terminated";
@@ -159,24 +154,6 @@ bool Tracer::truncated() const noexcept {
   return false;
 }
 
-void Tracer::dump(std::ostream& os) const {
-  for (const TraceEvent& e : merged()) {
-    os << e.time << "ns pe" << e.pe << " " << trace_kind_name(e.kind);
-    switch (e.phase) {
-      case TracePhase::kBegin: os << " begin span=" << e.span; break;
-      case TracePhase::kEnd: os << " end span=" << e.span; break;
-      case TracePhase::kComplete:
-        os << " dur=" << e.dur << " span=" << e.span;
-        break;
-      case TracePhase::kCounter: os << " value=" << e.a; break;
-      case TracePhase::kInstant: break;
-    }
-    if (e.phase != TracePhase::kCounter && (e.a || e.b))
-      os << " a=" << e.a << " b=" << e.b;
-    os << "\n";
-  }
-}
-
 namespace {
 
 /// Nanoseconds -> trace-format microseconds with exact .001 resolution.
@@ -230,14 +207,6 @@ void json_event(std::ostream& os, const TraceEvent& e) {
 }
 
 }  // namespace
-
-void Tracer::dump_chrome_json(std::ostream& os) const {
-  dump_chrome_json(os, TraceMeta{});
-}
-
-void Tracer::dump_chrome_json(std::ostream& os, const TraceMeta& meta) const {
-  dump_chrome_json(os, meta, ExtraRows{});
-}
 
 void Tracer::dump_chrome_json(std::ostream& os, const TraceMeta& meta,
                               const ExtraRows& extra) const {

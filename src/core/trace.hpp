@@ -32,16 +32,13 @@ enum class TraceKind : std::uint8_t {
   kTaskExec = 0,
   kSpawn,
   kSpawnRemote,
-  kRelease,
-  kAcquire,
-  kStealOk,
-  kStealEmpty,
-  kStealRetry,
   kInboxDrain,
   kTermCheck,
   kTerminated,
   // Spans (phase kBegin/kEnd) and their children (phase kComplete).
-  kStealSpan,    ///< begin: a=victim; end: a=victim, b=outcome|(ntasks<<8)
+  /// begin: a=victim; end: a=victim, b=outcome|(ntasks<<8) — the one
+  /// record of an attempt's result (StealOutcome in the low byte).
+  kStealSpan,
   kReleaseSpan,  ///< end: a = 1 if tasks were exposed
   kAcquireSpan,  ///< end: a = 1 if tasks were reacquired
   kFabricOp,     ///< complete: a=OpKind, b=target|(bytes<<16), dur=charge
@@ -123,26 +120,21 @@ class Tracer {
   /// total order, so dumps are byte-identical across runs that recorded
   /// the same events.
   std::vector<TraceEvent> merged() const;
-  /// Human-readable dump of merged(), one event per line.
-  void dump(std::ostream& os) const;
-
-  /// Chrome trace-event JSON (load in chrome://tracing or Perfetto):
-  /// instants, B/E span pairs, X complete events, and C counter tracks,
-  /// one lane per PE. With `meta`, a leading sws_run_meta record carries
-  /// protocol/npes/slot_bytes plus a truncation flag — sws-analyze needs
-  /// it to validate protocol op signatures.
-  void dump_chrome_json(std::ostream& os) const;
-  void dump_chrome_json(std::ostream& os, const TraceMeta& meta) const;
-
   /// Writes additional rows into the open trace-event array, each row
   /// prefixed with ",\n" (obs::TimeSeries::write_chrome_counters follows
   /// this convention). The tracer fixes up the leading comma when the
   /// array is otherwise empty.
   using ExtraRows = std::function<void(std::ostream&)>;
-  /// As above, appending caller-supplied rows — counter tracks sampled
-  /// outside the ring buffers — before the array closes.
-  void dump_chrome_json(std::ostream& os, const TraceMeta& meta,
-                        const ExtraRows& extra) const;
+
+  /// Chrome trace-event JSON (load in chrome://tracing or Perfetto):
+  /// instants, B/E span pairs, X complete events, and C counter tracks,
+  /// one lane per PE. With `meta`, a leading sws_run_meta record carries
+  /// protocol/npes/slot_bytes plus a truncation flag — sws-analyze needs
+  /// it to validate protocol op signatures. `extra` appends caller-supplied
+  /// rows — counter tracks sampled outside the ring buffers — before the
+  /// array closes.
+  void dump_chrome_json(std::ostream& os, const TraceMeta& meta = {},
+                        const ExtraRows& extra = {}) const;
 
   /// Count of retained events of one kind across all PEs (all phases).
   std::uint64_t count(TraceKind kind) const;

@@ -217,10 +217,6 @@ void Fabric::set_span(int pe, std::uint64_t span) noexcept {
   labels_[static_cast<std::size_t>(pe)].span = span;
 }
 
-std::uint64_t Fabric::current_span(int pe) const noexcept {
-  return labels_[static_cast<std::size_t>(pe)].span;
-}
-
 void Fabric::charge(int initiator, int target, OpKind kind,
                     std::size_t bytes) {
   SWS_ASSERT(initiator >= 0 && initiator < npes());

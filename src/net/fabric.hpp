@@ -232,7 +232,6 @@ class Fabric {
   /// set_span carries it (OpLabel::span) and is reported to the op
   /// observer. 0 clears the span. Per-PE state — each PE sets its own.
   void set_span(int pe, std::uint64_t span) noexcept;
-  std::uint64_t current_span(int pe) const noexcept;
   /// Install (or clear, with nullptr) the op observer before the PEs run.
   void set_op_observer(OpObserver cb) { observer_ = std::move(cb); }
 

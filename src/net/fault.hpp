@@ -31,7 +31,7 @@ namespace sws::net {
 
 /// A crash-stop failure: PE `pe` dies permanently at the first operation
 /// boundary (fabric op issue, compute slice, quiet poll) whose virtual
-/// time is >= `at_ns`. A dead PE's thread unwinds via net::PeKilled, its
+/// time is >= `at_ns`. A dead PE's fiber unwinds via net::PeKilled, its
 /// queued nbi effects are dropped, and every later op targeting it
 /// returns the poison verdict (Fabric::kDeadFetchValue) instead of a
 /// memory effect — crash-stop, not crash-recovery: the PE never returns.

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <ostream>
 
 #include "common/assert.hpp"
@@ -60,32 +59,7 @@ void MetricsSnapshot::merge(const MetricsSnapshot& o) {
   }
 }
 
-void MetricsSnapshot::diff(const MetricsSnapshot& earlier) {
-  for (Entry& e : entries) {
-    const Entry* base = earlier.find(e.name);
-    if (base == nullptr) continue;  // delta vs an implicit zero baseline
-    SWS_CHECK(base->kind == e.kind, "metric kind mismatch in diff");
-    // Gauges report a level, not an accumulation: the window's value is
-    // the last one written, i.e. this (later) snapshot's value as-is.
-    if (e.kind == MetricKind::kGauge) continue;
-    for (std::size_t pe = 0; pe < e.per_pe.size(); ++pe) {
-      const std::uint64_t b =
-          pe < base->per_pe.size() ? base->per_pe[pe] : 0;
-      e.per_pe[pe] -= std::min(e.per_pe[pe], b);
-    }
-    e.hist.subtract(base->hist);
-  }
-}
-
 namespace {
-
-bool per_pe_interesting(const MetricsSnapshot::Entry& e) noexcept {
-  // A per-PE breakdown is noise when every PE holds the same value or
-  // there is only one PE.
-  if (e.per_pe.size() <= 1) return false;
-  return !std::all_of(e.per_pe.begin(), e.per_pe.end(),
-                      [&](std::uint64_t v) { return v == e.per_pe[0]; });
-}
 
 void json_string(std::ostream& os, const std::string& s) {
   os << '"';
@@ -97,30 +71,6 @@ void json_string(std::ostream& os, const std::string& s) {
 }
 
 }  // namespace
-
-void MetricsSnapshot::write_text(std::ostream& os) const {
-  std::size_t width = 0;
-  for (const Entry& e : entries) width = std::max(width, e.name.size());
-  for (const Entry& e : entries) {
-    os << std::left << std::setw(static_cast<int>(width) + 2) << e.name
-       << std::right;
-    if (e.kind == MetricKind::kHistogram) {
-      os << "count=" << e.hist.count() << " p50=" << e.hist.quantile(0.5)
-         << " p95=" << e.hist.quantile(0.95)
-         << " p99=" << e.hist.quantile(0.99)
-         << " max<=" << e.hist.quantile(1.0);
-    } else {
-      os << e.total();
-      if (per_pe_interesting(e)) {
-        os << "  [";
-        for (std::size_t pe = 0; pe < e.per_pe.size(); ++pe)
-          os << (pe ? " " : "") << e.per_pe[pe];
-        os << "]";
-      }
-    }
-    os << "\n";
-  }
-}
 
 void MetricsSnapshot::write_json(std::ostream& os) const {
   os << "{\"schema\":\"sws-metrics\",\"npes\":" << npes << ",\"metrics\":[";
@@ -175,13 +125,6 @@ void MetricsRegistry::reset(int npes) {
   }
 }
 
-void MetricsRegistry::reset_values() {
-  for (auto& s : slabs_) {
-    std::fill(s.scalars.begin(), s.scalars.end(), 0);
-    std::fill(s.hists.begin(), s.hists.end(), LogHistogram{});
-  }
-}
-
 MetricId MetricsRegistry::register_metric(std::string name, std::string help,
                                           MetricKind kind) {
   SWS_CHECK(!name.empty(), "metric name must be non-empty");
@@ -220,12 +163,6 @@ MetricId MetricsRegistry::histogram(std::string name, std::string help) {
                          MetricKind::kHistogram);
 }
 
-MetricId MetricsRegistry::find(const std::string& name) const noexcept {
-  for (std::uint32_t i = 0; i < metrics_.size(); ++i)
-    if (metrics_[i].name == name) return MetricId{i};
-  return MetricId{};
-}
-
 void MetricsRegistry::add(MetricId m, int pe, std::uint64_t delta) noexcept {
   if (!m.valid()) return;
   const Meta& meta = metrics_[m.idx];
@@ -238,42 +175,11 @@ void MetricsRegistry::set(MetricId m, int pe, std::uint64_t value) noexcept {
   slabs_[static_cast<std::size_t>(pe)].scalars[meta.slot] = value;
 }
 
-void MetricsRegistry::observe(MetricId m, int pe,
-                              std::uint64_t sample) noexcept {
-  if (!m.valid()) return;
-  const Meta& meta = metrics_[m.idx];
-  slabs_[static_cast<std::size_t>(pe)].hists[meta.slot].add(sample);
-}
-
 void MetricsRegistry::set_hist(MetricId m, int pe,
                                const LogHistogram& h) noexcept {
   if (!m.valid()) return;
   const Meta& meta = metrics_[m.idx];
   slabs_[static_cast<std::size_t>(pe)].hists[meta.slot] = h;
-}
-
-std::uint64_t MetricsRegistry::value(MetricId m, int pe) const noexcept {
-  if (!m.valid()) return 0;
-  const Meta& meta = metrics_[m.idx];
-  const PeSlab& s = slabs_[static_cast<std::size_t>(pe)];
-  return meta.kind == MetricKind::kHistogram ? s.hists[meta.slot].count()
-                                             : s.scalars[meta.slot];
-}
-
-std::uint64_t MetricsRegistry::total(MetricId m) const noexcept {
-  if (!m.valid()) return 0;
-  const Meta& meta = metrics_[m.idx];
-  std::uint64_t t = 0;
-  for (const PeSlab& s : slabs_) {
-    if (meta.kind == MetricKind::kHistogram) {
-      t += s.hists[meta.slot].count();
-    } else if (meta.kind == MetricKind::kGauge) {
-      t = std::max(t, s.scalars[meta.slot]);
-    } else {
-      t += s.scalars[meta.slot];
-    }
-  }
-  return t;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -294,10 +200,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     out.entries.push_back(std::move(e));
   }
   return out;
-}
-
-void MetricsRegistry::write_text(std::ostream& os) const {
-  snapshot().write_text(os);
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {

@@ -7,13 +7,14 @@
 // (snapshot, exporters) are owner-biased and intended for quiescent
 // points — between runs, at teardown, in tests.
 //
-// Three metric kinds:
+// Three metric kinds, published through add()/set()/set_hist() from the
+// counters each layer already keeps:
 //  * counter   — monotone u64; merges by summation
-//  * gauge     — last-written u64 (clock, queue depth); merges by max
+//  * gauge     — last-written u64 (clock, switch count); merges by max
 //  * histogram — LogHistogram of u64 samples; merges bucket-wise
 //
 // Snapshots decouple reporting from the live registry: take one per run,
-// merge across runs/repetitions, diff two to isolate a phase.
+// merge across runs/repetitions, read values through find().
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,7 @@ struct MetricId {
 };
 
 /// Point-in-time copy of every registered metric, detached from the
-/// registry's per-PE slabs. The unit snapshots merge and diff in.
+/// registry's per-PE slabs. The unit snapshots merge and export in.
 struct MetricsSnapshot {
   struct Entry {
     std::string name;
@@ -57,18 +58,6 @@ struct MetricsSnapshot {
   /// name; entries only present in `o` are appended.
   void merge(const MetricsSnapshot& o);
 
-  /// Windowed delta: turn this (later) snapshot into `this - earlier`.
-  /// Counters subtract (saturating at 0, so an unrelated or reset
-  /// baseline cannot produce wrap-around garbage); histograms subtract
-  /// bucket-wise the same way. Gauges are *last-value-wins*: a max-gauge
-  /// has no meaningful difference over a window, so the entry keeps this
-  /// snapshot's value — the level observed at the window's end. Entries
-  /// absent from `earlier` are kept verbatim (delta vs an implicit zero);
-  /// entries only present in `earlier` are ignored.
-  void diff(const MetricsSnapshot& earlier);
-
-  /// Aligned human-readable table, one metric per line.
-  void write_text(std::ostream& os) const;
   /// {"schema":"sws-metrics", ...} — the format of the CI metrics
   /// artifacts (bench_common --metrics-out).
   void write_json(std::ostream& os) const;
@@ -81,8 +70,6 @@ class MetricsRegistry {
 
   /// Drop all values and resize for `npes` PEs; registrations survive.
   void reset(int npes);
-  /// Zero every slot (all PEs, all metrics); registrations survive.
-  void reset_values();
 
   int npes() const noexcept { return npes_; }
   std::size_t size() const noexcept { return metrics_.size(); }
@@ -93,24 +80,17 @@ class MetricsRegistry {
   MetricId counter(std::string name, std::string help = {});
   MetricId gauge(std::string name, std::string help = {});
   MetricId histogram(std::string name, std::string help = {});
-  MetricId find(const std::string& name) const noexcept;
 
   // --- per-PE updates (each PE may touch only its own slot) -------------
   void add(MetricId m, int pe, std::uint64_t delta = 1) noexcept;
   void set(MetricId m, int pe, std::uint64_t value) noexcept;
-  void observe(MetricId m, int pe, std::uint64_t sample) noexcept;
   /// Replace `pe`'s histogram wholesale — how a layer that already keeps
   /// its own LogHistogram publishes it (idempotent, like set()).
   void set_hist(MetricId m, int pe, const LogHistogram& h) noexcept;
 
   // --- reads ------------------------------------------------------------
-  std::uint64_t value(MetricId m, int pe) const noexcept;
-  /// Counters: sum over PEs. Gauges: max over PEs. Histograms: count.
-  std::uint64_t total(MetricId m) const noexcept;
-
   MetricsSnapshot snapshot() const;
-  /// write_text/write_json on a fresh snapshot — convenience.
-  void write_text(std::ostream& os) const;
+  /// write_json on a fresh snapshot — convenience.
   void write_json(std::ostream& os) const;
 
  private:

@@ -26,13 +26,12 @@ void json_string(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-// Per-window export value of series `s` at row `i`: the signed difference
-// for delta mode (re-attribution between related series can make a window
-// locally negative), the raw sample for level mode.
+// Per-window export value of a series at row `i`: the signed difference
+// (re-attribution between related series can make a window locally
+// negative).
 std::int64_t export_value(const std::vector<std::uint64_t>& vals,
-                          TimeSeries::Mode mode, std::size_t i) {
-  if (mode == TimeSeries::Mode::kLevel || i == 0)
-    return static_cast<std::int64_t>(vals[i]);
+                          std::size_t i) {
+  if (i == 0) return static_cast<std::int64_t>(vals[i]);
   return static_cast<std::int64_t>(vals[i] - vals[i - 1]);
 }
 
@@ -41,12 +40,11 @@ std::int64_t export_value(const std::vector<std::uint64_t>& vals,
 TimeSeries::TimeSeries(std::uint64_t interval_ns, std::size_t max_samples)
     : interval_ns_(interval_ns), max_samples_(max_samples) {}
 
-void TimeSeries::add_series(std::string name, Mode mode, Source src) {
+void TimeSeries::add_series(std::string name, Source src) {
   SWS_CHECK(times_.empty(), "add_series after the first sample");
   SWS_CHECK(static_cast<bool>(src), "series source must be callable");
   Series s;
   s.name = std::move(name);
-  s.mode = mode;
   s.src = std::move(src);
   series_.push_back(std::move(s));
 }
@@ -71,14 +69,6 @@ void TimeSeries::clear() {
   for (Series& s : series_) s.vals.clear();
 }
 
-std::uint64_t TimeSeries::value(std::size_t s, std::size_t i) const {
-  return series_[s].vals[i];
-}
-
-const std::string& TimeSeries::series_name(std::size_t s) const {
-  return series_[s].name;
-}
-
 void TimeSeries::write_json(std::ostream& os) const {
   os << "{\"schema\":\"sws-timeseries\",\"interval_ns\":" << interval_ns_
      << ",\"samples\":" << times_.size()
@@ -98,10 +88,9 @@ void TimeSeries::write_json(std::ostream& os) const {
     first = false;
     os << "\n{\"name\":";
     json_string(os, s.name);
-    os << ",\"mode\":\""
-       << (s.mode == Mode::kDelta ? "delta" : "level") << "\",\"v\":[";
+    os << ",\"v\":[";
     for (std::size_t i = 0; i < s.vals.size(); ++i)
-      os << (i ? "," : "") << export_value(s.vals, s.mode, i);
+      os << (i ? "," : "") << export_value(s.vals, i);
     os << "]}";
   }
   os << "\n]}\n";
@@ -115,7 +104,7 @@ void TimeSeries::write_chrome_counters(std::ostream& os) const {
       os << ",\"ph\":\"C\",\"ts\":";
       json_ts_us(os, times_[i]);
       os << ",\"pid\":0,\"tid\":0,\"args\":{\"value\":"
-         << export_value(s.vals, s.mode, i) << "}}";
+         << export_value(s.vals, i) << "}}";
     }
   }
 }

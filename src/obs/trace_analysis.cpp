@@ -287,15 +287,12 @@ RunTrace parse_chrome_trace(std::istream& is) {
       cs.value = static_cast<std::int64_t>(
           std::llround(args ? args->num_or("value", 0.0) : 0.0));
       rt.counter_samples.push_back(std::move(cs));
-    } else {
-      ++rt.instants;
-      if (name == "death_detected") {
-        ++rt.deaths_detected;
-      } else if (name == "rerouted") {
-        ++rt.reroutes;
-        rt.rerouted_tasks +=
-            static_cast<std::uint64_t>(args ? args->num_or("b", 0.0) : 0);
-      }
+    } else if (name == "death_detected") {
+      ++rt.deaths_detected;
+    } else if (name == "rerouted") {
+      ++rt.reroutes;
+      rt.rerouted_tasks +=
+          static_cast<std::uint64_t>(args ? args->num_or("b", 0.0) : 0);
     }
   }
 
@@ -904,7 +901,6 @@ TimeSeriesData parse_timeseries(std::istream& is) {
       if (sv.type != JsonValue::Type::kObject) continue;
       TimeSeriesData::Series s;
       s.name = sv.str_or("name", "");
-      s.delta = sv.str_or("mode", "delta") == "delta";
       const JsonValue* vals = sv.get("v");
       if (vals != nullptr && vals->type == JsonValue::Type::kArray)
         for (const JsonValue& v : vals->arr)

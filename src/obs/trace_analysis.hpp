@@ -60,8 +60,8 @@ struct Span {
 };
 
 /// One counter-track sample ("ph":"C") — queue depth, pending nbi, or an
-/// injected time-series window value. Values may be negative (delta-mode
-/// series re-attribute small amounts between related categories).
+/// injected time-series window value. Values may be negative (time-series
+/// deltas re-attribute small amounts between related categories).
 struct CounterSample {
   std::string name;
   int pe = -1;
@@ -81,7 +81,6 @@ struct RunTrace {
   std::uint64_t orphan_begins = 0;  ///< begin with no matching end
   std::uint64_t orphan_ends = 0;    ///< end with no matching begin
   std::uint64_t orphan_ops = 0;     ///< fabric op outside any open span
-  std::uint64_t instants = 0;
   // Crash-recovery instants (crash-mode runs only; docs/resilience.md).
   std::uint64_t deaths_detected = 0;  ///< death_detected events (per observer)
   std::uint64_t reroutes = 0;         ///< rerouted events
@@ -212,8 +211,7 @@ void write_convoy(std::ostream& os, const ConvoyReport& cr,
 // ------------------------------------------------------------- time series
 
 /// A parsed "sws-timeseries" JSON document (TimeSeries::write_json).
-/// Values are kept exactly as written: per-window deltas for delta-mode
-/// series, raw samples for level-mode.
+/// Values are kept exactly as written: signed per-window deltas.
 struct TimeSeriesData {
   std::uint64_t interval_ns = 0;
   bool truncated = false;
@@ -222,7 +220,6 @@ struct TimeSeriesData {
   std::vector<std::uint64_t> t;  ///< sample times (ns)
   struct Series {
     std::string name;
-    bool delta = false;
     std::vector<std::int64_t> v;
   };
   std::vector<Series> series;

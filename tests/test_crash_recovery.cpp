@@ -16,9 +16,12 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "net/fault.hpp"
+#include "obs/trace_analysis.hpp"
 #include "sws.hpp"
 
 namespace sws {
@@ -256,6 +259,42 @@ TEST(CrashRecovery, InboxCrashWithPendingTasks) {
   EXPECT_GT(r.total.tasks_executed, 0u);
   EXPECT_GE(r.total.deaths_witnessed, 1u);
   expect_same_run(runs[0], runs[1]);
+}
+
+// A sampled crash-mode run: the dead PE's record must stay readable after
+// its fiber unwinds. Every window's phase deltas sum to the elapsed delta,
+// and the sampled task count ends at what report() counts — including the
+// dead PE's pre-crash executions, which it finalizes on the way out.
+TEST(CrashRecovery, SampledRunKeepsDeadPeRecord) {
+  for (const auto kind : {core::QueueKind::kSdc, core::QueueKind::kSws}) {
+    pgas::Runtime rt(crash_rcfg(8, {{3, 300'000}}));
+    core::TaskRegistry reg;
+    workloads::UtsBenchmark uts(reg, crash_uts_params());
+    core::PoolConfig pc = pcfg(kind);
+    pc.trace.sample_interval_ns = 10'000;
+    core::TaskPool pool(rt, reg, pc);
+    rt.run([&](pgas::PeContext& ctx) {
+      pool.run_pe(ctx, [&](core::Worker& w) { uts.seed(w); });
+    });
+    const CrashRun r = snapshot(rt, pool);
+    expect_clean_finish(r, 1);
+    EXPECT_GT(r.per_pe[3].executed, 0u) << "dead PE's pre-crash work";
+
+    std::stringstream json;
+    pool.dump_timeseries_json(json);
+    const obs::TimeSeriesData ts = obs::parse_timeseries(json);
+    ASSERT_GT(ts.t.size(), 1u);
+    ASSERT_NE(ts.find("acct.elapsed_ns"), nullptr);
+    for (const std::string& err : obs::check_accounting(ts))
+      ADD_FAILURE() << err;
+    const obs::TimeSeriesData::Series* executed =
+        ts.find("pool.tasks_executed");
+    ASSERT_NE(executed, nullptr);
+    std::int64_t sum = 0;
+    for (const std::int64_t d : executed->v) sum += d;
+    EXPECT_EQ(static_cast<std::uint64_t>(sum),
+              r.report.total.tasks_executed);
+  }
 }
 
 // --------------------------------------------- acceptance: 16-PE survival

@@ -1,9 +1,10 @@
-// Observability layer: metrics registry semantics, snapshot diff
-// windowing, time-series sampling, trace-analysis span reconstruction
+// Observability layer: metrics registry and snapshot semantics,
+// time-series sampling, trace-analysis span reconstruction
 // (incl. critical path + convoy pressure), and the end-to-end protocol
 // op-shape and time-accounting claims on live 2-PE UTS/BPC traces.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <numeric>
 #include <sstream>
 
@@ -17,16 +18,34 @@ namespace {
 
 // ----------------------------------------------------------- registry unit
 
+/// A registered metric's published values, read the way every consumer
+/// reads them: through a snapshot.
+MetricsSnapshot::Entry entry(const MetricsRegistry& reg,
+                             const std::string& name) {
+  const MetricsSnapshot snap = reg.snapshot();
+  const MetricsSnapshot::Entry* e = snap.find(name);
+  if (e == nullptr) {
+    ADD_FAILURE() << "no metric " << name;
+    return {};
+  }
+  return *e;
+}
+
+LogHistogram hist_of(std::initializer_list<std::uint64_t> samples) {
+  LogHistogram h;
+  for (const std::uint64_t x : samples) h.add(x);
+  return h;
+}
+
 TEST(MetricsRegistry, CounterAddsPerPeAndTotals) {
   MetricsRegistry reg(3);
   const MetricId c = reg.counter("test.count", "help text");
   reg.add(c, 0, 5);
   reg.add(c, 2, 7);
   reg.add(c, 2);
-  EXPECT_EQ(reg.value(c, 0), 5u);
-  EXPECT_EQ(reg.value(c, 1), 0u);
-  EXPECT_EQ(reg.value(c, 2), 8u);
-  EXPECT_EQ(reg.total(c), 13u);
+  const auto e = entry(reg, "test.count");
+  EXPECT_EQ(e.per_pe, (std::vector<std::uint64_t>{5, 0, 8}));
+  EXPECT_EQ(e.total(), 13u);
 }
 
 TEST(MetricsRegistry, GaugeTotalsByMax) {
@@ -35,21 +54,20 @@ TEST(MetricsRegistry, GaugeTotalsByMax) {
   reg.set(g, 0, 100);
   reg.set(g, 1, 40);
   reg.set(g, 0, 60);  // overwrite, not accumulate
-  EXPECT_EQ(reg.value(g, 0), 60u);
-  EXPECT_EQ(reg.total(g), 60u);
+  const auto e = entry(reg, "test.gauge");
+  EXPECT_EQ(e.per_pe[0], 60u);
+  EXPECT_EQ(e.total(), 60u);
 }
 
-TEST(MetricsRegistry, HistogramObserves) {
+TEST(MetricsRegistry, HistogramMergesAcrossPes) {
   MetricsRegistry reg(2);
   const MetricId h = reg.histogram("test.hist");
-  reg.observe(h, 0, 10);
-  reg.observe(h, 1, 1000);
-  reg.observe(h, 1, 1001);
-  EXPECT_EQ(reg.total(h), 3u);
-  const MetricsSnapshot snap = reg.snapshot();
-  const auto* e = snap.find("test.hist");
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->hist.count(), 3u);  // merged across PEs
+  reg.set_hist(h, 0, hist_of({10}));
+  reg.set_hist(h, 1, hist_of({1000, 1001}));
+  const auto e = entry(reg, "test.hist");
+  EXPECT_EQ(e.total(), 3u);
+  EXPECT_EQ(e.hist.count(), 3u);  // merged across PEs
+  EXPECT_TRUE(e.per_pe.empty());
 }
 
 TEST(MetricsRegistry, RegistrationIsIdempotentByName) {
@@ -58,8 +76,8 @@ TEST(MetricsRegistry, RegistrationIsIdempotentByName) {
   const MetricId b = reg.counter("same.name", "different help is fine");
   EXPECT_EQ(a.idx, b.idx);
   EXPECT_EQ(reg.size(), 1u);
-  EXPECT_EQ(reg.find("same.name").idx, a.idx);
-  EXPECT_FALSE(reg.find("no.such.metric").valid());
+  EXPECT_NE(reg.snapshot().find("same.name"), nullptr);
+  EXPECT_EQ(reg.snapshot().find("no.such.metric"), nullptr);
 }
 
 TEST(MetricsRegistry, InvalidIdIsIgnored) {
@@ -67,8 +85,8 @@ TEST(MetricsRegistry, InvalidIdIsIgnored) {
   MetricId bad;
   reg.add(bad, 0, 1);  // must not crash
   reg.set(bad, 0, 1);
-  reg.observe(bad, 0, 1);
-  EXPECT_EQ(reg.total(bad), 0u);
+  reg.set_hist(bad, 0, hist_of({1}));
+  EXPECT_TRUE(reg.snapshot().entries.empty());
 }
 
 TEST(MetricsRegistry, RegistrationAfterValuesExistExtendsSlabs) {
@@ -77,22 +95,11 @@ TEST(MetricsRegistry, RegistrationAfterValuesExistExtendsSlabs) {
   reg.add(a, 1, 3);
   const MetricId h = reg.histogram("late.hist");
   const MetricId b = reg.counter("late.counter");
-  reg.observe(h, 0, 9);
+  reg.set_hist(h, 0, hist_of({9}));
   reg.add(b, 0, 2);
-  EXPECT_EQ(reg.value(a, 1), 3u);
-  EXPECT_EQ(reg.total(h), 1u);
-  EXPECT_EQ(reg.total(b), 2u);
-}
-
-TEST(MetricsRegistry, ResetValuesKeepsRegistrations) {
-  MetricsRegistry reg(2);
-  const MetricId c = reg.counter("keep.me");
-  reg.add(c, 0, 9);
-  reg.reset_values();
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_EQ(reg.total(c), 0u);
-  reg.add(c, 1, 4);
-  EXPECT_EQ(reg.total(c), 4u);
+  EXPECT_EQ(entry(reg, "first").per_pe[1], 3u);
+  EXPECT_EQ(entry(reg, "late.hist").total(), 1u);
+  EXPECT_EQ(entry(reg, "late.counter").total(), 2u);
 }
 
 TEST(MetricsRegistry, ResetResizesPeCount) {
@@ -101,9 +108,10 @@ TEST(MetricsRegistry, ResetResizesPeCount) {
   reg.add(c, 0, 1);
   reg.reset(4);
   EXPECT_EQ(reg.npes(), 4);
-  EXPECT_EQ(reg.total(c), 0u);
+  EXPECT_EQ(reg.size(), 1u) << "registrations survive a reset";
+  EXPECT_EQ(entry(reg, "c").total(), 0u);
   reg.add(c, 3, 2);
-  EXPECT_EQ(reg.total(c), 2u);
+  EXPECT_EQ(entry(reg, "c").total(), 2u);
 }
 
 // -------------------------------------------------------- snapshot algebra
@@ -115,14 +123,14 @@ TEST(MetricsSnapshot, MergeSumsCountersMaxesGauges) {
   const MetricId h = reg.histogram("runs.hist");
   reg.add(c, 0, 10);
   reg.set(g, 0, 5);
-  reg.observe(h, 0, 100);
+  reg.set_hist(h, 0, hist_of({100}));
   MetricsSnapshot first = reg.snapshot();
 
-  reg.reset_values();
+  reg.reset(2);
   reg.add(c, 0, 7);
   reg.add(c, 1, 1);
   reg.set(g, 0, 3);
-  reg.observe(h, 1, 200);
+  reg.set_hist(h, 1, hist_of({200}));
   MetricsSnapshot second = reg.snapshot();
 
   first.merge(second);
@@ -146,12 +154,9 @@ TEST(MetricsSnapshot, MergeAppendsUnknownEntries) {
 TEST(MetricsSnapshot, ExportersProduceOutput) {
   MetricsRegistry reg(2);
   reg.add(reg.counter("exp.counter", "a \"quoted\" help"), 1, 3);
-  reg.observe(reg.histogram("exp.hist"), 0, 42);
-  std::ostringstream text, json;
-  reg.write_text(text);
+  reg.set_hist(reg.histogram("exp.hist"), 0, hist_of({42}));
+  std::ostringstream json;
   reg.write_json(json);
-  EXPECT_NE(text.str().find("exp.counter"), std::string::npos);
-  EXPECT_NE(text.str().find("p50="), std::string::npos);
   EXPECT_NE(json.str().find("\"schema\":\"sws-metrics\""), std::string::npos);
   EXPECT_NE(json.str().find("\\\"quoted\\\""), std::string::npos)
       << "JSON strings must escape quotes";
@@ -162,135 +167,31 @@ TEST(MetricsSnapshot, ExportersProduceOutput) {
 TEST(MetricsSnapshot, SetHistReplacesWholesale) {
   MetricsRegistry reg(1);
   const MetricId h = reg.histogram("pub.hist");
-  LogHistogram src;
-  src.add(8);
-  src.add(8);
+  const LogHistogram src = hist_of({8, 8});
   reg.set_hist(h, 0, src);
   reg.set_hist(h, 0, src);  // publish twice: idempotent, no doubling
-  EXPECT_EQ(reg.total(h), 2u);
-}
-
-// --------------------------------------------- windowed diff edge cases
-
-TEST(LogHistogram, SubtractIsPerBucketAndSaturating) {
-  // 1023 and 1024 land in adjacent log2 buckets; a windowed delta must
-  // subtract per bucket, never across the boundary.
-  LogHistogram later, earlier;
-  later.add(1023);
-  later.add(1024);
-  later.add(1024);
-  earlier.add(1024);
-  later.subtract(earlier);
-  EXPECT_EQ(later.count(), 2u);
-  EXPECT_EQ(later.bucket(9), 1u) << "[512,1024) untouched";
-  EXPECT_EQ(later.bucket(10), 1u) << "[1024,2048) lost exactly one";
-
-  // Unrelated baseline with more samples than we have: saturate at zero.
-  LogHistogram big;
-  big.add(1023);
-  big.add(1023);
-  later.subtract(big);
-  EXPECT_EQ(later.bucket(9), 0u);
-  EXPECT_EQ(later.count(), 1u) << "total recomputed from surviving buckets";
-}
-
-TEST(MetricsSnapshot, DiffAgainstEmptyBaselineIsIdentity) {
-  MetricsRegistry reg(2);
-  reg.add(reg.counter("win.counter"), 0, 12);
-  reg.set(reg.gauge("win.gauge"), 1, 7);
-  MetricsSnapshot later = reg.snapshot();
-  later.diff(MetricsSnapshot{});  // no entries at all: implicit zero
-  EXPECT_EQ(later.find("win.counter")->total(), 12u);
-  EXPECT_EQ(later.find("win.gauge")->total(), 7u);
-}
-
-TEST(MetricsSnapshot, DiffSubtractsCountersSaturating) {
-  MetricsRegistry reg(2);
-  const MetricId c = reg.counter("win.counter");
-  reg.add(c, 0, 5);
-  reg.add(c, 1, 9);
-  MetricsSnapshot earlier = reg.snapshot();
-  reg.add(c, 0, 3);  // pe0 grows to 8; pe1 stays 9
-  MetricsSnapshot later = reg.snapshot();
-  later.diff(earlier);
-  EXPECT_EQ(later.find("win.counter")->per_pe[0], 3u);
-  EXPECT_EQ(later.find("win.counter")->per_pe[1], 0u);
-
-  // A *reset* counter (later < earlier, e.g. across reset_values) must
-  // saturate at 0, not wrap to ~2^64.
-  MetricsSnapshot reset = earlier;
-  reg.reset_values();
-  reg.add(c, 0, 1);
-  MetricsSnapshot after_reset = reg.snapshot();
-  after_reset.diff(reset);
-  EXPECT_EQ(after_reset.find("win.counter")->total(), 0u);
-}
-
-TEST(MetricsSnapshot, DiffGaugeIsLastValueWins) {
-  // Gauges report a level: the window's value is whatever the gauge held
-  // at the window's end, not a difference of levels.
-  MetricsRegistry reg(1);
-  const MetricId g = reg.gauge("win.gauge");
-  reg.set(g, 0, 100);
-  MetricsSnapshot earlier = reg.snapshot();
-  reg.set(g, 0, 40);  // level *dropped* across the window
-  MetricsSnapshot later = reg.snapshot();
-  later.diff(earlier);
-  EXPECT_EQ(later.find("win.gauge")->total(), 40u)
-      << "gauge diff must keep the later level, not subtract";
-}
-
-TEST(MetricsSnapshot, DiffDisjointEntriesKeptVerbatim) {
-  MetricsRegistry a(1), b(1);
-  a.add(a.counter("only.later"), 0, 4);
-  b.add(b.counter("only.earlier"), 0, 9);
-  MetricsSnapshot later = a.snapshot();
-  later.diff(b.snapshot());
-  EXPECT_EQ(later.find("only.later")->total(), 4u);
-  EXPECT_EQ(later.find("only.earlier"), nullptr)
-      << "entries only in the earlier snapshot are ignored";
-}
-
-TEST(MetricsSnapshot, DiffHistogramSubtractsBucketwise) {
-  MetricsRegistry reg(1);
-  const MetricId h = reg.histogram("win.hist");
-  reg.observe(h, 0, 1023);
-  MetricsSnapshot earlier = reg.snapshot();
-  reg.observe(h, 0, 1024);  // boundary neighbour of the baseline sample
-  MetricsSnapshot later = reg.snapshot();
-  later.diff(earlier);
-  EXPECT_EQ(later.find("win.hist")->hist.count(), 1u);
-  EXPECT_EQ(later.find("win.hist")->hist.bucket(10), 1u);
-  EXPECT_EQ(later.find("win.hist")->hist.bucket(9), 0u);
+  EXPECT_EQ(entry(reg, "pub.hist").total(), 2u);
 }
 
 // --------------------------------------------------- time-series sampling
 
-TEST(TimeSeries, DeltaAndLevelExport) {
+TEST(TimeSeries, DeltaExport) {
   std::uint64_t counter = 0;
-  std::uint64_t level = 0;
   TimeSeries ts(10);
-  ts.add_series("c", TimeSeries::Mode::kDelta, [&] { return counter; });
-  ts.add_series("l", TimeSeries::Mode::kLevel, [&] { return level; });
+  ts.add_series("c", [&] { return counter; });
   ts.add_meta("protocol", "\"sws\"");
   ts.add_meta("npes", "2");
   counter = 5;
-  level = 3;
   ts.sample(10);
   counter = 4;  // re-attribution can shrink a cumulative source
-  level = 9;
   ts.sample(20);
   std::ostringstream os;
   ts.write_json(os);
   const std::string j = os.str();
   EXPECT_NE(j.find("\"schema\":\"sws-timeseries\""), std::string::npos);
   EXPECT_NE(j.find("\"t\":[10,20]"), std::string::npos);
-  EXPECT_NE(j.find("\"name\":\"c\",\"mode\":\"delta\",\"v\":[5,-1]"),
-            std::string::npos)
-      << "delta mode exports signed per-window differences: " << j;
-  EXPECT_NE(j.find("\"name\":\"l\",\"mode\":\"level\",\"v\":[3,9]"),
-            std::string::npos)
-      << "level mode exports raw samples: " << j;
+  EXPECT_NE(j.find("\"name\":\"c\",\"v\":[5,-1]"), std::string::npos)
+      << "series export signed per-window differences: " << j;
 
   // Round-trip through the analyzer's parser.
   std::istringstream is(j);
@@ -300,15 +201,13 @@ TEST(TimeSeries, DeltaAndLevelExport) {
   EXPECT_EQ(parsed.npes, 2);
   ASSERT_EQ(parsed.t.size(), 2u);
   ASSERT_NE(parsed.find("c"), nullptr);
-  EXPECT_TRUE(parsed.find("c")->delta);
   EXPECT_EQ(parsed.find("c")->v[1], -1);
-  EXPECT_FALSE(parsed.find("l")->delta);
 }
 
 TEST(TimeSeries, SampleIsMonotoneAndIdempotent) {
   std::uint64_t v = 0;
   TimeSeries ts(10);
-  ts.add_series("v", TimeSeries::Mode::kDelta, [&] { return v; });
+  ts.add_series("v", [&] { return v; });
   ts.sample(10);
   ts.sample(10);  // duplicate finalize: ignored
   ts.sample(5);   // stale time: ignored
@@ -324,7 +223,7 @@ TEST(TimeSeries, SampleIsMonotoneAndIdempotent) {
 TEST(TimeSeries, TruncatesAtSampleCap) {
   std::uint64_t v = 0;
   TimeSeries ts(10, /*max_samples=*/2);
-  ts.add_series("v", TimeSeries::Mode::kDelta, [&] { return v; });
+  ts.add_series("v", [&] { return v; });
   ts.sample(10);
   ts.sample(20);
   ts.sample(30);  // past the cap: dropped, flagged
@@ -338,7 +237,7 @@ TEST(TimeSeries, TruncatesAtSampleCap) {
 TEST(TimeSeries, ChromeCounterRowsFollowTracerFormat) {
   std::uint64_t v = 0;
   TimeSeries ts(10);
-  ts.add_series("acct.working", TimeSeries::Mode::kDelta, [&] { return v; });
+  ts.add_series("acct.working", [&] { return v; });
   v = 1500;
   ts.sample(12345);
   std::ostringstream os;
@@ -356,16 +255,16 @@ TEST(TimeSeriesCheck, AccountingInvariantHoldsAndFails) {
                "{\"schema\":\"sws-timeseries\",\"interval_ns\":10,"
                "\"samples\":2,\"truncated\":0,\"protocol\":\"sws\","
                "\"npes\":2,\"t\":[10,20],\"series\":["
-               "{\"name\":\"acct.working\",\"mode\":\"delta\",\"v\":[10,9]},"
-               "{\"name\":\"acct.probing\",\"mode\":\"delta\",\"v\":[5,11]},"
-               "{\"name\":\"acct.stealing\",\"mode\":\"delta\",\"v\":[2,10]},"
-               "{\"name\":\"acct.parked\",\"mode\":\"delta\",\"v\":[3,10]},"
-               "{\"name\":\"acct.blocked_nbi\",\"mode\":\"delta\","
+               "{\"name\":\"acct.working\",\"v\":[10,9]},"
+               "{\"name\":\"acct.probing\",\"v\":[5,11]},"
+               "{\"name\":\"acct.stealing\",\"v\":[2,10]},"
+               "{\"name\":\"acct.parked\",\"v\":[3,10]},"
+               "{\"name\":\"acct.blocked_nbi\","
                "\"v\":[0,0]},"
-               "{\"name\":\"acct.recovering\",\"mode\":\"delta\",\"v\":[0,0]},"
-               "{\"name\":\"acct.idle_terminating\",\"mode\":\"delta\","
+               "{\"name\":\"acct.recovering\",\"v\":[0,0]},"
+               "{\"name\":\"acct.idle_terminating\","
                "\"v\":[0,0]},"
-               "{\"name\":\"acct.elapsed_ns\",\"mode\":\"delta\",\"v\":[") +
+               "{\"name\":\"acct.elapsed_ns\",\"v\":[") +
            elapsed + "]}]}";
   };
   {

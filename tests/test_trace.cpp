@@ -20,12 +20,12 @@ TEST(Tracer, RecordsAndListsEvents) {
   Tracer t(2, 16);
   ASSERT_TRUE(t.enabled());
   t.record(0, 100, TraceKind::kTaskExec, 7);
-  t.record(0, 200, TraceKind::kStealOk, 1, 5);
-  t.record(1, 150, TraceKind::kRelease);
+  t.record(0, 200, TraceKind::kSpawnRemote, 1, 5);
+  t.record(1, 150, TraceKind::kInboxDrain);
   const auto pe0 = t.events(0);
   ASSERT_EQ(pe0.size(), 2u);
   EXPECT_EQ(pe0[0].time, 100u);
-  EXPECT_EQ(pe0[1].kind, TraceKind::kStealOk);
+  EXPECT_EQ(pe0[1].kind, TraceKind::kSpawnRemote);
   EXPECT_EQ(pe0[1].b, 5u);
   EXPECT_EQ(t.events(1).size(), 1u);
 }
@@ -35,7 +35,7 @@ TEST(Tracer, MergedIsTimeOrdered) {
   t.record(2, 300, TraceKind::kTaskExec);
   t.record(0, 100, TraceKind::kTaskExec);
   t.record(1, 200, TraceKind::kTaskExec);
-  t.record(0, 200, TraceKind::kRelease);  // tie with pe1: pe0 first
+  t.record(0, 200, TraceKind::kInboxDrain);  // tie with pe1: pe0 first
   const auto all = t.merged();
   ASSERT_EQ(all.size(), 4u);
   EXPECT_EQ(all[0].time, 100u);
@@ -51,8 +51,8 @@ TEST(Tracer, MergedTieBreaksByPeThenSequence) {
   Tracer t(2, 8);
   t.record(1, 100, TraceKind::kTaskExec, 10);
   t.record(0, 100, TraceKind::kTaskExec, 1);
-  t.record(1, 100, TraceKind::kRelease, 11);
-  t.record(0, 100, TraceKind::kRelease, 2);
+  t.record(1, 100, TraceKind::kInboxDrain, 11);
+  t.record(0, 100, TraceKind::kInboxDrain, 2);
   const auto all = t.merged();
   ASSERT_EQ(all.size(), 4u);
   EXPECT_EQ(all[0].pe, 0);
@@ -100,25 +100,25 @@ TEST(Tracer, RecordedCountsSurviveWrap) {
   t.begin(1, 1, TraceKind::kStealSpan, 7);
   t.end(1, 2, TraceKind::kStealSpan, 7);
   for (std::uint64_t i = 0; i < 5; ++i)
-    t.record(1, 3 + i, TraceKind::kStealEmpty);
+    t.record(1, 3 + i, TraceKind::kTermCheck);
   ASSERT_TRUE(t.truncated());
   EXPECT_EQ(t.count(TraceKind::kTaskExec), 4u) << "retained only";
   EXPECT_EQ(t.recorded(TraceKind::kTaskExec), 10u);
   EXPECT_EQ(t.count(TraceKind::kStealSpan), 0u);
   EXPECT_EQ(t.recorded(TraceKind::kStealSpan), 2u) << "begin and end";
-  EXPECT_EQ(t.recorded(TraceKind::kStealEmpty), 5u);
+  EXPECT_EQ(t.recorded(TraceKind::kTermCheck), 5u);
   t.clear();
   EXPECT_EQ(t.recorded(TraceKind::kTaskExec), 0u);
 }
 
 TEST(Tracer, CountByKind) {
   Tracer t(2, 16);
-  t.record(0, 1, TraceKind::kStealOk);
-  t.record(1, 2, TraceKind::kStealOk);
-  t.record(1, 3, TraceKind::kStealEmpty);
-  EXPECT_EQ(t.count(TraceKind::kStealOk), 2u);
-  EXPECT_EQ(t.count(TraceKind::kStealEmpty), 1u);
-  EXPECT_EQ(t.count(TraceKind::kAcquire), 0u);
+  t.record(0, 1, TraceKind::kSpawn);
+  t.record(1, 2, TraceKind::kSpawn);
+  t.record(1, 3, TraceKind::kTermCheck);
+  EXPECT_EQ(t.count(TraceKind::kSpawn), 2u);
+  EXPECT_EQ(t.count(TraceKind::kTermCheck), 1u);
+  EXPECT_EQ(t.count(TraceKind::kTerminated), 0u);
 }
 
 TEST(Tracer, ClearEmptiesRings) {
@@ -128,18 +128,10 @@ TEST(Tracer, ClearEmptiesRings) {
   EXPECT_TRUE(t.events(0).empty());
 }
 
-TEST(Tracer, DumpIsHumanReadable) {
-  Tracer t(1, 8);
-  t.record(0, 42, TraceKind::kStealOk, 3, 19);
-  std::ostringstream os;
-  t.dump(os);
-  EXPECT_NE(os.str().find("42ns pe0 steal_ok a=3 b=19"), std::string::npos);
-}
-
 TEST(Tracer, ChromeJsonIsWellFormed) {
   Tracer t(2, 8);
   t.record(0, 1000, TraceKind::kTaskExec, 3);
-  t.record(1, 2500, TraceKind::kStealOk, 0, 7);
+  t.record(1, 2500, TraceKind::kSpawnRemote, 0, 7);
   std::ostringstream os;
   t.dump_chrome_json(os);
   const std::string json = os.str();
@@ -232,14 +224,24 @@ TEST(TracerPool, SchedulerEmitsCoherentTrace) {
   // Trace counts must agree with the pool statistics.
   EXPECT_EQ(t.count(TraceKind::kTaskExec), r.total.tasks_executed);
   EXPECT_EQ(t.count(TraceKind::kSpawn), r.total.tasks_spawned);
-  EXPECT_EQ(t.count(TraceKind::kStealOk), r.total.steals_ok);
   EXPECT_EQ(t.count(TraceKind::kTerminated), 4u);
-  // Every PE's events are time-monotone.
+  // A steal's one record is its span end, outcome in the low byte of b;
+  // every PE's events are time-monotone.
+  std::uint64_t steals_ok = 0;
   for (int pe = 0; pe < 4; ++pe) {
     const auto evs = pool.tracer().events(pe);
-    for (std::size_t i = 1; i < evs.size(); ++i)
-      ASSERT_GE(evs[i].time, evs[i - 1].time);
+    for (std::size_t i = 0; i < evs.size(); ++i) {
+      if (i > 0) {
+        ASSERT_GE(evs[i].time, evs[i - 1].time);
+      }
+      if (evs[i].kind == TraceKind::kStealSpan &&
+          evs[i].phase == TracePhase::kEnd &&
+          static_cast<StealOutcome>(evs[i].b & 0xFF) == StealOutcome::kSuccess)
+        ++steals_ok;
+    }
   }
+  EXPECT_GT(steals_ok, 0u);
+  EXPECT_EQ(steals_ok, r.total.steals_ok);
 }
 
 TEST(TracerPool, TraceOffRecordsNothing) {
