@@ -19,6 +19,11 @@
 //                    nearly every advance passes other PEs' clocks, so
 //                    most events hand off, as in seq_lockstep but
 //                    without ties at the time floor.
+//  * seq_barrier   — P PEs enter one runtime barrier, PE i arriving at
+//                    i µs. Early arrivals park until the write they wait
+//                    for lands, instead of running a 200 ns poll slice
+//                    each; the row reports ns per PE-barrier and the
+//                    barrier run's switches().
 //
 // Output: one JSON object per line on stdout (machine-readable); aligned
 // human summary on stderr.
@@ -34,6 +39,7 @@
 #include "net/fabric.hpp"
 #include "net/network_model.hpp"
 #include "net/time_model.hpp"
+#include "pgas/runtime.hpp"
 
 using namespace sws;
 using net::Nanos;
@@ -52,6 +58,8 @@ struct Measurement {
   int pes = 0;
   std::uint64_t events = 0;
   double wall_s = 0;
+  /// seq_barrier only: switches() of one barrier run (-1: not reported).
+  std::int64_t switches = -1;
 
   double events_per_sec() const { return static_cast<double>(events) / wall_s; }
 };
@@ -59,11 +67,17 @@ struct Measurement {
 void emit(const Measurement& m) {
   std::cout << "{\"bench\":\"" << m.bench << "\",\"pes\":" << m.pes
             << ",\"events\":" << m.events << ",\"wall_s\":" << m.wall_s
-            << ",\"events_per_sec\":" << m.events_per_sec() << "}\n";
+            << ",\"events_per_sec\":" << m.events_per_sec();
+  if (m.switches >= 0)
+    std::cout << ",\"ns_per_pe_barrier\":" << 1e9 / m.events_per_sec()
+              << ",\"switches\":" << m.switches;
+  std::cout << "}\n";
   std::cerr << "  " << m.bench << " P=" << m.pes << ": "
             << static_cast<std::uint64_t>(m.events_per_sec())
             << " events/s (" << m.events << " events in " << m.wall_s
-            << " s)\n";
+            << " s)";
+  if (m.switches >= 0) std::cerr << ", " << m.switches << " switches/run";
+  std::cerr << "\n";
 }
 
 /// One sequencer scenario: optional stagger so each PE's burst of B
@@ -147,6 +161,32 @@ Measurement mixed_scenario(net::VirtualTimeModel& tm, int npes,
   return m;
 }
 
+/// seq_barrier (see the file comment): `reps` runs of one staggered
+/// barrier, less the same runs without it; an event is one PE-barrier.
+Measurement barrier_scenario(int npes, std::uint64_t reps) {
+  pgas::RuntimeConfig rc;
+  rc.npes = npes;
+  rc.heap_bytes = std::size_t{64} << 10;
+  pgas::Runtime rt(rc);
+  const auto body = [&](bool barrier) {
+    for (std::uint64_t r = 0; r < reps; ++r)
+      rt.run([&](pgas::PeContext& ctx) {
+        ctx.compute(static_cast<Nanos>(ctx.pe()) * 1000);
+        if (barrier) ctx.barrier();
+      });
+  };
+  body(true);  // maps the fiber stacks, which later runs reuse
+  Measurement m;
+  m.bench = "seq_barrier";
+  m.pes = npes;
+  m.events = reps * static_cast<std::uint64_t>(npes);
+  m.switches = static_cast<std::int64_t>(rt.time().switches());
+  const double setup = wall_seconds([&] { body(false); });
+  const double total = wall_seconds([&] { body(true); });
+  m.wall_s = std::max(total - setup, 1e-9);
+  return m;
+}
+
 std::vector<int> parse_pes(const std::string& s) {
   std::vector<int> out;
   std::stringstream ss(s);
@@ -190,6 +230,12 @@ int main(int argc, char** argv) {
     const std::uint64_t bursts = std::max<std::uint64_t>(
         seq_events / static_cast<std::uint64_t>(npes) / 4, 1);
     emit(mixed_scenario(tm, npes, bursts, /*step=*/10));
+  }
+
+  for (const int npes : pe_counts) {
+    const std::uint64_t reps = std::max<std::uint64_t>(
+        seq_events / static_cast<std::uint64_t>(npes) / 100, 1);
+    emit(barrier_scenario(npes, reps));
   }
   return 0;
 }

@@ -259,8 +259,8 @@ std::uint32_t TaskPool::drain_recovered(Worker& w) {
   return n;
 }
 
-WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
-                             const std::function<void(Worker&)>& seed) {
+void TaskPool::run_pe(pgas::PeContext& ctx,
+                      const std::function<void(Worker&)>& seed) {
   // Phase accounting starts before anything can advance this PE's clock:
   // every later nanosecond lands in exactly one PoolPhase bucket. The
   // sampler cannot observe this slot mid-reset — no boundary can be
@@ -279,7 +279,6 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
     close_slot(ps, ctx.now());
     throw;
   }
-  return ps.stats;
 }
 
 void TaskPool::close_slot(PeSlot& ps, net::Nanos now) {

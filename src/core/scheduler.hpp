@@ -127,11 +127,11 @@ class TaskPool {
 
   /// SPMD entry point: call once per PE inside Runtime::run. `seed` runs
   /// after the collective reset (spawn initial tasks from any PE); the
-  /// processing loop then runs to global termination. A planned crash
-  /// (net::PeKilled) finalizes this PE's record at its death time before
-  /// it propagates.
-  WorkerStats run_pe(pgas::PeContext& ctx,
-                     const std::function<void(Worker&)>& seed);
+  /// processing loop then runs to global termination. The PE's statistics
+  /// stay in the pool: read them with worker_stats() or report() after
+  /// the run. A planned crash (net::PeKilled) finalizes this PE's record
+  /// at its death time before it propagates.
+  void run_pe(pgas::PeContext& ctx, const std::function<void(Worker&)>& seed);
 
   /// Aggregated statistics of the last completed run, crashed PEs'
   /// pre-crash work included.

@@ -198,6 +198,11 @@ class Fabric {
   void poll_crash(int pe) {
     if (crashes_armed_) maybe_crash(pe);
   }
+  /// `pe`'s planned crash time; kNoPendingDeadline when none is pending.
+  /// A parked wait uses it as its deadline (VirtualTimeModel::park).
+  Nanos crash_deadline(int pe) const noexcept {
+    return crash_at_[static_cast<std::size_t>(pe)];
+  }
   /// Disarm `pe`'s planned crash (idempotent). The scheduler calls this
   /// when a PE leaves its scheduling loop: crashes model failures during
   /// work, not during teardown, where a death would be indistinguishable

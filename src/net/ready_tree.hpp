@@ -85,7 +85,8 @@ class ReadyTree {
     replay(pe, vtime << bits_ | static_cast<Key>(pe));
   }
 
-  /// Retire `pe` (it finished): it never wins again.
+  /// Take `pe` out (it finished, or parked): it never wins again until
+  /// update() re-keys it.
   void remove(int pe) { replay(pe, kNone); }
 
  private:

@@ -1,5 +1,6 @@
 #include "net/time_model.hpp"
 
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -23,6 +24,8 @@ void VirtualTimeModel::reset(int npes) {
     s.finished = false;
   }
   ready_.reset(npes);
+  parks_.assign(static_cast<std::size_t>(npes), Park{});
+  nparked_ = 0;
   next_delivery_ = 0;
   switches_ = 0;
   // PE 0 runs first: all clocks are 0 and ties break by id. Horizons
@@ -105,7 +108,7 @@ int VirtualTimeModel::pick_next(int caller) {
   return chosen;
 }
 
-Nanos VirtualTimeModel::refresh_horizon(int pe) {
+void VirtualTimeModel::deliver_due(Nanos floor) {
   // Deliver everything that is now in the past before the PE resumes, so
   // it observes a consistent "nothing from the future" memory state; the
   // hook reports the earliest deadline still pending so batching can
@@ -113,18 +116,56 @@ Nanos VirtualTimeModel::refresh_horizon(int pe) {
   // the hook is not asked: next_delivery_ only ever errs low (drops raise
   // the true minimum; every enqueue lowers the cache via clamp_horizon),
   // which costs one extra call, never a missed delivery.
-  const Nanos now = slot(pe).vtime;
-  if (now >= next_delivery_)
-    next_delivery_ = hook_ ? hook_(now) : kNoPendingDeadline;
+  if (floor >= next_delivery_)
+    next_delivery_ = hook_ ? hook_(floor) : kNoPendingDeadline;
+}
+
+void VirtualTimeModel::fire_hooks(Nanos now) {
   // Windowed sampling: fire once per boundary the floor has crossed, in
   // order. Observation-only — the hook reads state, never schedules
-  // events — so the schedule is byte-identical with sampling off.
-  if (sample_interval_ > 0) {
-    while (now >= next_sample_) {
-      sample_hook_(next_sample_);
+  // events — so the schedule is byte-identical with sampling off. The
+  // literal loops of parked PEs would have put the floor on their first
+  // slice end past the boundary if that is below `now`: a sample sees the
+  // deliveries due by that floor and each parked PE at its slice end.
+  if (sample_interval_ > 0 && now >= next_sample_) {
+    do {
+      const Nanos b = next_sample_;
+      deliver_due(nparked_ > 0 ? park_clocks_at(b, now) : now);
+      sample_hook_(b);
       next_sample_ += sample_interval_;
+    } while (now >= next_sample_);
+    // A keyed parked PE's clock is its key again: activation reads it.
+    for (int i = 0; nparked_ > 0 && i < npes_; ++i) {
+      const Park& pk = parks_[static_cast<std::size_t>(i)];
+      if (pk.period != 0 && pk.key != ReadyTree::kNoVtime)
+        slot(i).vtime = pk.key;
     }
   }
+  deliver_due(now);
+}
+
+Nanos VirtualTimeModel::park_clocks_at(Nanos b, Nanos now) {
+  Nanos floor = now;
+  for (int i = 0; i < npes_; ++i) {
+    const Park& pk = parks_[static_cast<std::size_t>(i)];
+    if (pk.period == 0) continue;
+    const Nanos t = pk.slice_end(b);
+    slot(i).vtime = t;
+    if (t < floor) floor = t;
+  }
+  return floor;
+}
+
+std::string VirtualTimeModel::parked_pes() const {
+  std::string s = "every unfinished PE is parked, nobody can wake them:";
+  for (int i = 0; i < npes_; ++i)
+    if (parks_[static_cast<std::size_t>(i)].period != 0)
+      s += " " + std::to_string(i);
+  return s;
+}
+
+Nanos VirtualTimeModel::refresh_horizon(int pe) {
+  fire_hooks(slot(pe).vtime);
   // Batching off: an installed arbiter must see every advance as a
   // potential tie.
   if (arbiter_) return 0;
@@ -139,8 +180,16 @@ Nanos VirtualTimeModel::refresh_horizon(int pe) {
 
 void VirtualTimeModel::activate(int next) {
   active_ = next;
-  if (next < 0) return;
-  slot(next).horizon = refresh_horizon(next);
+  if (next < 0) {
+    // Parked PEs would poll forever in the literal loop.
+    SWS_ASSERT_MSG(nparked_ == 0, parked_pes().c_str());
+    return;
+  }
+  // Lazy horizon: most activated PEs switch away on their next advance,
+  // so the second_vtime() walk waits until one stays the minimum.
+  PeSlot& s = slot(next);
+  s.horizon = 0;
+  fire_hooks(s.vtime);
 }
 
 void VirtualTimeModel::switch_from(int pe, bool exiting) {
@@ -188,6 +237,53 @@ void VirtualTimeModel::advance(int pe, Nanos dt) {
 Nanos VirtualTimeModel::now(int pe) const {
   SWS_ASSERT(pe >= 0 && pe < npes_);
   return slot(pe).vtime;
+}
+
+void VirtualTimeModel::park(int pe, Nanos period, Nanos deadline) {
+  SWS_ASSERT(period > 0);
+  if (arbiter_) {
+    // The explorer must see every poll slice as a potential tie.
+    advance(pe, period);
+    return;
+  }
+  SWS_ASSERT(pe >= 0 && pe < npes_);
+  SWS_ASSERT_MSG(active_ == pe, "park() by a PE not holding the baton");
+  PeSlot& s = slot(pe);
+  Park& pk = parks_[static_cast<std::size_t>(pe)];
+  pk.t0 = s.vtime;
+  pk.period = period;
+  ++nparked_;
+  if (deadline == kNoPendingDeadline) {
+    pk.key = ReadyTree::kNoVtime;
+    ready_.remove(pe);
+  } else {
+    // The slice end at which the polling loop's crash check would fire.
+    pk.key = s.vtime = pk.slice_end(deadline);
+    ready_.update(pe, pk.key);
+  }
+  const int next = pick_next(pe);
+  activate(next);
+  if (next != pe) switch_from(pe, /*exiting=*/false);
+  // Resumed with the clock at the slice end pk.key.
+  pk.period = 0;
+  --nparked_;
+}
+
+void VirtualTimeModel::wake(int pe, int writer) {
+  SWS_ASSERT(pe >= 0 && pe < npes_);
+  SWS_ASSERT_MSG(active_ == writer, "wake() by a PE not holding the baton");
+  Park& pk = parks_[static_cast<std::size_t>(pe)];
+  if (pk.period == 0) return;
+  // The write happened in the writer's event at (its clock, writer); the
+  // first poll after it in (vtime, pe) order is the one that observes it.
+  PeSlot& w = slot(writer);
+  Nanos t = pk.slice_end(w.vtime);
+  if (t == w.vtime && pe < writer) t += pk.period;
+  if (t >= pk.key) return;
+  pk.key = slot(pe).vtime = t;
+  // The writer's key may lag its clock, but (t, pe) still loses to it.
+  ready_.update(pe, t);
+  if (t < w.horizon) w.horizon = t;
 }
 
 void VirtualTimeModel::clamp_horizon(int pe, Nanos deadline) {

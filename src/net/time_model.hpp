@@ -16,12 +16,24 @@
 // the horizon touch no tree, fire no hook, and switch no fiber; only
 // crossing the horizon enters the sequencer, which picks the next PE from
 // the tree and switches straight to its fiber, whose saved context sits in
-// the PE's slot beside its clock and horizon. Anything that could schedule
-// an event below the running PE's horizon must shrink it via
-// clamp_horizon() (the fabric does this on every nbi enqueue). The delivery
-// hook reports the earliest still-pending deadline; the sequencer caps
-// horizons with it and calls the hook again only once the time floor
-// reaches it. Installing a ReadyArbiter disables horizon batching
+// the PE's slot beside its clock and horizon. Horizons are lazy: a freshly
+// activated PE starts at horizon 0, and its first advance computes one
+// only if it is still the minimum afterwards (most activated PEs switch
+// away on that advance, and a smaller horizon never changes a schedule).
+// Anything that could schedule an event below the running PE's horizon
+// must shrink it via clamp_horizon() (the fabric does this on every nbi
+// enqueue). The delivery hook reports the earliest still-pending deadline;
+// the sequencer caps horizons with it and calls the hook again only once
+// the time floor reaches it.
+//
+// Parked waits: a PE spinning on a flag in fixed poll slices can park()
+// instead. It leaves the ready tree (or stays keyed at its deadline
+// slice), and the writer's wake() keys it at the first slice end at which
+// its polling loop would have seen the write. The slices in between are
+// never run, yet every clock, delivery and sample lands where the literal
+// loop puts it, so schedules are unchanged; only switches() drops.
+//
+// Installing a ReadyArbiter disables horizon batching and parking
 // entirely: the schedule explorer must observe every potential tie.
 #pragma once
 
@@ -29,6 +41,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/fiber.hpp"
@@ -74,7 +87,10 @@ using ReadyArbiter =
 /// metrics slabs, and scheduler state lock-free. It must never advance
 /// clocks, issue fabric operations, or call back into the time model:
 /// sampling is observation-only, and the determinism A/B suite enforces
-/// that sampled runs are byte-identical to unsampled ones.
+/// that sampled runs are byte-identical to unsampled ones. A parked PE's
+/// clock reads its pending poll-slice end during the call, and deliveries
+/// are applied up to the floor the literal polling loop would have fired
+/// the sample at, so parking never shows in a sample.
 using SampleHook = std::function<void(Nanos boundary)>;
 
 /// Deterministic discrete-event sequencer (see file comment).
@@ -99,8 +115,30 @@ class VirtualTimeModel {
   void advance(int pe, Nanos dt);
 
   /// PE `pe`'s clock. Exact from any PE (they share one host thread) and
-  /// after run_pes() returns.
+  /// after run_pes() returns; a parked PE's clock is exact only inside the
+  /// sample hook and once it resumes.
   Nanos now(int pe) const;
+
+  /// The running PE `pe` waits for a write in a loop of `period`-long poll
+  /// slices started at its clock t0. Instead of running each slice, park
+  /// suspends it until the first slice end t0 + k·period (k >= 1) that
+  /// either follows a wake() or is at or past `deadline`, and returns
+  /// there with the clock at that slice end: exactly where repeating
+  /// advance(pe, period) while re-checking would have stopped. The caller
+  /// re-checks its condition and parks again if it still fails (a spurious
+  /// wake re-parks on the same slice grid). `deadline` is the PE's planned
+  /// crash time, kNoPendingDeadline if none. With an arbiter installed,
+  /// park is one advance(pe, period). Asserts, naming them, when every
+  /// unfinished PE is parked with nobody left to wake them.
+  void park(int pe, Nanos period, Nanos deadline = kNoPendingDeadline);
+
+  /// The running PE `writer` has just written memory that PE `pe` may be
+  /// parked polling. Keys `pe` at the first of its slice ends t with
+  /// (t, pe) after (writer's clock, writer) in (vtime, pe) order — the
+  /// first poll that observes the write — if that is earlier than its
+  /// current key, and clamps the writer's horizon to t. A no-op unless
+  /// `pe` is parked.
+  void wake(int pe, int writer);
 
   /// Inform the sequencer that an event (e.g. an nbi delivery deadline)
   /// was scheduled at virtual time `deadline` by the running PE `pe`:
@@ -126,9 +164,10 @@ class VirtualTimeModel {
   /// potential branch point for the explorer.
   void set_ready_arbiter(ReadyArbiter arb);
 
-  /// PE-to-PE fiber handoffs in the current (or last) run: advances that
-  /// passed the baton plus finishing PEs that handed it on. 0 on a 1-PE
-  /// run. Deterministic for a given program and seed.
+  /// PE-to-PE fiber handoffs in the current (or last) run: advances and
+  /// parks that passed the baton plus finishing PEs that handed it on. A
+  /// parked PE's skipped poll slices are not handoffs. 0 on a 1-PE run.
+  /// Deterministic for a given program and seed.
   std::uint64_t switches() const noexcept { return switches_; }
 
  private:
@@ -139,8 +178,9 @@ class VirtualTimeModel {
     /// Authoritative clock, written only by the running PE (or by reset).
     Nanos vtime = 0;
     /// Fast-path cap: advance() stays in the fast path while the
-    /// resulting clock is *strictly* below this. Set by the sequencer when
-    /// the PE is activated, then shrunk only by clamp_horizon().
+    /// resulting clock is *strictly* below this. 0 when the PE is
+    /// activated; computed by the first advance that leaves it the
+    /// minimum, then shrunk only by clamp_horizon() and wake().
     Nanos horizon = 0;
     /// The PE's fiber while it is switched out; armed on fibers_[pe]'s
     /// stack by run_pes().
@@ -148,16 +188,41 @@ class VirtualTimeModel {
     bool finished = false;
   };
 
+  /// A parked PE's poll loop: slices of `period` from `t0`. `key` is its
+  /// ready-tree key (kNoVtime: out of the tree); `period` 0 = not parked.
+  struct Park {
+    Nanos t0 = 0;
+    Nanos period = 0;
+    Nanos key = ReadyTree::kNoVtime;
+    /// First slice end at or past `t`: t0 + k·period, k >= 1.
+    Nanos slice_end(Nanos t) const {
+      const Nanos k = t > t0 ? (t - t0 + period - 1) / period : 1;
+      return t0 + k * period;
+    }
+  };
+
   /// Pick the next runnable PE: minimum vtime, ties resolved by the
   /// arbiter when one is installed (else by id); -1 if none left.
   /// `caller` is the PE whose advance/finish triggered the pick.
   int pick_next(int caller);
-  /// Make `next` the running PE (-1: none left): fire the delivery hook
-  /// for the new time floor and refresh `next`'s horizon.
+  /// Make `next` the running PE (-1: none left) and fire the hooks for
+  /// the new time floor. Its horizon starts at 0: its first advance
+  /// computes one only if it is still the minimum then.
   void activate(int next);
-  /// Fire the hook at `pe`'s clock if a delivery may be due, and compute
-  /// its fresh horizon: min(second-lowest ready clock, earliest pending
-  /// delivery deadline); 0 (batching off) in arbiter mode.
+  /// Fire the delivery hook at `floor` unless nothing can be due yet.
+  void deliver_due(Nanos floor);
+  /// Fire the delivery hook at floor `now` if a delivery may be due, and
+  /// the sample hook once per boundary the floor has crossed.
+  void fire_hooks(Nanos now);
+  /// Set every parked PE's clock to its pending slice end at sampling
+  /// boundary `b`; returns the earliest of them, capped at `now` — the
+  /// floor at which the literal polling loops would have fired `b`.
+  Nanos park_clocks_at(Nanos b, Nanos now);
+  /// The assert message naming every parked PE.
+  std::string parked_pes() const;
+  /// fire_hooks() at `pe`'s clock, then its fresh horizon: min(second-
+  /// lowest ready clock, earliest pending delivery deadline, next sampling
+  /// boundary); 0 (batching off) in arbiter mode.
   Nanos refresh_horizon(int pe);
   /// Suspend `pe`'s fiber and resume the active PE's, or the run_pes()
   /// caller when none is active. `exiting`: `pe` has finished.
@@ -189,6 +254,8 @@ class VirtualTimeModel {
   Nanos sample_interval_ = 0;  ///< 0 = sampling off
   Nanos next_sample_ = 0;      ///< next unfired boundary
   std::vector<int> ready_scratch_;  ///< reused per pick
+  std::vector<Park> parks_;         ///< per PE, reused
+  int nparked_ = 0;                 ///< PEs with parks_[pe].period != 0
 
   std::vector<std::unique_ptr<Fiber>> fibers_;  ///< PE stacks, reused
   FiberContext caller_;  ///< the thread inside run_pes()

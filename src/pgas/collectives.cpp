@@ -8,8 +8,8 @@
 namespace sws::pgas {
 namespace {
 
-/// Poll interval while waiting on a flag; every wait advances the PE's
-/// clock so the virtual sequencer always makes progress.
+/// Poll interval while waiting on a flag. The wait parks between polls
+/// (VirtualTimeModel::park), but its clocks stay on this slice grid.
 constexpr net::Nanos kPollNs = 200;
 
 int dissemination_rounds(int npes) {
@@ -32,9 +32,17 @@ void PeContext::barrier() {
     const int partner = (pe_ + (1 << r)) % p;
     const SymPtr flag = coll.barrier_flags.plus(static_cast<std::uint64_t>(r) * 8);
     fabric().amo_set(pe_, partner, flag.off, gen);
+    rt_.time().wake(partner, pe_);
     // Wait for our own round-r flag to reach this generation. Flags are
-    // monotonic, so a fast partner being a generation ahead is harmless.
-    while (local_load(flag) < gen) compute(kPollNs);
+    // monotonic, so a fast partner being a generation ahead is harmless,
+    // and so is a wake meant for another round: the flag is re-checked.
+    // Parked, the PE resumes at the poll slice that sees the write (or
+    // dies at the one that crosses its planned crash time), as a loop of
+    // compute(kPollNs) would.
+    while (local_load(flag) < gen) {
+      rt_.time().park(pe_, kPollNs, fabric().crash_deadline(pe_));
+      fabric().poll_crash(pe_);
+    }
   }
 }
 

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <cstring>
 #include <random>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "net/fiber.hpp"
 #include "net/ready_tree.hpp"
 #include "net/time_model.hpp"
+#include "sws.hpp"
 
 namespace sws::net {
 namespace {
@@ -616,6 +619,369 @@ TEST(VirtualTime, ClampedDeadlineFiresHookAtFirstFloorPastIt) {
   for (const Nanos f : floors)
     if (f >= 250 && f < first_past) first_past = f;
   EXPECT_EQ(hook_times[1], first_past);
+}
+
+// --- parked waits: park()/wake() against the literal polling loop ---------
+
+constexpr Nanos kSlice = 200;
+
+/// The barrier's wait in miniature: PE `waiter` polls `flag` every kSlice
+/// from `wait_from`, either parked or literally (one advance per slice);
+/// PE `writer` sets the flag at `write_at` and wakes the waiter. Any other
+/// PE finishes at once. Returns the clock at which the waiter saw the flag.
+struct WaitRun {
+  Nanos seen = 0;
+  int polls = 0;  ///< park() returns, or literal slices
+  std::uint64_t switches = 0;
+};
+
+WaitRun wait_for_write(bool parked, int npes, int waiter, Nanos wait_from,
+                       int writer, Nanos write_at,
+                       VirtualTimeModel* model = nullptr) {
+  VirtualTimeModel local(npes);
+  VirtualTimeModel& tm = model != nullptr ? *model : local;
+  bool flag = false;
+  WaitRun r;
+  tm.run_pes(npes, [&](int pe) {
+    if (pe == waiter) {
+      tm.advance(pe, wait_from);
+      while (!flag) {
+        if (parked)
+          tm.park(pe, kSlice);
+        else
+          tm.advance(pe, kSlice);
+        ++r.polls;
+      }
+      r.seen = tm.now(pe);
+    } else if (pe == writer) {
+      tm.advance(pe, write_at);
+      flag = true;
+      tm.wake(waiter, pe);  // a no-op for a literal waiter
+    }
+  });
+  r.switches = tm.switches();
+  return r;
+}
+
+TEST(ParkedWait, WriteOnASliceEndByALowerId) {
+  // (400, writer 0) comes before the waiter's poll at (400, 1): seen there.
+  const WaitRun lit = wait_for_write(false, 2, 1, 0, 0, 400);
+  const WaitRun par = wait_for_write(true, 2, 1, 0, 0, 400);
+  EXPECT_EQ(lit.seen, 400u);
+  EXPECT_EQ(par.seen, lit.seen);
+}
+
+TEST(ParkedWait, WriteOnASliceEndByAHigherId) {
+  // The poll at (400, 0) runs before the write at (400, 1): the next
+  // slice end sees it.
+  const WaitRun lit = wait_for_write(false, 2, 0, 0, 1, 400);
+  const WaitRun par = wait_for_write(true, 2, 0, 0, 1, 400);
+  EXPECT_EQ(lit.seen, 600u);
+  EXPECT_EQ(par.seen, lit.seen);
+}
+
+TEST(ParkedWait, WriteAtTheParkInstant) {
+  // d = 0: PE 0 checks at (100, 0) and parks; PE 1 writes at (100, 1).
+  // The first slice end, 300, sees it.
+  const WaitRun lit = wait_for_write(false, 2, 0, 100, 1, 100);
+  const WaitRun par = wait_for_write(true, 2, 0, 100, 1, 100);
+  EXPECT_EQ(lit.seen, 300u);
+  EXPECT_EQ(par.seen, lit.seen);
+  EXPECT_EQ(par.polls, 1);
+}
+
+TEST(ParkedWait, MatchesTheLiteralLoopOverOffsets) {
+  for (const int waiter : {0, 2}) {
+    for (const Nanos from : {0u, 70u, 200u}) {
+      for (Nanos at = 0; at <= 1300; at += 50) {
+        const int writer = 1;
+        const WaitRun lit = wait_for_write(false, 3, waiter, from, writer, at);
+        const WaitRun par = wait_for_write(true, 3, waiter, from, writer, at);
+        EXPECT_EQ(par.seen, lit.seen)
+            << "waiter " << waiter << " from " << from << " write at " << at;
+        EXPECT_LE(par.switches, lit.switches);
+      }
+    }
+  }
+}
+
+TEST(ParkedWait, WakeClampsTheWritersHorizon) {
+  // PE 1 is out of the tree when PE 0 computes its horizon, so only the
+  // wake can stop PE 0 from batching past the slice end (200) at which
+  // PE 1 sees the write.
+  using Event = std::pair<int, Nanos>;
+  std::vector<std::vector<Event>> logs;
+  for (const bool parked : {false, true}) {
+    VirtualTimeModel tm(2);
+    bool flag = false;
+    std::vector<Event> log;
+    tm.run_pes(2, [&](int pe) {
+      if (pe == 1) {
+        while (!flag) parked ? tm.park(pe, kSlice) : tm.advance(pe, kSlice);
+        log.emplace_back(pe, tm.now(pe));
+        return;
+      }
+      tm.advance(pe, 50);  // PE 1 runs and parks at 0
+      tm.advance(pe, 10);  // PE 0's horizon no longer sees PE 1
+      flag = true;
+      tm.wake(1, pe);
+      for (int i = 0; i < 3; ++i) {
+        tm.advance(pe, 100);
+        log.emplace_back(pe, tm.now(pe));
+      }
+    });
+    logs.push_back(log);
+  }
+  const std::vector<Event> expect = {{0, 160}, {1, 200}, {0, 260}, {0, 360}};
+  EXPECT_EQ(logs[0], expect);
+  EXPECT_EQ(logs[1], expect);
+}
+
+TEST(ParkedWait, SpuriousWakeReparksOnTheSameGrid) {
+  // PE 0 wakes the waiter at 300 without writing, then writes at 900. The
+  // waiter resumes at 400, sees nothing, re-parks from 400 and sees the
+  // write at 1000 — the literal loop's slice grid throughout.
+  for (const bool parked : {false, true}) {
+    VirtualTimeModel tm(2);
+    bool flag = false;
+    std::vector<Nanos> resumed;
+    tm.run_pes(2, [&](int pe) {
+      if (pe == 1) {
+        while (!flag) {
+          if (parked)
+            tm.park(pe, kSlice);
+          else
+            tm.advance(pe, kSlice);
+          resumed.push_back(tm.now(pe));
+        }
+        return;
+      }
+      tm.advance(pe, 300);
+      tm.wake(1, pe);
+      tm.advance(pe, 600);
+      flag = true;
+      tm.wake(1, pe);
+    });
+    EXPECT_EQ(resumed.back(), 1000u) << "parked " << parked;
+    if (parked) {
+      EXPECT_EQ(resumed, (std::vector<Nanos>{400, 1000}));
+    } else {
+      EXPECT_EQ(resumed.size(), 5u);
+    }
+  }
+}
+
+TEST(ParkedWait, DeadlineSliceDiesWhereThePollingLoopDoes) {
+  // A planned crash at 750 fires at the first slice end past it (800),
+  // unless a write is seen first (at 400 here).
+  for (const Nanos write_at : {Nanos{2000}, Nanos{300}}) {
+    std::vector<Nanos> died;
+    std::vector<Nanos> seen;
+    for (const bool parked : {false, true}) {
+      VirtualTimeModel tm(2);
+      bool flag = false;
+      tm.run_pes(2, [&](int pe) {
+        if (pe == 0) {
+          tm.advance(pe, write_at);
+          flag = true;
+          tm.wake(1, pe);
+          return;
+        }
+        try {
+          while (!flag) {
+            if (parked)
+              tm.park(pe, kSlice, /*deadline=*/750);
+            else
+              tm.advance(pe, kSlice);
+            if (tm.now(pe) >= 750) throw PeKilled{pe, tm.now(pe)};
+          }
+          seen.push_back(tm.now(pe));
+        } catch (const PeKilled& k) {
+          died.push_back(k.at_ns);
+        }
+      });
+    }
+    if (write_at > 750) {
+      EXPECT_EQ(died, (std::vector<Nanos>{800, 800}));
+      EXPECT_TRUE(seen.empty());
+    } else {
+      EXPECT_EQ(seen, (std::vector<Nanos>{400, 400}));
+      EXPECT_TRUE(died.empty());
+    }
+  }
+}
+
+TEST(ParkedWait, SamplesSeeParkedClocksAndLiteralDeliveries) {
+  // PE 0 schedules a delivery for 450 and jumps straight to 1000 while
+  // PE 1 waits. Each sample must see PE 1 at its pending slice end, and
+  // only the deliveries due by the floor the literal loop sampled at.
+  using Sample = std::pair<Nanos, int>;  // waiter clock, deliveries
+  std::vector<std::vector<Sample>> runs;
+  for (const bool parked : {false, true}) {
+    VirtualTimeModel tm(2);
+    std::vector<Nanos> pending;
+    int delivered = 0;
+    tm.set_delivery_hook([&](Nanos now) {
+      while (!pending.empty() && pending.front() <= now) {
+        pending.erase(pending.begin());
+        ++delivered;
+      }
+      return pending.empty() ? kNoPendingDeadline : pending.front();
+    });
+    std::vector<Sample> samples;
+    tm.set_sample_hook(
+        [&](Nanos) { samples.emplace_back(tm.now(1), delivered); }, 300);
+    bool flag = false;
+    tm.run_pes(2, [&](int pe) {
+      if (pe == 1) {
+        while (!flag) parked ? tm.park(pe, kSlice) : tm.advance(pe, kSlice);
+        return;
+      }
+      pending.push_back(450);
+      tm.clamp_horizon(pe, 450);
+      tm.advance(pe, 1000);
+      flag = true;
+      tm.wake(1, pe);
+    });
+    runs.push_back(samples);
+  }
+  const std::vector<Sample> expect = {{400, 0}, {600, 1}, {1000, 1}};
+  EXPECT_EQ(runs[0], expect);
+  EXPECT_EQ(runs[1], expect);
+}
+
+TEST(ParkedWait, ArbiterModeStaysLiteral) {
+  // With an arbiter installed park() is one advance: the explorer sees
+  // every poll slice, and the switch count is the polling loop's.
+  const auto lowest = [](int, const std::vector<int>& ready, Nanos) {
+    return ready.front();
+  };
+  VirtualTimeModel a(3);
+  VirtualTimeModel b(3);
+  a.set_ready_arbiter(lowest);
+  b.set_ready_arbiter(lowest);
+  const WaitRun lit = wait_for_write(false, 3, 2, 0, 1, 1000, &a);
+  const WaitRun par = wait_for_write(true, 3, 2, 0, 1, 1000, &b);
+  EXPECT_EQ(par.seen, lit.seen);
+  EXPECT_EQ(par.polls, lit.polls);
+  EXPECT_EQ(par.switches, lit.switches);
+  const WaitRun free = wait_for_write(true, 3, 2, 0, 1, 1000);
+  EXPECT_EQ(free.seen, lit.seen);
+  EXPECT_EQ(free.polls, 1);
+}
+
+TEST(ParkedWaitDeathTest, EveryPeParkedAssertsNamingThem) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        VirtualTimeModel tm(3);
+        tm.run_pes(3, [&](int pe) {
+          if (pe != 0) tm.park(pe, kSlice);
+        });
+      },
+      "every unfinished PE is parked.* 1 2");
+}
+
+// --- oracle: parked waits and lazy horizons change no schedule -------------
+//
+// A lowest-id arbiter gives the legacy schedule with literal barrier polls
+// and no run-to-horizon batching. Every observable of a sampled, traced
+// pool run must be byte-equal with and without it.
+
+struct PoolRun {
+  std::string totals;
+  std::string timeseries;
+  std::string trace;
+};
+
+std::string totals_text(const core::PoolRunReport& r) {
+  const core::WorkerStats& t = r.total;
+  std::ostringstream os;
+  os << t.tasks_executed << ' ' << t.tasks_spawned << ' ' << t.tasks_stolen
+     << ' ' << t.bytes_stolen << ' ' << t.steals_ok << ' '
+     << t.steal_attempts << ' ' << t.steal_time_ns << ' ' << t.search_time_ns
+     << ' ' << t.term_check_ns << ' ' << t.compute_time_ns << ' '
+     << t.run_time_ns << ' ' << t.accounted_ns;
+  for (const net::Nanos ns : t.phase_ns) os << ' ' << ns;
+  for (std::size_t b = 0; b < LogHistogram::kBuckets; ++b)
+    os << ' ' << t.steal_latency.bucket(b);
+  return os.str();
+}
+
+PoolRun run_pool(core::QueueKind kind, int npes, bool bpc, bool arbiter) {
+  pgas::RuntimeConfig rc;
+  rc.npes = npes;
+  rc.heap_bytes = 4 << 20;
+  rc.seed = 42;
+  pgas::Runtime rt(rc);
+  if (arbiter)
+    rt.time().set_ready_arbiter(
+        [](int, const std::vector<int>& ready, Nanos) { return ready.front(); });
+
+  core::TaskRegistry reg;
+  workloads::UtsParams up;  // fig8_uts's tree at depth 11
+  up.b0 = 4;
+  up.gen_mx = 11;
+  up.root_seed = 19;
+  up.node_compute_ns = 400;
+  workloads::BpcParams bp;
+  bp.consumers_per_producer = 8;
+  bp.depth = 6;
+  std::unique_ptr<workloads::UtsBenchmark> uts;
+  std::unique_ptr<workloads::BpcBenchmark> bpcw;
+  if (bpc)
+    bpcw = std::make_unique<workloads::BpcBenchmark>(reg, bp);
+  else
+    uts = std::make_unique<workloads::UtsBenchmark>(reg, up);
+
+  core::PoolConfig pc;
+  pc.kind = kind;
+  pc.queue.capacity = 16384;
+  pc.queue.slot_bytes = 48;
+  pc.trace.enable = true;
+  pc.trace.events = std::size_t{1} << 16;
+  pc.trace.sample_interval_ns = 10'000;
+  core::TaskPool pool(rt, reg, pc);
+  rt.run([&](pgas::PeContext& ctx) {
+    pool.run_pe(ctx, [&](core::Worker& w) {
+      if (bpcw)
+        bpcw->seed(w);
+      else
+        uts->seed(w);
+    });
+  });
+  PoolRun r;
+  r.totals = totals_text(pool.report());
+  std::ostringstream ts;
+  pool.dump_timeseries_json(ts);
+  r.timeseries = ts.str();
+  std::ostringstream tr;
+  pool.dump_trace_json(tr);
+  r.trace = tr.str();
+  return r;
+}
+
+TEST(ParkedWaitOracle, PoolRunsMatchTheLiteralSchedule) {
+  struct Case {
+    core::QueueKind kind;
+    int npes;
+    bool bpc;
+  };
+  std::vector<Case> cases;
+  for (const core::QueueKind k : {core::QueueKind::kSws, core::QueueKind::kSdc})
+    for (const int p : {2, 3, 17, 64}) cases.push_back({k, p, false});
+  cases.push_back({core::QueueKind::kSdc, 8, true});
+  for (const Case& c : cases) {
+    const PoolRun lit = run_pool(c.kind, c.npes, c.bpc, /*arbiter=*/true);
+    const PoolRun opt = run_pool(c.kind, c.npes, c.bpc, /*arbiter=*/false);
+    const std::string what =
+        std::string(c.kind == core::QueueKind::kSws ? "sws" : "sdc") +
+        (c.bpc ? " bpc" : " uts") + " P=" + std::to_string(c.npes);
+    EXPECT_EQ(opt.totals, lit.totals) << what;
+    EXPECT_TRUE(opt.timeseries == lit.timeseries) << what << ": time series";
+    EXPECT_TRUE(opt.trace == lit.trace) << what << ": trace";
+    EXPECT_GT(lit.timeseries.size(), 100u) << what;
+  }
 }
 
 }  // namespace
