@@ -23,7 +23,6 @@ net::FaultPlan plan_at(double rate) {
   f.drop_rate = rate;
   f.dup_rate = rate;
   f.spike_rate = rate;
-  f.spike_factor = 10.0;
   return f;
 }
 

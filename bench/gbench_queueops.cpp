@@ -11,8 +11,6 @@
 #include "core/sdc_queue.hpp"
 #include "core/stealval.hpp"
 #include "core/sws_queue.hpp"
-#include "net/fabric.hpp"
-#include "net/time_model.hpp"
 #include "sha1/sha1.hpp"
 #include "sha1/sha1_kernels.hpp"
 
@@ -157,64 +155,6 @@ void BM_SdcReleaseAcquireCycle(benchmark::State& state) {
   bench_release_acquire<core::SdcQueue>(state);
 }
 BENCHMARK(BM_SdcReleaseAcquireCycle);
-
-// --- simulator-engine hot paths (also covered end-to-end by
-// --- bench/sim_engine.cpp; these isolate per-event cost) ----------------
-
-/// Sequencer advance cost. range(0)==1: the staggered self-continue case
-/// (runs the run-to-horizon fast path); range(0)==0: lockstep, every
-/// advance is a pick + fiber switch between two PEs.
-void BM_SequencerAdvance(benchmark::State& state) {
-  const bool selfrun = state.range(0) == 1;
-  net::VirtualTimeModel tm(2);
-  bool stop = false;
-  tm.run_pes(2, [&](int pe) {
-    if (pe == 1) {
-      // PE1 mirrors the measured PE0: parked far ahead for self-continue,
-      // or advancing in lockstep so every event switches PEs.
-      if (selfrun) {
-        tm.advance(1, net::Nanos{1} << 40);
-      } else {
-        while (!stop) tm.advance(1, 100);
-      }
-      return;
-    }
-    for (auto _ : state) tm.advance(0, 100);
-    stop = true;
-    // Outrun the peer so it observes `stop` and finishes.
-    tm.advance(0, net::Nanos{1} << 41);
-  });
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SequencerAdvance)->Arg(1)->Arg(0)->ArgNames({"selfrun"});
-
-/// Fabric nbi enqueue + delivery at steady state: amo (inline effect),
-/// small put (inline payload), large put (pooled slab payload).
-void BM_NbiEnqueueDeliver(benchmark::State& state) {
-  const auto payload = static_cast<std::size_t>(state.range(0));
-  net::VirtualTimeModel tm(1);
-  net::Fabric fab(tm, net::NetworkModel{}, 1);
-  std::vector<std::byte> arena(4096, std::byte{0});
-  fab.register_arena(0, arena.data(), arena.size());
-  std::vector<std::byte> src(payload > 0 ? payload : 1, std::byte{0x5a});
-  tm.run_pes(1, [&](int) {
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-      if (payload == 0)
-        fab.nbi_amo_add(0, 0, 64, 1);
-      else
-        fab.nbi_put(0, 0, 128, src.data(), payload);
-      if ((++i & 63) == 0) fab.quiet(0);
-    }
-    fab.quiet(0);
-  });
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NbiEnqueueDeliver)
-    ->Arg(0)
-    ->Arg(32)
-    ->Arg(256)
-    ->ArgNames({"payload"});
 
 }  // namespace
 

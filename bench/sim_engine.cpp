@@ -13,8 +13,6 @@
 //                    fiber switch per event).
 //  * nbi_amo       — nbi_amo_add enqueue+deliver cycles through the
 //                    fabric's pending queue, quiesced every 64 ops.
-//  * nbi_put_small — 32 B payloads (inline-able in the effect pool).
-//  * nbi_put_large — 256 B payloads (slab path).
 //  * engine_mixed  — clocks staggered 3 ns apart with a 10 ns step:
 //                    nearly every advance passes other PEs' clocks, so
 //                    most events hand off, as in seq_lockstep but
@@ -107,30 +105,25 @@ Measurement seq_scenario(net::VirtualTimeModel& tm, const std::string& name,
   return m;
 }
 
-/// One nbi scenario: PE 0 streams `events` non-blocking ops at PE 1,
-/// quiescing every 64 so the pending queue cycles through enqueue and
-/// delivery at steady state.
-Measurement nbi_scenario(net::VirtualTimeModel& tm, const std::string& name,
-                         std::uint64_t events, std::size_t payload) {
+/// nbi_amo: PE 0 streams `events` non-blocking adds at PE 1, quiescing
+/// every 64 so the pending queue cycles through enqueue and delivery at
+/// steady state.
+Measurement nbi_scenario(net::VirtualTimeModel& tm, std::uint64_t events) {
   net::Fabric fab(tm, net::NetworkModel{}, 2);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 2; ++pe) {
     arenas.emplace_back(4096, std::byte{0});
     fab.register_arena(pe, arenas.back().data(), arenas.back().size());
   }
-  std::vector<std::byte> src(payload > 0 ? payload : 1, std::byte{0x5a});
   Measurement m;
-  m.bench = name;
+  m.bench = "nbi_amo";
   m.pes = 2;
   m.events = events;
   m.wall_s = std::max(wall_seconds([&] {
                tm.run_pes(2, [&](int pe) {
                  if (pe != 0) return;
                  for (std::uint64_t i = 0; i < events; ++i) {
-                   if (payload == 0)
-                     fab.nbi_amo_add(0, 1, 64, 1);
-                   else
-                     fab.nbi_put(0, 1, 128, src.data(), payload);
+                   fab.nbi_amo_add(0, 1, 64, 1);
                    if ((i & 63) == 63) fab.quiet(0);
                  }
                  fab.quiet(0);
@@ -220,9 +213,7 @@ int main(int argc, char** argv) {
 
   {
     net::VirtualTimeModel tm(2);
-    emit(nbi_scenario(tm, "nbi_amo", nbi_events, 0));
-    emit(nbi_scenario(tm, "nbi_put_small", nbi_events, 32));
-    emit(nbi_scenario(tm, "nbi_put_large", nbi_events / 2, 256));
+    emit(nbi_scenario(tm, nbi_events));
   }
 
   for (const int npes : pe_counts) {

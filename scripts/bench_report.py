@@ -20,7 +20,7 @@ host's core count is recorded under host.nproc.
 
 Usage:
   scripts/bench_report.py --pr N             # full suite -> BENCH_N.json
-  scripts/bench_report.py --quick --out r.json   # CI smoke: small, no e2e
+  scripts/bench_report.py --quick --out r.json   # CI smoke: 64 PEs, no e2e
   scripts/bench_report.py --compare newest   # deltas vs newest BENCH_*.json
 """
 
@@ -120,12 +120,24 @@ def band(regression_pct, warn_pct, fail_pct):
     return "ok"
 
 
+def comparable(key, row, base_row):
+    """True when `row` was timed over the baseline row's event count;
+    otherwise prints why the row gets no verdict."""
+    if row.get("events") == base_row.get("events"):
+        return True
+    print(f"  {row_name(key)}: not comparable "
+          f"({row.get('events')} vs {base_row.get('events')} events)")
+    return False
+
+
 def compare(path, report, warn_pct=10.0, fail_pct=25.0):
     """Tolerance-banded delta print: committed baseline vs this run.
 
     Returns the number of FAIL rows (regressions past `fail_pct`). The
     caller decides whether that gates — CI's `--compare newest` stays
-    informational unless --gate-regressions is passed.
+    informational unless --gate-regressions is passed. A row timed over a
+    different event count than its baseline row gets no verdict: a shorter
+    window measures start-up and noise, not the same rate.
     """
     with open(path) as f:
         base = json.load(f)
@@ -142,7 +154,7 @@ def compare(path, report, warn_pct=10.0, fail_pct=25.0):
     base_opt = index_rows(base.get("sim_engine", {}).get("optimized", []))
     for r in report["sim_engine"]["optimized"]:
         key = (r["bench"], r["pes"], r.get("engine_threads", 1))
-        if key not in base_opt:
+        if key not in base_opt or not comparable(key, r, base_opt[key]):
             continue
         old = base_opt[key]["events_per_sec"]
         delta = 100.0 * (r["events_per_sec"] - old) / old
@@ -152,7 +164,7 @@ def compare(path, report, warn_pct=10.0, fail_pct=25.0):
     base_scale = index_rows(base.get("engine_scale", []))
     for r in report.get("engine_scale", []):
         key = (r["bench"], r["pes"], r.get("engine_threads", 1))
-        if key not in base_scale:
+        if key not in base_scale or not comparable(key, r, base_scale[key]):
             continue
         old = base_scale[key]["wall_s"]
         delta = 100.0 * (r["wall_s"] - old) / old
@@ -173,7 +185,7 @@ def main():
                          "the report and names the default --out")
     ap.add_argument("--out", help="report path (default BENCH_<pr>.json)")
     ap.add_argument("--quick", action="store_true",
-                    help="CI smoke: 64 PEs, fewer events, no e2e runs")
+                    help="CI smoke: only the 64-PE rows, no e2e runs")
     ap.add_argument("--skip-e2e", action="store_true")
     ap.add_argument("--compare", metavar="FILE",
                     help="also print tolerance-banded rate/wall deltas vs "
@@ -201,12 +213,13 @@ def main():
             ap.error("give --pr or --out")
         args.out = os.path.join(REPO, f"BENCH_{args.pr}.json")
 
+    # Quick mode times the same event counts as full mode, so its 64-PE
+    # rows stay comparable with a committed baseline's.
+    events, nbi = 1_000_000, 200_000
     if args.quick:
-        pes, events, nbi = [64], 200_000, 50_000
-        scale_pes = [64]
+        pes, scale_pes = [64], [64]
     else:
-        pes, events, nbi = [64, 128, 256], 1_000_000, 200_000
-        scale_pes = [256, 1024, 2048]
+        pes, scale_pes = [64, 128, 256], [256, 1024, 2048]
 
     print(f"sim_engine (pes={pes})", file=sys.stderr)
     optimized = run_sim_engine(args.build_dir, pes, events, nbi)

@@ -1,63 +1,15 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <mutex>
 
-namespace sws {
-namespace {
+namespace sws::detail {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-std::mutex g_sink_mu;
-
-const char* level_name(LogLevel lvl) {
-  switch (lvl) {
-    case LogLevel::kTrace: return "TRACE";
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo:  return "INFO";
-    case LogLevel::kWarn:  return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff:   return "OFF";
-  }
-  return "?";
-}
-
-}  // namespace
-
-LogLevel log_level() noexcept {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
-void set_log_level(LogLevel lvl) noexcept {
-  g_level.store(static_cast<int>(lvl), std::memory_order_relaxed);
-}
-
-bool set_log_level(const std::string& name) noexcept {
-  std::string s;
-  s.reserve(name.size());
-  for (char c : name) s.push_back(static_cast<char>(std::tolower(c)));
-  if (s == "trace") set_log_level(LogLevel::kTrace);
-  else if (s == "debug") set_log_level(LogLevel::kDebug);
-  else if (s == "info") set_log_level(LogLevel::kInfo);
-  else if (s == "warn") set_log_level(LogLevel::kWarn);
-  else if (s == "error") set_log_level(LogLevel::kError);
-  else if (s == "off") set_log_level(LogLevel::kOff);
-  else return false;
-  return true;
-}
-
-namespace detail {
-
-void log_emit(LogLevel lvl, const char* file, int line,
-              const std::string& msg) {
+void warn_emit(const char* file, int line, const std::string& msg) {
   // Strip directories from __FILE__ for readability.
   const char* base = file;
   for (const char* p = file; *p; ++p)
     if (*p == '/') base = p + 1;
-  std::lock_guard<std::mutex> lock(g_sink_mu);
-  std::fprintf(stderr, "[%-5s] %s:%d %s\n", level_name(lvl), base, line,
-               msg.c_str());
+  std::fprintf(stderr, "[WARN ] %s:%d %s\n", base, line, msg.c_str());
 }
 
-}  // namespace detail
-}  // namespace sws
+}  // namespace sws::detail

@@ -1,43 +1,18 @@
-// Minimal leveled logger.
-//
-// The runtime is timing-sensitive: logging defaults to Warn, is routed
-// through a single mutex-protected sink, and each call site checks the
-// level before formatting.
+// One warning sink: SWS_WARN formats its stream expression and writes one
+// "[WARN ] file:line msg" line to stderr. There are no levels; each line
+// is a single fprintf, which POSIX stdio locks per call.
 #pragma once
 
-#include <cstdint>
 #include <sstream>
 #include <string>
 
-namespace sws {
+namespace sws::detail {
+void warn_emit(const char* file, int line, const std::string& msg);
+}  // namespace sws::detail
 
-enum class LogLevel : int { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
-
-/// Global log level; reads are relaxed-atomic.
-LogLevel log_level() noexcept;
-void set_log_level(LogLevel lvl) noexcept;
-
-/// Parse "trace|debug|info|warn|error|off" (case-insensitive).
-/// Unknown strings leave the level unchanged and return false.
-bool set_log_level(const std::string& name) noexcept;
-
-namespace detail {
-void log_emit(LogLevel lvl, const char* file, int line, const std::string& msg);
-}  // namespace detail
-
-}  // namespace sws
-
-#define SWS_LOG(lvl, expr)                                       \
-  do {                                                           \
-    if (static_cast<int>(lvl) >= static_cast<int>(::sws::log_level())) { \
-      std::ostringstream sws_log_os_;                            \
-      sws_log_os_ << expr;                                       \
-      ::sws::detail::log_emit(lvl, __FILE__, __LINE__, sws_log_os_.str()); \
-    }                                                            \
+#define SWS_WARN(expr)                                             \
+  do {                                                             \
+    std::ostringstream sws_log_os_;                                \
+    sws_log_os_ << expr;                                           \
+    ::sws::detail::warn_emit(__FILE__, __LINE__, sws_log_os_.str()); \
   } while (0)
-
-#define SWS_TRACE(expr) SWS_LOG(::sws::LogLevel::kTrace, expr)
-#define SWS_DEBUG(expr) SWS_LOG(::sws::LogLevel::kDebug, expr)
-#define SWS_INFO(expr) SWS_LOG(::sws::LogLevel::kInfo, expr)
-#define SWS_WARN(expr) SWS_LOG(::sws::LogLevel::kWarn, expr)
-#define SWS_ERROR(expr) SWS_LOG(::sws::LogLevel::kError, expr)

@@ -157,6 +157,12 @@ class TaskQueue {
   /// SDC lock holder the owner never contends with).
   virtual void fence_dead(pgas::PeContext& ctx) { (void)ctx; }
 
+  /// Does this PE's queue hold a claim whose completion has not landed?
+  /// Owner-local reads only. The scheduler keeps such an owner out of
+  /// crash-mode termination: the claimed tasks are still owed a run — by
+  /// the thief, or by the owner once the claim is fenced.
+  virtual bool claims_open(pgas::PeContext& ctx) const = 0;
+
   // --- introspection -----------------------------------------------------
   virtual const QueueOpStats& op_stats(int pe) const = 0;
 

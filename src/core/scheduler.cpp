@@ -528,7 +528,15 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
         ++fails;
       }
 
-      if (fails % kTermCheckEvery == 0 || ctx.npes() == 1) {
+      // Crash mode: an owner with a claim still open is not idle. A live
+      // thief's completion is on its way; a dead thief's claim must be
+      // fenced and re-run first, or termination strands its tasks. So
+      // reclaim instead of reporting — progress() drains completions and
+      // runs the queue's own lease-paced dead-claim checks.
+      const bool term_poll = fails % kTermCheckEvery == 0 || ctx.npes() == 1;
+      if (term_poll && crash_mode && queue_->claims_open(ctx)) {
+        queue_->progress(ctx);
+      } else if (term_poll) {
         const net::Nanos t0 = ctx.now();
         set_phase(PoolPhase::kIdleTerm);
         const bool finished = term_->check(ctx);

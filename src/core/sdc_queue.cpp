@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "core/recovery.hpp"
 
 namespace sws::core {
@@ -287,6 +286,13 @@ void SdcQueue::fence_dead(pgas::PeContext& ctx) {
   drain_completions(ctx);
   if (o.reclaim_seq < ctx.local_load(meta_.plus(kSeqOff)))
     reconcile_dead_claims(ctx);
+}
+
+bool SdcQueue::claims_open(pgas::PeContext& ctx) const {
+  // Every claim advances seq; reclaim_seq passes it only once the claim's
+  // completion is drained or the claim is fenced.
+  return owners_[static_cast<std::size_t>(ctx.pe())].reclaim_seq <
+         ctx.local_load(meta_.plus(kSeqOff));
 }
 
 std::uint32_t SdcQueue::take_recovered(pgas::PeContext& ctx,

@@ -60,6 +60,7 @@ class SdcQueue final : public TaskQueue {
   std::uint32_t take_recovered(pgas::PeContext& ctx,
                                std::vector<Task>& out) override;
   void fence_dead(pgas::PeContext& ctx) override;
+  bool claims_open(pgas::PeContext& ctx) const override;
 
   const QueueOpStats& op_stats(int pe) const override;
   std::string audit(pgas::PeContext& ctx) const override;

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "core/recovery.hpp"
 
 namespace sws::core {
@@ -374,6 +373,17 @@ void SwsQueue::fence_dead(pgas::PeContext& ctx) {
   progress(ctx);
   if (!o.outstanding.empty()) fence_dead_claims(ctx);
   progress(ctx);
+}
+
+bool SwsQueue::claims_open(pgas::PeContext& ctx) const {
+  const auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  if (!o.outstanding.empty()) return true;  // a retired claim not yet done
+  const StealVal sv = owner_stealval(ctx);
+  if (sv.locked() || sv.itasks == 0) return false;
+  const std::uint32_t claimed =
+      std::min({sv.asteals, steal_block_count(sv.itasks),
+                CompletionSpace::kSlotsPerEpoch});
+  return completion_.finished_prefix(ctx, o.epoch, claimed) < claimed;
 }
 
 std::uint32_t SwsQueue::take_recovered(pgas::PeContext& ctx,

@@ -69,6 +69,7 @@ class SwsQueue final : public TaskQueue {
   std::uint32_t take_recovered(pgas::PeContext& ctx,
                                std::vector<Task>& out) override;
   void fence_dead(pgas::PeContext& ctx) override;
+  bool claims_open(pgas::PeContext& ctx) const override;
 
   const QueueOpStats& op_stats(int pe) const override;
   std::string audit(pgas::PeContext& ctx) const override;

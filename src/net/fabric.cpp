@@ -19,48 +19,15 @@ Fabric::Fabric(VirtualTimeModel& time, NetworkModel model, int npes)
   time_.set_delivery_hook([this](Nanos now) { return deliver_until(now); });
 }
 
-std::uint32_t Fabric::grab_slab(const void* src, std::size_t n, int refs) {
-  ++pool_stats_.slab_grabs;
-  std::uint32_t idx;
-  if (slab_free_ != Slab::kNone) {
-    idx = slab_free_;
-    slab_free_ = slabs_[idx].next_free;
-  } else {
-    idx = static_cast<std::uint32_t>(slabs_.size());
-    slabs_.emplace_back();
-    ++pool_stats_.slab_allocs;
-  }
-  Slab& s = slabs_[idx];
-  s.refs = refs;
-  s.next_free = Slab::kNone;
-  const auto* p = static_cast<const std::byte*>(src);
-  s.data.assign(p, p + n);  // reuses capacity on a recycled slab
-  return idx;
-}
-
 void Fabric::apply_effect(const PendingEffect& e) {
   switch (e.kind) {
     case PendingEffect::Kind::kAmoAdd:
-      std::atomic_ref<std::uint64_t>(*static_cast<std::uint64_t*>(e.dst))
-          .fetch_add(e.value, std::memory_order_seq_cst);
+      std::atomic_ref<std::uint64_t>(*e.dst).fetch_add(
+          e.value, std::memory_order_seq_cst);
       break;
     case PendingEffect::Kind::kAmoSet:
-      std::atomic_ref<std::uint64_t>(*static_cast<std::uint64_t*>(e.dst))
-          .store(e.value, std::memory_order_seq_cst);
-      break;
-    case PendingEffect::Kind::kPut:
-      if (!e.in_slab) {
-        std::memcpy(e.dst, e.inline_buf.data(), e.len);
-      } else {
-        Slab& s = slabs_[e.slab];
-        std::memcpy(e.dst, s.data.data(), e.len);
-        if (--s.refs == 0) {
-          s.next_free = slab_free_;
-          slab_free_ = e.slab;
-        }
-      }
-      break;
-    case PendingEffect::Kind::kNone:
+      std::atomic_ref<std::uint64_t>(*e.dst).store(e.value,
+                                                   std::memory_order_seq_cst);
       break;
   }
 }
@@ -80,14 +47,6 @@ void Fabric::reset(int npes) {
   SWS_CHECK(npes >= 0, "npes must be non-negative");
   while (!pending_.empty()) pending_.pop();
   next_seq_ = 0;
-  // Dropped ops never deliver, so rebuild the slab free list from
-  // scratch; buffers (and their capacity) are kept for reuse.
-  slab_free_ = Slab::kNone;
-  for (std::uint32_t i = 0; i < slabs_.size(); ++i) {
-    slabs_[i].refs = 0;
-    slabs_[i].next_free = slab_free_;
-    slab_free_ = i;
-  }
   model_.resize(npes);
   arenas_.assign(static_cast<std::size_t>(npes), Arena{});
   busy_until_.assign(static_cast<std::size_t>(npes), Nanos{0});
@@ -169,13 +128,6 @@ void Fabric::mark_dead(int pe) {
     if (op.initiator != pe && op.target != pe) {
       keep.push(std::move(op));
       continue;
-    }
-    if (op.effect.kind == PendingEffect::Kind::kPut && op.effect.in_slab) {
-      Slab& s = slabs_[op.effect.slab];
-      if (--s.refs == 0) {
-        s.next_free = slab_free_;
-        slab_free_ = op.effect.slab;
-      }
     }
     --pending_per_pe_[static_cast<std::size_t>(op.initiator)];
     --pending_per_target_[static_cast<std::size_t>(op.target)];
@@ -345,10 +297,9 @@ void Fabric::amo_set(int initiator, int target, std::uint64_t offset,
 
 // --------------------------------------------------------- non-blocking
 
-void Fabric::enqueue_nbi(int initiator, int target, std::size_t bytes,
-                         PendingEffect effect, const void* slab_src) {
+void Fabric::enqueue_nbi(int initiator, int target, PendingEffect effect) {
   const Nanos base_delay =
-      model_.delivery_delay(bytes, model_.tier(initiator, target));
+      model_.delivery_delay(8, model_.tier(initiator, target));
   Nanos deadline = time_.now(initiator) + base_delay;
   bool duplicate = false;
   Nanos dup_deadline = 0;
@@ -361,19 +312,12 @@ void Fabric::enqueue_nbi(int initiator, int target, std::size_t bytes,
     }
   }
   const int copies = duplicate ? 2 : 1;
-  if (slab_src != nullptr) {
-    effect.in_slab = true;
-    effect.slab = grab_slab(slab_src, effect.len, copies);
-  } else {
-    ++pool_stats_.inline_effects;
-  }
   pending_per_pe_[static_cast<std::size_t>(initiator)] += copies;
   pending_per_target_[static_cast<std::size_t>(target)] += copies;
   pending_.push(PendingOp{deadline, next_seq_++, initiator, target, effect});
   if (duplicate) {
-    // Both copies enter pending_ together with the original (sharing one
-    // slab via refcount), so pending_to(target)==0 proves no stray
-    // duplicate is in flight.
+    // Both copies enter pending_ together, so pending_to(target)==0 proves
+    // no stray duplicate is in flight.
     pending_.push(
         PendingOp{dup_deadline, next_seq_++, initiator, target, effect});
   }
@@ -383,36 +327,14 @@ void Fabric::enqueue_nbi(int initiator, int target, std::size_t bytes,
   time_.clamp_horizon(initiator, deadline);
 }
 
-void Fabric::nbi_put(int initiator, int target, std::uint64_t offset,
-                     const void* src, std::size_t n) {
-  note_op(initiator, target, OpKind::kNbiPut, offset);
-  charge(initiator, target, OpKind::kNbiPut, n);
-  if (effect_suppressed(initiator, target)) return;
-  stats_[static_cast<std::size_t>(initiator)].s.bytes_put += n;
-  PendingEffect e;
-  e.kind = PendingEffect::Kind::kPut;
-  e.dst = translate(target, offset, n);
-  e.len = static_cast<std::uint32_t>(n);
-  if (n <= PendingEffect::kInlineBytes) {
-    std::memcpy(e.inline_buf.data(), src, n);
-    enqueue_nbi(initiator, target, n, e, nullptr);
-  } else {
-    // `src` is copied into a pooled slab inside enqueue_nbi, before this
-    // call returns, so the caller's buffer lifetime contract is unchanged.
-    enqueue_nbi(initiator, target, n, e, src);
-  }
-}
-
 void Fabric::nbi_amo_add(int initiator, int target, std::uint64_t offset,
                          std::uint64_t value) {
   note_op(initiator, target, OpKind::kNbiAmoAdd, offset);
   charge(initiator, target, OpKind::kNbiAmoAdd, 8);
   if (effect_suppressed(initiator, target)) return;
-  PendingEffect e;
-  e.kind = PendingEffect::Kind::kAmoAdd;
-  e.dst = translate_u64(target, offset);
-  e.value = value;
-  enqueue_nbi(initiator, target, 8, e, nullptr);
+  enqueue_nbi(initiator, target,
+              {PendingEffect::Kind::kAmoAdd, translate_u64(target, offset),
+               value});
 }
 
 void Fabric::nbi_amo_set(int initiator, int target, std::uint64_t offset,
@@ -420,11 +342,9 @@ void Fabric::nbi_amo_set(int initiator, int target, std::uint64_t offset,
   note_op(initiator, target, OpKind::kNbiAmoSet, offset);
   charge(initiator, target, OpKind::kNbiAmoSet, 8);
   if (effect_suppressed(initiator, target)) return;
-  PendingEffect e;
-  e.kind = PendingEffect::Kind::kAmoSet;
-  e.dst = translate_u64(target, offset);
-  e.value = value;
-  enqueue_nbi(initiator, target, 8, e, nullptr);
+  enqueue_nbi(initiator, target,
+              {PendingEffect::Kind::kAmoSet, translate_u64(target, offset),
+               value});
 }
 
 Nanos Fabric::deliver_until(Nanos now) {
@@ -434,8 +354,6 @@ Nanos Fabric::deliver_until(Nanos now) {
   while (!pending_.empty() && pending_.top().deadline <= now) apply_top();
   return pending_.empty() ? kNoPendingDeadline : pending_.top().deadline;
 }
-
-EffectPoolStats Fabric::effect_pool_stats() const { return pool_stats_; }
 
 int Fabric::pending(int pe) const {
   return pending_per_pe_[static_cast<std::size_t>(pe)];
@@ -510,15 +428,6 @@ void Fabric::publish_metrics(obs::MetricsRegistry& reg) const {
     set_per_pe(reg.counter("fabric.dead_target_ops",
                            "ops issued against crashed PEs"),
                [](const FabricStats& s) { return s.dead_target_ops; });
-
-  // Effect-pool counters are fabric-global; they land on PE 0's slot.
-  const EffectPoolStats pool = effect_pool_stats();
-  reg.set(reg.counter("fabric.effect_pool.inline", "inline nbi effects"), 0,
-          pool.inline_effects);
-  reg.set(reg.counter("fabric.effect_pool.slab_grabs", "large-put payloads"),
-          0, pool.slab_grabs);
-  reg.set(reg.counter("fabric.effect_pool.slab_allocs", "fresh slabs"), 0,
-          pool.slab_allocs);
 
   if (faults_) {
     auto set_fault = [&](const char* name, const char* help, auto&& field) {

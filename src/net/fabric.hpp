@@ -15,14 +15,12 @@
 //  * quiet(pe) blocks until all of pe's outstanding nbi ops delivered
 //    (the OpenSHMEM shmem_quiet contract).
 //
-// Pending-op storage (docs/performance.md): a queued nbi effect is a
-// tagged union, not a std::function. AMOs and puts up to 64 B live
-// entirely inside the queue entry; larger put payloads borrow a slab
-// buffer from a free-listed pool that is recycled across deliveries and
-// runs, so the steady-state nbi path performs no heap allocation.
+// Pending-op storage (docs/performance.md): every non-blocking op is a
+// 64-bit AMO, so a queued effect is one word (add or set) plus its
+// target address, stored inline in the queue entry — the nbi path
+// performs no heap allocation beyond the queue's own growth.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -96,29 +94,13 @@ struct OpRecord {
 /// hot path and must not touch the fabric or the clock.
 using OpObserver = std::function<void(const OpRecord&)>;
 
-/// Memory effect of a queued non-blocking op, stored without per-op heap
-/// allocation: a tagged union whose put payload is inline up to
-/// kInlineBytes and otherwise lives in a recycled slab (see Fabric).
+/// Memory effect of a queued non-blocking op: one 64-bit AMO word.
 struct PendingEffect {
-  enum class Kind : std::uint8_t { kNone, kAmoAdd, kAmoSet, kPut };
-  static constexpr std::size_t kInlineBytes = 64;
+  enum class Kind : std::uint8_t { kAmoAdd, kAmoSet };
 
-  Kind kind = Kind::kNone;
-  bool in_slab = false;       ///< kPut only: payload in Fabric::slabs_[slab]
-  std::uint32_t slab = 0;     ///< slab index when in_slab
-  std::uint32_t len = 0;      ///< kPut payload length in bytes
-  void* dst = nullptr;        ///< translated target address
-  std::uint64_t value = 0;    ///< AMO operand
-  std::array<std::byte, kInlineBytes> inline_buf;  ///< kPut inline payload
-};
-
-/// Allocation accounting for the pending-effect pool. `slab_grabs -
-/// slab_allocs` is the number of large-put payloads served by recycling;
-/// at steady state slab_allocs stops growing (tests/test_fabric.cpp).
-struct EffectPoolStats {
-  std::uint64_t inline_effects = 0;  ///< AMOs + puts <= kInlineBytes
-  std::uint64_t slab_grabs = 0;      ///< large-put payloads enqueued
-  std::uint64_t slab_allocs = 0;     ///< grabs that created a fresh slab
+  Kind kind = Kind::kAmoAdd;
+  std::uint64_t* dst = nullptr;  ///< translated target word
+  std::uint64_t value = 0;       ///< AMO operand
 };
 
 class Fabric {
@@ -161,8 +143,6 @@ class Fabric {
                std::uint64_t value);
 
   // --- non-blocking ops -------------------------------------------------
-  void nbi_put(int initiator, int target, std::uint64_t offset,
-               const void* src, std::size_t n);
   void nbi_amo_add(int initiator, int target, std::uint64_t offset,
                    std::uint64_t value);
   /// Non-blocking atomic store: idempotent, so duplicated delivery is
@@ -212,7 +192,7 @@ class Fabric {
       crash_at_[static_cast<std::size_t>(pe)] = kNoPendingDeadline;
   }
   /// Mark `pe` dead: drop every pending nbi effect it initiated or that
-  /// targets it (reconciling the pending counters and slab refcounts).
+  /// targets it (reconciling the pending counters).
   /// Called by the dying PE itself just before PeKilled is thrown; public
   /// for tests that stage deaths directly.
   void mark_dead(int pe);
@@ -240,14 +220,10 @@ class Fabric {
   /// Install (or clear, with nullptr) the op observer before the PEs run.
   void set_op_observer(OpObserver cb) { observer_ = std::move(cb); }
 
-  /// Publish this fabric's accounting (per-PE op counts and bytes, the
-  /// effect pool, fault totals) into `reg` under the fabric.* namespace
+  /// Publish this fabric's accounting (per-PE op counts and bytes, fault
+  /// totals) into `reg` under the fabric.* namespace
   /// (docs/observability.md). Overwrites previously published values.
   void publish_metrics(obs::MetricsRegistry& reg) const;
-
-  /// Monotonic allocation counters of the pending-effect pool (survive
-  /// reset/new_run so tests can difference across rounds).
-  EffectPoolStats effect_pool_stats() const;
 
   // --- accounting -------------------------------------------------------
   const FabricStats& stats(int pe) const;
@@ -268,17 +244,6 @@ class Fabric {
     bool operator>(const PendingOp& o) const noexcept {
       return deadline != o.deadline ? deadline > o.deadline : seq > o.seq;
     }
-  };
-  /// Pool entry for large put payloads. `refs` counts queued ops sharing
-  /// the buffer (a fault-injected duplicate shares its original's slab);
-  /// the last delivery returns it to the free list. The byte vector keeps
-  /// its capacity across reuse, so a recycled grab of a same-or-smaller
-  /// payload allocates nothing.
-  struct Slab {
-    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-    std::vector<std::byte> data;
-    int refs = 0;
-    std::uint32_t next_free = kNone;
   };
   struct alignas(64) PaddedStats {
     FabricStats s;
@@ -312,14 +277,9 @@ class Fabric {
   /// Queue `effect` for delivery after the modeled nbi delay (plus any
   /// fault verdict), then clamp the initiator's sequencer horizon to the
   /// deadline — which is also how the sequencer learns that a delivery is
-  /// due then (it only calls deliver_until() once one is). When
-  /// `slab_src` is non-null the payload (effect.len bytes) is copied into
-  /// a pooled slab; inline payloads are already inside `effect`.
-  void enqueue_nbi(int initiator, int target, std::size_t bytes,
-                   PendingEffect effect, const void* slab_src);
-  /// Acquire a slab holding [src, src+n) with `refs` queued references.
-  std::uint32_t grab_slab(const void* src, std::size_t n, int refs);
-  void apply_effect(const PendingEffect& e);
+  /// due then (it only calls deliver_until() once one is).
+  void enqueue_nbi(int initiator, int target, PendingEffect effect);
+  static void apply_effect(const PendingEffect& e);
   /// Pop + apply one delivered op.
   void apply_top();
   /// Apply every pending effect with deadline <= now; returns the earliest
@@ -341,9 +301,6 @@ class Fabric {
   std::vector<int> pending_per_pe_;
   std::vector<int> pending_per_target_;
   std::uint64_t next_seq_ = 0;
-  std::vector<Slab> slabs_;
-  std::uint32_t slab_free_ = Slab::kNone;  ///< free-list head
-  EffectPoolStats pool_stats_;
 
   /// Present iff model_.params().faults.enabled(); a null injector means
   /// every fault hook short-circuits to the pre-fault fast path.

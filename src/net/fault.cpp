@@ -7,8 +7,9 @@ namespace sws::net {
 
 namespace {
 
-// Distinct stream tag so fault decisions never collide with workload RNG
-// streams derived from the same user seed.
+// Base seed of the per-PE decision streams, and a distinct stream tag so
+// fault decisions never collide with workload RNG streams.
+constexpr std::uint64_t kFaultSeed = 0xFA17;
 constexpr std::uint64_t kFaultStreamTag = 0xFA17'5EED'0000'0000ULL;
 
 Nanos scaled(Nanos base, double factor) noexcept {
@@ -20,13 +21,12 @@ Nanos scaled(Nanos base, double factor) noexcept {
 FaultInjector::FaultInjector(FaultPlan plan, int npes) : plan_(std::move(plan)) {
   SWS_CHECK(plan_.spike_rate >= 0.0 && plan_.spike_rate <= 1.0,
             "spike_rate must be a probability");
-  // drop_rate == 1.0 is allowed: max_retransmits bounds the loss loop, so
+  // drop_rate == 1.0 is allowed: kMaxRetransmits bounds the loss loop, so
   // even certain loss yields a finite (cap-sized) delay.
   SWS_CHECK(plan_.drop_rate >= 0.0 && plan_.drop_rate <= 1.0,
             "drop_rate must be a probability");
   SWS_CHECK(plan_.dup_rate >= 0.0 && plan_.dup_rate <= 1.0,
             "dup_rate must be a probability");
-  SWS_CHECK(plan_.spike_factor >= 1.0, "spike_factor must be >= 1");
   reset(npes);
 }
 
@@ -38,14 +38,14 @@ void FaultInjector::reset(int npes) {
 
 void FaultInjector::new_run() {
   for (std::size_t pe = 0; pe < pes_.size(); ++pe)
-    pes_[pe].rng = Xoshiro256(plan_.seed ^ kFaultStreamTag, pe);
+    pes_[pe].rng = Xoshiro256(kFaultSeed ^ kFaultStreamTag, pe);
 }
 
 Nanos FaultInjector::charge_penalty(int initiator, Nanos base) {
   PerPe& p = pes_[static_cast<std::size_t>(initiator)];
   if (!plan_.spikes_enabled() || p.rng.uniform() >= plan_.spike_rate)
     return 0;
-  const Nanos add = scaled(base, plan_.spike_factor - 1.0);
+  const Nanos add = scaled(base, kSpikeFactor - 1.0);
   ++p.stats.spikes;
   p.stats.spike_extra_ns += add;
   return add;
@@ -58,11 +58,11 @@ FaultInjector::Delivery FaultInjector::delivery_verdict(int initiator) {
   // Draw order is fixed (drops, then dup) so streams replay identically.
   if (plan_.drop_rate > 0.0) {
     std::uint32_t lost = 0;
-    while (lost < plan_.max_retransmits &&
+    while (lost < kMaxRetransmits &&
            p.rng.uniform() < plan_.drop_rate)
       ++lost;
     if (lost > 0) {
-      const Nanos add = static_cast<Nanos>(lost) * plan_.retransmit_ns;
+      const Nanos add = static_cast<Nanos>(lost) * kRetransmitNs;
       p.stats.drops += lost;
       p.stats.retransmit_extra_ns += add;
       v.extra_delay += add;
@@ -71,7 +71,7 @@ FaultInjector::Delivery FaultInjector::delivery_verdict(int initiator) {
   if (plan_.dup_rate > 0.0 && p.rng.uniform() < plan_.dup_rate) {
     ++p.stats.dups;
     v.duplicate = true;
-    v.dup_extra_delay = plan_.dup_delay_ns;
+    v.dup_extra_delay = kDupDelayNs;
   }
   return v;
 }
@@ -87,34 +87,14 @@ FaultStats FaultInjector::total_stats() const {
   return t;
 }
 
-// ---------------------------------------------------- crash presets
-
-FaultPlan crash_plan(int pe, Nanos at_ns) {
-  SWS_CHECK(pe >= 0, "crash plan: bad pe");
-  FaultPlan plan;
-  plan.crashes.push_back(CrashEvent{pe, at_ns});
-  return plan;
-}
-
-FaultPlan crash_group_plan(const Topology& topo, Tier tier, int group,
-                           Nanos at_ns) {
-  SWS_CHECK(tier >= 1 && tier <= topo.ntiers(), "crash group: bad tier");
-  FaultPlan plan;
-  for (int pe : topo.group_members(tier, group))
-    plan.crashes.push_back(CrashEvent{pe, at_ns});
-  SWS_CHECK(!plan.crashes.empty(), "crash group: empty group");
-  return plan;
-}
+// ---------------------------------------------------- crash preset
 
 FaultPlan node_failure_plan(const Topology& topo, int node, Nanos at_ns) {
-  return crash_group_plan(topo, 1, node, at_ns);
-}
-
-FaultPlan rack_failure_plan(const Topology& topo, int rack, Nanos at_ns) {
-  // "Rack" = the largest grouping below the whole machine; on a two-level
-  // fabric that is the node tier itself.
-  const Tier t = topo.ntiers() > 1 ? topo.ntiers() - 1 : 1;
-  return crash_group_plan(topo, t, rack, at_ns);
+  FaultPlan plan;
+  for (int pe : topo.group_members(1, node))
+    plan.crashes.push_back(CrashEvent{pe, at_ns});
+  SWS_CHECK(!plan.crashes.empty(), "node failure: empty node");
+  return plan;
 }
 
 }  // namespace sws::net

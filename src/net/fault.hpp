@@ -3,9 +3,9 @@
 // A FaultPlan describes adverse network behaviour — latency spikes,
 // dropped-then-retransmitted or duplicated non-blocking ops, and
 // crash-stop PE failures. The FaultInjector draws every decision from
-// per-initiator-PE Xoshiro streams seeded from the plan, and all penalties
-// are charged in the fabric's (virtual or real) time, so faulty runs are
-// exactly as reproducible as clean ones.
+// per-initiator-PE Xoshiro streams under a fixed seed, and all penalties
+// are charged in the fabric's virtual time, so faulty runs are exactly as
+// reproducible as clean ones.
 //
 // Fault semantics (docs/protocols.md "Fault model"):
 //  * A latency spike stretches the initiator-blocking charge of an op; it
@@ -42,21 +42,24 @@ struct CrashEvent {
   Nanos at_ns = 0;
 };
 
-/// A complete, seeded description of what can go wrong on the fabric.
+/// The fixed magnitudes of each fault class; a plan sets only how often
+/// each fires. kMaxRetransmits × kRetransmitNs (320 µs) is the longest a
+/// lost op can stay in flight, the bound RecoveryConfig::lease_ns is sized
+/// against (docs/resilience.md).
+inline constexpr double kSpikeFactor = 10.0;  ///< spiked charge = base × 10
+inline constexpr Nanos kRetransmitNs = 20'000;  ///< per lost transmission
+inline constexpr std::uint32_t kMaxRetransmits = 16;  ///< loss bound
+inline constexpr Nanos kDupDelayNs = 5'000;  ///< duplicate lands this later
+
+/// A complete description of what can go wrong on the fabric.
 /// Default-constructed plans inject nothing and cost nothing.
 struct FaultPlan {
-  std::uint64_t seed = 0xFA17;  ///< base seed for the per-PE decision streams
-
   // --- latency spikes on blocking charges (every op kind) ---------------
-  double spike_rate = 0.0;     ///< probability an op's charge spikes
-  double spike_factor = 10.0;  ///< spiked charge = base * factor
+  double spike_rate = 0.0;  ///< probability an op's charge spikes
 
   // --- delivery-time faults on non-blocking ops -------------------------
-  double drop_rate = 0.0;      ///< per-transmission loss probability
-  Nanos retransmit_ns = 20'000;  ///< delay added per lost transmission
-  std::uint32_t max_retransmits = 16;  ///< loss bound (keeps delays finite)
-  double dup_rate = 0.0;       ///< probability an nbi op delivers twice
-  Nanos dup_delay_ns = 5'000;  ///< extra delay of the duplicate copy
+  double drop_rate = 0.0;  ///< per-transmission loss probability
+  double dup_rate = 0.0;   ///< probability an nbi op delivers twice
 
   // --- crash-stop failures ----------------------------------------------
   std::vector<CrashEvent> crashes;
@@ -137,16 +140,9 @@ class FaultInjector {
 
 class Topology;
 
-/// Crash-stop presets (docs/resilience.md "Writing a crash plan").
-/// A single PE dies at virtual time `at_ns`.
-FaultPlan crash_plan(int pe, Nanos at_ns);
-/// Every PE of tier-`tier` group `group` dies at `at_ns` — a whole
-/// node/rack lost at once.
-FaultPlan crash_group_plan(const Topology& topo, Tier tier, int group,
-                           Nanos at_ns);
-/// Named shapes: a dead node (innermost tier) and a dead rack (largest
-/// grouping below the machine).
+/// Crash-stop preset (docs/resilience.md "Writing a crash plan"): every
+/// PE of innermost-tier group `node` dies at `at_ns` — a whole node lost
+/// at once.
 FaultPlan node_failure_plan(const Topology& topo, int node, Nanos at_ns);
-FaultPlan rack_failure_plan(const Topology& topo, int rack, Nanos at_ns);
 
 }  // namespace sws::net

@@ -15,7 +15,6 @@ const char* op_kind_name(OpKind k) noexcept {
     case OpKind::kAmoSwap: return "amo_swap";
     case OpKind::kAmoFetch: return "amo_fetch";
     case OpKind::kAmoSet: return "amo_set";
-    case OpKind::kNbiPut: return "nbi_put";
     case OpKind::kNbiAmoAdd: return "nbi_amo_add";
     case OpKind::kNbiAmoSet: return "nbi_amo_set";
     case OpKind::kCount_: break;
@@ -123,7 +122,6 @@ Nanos NetworkModel::cost(OpKind kind, std::size_t bytes,
     case OpKind::kAmoFetch:
     case OpKind::kAmoSet:
       return l.amo_latency;
-    case OpKind::kNbiPut:
     case OpKind::kNbiAmoAdd:
     case OpKind::kNbiAmoSet:
       // Non-blocking ops only charge the initiator the issue overhead;

@@ -30,7 +30,6 @@ enum class OpKind : int {
   kAmoSwap,
   kAmoFetch,
   kAmoSet,
-  kNbiPut,
   kNbiAmoAdd,
   kNbiAmoSet,
   kCount_,
@@ -66,8 +65,7 @@ struct FabricStats {
   }
   /// Blocking (initiator-stalling) remote op count: everything except nbi.
   std::uint64_t blocking_ops() const noexcept {
-    return total_ops() - ops[static_cast<int>(OpKind::kNbiPut)] -
-           ops[static_cast<int>(OpKind::kNbiAmoAdd)] -
+    return total_ops() - ops[static_cast<int>(OpKind::kNbiAmoAdd)] -
            ops[static_cast<int>(OpKind::kNbiAmoSet)];
   }
   void merge(const FabricStats& o) noexcept {

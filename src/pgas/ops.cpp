@@ -32,11 +32,6 @@ void PeContext::set(int target, SymPtr p, std::uint64_t value) {
   fabric().amo_set(pe_, target, p.off, value);
 }
 
-void PeContext::nbi_put(int target, SymPtr p, std::uint64_t delta,
-                        const void* src, std::size_t n) {
-  fabric().nbi_put(pe_, target, p.off + delta, src, n);
-}
-
 void PeContext::nbi_add(int target, SymPtr p, std::uint64_t value) {
   fabric().nbi_amo_add(pe_, target, p.off, value);
 }

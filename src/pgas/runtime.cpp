@@ -4,7 +4,6 @@
 #include <exception>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace sws::pgas {
 

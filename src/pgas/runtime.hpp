@@ -62,8 +62,6 @@ class PeContext {
                              std::uint64_t desired);
   std::uint64_t fetch(int target, SymPtr p);
   void set(int target, SymPtr p, std::uint64_t value);
-  void nbi_put(int target, SymPtr p, std::uint64_t delta, const void* src,
-               std::size_t n);
   void nbi_add(int target, SymPtr p, std::uint64_t value);
   /// Non-blocking idempotent store (survives duplicated delivery).
   void nbi_set(int target, SymPtr p, std::uint64_t value);

@@ -16,6 +16,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -166,6 +168,106 @@ TEST(CrashRecovery, ThiefCrashMidStealSws) {
   expect_clean_finish(r, 1);
   EXPECT_GT(r.report.total.tasks_executed, 0u);
   EXPECT_GE(r.report.total.deaths_witnessed, 1u);
+}
+
+/// A UTS run whose node task tallies every execution by payload (digest +
+/// depth, unique per node). The tally wraps the workload's own task
+/// host-side, so the schedule is the plain UTS run's; so is the trace,
+/// which is observation-only and kept when `trace` is set.
+struct TalliedRun {
+  CrashRun run;
+  obs::RunTrace trace;
+  std::map<std::string, int> visits;
+  std::vector<std::uint64_t> recovered;  ///< queue.tasks_recovered per PE
+};
+
+/// A 4-ary, depth-9 tree: small enough that tracing all of it is cheap.
+workloads::UtsParams small_uts_params() {
+  workloads::UtsParams p;
+  p.b0 = 4;
+  p.gen_mx = 9;
+  p.node_compute_ns = 200;
+  return p;
+}
+
+TalliedRun run_tallied_uts(core::QueueKind kind, int npes,
+                           const std::vector<net::CrashEvent>& crashes,
+                           bool trace) {
+  pgas::Runtime rt(crash_rcfg(npes, crashes));
+  core::TaskRegistry uts_reg;
+  workloads::UtsBenchmark uts(uts_reg, small_uts_params());
+  TalliedRun out;
+  // UTS registers one function, id 0; the wrapper takes that id here, so
+  // every spawned node runs through it.
+  core::TaskRegistry reg;
+  reg.register_fn("uts.node.tallied",
+                  [&](core::Worker& w, std::span<const std::byte> b) {
+                    ++out.visits[std::string(
+                        reinterpret_cast<const char*>(b.data()), b.size())];
+                    uts_reg.fn(0)(w, b);
+                  });
+  core::PoolConfig pc = pcfg(kind);
+  pc.trace.enable = trace;
+  pc.trace.events = std::size_t{1} << 16;
+  core::TaskPool pool(rt, reg, pc);
+  rt.run([&](pgas::PeContext& ctx) {
+    pool.run_pe(ctx, [&](core::Worker& w) { uts.seed(w); });
+  });
+  out.run = snapshot(rt, pool);
+  for (int pe = 0; pe < npes; ++pe)
+    out.recovered.push_back(pool.queue().op_stats(pe).tasks_recovered);
+  if (trace) {
+    EXPECT_FALSE(pool.tracer().truncated()) << "trace ring wrapped";
+    std::stringstream json;
+    pool.dump_trace_json(json);
+    out.trace = obs::parse_chrome_trace(json);
+  }
+  return out;
+}
+
+// The at-least-once re-execution path, shown firing: a thief dies with its
+// claim open, after the claim and before the task copy. A traced run with
+// only the watchdog planned finds the first successful steal of a non-seed
+// PE; the rerun crashes that thief at the end of the op just before the
+// steal's task-copy get — the fetch-add claim (SWS) or the unlock (SDC).
+// Both runs are identical up to that instant, so the thief dies at the
+// copy and the victim must fence the claim and re-run its tasks.
+TEST(CrashRecovery, ThiefDiesInsideClaimIsReexecuted) {
+  constexpr int kNpes = 8;
+  const auto truth = workloads::uts_sequential_count(small_uts_params());
+  for (const auto kind : {core::QueueKind::kSws, core::QueueKind::kSdc}) {
+    const bool sws = kind == core::QueueKind::kSws;
+    SCOPED_TRACE(sws ? "SWS" : "SDC");
+    const TalliedRun clean = run_tallied_uts(kind, kNpes, {}, true);
+    expect_clean_finish(clean.run, 0);
+
+    const char* claim_op = sws ? "amo_fetch_add" : "amo_set";
+    const obs::Span* steal = nullptr;
+    net::Nanos crash_at = 0;
+    for (const obs::Span& s : clean.trace.spans) {
+      if (s.kind != "steal" || s.pe == 0 || s.outcome() != 0) continue;
+      for (std::size_t i = 1; i < s.ops.size(); ++i) {
+        if (s.ops[i].op == "get" && s.ops[i - 1].op == claim_op) {
+          crash_at = s.ops[i - 1].ts_ns + s.ops[i - 1].dur_ns;
+          break;
+        }
+      }
+      steal = &s;
+      break;
+    }
+    ASSERT_NE(steal, nullptr) << "no successful steal by a non-seed PE";
+    ASSERT_GT(crash_at, 0u) << "steal span shows no claim-then-copy ops";
+
+    const TalliedRun r =
+        run_tallied_uts(kind, kNpes, {{steal->pe, crash_at}}, false);
+    expect_clean_finish(r.run, 1);
+    EXPECT_GT(r.run.report.total.tasks_reexecuted, 0u);
+    EXPECT_GT(r.recovered[static_cast<std::size_t>(steal->victim())], 0u)
+        << "victim PE " << steal->victim();
+    EXPECT_EQ(r.visits.size(), truth.nodes) << "a UTS node never ran";
+    for (const auto& [node, n] : r.visits)
+      EXPECT_LE(n, 2) << "a UTS node ran more than twice";
+  }
 }
 
 // The victim (and seed owner, and initial termination coordinator) dies

@@ -165,23 +165,11 @@ TEST_F(FabricTest, QuietBlocksUntilAllPendingDelivered) {
   });
 }
 
-TEST_F(FabricTest, NbiPutDeliversPayloadLate) {
-  run([&](int pe) {
-    if (pe != 0) return;
-    const std::uint64_t v = 0xdeadbeef;
-    fabric_.nbi_put(0, 1, 56, &v, 8);
-    EXPECT_EQ(word_at(1, 56), 0u);
-    fabric_.quiet(0);
-    EXPECT_EQ(word_at(1, 56), 0xdeadbeefu);
-  });
-}
-
 TEST_F(FabricTest, NbiOpsDeliverInIssueOrderAtSameDeadline) {
   run([&](int pe) {
     if (pe != 0) return;
-    const std::uint64_t a = 1, b = 2;
-    fabric_.nbi_put(0, 1, 72, &a, 8);
-    fabric_.nbi_put(0, 1, 72, &b, 8);  // same target word
+    fabric_.nbi_amo_set(0, 1, 72, 1);
+    fabric_.nbi_amo_set(0, 1, 72, 2);  // same target word
     fabric_.quiet(0);
     EXPECT_EQ(word_at(1, 72), 2u) << "later issue must win";
   });
@@ -196,7 +184,7 @@ TEST_F(FabricTest, QuietUnderNbiStormDeliversEverything) {
     for (int i = 0; i < 500; ++i) {
       fabric_.nbi_amo_add(pe, other, 80, 1);
       if (i % 16 == 0)
-        fabric_.nbi_put(pe, other, 96, &marker, 8);
+        fabric_.nbi_amo_set(pe, other, 96, marker);
       if (i % 16 == 8)
         fabric_.nbi_amo_set(pe, other, 104, marker);
     }
@@ -227,54 +215,14 @@ TEST_F(FabricTest, NewRunClearsOpLabels) {
   EXPECT_EQ(fabric_.last_op(0).target, -1);
 }
 
-TEST_F(FabricTest, EffectPoolKeepsAmosAndSmallPutsInline) {
-  const EffectPoolStats before = fabric_.effect_pool_stats();
-  run([&](int pe) {
-    if (pe != 0) return;
-    std::byte small[PendingEffect::kInlineBytes] = {};
-    fabric_.nbi_amo_add(0, 1, 8, 1);
-    fabric_.nbi_amo_set(0, 1, 16, 2);
-    fabric_.nbi_put(0, 1, 128, small, sizeof(small));  // == inline limit
-    fabric_.quiet(0);
-  });
-  const EffectPoolStats after = fabric_.effect_pool_stats();
-  EXPECT_EQ(after.inline_effects - before.inline_effects, 3u);
-  EXPECT_EQ(after.slab_grabs, before.slab_grabs) << "inline op touched a slab";
-}
-
-TEST_F(FabricTest, EffectPoolRecyclesSlabsAcrossRounds) {
-  // Large put payloads draw from the slab pool; after the first round
-  // warms it up, repeat rounds must reuse freed slabs instead of
-  // allocating fresh ones (the "no allocation at steady state" claim —
-  // the ASan job would also flag any leak here).
-  std::byte big[256] = {};
-  const auto round = [&] {
-    fabric_.new_run();  // fresh NIC horizons; clocks restart at 0 in run()
-    run([&](int pe) {
-      if (pe != 0) return;
-      for (int i = 0; i < 8; ++i) fabric_.nbi_put(0, 1, 512, big, sizeof(big));
-      fabric_.quiet(0);
-    });
-  };
-  round();
-  const EffectPoolStats warm = fabric_.effect_pool_stats();
-  for (int r = 0; r < 3; ++r) round();
-  const EffectPoolStats after = fabric_.effect_pool_stats();
-  EXPECT_EQ(after.slab_grabs - warm.slab_grabs, 24u);
-  EXPECT_EQ(after.slab_allocs, warm.slab_allocs)
-      << "steady-state large puts allocated new slabs";
-}
-
 TEST(FabricFaults, RetransmitDelayExtendsDeliveryNotHorizon) {
-  // drop_rate=1 with max_retransmits=1: every nbi op is lost exactly once
-  // and delivers retransmit_ns late. The sequencer's horizon must be
+  // drop_rate=1: every nbi op is lost kMaxRetransmits times and delivers
+  // kMaxRetransmits × kRetransmitNs late. The sequencer's horizon must be
   // clamped to the *extended* deadline — advancing past the base delay
   // must neither apply the effect early nor lose it.
   VirtualTimeModel tm(2);
   NetworkParams params;
   params.faults.drop_rate = 1.0;
-  params.faults.max_retransmits = 1;
-  params.faults.retransmit_ns = 40'000;
   Fabric fab(tm, NetworkModel(params), 2);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 2; ++pe) {
@@ -290,41 +238,13 @@ TEST(FabricFaults, RetransmitDelayExtendsDeliveryNotHorizon) {
       std::memcpy(&v, arenas[1].data(), 8);
       EXPECT_EQ(v, 0u) << "delivered before the retransmit completed";
       EXPECT_EQ(fab.pending(0), 1);
-      tm.advance(0, params.faults.retransmit_ns);  // past the real one
+      tm.advance(0, kMaxRetransmits * kRetransmitNs);  // past the real one
       std::memcpy(&v, arenas[1].data(), 8);
       EXPECT_EQ(v, 7u);
       EXPECT_EQ(fab.pending(0), 0);
     }
   });
-  EXPECT_EQ(fab.fault_stats().drops, 1u);
-}
-
-TEST(FabricFaults, DuplicatedLargePutSharesOneSlab) {
-  // dup_rate=1: the duplicate copy shares its original's slab buffer via
-  // refcount; both deliveries land and the pool grabs exactly one slab.
-  VirtualTimeModel tm(2);
-  NetworkParams params;
-  params.faults.dup_rate = 1.0;
-  Fabric fab(tm, NetworkModel(params), 2);
-  std::vector<std::vector<std::byte>> arenas;
-  for (int pe = 0; pe < 2; ++pe) {
-    arenas.emplace_back(512, std::byte{0});
-    fab.register_arena(pe, arenas.back().data(), 512);
-  }
-  tm.run_pes(2, [&](int pe) {
-    if (pe == 0) {
-      std::byte big[128];
-      std::fill(std::begin(big), std::end(big), std::byte{0x5a});
-      fab.nbi_put(0, 1, 0, big, sizeof(big));
-      EXPECT_EQ(fab.pending(0), 2) << "original + duplicate";
-      fab.quiet(0);
-      EXPECT_EQ(arenas[1][127], std::byte{0x5a});
-    }
-  });
-  const EffectPoolStats s = fab.effect_pool_stats();
-  EXPECT_EQ(s.slab_grabs, 1u);
-  EXPECT_EQ(fab.fault_stats().dups, 1u);
-  EXPECT_EQ(fab.pending_to(1), 0);
+  EXPECT_EQ(fab.fault_stats().drops, kMaxRetransmits);
 }
 
 // Death tests issue their op from the test thread, outside run_pes(): a

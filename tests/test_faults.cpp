@@ -27,8 +27,6 @@ FaultPlan drop_dup_plan() {
   FaultPlan f;
   f.drop_rate = 0.10;
   f.dup_rate = 0.10;
-  f.retransmit_ns = 20'000;
-  f.dup_delay_ns = 5'000;
   return f;
 }
 
@@ -36,7 +34,6 @@ FaultPlan drop_dup_plan() {
 FaultPlan combined_plan() {
   FaultPlan f = drop_dup_plan();
   f.spike_rate = 0.10;
-  f.spike_factor = 10.0;
   return f;
 }
 
@@ -66,7 +63,6 @@ TEST(FaultPlanTest, EachKnobEnablesThePlan) {
 TEST(FaultInjectorTest, CertainSpikeChargesFactorMinusOne) {
   FaultPlan f;
   f.spike_rate = 1.0;
-  f.spike_factor = 10.0;
   FaultInjector inj(f, 2);
   const Nanos base = 1000;
   EXPECT_EQ(inj.charge_penalty(0, base), 9 * base);
@@ -77,23 +73,20 @@ TEST(FaultInjectorTest, CertainSpikeChargesFactorMinusOne) {
 TEST(FaultInjectorTest, CertainDropPaysRetransmitDelays) {
   FaultPlan f;
   f.drop_rate = 1.0;  // every transmission lost: pays the full bound
-  f.retransmit_ns = 1000;
-  f.max_retransmits = 5;
   FaultInjector inj(f, 1);
   const auto d = inj.delivery_verdict(0);
-  EXPECT_EQ(d.extra_delay, 5 * 1000);
+  EXPECT_EQ(d.extra_delay, net::kMaxRetransmits * net::kRetransmitNs);
   EXPECT_FALSE(d.duplicate);
-  EXPECT_EQ(inj.stats(0).drops, 5u);
+  EXPECT_EQ(inj.stats(0).drops, net::kMaxRetransmits);
 }
 
 TEST(FaultInjectorTest, CertainDupFlagsADuplicate) {
   FaultPlan f;
   f.dup_rate = 1.0;
-  f.dup_delay_ns = 777;
   FaultInjector inj(f, 1);
   const auto d = inj.delivery_verdict(0);
   EXPECT_TRUE(d.duplicate);
-  EXPECT_EQ(d.dup_extra_delay, 777);
+  EXPECT_EQ(d.dup_extra_delay, net::kDupDelayNs);
   EXPECT_EQ(inj.stats(0).dups, 1u);
 }
 
@@ -180,7 +173,6 @@ TEST_F(FaultFabricTest, DisabledPlanInstantiatesNoInjector) {
 TEST_F(FaultFabricTest, CertainSpikeStretchesBlockingCharge) {
   FaultPlan f;
   f.spike_rate = 1.0;
-  f.spike_factor = 10.0;
   build(f);
   const net::NetworkModel model{};
   run([&](int pe) {
@@ -196,8 +188,6 @@ TEST_F(FaultFabricTest, CertainSpikeStretchesBlockingCharge) {
 TEST_F(FaultFabricTest, DroppedNbiIsRetransmittedNotLost) {
   FaultPlan f;
   f.drop_rate = 1.0;  // always pays the full retransmit bound
-  f.retransmit_ns = 50'000;
-  f.max_retransmits = 3;
   build(f);
   const net::NetworkModel model{};
   run([&](int pe) {
@@ -213,7 +203,7 @@ TEST_F(FaultFabricTest, DroppedNbiIsRetransmittedNotLost) {
     EXPECT_EQ(fabric_->pending(0), 0);
     EXPECT_EQ(word_at(1, 40), 9u);
   });
-  EXPECT_EQ(fabric_->fault_stats().drops, 3u);
+  EXPECT_EQ(fabric_->fault_stats().drops, net::kMaxRetransmits);
 }
 
 TEST_F(FaultFabricTest, DuplicatedNbiAddDeliversItsEffectTwice) {
