@@ -1,5 +1,6 @@
-// Abstract split task queue: the contract shared by the SDC baseline and
-// the SWS structured-atomic implementation.
+// Split task queue: the local half shared by the SDC baseline and the SWS
+// structured-atomic implementation, and the shared-half contract each
+// implements.
 //
 // One queue object serves the whole pool; every method takes the calling
 // PE's context and internally routes to that PE's owner- or thief-side
@@ -89,29 +90,55 @@ struct QueueOpStats {
     pressure_releases += o.pressure_releases;
     full_claims += o.full_claims;
   }
+
+  bool operator==(const QueueOpStats&) const = default;
 };
 
+/// A split queue (paper §3): an owner-private LIFO local half over a ring
+/// of task slots, and a shared half that thieves claim from. The local
+/// half — the ring, the head/split/reclaim cursors, crash custody of
+/// fenced tasks and the per-PE op counters — is protocol-independent and
+/// lives here, written once. A subclass supplies only the shared half's
+/// claim protocol: SDC's lock-fetch-update-unlock (sdc_queue.hpp) or SWS's
+/// single fetch-add (sws_queue.hpp).
 class TaskQueue {
  public:
   virtual ~TaskQueue() = default;
 
-  virtual QueueKind kind() const noexcept = 0;
-
   /// Reset all queue state (owner cursors, metadata, stats) for a fresh
   /// run. Collective: call once per PE, then barrier before use.
-  virtual void reset_pe(pgas::PeContext& ctx) = 0;
+  void reset_pe(pgas::PeContext& ctx);
 
-  // --- owner side --------------------------------------------------------
+  // --- owner side: the local half ---------------------------------------
   /// Enqueue at the head of the local portion. Returns false when the ring
-  /// is full even after reclaiming completed steals.
-  virtual bool push_local(pgas::PeContext& ctx, const Task& t) = 0;
+  /// is full even after progress() reclaimed completed steals.
+  bool push_local(pgas::PeContext& ctx, const Task& t) {
+    LocalHalf& l = local(ctx);
+    if (l.head_abs - l.reclaim_abs >= buffer_.capacity()) {
+      progress(ctx);
+      if (l.head_abs - l.reclaim_abs >= buffer_.capacity()) return false;
+    }
+    buffer_.write_local(ctx, l.head_abs, t);
+    ++l.head_abs;
+    return true;
+  }
 
   /// LIFO pop from the head of the local portion.
-  virtual bool pop_local(pgas::PeContext& ctx, Task& out) = 0;
+  bool pop_local(pgas::PeContext& ctx, Task& out) {
+    LocalHalf& l = local(ctx);
+    if (l.head_abs == l.split_abs) return false;
+    --l.head_abs;
+    out = buffer_.read_local(ctx, l.head_abs);
+    return true;
+  }
 
   /// Number of tasks currently in the local portion.
-  virtual std::uint32_t local_count(pgas::PeContext& ctx) const = 0;
+  std::uint32_t local_count(pgas::PeContext& ctx) const {
+    const LocalHalf& l = local(ctx);
+    return static_cast<std::uint32_t>(l.head_abs - l.split_abs);
+  }
 
+  // --- owner side: the shared half --------------------------------------
   /// Owner's view: does the shared portion still hold unclaimed tasks?
   virtual bool shared_available(pgas::PeContext& ctx) const = 0;
 
@@ -136,17 +163,12 @@ class TaskQueue {
   /// core/recovery.hpp). Queues record deaths they discover through
   /// poison verdicts and consult the registry before breaking a dead
   /// peer's leases. Null detaches. Install before the PEs run.
-  virtual void attach_recovery(DeathRegistry* registry) { (void)registry; }
+  void attach_recovery(DeathRegistry* registry) { recovery_ = registry; }
 
   /// Drain tasks the owner fenced off from a dead thief's unfinished
   /// claims into `out` (appended); returns the count. The scheduler
   /// re-publishes them for re-execution — at-least-once semantics.
-  virtual std::uint32_t take_recovered(pgas::PeContext& ctx,
-                                       std::vector<Task>& out) {
-    (void)ctx;
-    (void)out;
-    return 0;
-  }
+  std::uint32_t take_recovered(pgas::PeContext& ctx, std::vector<Task>& out);
 
   /// Owner-side recovery sweep, called by the scheduler (at lease cadence,
   /// from an otherwise-idle PE) once it has witnessed at least one death:
@@ -155,7 +177,7 @@ class TaskQueue {
   /// loops inside the queues fence on their own; this hook covers stalls
   /// those loops never reach (a dead claim on a live SWS allotment, a dead
   /// SDC lock holder the owner never contends with).
-  virtual void fence_dead(pgas::PeContext& ctx) { (void)ctx; }
+  virtual void fence_dead(pgas::PeContext& ctx) = 0;
 
   /// Does this PE's queue hold a claim whose completion has not landed?
   /// Owner-local reads only. The scheduler keeps such an owner out of
@@ -164,17 +186,63 @@ class TaskQueue {
   virtual bool claims_open(pgas::PeContext& ctx) const = 0;
 
   // --- introspection -----------------------------------------------------
-  virtual const QueueOpStats& op_stats(int pe) const = 0;
+  const QueueOpStats& op_stats(int pe) const {
+    return local_[static_cast<std::size_t>(pe)].stats;
+  }
 
   /// Invariant audit hook for the schedule-exploration harness
   /// (src/check/): validate the calling PE's owner-side view of the queue
   /// using local reads only, and return a description of the first
   /// violated invariant ("" = all good). Must be callable between any two
-  /// owner-side operations; the default says nothing is wrong.
-  virtual std::string audit(pgas::PeContext& ctx) const {
-    (void)ctx;
-    return {};
+  /// owner-side operations.
+  virtual std::string audit(pgas::PeContext& ctx) const = 0;
+
+ protected:
+  /// Allocates the task ring on the symmetric heap.
+  TaskQueue(pgas::Runtime& rt, const QueueConfig& queue);
+
+  /// One PE's local half. All indices are absolute (monotonic); ring
+  /// positions are index mod capacity. [reclaim_abs, split_abs) is the
+  /// shared portion with its claimed-but-unfinished prefix, and
+  /// [split_abs, head_abs) the local portion.
+  struct alignas(64) LocalHalf {
+    std::uint64_t head_abs = 0;
+    std::uint64_t split_abs = 0;    ///< local portion starts here
+    std::uint64_t reclaim_abs = 0;  ///< ring space below this is free
+    /// Tasks fenced off from dead thieves' unfinished claims, awaiting
+    /// re-publication by the scheduler (crash-mode runs only).
+    std::vector<Task> recovered;
+    QueueOpStats stats;  ///< this PE's owner- and thief-side counters
+  };
+
+  LocalHalf& local(pgas::PeContext& ctx) {
+    return local_[static_cast<std::size_t>(ctx.pe())];
   }
+  const LocalHalf& local(pgas::PeContext& ctx) const {
+    return local_[static_cast<std::size_t>(ctx.pe())];
+  }
+
+  /// Crash-mode run: a crash plan is armed and a death registry attached.
+  /// Only then do the owner-side wait loops lease-time their peers.
+  bool crash_mode(pgas::PeContext& ctx) const {
+    return recovery_ != nullptr && ctx.fabric().crashes_planned();
+  }
+
+  /// The thief-side exit for a victim found dead (a poison fetch or a
+  /// failed copy): record the death and evict the victim for good. The
+  /// poison word reads as a held lock or a locked stealval, so without
+  /// this exit a thief would keep retrying a dead victim.
+  StealResult dead_victim(pgas::PeContext& thief, int victim);
+
+  QueueBuffer buffer_;
+  DeathRegistry* recovery_ = nullptr;  ///< crash-mode runs only
+
+ private:
+  /// Reset the calling PE's shared-half state; reset_pe has already
+  /// emptied its local half.
+  virtual void reset_shared(pgas::PeContext& ctx) = 0;
+
+  std::vector<LocalHalf> local_;
 };
 
 }  // namespace sws::core

@@ -35,10 +35,15 @@ void Worker::spawn(const Task& t) {
   ++stats_.tasks_spawned;
   if (pool_.tracer_.enabled())
     pool_.tracer_.record(pe(), ctx_.now(), TraceKind::kSpawn);
+  push_or_run(t, /*warn_if_full=*/true);
+}
+
+void Worker::push_or_run(const Task& t, bool warn_if_full) {
   if (pool_.queue_->push_local(ctx_, t)) return;
   // Ring full even after reclaim: run the task inline. Depth-first
   // execution keeps this bounded; it only triggers on under-sized queues.
-  SWS_WARN("PE " << ctx_.pe() << ": task ring full, executing inline");
+  if (warn_if_full)
+    SWS_WARN("PE " << ctx_.pe() << ": task ring full, executing inline");
   execute(t);
 }
 
@@ -237,7 +242,7 @@ void TaskPool::finalize_timeseries() const {
 std::uint32_t TaskPool::drain_inbox(Worker& w) {
   const std::uint32_t n = inbox_->drain(w.ctx(), [&](const Task& t) {
     // Already counted as created by the sender.
-    if (!queue_->push_local(w.ctx(), t)) w.execute(t);
+    w.push_or_run(t);
   });
   if (n > 0 && tracer_.enabled())
     tracer_.record(w.pe(), w.ctx().now(), TraceKind::kInboxDrain, n);
@@ -253,9 +258,7 @@ std::uint32_t TaskPool::drain_recovered(Worker& w) {
   // execution is at-least-once with bounded multiplicity
   // (docs/resilience.md).
   w.stats_.tasks_reexecuted += n;
-  for (const Task& t : rec) {
-    if (!queue_->push_local(w.ctx(), t)) w.execute(t);
-  }
+  for (const Task& t : rec) w.push_or_run(t);
   return n;
 }
 
@@ -445,9 +448,7 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
                     tracer_.record(ctx.pe(), ctx.now(), TraceKind::kRerouted,
                                    static_cast<std::uint64_t>(p), n);
                   // Already counted created at the original spawn_on.
-                  for (const Task& rr : loot) {
-                    if (!queue_->push_local(ctx, rr)) w.execute(rr);
-                  }
+                  for (const Task& rr : loot) w.push_or_run(rr);
                 }
                 return n_rec;
               },
@@ -514,9 +515,7 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
           ps.stats.phase_ns[static_cast<std::size_t>(PoolPhase::kStealing)] +=
               dt;
           set_phase(PoolPhase::kWorking);
-          for (const Task& stolen : loot) {
-            if (!queue_->push_local(ctx, stolen)) w.execute(stolen);
-          }
+          for (const Task& stolen : loot) w.push_or_run(stolen);
           break;  // back to processing
         }
         w.stats_.search_time_ns += dt;

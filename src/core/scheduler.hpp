@@ -110,6 +110,9 @@ class Worker {
  private:
   friend class TaskPool;
   void execute(const Task& t);
+  /// Push `t` onto this PE's local half, or run it here when the ring is
+  /// full even after reclaim.
+  void push_or_run(const Task& t, bool warn_if_full = false);
 
   TaskPool& pool_;
   pgas::PeContext& ctx_;

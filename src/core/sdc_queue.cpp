@@ -19,11 +19,10 @@ constexpr net::Nanos kLockBackoffNs = 400;
 }  // namespace
 
 SdcQueue::SdcQueue(pgas::Runtime& rt, const QueueConfig& queue, SdcConfig cfg)
-    : qcfg_(queue),
+    : TaskQueue(rt, queue),
       cfg_(cfg),
       meta_(rt.heap().alloc(
           kRingOff + sizeof(std::uint64_t) * cfg.completion_ring * 2, 64)),
-      buffer_(rt.heap(), queue.capacity, queue.slot_bytes),
       owners_(static_cast<std::size_t>(rt.npes())) {
   SWS_CHECK(cfg.completion_ring > 0, "completion ring must be non-empty");
   SWS_CHECK(queue.capacity <= kCountMask,
@@ -33,9 +32,8 @@ SdcQueue::SdcQueue(pgas::Runtime& rt, const QueueConfig& queue, SdcConfig cfg)
               "crash recovery packs the thief PE into 8 intent-record bits");
 }
 
-void SdcQueue::reset_pe(pgas::PeContext& ctx) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  o = OwnerState{};
+void SdcQueue::reset_shared(pgas::PeContext& ctx) {
+  owners_[static_cast<std::size_t>(ctx.pe())] = OwnerState{};
   // Zero only what the last run can have written (Runtime::run applies
   // every leftover nbi effect before any reset, and symmetric allocations
   // start zeroed). Completion records exist only for claimed sequences,
@@ -54,62 +52,36 @@ std::uint64_t SdcQueue::owner_tail(pgas::PeContext& ctx) const {
 
 // ------------------------------------------------------------ owner side
 
-bool SdcQueue::push_local(pgas::PeContext& ctx, const Task& t) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  if (o.head_abs - o.reclaim_abs >= buffer_.capacity()) {
-    progress(ctx);
-    if (o.head_abs - o.reclaim_abs >= buffer_.capacity()) return false;
-  }
-  buffer_.write_local(ctx, o.head_abs, t);
-  ++o.head_abs;
-  return true;
-}
-
-bool SdcQueue::pop_local(pgas::PeContext& ctx, Task& out) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  if (o.head_abs == o.split_cache) return false;
-  --o.head_abs;
-  out = buffer_.read_local(ctx, o.head_abs);
-  return true;
-}
-
-std::uint32_t SdcQueue::local_count(pgas::PeContext& ctx) const {
-  const auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  return static_cast<std::uint32_t>(o.head_abs - o.split_cache);
-}
-
 bool SdcQueue::shared_available(pgas::PeContext& ctx) const {
-  const auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
   // Thieves advance the tail; read it atomically.
-  return owner_tail(ctx) < o.split_cache;
+  return owner_tail(ctx) < local(ctx).split_abs;
 }
 
 bool SdcQueue::try_release(pgas::PeContext& ctx) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  auto& l = local(ctx);
   // Release is legal without locking only because it happens when the
   // shared portion is empty (paper §3.1): a racing thief sees an empty
   // queue and aborts.
-  if (owner_tail(ctx) != o.split_cache) return false;
-  const auto nlocal = static_cast<std::uint32_t>(o.head_abs - o.split_cache);
+  if (owner_tail(ctx) != l.split_abs) return false;
+  const auto nlocal = static_cast<std::uint32_t>(l.head_abs - l.split_abs);
   if (nlocal < 2) return false;
   const std::uint32_t expose = nlocal / 2;
-  o.split_cache += expose;
+  l.split_abs += expose;
   // Single atomic update of the split point — no lock required.
   ctx.fabric().amo_set(ctx.pe(), ctx.pe(), meta_.off + kSplitOff,
-                       o.split_cache);
-  ++o.stats.releases;
+                       l.split_abs);
+  ++l.stats.releases;
   return true;
 }
 
 void SdcQueue::lock_own(pgas::PeContext& ctx) {
   // Owner competes for its own spinlock against thieves.
   const auto want = static_cast<std::uint64_t>(ctx.pe()) + 1;
-  const bool crash_mode =
-      ctx.fabric().crashes_planned() && recovery_ != nullptr;
-  net::Nanos lease_start = crash_mode ? ctx.now() : 0;
+  const bool crashes = crash_mode(ctx);
+  net::Nanos lease_start = crashes ? ctx.now() : 0;
   while (ctx.fabric().amo_compare_swap(ctx.pe(), ctx.pe(),
                                        meta_.off + kLockOff, 0, want) != 0) {
-    if (crash_mode &&
+    if (crashes &&
         ctx.now() - lease_start >= recovery_->config().lease_ns) {
       // A live thief holds the lock for microseconds; spinning a whole
       // lease means the holder is suspect. Probe it and break the lock if
@@ -127,23 +99,23 @@ void SdcQueue::unlock(pgas::PeContext& ctx, int target) {
 }
 
 bool SdcQueue::try_acquire(pgas::PeContext& ctx) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  if (o.head_abs != o.split_cache) return false;  // local work remains
+  auto& l = local(ctx);
+  if (l.head_abs != l.split_abs) return false;  // local work remains
   if (!shared_available(ctx)) return false;
 
   // The split index is read by thieves mid-steal, so moving it backwards
   // requires the queue lock (paper §3.1).
   lock_own(ctx);
   const std::uint64_t tail = owner_tail(ctx);
-  const std::uint64_t avail = o.split_cache - tail;
+  const std::uint64_t avail = l.split_abs - tail;
   bool took = false;
   if (avail > 0) {
     const std::uint64_t take = (avail + 1) / 2;
-    o.split_cache -= take;
+    l.split_abs -= take;
     ctx.fabric().amo_set(ctx.pe(), ctx.pe(), meta_.off + kSplitOff,
-                         o.split_cache);
+                         l.split_abs);
     took = true;
-    ++o.stats.acquires;
+    ++l.stats.acquires;
   }
   unlock(ctx, ctx.pe());
   return took;
@@ -152,7 +124,7 @@ bool SdcQueue::try_acquire(pgas::PeContext& ctx) {
 void SdcQueue::progress(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
   drain_completions(ctx);
-  if (!ctx.fabric().crashes_planned() || recovery_ == nullptr) return;
+  if (!crash_mode(ctx)) return;
 
   // Crash mode: watch for the two stalls only a death can cause.
   const net::Nanos now = ctx.now();
@@ -192,6 +164,7 @@ void SdcQueue::progress(pgas::PeContext& ctx) {
 
 void SdcQueue::drain_completions(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  auto& l = local(ctx);
   // Drain the deferred-copy ring in claim order; each finished slot frees
   // its block of ring space. Records are sequence-tagged, so reclaim is
   // monotone even when the fabric duplicates or delays completion AMOs.
@@ -203,7 +176,7 @@ void SdcQueue::drain_completions(pgas::PeContext& ctx) {
     if (v == 0) break;
     const std::uint64_t tag = v >> kCountBits;
     if (tag == o.reclaim_seq + 1) {
-      o.reclaim_abs += v & kCountMask;
+      l.reclaim_abs += v & kCountMask;
       slot.store(0, std::memory_order_seq_cst);
       ++o.reclaim_seq;
       continue;
@@ -218,7 +191,6 @@ void SdcQueue::drain_completions(pgas::PeContext& ctx) {
 }
 
 bool SdcQueue::break_dead_lock(pgas::PeContext& ctx) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
   const std::uint64_t holder = ctx.local_load(meta_.plus(kLockOff));
   if (holder == 0 || holder == static_cast<std::uint64_t>(ctx.pe()) + 1)
     return false;
@@ -232,12 +204,13 @@ bool SdcQueue::break_dead_lock(pgas::PeContext& ctx) {
   if (ctx.fabric().amo_compare_swap(ctx.pe(), ctx.pe(), meta_.off + kLockOff,
                                     holder, 0) != holder)
     return false;
-  ++o.stats.leases_broken;
+  ++local(ctx).stats.leases_broken;
   return true;
 }
 
 std::uint32_t SdcQueue::reconcile_dead_claims(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  auto& l = local(ctx);
   // Freeze the metadata (no new claims), then let every effect already in
   // flight toward us land: a live claimant's completion may be the very
   // record we are about to misread as missing. Claims from peers that
@@ -267,12 +240,12 @@ std::uint32_t SdcQueue::reconcile_dead_claims(pgas::PeContext& ctx) {
     // reclaimed. The dead thief never finished its copy, so the owner
     // still holds the authoritative bytes — take custody and re-publish.
     for (std::uint64_t i = 0; i < take; ++i)
-      o.recovered.push_back(buffer_.read_local(ctx, o.reclaim_abs + i));
-    o.reclaim_abs += take;
+      l.recovered.push_back(buffer_.read_local(ctx, l.reclaim_abs + i));
+    l.reclaim_abs += take;
     ++o.reclaim_seq;
     ++fenced;
-    ++o.stats.leases_broken;
-    o.stats.tasks_recovered += take;
+    ++l.stats.leases_broken;
+    l.stats.tasks_recovered += take;
     drain_completions(ctx);  // live completions behind the wedge
   }
   unlock(ctx, ctx.pe());
@@ -280,12 +253,10 @@ std::uint32_t SdcQueue::reconcile_dead_claims(pgas::PeContext& ctx) {
 }
 
 void SdcQueue::fence_dead(pgas::PeContext& ctx) {
-  if (recovery_ == nullptr || !ctx.fabric().crashes_planned()) return;
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  if (!crash_mode(ctx)) return;
   break_dead_lock(ctx);
   drain_completions(ctx);
-  if (o.reclaim_seq < ctx.local_load(meta_.plus(kSeqOff)))
-    reconcile_dead_claims(ctx);
+  if (claims_open(ctx)) reconcile_dead_claims(ctx);
 }
 
 bool SdcQueue::claims_open(pgas::PeContext& ctx) const {
@@ -295,45 +266,29 @@ bool SdcQueue::claims_open(pgas::PeContext& ctx) const {
          ctx.local_load(meta_.plus(kSeqOff));
 }
 
-std::uint32_t SdcQueue::take_recovered(pgas::PeContext& ctx,
-                                       std::vector<Task>& out) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  if (o.recovered.empty()) return 0;
-  const auto n = static_cast<std::uint32_t>(o.recovered.size());
-  out.insert(out.end(), o.recovered.begin(), o.recovered.end());
-  o.recovered.clear();
-  return n;
-}
-
 // ------------------------------------------------------------ thief side
 
 StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
                             std::vector<Task>& out) {
   SWS_ASSERT(victim != thief.pe());
-  auto& st = owners_[static_cast<std::size_t>(thief.pe())].stats;
+  auto& st = local(thief).stats;
   auto& fab = thief.fabric();
   const auto want = static_cast<std::uint64_t>(thief.pe()) + 1;
 
-  // The poison word is nonzero, so a CAS against a dead victim's lock
-  // reads as "held forever"; without the raw-word checks the thief would
-  // bounce between kRetry and kEmpty for the rest of the run.
-  auto dead_victim = [&]() -> StealResult {
-    if (recovery_ != nullptr) recovery_->note_dead(thief.pe(), victim);
-    ++st.steals_dead;
-    return {StealOutcome::kPeerDead, 0};
-  };
-
   // (1) acquire the remote queue lock, aborting early if the queue drains
-  // while we wait (the "aborting steals" in SDC).
+  // while we wait (the "aborting steals" in SDC). The poison word is
+  // nonzero, so a CAS against a dead victim's lock reads as "held
+  // forever"; without the raw-word checks the thief would bounce between
+  // kRetry and kEmpty for the rest of the run.
   std::uint32_t attempts = 0;
   for (;;) {
     const std::uint64_t lockword = fab.amo_compare_swap(
         thief.pe(), victim, meta_.off + kLockOff, 0, want);
     if (lockword == 0) break;
-    if (lockword == net::kDeadFetchValue) return dead_victim();
+    if (lockword == net::kDeadFetchValue) return dead_victim(thief, victim);
     std::uint64_t meta[3];  // split, tail, seq
     fab.get(thief.pe(), victim, meta_.off + kSplitOff, meta, sizeof meta);
-    if (meta[0] == net::kDeadFetchValue) return dead_victim();
+    if (meta[0] == net::kDeadFetchValue) return dead_victim(thief, victim);
     if (meta[1] >= meta[0]) {
       ++st.steals_empty;
       return {StealOutcome::kEmpty, 0};
@@ -349,7 +304,7 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
   // (2) fetch the metadata to size the steal.
   std::uint64_t meta[3];  // split, tail, seq
   fab.get(thief.pe(), victim, meta_.off + kSplitOff, meta, sizeof meta);
-  if (meta[0] == net::kDeadFetchValue) return dead_victim();
+  if (meta[0] == net::kDeadFetchValue) return dead_victim(thief, victim);
   const std::uint64_t split = meta[0];
   const std::uint64_t tail = meta[1];
   const std::uint64_t seq = meta[2];
@@ -382,7 +337,7 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
   // (5) copy the stolen block (deferred copy). If the victim died under
   // the copy, the claim dies with the victim's queue.
   if (!buffer_.get_remote(thief, victim, buffer_.wrap(tail), take, out))
-    return dead_victim();
+    return dead_victim(thief, victim);
 
   // (6) passive completion notification; the owner reclaims ring space on
   // its next progress() pass. The record carries its claim sequence and is
@@ -395,12 +350,8 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
   return {StealOutcome::kSuccess, take};
 }
 
-const QueueOpStats& SdcQueue::op_stats(int pe) const {
-  return owners_[static_cast<std::size_t>(pe)].stats;
-}
-
 std::string SdcQueue::audit(pgas::PeContext& ctx) const {
-  const auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  const auto& l = local(ctx);
   auto bad = [&](const char* what, std::uint64_t a, std::uint64_t b) {
     return std::string("sdc audit: ") + what + " (" + std::to_string(a) +
            " vs " + std::to_string(b) + ")";
@@ -410,16 +361,16 @@ std::string SdcQueue::audit(pgas::PeContext& ctx) const {
   // lag claims, and thieves only advance the tail up to the split.
   const std::uint64_t tail = owner_tail(ctx);
   const std::uint64_t split = ctx.local_load(meta_.plus(kSplitOff));
-  if (o.reclaim_abs > tail)
-    return bad("reclaim past tail", o.reclaim_abs, tail);
-  if (tail > o.split_cache)
-    return bad("tail past split", tail, o.split_cache);
-  if (split != o.split_cache)
-    return bad("split mirror out of sync", split, o.split_cache);
-  if (o.split_cache > o.head_abs)
-    return bad("split past head", o.split_cache, o.head_abs);
-  if (o.head_abs - o.reclaim_abs > buffer_.capacity())
-    return bad("occupied span exceeds capacity", o.head_abs - o.reclaim_abs,
+  if (l.reclaim_abs > tail)
+    return bad("reclaim past tail", l.reclaim_abs, tail);
+  if (tail > l.split_abs)
+    return bad("tail past split", tail, l.split_abs);
+  if (split != l.split_abs)
+    return bad("split mirror out of sync", split, l.split_abs);
+  if (l.split_abs > l.head_abs)
+    return bad("split past head", l.split_abs, l.head_abs);
+  if (l.head_abs - l.reclaim_abs > buffer_.capacity())
+    return bad("occupied span exceeds capacity", l.head_abs - l.reclaim_abs,
                buffer_.capacity());
 
   // The spinlock only ever holds 0 (free) or thief_pe + 1.

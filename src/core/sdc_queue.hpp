@@ -16,9 +16,8 @@
 // with early abort while the lock is contended and the metadata shows an
 // empty shared portion.
 //
-// All indices are absolute (monotonic); ring positions are index mod
-// capacity. The owner's head/split cursors live in host memory (only the
-// owner touches them — split is mirrored symmetrically for thieves).
+// The local half (ring, head/split/reclaim cursors) is TaskQueue's; the
+// owner's split cursor is authoritative, mirrored at +8 for thieves.
 #pragma once
 
 #include <memory>
@@ -40,12 +39,6 @@ class SdcQueue final : public TaskQueue {
   explicit SdcQueue(pgas::Runtime& rt, const QueueConfig& queue,
                     SdcConfig cfg = {});
 
-  QueueKind kind() const noexcept override { return QueueKind::kSdc; }
-  void reset_pe(pgas::PeContext& ctx) override;
-
-  bool push_local(pgas::PeContext& ctx, const Task& t) override;
-  bool pop_local(pgas::PeContext& ctx, Task& out) override;
-  std::uint32_t local_count(pgas::PeContext& ctx) const override;
   bool shared_available(pgas::PeContext& ctx) const override;
   bool try_release(pgas::PeContext& ctx) override;
   bool try_acquire(pgas::PeContext& ctx) override;
@@ -54,18 +47,11 @@ class SdcQueue final : public TaskQueue {
   StealResult steal(pgas::PeContext& thief, int victim,
                     std::vector<Task>& out) override;
 
-  void attach_recovery(DeathRegistry* registry) override {
-    recovery_ = registry;
-  }
-  std::uint32_t take_recovered(pgas::PeContext& ctx,
-                               std::vector<Task>& out) override;
   void fence_dead(pgas::PeContext& ctx) override;
   bool claims_open(pgas::PeContext& ctx) const override;
 
-  const QueueOpStats& op_stats(int pe) const override;
   std::string audit(pgas::PeContext& ctx) const override;
   const SdcConfig& config() const noexcept { return cfg_; }
-  const QueueConfig& queue_config() const noexcept { return qcfg_; }
 
   /// Symmetric offset of the queue spinlock (tests/diagnostics).
   std::uint64_t lock_offset_for_test() const noexcept {
@@ -81,14 +67,9 @@ class SdcQueue final : public TaskQueue {
   }
 
  private:
+  /// Per-PE protocol state beyond the shared local half.
   struct alignas(64) OwnerState {
-    std::uint64_t head_abs = 0;
-    std::uint64_t split_cache = 0;   ///< owner-authoritative copy of split
-    std::uint64_t reclaim_abs = 0;   ///< ring space below this is free
     std::uint64_t reclaim_seq = 0;   ///< next completion-ring slot to drain
-    /// Tasks fenced off from dead thieves' open claims, awaiting
-    /// re-publication by the scheduler (crash-mode runs only).
-    std::vector<Task> recovered;
     // Crash-mode stall tracking (see progress()): which reclaim_seq we
     // have been stuck on and since when, and who has held the lock since
     // when. All local, only read when a crash plan is armed.
@@ -96,7 +77,6 @@ class SdcQueue final : public TaskQueue {
     net::Nanos stall_since = 0;
     std::uint64_t lock_holder = 0;
     net::Nanos lock_since = 0;
-    QueueOpStats stats;
   };
 
   // Metadata word offsets within meta_.
@@ -139,6 +119,7 @@ class SdcQueue final : public TaskQueue {
            (seq % cfg_.completion_ring) * 8;
   }
 
+  void reset_shared(pgas::PeContext& ctx) override;
   std::uint64_t owner_tail(pgas::PeContext& ctx) const;
   void lock_own(pgas::PeContext& ctx);
   void unlock(pgas::PeContext& ctx, int target);
@@ -149,16 +130,13 @@ class SdcQueue final : public TaskQueue {
   bool break_dead_lock(pgas::PeContext& ctx);
   /// Crash mode, owner side: under our own lock, walk open claims in
   /// sequence order, probe each claimant, and fence confirmed-dead ones —
-  /// their ring span moves to OwnerState::recovered and reclaim advances.
+  /// their ring span moves to LocalHalf::recovered and reclaim advances.
   /// Stops at the first live claimant (reclaim is in-order).
   std::uint32_t reconcile_dead_claims(pgas::PeContext& ctx);
 
-  QueueConfig qcfg_;
   SdcConfig cfg_;
   pgas::SymPtr meta_;
-  QueueBuffer buffer_;
   std::vector<OwnerState> owners_;
-  DeathRegistry* recovery_ = nullptr;  ///< crash-mode runs only
 };
 
 }  // namespace sws::core

@@ -44,11 +44,10 @@ constexpr std::uint32_t kDampingSlack = 8;
 }  // namespace
 
 SwsQueue::SwsQueue(pgas::Runtime& rt, const QueueConfig& queue, SwsConfig cfg)
-    : qcfg_(validated(queue)),
+    : TaskQueue(rt, validated(queue)),
       cfg_(validated(cfg)),
       stealval_(rt.heap().alloc(sizeof(std::uint64_t), 8)),
       completion_(rt.heap()),
-      buffer_(rt.heap(), qcfg_.capacity, qcfg_.slot_bytes),
       owners_(static_cast<std::size_t>(rt.npes())),
       thieves_(static_cast<std::size_t>(rt.npes())) {
   for (auto& t : thieves_) {
@@ -57,9 +56,8 @@ SwsQueue::SwsQueue(pgas::Runtime& rt, const QueueConfig& queue, SwsConfig cfg)
   }
 }
 
-void SwsQueue::reset_pe(pgas::PeContext& ctx) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  o = OwnerState{};
+void SwsQueue::reset_shared(pgas::PeContext& ctx) {
+  owners_[static_cast<std::size_t>(ctx.pe())] = OwnerState{};
   auto& t = thieves_[static_cast<std::size_t>(ctx.pe())];
   std::fill(t.empty_mode.begin(), t.empty_mode.end(), std::uint8_t{0});
   std::fill(t.seen_blocks.begin(), t.seen_blocks.end(), std::uint8_t{0});
@@ -72,30 +70,6 @@ void SwsQueue::reset_pe(pgas::PeContext& ctx) {
 }
 
 // ------------------------------------------------------------ owner side
-
-bool SwsQueue::push_local(pgas::PeContext& ctx, const Task& t) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  if (o.head_abs - o.reclaim_abs >= buffer_.capacity()) {
-    progress(ctx);
-    if (o.head_abs - o.reclaim_abs >= buffer_.capacity()) return false;
-  }
-  buffer_.write_local(ctx, o.head_abs, t);
-  ++o.head_abs;
-  return true;
-}
-
-bool SwsQueue::pop_local(pgas::PeContext& ctx, Task& out) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  if (o.head_abs == o.split_abs) return false;
-  --o.head_abs;
-  out = buffer_.read_local(ctx, o.head_abs);
-  return true;
-}
-
-std::uint32_t SwsQueue::local_count(pgas::PeContext& ctx) const {
-  const auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  return static_cast<std::uint32_t>(o.head_abs - o.split_abs);
-}
 
 StealVal SwsQueue::owner_stealval(pgas::PeContext& ctx) const {
   return StealVal::decode(ctx.local_load(stealval_));
@@ -113,6 +87,7 @@ bool SwsQueue::shared_available(pgas::PeContext& ctx) const {
 
 std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  auto& st = local(ctx).stats;
 
   // Disable stealing: thieves that hit the sentinel see a locked epoch and
   // abort; their stray asteals increments die with the sentinel.
@@ -142,13 +117,12 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
     }
     return false;
   };
-  const bool crash_mode =
-      ctx.fabric().crashes_planned() && recovery_ != nullptr;
-  net::Nanos lease_start = crash_mode ? ctx.now() : 0;
+  const bool crashes = crash_mode(ctx);
+  net::Nanos lease_start = crashes ? ctx.now() : 0;
   while (true) {
     progress(ctx);
     if (!must_wait()) break;
-    if (crash_mode &&
+    if (crashes &&
         ctx.now() - lease_start >= recovery_->config().lease_ns) {
       // A healthy thief turns a claim into a completion in microseconds
       // even through the fault layer's full retransmit budget; a claim
@@ -160,7 +134,7 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
       if (recovery_->known_count(ctx.pe()) > 0) {
         while (ctx.fabric().pending_to(ctx.pe()) > 0) {
           ctx.compute(kEpochPollNs);
-          o.stats.acquire_poll_ns += kEpochPollNs;
+          st.acquire_poll_ns += kEpochPollNs;
         }
         progress(ctx);  // absorb completions that just landed
         if (must_wait()) fence_dead_claims(ctx);
@@ -169,7 +143,7 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
       continue;
     }
     ctx.compute(kEpochPollNs);
-    o.stats.acquire_poll_ns += kEpochPollNs;
+    st.acquire_poll_ns += kEpochPollNs;
   }
 
   // Under duplication faults, a finished prefix proves the *originals*
@@ -180,7 +154,7 @@ std::uint32_t SwsQueue::retire_allotment(pgas::PeContext& ctx) {
   if (ctx.fabric().fault_duplicates_possible()) {
     while (ctx.fabric().pending_to(ctx.pe()) > 0) {
       ctx.compute(kEpochPollNs);
-      o.stats.acquire_poll_ns += kEpochPollNs;
+      st.acquire_poll_ns += kEpochPollNs;
     }
   }
 
@@ -200,9 +174,10 @@ void SwsQueue::publish(pgas::PeContext& ctx, std::uint32_t itasks) {
 
 bool SwsQueue::try_release(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  auto& l = local(ctx);
   // Release requires the shared portion exhausted and spare local work.
   if (shared_available(ctx)) return false;
-  const auto nlocal = static_cast<std::uint32_t>(o.head_abs - o.split_abs);
+  const auto nlocal = static_cast<std::uint32_t>(l.head_abs - l.split_abs);
   if (nlocal < 2) return false;
 
   const std::uint32_t retired_claims = retire_allotment(ctx);
@@ -220,20 +195,21 @@ bool SwsQueue::try_release(pgas::PeContext& ctx) {
   if (cfg_.bulk_claim_max > 1 &&
       std::max(o.pressure, retired_claims) >= hot_at) {
     expose = (3 * nlocal) / 4;
-    ++o.stats.pressure_releases;
+    ++l.stats.pressure_releases;
   }
   o.pressure = 0;
   expose = std::min(expose, kMaxITasks);
-  o.alloc_base_abs = o.split_abs;
-  o.split_abs += expose;
+  o.alloc_base_abs = l.split_abs;
+  l.split_abs += expose;
   publish(ctx, expose);
-  ++o.stats.releases;
+  ++l.stats.releases;
   return true;
 }
 
 bool SwsQueue::try_acquire(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  if (o.head_abs != o.split_abs) return false;  // local work remains
+  auto& l = local(ctx);
+  if (l.head_abs != l.split_abs) return false;  // local work remains
   if (!shared_available(ctx)) return false;
 
   // The swap inside retire_allotment is authoritative: thieves may have
@@ -249,17 +225,27 @@ bool SwsQueue::try_acquire(pgas::PeContext& ctx) {
     // Pull the upper half back into the local portion; the lower half
     // becomes the new (smaller) allotment.
     const std::uint32_t take = (unclaimed + 1) / 2;
-    o.split_abs -= take;
+    l.split_abs -= take;
     took = true;
-    ++o.stats.acquires;
+    ++l.stats.acquires;
   }
   o.alloc_base_abs = claim_end;
-  publish(ctx, static_cast<std::uint32_t>(o.split_abs - claim_end));
+  publish(ctx, static_cast<std::uint32_t>(l.split_abs - claim_end));
   return took;
+}
+
+void SwsQueue::renew_allotment(pgas::PeContext& ctx) {
+  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  const std::uint32_t claimed = retire_allotment(ctx);
+  const std::uint64_t claim_end =
+      o.alloc_base_abs + steal_block_offset(o.itasks, claimed);
+  o.alloc_base_abs = claim_end;
+  publish(ctx, static_cast<std::uint32_t>(local(ctx).split_abs - claim_end));
 }
 
 void SwsQueue::progress(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  auto& l = local(ctx);
   // Wraparound protection (owner half): once the asteals counter runs hot
   // — a probe storm against a long-lived allotment — retire it and
   // republish the unclaimed remainder, which resets asteals to 0 long
@@ -277,12 +263,8 @@ void SwsQueue::progress(pgas::PeContext& ctx) {
       o.asteals_seen = sv.asteals;
     }
     if (!sv.locked() && sv.asteals >= kAStealsRenewAt) {
-      const std::uint32_t claimed = retire_allotment(ctx);
-      const std::uint64_t claim_end =
-          o.alloc_base_abs + steal_block_offset(o.itasks, claimed);
-      o.alloc_base_abs = claim_end;
-      publish(ctx, static_cast<std::uint32_t>(o.split_abs - claim_end));
-      ++o.stats.renews;
+      renew_allotment(ctx);
+      ++l.stats.renews;
     }
   }
   // Retired allotments reclaim in order; within one, only the finished
@@ -291,8 +273,8 @@ void SwsQueue::progress(pgas::PeContext& ctx) {
     const AllotmentRecord& rec = o.outstanding.front();
     const std::uint32_t prefix =
         completion_.finished_prefix(ctx, rec.epoch, rec.claimed_blocks);
-    o.reclaim_abs = std::max(
-        o.reclaim_abs, rec.base_abs + steal_block_offset(rec.itasks, prefix));
+    l.reclaim_abs = std::max(
+        l.reclaim_abs, rec.base_abs + steal_block_offset(rec.itasks, prefix));
     if (prefix < rec.claimed_blocks) return;  // oldest epoch still pending
     o.outstanding.pop_front();
   }
@@ -302,16 +284,17 @@ void SwsQueue::progress(pgas::PeContext& ctx) {
     const std::uint32_t nblocks = steal_block_count(o.itasks);
     const std::uint32_t prefix = completion_.finished_prefix(
         ctx, o.epoch, std::min(nblocks, CompletionSpace::kSlotsPerEpoch));
-    o.reclaim_abs =
-        std::max(o.reclaim_abs,
+    l.reclaim_abs =
+        std::max(l.reclaim_abs,
                  o.alloc_base_abs + steal_block_offset(o.itasks, prefix));
   } else {
-    o.reclaim_abs = std::max(o.reclaim_abs, o.alloc_base_abs);
+    l.reclaim_abs = std::max(l.reclaim_abs, o.alloc_base_abs);
   }
 }
 
 std::uint32_t SwsQueue::fence_dead_claims(pgas::PeContext& ctx) {
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  auto& l = local(ctx);
   std::uint32_t fenced = 0;
   // Every record here was retired before this wait began, so each of its
   // claims is at least one full lease old; with pending-to-us drained, an
@@ -327,19 +310,19 @@ std::uint32_t SwsQueue::fence_dead_claims(pgas::PeContext& ctx) {
       if (completion_.read(ctx, rec.epoch, b) != 0) continue;
       const StealBlock blk = steal_block(rec.itasks, b);
       for (std::uint32_t i = 0; i < blk.size; ++i)
-        o.recovered.push_back(
+        l.recovered.push_back(
             buffer_.read_local(ctx, rec.base_abs + blk.offset + i));
       completion_.force_finished(ctx, rec.epoch, b, blk.size);
       ++fenced;
-      ++o.stats.leases_broken;
-      o.stats.tasks_recovered += blk.size;
+      ++l.stats.leases_broken;
+      l.stats.tasks_recovered += blk.size;
     }
   }
   return fenced;
 }
 
 void SwsQueue::fence_dead(pgas::PeContext& ctx) {
-  if (recovery_ == nullptr || !ctx.fabric().crashes_planned()) return;
+  if (!crash_mode(ctx)) return;
   auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
   progress(ctx);
   const StealVal sv = owner_stealval(ctx);
@@ -349,13 +332,7 @@ void SwsQueue::fence_dead(pgas::PeContext& ctx) {
   // Claims on the live allotment only become fenceable records once the
   // allotment is retired; republish the unclaimed remainder (renew-style)
   // so thieves keep their access to it.
-  if (live_claims) {
-    const std::uint32_t claimed = retire_allotment(ctx);
-    const std::uint64_t claim_end =
-        o.alloc_base_abs + steal_block_offset(o.itasks, claimed);
-    o.alloc_base_abs = claim_end;
-    publish(ctx, static_cast<std::uint32_t>(o.split_abs - claim_end));
-  }
+  if (live_claims) renew_allotment(ctx);
   if (o.outstanding.empty()) return;
 
   // Age every remaining claim past the lease before fencing: a live thief
@@ -366,7 +343,7 @@ void SwsQueue::fence_dead(pgas::PeContext& ctx) {
   const net::Nanos until = ctx.now() + recovery_->config().lease_ns;
   while (ctx.now() < until) {
     ctx.compute(kEpochPollNs);
-    o.stats.acquire_poll_ns += kEpochPollNs;
+    local(ctx).stats.acquire_poll_ns += kEpochPollNs;
   }
   while (ctx.fabric().pending_to(ctx.pe()) > 0)
     ctx.compute(kEpochPollNs);
@@ -386,16 +363,6 @@ bool SwsQueue::claims_open(pgas::PeContext& ctx) const {
   return completion_.finished_prefix(ctx, o.epoch, claimed) < claimed;
 }
 
-std::uint32_t SwsQueue::take_recovered(pgas::PeContext& ctx,
-                                       std::vector<Task>& out) {
-  auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
-  if (o.recovered.empty()) return 0;
-  const auto n = static_cast<std::uint32_t>(o.recovered.size());
-  out.insert(out.end(), o.recovered.begin(), o.recovered.end());
-  o.recovered.clear();
-  return n;
-}
-
 // ------------------------------------------------------------ thief side
 
 bool SwsQueue::has_work(const StealVal& sv) noexcept {
@@ -409,7 +376,7 @@ bool SwsQueue::has_work(const StealVal& sv) noexcept {
 StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
                             std::vector<Task>& out) {
   SWS_ASSERT(victim != thief.pe());
-  auto& st = owners_[static_cast<std::size_t>(thief.pe())].stats;
+  auto& st = local(thief).stats;
   auto& fab = thief.fabric();
   auto& tstate = thieves_[static_cast<std::size_t>(thief.pe())];
   auto& mode = tstate.empty_mode[static_cast<std::size_t>(victim)];
@@ -467,11 +434,9 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
   // reads as the sentinel), so without the raw-word checks below a dead
   // victim would look permanently busy and the thief would retry forever.
   // kPeerDead instead evicts the victim from the steal set for good.
-  auto dead_victim = [&]() -> StealResult {
-    if (recovery_ != nullptr) recovery_->note_dead(thief.pe(), victim);
+  auto dead_victim = [&] {
     shrink_claim();
-    ++st.steals_dead;
-    return {StealOutcome::kPeerDead, 0};
+    return TaskQueue::dead_victim(thief, victim);
   };
 
   if (mode != 0) {
@@ -567,12 +532,9 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
   return {StealOutcome::kSuccess, ntasks, 0, k};
 }
 
-const QueueOpStats& SwsQueue::op_stats(int pe) const {
-  return owners_[static_cast<std::size_t>(pe)].stats;
-}
-
 std::string SwsQueue::audit(pgas::PeContext& ctx) const {
   const auto& o = owners_[static_cast<std::size_t>(ctx.pe())];
+  const auto& l = local(ctx);
   auto bad = [&](const char* what, std::uint64_t a, std::uint64_t b) {
     return std::string("sws audit: ") + what + " (" + std::to_string(a) +
            " vs " + std::to_string(b) + ")";
@@ -581,17 +543,17 @@ std::string SwsQueue::audit(pgas::PeContext& ctx) const {
   // Ring geometry: reclaim <= live allotment base <= split <= head, the
   // allotment is exactly [alloc_base, split), and the whole occupied span
   // fits in the ring.
-  if (o.reclaim_abs > o.split_abs)
-    return bad("reclaim past split", o.reclaim_abs, o.split_abs);
-  if (o.alloc_base_abs > o.split_abs)
-    return bad("alloc_base past split", o.alloc_base_abs, o.split_abs);
-  if (o.split_abs > o.head_abs)
-    return bad("split past head", o.split_abs, o.head_abs);
-  if (o.alloc_base_abs + o.itasks != o.split_abs)
+  if (l.reclaim_abs > l.split_abs)
+    return bad("reclaim past split", l.reclaim_abs, l.split_abs);
+  if (o.alloc_base_abs > l.split_abs)
+    return bad("alloc_base past split", o.alloc_base_abs, l.split_abs);
+  if (l.split_abs > l.head_abs)
+    return bad("split past head", l.split_abs, l.head_abs);
+  if (o.alloc_base_abs + o.itasks != l.split_abs)
     return bad("allotment size inconsistent with split",
-               o.alloc_base_abs + o.itasks, o.split_abs);
-  if (o.head_abs - o.reclaim_abs > buffer_.capacity())
-    return bad("occupied span exceeds capacity", o.head_abs - o.reclaim_abs,
+               o.alloc_base_abs + o.itasks, l.split_abs);
+  if (l.head_abs - l.reclaim_abs > buffer_.capacity())
+    return bad("occupied span exceeds capacity", l.head_abs - l.reclaim_abs,
                buffer_.capacity());
 
   // Outstanding retired allotments: well-formed records, disjoint and in
@@ -615,9 +577,9 @@ std::string SwsQueue::audit(pgas::PeContext& ctx) const {
       return bad("outstanding records overlap", rec.base_abs, prev_end);
     prev_end = rec.claimed_end_abs();
     if (oldest) {
-      if (o.reclaim_abs > rec.claimed_end_abs())
+      if (l.reclaim_abs > rec.claimed_end_abs())
         return bad("reclaim past the oldest outstanding record",
-                   o.reclaim_abs, rec.claimed_end_abs());
+                   l.reclaim_abs, rec.claimed_end_abs());
       oldest = false;
     }
   }

@@ -49,12 +49,6 @@ class SwsQueue final : public TaskQueue {
   explicit SwsQueue(pgas::Runtime& rt, const QueueConfig& queue,
                     SwsConfig cfg = {});
 
-  QueueKind kind() const noexcept override { return QueueKind::kSws; }
-  void reset_pe(pgas::PeContext& ctx) override;
-
-  bool push_local(pgas::PeContext& ctx, const Task& t) override;
-  bool pop_local(pgas::PeContext& ctx, Task& out) override;
-  std::uint32_t local_count(pgas::PeContext& ctx) const override;
   bool shared_available(pgas::PeContext& ctx) const override;
   bool try_release(pgas::PeContext& ctx) override;
   bool try_acquire(pgas::PeContext& ctx) override;
@@ -63,18 +57,10 @@ class SwsQueue final : public TaskQueue {
   StealResult steal(pgas::PeContext& thief, int victim,
                     std::vector<Task>& out) override;
 
-  void attach_recovery(DeathRegistry* registry) override {
-    recovery_ = registry;
-  }
-  std::uint32_t take_recovered(pgas::PeContext& ctx,
-                               std::vector<Task>& out) override;
   void fence_dead(pgas::PeContext& ctx) override;
   bool claims_open(pgas::PeContext& ctx) const override;
 
-  const QueueOpStats& op_stats(int pe) const override;
   std::string audit(pgas::PeContext& ctx) const override;
-  const SwsConfig& config() const noexcept { return cfg_; }
-  const QueueConfig& queue_config() const noexcept { return qcfg_; }
 
   /// Owner's decoded view of its own stealval (for tests/diagnostics).
   StealVal owner_stealval(pgas::PeContext& ctx) const;
@@ -83,23 +69,17 @@ class SwsQueue final : public TaskQueue {
   pgas::SymPtr stealval_ptr() const noexcept { return stealval_; }
 
  private:
+  /// Per-PE protocol state beyond the shared local half.
   struct alignas(64) OwnerState {
-    std::uint64_t head_abs = 0;
-    std::uint64_t split_abs = 0;       ///< local portion starts here
     std::uint64_t alloc_base_abs = 0;  ///< live allotment's first task
     std::uint32_t itasks = 0;          ///< live allotment size
     std::uint32_t epoch = 0;
-    std::uint64_t reclaim_abs = 0;
     std::deque<AllotmentRecord> outstanding;
-    /// Tasks fenced off from dead thieves' unfinished claims, awaiting
-    /// re-publication by the scheduler (crash-mode runs only).
-    std::vector<Task> recovered;
     /// Steal-pressure tracking (bulk mode only): last asteals value sampled
     /// from the live allotment, and attempts accumulated since the last
     /// release — high pressure makes the next release expose more.
     std::uint32_t asteals_seen = 0;
     std::uint32_t pressure = 0;
-    QueueOpStats stats;
   };
   /// Thief-side damping state, one row per thief (padded against false
   /// sharing), one entry per potential victim.
@@ -121,6 +101,8 @@ class SwsQueue final : public TaskQueue {
     std::uint8_t claim_size = 1;
   };
 
+  void reset_shared(pgas::PeContext& ctx) override;
+
   /// True when the decoded value offers an unclaimed block.
   static bool has_work(const StealVal& sv) noexcept;
 
@@ -130,23 +112,23 @@ class SwsQueue final : public TaskQueue {
   std::uint32_t retire_allotment(pgas::PeContext& ctx);
   /// Publish a fresh allotment (must follow retire_allotment).
   void publish(pgas::PeContext& ctx, std::uint32_t itasks);
+  /// Retire the live allotment and republish its unclaimed remainder, so
+  /// asteals restarts at 0 and the claimed blocks become retired records.
+  void renew_allotment(pgas::PeContext& ctx);
 
   /// Crash recovery, owner side: for every unfinished claim in the retired
-  /// records, copy the block's tasks into OwnerState::recovered and
+  /// records, copy the block's tasks into LocalHalf::recovered and
   /// force-finish its completion slot so reclaim can proceed. Only valid
   /// once the owner has witnessed a death, drained pending traffic to
   /// itself, and waited out the detection lease (see retire_allotment).
   /// Returns the number of claims fenced.
   std::uint32_t fence_dead_claims(pgas::PeContext& ctx);
 
-  QueueConfig qcfg_;
   SwsConfig cfg_;
   pgas::SymPtr stealval_;
   CompletionSpace completion_;
-  QueueBuffer buffer_;
   std::vector<OwnerState> owners_;
   std::vector<ThiefState> thieves_;
-  DeathRegistry* recovery_ = nullptr;  ///< crash-mode runs only
 };
 
 }  // namespace sws::core

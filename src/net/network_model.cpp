@@ -39,16 +39,8 @@ LinkParams LinkParams::scaled(double factor) const noexcept {
   return s;
 }
 
-NetworkParams NetworkParams::two_level(int pes_per_node, double intra_scale,
-                                       double intra_bandwidth) {
-  NetworkParams p;
-  if (pes_per_node <= 0) return p;
-  p.topology = TopologySpec::two_level(pes_per_node);
-  const LinkParams inter{};
-  LinkParams intra = inter.scaled(intra_scale);
-  intra.bandwidth = intra_bandwidth;
-  p.links = {intra, inter};
-  return p;
+NetworkParams NetworkParams::two_level(int pes_per_node) {
+  return tiered(TopologySpec::two_level(pes_per_node));
 }
 
 NetworkParams NetworkParams::tiered(TopologySpec spec, double step_scale,

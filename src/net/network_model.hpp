@@ -57,16 +57,15 @@ struct NetworkParams {
 
   /// Flat single-tier fabric with the EDR-class defaults (== {}).
   static NetworkParams flat() noexcept { return {}; }
-  /// Two-level fabric: unbounded nodes of `pes_per_node` PEs. Intra-node
-  /// links are derived from the inter-node defaults: latencies scaled by
-  /// `intra_scale` (shared-memory ops ~200 ns vs 1.5 µs) at
-  /// `intra_bandwidth` B/ns. pes_per_node <= 0 degrades to flat().
-  static NetworkParams two_level(int pes_per_node, double intra_scale = 0.15,
-                                 double intra_bandwidth = 40.0);
+  /// Two-level fabric: unbounded nodes of `pes_per_node` PEs, i.e.
+  /// tiered(TopologySpec::two_level(pes_per_node)). Intra-node links run
+  /// at 0.15x the inter-node latencies (shared-memory ops ~200 ns vs
+  /// 1.5 µs) and 40 B/ns. pes_per_node <= 0 degrades to flat().
+  static NetworkParams two_level(int pes_per_node);
   /// N-tier fabric over `spec`: tier links derived from the defaults with
   /// geometric scaling — each step inward scales latency by `step_scale`
-  /// and bandwidth by `step_bandwidth`, so tiered(two_level spec) ==
-  /// two_level(n). Outermost tier keeps the flat defaults.
+  /// and bandwidth by `step_bandwidth`. Outermost tier keeps the flat
+  /// defaults.
   static NetworkParams tiered(TopologySpec spec, double step_scale = 0.15,
                               double step_bandwidth = 3.2);
 

@@ -64,7 +64,7 @@ core::PoolConfig pcfg(core::QueueKind kind) {
   return c;
 }
 
-/// The ~27k-node tree from Integration.TaskConservationAtScale, slowed to
+/// The 98,109-node tree from Integration.TaskConservationAtScale, slowed to
 /// 500 ns per node so a 16-PE run lasts >= 800 µs and every planned crash
 /// in this file lands mid-run, well after the startup barriers.
 workloads::UtsParams crash_uts_params() {

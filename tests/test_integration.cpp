@@ -99,7 +99,7 @@ TEST(Integration, SwsSearchIsCheaperPerAttempt) {
 }
 
 TEST(Integration, TaskConservationAtScale) {
-  // 32 PEs, a ~27k-node tree: every node visited exactly once, on both
+  // 32 PEs, a 98,109-node tree: every node visited exactly once, on both
   // queues, with heavy concurrent stealing.
   workloads::UtsParams p;
   p.b0 = 6;

@@ -1,6 +1,7 @@
 // Behaviour shared by both queue implementations (SDC baseline and SWS),
 // run against each via TEST_P: local LIFO semantics, release/acquire
-// geometry, steal-half volumes, content integrity, and ring reclaim.
+// geometry, steal-half volumes, content integrity, ring reclaim, and the
+// per-run reset of the local half.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -293,6 +294,43 @@ TEST_P(QueueCommon, OpStatsTrackSteals) {
   EXPECT_EQ(s.steals_ok, 2u);
   EXPECT_EQ(s.tasks_stolen, 2u + 1u);  // 4 shared → blocks {2,1,1}
   EXPECT_EQ(q->op_stats(0).releases, 1u);
+}
+
+TEST_P(QueueCommon, ResetPeStartsFromAnEmptyLocalHalf) {
+  // The local half (cursors, recovered tasks, op counters) is reset by the
+  // base for either protocol: after a run that pushed, released and lost
+  // a steal, reset_pe must leave nothing behind on owner or thief.
+  pgas::Runtime rt(rcfg(2));
+  auto q = make_queue(rt, GetParam());
+  rt.run([&](pgas::PeContext& ctx) {
+    q->reset_pe(ctx);
+    if (ctx.pe() == 0) {
+      for (std::uint32_t i = 0; i < 8; ++i) (void)q->push_local(ctx, mk(i));
+      ASSERT_TRUE(q->try_release(ctx));
+    }
+    ctx.barrier();
+    if (ctx.pe() == 1) {
+      std::vector<Task> loot;
+      ASSERT_EQ(q->steal(ctx, 0, loot).outcome, StealOutcome::kSuccess);
+      for (const Task& t : loot) ASSERT_TRUE(q->push_local(ctx, t));
+      ctx.quiet();
+    }
+    ctx.barrier();
+    EXPECT_GT(q->local_count(ctx), 0u);
+    EXPECT_NE(q->op_stats(ctx.pe()), QueueOpStats{});
+    ctx.barrier();
+
+    q->reset_pe(ctx);
+    ctx.barrier();
+    EXPECT_EQ(q->local_count(ctx), 0u);
+    Task t;
+    EXPECT_FALSE(q->pop_local(ctx, t));
+    EXPECT_EQ(q->op_stats(ctx.pe()), QueueOpStats{});
+    std::vector<Task> rec;
+    EXPECT_EQ(q->take_recovered(ctx, rec), 0u);
+    EXPECT_TRUE(rec.empty());
+    EXPECT_EQ(q->audit(ctx), "");
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(BothQueues, QueueCommon,
