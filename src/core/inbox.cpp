@@ -129,30 +129,22 @@ std::uint32_t TaskInbox::reroute_dead(pgas::PeContext& sender, int target,
   return n;
 }
 
-std::uint32_t TaskInbox::drain(pgas::PeContext& owner,
-                               const std::function<void(const Task&)>& sink) {
-  const std::uint64_t drained_ptr = base_.off + kDrainedOff;
-  std::uint64_t drained = owner.local_load(pgas::SymPtr{drained_ptr});
-  std::uint32_t n = 0;
-  for (;;) {
-    const std::uint64_t tag_off = slot_off(drained);
-    const std::uint64_t tag = owner.local_load(base_.plus(tag_off));
-    if (tag != drained + 1) break;  // next-in-order task not published yet
-    const Task t = Task::deserialize(owner.local(base_, tag_off + 8),
-                                     slot_bytes_);
-    // Clear the tag before advancing so the slot is reusable one full
-    // ring later.
-    std::atomic_ref<std::uint64_t>(
-        *reinterpret_cast<std::uint64_t*>(owner.local(base_, tag_off)))
-        .store(0, std::memory_order_seq_cst);
-    ++drained;
-    std::atomic_ref<std::uint64_t>(
-        *reinterpret_cast<std::uint64_t*>(owner.local(pgas::SymPtr{drained_ptr})))
-        .store(drained, std::memory_order_seq_cst);
-    sink(t);
-    ++n;
-  }
-  return n;
+bool TaskInbox::take_next(pgas::PeContext& owner, Task& out) {
+  const pgas::SymPtr drained_ptr = base_.plus(kDrainedOff);
+  const std::uint64_t drained = owner.local_load(drained_ptr);
+  const std::uint64_t tag_off = slot_off(drained);
+  const std::uint64_t tag = owner.local_load(base_.plus(tag_off));
+  if (tag != drained + 1) return false;  // next-in-order task not published
+  out = Task::deserialize(owner.local(base_, tag_off + 8), slot_bytes_);
+  // Clear the tag before advancing so the slot is reusable one full ring
+  // later.
+  std::atomic_ref<std::uint64_t>(
+      *reinterpret_cast<std::uint64_t*>(owner.local(base_, tag_off)))
+      .store(0, std::memory_order_seq_cst);
+  std::atomic_ref<std::uint64_t>(
+      *reinterpret_cast<std::uint64_t*>(owner.local(drained_ptr)))
+      .store(drained + 1, std::memory_order_seq_cst);
+  return true;
 }
 
 bool TaskInbox::looks_empty(pgas::PeContext& owner) const {

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -60,10 +59,19 @@ class TaskInbox {
   std::uint32_t remote_push(pgas::PeContext& sender, int target,
                             std::span<const Task> tasks);
 
-  /// Owner: consume every published task in sequence order.
-  /// Returns the number drained.
-  std::uint32_t drain(pgas::PeContext& owner,
-                      const std::function<void(const Task&)>& sink);
+  /// Owner: consume every published task in sequence order, handing each
+  /// to `sink(const Task&)`. Returns the number drained. A template so the
+  /// scheduler's per-poll call builds no std::function.
+  template <class Sink>
+  std::uint32_t drain(pgas::PeContext& owner, Sink&& sink) {
+    std::uint32_t n = 0;
+    Task t;
+    while (take_next(owner, t)) {
+      sink(std::as_const(t));
+      ++n;
+    }
+    return n;
+  }
 
   /// Owner: tasks currently published but not yet drained (approximate —
   /// senders may be mid-publish).
@@ -85,6 +93,10 @@ class TaskInbox {
   static constexpr std::uint64_t kReserveOff = 0;
   static constexpr std::uint64_t kDrainedOff = 8;
   static constexpr std::uint64_t kSlotsOff = 16;
+
+  /// Owner: consume the next published task in sequence order into `out`;
+  /// false when it is not published yet.
+  bool take_next(pgas::PeContext& owner, Task& out);
 
   std::uint64_t slot_off(std::uint64_t seq) const noexcept {
     return kSlotsOff + (seq % capacity_) * (8 + slot_bytes_);

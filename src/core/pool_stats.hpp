@@ -47,6 +47,11 @@ struct WorkerStats {
   net::Nanos search_time_ns = 0;     ///< failed attempts + inter-attempt backoff
   net::Nanos term_check_ns = 0;      ///< time in termination detection
   net::Nanos compute_time_ns = 0;    ///< task bodies (charged compute)
+  /// Owner polls actually run: work-loop passes that re-ran progress, the
+  /// inbox drain and the shared-half read, plus inbox drains between steal
+  /// attempts. Passes with nothing landed since skip them (crash mode
+  /// never skips).
+  std::uint64_t owner_polls = 0;
   net::Nanos run_time_ns = 0;        ///< this PE's whole-run time
   /// Exhaustive phase taxonomy (see PoolPhase): indexed by category, sums
   /// exactly to the elapsed time between run_pe entry and teardown
@@ -80,6 +85,7 @@ struct WorkerStats {
     search_time_ns += o.search_time_ns;
     term_check_ns += o.term_check_ns;
     compute_time_ns += o.compute_time_ns;
+    owner_polls += o.owner_polls;
     run_time_ns = run_time_ns > o.run_time_ns ? run_time_ns : o.run_time_ns;
     for (std::size_t i = 0; i < phase_ns.size(); ++i)
       phase_ns[i] += o.phase_ns[i];

@@ -376,20 +376,46 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
   };
   const auto ok_end = [](bool ok) { return SpanEnd{ok ? 1u : 0u}; };
 
+  // Poll elision (docs/performance.md, "Owner polls"). progress(), the
+  // inbox drain and shared_available() read only this PE's memory, which
+  // changes only when a remote effect lands (Fabric::landed) or through
+  // the owner's own shared-half ops. So a poll whose landed count matches
+  // the last one's, with no own op since, would find nothing new: skip
+  // it. `polled_at` covers the loop-top poll, `drained_at` the inbox
+  // alone; kRepoll forces the next poll. Release and acquire attempts set
+  // it, and an acquire attempt precedes every search, so the pass after a
+  // search (steal loot included) polls too. Crash mode polls every time:
+  // its stall trackers and fencing in progress() are paced by time.
+  constexpr std::uint64_t kRepoll = ~std::uint64_t{0};
+  std::uint64_t polled_at = kRepoll;
+  std::uint64_t drained_at = kRepoll;
+  const auto must_poll = [&](std::uint64_t& at) {
+    const std::uint64_t n = ctx.fabric().landed(ctx.pe());
+    if (!crash_mode && n == at) return false;
+    at = n;
+    ++w.stats_.owner_polls;
+    return true;
+  };
+  bool shared = false;  // shared_available() at the last loop-top poll
+
   bool done = false;
   while (!done) {
     set_phase(PoolPhase::kWorking);
-    queue_->progress(ctx);
-    drain_inbox(w);
-    // Owner-side fencing inside queue wait loops can surface recovered
-    // tasks at any progress point; fold them back in before working.
-    if (crash_mode) drain_recovered(w);
+    if (must_poll(polled_at)) {
+      queue_->progress(ctx);
+      drained_at = polled_at;
+      drain_inbox(w);
+      // Owner-side fencing inside queue wait loops can surface recovered
+      // tasks at any progress point; fold them back in before working.
+      if (crash_mode) drain_recovered(w);
+      shared = queue_->shared_available(ctx);
+    }
 
     // Release: shared portion exhausted but local work remains (paper §3).
-    if (!queue_->shared_available(ctx) &&
-        queue_->local_count(ctx) >= kReleaseThreshold) {
+    if (!shared && queue_->local_count(ctx) >= kReleaseThreshold) {
       in_span(TraceKind::kReleaseSpan, 0,
               [&] { return queue_->try_release(ctx); }, ok_end);
+      polled_at = kRepoll;
     }
 
     if (queue_->pop_local(ctx, t)) {
@@ -403,9 +429,11 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
       }
       continue;
     }
-    if (in_span(TraceKind::kAcquireSpan, 0,
-                [&] { return queue_->try_acquire(ctx); }, ok_end))
-      continue;
+    const bool acquired = in_span(
+        TraceKind::kAcquireSpan, 0, [&] { return queue_->try_acquire(ctx); },
+        ok_end);
+    polled_at = kRepoll;
+    if (acquired) continue;
 
     // Out of local and own-shared work: search the system. Successful
     // attempts count as steal time, failures as search time (§5.3).
@@ -418,7 +446,7 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
     set_phase(PoolPhase::kProbing);
     while (true) {
       // Remotely-spawned tasks may land while we search.
-      if (drain_inbox(w) > 0) break;
+      if (must_poll(drained_at) && drain_inbox(w) > 0) break;
 
       if (crash_mode && recovery_->known_count(ctx.pe()) > 0) {
         trace_new_deaths();
@@ -680,6 +708,9 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
              [](const WorkerStats& s) { return s.term_check_ns; });
   set_worker("pool.compute_time_ns", "charged task compute",
              [](const WorkerStats& s) { return s.compute_time_ns; });
+  set_worker("pool.owner_polls",
+             "owner polls run; a pass with nothing landed skips its poll",
+             [](const WorkerStats& s) { return s.owner_polls; });
   // Exhaustive phase taxonomy: per PE the categories sum exactly to
   // pool.phase.accounted_ns (docs/observability.md).
   for (std::size_t c = 0; c < kNumPoolPhases; ++c) {

@@ -39,6 +39,7 @@ void Fabric::apply_top() {
   const int target = top.target;
   pending_.pop();
   apply_effect(effect);
+  ++arenas_[static_cast<std::size_t>(target)].landed;
   --pending_per_pe_[static_cast<std::size_t>(initiator)];
   --pending_per_target_[static_cast<std::size_t>(target)];
 }
@@ -137,7 +138,9 @@ void Fabric::mark_dead(int pe) {
 
 void Fabric::register_arena(int pe, std::byte* base, std::size_t size) {
   SWS_CHECK(pe >= 0 && pe < npes(), "arena PE out of range");
-  arenas_[static_cast<std::size_t>(pe)] = Arena{base, size};
+  Arena& a = arenas_[static_cast<std::size_t>(pe)];
+  a.base = base;
+  a.size = size;
 }
 
 std::byte* Fabric::translate(int target, std::uint64_t offset,
@@ -228,7 +231,7 @@ void Fabric::put(int initiator, int target, std::uint64_t offset,
                  const void* src, std::size_t n) {
   note_op(initiator, target, OpKind::kPut, offset);
   charge(initiator, target, OpKind::kPut, n);
-  if (effect_suppressed(initiator, target)) return;
+  if (write_suppressed(initiator, target)) return;
   std::memcpy(translate(target, offset, n), src, n);
   stats_[static_cast<std::size_t>(initiator)].s.bytes_put += n;
 }
@@ -250,7 +253,7 @@ std::uint64_t Fabric::amo_fetch_add(int initiator, int target,
                                     std::uint64_t value) {
   note_op(initiator, target, OpKind::kAmoFetchAdd, offset);
   charge(initiator, target, OpKind::kAmoFetchAdd, 8);
-  if (effect_suppressed(initiator, target)) return kDeadFetchValue;
+  if (write_suppressed(initiator, target)) return kDeadFetchValue;
   return std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
       .fetch_add(value, std::memory_order_seq_cst);
 }
@@ -261,7 +264,7 @@ std::uint64_t Fabric::amo_compare_swap(int initiator, int target,
                                        std::uint64_t desired) {
   note_op(initiator, target, OpKind::kAmoCompareSwap, offset);
   charge(initiator, target, OpKind::kAmoCompareSwap, 8);
-  if (effect_suppressed(initiator, target)) return kDeadFetchValue;
+  if (write_suppressed(initiator, target)) return kDeadFetchValue;
   std::uint64_t e = expected;
   std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
       .compare_exchange_strong(e, desired, std::memory_order_seq_cst);
@@ -272,7 +275,7 @@ std::uint64_t Fabric::amo_swap(int initiator, int target, std::uint64_t offset,
                                std::uint64_t value) {
   note_op(initiator, target, OpKind::kAmoSwap, offset);
   charge(initiator, target, OpKind::kAmoSwap, 8);
-  if (effect_suppressed(initiator, target)) return kDeadFetchValue;
+  if (write_suppressed(initiator, target)) return kDeadFetchValue;
   return std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
       .exchange(value, std::memory_order_seq_cst);
 }
@@ -290,7 +293,7 @@ void Fabric::amo_set(int initiator, int target, std::uint64_t offset,
                      std::uint64_t value) {
   note_op(initiator, target, OpKind::kAmoSet, offset);
   charge(initiator, target, OpKind::kAmoSet, 8);
-  if (effect_suppressed(initiator, target)) return;
+  if (write_suppressed(initiator, target)) return;
   std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
       .store(value, std::memory_order_seq_cst);
 }

@@ -160,6 +160,18 @@ class Fabric {
   /// them before reusing it (SWS epoch recycle under duplication).
   int pending_to(int pe) const;
 
+  /// Count of memory effects other PEs have applied to `pe`'s arena: +1
+  /// per blocking put or write-class AMO from another PE, applied in the
+  /// same event as its effect, and +1 per nbi delivery to `pe` (each copy
+  /// of a duplicate; self-targeted ones too, since they land
+  /// asynchronously). Reads, `pe`'s own blocking ops, nbi issue and
+  /// effects suppressed on a dead target leave it alone. So while it
+  /// reads unchanged, `pe`'s memory holds nothing new from anyone else:
+  /// the scheduler skips owner polls on that (DESIGN.md §5).
+  std::uint64_t landed(int pe) const noexcept {
+    return arenas_[static_cast<std::size_t>(pe)].landed;
+  }
+
   // --- crash-stop failures ----------------------------------------------
   /// Any CrashEvents in the plan? Constant over the fabric's lifetime;
   /// consumers gate every resilience code path on it so crash-free runs
@@ -234,6 +246,9 @@ class Fabric {
   struct Arena {
     std::byte* base = nullptr;
     std::size_t size = 0;
+    /// landed(): kept beside base/size, which a blocking write's address
+    /// translation reads anyway.
+    std::uint64_t landed = 0;
   };
   struct PendingOp {
     Nanos deadline;
@@ -268,6 +283,15 @@ class Fabric {
     if (alive(target)) return false;
     ++stats_[static_cast<std::size_t>(initiator)].s.dead_target_ops;
     return true;
+  }
+  /// effect_suppressed() for ops that write the target: when the effect
+  /// lands on another PE, count it toward landed(target). Returns true
+  /// when the effect must be suppressed.
+  bool write_suppressed(int initiator, int target) {
+    if (effect_suppressed(initiator, target)) return true;
+    if (initiator != target)
+      ++arenas_[static_cast<std::size_t>(target)].landed;
+    return false;
   }
   /// Charge a blocking op: stats + advance; returns nothing, effect is the
   /// caller's next statement.

@@ -215,6 +215,96 @@ TEST_F(FabricTest, NewRunClearsOpLabels) {
   EXPECT_EQ(fabric_.last_op(0).target, -1);
 }
 
+TEST_F(FabricTest, LandedCountsEveryRemoteEffect) {
+  // landed(pe) is what lets an owner skip a poll (DESIGN.md §5): it must
+  // rise once per remote write and per nbi delivery, and never otherwise.
+  run([&](int pe) {
+    if (pe != 0) return;
+    std::uint64_t expect1 = 0;
+    const auto expect = [&](std::uint64_t own, const char* what) {
+      EXPECT_EQ(fabric_.landed(1), expect1) << what;
+      EXPECT_EQ(fabric_.landed(0), own) << what;
+    };
+    const std::uint64_t word = 7;
+    fabric_.put(0, 1, 0, &word, sizeof(word));
+    ++expect1;
+    expect(0, "put");
+    fabric_.amo_fetch_add(0, 1, 8, 1);
+    ++expect1;
+    expect(0, "fetch-add");
+    fabric_.amo_compare_swap(0, 1, 8, 1, 2);
+    ++expect1;
+    expect(0, "compare-swap hit");
+    fabric_.amo_compare_swap(0, 1, 8, 99, 3);
+    ++expect1;
+    expect(0, "compare-swap miss");
+    fabric_.amo_swap(0, 1, 8, 4);
+    ++expect1;
+    expect(0, "swap");
+    fabric_.amo_set(0, 1, 8, 5);
+    ++expect1;
+    expect(0, "set");
+
+    // Reads leave the target's memory as it was.
+    std::uint64_t back = 0;
+    fabric_.get(0, 1, 0, &back, sizeof(back));
+    fabric_.amo_fetch(0, 1, 8);
+    expect(0, "reads");
+
+    // The PE's own tier-0 ops are its own doing, not a landing.
+    fabric_.put(0, 0, 0, &word, sizeof(word));
+    fabric_.get(0, 0, 0, &back, sizeof(back));
+    fabric_.amo_fetch_add(0, 0, 8, 1);
+    fabric_.amo_compare_swap(0, 0, 8, 1, 2);
+    fabric_.amo_swap(0, 0, 8, 3);
+    fabric_.amo_set(0, 0, 8, 4);
+    fabric_.amo_fetch(0, 0, 8);
+    expect(0, "own ops");
+
+    // An nbi op lands at delivery, not at issue; one to itself lands
+    // asynchronously too, so it counts.
+    fabric_.nbi_amo_add(0, 1, 16, 1);
+    fabric_.nbi_amo_set(0, 0, 16, 1);
+    expect(0, "nbi issue");
+    fabric_.quiet(0);
+    ++expect1;
+    expect(1, "nbi delivery");
+  });
+}
+
+TEST(FabricLanded, DuplicateDeliveriesCountAndDeadTargetsDoNot) {
+  // dup_rate 1: every nbi op lands twice. The crash event only arms crash
+  // handling (it lies past the test); the test kills PE 2 with mark_dead.
+  VirtualTimeModel tm(3);
+  NetworkParams params;
+  params.faults.dup_rate = 1.0;
+  params.faults.crashes = {{2, Nanos{1} << 50}};
+  Fabric fab(tm, NetworkModel(params), 3);
+  std::vector<std::vector<std::byte>> arenas;
+  for (int pe = 0; pe < 3; ++pe) {
+    arenas.emplace_back(256, std::byte{0});
+    fab.register_arena(pe, arenas.back().data(), 256);
+  }
+  tm.run_pes(3, [&](int pe) {
+    if (pe != 0) return;
+    fab.nbi_amo_add(0, 1, 0, 1);
+    fab.quiet(0);
+    EXPECT_EQ(fab.landed(1), 2u) << "each copy of a duplicate lands";
+
+    fab.nbi_amo_add(0, 2, 0, 1);  // in flight when PE 2 dies: dropped
+    fab.mark_dead(2);
+    const std::uint64_t word = 1;
+    fab.put(0, 2, 0, &word, sizeof(word));
+    fab.amo_fetch_add(0, 2, 8, 1);
+    fab.amo_compare_swap(0, 2, 8, 0, 1);
+    fab.amo_swap(0, 2, 8, 1);
+    fab.amo_set(0, 2, 8, 1);
+    fab.nbi_amo_add(0, 2, 8, 1);
+    fab.quiet(0);
+    EXPECT_EQ(fab.landed(2), 0u) << "effects suppressed on a dead target";
+  });
+}
+
 TEST(FabricFaults, RetransmitDelayExtendsDeliveryNotHorizon) {
   // drop_rate=1: every nbi op is lost kMaxRetransmits times and delivers
   // kMaxRetransmits × kRetransmitNs late. The sequencer's horizon must be

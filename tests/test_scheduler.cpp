@@ -5,6 +5,7 @@
 #include <atomic>
 
 #include "core/scheduler.hpp"
+#include "workloads/uts.hpp"
 
 namespace sws::core {
 namespace {
@@ -199,6 +200,88 @@ TEST_P(SchedulerBoth, TinyQueueFallsBackToInlineExecution) {
     });
   });
   EXPECT_EQ(pool.report().total.tasks_executed, fan.expected(3));
+}
+
+// Owner-poll census (docs/performance.md, "Owner polls"). The work loop
+// re-runs progress(), the inbox drain and the shared-half read only after
+// a remote effect landed on the PE or the PE ran a shared-half op of its
+// own. Nothing lands on a lone PE, so it polls at start-up, after each of
+// its releases and acquire attempts, and once in its final search.
+TEST_P(SchedulerBoth, LonePePollsOnlyAfterItsOwnSharedHalfOps) {
+  pgas::Runtime rt(rcfg(1));
+  TaskRegistry reg;
+  workloads::UtsBenchmark uts(reg, workloads::UtsParams{});
+  TaskPool pool(rt, reg, pcfg(GetParam()));
+  rt.run([&](pgas::PeContext& ctx) {
+    pool.run_pe(ctx, [&](Worker& w) { uts.seed(w); });
+  });
+  const WorkerStats& s = pool.worker_stats(0);
+  const QueueOpStats& q = pool.queue().op_stats(0);
+  EXPECT_EQ(s.tasks_executed, workloads::uts_sequential_count(uts.params()).nodes);
+  EXPECT_GT(s.owner_polls, 0u);
+  EXPECT_LE(s.owner_polls, 2 + q.releases + q.acquires);
+  EXPECT_LT(100 * s.owner_polls, s.tasks_executed) << "polled per task";
+}
+
+// A release runs only when the last poll saw the shared half exhausted,
+// so every one succeeds. A poll skipped after the PE's own release would
+// leave that view stale and re-run the release against the allotment it
+// just published, tracing a failed release span.
+TEST_P(SchedulerBoth, EveryTracedReleaseSucceeds) {
+  pgas::Runtime rt(rcfg(8));
+  TaskRegistry reg;
+  FanOut fan(reg, 4, 10'000);
+  PoolConfig pc = pcfg(GetParam());
+  pc.trace.enable = true;
+  pc.trace.events = 1 << 16;
+  TaskPool pool(rt, reg, pc);
+  rt.run([&](pgas::PeContext& ctx) {
+    pool.run_pe(ctx, [&](Worker& w) {
+      if (w.pe() == 0) w.spawn(Task::of(fan.fn, std::uint32_t{5}));
+    });
+  });
+  std::uint64_t spans = 0;
+  std::uint64_t releases = 0;
+  for (int pe = 0; pe < rt.npes(); ++pe) {
+    releases += pool.queue().op_stats(pe).releases;
+    for (const TraceEvent& e : pool.tracer().events(pe)) {
+      if (e.kind != TraceKind::kReleaseSpan || e.phase != TracePhase::kEnd)
+        continue;
+      ++spans;
+      EXPECT_EQ(e.a, 1u) << "failed release on PE " << pe << " at " << e.time;
+    }
+  }
+  EXPECT_GT(releases, 0u);
+  EXPECT_EQ(spans, releases);
+}
+
+// Crash mode polls on every pass: SDC's stall trackers and SWS's fencing
+// in progress() are paced by time, not by landings. A crash planned past
+// the end of the run arms crash mode without killing anyone; every task
+// popped in a pass then follows a poll.
+TEST_P(SchedulerBoth, CrashModePollsEveryPass) {
+  std::uint64_t polls[2] = {};
+  for (const bool crash_mode : {false, true}) {
+    pgas::RuntimeConfig c = rcfg(8);
+    if (crash_mode)
+      for (int pe = 0; pe < c.npes; ++pe)
+        c.net.faults.crashes.push_back({pe, net::Nanos{1} << 50});
+    pgas::Runtime rt(c);
+    TaskRegistry reg;
+    workloads::UtsBenchmark uts(reg, workloads::UtsParams{});
+    TaskPool pool(rt, reg, pcfg(GetParam()));
+    rt.run([&](pgas::PeContext& ctx) {
+      pool.run_pe(ctx, [&](Worker& w) { uts.seed(w); });
+    });
+    ASSERT_EQ(pool.report().total.tasks_executed,
+              workloads::uts_sequential_count(uts.params()).nodes);
+    for (int pe = 0; crash_mode && pe < c.npes; ++pe) {
+      const WorkerStats& s = pool.worker_stats(pe);
+      EXPECT_GE(s.owner_polls, s.tasks_executed) << "PE " << pe;
+    }
+    polls[crash_mode] = pool.report().total.owner_polls;
+  }
+  EXPECT_LT(polls[0], polls[1]) << "crash-free runs skip polls";
 }
 
 INSTANTIATE_TEST_SUITE_P(BothQueues, SchedulerBoth,
