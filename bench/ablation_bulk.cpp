@@ -18,7 +18,6 @@
 //                   [--depth 13] [--reps 3] [--csv]
 #include <iostream>
 #include <memory>
-#include <mutex>
 
 #include "bench_common.hpp"
 
@@ -74,7 +73,6 @@ StormResult run_storm(std::uint32_t bulk, int npes, std::uint32_t tasks,
   const pgas::SymPtr counter = rt.heap().alloc(8, 8);
 
   StormResult out;
-  std::mutex mu;
   rt.fabric().reset_stats();
   rt.run([&](pgas::PeContext& ctx) {
     for (int rep = 0; rep < reps; ++rep) {
@@ -112,7 +110,6 @@ StormResult run_storm(std::uint32_t bulk, int npes, std::uint32_t tasks,
           }
           ctx.compute(400);
         }
-        std::lock_guard<std::mutex> lk(mu);
         out.drain_ms.add(static_cast<double>(ctx.now() - t0) / 1e6);
       } else {
         std::vector<core::Task> loot;

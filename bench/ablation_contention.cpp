@@ -68,8 +68,6 @@ ContentionResult run_contended(core::QueueKind kind, int thieves, int reps,
         } while (r.outcome == core::StealOutcome::kRetry);
         const net::Nanos dt = ctx.now() - t0;
         if (r.outcome == core::StealOutcome::kSuccess) {
-          static std::mutex mu;
-          std::lock_guard<std::mutex> lk(mu);
           out.per_thief_us.add(static_cast<double>(dt) / 1e3);
           out.max_us = std::max(out.max_us, static_cast<double>(dt) / 1e3);
         }

@@ -40,8 +40,6 @@ void measure(const char* name, Queue& q, pgas::Runtime& rt, Table& t) {
       (void)q.steal(ctx, 2, loot);  // PE 2 never released: a failed search
       const net::FabricStats empty = delta(ctx.fabric().stats(1), s1);
 
-      static std::mutex mu;
-      std::lock_guard<std::mutex> lk(mu);
       t.add_row({name, "successful steal", Table::num(ok.remote_ops),
                  Table::num(ok.blocking_ops()),
                  Table::num(ok.blocking_ns / 1000) + " us"});

@@ -9,7 +9,6 @@
 // sequentially (task granularity control, exactly how real task-parallel
 // N-Queens codes are written).
 #include <array>
-#include <atomic>
 #include <cstring>
 #include <iostream>
 
@@ -52,8 +51,6 @@ constexpr std::uint64_t kKnown[] = {1,   1,    0,    0,     2,     10,
                                     4,   40,   92,   352,   724,   2680,
                                     14200, 73712, 365596, 2279184, 14772512};
 
-std::atomic<std::uint64_t> g_solutions{0};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -70,6 +67,7 @@ int main(int argc, char** argv) {
   rcfg.npes = static_cast<int>(opt.get("npes", std::int64_t{8}));
   pgas::Runtime rt(rcfg);
 
+  std::uint64_t solutions = 0;
   core::TaskRegistry registry;
   core::TaskFnId fn = 0;
   fn = registry.register_fn(
@@ -79,12 +77,11 @@ int main(int argc, char** argv) {
         w.compute(500);  // charge per-node virtual cost
         if (b.row >= cutoff) {
           // Sequential tail: finish this subtree in place.
-          g_solutions.fetch_add(count_sequential(b),
-                                std::memory_order_relaxed);
+          solutions += count_sequential(b);
           return;
         }
         if (b.row == b.n) {
-          g_solutions.fetch_add(1, std::memory_order_relaxed);
+          ++solutions;
           return;
         }
         for (int col = 0; col < b.n; ++col) {
@@ -103,7 +100,6 @@ int main(int argc, char** argv) {
   pcfg.queue.slot_bytes = 32;
   core::TaskPool pool(rt, registry, pcfg);
 
-  g_solutions.store(0);
   rt.run([&](pgas::PeContext& ctx) {
     pool.run_pe(ctx, [&](core::Worker& w) {
       if (w.pe() != 0) return;
@@ -115,7 +111,6 @@ int main(int argc, char** argv) {
   });
 
   const core::PoolRunReport r = pool.report();
-  const std::uint64_t solutions = g_solutions.load();
   std::cout << "n=" << n << " solutions=" << solutions
             << " tasks=" << r.total.tasks_executed
             << " steals=" << r.total.steals_ok << " runtime="

@@ -27,8 +27,7 @@ Explorer::Explorer(const Scenario& scenario, ExploreOptions opts)
   rt_ = std::make_unique<pgas::Runtime>(rc);
   inst_ = scen_.make(*rt_);
   SWS_CHECK(inst_ != nullptr, "scenario factory returned null");
-  env_.set_on_end(
-      [this](int) { arb_.ended.fetch_add(1, std::memory_order_relaxed); });
+  env_.set_on_end([this](int) { ++arb_.ended; });
   rt_->time().set_ready_arbiter(
       [this](int caller, const std::vector<int>& ready, net::Nanos now) {
         return arbitrate(caller, ready, now);
@@ -46,7 +45,7 @@ int Explorer::arbitrate(int caller, const std::vector<int>& ready,
   // every PE has ended its script — keep the legacy lowest-id order so
   // setup and teardown stay deterministic and un-branched.
   if (now < kExploreEpochNs) return ready.front();
-  if (arb_.ended.load(std::memory_order_relaxed) >= scen_.npes)
+  if (arb_.ended >= scen_.npes)
     return ready.front();
   if (arb_.idx >= opts_.max_branch_points) return ready.front();
 
@@ -101,7 +100,7 @@ RunOutcome Explorer::exec(const std::vector<std::uint8_t>* forced,
   arb_.idx = 0;
   arb_.taken.clear();
   arb_.width.clear();
-  arb_.ended.store(0, std::memory_order_relaxed);
+  arb_.ended = 0;
   arb_.record = record_events;
   arb_.events.clear();
   env_.reset(inst_.get());

@@ -24,7 +24,6 @@
 // a human-readable trace of the fatal order.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -116,8 +115,9 @@ class Explorer {
   ScheduleTrace shrink_failing(const ScheduleTrace& failing);
   std::uint64_t schedule_seed(std::uint64_t n) const;
 
-  /// Mutable per-run arbiter state. Mutated only under the sequencer lock
-  /// (the arbiter) except `ended`, which PEs bump from end_explored.
+  /// Mutable per-run arbiter state. Mutated by the arbiter while the
+  /// sequencer picks the next PE, except `ended`, which PEs bump from
+  /// end_explored.
   struct ArbState {
     bool use_rng = false;
     SplitMix64 rng{0};
@@ -125,7 +125,7 @@ class Explorer {
     std::size_t idx = 0;
     std::vector<std::uint8_t> taken;
     std::vector<std::uint8_t> width;
-    std::atomic<int> ended{0};
+    int ended = 0;
     bool record = false;
     std::vector<std::string> events;
     std::uint64_t pruned = 0;

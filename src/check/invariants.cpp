@@ -62,22 +62,22 @@ std::string TaskLedger::check_no_loss() const {
 
 void CheckedTermination::reset_pe(pgas::PeContext& ctx) {
   if (ctx.pe() == 0) {
-    created_.store(0);
-    completed_.store(0);
-    poisoned_.store(false);
+    created_ = 0;
+    completed_ = 0;
+    poisoned_ = false;
     violation_.clear();
   }
   inner_->reset_pe(ctx);
 }
 
 void CheckedTermination::count_created(pgas::PeContext& ctx, std::uint64_t n) {
-  created_.fetch_add(n, std::memory_order_relaxed);
+  created_ += n;
   inner_->count_created(ctx, n);
 }
 
 void CheckedTermination::count_completed(pgas::PeContext& ctx,
                                          std::uint64_t n) {
-  completed_.fetch_add(n, std::memory_order_relaxed);
+  completed_ += n;
   inner_->count_completed(ctx, n);
 }
 
@@ -86,22 +86,18 @@ void CheckedTermination::task_boundary(pgas::PeContext& ctx) {
 }
 
 bool CheckedTermination::check(pgas::PeContext& ctx) {
-  if (poisoned_.load(std::memory_order_relaxed)) return true;
+  if (poisoned_) return true;
   const bool done = inner_->check(ctx);
-  if (done) {
-    const std::uint64_t c = created_.load(std::memory_order_relaxed);
-    const std::uint64_t x = completed_.load(std::memory_order_relaxed);
-    if (c != x) {
-      // Poison before recording so every other PE also drains out: a run
-      // the harness knows is broken must still finish, or the violation
-      // could never be reported.
-      violation_ = "termination: detector reported done on PE " +
-                   std::to_string(ctx.pe()) + " with " + std::to_string(c) +
-                   " created vs " + std::to_string(x) + " completed";
-      poisoned_.store(true, std::memory_order_relaxed);
-    }
+  if (done && created_ != completed_) {
+    // Poison so every other PE also drains out: a run the harness knows is
+    // broken must still finish, or the violation could never be reported.
+    violation_ = "termination: detector reported done on PE " +
+                 std::to_string(ctx.pe()) + " with " +
+                 std::to_string(created_) + " created vs " +
+                 std::to_string(completed_) + " completed";
+    poisoned_ = true;
   }
-  return done || poisoned_.load(std::memory_order_relaxed);
+  return done || poisoned_;
 }
 
 }  // namespace sws::check

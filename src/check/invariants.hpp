@@ -6,12 +6,9 @@
 // Everything here is host-side bookkeeping with no fabric traffic, so
 // instrumenting a scenario does not perturb the schedule being explored.
 // PEs are fibers on one host thread that run one at a time, handing the
-// baton over only through the sequencer, so plain containers are safe.
-// The few atomics below are not needed for that; the serialization
-// alone orders every access.
+// baton over only through the sequencer, so plain members are safe.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -86,14 +83,14 @@ class CheckedTermination final : public core::TerminationDetector {
 
   /// Violation recorded by the last run ("" = termination was sound).
   std::string violation() const { return violation_; }
-  std::uint64_t created() const { return created_.load(); }
-  std::uint64_t completed() const { return completed_.load(); }
+  std::uint64_t created() const { return created_; }
+  std::uint64_t completed() const { return completed_; }
 
  private:
   std::unique_ptr<core::TerminationDetector> inner_;
-  std::atomic<std::uint64_t> created_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<bool> poisoned_{false};
+  std::uint64_t created_ = 0;
+  std::uint64_t completed_ = 0;
+  bool poisoned_ = false;
   std::string violation_;
 };
 

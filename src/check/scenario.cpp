@@ -1,6 +1,5 @@
 #include "check/scenario.hpp"
 
-#include <cstring>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -260,8 +259,7 @@ class LostUpdate final : public ScenarioInstance {
       : word_(rt.heap().alloc(sizeof(std::uint64_t), 8)) {}
 
   void body(ScenarioEnv& env, pgas::PeContext& ctx) override {
-    if (ctx.pe() == 0)
-      std::memset(ctx.local(word_), 0, sizeof(std::uint64_t));
+    if (ctx.pe() == 0) ctx.local_store(word_, 0);
     ctx.barrier();
 
     env.begin_explored(ctx);

@@ -60,8 +60,8 @@ class ScenarioInstance {
   virtual std::string extra_violation() { return {}; }
 
   /// Optional state digest for heuristic DFS pruning (0 = unsupported).
-  /// Called under the sequencer lock: must read host memory only — no
-  /// fabric operations, no time-model calls.
+  /// Called while the sequencer picks the next PE: must read host memory
+  /// only — no fabric operations, no time-model calls.
   virtual std::uint64_t digest() const { return 0; }
 };
 

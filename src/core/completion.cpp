@@ -1,6 +1,5 @@
 #include "core/completion.hpp"
 
-#include <atomic>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -61,14 +60,12 @@ void CompletionSpace::force_finished(pgas::PeContext& owner,
                                      std::uint32_t epoch, std::uint32_t idx,
                                      std::uint32_t ntasks) const {
   SWS_ASSERT(ntasks > 0);
-  // Owner-local store, mirroring read()'s local atomic. Safe against a
+  // Owner-local store, mirroring read()'s local load. Safe against a
   // late duplicate of the dead thief's notify: the fabric dropped every
   // in-flight effect at mark_dead and suppresses all future ones, and the
   // caller drains pending_to() before fencing, so nothing else can touch
   // this slot again within the epoch.
-  std::atomic_ref<std::uint64_t>(*reinterpret_cast<std::uint64_t*>(
-                                     owner.local(slot(epoch, idx))))
-      .store(ntasks, std::memory_order_seq_cst);
+  owner.local_store(slot(epoch, idx), ntasks);
 }
 
 void CompletionSpace::clear_epoch(pgas::PeContext& owner,

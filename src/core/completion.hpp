@@ -37,7 +37,7 @@ class CompletionSpace {
   void notify_finished(pgas::PeContext& thief, int victim, std::uint32_t epoch,
                        std::uint32_t idx, std::uint32_t ntasks) const;
 
-  /// Owner side: value of a slot (plain local atomic read — the paper's
+  /// Owner side: value of a slot (plain local read — the paper's
   /// "inspected with a local atomic operation").
   std::uint64_t read(pgas::PeContext& owner, std::uint32_t epoch,
                      std::uint32_t idx) const;

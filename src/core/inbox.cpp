@@ -1,7 +1,6 @@
 #include "core/inbox.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -138,12 +137,8 @@ bool TaskInbox::take_next(pgas::PeContext& owner, Task& out) {
   out = Task::deserialize(owner.local(base_, tag_off + 8), slot_bytes_);
   // Clear the tag before advancing so the slot is reusable one full ring
   // later.
-  std::atomic_ref<std::uint64_t>(
-      *reinterpret_cast<std::uint64_t*>(owner.local(base_, tag_off)))
-      .store(0, std::memory_order_seq_cst);
-  std::atomic_ref<std::uint64_t>(
-      *reinterpret_cast<std::uint64_t*>(owner.local(drained_ptr)))
-      .store(drained + 1, std::memory_order_seq_cst);
+  owner.local_store(base_.plus(tag_off), 0);
+  owner.local_store(drained_ptr, drained + 1);
   return true;
 }
 

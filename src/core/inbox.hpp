@@ -106,7 +106,7 @@ class TaskInbox {
   /// per-target queues of {seq, task} pushed and not yet seen drained.
   /// `per_target` stays empty unless a registry is attached: P rows per PE
   /// is P² deques, far more than a crash-free run may pay for.
-  struct alignas(64) SenderLedger {
+  struct SenderLedger {
     std::vector<std::deque<std::pair<std::uint64_t, Task>>> per_target;
   };
 

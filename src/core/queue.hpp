@@ -205,7 +205,7 @@ class TaskQueue {
   /// positions are index mod capacity. [reclaim_abs, split_abs) is the
   /// shared portion with its claimed-but-unfinished prefix, and
   /// [split_abs, head_abs) the local portion.
-  struct alignas(64) LocalHalf {
+  struct LocalHalf {
     std::uint64_t head_abs = 0;
     std::uint64_t split_abs = 0;    ///< local portion starts here
     std::uint64_t reclaim_abs = 0;  ///< ring space below this is free

@@ -1,5 +1,7 @@
 #include "core/recovery.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "net/fabric.hpp"
 
@@ -9,17 +11,16 @@ void DeathRegistry::init(pgas::Runtime& rt, const RecoveryConfig& cfg) {
   cfg_ = cfg;
   npes_ = rt.npes();
   const std::size_t n = static_cast<std::size_t>(npes_);
-  flags_ = std::vector<std::atomic<std::uint8_t>>(n * n);
-  for (auto& f : flags_) f.store(0, std::memory_order_relaxed);
-  known_ = std::vector<KnownCount>(n);
+  dead_.assign(n * n, false);
+  known_.assign(n, 0);
   if (heartbeat_.is_null()) heartbeat_ = rt.heap().alloc(sizeof(std::uint64_t));
 }
 
 void DeathRegistry::reset_pe(pgas::PeContext& ctx) {
   const int me = ctx.pe();
-  for (int pe = 0; pe < npes_; ++pe)
-    flags(me, pe).store(0, std::memory_order_relaxed);
-  known_[static_cast<std::size_t>(me)].n.store(0, std::memory_order_relaxed);
+  const auto row = dead_.begin() + static_cast<std::ptrdiff_t>(index(me, 0));
+  std::fill(row, row + npes_, false);
+  known_[static_cast<std::size_t>(me)] = 0;
   ctx.heap().zero(me, heartbeat_, sizeof(std::uint64_t));
 }
 
@@ -31,10 +32,10 @@ int DeathRegistry::lowest_live(int observer) const noexcept {
 
 bool DeathRegistry::note_dead(int observer, int pe) {
   SWS_ASSERT(pe >= 0 && pe < npes_ && observer != pe);
-  if (flags(observer, pe).exchange(1, std::memory_order_relaxed) != 0)
-    return false;
-  known_[static_cast<std::size_t>(observer)].n.fetch_add(
-      1, std::memory_order_relaxed);
+  const std::size_t i = index(observer, pe);
+  if (dead_[i]) return false;
+  dead_[i] = true;
+  ++known_[static_cast<std::size_t>(observer)];
   return true;
 }
 

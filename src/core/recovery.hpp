@@ -20,7 +20,7 @@
 // to pre-crash-subsystem builds.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,9 +42,9 @@ struct RecoveryConfig {
 };
 
 /// Per-observer death knowledge plus the probe protocol (file comment).
-/// One instance per TaskPool; reset_pe()/reset() follow the pool's run
-/// lifecycle. All accesses are baton-serialized by the sequencer, so the
-/// atomic flags need nothing stronger than relaxed ordering.
+/// One instance per TaskPool, built only when crashes are planned;
+/// reset_pe() follows the pool's run lifecycle. Plain host state: every PE
+/// is a fiber on the one thread the sequencer runs.
 class DeathRegistry {
  public:
   /// Size for `npes` observers and allocate the heartbeat word from `rt`'s
@@ -59,12 +59,11 @@ class DeathRegistry {
 
   /// Has `observer` witnessed `pe`'s death?
   bool known_dead(int observer, int pe) const noexcept {
-    return flags(observer, pe).load(std::memory_order_relaxed) != 0;
+    return dead_[index(observer, pe)];
   }
   /// Number of deaths `observer` has witnessed.
   int known_count(int observer) const noexcept {
-    return known_[static_cast<std::size_t>(observer)].n.load(
-        std::memory_order_relaxed);
+    return known_[static_cast<std::size_t>(observer)];
   }
   /// Lowest-ranked PE `observer` believes alive (its termination
   /// coordinator candidate).
@@ -84,21 +83,17 @@ class DeathRegistry {
   int probe_all(pgas::PeContext& ctx);
 
  private:
-  std::atomic<std::uint8_t>& flags(int observer, int pe) const noexcept {
-    return flags_[static_cast<std::size_t>(observer) *
-                      static_cast<std::size_t>(npes_) +
-                  static_cast<std::size_t>(pe)];
+  std::size_t index(int observer, int pe) const noexcept {
+    return static_cast<std::size_t>(observer) *
+               static_cast<std::size_t>(npes_) +
+           static_cast<std::size_t>(pe);
   }
-
-  struct alignas(64) KnownCount {
-    std::atomic<int> n{0};
-  };
 
   RecoveryConfig cfg_{};
   int npes_ = 0;
   pgas::SymPtr heartbeat_{};  ///< one u64 per PE, always 0 while alive
-  mutable std::vector<std::atomic<std::uint8_t>> flags_;  ///< npes x npes
-  std::vector<KnownCount> known_;
+  std::vector<bool> dead_;  ///< npes x npes bitset, row = observer
+  std::vector<int> known_;  ///< per observer: set bits in its row
 };
 
 }  // namespace sws::core

@@ -139,9 +139,9 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
   if (cfg_.trace.enable) {
     tracer_ = Tracer(rt.npes(), cfg_.trace.events);
     // Every fabric op issued under a nonzero span becomes a child event
-    // of that span. The callback runs on the initiating PE's thread and
-    // writes only that PE's trace ring, so it needs no synchronization
-    // and cannot perturb the schedule (it never touches a clock).
+    // of that span. The callback runs in the initiating PE's fiber and
+    // writes only that PE's trace ring, so it cannot perturb the schedule
+    // (it never touches a clock).
     rt_.fabric().set_op_observer([this](const net::OpRecord& r) {
       tracer_.complete(
           r.initiator, r.begin, r.dur, TraceKind::kFabricOp, r.span,

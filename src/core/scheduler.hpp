@@ -176,11 +176,10 @@ class TaskPool {
   /// One PE's record: its WorkerStats plus the open-phase bookkeeping of
   /// the PoolPhase taxonomy. Owner-written by the PE's fiber (the Worker
   /// accumulates into `stats`; `stats.phase_ns` holds the closed phases);
-  /// the sampling hook reads it while every PE fiber is parked (the
-  /// sequencer's serialization orders the accesses), so no atomics are
-  /// needed. Reset at run_pe entry; after the PE leaves run_pe — by
-  /// termination or by a planned crash — it holds that PE's final stats.
-  struct alignas(64) PeSlot {
+  /// the sampling hook reads it while every PE fiber is parked. Reset at
+  /// run_pe entry; after the PE leaves run_pe — by termination or by a
+  /// planned crash — it holds that PE's final stats.
+  struct PeSlot {
     WorkerStats stats;
     net::Nanos base = 0;   ///< run_pe entry time
     net::Nanos start = 0;  ///< processing-loop start (run_time_ns origin)

@@ -1,7 +1,6 @@
 #include "core/sdc_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -169,15 +168,13 @@ void SdcQueue::drain_completions(pgas::PeContext& ctx) {
   // its block of ring space. Records are sequence-tagged, so reclaim is
   // monotone even when the fabric duplicates or delays completion AMOs.
   for (;;) {
-    auto slot = std::atomic_ref<std::uint64_t>(
-        *reinterpret_cast<std::uint64_t*>(
-            ctx.local(meta_.plus(completion_off(o.reclaim_seq)))));
-    const std::uint64_t v = slot.load(std::memory_order_seq_cst);
+    const pgas::SymPtr slot = meta_.plus(completion_off(o.reclaim_seq));
+    const std::uint64_t v = ctx.local_load(slot);
     if (v == 0) break;
     const std::uint64_t tag = v >> kCountBits;
     if (tag == o.reclaim_seq + 1) {
       l.reclaim_abs += v & kCountMask;
-      slot.store(0, std::memory_order_seq_cst);
+      ctx.local_store(slot, 0);
       ++o.reclaim_seq;
       continue;
     }
@@ -186,7 +183,7 @@ void SdcQueue::drain_completions(pgas::PeContext& ctx) {
     // Discard it — the space was reclaimed when the original arrived.
     SWS_ASSERT_MSG(tag <= o.reclaim_seq,
                    "completion ring overrun: record tagged from the future");
-    slot.store(0, std::memory_order_seq_cst);
+    ctx.local_store(slot, 0);
   }
 }
 

@@ -68,7 +68,7 @@ class SdcQueue final : public TaskQueue {
 
  private:
   /// Per-PE protocol state beyond the shared local half.
-  struct alignas(64) OwnerState {
+  struct OwnerState {
     std::uint64_t reclaim_seq = 0;   ///< next completion-ring slot to drain
     // Crash-mode stall tracking (see progress()): which reclaim_seq we
     // have been stuck on and since when, and who has held the lock since

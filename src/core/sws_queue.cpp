@@ -1,7 +1,6 @@
 #include "core/sws_queue.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/assert.hpp"
 #include "core/recovery.hpp"
@@ -64,7 +63,7 @@ void SwsQueue::reset_shared(pgas::PeContext& ctx) {
   t.claim_size = 1;
   // Valid-but-empty stealval: thieves decode itasks == 0 and give up
   // without claiming anything.
-  std::memset(ctx.local(stealval_), 0, sizeof(std::uint64_t));
+  ctx.local_store(stealval_, 0);
   for (std::uint32_t e = 0; e < kNumEpochs; ++e)
     completion_.clear_epoch(ctx, e);
 }

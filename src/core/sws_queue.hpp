@@ -70,7 +70,7 @@ class SwsQueue final : public TaskQueue {
 
  private:
   /// Per-PE protocol state beyond the shared local half.
-  struct alignas(64) OwnerState {
+  struct OwnerState {
     std::uint64_t alloc_base_abs = 0;  ///< live allotment's first task
     std::uint32_t itasks = 0;          ///< live allotment size
     std::uint32_t epoch = 0;
@@ -81,9 +81,9 @@ class SwsQueue final : public TaskQueue {
     std::uint32_t asteals_seen = 0;
     std::uint32_t pressure = 0;
   };
-  /// Thief-side damping state, one row per thief (padded against false
-  /// sharing), one entry per potential victim.
-  struct alignas(64) ThiefState {
+  /// Thief-side damping state, one row per thief, one entry per potential
+  /// victim.
+  struct ThiefState {
     std::vector<std::uint8_t> empty_mode;  // 1 = probe-first
     /// Last observed allotment block count per victim (bulk mode; 0 =
     /// never observed, saturated at 255). Every decoded stealval with a

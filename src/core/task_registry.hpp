@@ -3,7 +3,7 @@
 // Tasks carry a function *id*; the id → function mapping must be identical
 // on every PE (SPMD registration order), mirroring how Scioto/SWS register
 // task handlers before processing starts. The registry is immutable once
-// the pool runs, so lookups are lock-free.
+// the pool runs.
 #pragma once
 
 #include <functional>

@@ -1,6 +1,5 @@
 #include "core/termination.hpp"
 
-#include <atomic>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -12,34 +11,31 @@ namespace sws::core {
 
 CounterTermination::CounterTermination(pgas::Runtime& rt)
     : counter_(rt.heap().alloc(sizeof(std::uint64_t), 8)),
-      local_(static_cast<std::size_t>(rt.npes())) {}
+      unflushed_(static_cast<std::size_t>(rt.npes()), 0) {}
 
 void CounterTermination::reset_pe(pgas::PeContext& ctx) {
-  local_[static_cast<std::size_t>(ctx.pe())] = PerPe{};
-  if (ctx.pe() == 0)
-    std::atomic_ref<std::uint64_t>(
-        *reinterpret_cast<std::uint64_t*>(ctx.local(counter_)))
-        .store(0, std::memory_order_seq_cst);
+  unflushed_[static_cast<std::size_t>(ctx.pe())] = 0;
+  if (ctx.pe() == 0) ctx.local_store(counter_, 0);
 }
 
 void CounterTermination::flush(pgas::PeContext& ctx) {
-  auto& me = local_[static_cast<std::size_t>(ctx.pe())];
-  if (me.unflushed == 0) return;
+  std::int64_t& unflushed = unflushed_[static_cast<std::size_t>(ctx.pe())];
+  if (unflushed == 0) return;
   // Two's-complement add applies signed deltas to the u64 counter.
   ctx.fabric().amo_fetch_add(ctx.pe(), /*target=*/0, counter_.off,
-                             static_cast<std::uint64_t>(me.unflushed));
-  me.unflushed = 0;
+                             static_cast<std::uint64_t>(unflushed));
+  unflushed = 0;
 }
 
 void CounterTermination::count_created(pgas::PeContext& ctx,
                                        std::uint64_t n) {
-  local_[static_cast<std::size_t>(ctx.pe())].unflushed +=
+  unflushed_[static_cast<std::size_t>(ctx.pe())] +=
       static_cast<std::int64_t>(n);
 }
 
 void CounterTermination::count_completed(pgas::PeContext& ctx,
                                          std::uint64_t n) {
-  local_[static_cast<std::size_t>(ctx.pe())].unflushed -=
+  unflushed_[static_cast<std::size_t>(ctx.pe())] -=
       static_cast<std::int64_t>(n);
 }
 
@@ -47,7 +43,7 @@ void CounterTermination::task_boundary(pgas::PeContext& ctx) {
   // The safety invariant: never sit on a positive delta. Negative deltas
   // only make the global counter an over-estimate, so they may batch until
   // the next idle check.
-  if (local_[static_cast<std::size_t>(ctx.pe())].unflushed > 0) flush(ctx);
+  if (unflushed_[static_cast<std::size_t>(ctx.pe())] > 0) flush(ctx);
 }
 
 bool CounterTermination::check(pgas::PeContext& ctx) {

@@ -64,11 +64,8 @@ class CounterTermination final : public TerminationDetector {
  private:
   void flush(pgas::PeContext& ctx);
 
-  struct alignas(64) PerPe {
-    std::int64_t unflushed = 0;
-  };
   pgas::SymPtr counter_;  ///< lives on PE 0
-  std::vector<PerPe> local_;
+  std::vector<std::int64_t> unflushed_;  ///< per PE
 };
 
 /// Crash-tolerant idle-wave consensus, installed by the pool only when the
@@ -112,7 +109,7 @@ class ResilientTermination final : public TerminationDetector {
 
   bool coordinator_check(pgas::PeContext& ctx);
 
-  struct alignas(64) PerPe {
+  struct PerPe {
     std::uint64_t created = 0;
     std::uint64_t executed = 0;
     std::uint64_t seq = 0;          ///< report generation (reporter side)

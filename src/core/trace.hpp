@@ -150,7 +150,7 @@ class Tracer {
   bool truncated() const noexcept;
 
  private:
-  struct alignas(64) Ring {
+  struct Ring {
     std::vector<TraceEvent> buf;
     std::size_t next = 0;
     std::uint64_t total = 0;  ///< lifetime events (>= retained)

@@ -1,9 +1,9 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
@@ -22,12 +22,10 @@ Fabric::Fabric(VirtualTimeModel& time, NetworkModel model, int npes)
 void Fabric::apply_effect(const PendingEffect& e) {
   switch (e.kind) {
     case PendingEffect::Kind::kAmoAdd:
-      std::atomic_ref<std::uint64_t>(*e.dst).fetch_add(
-          e.value, std::memory_order_seq_cst);
+      *e.dst += e.value;
       break;
     case PendingEffect::Kind::kAmoSet:
-      std::atomic_ref<std::uint64_t>(*e.dst).store(e.value,
-                                                   std::memory_order_seq_cst);
+      *e.dst = e.value;
       break;
   }
 }
@@ -51,8 +49,8 @@ void Fabric::reset(int npes) {
   model_.resize(npes);
   arenas_.assign(static_cast<std::size_t>(npes), Arena{});
   busy_until_.assign(static_cast<std::size_t>(npes), Nanos{0});
-  stats_.assign(static_cast<std::size_t>(npes), PaddedStats{});
-  labels_.assign(static_cast<std::size_t>(npes), PaddedLabel{});
+  stats_.assign(static_cast<std::size_t>(npes), FabricStats{});
+  labels_.assign(static_cast<std::size_t>(npes), LabelSlot{});
   pending_per_pe_.assign(static_cast<std::size_t>(npes), 0);
   pending_per_target_.assign(static_cast<std::size_t>(npes), 0);
   if (faults_) faults_->reset(npes);
@@ -84,7 +82,7 @@ void Fabric::new_run() {
   for (const int p : pending_per_target_)
     SWS_ASSERT_MSG(p == 0, "pending nbi ops leaked across runs (target count)");
   std::fill(busy_until_.begin(), busy_until_.end(), Nanos{0});
-  std::fill(labels_.begin(), labels_.end(), PaddedLabel{});
+  std::fill(labels_.begin(), labels_.end(), LabelSlot{});
   // Reseed the fault streams so run N+1 replays run N's decisions.
   if (faults_) faults_->new_run();
   if (crashes_armed_) {
@@ -159,7 +157,7 @@ std::uint64_t* Fabric::translate_u64(int target, std::uint64_t offset) const {
 
 void Fabric::note_op(int initiator, int target, OpKind kind,
                      std::uint64_t offset) {
-  PaddedLabel& pl = labels_[static_cast<std::size_t>(initiator)];
+  LabelSlot& pl = labels_[static_cast<std::size_t>(initiator)];
   pl.l = OpLabel{kind, target, offset, pl.span};
 }
 
@@ -181,7 +179,7 @@ void Fabric::charge(int initiator, int target, OpKind kind,
   const Tier tier = model_.tier(initiator, target);
   const bool remote = tier > 0;
   Nanos c = model_.cost(kind, bytes, tier);
-  FabricStats& s = stats_[static_cast<std::size_t>(initiator)].s;
+  FabricStats& s = stats_[static_cast<std::size_t>(initiator)];
   ++s.ops[static_cast<int>(kind)];
   (remote ? s.remote_ops : s.local_ops) += 1;
   if (remote) ++s.tier_ops[static_cast<std::size_t>(tier - 1)];
@@ -208,7 +206,7 @@ void Fabric::charge(int initiator, int target, OpKind kind,
   // the schedule, which is what keeps determinism A/B byte-identical
   // with tracing enabled.
   if (observer_) {
-    const PaddedLabel& pl = labels_[static_cast<std::size_t>(initiator)];
+    const LabelSlot& pl = labels_[static_cast<std::size_t>(initiator)];
     if (pl.span != 0) {
       OpRecord r;
       r.initiator = initiator;
@@ -233,7 +231,7 @@ void Fabric::put(int initiator, int target, std::uint64_t offset,
   charge(initiator, target, OpKind::kPut, n);
   if (write_suppressed(initiator, target)) return;
   std::memcpy(translate(target, offset, n), src, n);
-  stats_[static_cast<std::size_t>(initiator)].s.bytes_put += n;
+  stats_[static_cast<std::size_t>(initiator)].bytes_put += n;
 }
 
 void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
@@ -245,7 +243,7 @@ void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
     return;
   }
   std::memcpy(dst, translate(target, offset, n), n);
-  stats_[static_cast<std::size_t>(initiator)].s.bytes_got += n;
+  stats_[static_cast<std::size_t>(initiator)].bytes_got += n;
 }
 
 std::uint64_t Fabric::amo_fetch_add(int initiator, int target,
@@ -254,8 +252,8 @@ std::uint64_t Fabric::amo_fetch_add(int initiator, int target,
   note_op(initiator, target, OpKind::kAmoFetchAdd, offset);
   charge(initiator, target, OpKind::kAmoFetchAdd, 8);
   if (write_suppressed(initiator, target)) return kDeadFetchValue;
-  return std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
-      .fetch_add(value, std::memory_order_seq_cst);
+  std::uint64_t& word = *translate_u64(target, offset);
+  return std::exchange(word, word + value);
 }
 
 std::uint64_t Fabric::amo_compare_swap(int initiator, int target,
@@ -265,10 +263,10 @@ std::uint64_t Fabric::amo_compare_swap(int initiator, int target,
   note_op(initiator, target, OpKind::kAmoCompareSwap, offset);
   charge(initiator, target, OpKind::kAmoCompareSwap, 8);
   if (write_suppressed(initiator, target)) return kDeadFetchValue;
-  std::uint64_t e = expected;
-  std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
-      .compare_exchange_strong(e, desired, std::memory_order_seq_cst);
-  return e;  // OpenSHMEM cswap returns the prior value
+  std::uint64_t& word = *translate_u64(target, offset);
+  const std::uint64_t prior = word;
+  if (prior == expected) word = desired;
+  return prior;  // OpenSHMEM cswap returns the prior value
 }
 
 std::uint64_t Fabric::amo_swap(int initiator, int target, std::uint64_t offset,
@@ -276,8 +274,7 @@ std::uint64_t Fabric::amo_swap(int initiator, int target, std::uint64_t offset,
   note_op(initiator, target, OpKind::kAmoSwap, offset);
   charge(initiator, target, OpKind::kAmoSwap, 8);
   if (write_suppressed(initiator, target)) return kDeadFetchValue;
-  return std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
-      .exchange(value, std::memory_order_seq_cst);
+  return std::exchange(*translate_u64(target, offset), value);
 }
 
 std::uint64_t Fabric::amo_fetch(int initiator, int target,
@@ -285,8 +282,7 @@ std::uint64_t Fabric::amo_fetch(int initiator, int target,
   note_op(initiator, target, OpKind::kAmoFetch, offset);
   charge(initiator, target, OpKind::kAmoFetch, 8);
   if (effect_suppressed(initiator, target)) return kDeadFetchValue;
-  return std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
-      .load(std::memory_order_seq_cst);
+  return *translate_u64(target, offset);
 }
 
 void Fabric::amo_set(int initiator, int target, std::uint64_t offset,
@@ -294,8 +290,7 @@ void Fabric::amo_set(int initiator, int target, std::uint64_t offset,
   note_op(initiator, target, OpKind::kAmoSet, offset);
   charge(initiator, target, OpKind::kAmoSet, 8);
   if (write_suppressed(initiator, target)) return;
-  std::atomic_ref<std::uint64_t>(*translate_u64(target, offset))
-      .store(value, std::memory_order_seq_cst);
+  *translate_u64(target, offset) = value;
 }
 
 // --------------------------------------------------------- non-blocking
@@ -382,23 +377,23 @@ void Fabric::quiet(int pe) {
 
 const FabricStats& Fabric::stats(int pe) const {
   SWS_ASSERT(pe >= 0 && pe < npes());
-  return stats_[static_cast<std::size_t>(pe)].s;
+  return stats_[static_cast<std::size_t>(pe)];
 }
 
 FabricStats Fabric::total_stats() const {
   FabricStats t;
-  for (const auto& p : stats_) t.merge(p.s);
+  for (const FabricStats& s : stats_) t.merge(s);
   return t;
 }
 
 void Fabric::reset_stats() {
-  for (auto& p : stats_) p.s = FabricStats{};
+  std::fill(stats_.begin(), stats_.end(), FabricStats{});
 }
 
 void Fabric::publish_metrics(obs::MetricsRegistry& reg) const {
   auto set_per_pe = [&](obs::MetricId id, auto&& field) {
     for (int pe = 0; pe < npes(); ++pe)
-      reg.set(id, pe, field(stats_[static_cast<std::size_t>(pe)].s));
+      reg.set(id, pe, field(stats_[static_cast<std::size_t>(pe)]));
   };
   for (std::size_t k = 0; k < kNumOpKinds; ++k) {
     const auto id = reg.counter(

@@ -260,10 +260,7 @@ class Fabric {
       return deadline != o.deadline ? deadline > o.deadline : seq > o.seq;
     }
   };
-  struct alignas(64) PaddedStats {
-    FabricStats s;
-  };
-  struct alignas(64) PaddedLabel {
+  struct LabelSlot {
     OpLabel l;
     std::uint64_t span = 0;  ///< current span; note_op copies it into l
   };
@@ -281,7 +278,7 @@ class Fabric {
   bool effect_suppressed(int initiator, int target) {
     if (!crashes_armed_) return false;
     if (alive(target)) return false;
-    ++stats_[static_cast<std::size_t>(initiator)].s.dead_target_ops;
+    ++stats_[static_cast<std::size_t>(initiator)].dead_target_ops;
     return true;
   }
   /// effect_suppressed() for ops that write the target: when the effect
@@ -316,8 +313,8 @@ class Fabric {
   std::vector<Arena> arenas_;
   /// Per-target NIC busy horizon.
   std::vector<Nanos> busy_until_;
-  mutable std::vector<PaddedStats> stats_;
-  std::vector<PaddedLabel> labels_;
+  std::vector<FabricStats> stats_;
+  std::vector<LabelSlot> labels_;
   OpObserver observer_;
 
   std::priority_queue<PendingOp, std::vector<PendingOp>, std::greater<>>

@@ -129,7 +129,7 @@ class FaultInjector {
   FaultStats total_stats() const;
 
  private:
-  struct alignas(64) PerPe {
+  struct PerPe {
     Xoshiro256 rng{0};
     FaultStats stats{};
   };

@@ -2,10 +2,9 @@
 // its counters through (docs/observability.md).
 //
 // A metric is registered once by name ("fabric.ops.put", "pool.steals_ok")
-// and updated per PE: each PE writes its own cache-line-padded slab, so
-// one PE's hot-path increments never share a line with another's. Reads
-// (snapshot, exporters) are owner-biased and intended for quiescent
-// points — between runs, at teardown, in tests.
+// and updated per PE: each PE writes its own slab. Reads (snapshot,
+// exporters) are owner-biased and intended for quiescent points — between
+// runs, at teardown, in tests.
 //
 // Three metric kinds, published through add()/set()/set_hist() from the
 // counters each layer already keeps:
@@ -100,11 +99,8 @@ class MetricsRegistry {
     MetricKind kind;
     std::uint32_t slot;  ///< scalar index or histogram index, per kind
   };
-  /// One PE's slab. Scalars and histograms live in per-PE vectors whose
-  /// heap blocks are disjoint between PEs; the alignas keeps the vector
-  /// headers (size/data pointers, mutated on growth only) off shared
-  /// lines too.
-  struct alignas(64) PeSlab {
+  /// One PE's slab: its scalars and histograms, indexed by Meta::slot.
+  struct PeSlab {
     std::vector<std::uint64_t> scalars;
     std::vector<LogHistogram> hists;
   };

@@ -1,6 +1,5 @@
 #include "pgas/runtime.hpp"
 
-#include <atomic>
 #include <exception>
 
 #include "common/assert.hpp"
@@ -114,10 +113,11 @@ std::byte* PeContext::local(SymPtr p, std::uint64_t delta) {
 }
 
 std::uint64_t PeContext::local_load(SymPtr p) const {
-  const std::byte* b = rt_.heap().local(pe_, p);
-  return std::atomic_ref<const std::uint64_t>(
-             *reinterpret_cast<const std::uint64_t*>(b))
-      .load(std::memory_order_seq_cst);
+  return *reinterpret_cast<const std::uint64_t*>(rt_.heap().local(pe_, p));
+}
+
+void PeContext::local_store(SymPtr p, std::uint64_t value) {
+  *reinterpret_cast<std::uint64_t*>(rt_.heap().local(pe_, p)) = value;
 }
 
 }  // namespace sws::pgas

@@ -70,10 +70,13 @@ class PeContext {
 
   /// Pointer into this PE's own arena (owner-side direct access).
   std::byte* local(SymPtr p, std::uint64_t delta = 0);
-  /// Owner-side atomic view of a local 64-bit symmetric word. Direct
-  /// (uncharged) access — used for cheap local polling; mutation should go
-  /// through the fabric so accounting stays honest.
+  /// Owner-side read of a local 64-bit symmetric word. Direct (uncharged)
+  /// access — used for cheap local polling.
   std::uint64_t local_load(SymPtr p) const;
+  /// Owner-side uncharged write of a local 64-bit symmetric word, for
+  /// owner-only writes no fabric op models (per-run resets, consumed-slot
+  /// clears). A write another PE must observe goes through the fabric.
+  void local_store(SymPtr p, std::uint64_t value);
 
   // --- collectives -------------------------------------------------------
   /// Dissemination barrier across all PEs (log2(P) rounds of puts).

@@ -124,7 +124,6 @@ SymmetricHeap::~SymmetricHeap() {
 }
 
 SymPtr SymmetricHeap::alloc(std::size_t bytes, std::size_t align) {
-  std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t off = allocator_.alloc(bytes, align);
   if (off == SymPtr::kNull) throw std::bad_alloc();
   return SymPtr{off};
@@ -132,13 +131,7 @@ SymPtr SymmetricHeap::alloc(std::size_t bytes, std::size_t align) {
 
 void SymmetricHeap::free(SymPtr p) {
   SWS_CHECK(!p.is_null(), "free of null SymPtr");
-  std::lock_guard<std::mutex> lk(mu_);
   allocator_.free(p.off);
-}
-
-std::uint64_t SymmetricHeap::bytes_free() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return allocator_.bytes_free();
 }
 
 std::byte* SymmetricHeap::local(int pe, SymPtr p, std::uint64_t delta) const {

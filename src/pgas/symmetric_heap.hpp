@@ -11,15 +11,14 @@
 // not for the whole arena. A PROT_NONE guard page follows every arena.
 //
 // Allocation is expected during setup (before or between Runtime::run
-// calls); it is mutex-protected so collective allocation from PE code
-// also works.
+// calls). Collective allocation from PE code also works: every PE is a
+// fiber on the thread that calls Runtime::run, so calls never overlap.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 
 namespace sws::pgas {
 
@@ -69,11 +68,11 @@ class SymmetricHeap {
   std::size_t size() const noexcept { return bytes_; }
 
   /// Collective-style allocation: one call reserves the same offset range
-  /// in every PE's arena. Thread-safe. Throws std::bad_alloc on exhaustion.
+  /// in every PE's arena. Throws std::bad_alloc on exhaustion.
   SymPtr alloc(std::size_t bytes, std::size_t align = 8);
   void free(SymPtr p);
 
-  std::uint64_t bytes_free() const;
+  std::uint64_t bytes_free() const noexcept { return allocator_.bytes_free(); }
 
   /// The address of `p` (+delta bytes) within PE `pe`'s arena.
   std::byte* local(int pe, SymPtr p, std::uint64_t delta = 0) const;
@@ -91,7 +90,6 @@ class SymmetricHeap {
   std::size_t stride_;
   /// One mapping holding every arena, `stride_` bytes apart.
   std::byte* map_;
-  mutable std::mutex mu_;
   OffsetAllocator allocator_;
 };
 

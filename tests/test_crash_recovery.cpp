@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/recovery.hpp"
 #include "net/fault.hpp"
 #include "obs/trace_analysis.hpp"
 #include "sws.hpp"
@@ -156,6 +157,53 @@ void expect_clean_finish(const CrashRun& r, int expected_dead) {
   EXPECT_LT(r.duration, kWatchdogNs)
       << "run only ended because the watchdog killed it — recovery hung";
   EXPECT_EQ(r.ndead, expected_dead);
+}
+
+// ------------------------------------------------------- death registry
+
+// The registry's P x P knowledge bitset, driven directly. Five PEs, so
+// observer rows straddle byte boundaries of the packed bits.
+TEST(DeathRegistry, KnowledgeIsPerObserverAndResetsByRow) {
+  pgas::RuntimeConfig rc;
+  rc.npes = 5;
+  rc.heap_bytes = 1 << 20;
+  pgas::Runtime rt(rc);
+  core::DeathRegistry reg;
+  reg.init(rt, core::RecoveryConfig{});
+  rt.run([&](pgas::PeContext& ctx) { reg.reset_pe(ctx); });
+
+  EXPECT_TRUE(reg.note_dead(1, 0));   // news
+  EXPECT_FALSE(reg.note_dead(1, 0));  // a repeat is not
+  EXPECT_TRUE(reg.note_dead(1, 2));
+  EXPECT_EQ(reg.known_count(1), 2);   // distinct deaths only
+  EXPECT_TRUE(reg.known_dead(1, 0));
+  EXPECT_TRUE(reg.known_dead(1, 2));
+  EXPECT_FALSE(reg.known_dead(1, 3));
+  EXPECT_EQ(reg.lowest_live(1), 1);   // skips the known-dead PE 0
+
+  // Observers learn independently; the neighbouring rows of observer 1.
+  EXPECT_EQ(reg.known_count(3), 0);
+  EXPECT_FALSE(reg.known_dead(3, 0));
+  EXPECT_TRUE(reg.note_dead(0, 4));
+  EXPECT_TRUE(reg.note_dead(2, 0));
+  EXPECT_TRUE(reg.note_dead(2, 1));
+  EXPECT_EQ(reg.lowest_live(2), 2);
+  EXPECT_EQ(reg.lowest_live(0), 0);
+
+  // A per-run reset clears only the resetting observer's row.
+  rt.run([&](pgas::PeContext& ctx) {
+    if (ctx.pe() == 1) reg.reset_pe(ctx);
+  });
+  EXPECT_EQ(reg.known_count(1), 0);
+  EXPECT_FALSE(reg.known_dead(1, 0));
+  EXPECT_FALSE(reg.known_dead(1, 2));
+  EXPECT_EQ(reg.lowest_live(1), 0);
+  EXPECT_TRUE(reg.known_dead(0, 4));
+  EXPECT_EQ(reg.known_count(0), 1);
+  EXPECT_TRUE(reg.known_dead(2, 0));
+  EXPECT_TRUE(reg.known_dead(2, 1));
+  EXPECT_EQ(reg.known_count(2), 2);
+  EXPECT_TRUE(reg.note_dead(1, 0));   // news again after the reset
 }
 
 // ------------------------------------------------- regression: hang shapes

@@ -64,6 +64,13 @@ TEST_F(FabricTest, AmoFetchAddReturnsPriorValue) {
     EXPECT_EQ(fabric_.amo_fetch_add(0, 1, 8, 5), 0u);
     EXPECT_EQ(fabric_.amo_fetch_add(0, 1, 8, 3), 5u);
     EXPECT_EQ(fabric_.amo_fetch(0, 1, 8), 8u);
+    // A negative delta in two's complement, as CounterTermination::flush
+    // sends it, subtracts: the sum wraps mod 2^64 in both directions.
+    const std::uint64_t minus10 = static_cast<std::uint64_t>(std::int64_t{-10});
+    EXPECT_EQ(fabric_.amo_fetch_add(0, 1, 8, minus10), 8u);
+    EXPECT_EQ(fabric_.amo_fetch(0, 1, 8), ~std::uint64_t{0} - 1);  // -2
+    EXPECT_EQ(fabric_.amo_fetch_add(0, 1, 8, 5), ~std::uint64_t{0} - 1);
+    EXPECT_EQ(fabric_.amo_fetch(0, 1, 8), 3u);
   });
 }
 

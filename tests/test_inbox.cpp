@@ -4,7 +4,6 @@
 
 #include <malloc.h>
 
-#include <atomic>
 #include <set>
 
 #include "core/inbox.hpp"
@@ -418,11 +417,11 @@ TEST(InboxPool, SpawnOnDeliversABurstPerTarget) {
   // once, wherever it lands.
   pgas::Runtime rt(rcfg(4));
   TaskRegistry reg;
-  std::atomic<std::uint32_t> ran{0};
+  std::uint32_t ran = 0;
   TaskFnId fn =
       reg.register_fn("tick", [&](Worker& w, std::span<const std::byte>) {
         w.compute(500);
-        ran.fetch_add(1, std::memory_order_relaxed);
+        ++ran;
       });
   PoolConfig pc;
   pc.queue.slot_bytes = 32;
@@ -436,7 +435,7 @@ TEST(InboxPool, SpawnOnDeliversABurstPerTarget) {
       for (int pe = 1; pe < w.npes(); ++pe) w.spawn_on(pe, burst);
     });
   });
-  EXPECT_EQ(ran.load(), 72u);
+  EXPECT_EQ(ran, 72u);
   EXPECT_EQ(pool.report().total.tasks_executed, 72u);
   for (int pe = 1; pe < 4; ++pe)
     EXPECT_GE(pool.worker_stats(pe).tasks_executed, 1u) << "pe " << pe;

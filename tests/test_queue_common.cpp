@@ -187,20 +187,13 @@ TEST_P(QueueCommon, RepeatedStealsDrainSharedInHalves) {
 TEST_P(QueueCommon, ConcurrentThievesClaimDisjointBlocks) {
   pgas::Runtime rt(rcfg(4));
   auto q = make_queue(rt, GetParam());
+  std::set<std::uint32_t> all_ids;
+  std::multiset<std::uint32_t> sizes;
   rt.run([&](pgas::PeContext& ctx) {
     q->reset_pe(ctx);
     if (ctx.pe() == 0) {
       for (std::uint32_t i = 0; i < 300; ++i) (void)q->push_local(ctx, mk(i));
       ASSERT_TRUE(q->try_release(ctx));
-    }
-    ctx.barrier();
-    static std::mutex mu;
-    static std::set<std::uint32_t> all_ids;
-    static std::multiset<std::uint32_t> sizes;
-    if (ctx.pe() == 0) {
-      std::lock_guard<std::mutex> lk(mu);
-      all_ids.clear();
-      sizes.clear();
     }
     ctx.barrier();
     if (ctx.pe() != 0) {
@@ -210,14 +203,12 @@ TEST_P(QueueCommon, ConcurrentThievesClaimDisjointBlocks) {
         r = q->steal(ctx, 0, loot);
       } while (r.outcome == StealOutcome::kRetry);
       EXPECT_EQ(r.outcome, StealOutcome::kSuccess);
-      std::lock_guard<std::mutex> lk(mu);
       if (r.outcome == StealOutcome::kSuccess) sizes.insert(r.ntasks);
       for (const Task& t : loot)
         EXPECT_TRUE(all_ids.insert(id_of(t)).second) << "double-claimed task";
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
-      std::lock_guard<std::mutex> lk(mu);
       // Three thieves claimed the first three halving blocks: 75+37+19.
       EXPECT_EQ(all_ids.size(), 131u);
       EXPECT_EQ(sizes, (std::multiset<std::uint32_t>{19, 37, 75}));

@@ -2,7 +2,6 @@
 // one-sided ops.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <vector>
 
@@ -20,15 +19,15 @@ RuntimeConfig cfg(int npes) {
 
 TEST(Runtime, RunsBodyOnEveryPe) {
   Runtime rt(cfg(8));
-  std::atomic<int> count{0};
-  std::atomic<int> pe_mask{0};
+  int count = 0;
+  int pe_mask = 0;
   rt.run([&](PeContext& ctx) {
-    count.fetch_add(1);
-    pe_mask.fetch_or(1 << ctx.pe());
+    ++count;
+    pe_mask |= 1 << ctx.pe();
     EXPECT_EQ(ctx.npes(), 8);
   });
-  EXPECT_EQ(count.load(), 8);
-  EXPECT_EQ(pe_mask.load(), 0xff);
+  EXPECT_EQ(count, 8);
+  EXPECT_EQ(pe_mask, 0xff);
 }
 
 TEST(Runtime, ComputeAdvancesOnlyThisPesClock) {

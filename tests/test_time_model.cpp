@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <random>
 #include <sstream>
@@ -119,12 +118,12 @@ TEST(VirtualTime, DeliveryHookFiresAtTimeFloor) {
 
 TEST(VirtualTime, ManyPesTerminate) {
   VirtualTimeModel tm(64);
-  std::atomic<int> done{0};
+  int done = 0;
   tm.run_pes(64, [&](int pe) {
     for (int i = 0; i < 10; ++i) tm.advance(pe, 17 + pe);
-    done.fetch_add(1);
+    ++done;
   });
-  EXPECT_EQ(done.load(), 64);
+  EXPECT_EQ(done, 64);
 }
 
 TEST(VirtualTime, ResetClearsClocks) {
