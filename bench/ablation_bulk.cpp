@@ -117,6 +117,9 @@ StormResult run_storm(std::uint32_t bulk, int npes, std::uint32_t tasks,
           loot.clear();
           const core::StealResult r = q->steal(ctx, 0, loot);
           if (r.outcome == core::StealOutcome::kSuccess) {
+            ++out.steals;
+            out.stolen += r.ntasks;
+            out.blocks += r.blocks;
             // Execute the haul before restealing: the steal's fabric cost
             // amortizes over task work, and a thief busy with a bulk claim
             // leaves the next allotment to its peers.
@@ -130,19 +133,18 @@ StormResult run_storm(std::uint32_t bulk, int npes, std::uint32_t tasks,
         }
         ctx.quiet();  // settle completion notifications before the barrier
       }
+      // This PE's protocol counters are final for the rep; sum them before
+      // the next rep's reset_pe zeroes them, so every column covers all
+      // reps.
+      const core::QueueOpStats& s = q->op_stats(ctx.pe());
+      out.releases += s.releases;
+      out.pressure_releases += s.pressure_releases;
+      out.full_claims += s.full_claims;
       ctx.barrier();
     }
   });
-  for (int pe = 0; pe < npes; ++pe) {
-    const core::QueueOpStats& s = q->op_stats(pe);
-    out.steals += s.steals_ok;
-    out.stolen += s.tasks_stolen;
-    out.blocks += s.blocks_claimed;
-    out.releases += s.releases;
-    out.pressure_releases += s.pressure_releases;
-    out.full_claims += s.full_claims;
-    if (pe != 0) out.thief_ops += rt.fabric().stats(pe).remote_ops;
-  }
+  for (int pe = 1; pe < npes; ++pe)
+    out.thief_ops += rt.fabric().stats(pe).remote_ops;
   return out;
 }
 

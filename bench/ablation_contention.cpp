@@ -63,9 +63,9 @@ ContentionResult run_contended(core::QueueKind kind, int thieves, int reps,
         std::vector<core::Task> loot;
         const net::Nanos t0 = ctx.now();
         core::StealResult r;
-        do {
-          r = q->steal(ctx, 0, loot);
-        } while (r.outcome == core::StealOutcome::kRetry);
+        while ((r = q->steal(ctx, 0, loot)).outcome ==
+               core::StealOutcome::kRetry)
+          ++out.retries;
         const net::Nanos dt = ctx.now() - t0;
         if (r.outcome == core::StealOutcome::kSuccess) {
           out.per_thief_us.add(static_cast<double>(dt) / 1e3);
@@ -82,10 +82,8 @@ ContentionResult run_contended(core::QueueKind kind, int thieves, int reps,
       ctx.barrier();
     }
   });
-  for (int pe = 1; pe < npes; ++pe) {
-    out.retries += q->op_stats(pe).steals_retry;
+  for (int pe = 1; pe < npes; ++pe)
     out.comms += rt.fabric().stats(pe).remote_ops;
-  }
   return out;
 }
 

@@ -104,14 +104,17 @@ class QueueStealRelease final : public ScenarioInstance {
   static constexpr std::uint64_t kTasks = 12;
 
   QueueStealRelease(std::unique_ptr<core::TaskQueue> q, int npes)
-      : q_(std::move(q)), npes_(npes) {}
+      : q_(std::move(q)),
+        npes_(npes),
+        steals_(static_cast<std::size_t>(npes)) {}
 
   std::uint64_t num_ids() const override { return kTasks; }
   core::TaskQueue* audited_queue() override { return q_.get(); }
 
   std::uint64_t digest() const override {
-    // Progress digest for heuristic DFS pruning: per-PE op counters plus
-    // how far each side has gotten. Host memory only (arbiter-safe).
+    // Progress digest for heuristic DFS pruning: per-PE op counters and
+    // steal outcomes, i.e. how far each side has gotten. Host memory only
+    // (arbiter-safe).
     std::uint64_t h = 0x243f6a8885a308d3ULL;
     auto mix = [&h](std::uint64_t v) {
       h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -120,10 +123,11 @@ class QueueStealRelease final : public ScenarioInstance {
       const auto& s = q_->op_stats(pe);
       mix(s.releases);
       mix(s.acquires);
-      mix(s.steals_ok);
-      mix(s.steals_empty);
-      mix(s.steals_retry);
-      mix(s.tasks_stolen);
+      const StealTally& t = steals_[static_cast<std::size_t>(pe)];
+      mix(t.ok);
+      mix(t.empty);
+      mix(t.retry);
+      mix(t.tasks);
       mix(s.renews);
     }
     return h != 0 ? h : 1;
@@ -131,6 +135,8 @@ class QueueStealRelease final : public ScenarioInstance {
 
   void body(ScenarioEnv& env, pgas::PeContext& ctx) override {
     q_->reset_pe(ctx);
+    StealTally& tally = steals_[static_cast<std::size_t>(ctx.pe())];
+    tally = {};
     ctx.barrier();
 
     constexpr int kOwner = 0;
@@ -166,7 +172,16 @@ class QueueStealRelease final : public ScenarioInstance {
     } else {
       std::vector<core::Task> loot;
       for (int i = 0; i < 8; ++i) {
-        q_->steal(ctx, kOwner, loot);
+        const core::StealResult r = q_->steal(ctx, kOwner, loot);
+        switch (r.outcome) {
+          case core::StealOutcome::kSuccess:
+            ++tally.ok;
+            tally.tasks += r.ntasks;
+            break;
+          case core::StealOutcome::kEmpty: ++tally.empty; break;
+          case core::StealOutcome::kRetry: ++tally.retry; break;
+          case core::StealOutcome::kPeerDead: break;
+        }
         env.step(ctx);
       }
       for (const auto& s : loot) env.ledger().extracted(id_of(s));
@@ -193,8 +208,13 @@ class QueueStealRelease final : public ScenarioInstance {
   }
 
  private:
+  struct StealTally {
+    std::uint64_t ok = 0, empty = 0, retry = 0, tasks = 0;
+  };
+
   std::unique_ptr<core::TaskQueue> q_;
   int npes_;
+  std::vector<StealTally> steals_;  ///< per-PE steal outcomes this run
 };
 
 // ------------------------------------------------- termination scenarios

@@ -37,14 +37,23 @@ struct WorkerStats {
   std::uint64_t tasks_spawned = 0;   ///< children + seeds added by this PE
   std::uint64_t tasks_stolen = 0;    ///< tasks this PE pulled from victims
   std::uint64_t bytes_stolen = 0;    ///< payload bytes those tasks carried
+  std::uint64_t steal_attempts = 0;  ///< the four outcomes below, summed
   std::uint64_t steals_ok = 0;
-  std::uint64_t steal_attempts = 0;  ///< successful + failed
+  std::uint64_t steals_empty = 0;    ///< victim had no stealable work
+  std::uint64_t steals_retry = 0;    ///< victim busy or locked
+  std::uint64_t steals_dead = 0;     ///< victim found crashed
+  std::uint64_t blocks_claimed = 0;  ///< StealResult::blocks over successes
+  std::uint64_t bulk_claims = 0;     ///< successes claiming > 1 block
   /// Steal traffic by victim tier distance (index t-1 = tier t): the
   /// per-tier op mix the locality ablation compares across policies.
   std::array<std::uint64_t, net::kMaxTiers> steal_attempts_by_tier{};
   std::array<std::uint64_t, net::kMaxTiers> steals_ok_by_tier{};
-  net::Nanos steal_time_ns = 0;      ///< time in successful steal operations
-  net::Nanos search_time_ns = 0;     ///< failed attempts + inter-attempt backoff
+  /// Time in successful steal operations: phase_ns[kStealing], copied
+  /// when the PE's record closes.
+  net::Nanos steal_time_ns = 0;
+  /// Failed attempts + inter-attempt backoff: phase_ns[kProbing] +
+  /// phase_ns[kParked], copied when the PE's record closes.
+  net::Nanos search_time_ns = 0;
   net::Nanos term_check_ns = 0;      ///< time in termination detection
   net::Nanos compute_time_ns = 0;    ///< task bodies (charged compute)
   /// Owner polls actually run: work-loop passes that re-ran progress, the
@@ -55,8 +64,8 @@ struct WorkerStats {
   net::Nanos run_time_ns = 0;        ///< this PE's whole-run time
   /// Exhaustive phase taxonomy (see PoolPhase): indexed by category, sums
   /// exactly to the elapsed time between run_pe entry and teardown
-  /// (`accounted_ns`). Unlike steal/search_time_ns above — which measure
-  /// only the op spans the paper plots — this covers *every* nanosecond.
+  /// (`accounted_ns`). steal/search_time_ns above are its steal-side
+  /// slices, the spans the paper plots.
   std::array<net::Nanos, kNumPoolPhases> phase_ns{};
   net::Nanos accounted_ns = 0;       ///< total span the taxonomy covers
   // Crash-recovery accounting (zero in crash-free runs).
@@ -75,8 +84,13 @@ struct WorkerStats {
     tasks_spawned += o.tasks_spawned;
     tasks_stolen += o.tasks_stolen;
     bytes_stolen += o.bytes_stolen;
-    steals_ok += o.steals_ok;
     steal_attempts += o.steal_attempts;
+    steals_ok += o.steals_ok;
+    steals_empty += o.steals_empty;
+    steals_retry += o.steals_retry;
+    steals_dead += o.steals_dead;
+    blocks_claimed += o.blocks_claimed;
+    bulk_claims += o.bulk_claims;
     for (std::size_t i = 0; i < steal_attempts_by_tier.size(); ++i) {
       steal_attempts_by_tier[i] += o.steal_attempts_by_tier[i];
       steals_ok_by_tier[i] += o.steals_ok_by_tier[i];

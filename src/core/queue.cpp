@@ -25,7 +25,6 @@ std::uint32_t TaskQueue::take_recovered(pgas::PeContext& ctx,
 
 StealResult TaskQueue::dead_victim(pgas::PeContext& thief, int victim) {
   if (recovery_ != nullptr) recovery_->note_dead(thief.pe(), victim);
-  ++local(thief).stats.steals_dead;
   return {StealOutcome::kPeerDead, 0};
 }
 

@@ -45,51 +45,27 @@ struct StealResult {
   /// queue knows *why* the steal failed — locked epoch rotation vs. lock
   /// convoy — so it, not the scheduler, sizes the fast-retry pause.
   net::Nanos retry_after_ns = 0;
-  /// Steal-half blocks the claim covered (SWS bulk claims may take several
-  /// per AMO; every other path reports 1 per success, 0 otherwise).
+  /// Steal-half blocks the claim covered: an SWS success reports the
+  /// blocks its one fetch-add took (several in bulk mode); SDC successes
+  /// and every failure report 0.
   std::uint32_t blocks = 0;
 };
 
-/// Per-PE queue-op counters (owner and thief sides), aggregated by the
-/// pool into the paper's steal/search statistics.
+/// Per-PE counters of what only the protocol can see (owner-side
+/// transfers, epoch waits, SWS probes and renewals, crash fencing). Steal
+/// outcomes are the scheduler's to count, from the returned StealResult.
 struct QueueOpStats {
   std::uint64_t releases = 0;
   std::uint64_t acquires = 0;
   std::uint64_t acquire_poll_ns = 0;  ///< time acquire spent waiting on epochs
-  std::uint64_t steals_ok = 0;
-  std::uint64_t steals_empty = 0;
-  std::uint64_t steals_retry = 0;
-  std::uint64_t tasks_stolen = 0;     ///< tasks this PE stole from others
   std::uint64_t damping_probes = 0;   ///< SWS empty-mode read-only probes
   std::uint64_t renews = 0;           ///< SWS owner-forced allotment renewals
                                       ///< (asteals wraparound protection)
-  std::uint64_t steals_dead = 0;      ///< steal attempts against crashed PEs
   std::uint64_t leases_broken = 0;    ///< dead peers' claims/locks fenced off
   std::uint64_t tasks_recovered = 0;  ///< tasks re-published after a death
-  std::uint64_t bulk_claims = 0;      ///< SWS successes claiming > 1 block
-  std::uint64_t blocks_claimed = 0;   ///< SWS blocks claimed across successes
   std::uint64_t pressure_releases = 0;  ///< SWS enlarged releases under load
   std::uint64_t full_claims = 0;  ///< SWS claims taking a whole multi-block
                                   ///< allotment (serializes through one owner)
-
-  void merge(const QueueOpStats& o) noexcept {
-    releases += o.releases;
-    acquires += o.acquires;
-    acquire_poll_ns += o.acquire_poll_ns;
-    steals_ok += o.steals_ok;
-    steals_empty += o.steals_empty;
-    steals_retry += o.steals_retry;
-    tasks_stolen += o.tasks_stolen;
-    damping_probes += o.damping_probes;
-    renews += o.renews;
-    steals_dead += o.steals_dead;
-    leases_broken += o.leases_broken;
-    tasks_recovered += o.tasks_recovered;
-    bulk_claims += o.bulk_claims;
-    blocks_claimed += o.blocks_claimed;
-    pressure_releases += o.pressure_releases;
-    full_claims += o.full_claims;
-  }
 
   bool operator==(const QueueOpStats&) const = default;
 };

@@ -285,10 +285,17 @@ void TaskPool::run_pe(pgas::PeContext& ctx,
 }
 
 void TaskPool::close_slot(PeSlot& ps, net::Nanos now) {
-  ps.stats.phase_ns[static_cast<std::size_t>(ps.cur)] += now - ps.mark;
+  auto& phase = ps.stats.phase_ns;
+  phase[static_cast<std::size_t>(ps.cur)] += now - ps.mark;
   ps.mark = ps.end = now;
   ps.active = false;
   ps.stats.accounted_ns = ps.end - ps.base;
+  // The paper's steal and search times are slices of the phase clock.
+  ps.stats.steal_time_ns =
+      phase[static_cast<std::size_t>(PoolPhase::kStealing)];
+  ps.stats.search_time_ns =
+      phase[static_cast<std::size_t>(PoolPhase::kProbing)] +
+      phase[static_cast<std::size_t>(PoolPhase::kParked)];
 }
 
 void TaskPool::run_loop(pgas::PeContext& ctx,
@@ -436,7 +443,8 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
     if (acquired) continue;
 
     // Out of local and own-shared work: search the system. Successful
-    // attempts count as steal time, failures as search time (§5.3).
+    // attempts count as steal time (kStealing), failures and pauses as
+    // search time (kProbing, kParked) (§5.3).
     // kRetry failures get kFastRetries fast retries paced by the queue's
     // hint; past that (and for empty victims) the pause grows
     // exponentially with jitter, and resets on the next search.
@@ -523,7 +531,6 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
                                                                      1)];
         victims->report(victim, res.outcome == StealOutcome::kSuccess);
         if (res.outcome == StealOutcome::kSuccess) {
-          w.stats_.steal_time_ns += dt;
           ++w.stats_.steals_ok;
           if (vtier >= 1)
             ++w.stats_.steals_ok_by_tier[static_cast<std::size_t>(vtier - 1)];
@@ -531,6 +538,8 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
           w.stats_.bytes_stolen += static_cast<std::uint64_t>(res.ntasks) *
                                    cfg_.queue.slot_bytes;
           if (res.blocks > 0) w.stats_.claim_blocks.add(res.blocks);
+          w.stats_.blocks_claimed += res.blocks;
+          if (res.blocks > 1) ++w.stats_.bulk_claims;
           w.stats_.steal_latency.add(dt);
           // The attempt accrued as kProbing (its outcome was unknown while
           // it ran); it succeeded, so re-attribute its span to kStealing.
@@ -546,7 +555,12 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
           for (const Task& stolen : loot) w.push_or_run(stolen);
           break;  // back to processing
         }
-        w.stats_.search_time_ns += dt;
+        switch (res.outcome) {
+          case StealOutcome::kEmpty: ++w.stats_.steals_empty; break;
+          case StealOutcome::kRetry: ++w.stats_.steals_retry; break;
+          case StealOutcome::kPeerDead: ++w.stats_.steals_dead; break;
+          case StealOutcome::kSuccess: break;
+        }
         hint = res.retry_after_ns;
         fast = res.outcome == StealOutcome::kRetry &&
                fast_retries < kFastRetries;
@@ -600,10 +614,8 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
         if (hint > pause) pause = hint;
         backoff = std::min(2 * backoff, st.backoff_max_ns);
       }
-      const net::Nanos t0 = ctx.now();
       set_phase(PoolPhase::kParked);
       ctx.compute(pause);
-      w.stats_.search_time_ns += ctx.now() - t0;
       set_phase(PoolPhase::kProbing);
     }
   }
@@ -748,18 +760,18 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
             [](const QueueOpStats& s) { return s.acquires; });
   set_queue("queue.acquire_poll_ns", "acquire time waiting on epochs",
             [](const QueueOpStats& s) { return s.acquire_poll_ns; });
-  set_queue("queue.steals_empty", "steals finding no work",
-            [](const QueueOpStats& s) { return s.steals_empty; });
-  set_queue("queue.steals_retry", "steals bouncing off busy victims",
-            [](const QueueOpStats& s) { return s.steals_retry; });
+  set_worker("queue.steals_empty", "steals finding no work",
+             [](const WorkerStats& s) { return s.steals_empty; });
+  set_worker("queue.steals_retry", "steals bouncing off busy victims",
+             [](const WorkerStats& s) { return s.steals_retry; });
   set_queue("queue.damping_probes", "SWS empty-mode read-only probes",
             [](const QueueOpStats& s) { return s.damping_probes; });
   set_queue("queue.renews", "SWS owner-forced allotment renewals",
             [](const QueueOpStats& s) { return s.renews; });
-  set_queue("queue.bulk_claims", "SWS successes claiming more than one block",
-            [](const QueueOpStats& s) { return s.bulk_claims; });
-  set_queue("queue.blocks_claimed", "SWS blocks claimed across successes",
-            [](const QueueOpStats& s) { return s.blocks_claimed; });
+  set_worker("queue.bulk_claims", "SWS successes claiming more than one block",
+             [](const WorkerStats& s) { return s.bulk_claims; });
+  set_worker("queue.blocks_claimed", "SWS blocks claimed across successes",
+             [](const WorkerStats& s) { return s.blocks_claimed; });
   set_queue("queue.pressure_releases", "SWS enlarged releases under pressure",
             [](const QueueOpStats& s) { return s.pressure_releases; });
 
@@ -772,8 +784,8 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
                [](const WorkerStats& s) { return s.tasks_rerouted; });
     set_worker("runtime.recoveries", "deaths this PE witnessed and recovered around",
                [](const WorkerStats& s) { return s.deaths_witnessed; });
-    set_queue("queue.steals_dead", "steal attempts answered by a dead PE",
-              [](const QueueOpStats& s) { return s.steals_dead; });
+    set_worker("queue.steals_dead", "steal attempts answered by a dead PE",
+               [](const WorkerStats& s) { return s.steals_dead; });
     set_queue("queue.leases_broken", "dead peers' leases/locks broken",
               [](const QueueOpStats& s) { return s.leases_broken; });
     set_queue("queue.tasks_recovered", "tasks fenced off dead thieves' claims",

@@ -143,7 +143,6 @@ class TaskPool {
 
   TaskQueue& queue() noexcept { return *queue_; }
   TaskRegistry& registry() noexcept { return registry_; }
-  TerminationDetector& detector() noexcept { return *term_; }
   /// Replace the termination detector (e.g. the checking harness wrapping
   /// the real detector with a ground-truth cross-check). Must not be
   /// called between run_pe entry and exit.
@@ -165,10 +164,6 @@ class TaskPool {
   /// under the pool.* / queue.* namespaces (docs/observability.md).
   /// Overwrites previously published values.
   void publish_metrics(obs::MetricsRegistry& reg) const;
-  /// Null unless the runtime's fault plan schedules crashes. When present,
-  /// the pool runs in crash mode: queue/inbox recovery hooks are attached
-  /// and the termination detector is wrapped in ResilientTermination.
-  DeathRegistry* recovery() noexcept { return recovery_.get(); }
 
  private:
   friend class Worker;

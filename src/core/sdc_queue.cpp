@@ -268,7 +268,6 @@ bool SdcQueue::claims_open(pgas::PeContext& ctx) const {
 StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
                             std::vector<Task>& out) {
   SWS_ASSERT(victim != thief.pe());
-  auto& st = local(thief).stats;
   auto& fab = thief.fabric();
   const auto want = static_cast<std::uint64_t>(thief.pe()) + 1;
 
@@ -286,12 +285,8 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
     std::uint64_t meta[3];  // split, tail, seq
     fab.get(thief.pe(), victim, meta_.off + kSplitOff, meta, sizeof meta);
     if (meta[0] == net::kDeadFetchValue) return dead_victim(thief, victim);
-    if (meta[1] >= meta[0]) {
-      ++st.steals_empty;
-      return {StealOutcome::kEmpty, 0};
-    }
+    if (meta[1] >= meta[0]) return {StealOutcome::kEmpty, 0};
     if (++attempts >= cfg_.max_lock_attempts) {
-      ++st.steals_retry;
       // Lock convoy: the holder needs roughly one backoff to drain.
       return {StealOutcome::kRetry, 0, kLockBackoffNs};
     }
@@ -308,7 +303,6 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
   const std::uint64_t avail = split > tail ? split - tail : 0;
   if (avail == 0) {
     unlock(thief, victim);
-    ++st.steals_empty;
     return {StealOutcome::kEmpty, 0};
   }
 
@@ -341,9 +335,6 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
   // written with an idempotent set, so duplicated delivery is harmless.
   fab.nbi_amo_set(thief.pe(), victim, meta_.off + completion_off(seq),
                   encode_completion(seq, take));
-
-  ++st.steals_ok;
-  st.tasks_stolen += take;
   return {StealOutcome::kSuccess, take};
 }
 

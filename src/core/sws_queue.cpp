@@ -252,16 +252,14 @@ void SwsQueue::progress(pgas::PeContext& ctx) {
   // retire_allotment() re-enters progress() from its wait loop with the
   // locked sentinel already in place, so the !locked() gate makes the
   // renewal non-recursive.
-  {
-    const StealVal sv = owner_stealval(ctx);
-    // Steal-pressure sampling (bulk mode): the same local read the renew
-    // check needs also yields the per-epoch asteals delta — the owner's
-    // only signal for how hard thieves are hitting this allotment.
-    if (cfg_.bulk_claim_max > 1 && !sv.locked()) {
-      if (sv.asteals > o.asteals_seen) o.pressure += sv.asteals - o.asteals_seen;
-      o.asteals_seen = sv.asteals;
-    }
-    if (!sv.locked() && sv.asteals >= kAStealsRenewAt) {
+  const StealVal sv = owner_stealval(ctx);
+  if (!sv.locked()) {
+    // Steal-pressure sampling: the same local read the renew check needs
+    // also yields the per-epoch asteals delta — the owner's only signal
+    // for how hard thieves are hitting this allotment.
+    if (sv.asteals > o.asteals_seen) o.pressure += sv.asteals - o.asteals_seen;
+    o.asteals_seen = sv.asteals;
+    if (sv.asteals >= kAStealsRenewAt) {
       renew_allotment(ctx);
       ++l.stats.renews;
     }
@@ -379,25 +377,23 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
   auto& fab = thief.fabric();
   auto& tstate = thieves_[static_cast<std::size_t>(thief.pe())];
   auto& mode = tstate.empty_mode[static_cast<std::size_t>(victim)];
+  auto& seen = tstate.seen_blocks[static_cast<std::size_t>(victim)];
 
-  // Bulk claims: in bulk mode the thief's adaptive claim size decides
-  // how many blocks this one fetch-add tries to take. Success doubles it
-  // (capped at bulk_claim_max); it halves on signals that a victim
-  // genuinely can't feed a bulk claim — an empty read-only probe (the
-  // victim has nothing published), a soft-cap refusal, a dead victim.
-  // Two *transient* outcomes deliberately leave it alone: losing the
-  // claim race to peers (fetch-add landed past the last block) and
-  // catching the owner's locked rotation sentinel. Under a steal storm
-  // both happen constantly between wins, and shrinking on either pins
-  // every claim at one block exactly when bulk claims pay off most.
-  // Overshoot past the last block only burns dead asteals units, which
-  // the soft-cap/renewal guards bound.
-  std::uint8_t* csize =
-      cfg_.bulk_claim_max > 1 ? &tstate.claim_size : nullptr;
+  // Claim size: how many blocks this one fetch-add tries to take. The
+  // thief's adaptive claim size, capped at bulk_claim_max, so at the
+  // default of 1 every claim is the paper's single-block steal and the
+  // grow/shrink rules below are no-ops. Success doubles it; it halves on
+  // signals that a victim genuinely can't feed a bulk claim — an empty
+  // read-only probe (the victim has nothing published), a soft-cap
+  // refusal, a dead victim. Two *transient* outcomes deliberately leave it
+  // alone: losing the claim race to peers (fetch-add landed past the last
+  // block) and catching the owner's locked rotation sentinel. Under a
+  // steal storm both happen constantly between wins, and shrinking on
+  // either pins every claim at one block exactly when bulk claims pay off
+  // most. Overshoot past the last block only burns dead asteals units,
+  // which the soft-cap/renewal guards bound.
   std::uint32_t want =
-      csize != nullptr
-          ? std::min<std::uint32_t>(*csize, cfg_.bulk_claim_max)
-          : 1;
+      std::min<std::uint32_t>(tstate.claim_size, cfg_.bulk_claim_max);
   // Observed-allotment cap: never ask for more than half the victim's
   // last-seen block count. A warmed-up thief (claim_size at max) hitting
   // a small owner would otherwise swallow the whole allotment with every
@@ -405,28 +401,18 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
   // — the single-victim-storm pathology (bench/ablation_bulk). Half
   // leaves the remainder claimable concurrently; unknown victims (0)
   // fall back to the pure adaptive size.
-  if (csize != nullptr) {
-    const std::uint8_t seen =
-        tstate.seen_blocks[static_cast<std::size_t>(victim)];
-    if (seen > 0)
-      want = std::min<std::uint32_t>(
-          want, std::max<std::uint32_t>(std::uint32_t{seen} / 2, 1));
-  }
+  if (seen > 0)
+    want = std::min<std::uint32_t>(
+        want, std::max<std::uint32_t>(std::uint32_t{seen} / 2, 1));
   // Refresh the per-victim observation from any decoded live allotment.
   auto note_allotment = [&](const StealVal& v) {
-    if (csize != nullptr && !v.locked() && v.itasks > 0)
-      tstate.seen_blocks[static_cast<std::size_t>(victim)] =
-          static_cast<std::uint8_t>(
-              std::min<std::uint32_t>(steal_block_count(v.itasks), 255));
-  };
-  auto grow_claim = [&] {
-    if (csize != nullptr)
-      *csize = static_cast<std::uint8_t>(
-          std::min<std::uint32_t>(want * 2, cfg_.bulk_claim_max));
+    if (!v.locked() && v.itasks > 0)
+      seen = static_cast<std::uint8_t>(
+          std::min<std::uint32_t>(steal_block_count(v.itasks), 255));
   };
   auto shrink_claim = [&] {
-    if (csize != nullptr)
-      *csize = static_cast<std::uint8_t>(std::max<std::uint32_t>(want / 2, 1));
+    tstate.claim_size =
+        static_cast<std::uint8_t>(std::max<std::uint32_t>(want / 2, 1));
   };
 
   // The poison word decodes to a *locked* stealval (the 2-bit epoch field
@@ -451,16 +437,14 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
     note_allotment(probe);
     if (!has_work(probe)) {
       shrink_claim();  // the victim provably has nothing published
-      ++st.steals_empty;
       return {StealOutcome::kEmpty, 0};
     }
     mode = 0;  // back to full-mode; fall through and claim for real
   }
 
-  // (1) The single-communication discover+claim: fetch-add the packed
-  // asteals field. In bulk mode the addend is `want` units, claiming the
-  // next `want` contiguous blocks at once; the returned prior value is our
-  // claim ticket either way.
+  // (1) The single-communication discover+claim: fetch-add `want` units
+  // to the packed asteals field, claiming the next `want` contiguous
+  // blocks at once; the returned prior value is our claim ticket.
   const std::uint64_t word =
       fab.amo_fetch_add(thief.pe(), victim, stealval_.off,
                         AStealsField::unit() * want);
@@ -469,7 +453,6 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
   note_allotment(sv);
 
   if (sv.locked()) {
-    ++st.steals_retry;
     // The owner rotates epochs on its poll cadence; retrying sooner than
     // that only re-reads the sentinel.
     return {StealOutcome::kRetry, 0, kEpochPollNs};
@@ -482,13 +465,11 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
     // the owner's progress() renews the allotment (asteals back to 0).
     mode = 1;
     shrink_claim();
-    ++st.steals_retry;
     return {StealOutcome::kRetry, 0, kEpochPollNs};
   }
   const std::uint32_t nblocks = steal_block_count(sv.itasks);
   if (sv.itasks == 0 || sv.asteals >= nblocks) {
     if (cfg_.damping && sv.asteals >= nblocks + kDampingSlack) mode = 1;
-    ++st.steals_empty;
     return {StealOutcome::kEmpty, 0};
   }
 
@@ -513,17 +494,14 @@ StealResult SwsQueue::steal(pgas::PeContext& thief, int victim,
     return dead_victim();
 
   // (3) passive completion notification, one non-blocking AMO per claimed
-  // block — the owner's finished-prefix reclaim is per block, so a bulk
-  // claim must light up each of its slots.
+  // block — the owner's finished-prefix reclaim is per block, so a
+  // multi-block claim must light up each of its slots.
   for (std::uint32_t b = 0; b < k; ++b)
     completion_.notify_finished(thief, victim, sv.epoch, b0 + b,
                                 steal_block_size(sv.itasks, b0 + b));
 
-  grow_claim();
-  ++st.steals_ok;
-  st.tasks_stolen += ntasks;
-  st.blocks_claimed += k;
-  if (k > 1) ++st.bulk_claims;
+  tstate.claim_size = static_cast<std::uint8_t>(  // success: double it
+      std::min<std::uint32_t>(want * 2, cfg_.bulk_claim_max));
   // A claim that took every block of a multi-block allotment: the exact
   // shape the observed-allotment cap exists to suppress (the storm regime
   // of bench/ablation_bulk asserts it stays rare).

@@ -36,11 +36,11 @@ struct SwsConfig {
   /// threshold fall back to read-only probes until work reappears.
   bool damping = true;
   /// Bulk claims: the most steal-half blocks one thief fetch-add may claim
-  /// (1..kMaxBulkClaim). 1 = legacy single-block protocol, bit-identical
-  /// schedules. Above 1, thieves grow their per-victim claim size on
-  /// successful steals and shrink it when the victim provably can't feed
-  /// a bulk claim (empty probe, soft-cap refusal, dead victim), and the
-  /// owner releases larger allotments when it observes steal pressure.
+  /// (1..kMaxBulkClaim). 1 = the paper's single-block steal. Thieves grow
+  /// their claim size on successful steals and shrink it when the victim
+  /// provably can't feed a bulk claim (empty probe, soft-cap refusal, dead
+  /// victim), always capped here; above 1 the owner also releases larger
+  /// allotments when it observes steal pressure.
   std::uint32_t bulk_claim_max = 1;
 };
 
@@ -75,9 +75,10 @@ class SwsQueue final : public TaskQueue {
     std::uint32_t itasks = 0;          ///< live allotment size
     std::uint32_t epoch = 0;
     std::deque<AllotmentRecord> outstanding;
-    /// Steal-pressure tracking (bulk mode only): last asteals value sampled
+    /// Steal-pressure tracking: last asteals value sampled
     /// from the live allotment, and attempts accumulated since the last
-    /// release — high pressure makes the next release expose more.
+    /// release — in bulk mode, high pressure makes the next release expose
+    /// more.
     std::uint32_t asteals_seen = 0;
     std::uint32_t pressure = 0;
   };
@@ -85,15 +86,16 @@ class SwsQueue final : public TaskQueue {
   /// victim.
   struct ThiefState {
     std::vector<std::uint8_t> empty_mode;  // 1 = probe-first
-    /// Last observed allotment block count per victim (bulk mode; 0 =
-    /// never observed, saturated at 255). Every decoded stealval with a
+    /// Last observed allotment block count per victim (0 = never
+    /// observed, saturated at 255). Every decoded stealval with a
     /// live allotment refreshes it. Caps the adaptive claim at half the
     /// victim's allotment, so a warmed-up thief can't keep swallowing a
     /// small owner's whole allotment and serialize every other thief
     /// behind that owner's renewal cadence.
     std::vector<std::uint8_t> seen_blocks;
-    /// Adaptive bulk claim size (bulk mode only): doubles on a successful
-    /// steal, halves on an empty probe / soft-cap refusal / dead victim.
+    /// Adaptive claim size, capped at bulk_claim_max: doubles on a
+    /// successful steal, halves on an empty probe / soft-cap refusal / dead
+    /// victim.
     /// One value per thief, not per victim: the demand it tracks — "this
     /// thief keeps coming back for more" — follows the thief to whichever
     /// victim it tries next, and per-victim values would never warm up

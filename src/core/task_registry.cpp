@@ -9,20 +9,13 @@ TaskFnId TaskRegistry::register_fn(std::string name, TaskFn fn) {
   SWS_CHECK(static_cast<bool>(fn), "null task function");
   const auto id = static_cast<TaskFnId>(fns_.size());
   fns_.push_back(std::move(fn));
-  by_name_.emplace(name, id);
-  names_.push_back(std::move(name));
+  by_name_.emplace(std::move(name), id);
   return id;
 }
 
 const TaskFn& TaskRegistry::fn(TaskFnId id) const {
   SWS_ASSERT_MSG(id < fns_.size(), "unknown task function id");
   return fns_[id];
-}
-
-TaskFnId TaskRegistry::id_of(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  SWS_CHECK(it != by_name_.end(), "unknown task function name: " + name);
-  return it->second;
 }
 
 }  // namespace sws::core

@@ -29,12 +29,10 @@ class TaskRegistry {
   TaskFnId register_fn(std::string name, TaskFn fn);
 
   const TaskFn& fn(TaskFnId id) const;
-  TaskFnId id_of(const std::string& name) const;
   std::size_t size() const noexcept { return fns_.size(); }
 
  private:
   std::vector<TaskFn> fns_;
-  std::vector<std::string> names_;
   std::unordered_map<std::string, TaskFnId> by_name_;
 };
 

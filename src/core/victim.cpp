@@ -47,10 +47,6 @@ class RandomSelector final : public VictimSelector {
     return r >= self_ ? r + 1 : r;
   }
 
-  VictimPolicy policy() const noexcept override {
-    return VictimPolicy::kRandom;
-  }
-
  private:
   int self_;
   int npes_;
@@ -68,10 +64,6 @@ class RoundRobinSelector final : public VictimSelector {
     cursor_ = (cursor_ + 1) % npes_;
     if (cursor_ == self_) cursor_ = (cursor_ + 1) % npes_;
     return v;
-  }
-
-  VictimPolicy policy() const noexcept override {
-    return VictimPolicy::kRoundRobin;
   }
 
  private:
@@ -116,10 +108,6 @@ class TieredSelector final : public VictimSelector {
     }
     // Already at the widest populated tier: start over from the nearest.
     tier_ = nearest_tier();
-  }
-
-  VictimPolicy policy() const noexcept override {
-    return VictimPolicy::kTiered;
   }
 
  private:
@@ -177,10 +165,6 @@ class DistanceWeightedSelector final : public VictimSelector {
     const auto k =
         static_cast<int>(rng_.below(static_cast<std::uint64_t>(n)));
     return topo_.peer(self_, t, k);
-  }
-
-  VictimPolicy policy() const noexcept override {
-    return VictimPolicy::kDistanceWeighted;
   }
 
  private:

@@ -57,8 +57,6 @@ class VictimSelector {
     (void)victim;
     (void)success;
   }
-
-  virtual VictimPolicy policy() const noexcept = 0;
 };
 
 /// Build a selector for PE `self`. kRandom draws from the stream

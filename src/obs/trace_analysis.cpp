@@ -316,6 +316,11 @@ RunTrace parse_chrome_trace_file(const std::string& path) {
 
 namespace {
 
+/// Window pathology thresholds: failed steals that make a storm, kRetry
+/// results that make churn.
+constexpr std::uint64_t kStormMinFails = 16;
+constexpr std::uint64_t kChurnMinRetries = 8;
+
 /// Canonical signature of a span's op multiset: names sorted, counted.
 std::string op_signature(const Span& s) {
   std::map<std::string, int> counts;
@@ -502,9 +507,9 @@ AnalyzeReport analyze(const RunTrace& rt, const WindowConfig& wc) {
     r.peak_window_fails = std::max(r.peak_window_fails, w.fails);
     // A storm window: failures dominate (thieves hammering empty or busy
     // victims); churn: the SDC lock bounce pattern, retries specifically.
-    if (w.fails >= wc.storm_min_fails && w.fails >= 4 * w.oks)
+    if (w.fails >= kStormMinFails && w.fails >= 4 * w.oks)
       ++r.storm_windows;
-    if (w.retries >= wc.churn_min_retries &&
+    if (w.retries >= kChurnMinRetries &&
         2 * w.retries >= w.fails + w.oks + w.retries)
       ++r.churn_windows;
   }

@@ -98,11 +98,9 @@ struct RunTrace {
 RunTrace parse_chrome_trace(std::istream& is);
 RunTrace parse_chrome_trace_file(const std::string& path);
 
-/// Pathology window scan parameters; defaults match sws-analyze's.
+/// Pathology window scan parameters.
 struct WindowConfig {
   std::uint64_t window_ns = 0;  ///< 0 = auto (duration / 64, min 1 µs)
-  std::uint64_t storm_min_fails = 16;   ///< failed steals to call a storm
-  std::uint64_t churn_min_retries = 8;  ///< kRetry results to call churn
 };
 
 struct AnalyzeReport {
@@ -147,8 +145,8 @@ struct AnalyzeReport {
   sws::LogHistogram lat_retry_ns;  ///< kRetry attempts
 
   std::uint64_t window_ns = 0;
-  std::uint64_t storm_windows = 0;  ///< fails >= min and >= 4x successes
-  std::uint64_t churn_windows = 0;  ///< retries >= min and >= attempts/2
+  std::uint64_t storm_windows = 0;  ///< fails >= 16 and >= 4x successes
+  std::uint64_t churn_windows = 0;  ///< retries >= 8 and >= attempts/2
   std::uint64_t peak_window_fails = 0;
 
   /// Protocol self-check findings; empty = clean. Populated only when the

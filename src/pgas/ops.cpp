@@ -36,10 +36,6 @@ void PeContext::nbi_add(int target, SymPtr p, std::uint64_t value) {
   fabric().nbi_amo_add(pe_, target, p.off, value);
 }
 
-void PeContext::nbi_set(int target, SymPtr p, std::uint64_t value) {
-  fabric().nbi_amo_set(pe_, target, p.off, value);
-}
-
 void PeContext::quiet() { fabric().quiet(pe_); }
 
 }  // namespace sws::pgas

@@ -63,8 +63,6 @@ class PeContext {
   std::uint64_t fetch(int target, SymPtr p);
   void set(int target, SymPtr p, std::uint64_t value);
   void nbi_add(int target, SymPtr p, std::uint64_t value);
-  /// Non-blocking idempotent store (survives duplicated delivery).
-  void nbi_set(int target, SymPtr p, std::uint64_t value);
   /// Complete all of this PE's outstanding non-blocking ops.
   void quiet();
 

@@ -93,7 +93,7 @@ RunTrace run_uts(core::QueueKind kind, int npes, bool trace = false,
   t.steals_ok = pool.report().total.steals_ok;
   t.steal_attempts = pool.report().total.steal_attempts;
   for (int pe = 0; pe < npes; ++pe)
-    t.bulk_claims += pool.queue().op_stats(pe).bulk_claims;
+    t.bulk_claims += pool.worker_stats(pe).bulk_claims;
   t.duration = rt.last_run_duration();
   if (trace) {
     std::ostringstream os;

@@ -264,7 +264,7 @@ TEST_P(QueueCommon, PushFailsOnlyWhenRingTrulyFull) {
   });
 }
 
-TEST_P(QueueCommon, OpStatsTrackSteals) {
+TEST_P(QueueCommon, StealResultsReportTheClaim) {
   pgas::Runtime rt(rcfg(2));
   auto q = make_queue(rt, GetParam());
   rt.run([&](pgas::PeContext& ctx) {
@@ -275,16 +275,24 @@ TEST_P(QueueCommon, OpStatsTrackSteals) {
     }
     ctx.barrier();
     if (ctx.pe() == 1) {
+      // 4 shared → SWS blocks {2,1,1}; SDC steals half of what is left.
       std::vector<Task> loot;
-      (void)q->steal(ctx, 0, loot);
-      (void)q->steal(ctx, 0, loot);
+      const StealResult a = q->steal(ctx, 0, loot);
+      const StealResult b = q->steal(ctx, 0, loot);
+      EXPECT_EQ(a.outcome, StealOutcome::kSuccess);
+      EXPECT_EQ(b.outcome, StealOutcome::kSuccess);
+      EXPECT_EQ(a.ntasks, 2u);
+      EXPECT_EQ(b.ntasks, 1u);
+      EXPECT_EQ(loot.size(), 3u);
+      // One block per SWS claim at bulk_claim_max = 1; SDC has no blocks.
+      const std::uint32_t blocks = GetParam() == QueueKind::kSws ? 1u : 0u;
+      EXPECT_EQ(a.blocks, blocks);
+      EXPECT_EQ(b.blocks, blocks);
     }
     ctx.barrier();
   });
-  const QueueOpStats& s = q->op_stats(1);
-  EXPECT_EQ(s.steals_ok, 2u);
-  EXPECT_EQ(s.tasks_stolen, 2u + 1u);  // 4 shared → blocks {2,1,1}
   EXPECT_EQ(q->op_stats(0).releases, 1u);
+  EXPECT_EQ(q->op_stats(1), QueueOpStats{}) << "steals are the pool's to count";
 }
 
 TEST_P(QueueCommon, ResetPeStartsFromAnEmptyLocalHalf) {
@@ -304,6 +312,7 @@ TEST_P(QueueCommon, ResetPeStartsFromAnEmptyLocalHalf) {
       std::vector<Task> loot;
       ASSERT_EQ(q->steal(ctx, 0, loot).outcome, StealOutcome::kSuccess);
       for (const Task& t : loot) ASSERT_TRUE(q->push_local(ctx, t));
+      ASSERT_TRUE(q->try_release(ctx));  // dirties the thief's counters
       ctx.quiet();
     }
     ctx.barrier();
