@@ -9,9 +9,8 @@
 // runtime gain it reports the per-tier steal-attempt mix, which is what
 // locality-aware selection actually shifts.
 //
-//   --topo SPEC       N-tier shape, outermost-first (default: two-level
-//                     nodes of --node-size)
-//   --node-size N     two-level shorthand (default 8)
+//   --topo SPEC       N-tier shape, outermost-first (default "*x8":
+//                     unbounded nodes of 8 PEs)
 //   --depth D         UTS tree depth (default 13)
 #include <array>
 #include <fstream>
@@ -38,11 +37,8 @@ struct PolicyResult {
 int main(int argc, char** argv) {
   Options opt(argc, argv);
   auto settings = bench::BenchSettings::from_options(opt);
-  const int node = static_cast<int>(opt.get("node-size", std::int64_t{8}));
-  const std::string spec_str = opt.get("topo", std::string(""));
-  const net::TopologySpec spec = spec_str.empty()
-                                     ? net::TopologySpec::two_level(node)
-                                     : net::TopologySpec::parse(spec_str);
+  const net::TopologySpec spec =
+      net::TopologySpec::parse(opt.get("topo", std::string("*x8")));
   const int ntiers = spec.ntiers();
 
   workloads::UtsParams p;

@@ -54,13 +54,8 @@ const char* kind_name(core::QueueKind k) {
 }
 
 net::NetworkParams net_from_options(const Options& opt) {
-  // Read both keys up front so neither trips Options::exit_if_unknown;
-  // --topo wins when both are given.
-  const std::string spec = opt.get("topo", std::string(""));
-  const auto node = static_cast<int>(opt.get("node-size", std::int64_t{0}));
-  if (!spec.empty())
-    return net::NetworkParams::tiered(net::TopologySpec::parse(spec));
-  return net::NetworkParams::two_level(node);
+  return net::NetworkParams::tiered(
+      net::TopologySpec::parse(opt.get("topo", std::string(""))));
 }
 
 void emit(const Table& t, const BenchSettings& settings) {

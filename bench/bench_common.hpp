@@ -89,11 +89,11 @@ struct PoolTweaks {
   net::NetworkParams net{};
 };
 
-/// Topology options shared by every bench binary:
-///   --topo SPEC        N-tier shape, outermost-first (e.g. "2x4x48");
-///                      links derived geometrically (NetworkParams::tiered)
-///   --node-size N      classic two-level shape, nodes of N PEs
-/// Both absent (or node-size 0) = the flat single-tier fabric.
+/// Topology option shared by every bench binary:
+///   --topo SPEC        N-tier shape, outermost-first (e.g. "2x4x48", or
+///                      "*x48" for unbounded nodes of 48 PEs); links
+///                      derived geometrically (NetworkParams::tiered)
+/// Absent = the flat single-tier fabric.
 net::NetworkParams net_from_options(const Options& opt);
 
 /// Run `reps` independent executions of a workload on `npes` PEs with the

@@ -23,6 +23,7 @@ expect_unknown(no-such-flag ${FIG2} --no-such-flag 1)
 expect_unknown(term-chek ${ENGINE} --term-chek 9)
 expect_unknown(no-such-flag ${QUICKSTART} --npes 2 --no-such-flag)
 expect_unknown(mode ${QUICKSTART} --npes 2 --mode real)
+expect_unknown(node-size ${ENGINE} --node-size 4)
 
 # Known options still run.
 execute_process(COMMAND ${FIG2} --csv OUTPUT_QUIET RESULT_VARIABLE rc)

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   bench::PoolTweaks tweaks;
   tweaks.queue.slot_bytes = 32;
   tweaks.queue.capacity = 16384;
-  // --node-size 48 reproduces the paper's 48-core-node cluster shape;
-  // --topo "44x48" additionally bounds the node count.
+  // --topo '*x48' reproduces the paper's 48-core-node cluster shape;
+  // --topo 44x48 additionally bounds the node count.
   tweaks.net = bench::net_from_options(opt);
   opt.exit_if_unknown();
 

@@ -3,7 +3,7 @@
 // plus an optional Chrome trace-event JSON for chrome://tracing.
 //
 //   ./steal_timeline [--npes 8] [--queue sws|sdc] [--depth 9]
-//                    [--topo SPEC|--node-size N] [--victim POLICY]
+//                    [--topo SPEC] [--victim POLICY]
 //                    [--bulk N] [--chrome-json trace.json]
 //
 // --topo "2x4" models 2 nodes x 4 PEs (outermost-first; see
@@ -26,13 +26,8 @@ int main(int argc, char** argv) {
 
   pgas::RuntimeConfig rcfg;
   rcfg.npes = static_cast<int>(opt.get("npes", std::int64_t{8}));
-  const std::string topo = opt.get("topo", std::string(""));
-  const auto node_size =
-      static_cast<int>(opt.get("node-size", std::int64_t{0}));
-  if (!topo.empty())
-    rcfg.net = net::NetworkParams::tiered(net::TopologySpec::parse(topo));
-  else
-    rcfg.net = net::NetworkParams::two_level(node_size);
+  rcfg.net = net::NetworkParams::tiered(
+      net::TopologySpec::parse(opt.get("topo", std::string(""))));
   pgas::Runtime rt(rcfg);
 
   workloads::UtsParams p;

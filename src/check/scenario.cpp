@@ -316,7 +316,6 @@ class CrashSteal final : public ScenarioInstance {
     // scenario's bounded wait (production default is 2 ms).
     core::RecoveryConfig rc;
     rc.lease_ns = 50'000;
-    rc.probe_backoff_ns = 1'000;
     registry_.init(rt, rc);
     q_->attach_recovery(&registry_);
   }

@@ -37,8 +37,6 @@ struct RecoveryConfig {
   /// fault layer's full retransmit budget), so a lease never breaks on a
   /// slow-but-alive PE under the default fault plans.
   net::Nanos lease_ns = 2'000'000;
-  /// Pause between re-probes while waiting out a suspected peer.
-  net::Nanos probe_backoff_ns = 5'000;
 };
 
 /// Per-observer death knowledge plus the probe protocol (file comment).

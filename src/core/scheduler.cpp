@@ -1,6 +1,7 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "common/assert.hpp"
@@ -16,6 +17,8 @@ constexpr std::uint32_t kFastRetries = 4;     ///< hint-paced kRetry attempts
 constexpr std::uint32_t kTermCheckEvery = 4;  ///< failed attempts per poll
 /// Local tasks needed before release exposes work to thieves.
 constexpr std::uint32_t kReleaseThreshold = 2;
+/// Crash-mode teardown: pause between checks for effects still inbound.
+constexpr net::Nanos kTeardownPollNs = 5'000;
 
 /// Args of a span's end event, derived from the spanned op's result.
 struct SpanEnd {
@@ -121,20 +124,22 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
       queue_ = std::make_unique<SdcQueue>(rt, cfg_.queue, cfg_.sdc);
       break;
   }
-  term_ = std::make_unique<CounterTermination>(rt);
+  // Allocated before the inbox so crash-free symmetric-heap offsets (and
+  // with them every output) match older builds; keep the two branches.
+  if (!rt.fabric().crashes_planned())
+    term_ = std::make_unique<CounterTermination>(rt);
   inbox_ = std::make_unique<TaskInbox>(rt, cfg_.inbox_capacity,
                                        cfg_.queue.slot_bytes);
   if (rt.fabric().crashes_planned()) {
-    // Crash mode: wire every layer to the shared death registry and swap
-    // the termination protocol for the crash-tolerant idle-wave consensus
+    // Crash mode: wire every layer to the shared death registry and use
+    // the crash-tolerant idle-wave consensus as the termination protocol
     // (the counter hangs once a PE dies). None of this exists in a
     // crash-free pool — those runs stay byte-identical to older builds.
     recovery_ = std::make_unique<DeathRegistry>();
     recovery_->init(rt, RecoveryConfig{});
     queue_->attach_recovery(recovery_.get());
     inbox_->attach_recovery(recovery_.get());
-    term_ = std::make_unique<ResilientTermination>(rt, std::move(term_),
-                                                   recovery_.get());
+    term_ = std::make_unique<ResilientTermination>(rt, recovery_.get());
   }
   if (cfg_.trace.enable) {
     tracer_ = Tracer(rt.npes(), cfg_.trace.events);
@@ -342,12 +347,8 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
   // machinery, so crash-free runs take none of these branches.
   const bool crash_mode = recovery_ != nullptr;
   net::Nanos last_fence = 0;
-  std::vector<char> death_traced;   ///< kDeathDetected emitted for PE i
-  std::vector<char> inbox_rerouted; ///< ledger drained for dead PE i
-  if (crash_mode) {
-    death_traced.assign(static_cast<std::size_t>(ctx.npes()), 0);
-    inbox_rerouted.assign(static_cast<std::size_t>(ctx.npes()), 0);
-  }
+  std::vector<char> death_traced;  ///< kDeathDetected emitted for PE i
+  if (crash_mode) death_traced.assign(static_cast<std::size_t>(ctx.npes()), 0);
   const auto trace_new_deaths = [&]() {
     if (!crash_mode || !tracer_.enabled()) return;
     for (int p = 0; p < ctx.npes(); ++p) {
@@ -470,11 +471,10 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
               [&] {
                 queue_->fence_dead(ctx);
                 std::uint32_t n_rec = drain_recovered(w);
+                // A dead target takes no further pushes, so its drained
+                // ledger row stays empty and a repeat sweep reroutes 0.
                 for (int p = 0; p < ctx.npes(); ++p) {
-                  if (inbox_rerouted[static_cast<std::size_t>(p)] ||
-                      !recovery_->known_dead(ctx.pe(), p))
-                    continue;
-                  inbox_rerouted[static_cast<std::size_t>(p)] = 1;
+                  if (!recovery_->known_dead(ctx.pe(), p)) continue;
                   loot.clear();
                   const std::uint32_t n = inbox_->reroute_dead(ctx, p, loot);
                   if (n == 0) continue;
@@ -637,7 +637,7 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
     set_phase(PoolPhase::kBlockedNbi);
     ctx.quiet();
     while (ctx.fabric().pending_to(ctx.pe()) > 0)
-      ctx.compute(recovery_->config().probe_backoff_ns);
+      ctx.compute(kTeardownPollNs);
   } else {
     set_phase(PoolPhase::kBlockedNbi);
     ctx.quiet();  // complete our in-flight completion notifications
@@ -679,117 +679,108 @@ void TaskPool::dump_timeseries_json(std::ostream& os) const {
 
 void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
   const int npes = static_cast<int>(slots_.size());
-  const auto stats = [&](int pe) -> const WorkerStats& {
-    return slots_[static_cast<std::size_t>(pe)].stats;
-  };
-  auto set_worker = [&](const char* name, const char* help, auto&& field) {
-    const auto id = reg.counter(name, help);
-    for (int pe = 0; pe < npes; ++pe) reg.set(id, pe, field(stats(pe)));
-  };
-  set_worker("pool.tasks_executed", "tasks run to completion",
-             [](const WorkerStats& s) { return s.tasks_executed; });
-  set_worker("pool.tasks_spawned", "children + seeds added",
-             [](const WorkerStats& s) { return s.tasks_spawned; });
-  set_worker("pool.tasks_stolen", "tasks pulled from victims",
-             [](const WorkerStats& s) { return s.tasks_stolen; });
-  set_worker("pool.bytes_stolen", "payload bytes moved by successful steals",
-             [](const WorkerStats& s) { return s.bytes_stolen; });
-  set_worker("pool.steals_ok", "successful steal operations",
-             [](const WorkerStats& s) { return s.steals_ok; });
-  set_worker("pool.steal_attempts", "successful + failed steals",
-             [](const WorkerStats& s) { return s.steal_attempts; });
+  const auto worker = std::bind_front(&TaskPool::worker_stats, this);
+  const auto queue = std::bind_front(&TaskQueue::op_stats, queue_.get());
+  reg.counter("pool.tasks_executed", "tasks run to completion",
+              obs::per_pe(npes, worker, &WorkerStats::tasks_executed));
+  reg.counter("pool.tasks_spawned", "children + seeds added",
+              obs::per_pe(npes, worker, &WorkerStats::tasks_spawned));
+  reg.counter("pool.tasks_stolen", "tasks pulled from victims",
+              obs::per_pe(npes, worker, &WorkerStats::tasks_stolen));
+  reg.counter("pool.bytes_stolen", "payload bytes moved by successful steals",
+              obs::per_pe(npes, worker, &WorkerStats::bytes_stolen));
+  reg.counter("pool.steals_ok", "successful steal operations",
+              obs::per_pe(npes, worker, &WorkerStats::steals_ok));
+  reg.counter("pool.steal_attempts", "successful + failed steals",
+              obs::per_pe(npes, worker, &WorkerStats::steal_attempts));
   for (net::Tier t = 1; t <= rt_.fabric().model().ntiers(); ++t) {
     const std::string suffix = ".t" + std::to_string(t);
-    const auto attempts =
-        reg.counter("pool.steal_attempts_by_tier" + suffix,
-                    "steal attempts against victims at this tier distance");
-    const auto ok = reg.counter("pool.steals_ok_by_tier" + suffix,
-                                "successful steals at this tier distance");
-    for (int pe = 0; pe < npes; ++pe) {
-      const WorkerStats& s = stats(pe);
-      reg.set(attempts, pe,
-              s.steal_attempts_by_tier[static_cast<std::size_t>(t - 1)]);
-      reg.set(ok, pe, s.steals_ok_by_tier[static_cast<std::size_t>(t - 1)]);
-    }
+    const auto tier = static_cast<std::size_t>(t - 1);
+    reg.counter("pool.steal_attempts_by_tier" + suffix,
+                "steal attempts against victims at this tier distance",
+                obs::per_pe(npes, worker, [tier](const WorkerStats& s) {
+                  return s.steal_attempts_by_tier[tier];
+                }));
+    reg.counter("pool.steals_ok_by_tier" + suffix,
+                "successful steals at this tier distance",
+                obs::per_pe(npes, worker, [tier](const WorkerStats& s) {
+                  return s.steals_ok_by_tier[tier];
+                }));
   }
-  set_worker("pool.steal_time_ns", "time in successful steals",
-             [](const WorkerStats& s) { return s.steal_time_ns; });
-  set_worker("pool.search_time_ns", "failed attempts + backoff",
-             [](const WorkerStats& s) { return s.search_time_ns; });
-  set_worker("pool.term_check_ns", "time in termination detection",
-             [](const WorkerStats& s) { return s.term_check_ns; });
-  set_worker("pool.compute_time_ns", "charged task compute",
-             [](const WorkerStats& s) { return s.compute_time_ns; });
-  set_worker("pool.owner_polls",
-             "owner polls run; a pass with nothing landed skips its poll",
-             [](const WorkerStats& s) { return s.owner_polls; });
+  reg.counter("pool.steal_time_ns", "time in successful steals",
+              obs::per_pe(npes, worker, &WorkerStats::steal_time_ns));
+  reg.counter("pool.search_time_ns", "failed attempts + backoff",
+              obs::per_pe(npes, worker, &WorkerStats::search_time_ns));
+  reg.counter("pool.term_check_ns", "time in termination detection",
+              obs::per_pe(npes, worker, &WorkerStats::term_check_ns));
+  reg.counter("pool.compute_time_ns", "charged task compute",
+              obs::per_pe(npes, worker, &WorkerStats::compute_time_ns));
+  reg.counter("pool.owner_polls",
+              "owner polls run; a pass with nothing landed skips its poll",
+              obs::per_pe(npes, worker, &WorkerStats::owner_polls));
   // Exhaustive phase taxonomy: per PE the categories sum exactly to
   // pool.phase.accounted_ns (docs/observability.md).
-  for (std::size_t c = 0; c < kNumPoolPhases; ++c) {
-    const auto id = reg.counter(
-        std::string("pool.phase.") +
-            pool_phase_name(static_cast<PoolPhase>(c)) + "_ns",
-        "time attributed to this phase (taxonomy sums to accounted_ns)");
-    for (int pe = 0; pe < npes; ++pe)
-      reg.set(id, pe, stats(pe).phase_ns[c]);
+  for (std::size_t c = 0; c < kNumPoolPhases; ++c)
+    reg.counter(std::string("pool.phase.") +
+                    pool_phase_name(static_cast<PoolPhase>(c)) + "_ns",
+                "time attributed to this phase (taxonomy sums to accounted_ns)",
+                obs::per_pe(npes, worker, [c](const WorkerStats& s) {
+                  return s.phase_ns[c];
+                }));
+  reg.counter("pool.phase.accounted_ns",
+              "elapsed span the phase taxonomy covers",
+              obs::per_pe(npes, worker, &WorkerStats::accounted_ns));
+  reg.gauge("pool.run_time_ns", "per-PE whole-run time (max = Fig 8 y)",
+            obs::per_pe(npes, worker, &WorkerStats::run_time_ns));
+  LogHistogram steal_latency, claim_blocks;
+  for (int pe = 0; pe < npes; ++pe) {
+    steal_latency.merge(worker(pe).steal_latency);
+    claim_blocks.merge(worker(pe).claim_blocks);
   }
-  set_worker("pool.phase.accounted_ns",
-             "elapsed span the phase taxonomy covers",
-             [](const WorkerStats& s) { return s.accounted_ns; });
-  const auto run_time =
-      reg.gauge("pool.run_time_ns", "per-PE whole-run time (max = Fig 8 y)");
-  for (int pe = 0; pe < npes; ++pe)
-    reg.set(run_time, pe, stats(pe).run_time_ns);
-  const auto lat = reg.histogram("pool.steal_latency_ns",
-                                 "per-successful-steal latency");
-  for (int pe = 0; pe < npes; ++pe)
-    reg.set_hist(lat, pe, stats(pe).steal_latency);
-  const auto cblocks = reg.histogram("pool.claim_blocks",
-                                     "blocks per successful steal claim");
-  for (int pe = 0; pe < npes; ++pe)
-    reg.set_hist(cblocks, pe, stats(pe).claim_blocks);
+  reg.histogram("pool.steal_latency_ns", "per-successful-steal latency",
+                steal_latency);
+  reg.histogram("pool.claim_blocks", "blocks per successful steal claim",
+                claim_blocks);
 
-  auto set_queue = [&](const char* name, const char* help, auto&& field) {
-    const auto id = reg.counter(name, help);
-    for (int pe = 0; pe < npes; ++pe)
-      reg.set(id, pe, field(queue_->op_stats(pe)));
-  };
-  set_queue("queue.releases", "local→shared transfers",
-            [](const QueueOpStats& s) { return s.releases; });
-  set_queue("queue.acquires", "shared→local transfers",
-            [](const QueueOpStats& s) { return s.acquires; });
-  set_queue("queue.acquire_poll_ns", "acquire time waiting on epochs",
-            [](const QueueOpStats& s) { return s.acquire_poll_ns; });
-  set_worker("queue.steals_empty", "steals finding no work",
-             [](const WorkerStats& s) { return s.steals_empty; });
-  set_worker("queue.steals_retry", "steals bouncing off busy victims",
-             [](const WorkerStats& s) { return s.steals_retry; });
-  set_queue("queue.damping_probes", "SWS empty-mode read-only probes",
-            [](const QueueOpStats& s) { return s.damping_probes; });
-  set_queue("queue.renews", "SWS owner-forced allotment renewals",
-            [](const QueueOpStats& s) { return s.renews; });
-  set_worker("queue.bulk_claims", "SWS successes claiming more than one block",
-             [](const WorkerStats& s) { return s.bulk_claims; });
-  set_worker("queue.blocks_claimed", "SWS blocks claimed across successes",
-             [](const WorkerStats& s) { return s.blocks_claimed; });
-  set_queue("queue.pressure_releases", "SWS enlarged releases under pressure",
-            [](const QueueOpStats& s) { return s.pressure_releases; });
+  reg.counter("queue.releases", "local→shared transfers",
+              obs::per_pe(npes, queue, &QueueOpStats::releases));
+  reg.counter("queue.acquires", "shared→local transfers",
+              obs::per_pe(npes, queue, &QueueOpStats::acquires));
+  reg.counter("queue.acquire_poll_ns", "acquire time waiting on epochs",
+              obs::per_pe(npes, queue, &QueueOpStats::acquire_poll_ns));
+  reg.counter("queue.steals_empty", "steals finding no work",
+              obs::per_pe(npes, worker, &WorkerStats::steals_empty));
+  reg.counter("queue.steals_retry", "steals bouncing off busy victims",
+              obs::per_pe(npes, worker, &WorkerStats::steals_retry));
+  reg.counter("queue.damping_probes", "SWS empty-mode read-only probes",
+              obs::per_pe(npes, queue, &QueueOpStats::damping_probes));
+  reg.counter("queue.renews", "SWS owner-forced allotment renewals",
+              obs::per_pe(npes, queue, &QueueOpStats::renews));
+  reg.counter("queue.bulk_claims", "SWS successes claiming more than one block",
+              obs::per_pe(npes, worker, &WorkerStats::bulk_claims));
+  reg.counter("queue.blocks_claimed", "SWS blocks claimed across successes",
+              obs::per_pe(npes, worker, &WorkerStats::blocks_claimed));
+  reg.counter("queue.pressure_releases",
+              "SWS enlarged releases under pressure",
+              obs::per_pe(npes, queue, &QueueOpStats::pressure_releases));
 
   // Crash-recovery series exist only for crash-mode pools, keeping
   // crash-free metric dumps identical to older builds.
   if (recovery_) {
-    set_worker("pool.reexec_tasks", "tasks fenced from dead claims, re-run",
-               [](const WorkerStats& s) { return s.tasks_reexecuted; });
-    set_worker("pool.rerouted_tasks", "inbox pushes re-routed from dead PEs",
-               [](const WorkerStats& s) { return s.tasks_rerouted; });
-    set_worker("runtime.recoveries", "deaths this PE witnessed and recovered around",
-               [](const WorkerStats& s) { return s.deaths_witnessed; });
-    set_worker("queue.steals_dead", "steal attempts answered by a dead PE",
-               [](const WorkerStats& s) { return s.steals_dead; });
-    set_queue("queue.leases_broken", "dead peers' leases/locks broken",
-              [](const QueueOpStats& s) { return s.leases_broken; });
-    set_queue("queue.tasks_recovered", "tasks fenced off dead thieves' claims",
-              [](const QueueOpStats& s) { return s.tasks_recovered; });
+    reg.counter("pool.reexec_tasks", "tasks fenced from dead claims, re-run",
+                obs::per_pe(npes, worker, &WorkerStats::tasks_reexecuted));
+    reg.counter("pool.rerouted_tasks", "inbox pushes re-routed from dead PEs",
+                obs::per_pe(npes, worker, &WorkerStats::tasks_rerouted));
+    reg.counter("runtime.recoveries",
+                "deaths this PE witnessed and recovered around",
+                obs::per_pe(npes, worker, &WorkerStats::deaths_witnessed));
+    reg.counter("queue.steals_dead", "steal attempts answered by a dead PE",
+                obs::per_pe(npes, worker, &WorkerStats::steals_dead));
+    reg.counter("queue.leases_broken", "dead peers' leases/locks broken",
+                obs::per_pe(npes, queue, &QueueOpStats::leases_broken));
+    reg.counter("queue.tasks_recovered",
+                "tasks fenced off dead thieves' claims",
+                obs::per_pe(npes, queue, &QueueOpStats::tasks_recovered));
   }
 }
 

@@ -69,7 +69,7 @@ struct PoolConfig {
   SdcConfig sdc{};                  ///< SDC protocol knobs
   /// Victim-selection policy. Locality-aware policies read the machine
   /// shape from the runtime's NetworkParams::topology — the single
-  /// source of truth; there is no separate node-size field to agree with.
+  /// source of truth; there is no separate node size to agree with.
   VictimConfig victim{};
   StealTuning steal{};
   /// Per-PE remote-spawn inbox slots (Worker::spawn_on).

@@ -53,20 +53,16 @@ bool CounterTermination::check(pgas::PeContext& ctx) {
 
 // ------------------------------------------------------------- resilient
 
-ResilientTermination::ResilientTermination(
-    pgas::Runtime& rt, std::unique_ptr<TerminationDetector> inner,
-    DeathRegistry* registry)
+ResilientTermination::ResilientTermination(pgas::Runtime& rt,
+                                           DeathRegistry* registry)
     : npes_(rt.npes()),
       slots_(rt.heap().alloc(
           sizeof(std::uint64_t) * static_cast<std::size_t>(rt.npes()), 64)),
       done_(rt.heap().alloc(sizeof(std::uint64_t), 8)),
-      inner_(std::move(inner)),
       registry_(registry),
       local_(static_cast<std::size_t>(rt.npes())) {
-  SWS_ASSERT(inner_ != nullptr && registry_ != nullptr);
+  SWS_ASSERT(registry_ != nullptr);
 }
-
-ResilientTermination::~ResilientTermination() = default;
 
 void ResilientTermination::reset_pe(pgas::PeContext& ctx) {
   auto& me = local_[static_cast<std::size_t>(ctx.pe())];
@@ -75,14 +71,11 @@ void ResilientTermination::reset_pe(pgas::PeContext& ctx) {
   ctx.heap().zero(ctx.pe(), slots_,
                   sizeof(std::uint64_t) * static_cast<std::size_t>(npes_));
   ctx.heap().zero(ctx.pe(), done_, sizeof(std::uint64_t));
-  // The wrapped counter is inert while we're installed; reset it anyway so
-  // its symmetric word never carries a stale count.
-  inner_->reset_pe(ctx);
 }
 
 // Counting is local-only: the wave protocol needs exact local totals, and
-// forwarding to the wrapped counter would send real traffic at its home
-// PE, which may already be dead.
+// a shared counter would send real traffic at its home PE, which may
+// already be dead.
 void ResilientTermination::count_created(pgas::PeContext& ctx,
                                          std::uint64_t n) {
   (void)ctx;

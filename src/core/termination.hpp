@@ -10,15 +10,14 @@
 // so global_counter == 0 implies outstanding == 0 — a single remote read
 // suffices and can never report termination early.
 //
-// When a crash plan is armed, the pool wraps the counter in
-// ResilientTermination (bottom of this file), an idle-wave consensus over
-// the surviving set: the counter alone hangs once a PE dies, because a
+// When a crash plan is armed, the pool builds ResilientTermination
+// (bottom of this file) instead, an idle-wave consensus over the
+// surviving set: the counter alone hangs once a PE dies, because a
 // dead PE's unflushed deltas keep the global counter nonzero forever. See
 // docs/resilience.md.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "pgas/runtime.hpp"
@@ -68,11 +67,9 @@ class CounterTermination final : public TerminationDetector {
   std::vector<std::int64_t> unflushed_;  ///< per PE
 };
 
-/// Crash-tolerant idle-wave consensus, installed by the pool only when the
-/// runtime's fault plan schedules crashes (never constructed otherwise —
-/// crash-free runs keep the counter's exact traffic). It wraps the pool's
-/// CounterTermination, which stays allocated so crash mode keeps the
-/// crash-free symmetric heap layout, but sends it no counts.
+/// Crash-tolerant idle-wave consensus, built by the pool instead of the
+/// counter when the runtime's fault plan schedules crashes (never
+/// otherwise — crash-free runs keep the counter's exact traffic).
 ///
 /// Protocol: every idle PE publishes a report into the coordinator's slot
 /// for it — coordinator = lowest PE the reporter believes alive — packed
@@ -89,10 +86,7 @@ class CounterTermination final : public TerminationDetector {
 /// dead reporter is discovered by the coordinator's lease-paced probe_all.
 class ResilientTermination final : public TerminationDetector {
  public:
-  ResilientTermination(pgas::Runtime& rt,
-                       std::unique_ptr<TerminationDetector> inner,
-                       DeathRegistry* registry);
-  ~ResilientTermination() override;
+  ResilientTermination(pgas::Runtime& rt, DeathRegistry* registry);
 
   void reset_pe(pgas::PeContext& ctx) override;
   void count_created(pgas::PeContext& ctx, std::uint64_t n) override;
@@ -124,7 +118,6 @@ class ResilientTermination final : public TerminationDetector {
   int npes_;
   pgas::SymPtr slots_;  ///< npes report words (slot r = report from PE r)
   pgas::SymPtr done_;   ///< one word; nonzero once termination is declared
-  std::unique_ptr<TerminationDetector> inner_;
   DeathRegistry* registry_;
   std::vector<PerPe> local_;
 };

@@ -3,7 +3,7 @@
 // The paper (and Cilk's theory) uses uniform random selection; the other
 // policies exist for ablations against it. All locality-aware policies
 // consume the runtime's shared net::Topology — there is no separate
-// node-size knob to keep in sync with the network model.
+// node size to keep in sync with the network model.
 //
 //  * kRandom      — uniform over all other PEs (the paper's default).
 //  * kRoundRobin  — deterministic cycle, for tests and worst-case scans.

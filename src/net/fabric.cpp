@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -155,12 +156,6 @@ std::uint64_t* Fabric::translate_u64(int target, std::uint64_t offset) const {
   return reinterpret_cast<std::uint64_t*>(translate(target, offset, 8));
 }
 
-void Fabric::note_op(int initiator, int target, OpKind kind,
-                     std::uint64_t offset) {
-  LabelSlot& pl = labels_[static_cast<std::size_t>(initiator)];
-  pl.l = OpLabel{kind, target, offset, pl.span};
-}
-
 const OpLabel& Fabric::last_op(int pe) const {
   SWS_ASSERT(pe >= 0 && pe < npes());
   return labels_[static_cast<std::size_t>(pe)].l;
@@ -171,8 +166,10 @@ void Fabric::set_span(int pe, std::uint64_t span) noexcept {
 }
 
 void Fabric::charge(int initiator, int target, OpKind kind,
-                    std::size_t bytes) {
+                    std::uint64_t offset, std::size_t bytes) {
   SWS_ASSERT(initiator >= 0 && initiator < npes());
+  LabelSlot& pl = labels_[static_cast<std::size_t>(initiator)];
+  pl.l = OpLabel{kind, target, offset, pl.span};
   // Crash-stop: the initiator dies *before* this op's effect if its
   // planned time has passed — the op is never issued.
   if (crashes_armed_) maybe_crash(initiator);
@@ -205,20 +202,17 @@ void Fabric::charge(int initiator, int target, OpKind kind,
   // before the clock moves. Reads only — a recorded op must not perturb
   // the schedule, which is what keeps determinism A/B byte-identical
   // with tracing enabled.
-  if (observer_) {
-    const LabelSlot& pl = labels_[static_cast<std::size_t>(initiator)];
-    if (pl.span != 0) {
-      OpRecord r;
-      r.initiator = initiator;
-      r.target = target;
-      r.kind = kind;
-      r.offset = pl.l.offset;
-      r.span = pl.span;
-      r.bytes = bytes;
-      r.begin = time_.now(initiator);
-      r.dur = c;
-      observer_(r);
-    }
+  if (observer_ && pl.span != 0) {
+    OpRecord r;
+    r.initiator = initiator;
+    r.target = target;
+    r.kind = kind;
+    r.offset = offset;
+    r.span = pl.span;
+    r.bytes = bytes;
+    r.begin = time_.now(initiator);
+    r.dur = c;
+    observer_(r);
   }
   time_.advance(initiator, c);
 }
@@ -227,8 +221,7 @@ void Fabric::charge(int initiator, int target, OpKind kind,
 
 void Fabric::put(int initiator, int target, std::uint64_t offset,
                  const void* src, std::size_t n) {
-  note_op(initiator, target, OpKind::kPut, offset);
-  charge(initiator, target, OpKind::kPut, n);
+  charge(initiator, target, OpKind::kPut, offset, n);
   if (write_suppressed(initiator, target)) return;
   std::memcpy(translate(target, offset, n), src, n);
   stats_[static_cast<std::size_t>(initiator)].bytes_put += n;
@@ -236,8 +229,7 @@ void Fabric::put(int initiator, int target, std::uint64_t offset,
 
 void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
                  std::size_t n) {
-  note_op(initiator, target, OpKind::kGet, offset);
-  charge(initiator, target, OpKind::kGet, n);
+  charge(initiator, target, OpKind::kGet, offset, n);
   if (effect_suppressed(initiator, target)) {
     std::memset(dst, 0xFF, n);  // poison: all-ones, like kDeadFetchValue
     return;
@@ -249,8 +241,7 @@ void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
 std::uint64_t Fabric::amo_fetch_add(int initiator, int target,
                                     std::uint64_t offset,
                                     std::uint64_t value) {
-  note_op(initiator, target, OpKind::kAmoFetchAdd, offset);
-  charge(initiator, target, OpKind::kAmoFetchAdd, 8);
+  charge(initiator, target, OpKind::kAmoFetchAdd, offset, 8);
   if (write_suppressed(initiator, target)) return kDeadFetchValue;
   std::uint64_t& word = *translate_u64(target, offset);
   return std::exchange(word, word + value);
@@ -260,8 +251,7 @@ std::uint64_t Fabric::amo_compare_swap(int initiator, int target,
                                        std::uint64_t offset,
                                        std::uint64_t expected,
                                        std::uint64_t desired) {
-  note_op(initiator, target, OpKind::kAmoCompareSwap, offset);
-  charge(initiator, target, OpKind::kAmoCompareSwap, 8);
+  charge(initiator, target, OpKind::kAmoCompareSwap, offset, 8);
   if (write_suppressed(initiator, target)) return kDeadFetchValue;
   std::uint64_t& word = *translate_u64(target, offset);
   const std::uint64_t prior = word;
@@ -271,24 +261,21 @@ std::uint64_t Fabric::amo_compare_swap(int initiator, int target,
 
 std::uint64_t Fabric::amo_swap(int initiator, int target, std::uint64_t offset,
                                std::uint64_t value) {
-  note_op(initiator, target, OpKind::kAmoSwap, offset);
-  charge(initiator, target, OpKind::kAmoSwap, 8);
+  charge(initiator, target, OpKind::kAmoSwap, offset, 8);
   if (write_suppressed(initiator, target)) return kDeadFetchValue;
   return std::exchange(*translate_u64(target, offset), value);
 }
 
 std::uint64_t Fabric::amo_fetch(int initiator, int target,
                                 std::uint64_t offset) {
-  note_op(initiator, target, OpKind::kAmoFetch, offset);
-  charge(initiator, target, OpKind::kAmoFetch, 8);
+  charge(initiator, target, OpKind::kAmoFetch, offset, 8);
   if (effect_suppressed(initiator, target)) return kDeadFetchValue;
   return *translate_u64(target, offset);
 }
 
 void Fabric::amo_set(int initiator, int target, std::uint64_t offset,
                      std::uint64_t value) {
-  note_op(initiator, target, OpKind::kAmoSet, offset);
-  charge(initiator, target, OpKind::kAmoSet, 8);
+  charge(initiator, target, OpKind::kAmoSet, offset, 8);
   if (write_suppressed(initiator, target)) return;
   *translate_u64(target, offset) = value;
 }
@@ -327,8 +314,7 @@ void Fabric::enqueue_nbi(int initiator, int target, PendingEffect effect) {
 
 void Fabric::nbi_amo_add(int initiator, int target, std::uint64_t offset,
                          std::uint64_t value) {
-  note_op(initiator, target, OpKind::kNbiAmoAdd, offset);
-  charge(initiator, target, OpKind::kNbiAmoAdd, 8);
+  charge(initiator, target, OpKind::kNbiAmoAdd, offset, 8);
   if (effect_suppressed(initiator, target)) return;
   enqueue_nbi(initiator, target,
               {PendingEffect::Kind::kAmoAdd, translate_u64(target, offset),
@@ -337,8 +323,7 @@ void Fabric::nbi_amo_add(int initiator, int target, std::uint64_t offset,
 
 void Fabric::nbi_amo_set(int initiator, int target, std::uint64_t offset,
                          std::uint64_t value) {
-  note_op(initiator, target, OpKind::kNbiAmoSet, offset);
-  charge(initiator, target, OpKind::kNbiAmoSet, 8);
+  charge(initiator, target, OpKind::kNbiAmoSet, offset, 8);
   if (effect_suppressed(initiator, target)) return;
   enqueue_nbi(initiator, target,
               {PendingEffect::Kind::kAmoSet, translate_u64(target, offset),
@@ -391,58 +376,48 @@ void Fabric::reset_stats() {
 }
 
 void Fabric::publish_metrics(obs::MetricsRegistry& reg) const {
-  auto set_per_pe = [&](obs::MetricId id, auto&& field) {
-    for (int pe = 0; pe < npes(); ++pe)
-      reg.set(id, pe, field(stats_[static_cast<std::size_t>(pe)]));
-  };
-  for (std::size_t k = 0; k < kNumOpKinds; ++k) {
-    const auto id = reg.counter(
+  const auto fabric = std::bind_front(&Fabric::stats, this);
+  for (std::size_t k = 0; k < kNumOpKinds; ++k)
+    reg.counter(
         std::string("fabric.ops.") + op_kind_name(static_cast<OpKind>(k)),
-        "one-sided ops issued, by kind");
-    set_per_pe(id, [k](const FabricStats& s) { return s.ops[k]; });
-  }
-  set_per_pe(reg.counter("fabric.remote_ops", "ops whose target != initiator"),
-             [](const FabricStats& s) { return s.remote_ops; });
-  set_per_pe(reg.counter("fabric.local_ops", "ops whose target == initiator"),
-             [](const FabricStats& s) { return s.local_ops; });
-  for (Tier t = 1; t <= model_.ntiers(); ++t) {
-    const auto id =
-        reg.counter("fabric.tier_ops.t" + std::to_string(t),
-                    "remote ops whose target sits at this tier distance");
-    set_per_pe(id, [t](const FabricStats& s) {
-      return s.tier_ops[static_cast<std::size_t>(t - 1)];
-    });
-  }
-  set_per_pe(reg.counter("fabric.bytes_put", "payload bytes written"),
-             [](const FabricStats& s) { return s.bytes_put; });
-  set_per_pe(reg.counter("fabric.bytes_got", "payload bytes read"),
-             [](const FabricStats& s) { return s.bytes_got; });
-  set_per_pe(reg.counter("fabric.blocking_ns", "initiator-blocking time"),
-             [](const FabricStats& s) { return s.blocking_ns; });
-  set_per_pe(
-      reg.counter("fabric.occupancy_wait_ns", "queueing behind busy NICs"),
-      [](const FabricStats& s) { return s.occupancy_wait_ns; });
+        "one-sided ops issued, by kind",
+        obs::per_pe(npes(), fabric,
+                    [k](const FabricStats& s) { return s.ops[k]; }));
+  reg.counter("fabric.remote_ops", "ops whose target != initiator",
+              obs::per_pe(npes(), fabric, &FabricStats::remote_ops));
+  reg.counter("fabric.local_ops", "ops whose target == initiator",
+              obs::per_pe(npes(), fabric, &FabricStats::local_ops));
+  for (Tier t = 1; t <= model_.ntiers(); ++t)
+    reg.counter("fabric.tier_ops.t" + std::to_string(t),
+                "remote ops whose target sits at this tier distance",
+                obs::per_pe(npes(), fabric, [t](const FabricStats& s) {
+                  return s.tier_ops[static_cast<std::size_t>(t - 1)];
+                }));
+  reg.counter("fabric.bytes_put", "payload bytes written",
+              obs::per_pe(npes(), fabric, &FabricStats::bytes_put));
+  reg.counter("fabric.bytes_got", "payload bytes read",
+              obs::per_pe(npes(), fabric, &FabricStats::bytes_got));
+  reg.counter("fabric.blocking_ns", "initiator-blocking time",
+              obs::per_pe(npes(), fabric, &FabricStats::blocking_ns));
+  reg.counter("fabric.occupancy_wait_ns", "queueing behind busy NICs",
+              obs::per_pe(npes(), fabric, &FabricStats::occupancy_wait_ns));
   if (crashes_armed_)
-    set_per_pe(reg.counter("fabric.dead_target_ops",
-                           "ops issued against crashed PEs"),
-               [](const FabricStats& s) { return s.dead_target_ops; });
+    reg.counter("fabric.dead_target_ops", "ops issued against crashed PEs",
+                obs::per_pe(npes(), fabric, &FabricStats::dead_target_ops));
 
   if (faults_) {
-    auto set_fault = [&](const char* name, const char* help, auto&& field) {
-      const auto id = reg.counter(std::string("fabric.faults.") + name, help);
-      for (int pe = 0; pe < npes(); ++pe)
-        reg.set(id, pe, field(faults_->stats(pe)));
-    };
-    set_fault("spikes", "latency spikes injected",
-              [](const FaultStats& s) { return s.spikes; });
-    set_fault("drops", "lost transmissions",
-              [](const FaultStats& s) { return s.drops; });
-    set_fault("dups", "duplicated deliveries",
-              [](const FaultStats& s) { return s.dups; });
-    set_fault("retransmit_extra_ns", "delay paid to retransmits",
-              [](const FaultStats& s) { return s.retransmit_extra_ns; });
-    set_fault("spike_extra_ns", "delay paid to spikes",
-              [](const FaultStats& s) { return s.spike_extra_ns; });
+    const auto fault = std::bind_front(&FaultInjector::stats, faults_.get());
+    reg.counter("fabric.faults.spikes", "latency spikes injected",
+                obs::per_pe(npes(), fault, &FaultStats::spikes));
+    reg.counter("fabric.faults.drops", "lost transmissions",
+                obs::per_pe(npes(), fault, &FaultStats::drops));
+    reg.counter("fabric.faults.dups", "duplicated deliveries",
+                obs::per_pe(npes(), fault, &FaultStats::dups));
+    reg.counter("fabric.faults.retransmit_extra_ns",
+                "delay paid to retransmits",
+                obs::per_pe(npes(), fault, &FaultStats::retransmit_extra_ns));
+    reg.counter("fabric.faults.spike_extra_ns", "delay paid to spikes",
+                obs::per_pe(npes(), fault, &FaultStats::spike_extra_ns));
   }
 }
 

@@ -262,7 +262,7 @@ class Fabric {
   };
   struct LabelSlot {
     OpLabel l;
-    std::uint64_t span = 0;  ///< current span; note_op copies it into l
+    std::uint64_t span = 0;  ///< current span; charge copies it into l
   };
 
   std::byte* translate(int target, std::uint64_t offset, std::size_t n) const;
@@ -290,11 +290,11 @@ class Fabric {
       ++arenas_[static_cast<std::size_t>(target)].landed;
     return false;
   }
-  /// Charge a blocking op: stats + advance; returns nothing, effect is the
-  /// caller's next statement.
-  void charge(int initiator, int target, OpKind kind, std::size_t bytes);
-  /// Record `initiator`'s in-flight op label (call before charge()).
-  void note_op(int initiator, int target, OpKind kind, std::uint64_t offset);
+  /// Charge an op: record `initiator`'s in-flight op label first (see
+  /// OpLabel), then stats + advance; the effect is the caller's next
+  /// statement.
+  void charge(int initiator, int target, OpKind kind, std::uint64_t offset,
+              std::size_t bytes);
   /// Queue `effect` for delivery after the modeled nbi delay (plus any
   /// fault verdict), then clamp the initiator's sequencer horizon to the
   /// deadline — which is also how the sequencer learns that a delivery is

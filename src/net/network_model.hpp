@@ -60,7 +60,7 @@ struct NetworkParams {
   /// Two-level fabric: unbounded nodes of `pes_per_node` PEs, i.e.
   /// tiered(TopologySpec::two_level(pes_per_node)). Intra-node links run
   /// at 0.15x the inter-node latencies (shared-memory ops ~200 ns vs
-  /// 1.5 µs) and 40 B/ns. pes_per_node <= 0 degrades to flat().
+  /// 1.5 µs) and 40 B/ns. pes_per_node must be positive.
   static NetworkParams two_level(int pes_per_node);
   /// N-tier fabric over `spec`: tier links derived from the defaults with
   /// geometric scaling — each step inward scales latency by `step_scale`

@@ -83,8 +83,8 @@ using ReadyArbiter =
 /// global time floor crosses a sampling boundary (`boundary` = k*interval
 /// for k = 1, 2, ...; boundaries are never skipped, so a long batch fires
 /// one call per crossed boundary, in order). Runs inside the sequencer's
-/// serialization — with every other PE suspended — so it may read clocks,
-/// metrics slabs, and scheduler state directly. It must never advance
+/// serialization — with every other PE suspended — so it may read clocks
+/// and scheduler state directly. It must never advance
 /// clocks, issue fabric operations, or call back into the time model:
 /// sampling is observation-only, and the determinism A/B suite enforces
 /// that sampled runs are byte-identical to unsampled ones. A parked PE's

@@ -27,7 +27,7 @@ void check_spec(const std::vector<int>& levels) {
 }  // namespace
 
 TopologySpec TopologySpec::two_level(int pes_per_node) {
-  if (pes_per_node <= 0) return flat();
+  SWS_CHECK(pes_per_node > 0, "pes_per_node must be positive");
   // Unbounded node count: the classic pes_per_node shape never bounded
   // how many nodes a run may use.
   TopologySpec s;

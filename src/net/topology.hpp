@@ -30,7 +30,8 @@ struct TopologySpec {
 
   /// Flat fabric (one tier, no grouping).
   static TopologySpec flat() noexcept { return {}; }
-  /// The classic two-level shape: nodes of `pes_per_node` PEs.
+  /// The classic two-level shape: nodes of `pes_per_node` PEs
+  /// (positive, else SWS_CHECK).
   static TopologySpec two_level(int pes_per_node);
   /// Parse an outermost-first spec: "44x48" = 44 nodes x 48 cores,
   /// "2x4x48" = 2 racks x 4 nodes x 48 cores. "flat" or "" = flat.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -59,8 +60,6 @@ void MetricsSnapshot::merge(const MetricsSnapshot& o) {
   }
 }
 
-namespace {
-
 void json_string(std::ostream& os, const std::string& s) {
   os << '"';
   for (const char c : s) {
@@ -69,8 +68,6 @@ void json_string(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
-
-}  // namespace
 
 void MetricsSnapshot::write_json(std::ostream& os) const {
   os << "{\"schema\":\"sws-metrics\",\"npes\":" << npes << ",\"metrics\":[";
@@ -112,98 +109,46 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
 
 // ----------------------------------------------------------------- registry
 
-MetricsRegistry::MetricsRegistry(int npes) { reset(npes); }
-
-void MetricsRegistry::reset(int npes) {
+MetricsRegistry::MetricsRegistry(int npes) {
   SWS_CHECK(npes >= 0, "npes must be non-negative");
-  npes_ = npes;
-  slabs_.clear();
-  slabs_.resize(static_cast<std::size_t>(npes));
-  for (auto& s : slabs_) {
-    s.scalars.assign(nscalars_, 0);
-    s.hists.assign(nhists_, LogHistogram{});
-  }
+  published_.npes = npes;
 }
 
-MetricId MetricsRegistry::register_metric(std::string name, std::string help,
-                                          MetricKind kind) {
+MetricsSnapshot::Entry& MetricsRegistry::entry(const std::string& name,
+                                               const std::string& help,
+                                               MetricKind kind) {
   SWS_CHECK(!name.empty(), "metric name must be non-empty");
-  for (std::uint32_t i = 0; i < metrics_.size(); ++i) {
-    if (metrics_[i].name != name) continue;
-    SWS_CHECK(metrics_[i].kind == kind,
-              "metric re-registered with a different kind");
-    return MetricId{i};
+  for (MetricsSnapshot::Entry& e : published_.entries) {
+    if (e.name != name) continue;
+    SWS_CHECK(e.kind == kind, "metric re-published with a different kind");
+    return e;
   }
-  Meta m;
-  m.name = std::move(name);
-  m.help = std::move(help);
-  m.kind = kind;
-  if (kind == MetricKind::kHistogram) {
-    m.slot = nhists_++;
-    for (auto& s : slabs_) s.hists.emplace_back();
-  } else {
-    m.slot = nscalars_++;
-    for (auto& s : slabs_) s.scalars.push_back(0);
-  }
-  metrics_.push_back(std::move(m));
-  return MetricId{static_cast<std::uint32_t>(metrics_.size() - 1)};
+  published_.entries.push_back({name, help, kind, {}, {}});
+  return published_.entries.back();
 }
 
-MetricId MetricsRegistry::counter(std::string name, std::string help) {
-  return register_metric(std::move(name), std::move(help),
-                         MetricKind::kCounter);
+void MetricsRegistry::scalar(const std::string& name, const std::string& help,
+                             MetricKind kind,
+                             std::vector<std::uint64_t> per_pe) {
+  SWS_CHECK(per_pe.size() == static_cast<std::size_t>(npes()),
+            "a published metric needs exactly one value per PE");
+  entry(name, help, kind).per_pe = std::move(per_pe);
 }
 
-MetricId MetricsRegistry::gauge(std::string name, std::string help) {
-  return register_metric(std::move(name), std::move(help), MetricKind::kGauge);
+void MetricsRegistry::counter(const std::string& name, const std::string& help,
+                              std::vector<std::uint64_t> per_pe) {
+  scalar(name, help, MetricKind::kCounter, std::move(per_pe));
 }
 
-MetricId MetricsRegistry::histogram(std::string name, std::string help) {
-  return register_metric(std::move(name), std::move(help),
-                         MetricKind::kHistogram);
+void MetricsRegistry::gauge(const std::string& name, const std::string& help,
+                            std::vector<std::uint64_t> per_pe) {
+  scalar(name, help, MetricKind::kGauge, std::move(per_pe));
 }
 
-void MetricsRegistry::add(MetricId m, int pe, std::uint64_t delta) noexcept {
-  if (!m.valid()) return;
-  const Meta& meta = metrics_[m.idx];
-  slabs_[static_cast<std::size_t>(pe)].scalars[meta.slot] += delta;
-}
-
-void MetricsRegistry::set(MetricId m, int pe, std::uint64_t value) noexcept {
-  if (!m.valid()) return;
-  const Meta& meta = metrics_[m.idx];
-  slabs_[static_cast<std::size_t>(pe)].scalars[meta.slot] = value;
-}
-
-void MetricsRegistry::set_hist(MetricId m, int pe,
-                               const LogHistogram& h) noexcept {
-  if (!m.valid()) return;
-  const Meta& meta = metrics_[m.idx];
-  slabs_[static_cast<std::size_t>(pe)].hists[meta.slot] = h;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  out.npes = npes_;
-  out.entries.reserve(metrics_.size());
-  for (const Meta& m : metrics_) {
-    MetricsSnapshot::Entry e;
-    e.name = m.name;
-    e.help = m.help;
-    e.kind = m.kind;
-    if (m.kind == MetricKind::kHistogram) {
-      for (const PeSlab& s : slabs_) e.hist.merge(s.hists[m.slot]);
-    } else {
-      e.per_pe.reserve(slabs_.size());
-      for (const PeSlab& s : slabs_) e.per_pe.push_back(s.scalars[m.slot]);
-    }
-    out.entries.push_back(std::move(e));
-  }
-  return out;
-}
-
-void MetricsRegistry::write_json(std::ostream& os) const {
-  snapshot().write_json(os);
+void MetricsRegistry::histogram(const std::string& name,
+                                const std::string& help,
+                                const LogHistogram& merged) {
+  entry(name, help, MetricKind::kHistogram).hist = merged;
 }
 
 }  // namespace sws::obs

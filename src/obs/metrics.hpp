@@ -1,22 +1,23 @@
 // Cross-layer metrics registry — the one interface every layer reports
 // its counters through (docs/observability.md).
 //
-// A metric is registered once by name ("fabric.ops.put", "pool.steals_ok")
-// and updated per PE: each PE writes its own slab. Reads (snapshot,
-// exporters) are owner-biased and intended for quiescent points — between
-// runs, at teardown, in tests.
+// Each layer keeps its own per-PE records while a run executes and
+// publishes them once, after the run: one whole per-PE vector per counter
+// or gauge ("fabric.ops.put", "pool.steals_ok"), or one histogram already
+// merged across PEs. The registry stores exactly what was published, in
+// the order names were first published.
 //
-// Three metric kinds, published through add()/set()/set_hist() from the
-// counters each layer already keeps:
+// Three metric kinds:
 //  * counter   — monotone u64; merges by summation
 //  * gauge     — last-written u64 (clock, switch count); merges by max
 //  * histogram — LogHistogram of u64 samples; merges bucket-wise
 //
-// Snapshots decouple reporting from the live registry: take one per run,
+// Snapshots decouple reporting from the registry: take one per run,
 // merge across runs/repetitions, read values through find().
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -29,15 +30,8 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 const char* metric_kind_name(MetricKind k) noexcept;
 
-/// Handle returned by registration; cheap to copy and pass around.
-struct MetricId {
-  static constexpr std::uint32_t kInvalid = ~std::uint32_t{0};
-  std::uint32_t idx = kInvalid;
-  bool valid() const noexcept { return idx != kInvalid; }
-};
-
-/// Point-in-time copy of every registered metric, detached from the
-/// registry's per-PE slabs. The unit snapshots merge and export in.
+/// Point-in-time copy of every published metric. The unit snapshots
+/// merge and export in.
 struct MetricsSnapshot {
   struct Entry {
     std::string name;
@@ -62,57 +56,54 @@ struct MetricsSnapshot {
   void write_json(std::ostream& os) const;
 };
 
+/// The published metrics of one runtime, held as one ordered snapshot. A
+/// name's first publication fixes its position and help text; publishing
+/// it again overwrites its values in place. Publishing a name under a
+/// second kind, or a per-PE vector whose length is not npes(), is a
+/// programming error (SWS_CHECK).
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
   explicit MetricsRegistry(int npes);
 
-  /// Drop all values and resize for `npes` PEs; registrations survive.
-  void reset(int npes);
+  int npes() const noexcept { return published_.npes; }
+  std::size_t size() const noexcept { return published_.entries.size(); }
 
-  int npes() const noexcept { return npes_; }
-  std::size_t size() const noexcept { return metrics_.size(); }
+  /// Publish one value per PE.
+  void counter(const std::string& name, const std::string& help,
+               std::vector<std::uint64_t> per_pe);
+  void gauge(const std::string& name, const std::string& help,
+             std::vector<std::uint64_t> per_pe);
+  /// Publish one histogram, already merged across PEs.
+  void histogram(const std::string& name, const std::string& help,
+                 const LogHistogram& merged);
 
-  // --- registration (not thread-safe; do it before the PEs run) ---------
-  /// Registering an existing name with the same kind returns the prior
-  /// id (idempotent); a kind mismatch is a programming error.
-  MetricId counter(std::string name, std::string help = {});
-  MetricId gauge(std::string name, std::string help = {});
-  MetricId histogram(std::string name, std::string help = {});
-
-  // --- per-PE updates (each PE may touch only its own slot) -------------
-  void add(MetricId m, int pe, std::uint64_t delta = 1) noexcept;
-  void set(MetricId m, int pe, std::uint64_t value) noexcept;
-  /// Replace `pe`'s histogram wholesale — how a layer that already keeps
-  /// its own LogHistogram publishes it (idempotent, like set()).
-  void set_hist(MetricId m, int pe, const LogHistogram& h) noexcept;
-
-  // --- reads ------------------------------------------------------------
-  MetricsSnapshot snapshot() const;
-  /// write_json on a fresh snapshot — convenience.
-  void write_json(std::ostream& os) const;
+  MetricsSnapshot snapshot() const { return published_; }
+  void write_json(std::ostream& os) const { published_.write_json(os); }
 
  private:
-  struct Meta {
-    std::string name;
-    std::string help;
-    MetricKind kind;
-    std::uint32_t slot;  ///< scalar index or histogram index, per kind
-  };
-  /// One PE's slab: its scalars and histograms, indexed by Meta::slot.
-  struct PeSlab {
-    std::vector<std::uint64_t> scalars;
-    std::vector<LogHistogram> hists;
-  };
+  void scalar(const std::string& name, const std::string& help,
+              MetricKind kind, std::vector<std::uint64_t> per_pe);
+  /// The entry named `name`, appended with `help` on first publication.
+  MetricsSnapshot::Entry& entry(const std::string& name,
+                                const std::string& help, MetricKind kind);
 
-  MetricId register_metric(std::string name, std::string help,
-                           MetricKind kind);
-
-  std::vector<Meta> metrics_;
-  std::vector<PeSlab> slabs_;
-  std::uint32_t nscalars_ = 0;
-  std::uint32_t nhists_ = 0;
-  int npes_ = 0;
+  MetricsSnapshot published_;
 };
+
+/// `field` of each PE's record `record(pe)`, for PEs 0..npes-1: the
+/// per-PE vector a layer publishes from the records it keeps. `field` is
+/// a member pointer or any callable; the default takes the record itself.
+template <class Record, class Field = std::identity>
+std::vector<std::uint64_t> per_pe(int npes, Record&& record, Field field = {}) {
+  std::vector<std::uint64_t> v;
+  v.reserve(static_cast<std::size_t>(npes));
+  for (int pe = 0; pe < npes; ++pe)
+    v.push_back(static_cast<std::uint64_t>(std::invoke(field, record(pe))));
+  return v;
+}
+
+/// Write `s` as a JSON string literal, escaping quotes and backslashes —
+/// the string writer of every obs exporter.
+void json_string(std::ostream& os, const std::string& s);
 
 }  // namespace sws::obs

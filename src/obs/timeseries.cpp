@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/assert.hpp"
+#include "obs/metrics.hpp"
 
 namespace sws::obs {
 
@@ -15,15 +16,6 @@ namespace {
 void json_ts_us(std::ostream& os, std::uint64_t t) {
   os << t / 1000 << "." << std::setw(3) << std::setfill('0') << t % 1000
      << std::setfill(' ');
-}
-
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
 }
 
 // Per-window export value of a series at row `i`: the signed difference

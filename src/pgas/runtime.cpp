@@ -6,7 +6,8 @@
 
 namespace sws::pgas {
 
-Runtime::Runtime(RuntimeConfig cfg) : cfg_(cfg), time_(cfg_.npes) {
+Runtime::Runtime(RuntimeConfig cfg)
+    : cfg_(cfg), time_(cfg_.npes), metrics_(cfg_.npes) {
   SWS_CHECK(cfg_.npes > 0, "npes must be positive");
   // Reject conflicting topology / link-table specs up front: every layer
   // (cost model, victim selection, fault presets) reads the same
@@ -24,8 +25,6 @@ Runtime::Runtime(RuntimeConfig cfg) : cfg_(cfg), time_(cfg_.npes) {
   coll_.reduce_slots = heap_->alloc(
       sizeof(std::uint64_t) * static_cast<std::size_t>(cfg_.npes), 64);
   coll_.reduce_result = heap_->alloc(sizeof(std::uint64_t), 8);
-
-  metrics_.reset(cfg_.npes);
 }
 
 Runtime::~Runtime() = default;
@@ -67,24 +66,28 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
     max_t = std::max(max_t, time_.now(pe));
   last_duration_ = max_t;
 
+  ++runs_;
   if (cfg_.metrics) {
     fabric_->publish_metrics(metrics_);
-    const auto clock = metrics_.gauge("runtime.pe_clock_ns",
-                                      "per-PE clock at end of run");
-    for (int pe = 0; pe < cfg_.npes; ++pe)
-      metrics_.set(clock, pe, static_cast<std::uint64_t>(time_.now(pe)));
-    metrics_.set(metrics_.gauge("runtime.last_run_duration_ns",
-                                "max PE clock of the last run"),
-                 0, static_cast<std::uint64_t>(max_t));
-    metrics_.add(metrics_.counter("runtime.runs", "completed run() calls"),
-                 0);
+    // Whole-run values live on PE 0; the other PEs read 0.
+    const auto on_pe0 = [this](std::uint64_t v) {
+      std::vector<std::uint64_t> out(static_cast<std::size_t>(cfg_.npes));
+      out[0] = v;
+      return out;
+    };
+    metrics_.gauge("runtime.pe_clock_ns", "per-PE clock at end of run",
+                   obs::per_pe(cfg_.npes,
+                               [this](int pe) { return time_.now(pe); }));
+    metrics_.gauge("runtime.last_run_duration_ns",
+                   "max PE clock of the last run",
+                   on_pe0(static_cast<std::uint64_t>(max_t)));
+    metrics_.counter("runtime.runs", "completed run() calls", on_pe0(runs_));
     if (fabric_->crashes_planned())
-      metrics_.set(metrics_.gauge("runtime.deaths",
-                                  "PEs dead at end of the last run"),
-                   0, static_cast<std::uint64_t>(fabric_->num_dead()));
-    metrics_.set(metrics_.gauge("runtime.sequencer_switches",
-                                "PE-to-PE fiber handoffs in the last run"),
-                 0, time_.switches());
+      metrics_.gauge("runtime.deaths", "PEs dead at end of the last run",
+                     on_pe0(static_cast<std::uint64_t>(fabric_->num_dead())));
+    metrics_.gauge("runtime.sequencer_switches",
+                   "PE-to-PE fiber handoffs in the last run",
+                   on_pe0(time_.switches()));
   }
 
   if (first_error) std::rethrow_exception(first_error);

@@ -115,7 +115,7 @@ class Runtime {
   /// Cross-layer metrics registry (docs/observability.md). Always
   /// constructed; the runtime itself only publishes into it after run()
   /// when config().metrics is set, but other layers (scheduler, bench
-  /// harness) may register and update metrics regardless.
+  /// harness) may publish into it regardless.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
@@ -135,6 +135,7 @@ class Runtime {
   std::unique_ptr<SymmetricHeap> heap_;
   CollectiveSpace coll_{};
   obs::MetricsRegistry metrics_;
+  std::uint64_t runs_ = 0;  ///< completed run() calls (runtime.runs)
   net::Nanos last_duration_ = 0;
 };
 

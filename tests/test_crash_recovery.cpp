@@ -408,6 +408,9 @@ TEST(CrashRecovery, InboxCrashWithPendingTasks) {
   const core::PoolRunReport& r = runs[0].report;
   EXPECT_GT(r.total.tasks_executed, 0u);
   EXPECT_GE(r.total.deaths_witnessed, 1u);
+  // The ring pushed at PE 3 before it died; those ledgered pushes must
+  // reach a survivor through the reroute path.
+  EXPECT_GE(r.total.tasks_rerouted, 1u);
   expect_same_run(runs[0], runs[1]);
 }
 

@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -18,8 +19,8 @@ namespace {
 
 // ----------------------------------------------------------- registry unit
 
-/// A registered metric's published values, read the way every consumer
-/// reads them: through a snapshot.
+/// A published metric's values, read the way every consumer reads them:
+/// through a snapshot.
 MetricsSnapshot::Entry entry(const MetricsRegistry& reg,
                              const std::string& name) {
   const MetricsSnapshot snap = reg.snapshot();
@@ -37,100 +38,102 @@ LogHistogram hist_of(std::initializer_list<std::uint64_t> samples) {
   return h;
 }
 
-TEST(MetricsRegistry, CounterAddsPerPeAndTotals) {
+TEST(MetricsRegistry, CounterStoresPerPeVectorAndTotals) {
   MetricsRegistry reg(3);
-  const MetricId c = reg.counter("test.count", "help text");
-  reg.add(c, 0, 5);
-  reg.add(c, 2, 7);
-  reg.add(c, 2);
+  reg.counter("test.count", "help text", {5, 0, 8});
   const auto e = entry(reg, "test.count");
   EXPECT_EQ(e.per_pe, (std::vector<std::uint64_t>{5, 0, 8}));
   EXPECT_EQ(e.total(), 13u);
+  EXPECT_EQ(e.help, "help text");
 }
 
 TEST(MetricsRegistry, GaugeTotalsByMax) {
   MetricsRegistry reg(2);
-  const MetricId g = reg.gauge("test.gauge");
-  reg.set(g, 0, 100);
-  reg.set(g, 1, 40);
-  reg.set(g, 0, 60);  // overwrite, not accumulate
+  reg.gauge("test.gauge", "", {100, 40});
+  reg.gauge("test.gauge", "", {60, 40});  // overwrite, not accumulate
   const auto e = entry(reg, "test.gauge");
   EXPECT_EQ(e.per_pe[0], 60u);
   EXPECT_EQ(e.total(), 60u);
 }
 
-TEST(MetricsRegistry, HistogramMergesAcrossPes) {
+TEST(MetricsRegistry, HistogramStoresMergedPublication) {
   MetricsRegistry reg(2);
-  const MetricId h = reg.histogram("test.hist");
-  reg.set_hist(h, 0, hist_of({10}));
-  reg.set_hist(h, 1, hist_of({1000, 1001}));
+  LogHistogram merged = hist_of({10});
+  merged.merge(hist_of({1000, 1001}));
+  reg.histogram("test.hist", "", merged);
   const auto e = entry(reg, "test.hist");
   EXPECT_EQ(e.total(), 3u);
-  EXPECT_EQ(e.hist.count(), 3u);  // merged across PEs
+  EXPECT_EQ(e.hist.count(), 3u);
   EXPECT_TRUE(e.per_pe.empty());
 }
 
-TEST(MetricsRegistry, RegistrationIsIdempotentByName) {
+TEST(MetricsRegistry, RepublishKeepsPositionAndFirstHelp) {
   MetricsRegistry reg(1);
-  const MetricId a = reg.counter("same.name");
-  const MetricId b = reg.counter("same.name", "different help is fine");
-  EXPECT_EQ(a.idx, b.idx);
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_NE(reg.snapshot().find("same.name"), nullptr);
-  EXPECT_EQ(reg.snapshot().find("no.such.metric"), nullptr);
+  reg.counter("first", "first help", {1});
+  reg.gauge("second", "", {2});
+  reg.counter("first", "different help is ignored", {5});
+  EXPECT_EQ(reg.size(), 2u);
+  const MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.entries.size(), 2u);
+  EXPECT_EQ(snap.entries[0].name, "first");
+  EXPECT_EQ(snap.entries[0].help, "first help");
+  EXPECT_EQ(snap.entries[0].per_pe, (std::vector<std::uint64_t>{5}));
+  EXPECT_EQ(snap.entries[1].name, "second");
+  EXPECT_EQ(snap.find("no.such.metric"), nullptr);
 }
 
-TEST(MetricsRegistry, InvalidIdIsIgnored) {
-  MetricsRegistry reg(1);
-  MetricId bad;
-  reg.add(bad, 0, 1);  // must not crash
-  reg.set(bad, 0, 1);
-  reg.set_hist(bad, 0, hist_of({1}));
-  EXPECT_TRUE(reg.snapshot().entries.empty());
-}
-
-TEST(MetricsRegistry, RegistrationAfterValuesExistExtendsSlabs) {
+TEST(MetricsRegistry, WrongLengthVectorThrows) {
   MetricsRegistry reg(2);
-  const MetricId a = reg.counter("first");
-  reg.add(a, 1, 3);
-  const MetricId h = reg.histogram("late.hist");
-  const MetricId b = reg.counter("late.counter");
-  reg.set_hist(h, 0, hist_of({9}));
-  reg.add(b, 0, 2);
-  EXPECT_EQ(entry(reg, "first").per_pe[1], 3u);
-  EXPECT_EQ(entry(reg, "late.hist").total(), 1u);
-  EXPECT_EQ(entry(reg, "late.counter").total(), 2u);
+  EXPECT_THROW(reg.counter("short", "", {1}), std::invalid_argument);
+  EXPECT_THROW(reg.gauge("long", "", {1, 2, 3}), std::invalid_argument);
+  EXPECT_EQ(reg.size(), 0u) << "a rejected publication leaves no entry";
 }
 
-TEST(MetricsRegistry, ResetResizesPeCount) {
+TEST(MetricsRegistry, KindMismatchThrows) {
   MetricsRegistry reg(1);
-  const MetricId c = reg.counter("c");
-  reg.add(c, 0, 1);
-  reg.reset(4);
+  reg.counter("taken", "", {1});
+  EXPECT_THROW(reg.gauge("taken", "", {2}), std::invalid_argument);
+  EXPECT_THROW(reg.histogram("taken", "", hist_of({2})),
+               std::invalid_argument);
+  EXPECT_EQ(entry(reg, "taken").per_pe, (std::vector<std::uint64_t>{1}));
+}
+
+TEST(MetricsRegistry, SnapshotIsACopy) {
+  MetricsRegistry reg(1);
+  reg.counter("c", "", {1});
+  const MetricsSnapshot before = reg.snapshot();
+  reg.counter("c", "", {9});
+  EXPECT_EQ(before.find("c")->total(), 1u);
+  EXPECT_EQ(entry(reg, "c").total(), 9u);
+}
+
+TEST(MetricsRegistry, PeCountFixedAtConstruction) {
+  MetricsRegistry reg(4);
   EXPECT_EQ(reg.npes(), 4);
-  EXPECT_EQ(reg.size(), 1u) << "registrations survive a reset";
-  EXPECT_EQ(entry(reg, "c").total(), 0u);
-  reg.add(c, 3, 2);
-  EXPECT_EQ(entry(reg, "c").total(), 2u);
+  reg.counter("c", "", {0, 0, 0, 2});
+  reg.gauge("g", "", {0, 0, 0, 1});
+  EXPECT_EQ(entry(reg, "c").per_pe[3], 2u) << "PE 3's value lands";
+  reg.counter("c", "", {0, 0, 0, 7});
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.npes, 4);
+  ASSERT_EQ(snap.entries.size(), 2u);
+  EXPECT_EQ(snap.entries[0].name, "c") << "re-publishing keeps the position";
+  EXPECT_EQ(snap.entries[0].per_pe[3], 7u) << "and overwrites the value";
+  EXPECT_EQ(snap.entries[1].name, "g");
 }
 
 // -------------------------------------------------------- snapshot algebra
 
 TEST(MetricsSnapshot, MergeSumsCountersMaxesGauges) {
   MetricsRegistry reg(2);
-  const MetricId c = reg.counter("runs.counter");
-  const MetricId g = reg.gauge("runs.gauge");
-  const MetricId h = reg.histogram("runs.hist");
-  reg.add(c, 0, 10);
-  reg.set(g, 0, 5);
-  reg.set_hist(h, 0, hist_of({100}));
+  reg.counter("runs.counter", "", {10, 0});
+  reg.gauge("runs.gauge", "", {5, 0});
+  reg.histogram("runs.hist", "", hist_of({100}));
   MetricsSnapshot first = reg.snapshot();
 
-  reg.reset(2);
-  reg.add(c, 0, 7);
-  reg.add(c, 1, 1);
-  reg.set(g, 0, 3);
-  reg.set_hist(h, 1, hist_of({200}));
+  reg.counter("runs.counter", "", {7, 1});
+  reg.gauge("runs.gauge", "", {3, 0});
+  reg.histogram("runs.hist", "", hist_of({200}));
   MetricsSnapshot second = reg.snapshot();
 
   first.merge(second);
@@ -142,8 +145,8 @@ TEST(MetricsSnapshot, MergeSumsCountersMaxesGauges) {
 
 TEST(MetricsSnapshot, MergeAppendsUnknownEntries) {
   MetricsRegistry a(1), b(1);
-  a.add(a.counter("only.in.a"), 0, 1);
-  b.add(b.counter("only.in.b"), 0, 2);
+  a.counter("only.in.a", "", {1});
+  b.counter("only.in.b", "", {2});
   MetricsSnapshot sa = a.snapshot();
   sa.merge(b.snapshot());
   ASSERT_NE(sa.find("only.in.a"), nullptr);
@@ -153,8 +156,8 @@ TEST(MetricsSnapshot, MergeAppendsUnknownEntries) {
 
 TEST(MetricsSnapshot, ExportersProduceOutput) {
   MetricsRegistry reg(2);
-  reg.add(reg.counter("exp.counter", "a \"quoted\" help"), 1, 3);
-  reg.set_hist(reg.histogram("exp.hist"), 0, hist_of({42}));
+  reg.counter("exp.counter", "a \"quoted\" help", {0, 3});
+  reg.histogram("exp.hist", "", hist_of({42}));
   std::ostringstream json;
   reg.write_json(json);
   EXPECT_NE(json.str().find("\"schema\":\"sws-metrics\""), std::string::npos);
@@ -164,12 +167,11 @@ TEST(MetricsSnapshot, ExportersProduceOutput) {
   EXPECT_NE(json.str().find("\"buckets\":[[5,1]]"), std::string::npos);
 }
 
-TEST(MetricsSnapshot, SetHistReplacesWholesale) {
+TEST(MetricsSnapshot, RepublishedHistogramReplacesWholesale) {
   MetricsRegistry reg(1);
-  const MetricId h = reg.histogram("pub.hist");
   const LogHistogram src = hist_of({8, 8});
-  reg.set_hist(h, 0, src);
-  reg.set_hist(h, 0, src);  // publish twice: idempotent, no doubling
+  reg.histogram("pub.hist", "", src);
+  reg.histogram("pub.hist", "", src);  // publish twice: no doubling
   EXPECT_EQ(entry(reg, "pub.hist").total(), 2u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "pgas/runtime.hpp"
@@ -227,14 +228,14 @@ TEST(Collectives, SequentialRunsDontLeakBarrierState) {
 }
 
 /// Runs a seeded mix of compute and remote AMOs `runs` times on one
-/// Runtime; returns the runtime.sequencer_switches gauge after each run.
-std::vector<std::uint64_t> sequencer_switches(int npes, int runs) {
+/// Runtime; returns the metrics snapshot taken after each run.
+std::vector<obs::MetricsSnapshot> run_snapshots(int npes, int runs) {
   RuntimeConfig c = cfg(npes);
   c.seed = 7;
   c.metrics = true;
   Runtime rt(c);
   const SymPtr word = rt.heap().alloc(8, 8);
-  std::vector<std::uint64_t> out;
+  std::vector<obs::MetricsSnapshot> out;
   for (int r = 0; r < runs; ++r) {
     rt.run([&](PeContext& ctx) {
       for (int i = 0; i < 30; ++i) {
@@ -244,21 +245,38 @@ std::vector<std::uint64_t> sequencer_switches(int npes, int runs) {
                       word, 1);
       }
     });
-    const auto snap = rt.metrics().snapshot();
-    const auto* e = snap.find("runtime.sequencer_switches");
-    EXPECT_NE(e, nullptr);
-    out.push_back(e != nullptr ? e->total() : ~std::uint64_t{0});
+    out.push_back(rt.metrics().snapshot());
   }
   return out;
+}
+
+std::uint64_t total_of(const obs::MetricsSnapshot& snap,
+                       const std::string& name) {
+  const auto* e = snap.find(name);
+  EXPECT_NE(e, nullptr) << name;
+  return e != nullptr ? e->total() : ~std::uint64_t{0};
+}
+
+std::vector<std::string> names_of(const obs::MetricsSnapshot& snap) {
+  std::vector<std::string> names;
+  for (const auto& e : snap.entries) names.push_back(e.name);
+  return names;
 }
 
 TEST(Runtime, SequencerSwitchesGaugeRepeatsForASeed) {
   // Each run restarts the per-PE RNG streams, so both runs are the same
   // schedule: the gauge counts the last run only and repeats exactly.
-  const std::vector<std::uint64_t> s = sequencer_switches(8, 2);
-  EXPECT_GT(s[0], 0u);
-  EXPECT_EQ(s[1], s[0]);
-  EXPECT_EQ(sequencer_switches(1, 1)[0], 0u);  // one PE never hands off
+  const std::vector<obs::MetricsSnapshot> s = run_snapshots(8, 2);
+  const std::uint64_t first = total_of(s[0], "runtime.sequencer_switches");
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(total_of(s[1], "runtime.sequencer_switches"), first);
+  // Re-publishing overwrites in place: the run count accumulates, and
+  // the second run's names come out in the first run's order.
+  EXPECT_EQ(total_of(s[1], "runtime.runs"), 2u);
+  EXPECT_EQ(names_of(s[1]), names_of(s[0]));
+  // One PE never hands off.
+  EXPECT_EQ(total_of(run_snapshots(1, 1)[0], "runtime.sequencer_switches"),
+            0u);
 }
 
 }  // namespace
