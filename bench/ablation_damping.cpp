@@ -22,6 +22,13 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(opt.get("tasks", std::int64_t{96}));
   opt.exit_if_unknown();
   p.task_ns = 250'000;
+  const int busy = static_cast<int>(p.busy_pes);
+  bench::keep_runnable_pes(
+      settings, "ablation_damping", [busy](int npes) -> std::string {
+        if (npes > busy) return "";
+        return "needs idle thieves beside the " + std::to_string(busy) +
+               " busy PEs";
+      });
 
   const auto factory =
       [p](core::TaskRegistry& reg) -> std::function<void(core::Worker&)> {
@@ -33,7 +40,6 @@ int main(int argc, char** argv) {
   t.set_header({"npes", "runtime_on_ms", "runtime_off_ms", "penalty_pct",
                 "probes_on"});
   for (const int npes : settings.pe_counts) {
-    if (npes < 3) continue;  // needs idle thieves
     bench::PoolTweaks on, off;
     on.queue.slot_bytes = off.queue.slot_bytes = 32;
     on.sws.damping = true;

@@ -47,6 +47,19 @@ int main(int argc, char** argv) {
   opt.exit_if_unknown();
   p.node_compute_ns = 200;
 
+  const int inner = spec.levels.empty() ? 1 : spec.levels[0];
+  bench::keep_runnable_pes(
+      settings, "ablation_hierarchy", [&](int npes) -> std::string {
+        if (npes < 2 * inner)
+          return "needs at least two innermost groups (" +
+                 std::to_string(2 * inner) + " PEs on \"" + spec.to_string() +
+                 "\")";
+        if (spec.capacity() > 0 && npes > spec.capacity())
+          return "above the capacity of \"" + spec.to_string() + "\" (" +
+                 std::to_string(spec.capacity()) + " PEs)";
+        return "";
+      });
+
   const auto factory =
       [p](core::TaskRegistry& reg) -> std::function<void(core::Worker&)> {
     auto uts = std::make_shared<workloads::UtsBenchmark>(reg, p);
@@ -114,10 +127,7 @@ int main(int argc, char** argv) {
     header.push_back(std::string("t").append(std::to_string(tier)) + "_pct");
   t.set_header(header);
 
-  const int inner = spec.levels.empty() ? 1 : spec.levels[0];
   for (const int npes : settings.pe_counts) {
-    if (npes < 2 * inner) continue;  // needs at least two innermost groups
-    if (spec.capacity() > 0 && npes > spec.capacity()) continue;
     for (const auto kind : {core::QueueKind::kSdc, core::QueueKind::kSws}) {
       double random_ms = 0;
       for (const auto policy : kPolicies) {

@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -47,6 +48,23 @@ BenchSettings BenchSettings::from_options(const Options& opt) {
   if (!s.timeseries_out.empty() && s.sample_interval_ns == 0)
     s.sample_interval_ns = 10'000;  // 10 µs default cadence
   return s;
+}
+
+void keep_runnable_pes(BenchSettings& settings, const std::string& bench,
+                       const std::function<std::string(int)>& why_not) {
+  std::vector<int> keep;
+  for (const int npes : settings.pe_counts) {
+    const std::string why = why_not(npes);
+    if (why.empty())
+      keep.push_back(npes);
+    else
+      std::cerr << bench << ": skipping P=" << npes << ": " << why << "\n";
+  }
+  if (keep.empty()) {
+    std::cerr << bench << ": none of the requested PE counts can run\n";
+    std::exit(2);
+  }
+  settings.pe_counts = std::move(keep);
 }
 
 const char* kind_name(core::QueueKind k) {

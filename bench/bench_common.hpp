@@ -89,6 +89,12 @@ struct PoolTweaks {
   net::NetworkParams net{};
 };
 
+/// Drop the requested PE counts a bench cannot run, naming each on stderr
+/// with its reason: `why_not(npes)` returns the reason, or "" when `npes`
+/// can run. Exits 2 when none is left. Call before any work runs.
+void keep_runnable_pes(BenchSettings& settings, const std::string& bench,
+                       const std::function<std::string(int)>& why_not);
+
 /// Topology option shared by every bench binary:
 ///   --topo SPEC        N-tier shape, outermost-first (e.g. "2x4x48", or
 ///                      "*x48" for unbounded nodes of 48 PEs); links

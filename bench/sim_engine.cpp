@@ -109,7 +109,7 @@ Measurement seq_scenario(net::VirtualTimeModel& tm, const std::string& name,
 /// every 64 so the pending queue cycles through enqueue and delivery at
 /// steady state.
 Measurement nbi_scenario(net::VirtualTimeModel& tm, std::uint64_t events) {
-  net::Fabric fab(tm, net::NetworkModel{}, 2);
+  net::Fabric fab(tm, net::NetworkParams{}, 2);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 2; ++pe) {
     arenas.emplace_back(4096, std::byte{0});

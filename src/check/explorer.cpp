@@ -8,6 +8,12 @@ namespace sws::check {
 
 namespace {
 
+/// Branch points per schedule beyond which the arbiter stops branching
+/// (safety valve against runaway scenarios).
+constexpr std::uint32_t kMaxBranchPoints = 4096;
+/// Replays the shrink of a failing schedule may spend.
+constexpr std::uint32_t kMaxShrinkRuns = 256;
+
 /// Stable 64-bit combine for (digest, depth) pruning keys.
 std::uint64_t mix_key(std::uint64_t d, std::uint64_t depth) {
   std::uint64_t z = d ^ (depth * 0x9e3779b97f4a7c15ULL);
@@ -47,7 +53,7 @@ int Explorer::arbitrate(int caller, const std::vector<int>& ready,
   if (now < kExploreEpochNs) return ready.front();
   if (arb_.ended >= scen_.npes)
     return ready.front();
-  if (arb_.idx >= opts_.max_branch_points) return ready.front();
+  if (arb_.idx >= kMaxBranchPoints) return ready.front();
 
   const auto w = static_cast<std::uint8_t>(
       std::min<std::size_t>(ready.size(), 255));
@@ -140,11 +146,11 @@ ScheduleTrace Explorer::shrink_failing(const ScheduleTrace& failing) {
   // still fail, halve the chunk when a full sweep makes no progress.
   std::uint32_t runs = 0;
   bool improved = true;
-  while (improved && runs < opts_.max_shrink_runs && !cur.empty()) {
+  while (improved && runs < kMaxShrinkRuns && !cur.empty()) {
     improved = false;
     for (std::size_t chunk = cur.size(); chunk >= 1; chunk /= 2) {
       for (std::size_t start = 0;
-           start < cur.size() && runs < opts_.max_shrink_runs;
+           start < cur.size() && runs < kMaxShrinkRuns;
            start += chunk) {
         std::vector<std::uint8_t> cand = cur;
         bool changed = false;
@@ -165,7 +171,7 @@ ScheduleTrace Explorer::shrink_failing(const ScheduleTrace& failing) {
         trim(cur);
         improved = true;
       }
-      if (chunk == 1 || runs >= opts_.max_shrink_runs) break;
+      if (chunk == 1 || runs >= kMaxShrinkRuns) break;
     }
   }
   ScheduleTrace t;
@@ -230,8 +236,7 @@ ExploreReport Explorer::run() {
   prune_now_ = false;  // replay/shrink must see the un-pruned tree
 
   if (rep.failed) {
-    rep.minimal =
-        opts_.shrink ? shrink_failing(rep.failing) : rep.failing;
+    rep.minimal = shrink_failing(rep.failing);
     // Final labeled replay of the minimal schedule. If the clamped shrink
     // result no longer reproduces (the tree reshaped under it), fall back
     // to the original failing schedule.

@@ -45,12 +45,6 @@ struct ExploreOptions {
   std::uint64_t max_schedules = 4096;
   /// Random mode: base seed; schedule n uses a distinct derived seed.
   std::uint64_t seed = 1;
-  /// Branch points per schedule beyond which the arbiter stops branching
-  /// (safety valve against runaway scenarios).
-  std::uint32_t max_branch_points = 4096;
-  /// Shrink the first failing schedule to a minimal choice vector.
-  bool shrink = true;
-  std::uint32_t max_shrink_runs = 256;
   /// Exhaustive mode: heuristic state-digest pruning. Branch points whose
   /// ScenarioInstance::digest() was already expanded (at the same depth)
   /// are not branched again. Needs a scenario digest; may skip schedules
@@ -82,7 +76,7 @@ struct ExploreReport {
   bool failed = false;
   std::string violation;
   ScheduleTrace failing;  ///< first failing schedule, as found
-  ScheduleTrace minimal;  ///< after shrink (== failing when shrink off)
+  ScheduleTrace minimal;  ///< failing, shrunk to a minimal choice vector
   std::string summary() const;
 };
 

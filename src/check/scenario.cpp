@@ -309,14 +309,12 @@ class CrashSteal final : public ScenarioInstance {
   static constexpr std::uint64_t kTasks = 8;
   static constexpr int kOwner = 0;
   static constexpr int kDying = 1;
+  /// Shortened lease so the owner's fence completes well inside the
+  /// scenario's bounded wait (production default is 2 ms).
+  static constexpr core::RecoveryConfig kRecovery{50'000};
 
   CrashSteal(std::unique_ptr<core::TaskQueue> q, pgas::Runtime& rt, int npes)
-      : q_(std::move(q)), npes_(npes) {
-    // Shortened lease so the owner's fence completes well inside the
-    // scenario's bounded wait (production default is 2 ms).
-    core::RecoveryConfig rc;
-    rc.lease_ns = 50'000;
-    registry_.init(rt, rc);
+      : q_(std::move(q)), registry_(rt, kRecovery), npes_(npes) {
     q_->attach_recovery(&registry_);
   }
 

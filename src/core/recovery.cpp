@@ -7,14 +7,12 @@
 
 namespace sws::core {
 
-void DeathRegistry::init(pgas::Runtime& rt, const RecoveryConfig& cfg) {
-  cfg_ = cfg;
-  npes_ = rt.npes();
-  const std::size_t n = static_cast<std::size_t>(npes_);
-  dead_.assign(n * n, false);
-  known_.assign(n, 0);
-  if (heartbeat_.is_null()) heartbeat_ = rt.heap().alloc(sizeof(std::uint64_t));
-}
+DeathRegistry::DeathRegistry(pgas::Runtime& rt, const RecoveryConfig& cfg)
+    : cfg_(cfg),
+      npes_(rt.npes()),
+      heartbeat_(rt.heap().alloc(sizeof(std::uint64_t))),
+      dead_(static_cast<std::size_t>(npes_) * static_cast<std::size_t>(npes_)),
+      known_(static_cast<std::size_t>(npes_)) {}
 
 void DeathRegistry::reset_pe(pgas::PeContext& ctx) {
   const int me = ctx.pe();

@@ -45,9 +45,11 @@ struct RecoveryConfig {
 /// is a fiber on the one thread the sequencer runs.
 class DeathRegistry {
  public:
-  /// Size for `npes` observers and allocate the heartbeat word from `rt`'s
-  /// symmetric heap (once per pool lifetime).
-  void init(pgas::Runtime& rt, const RecoveryConfig& cfg);
+  /// Size for `rt`'s PEs as observers and allocate the heartbeat word from
+  /// its symmetric heap.
+  DeathRegistry(pgas::Runtime& rt, const RecoveryConfig& cfg);
+  DeathRegistry(const DeathRegistry&) = delete;
+  DeathRegistry& operator=(const DeathRegistry&) = delete;
 
   /// Collective per-run reset: clear this observer's knowledge and zero
   /// its heartbeat word. Call before the setup barrier.
@@ -87,9 +89,9 @@ class DeathRegistry {
            static_cast<std::size_t>(pe);
   }
 
-  RecoveryConfig cfg_{};
-  int npes_ = 0;
-  pgas::SymPtr heartbeat_{};  ///< one u64 per PE, always 0 while alive
+  RecoveryConfig cfg_;
+  int npes_;
+  pgas::SymPtr heartbeat_;  ///< one u64 per PE, always 0 while alive
   std::vector<bool> dead_;  ///< npes x npes bitset, row = observer
   std::vector<int> known_;  ///< per observer: set bits in its row
 };

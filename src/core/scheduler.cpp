@@ -124,19 +124,16 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
       queue_ = std::make_unique<SdcQueue>(rt, cfg_.queue, cfg_.sdc);
       break;
   }
-  // Allocated before the inbox so crash-free symmetric-heap offsets (and
-  // with them every output) match older builds; keep the two branches.
-  if (!rt.fabric().crashes_planned())
-    term_ = std::make_unique<CounterTermination>(rt);
   inbox_ = std::make_unique<TaskInbox>(rt, cfg_.inbox_capacity,
                                        cfg_.queue.slot_bytes);
-  if (rt.fabric().crashes_planned()) {
+  if (!rt.fabric().crashes_planned()) {
+    term_ = std::make_unique<CounterTermination>(rt);
+  } else {
     // Crash mode: wire every layer to the shared death registry and use
     // the crash-tolerant idle-wave consensus as the termination protocol
     // (the counter hangs once a PE dies). None of this exists in a
     // crash-free pool — those runs stay byte-identical to older builds.
-    recovery_ = std::make_unique<DeathRegistry>();
-    recovery_->init(rt, RecoveryConfig{});
+    recovery_ = std::make_unique<DeathRegistry>(rt, RecoveryConfig{});
     queue_->attach_recovery(recovery_.get());
     inbox_->attach_recovery(recovery_.get());
     term_ = std::make_unique<ResilientTermination>(rt, recovery_.get());

@@ -11,12 +11,14 @@
 
 namespace sws::net {
 
-Fabric::Fabric(VirtualTimeModel& time, NetworkModel model, int npes)
-    : time_(time), model_(model) {
+Fabric::Fabric(VirtualTimeModel& time, NetworkParams params, int npes)
+    : time_(time), model_(std::move(params), npes) {
+  SWS_CHECK(npes >= 0, "npes must be non-negative");
+  pes_.resize(static_cast<std::size_t>(npes));
   if (model_.params().faults.enabled())
     faults_ = std::make_unique<FaultInjector>(model_.params().faults, npes);
   crashes_armed_ = model_.params().faults.crashes_enabled();
-  reset(npes);
+  if (crashes_armed_) arm_crashes();
   time_.set_delivery_hook([this](Nanos now) { return deliver_until(now); });
 }
 
@@ -38,33 +40,19 @@ void Fabric::apply_top() {
   const int target = top.target;
   pending_.pop();
   apply_effect(effect);
-  ++arenas_[static_cast<std::size_t>(target)].landed;
-  --pending_per_pe_[static_cast<std::size_t>(initiator)];
-  --pending_per_target_[static_cast<std::size_t>(target)];
-}
-
-void Fabric::reset(int npes) {
-  SWS_CHECK(npes >= 0, "npes must be non-negative");
-  while (!pending_.empty()) pending_.pop();
-  next_seq_ = 0;
-  model_.resize(npes);
-  arenas_.assign(static_cast<std::size_t>(npes), Arena{});
-  busy_until_.assign(static_cast<std::size_t>(npes), Nanos{0});
-  stats_.assign(static_cast<std::size_t>(npes), FabricStats{});
-  labels_.assign(static_cast<std::size_t>(npes), LabelSlot{});
-  pending_per_pe_.assign(static_cast<std::size_t>(npes), 0);
-  pending_per_target_.assign(static_cast<std::size_t>(npes), 0);
-  if (faults_) faults_->reset(npes);
-  crash_at_.assign(static_cast<std::size_t>(npes), kNoPendingDeadline);
-  dead_.assign(static_cast<std::size_t>(npes), false);
-  ndead_ = 0;
-  if (crashes_armed_) arm_crashes();
+  Pe& t = pes_[static_cast<std::size_t>(target)];
+  ++t.landed;
+  --t.pending_to;
+  --pes_[static_cast<std::size_t>(initiator)].pending;
 }
 
 void Fabric::arm_crashes() {
+  // A crash_at holds either its PE's earliest planned time or
+  // kNoPendingDeadline (fired or disarmed), so taking the minimum both
+  // arms a fresh fabric and re-arms one after a run.
   for (const CrashEvent& e : model_.params().faults.crashes) {
     SWS_CHECK(e.pe >= 0 && e.pe < npes(), "crash event PE out of range");
-    Nanos& at = crash_at_[static_cast<std::size_t>(e.pe)];
+    Nanos& at = pes_[static_cast<std::size_t>(e.pe)].crash_at;
     at = std::min(at, e.at_ns);
   }
 }
@@ -75,46 +63,43 @@ void Fabric::new_run() {
   // with in-flight completions; a TaskPool run may not — its teardown
   // asserts pending(pe)==0 after quiet-at-barrier.)
   while (!pending_.empty()) apply_top();
-  // After the drain, the per-PE counters must agree with the (now empty)
-  // queue — anything else means an op leaked across runs.
-  for (const int p : pending_per_pe_)
-    SWS_ASSERT_MSG(p == 0,
-                   "pending nbi ops leaked across runs (initiator count)");
-  for (const int p : pending_per_target_)
-    SWS_ASSERT_MSG(p == 0, "pending nbi ops leaked across runs (target count)");
-  std::fill(busy_until_.begin(), busy_until_.end(), Nanos{0});
-  std::fill(labels_.begin(), labels_.end(), LabelSlot{});
+  for (Pe& p : pes_) {
+    // After the drain, the per-PE counters must agree with the (now
+    // empty) queue — anything else means an op leaked across runs.
+    SWS_ASSERT_MSG(p.pending == 0 && p.pending_to == 0,
+                   "pending nbi ops leaked across runs");
+    p.busy_until = 0;
+    p.label = OpLabel{};
+    p.span = 0;
+    // Clocks restart at 0, so the planned crashes re-fire: every PE is
+    // alive again and the same CrashEvents replay (arm_crashes below) —
+    // run N+1 reproduces run N's deaths exactly.
+    p.dead = false;
+  }
+  ndead_ = 0;
+  if (crashes_armed_) arm_crashes();
   // Reseed the fault streams so run N+1 replays run N's decisions.
   if (faults_) faults_->new_run();
-  if (crashes_armed_) {
-    // Clocks restart at 0, so the planned crashes re-fire: every PE is
-    // alive again and the same CrashEvents replay — run N+1 reproduces
-    // run N's deaths exactly.
-    std::fill(dead_.begin(), dead_.end(), false);
-    ndead_ = 0;
-    std::fill(crash_at_.begin(), crash_at_.end(), kNoPendingDeadline);
-    arm_crashes();
-  }
 }
 
 void Fabric::maybe_crash(int pe) {
-  const std::size_t i = static_cast<std::size_t>(pe);
-  if (crash_at_[i] == kNoPendingDeadline) return;
+  Nanos& at = pes_[static_cast<std::size_t>(pe)].crash_at;
+  if (at == kNoPendingDeadline) return;
   const Nanos now = time_.now(pe);
-  if (now < crash_at_[i]) return;
+  if (now < at) return;
   // Fire exactly once, at the first op boundary past the planned instant.
-  crash_at_[i] = kNoPendingDeadline;
+  at = kNoPendingDeadline;
   mark_dead(pe);
   throw PeKilled{pe, now};
 }
 
 void Fabric::mark_dead(int pe) {
   SWS_ASSERT(pe >= 0 && pe < npes());
-  const std::size_t i = static_cast<std::size_t>(pe);
-  if (dead_[i]) return;
-  dead_[i] = true;
+  Pe& p = pes_[static_cast<std::size_t>(pe)];
+  if (p.dead) return;
+  p.dead = true;
   ++ndead_;
-  crash_at_[i] = kNoPendingDeadline;
+  p.crash_at = kNoPendingDeadline;
 
   // Drop the dead PE's in-flight traffic: effects it issued die on the
   // wire, and effects targeting it have no NIC to land on. Rebuilding the
@@ -129,26 +114,26 @@ void Fabric::mark_dead(int pe) {
       keep.push(std::move(op));
       continue;
     }
-    --pending_per_pe_[static_cast<std::size_t>(op.initiator)];
-    --pending_per_target_[static_cast<std::size_t>(op.target)];
+    --pes_[static_cast<std::size_t>(op.initiator)].pending;
+    --pes_[static_cast<std::size_t>(op.target)].pending_to;
   }
   pending_.swap(keep);
 }
 
 void Fabric::register_arena(int pe, std::byte* base, std::size_t size) {
   SWS_CHECK(pe >= 0 && pe < npes(), "arena PE out of range");
-  Arena& a = arenas_[static_cast<std::size_t>(pe)];
-  a.base = base;
-  a.size = size;
+  Pe& p = pes_[static_cast<std::size_t>(pe)];
+  p.base = base;
+  p.size = size;
 }
 
 std::byte* Fabric::translate(int target, std::uint64_t offset,
                              std::size_t n) const {
   SWS_ASSERT(target >= 0 && target < npes());
-  const Arena& a = arenas_[static_cast<std::size_t>(target)];
-  SWS_ASSERT_MSG(a.base != nullptr, "target arena not registered");
-  SWS_ASSERT_MSG(offset + n <= a.size, "one-sided access out of arena bounds");
-  return a.base + offset;
+  const Pe& t = pes_[static_cast<std::size_t>(target)];
+  SWS_ASSERT_MSG(t.base != nullptr, "target arena not registered");
+  SWS_ASSERT_MSG(offset + n <= t.size, "one-sided access out of arena bounds");
+  return t.base + offset;
 }
 
 std::uint64_t* Fabric::translate_u64(int target, std::uint64_t offset) const {
@@ -158,25 +143,25 @@ std::uint64_t* Fabric::translate_u64(int target, std::uint64_t offset) const {
 
 const OpLabel& Fabric::last_op(int pe) const {
   SWS_ASSERT(pe >= 0 && pe < npes());
-  return labels_[static_cast<std::size_t>(pe)].l;
+  return pes_[static_cast<std::size_t>(pe)].label;
 }
 
 void Fabric::set_span(int pe, std::uint64_t span) noexcept {
-  labels_[static_cast<std::size_t>(pe)].span = span;
+  pes_[static_cast<std::size_t>(pe)].span = span;
 }
 
 void Fabric::charge(int initiator, int target, OpKind kind,
                     std::uint64_t offset, std::size_t bytes) {
   SWS_ASSERT(initiator >= 0 && initiator < npes());
-  LabelSlot& pl = labels_[static_cast<std::size_t>(initiator)];
-  pl.l = OpLabel{kind, target, offset, pl.span};
+  Pe& ip = pes_[static_cast<std::size_t>(initiator)];
+  ip.label = OpLabel{kind, target, offset, ip.span};
   // Crash-stop: the initiator dies *before* this op's effect if its
   // planned time has passed — the op is never issued.
   if (crashes_armed_) maybe_crash(initiator);
   const Tier tier = model_.tier(initiator, target);
   const bool remote = tier > 0;
   Nanos c = model_.cost(kind, bytes, tier);
-  FabricStats& s = stats_[static_cast<std::size_t>(initiator)];
+  FabricStats& s = ip.stats;
   ++s.ops[static_cast<int>(kind)];
   (remote ? s.remote_ops : s.local_ops) += 1;
   if (remote) ++s.tier_ops[static_cast<std::size_t>(tier - 1)];
@@ -186,7 +171,7 @@ void Fabric::charge(int initiator, int target, OpKind kind,
   const Nanos occ = remote ? model_.params().link(tier).target_occupancy : 0;
   if (occ > 0) {
     const Nanos now = time_.now(initiator);
-    Nanos& busy = busy_until_[static_cast<std::size_t>(target)];
+    Nanos& busy = pes_[static_cast<std::size_t>(target)].busy_until;
     const Nanos start = std::max(now, busy);
     busy = start + occ;
     const Nanos wait = start - now;
@@ -202,13 +187,13 @@ void Fabric::charge(int initiator, int target, OpKind kind,
   // before the clock moves. Reads only — a recorded op must not perturb
   // the schedule, which is what keeps determinism A/B byte-identical
   // with tracing enabled.
-  if (observer_ && pl.span != 0) {
+  if (observer_ && ip.span != 0) {
     OpRecord r;
     r.initiator = initiator;
     r.target = target;
     r.kind = kind;
     r.offset = offset;
-    r.span = pl.span;
+    r.span = ip.span;
     r.bytes = bytes;
     r.begin = time_.now(initiator);
     r.dur = c;
@@ -224,7 +209,7 @@ void Fabric::put(int initiator, int target, std::uint64_t offset,
   charge(initiator, target, OpKind::kPut, offset, n);
   if (write_suppressed(initiator, target)) return;
   std::memcpy(translate(target, offset, n), src, n);
-  stats_[static_cast<std::size_t>(initiator)].bytes_put += n;
+  pes_[static_cast<std::size_t>(initiator)].stats.bytes_put += n;
 }
 
 void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
@@ -235,7 +220,7 @@ void Fabric::get(int initiator, int target, std::uint64_t offset, void* dst,
     return;
   }
   std::memcpy(dst, translate(target, offset, n), n);
-  stats_[static_cast<std::size_t>(initiator)].bytes_got += n;
+  pes_[static_cast<std::size_t>(initiator)].stats.bytes_got += n;
 }
 
 std::uint64_t Fabric::amo_fetch_add(int initiator, int target,
@@ -297,8 +282,8 @@ void Fabric::enqueue_nbi(int initiator, int target, PendingEffect effect) {
     }
   }
   const int copies = duplicate ? 2 : 1;
-  pending_per_pe_[static_cast<std::size_t>(initiator)] += copies;
-  pending_per_target_[static_cast<std::size_t>(target)] += copies;
+  pes_[static_cast<std::size_t>(initiator)].pending += copies;
+  pes_[static_cast<std::size_t>(target)].pending_to += copies;
   pending_.push(PendingOp{deadline, next_seq_++, initiator, target, effect});
   if (duplicate) {
     // Both copies enter pending_ together, so pending_to(target)==0 proves
@@ -339,11 +324,11 @@ Nanos Fabric::deliver_until(Nanos now) {
 }
 
 int Fabric::pending(int pe) const {
-  return pending_per_pe_[static_cast<std::size_t>(pe)];
+  return pes_[static_cast<std::size_t>(pe)].pending;
 }
 
 int Fabric::pending_to(int pe) const {
-  return pending_per_target_[static_cast<std::size_t>(pe)];
+  return pes_[static_cast<std::size_t>(pe)].pending_to;
 }
 
 void Fabric::quiet(int pe) {
@@ -362,17 +347,17 @@ void Fabric::quiet(int pe) {
 
 const FabricStats& Fabric::stats(int pe) const {
   SWS_ASSERT(pe >= 0 && pe < npes());
-  return stats_[static_cast<std::size_t>(pe)];
+  return pes_[static_cast<std::size_t>(pe)].stats;
 }
 
 FabricStats Fabric::total_stats() const {
   FabricStats t;
-  for (const FabricStats& s : stats_) t.merge(s);
+  for (const Pe& p : pes_) t.merge(p.stats);
   return t;
 }
 
 void Fabric::reset_stats() {
-  std::fill(stats_.begin(), stats_.end(), FabricStats{});
+  for (Pe& p : pes_) p.stats = FabricStats{};
 }
 
 void Fabric::publish_metrics(obs::MetricsRegistry& reg) const {

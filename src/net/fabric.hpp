@@ -105,22 +105,21 @@ struct PendingEffect {
 
 class Fabric {
  public:
-  Fabric(VirtualTimeModel& time, NetworkModel model, int npes);
+  /// A fabric of `npes` PEs over the cost model `params` describes. Its
+  /// shape is fixed for its lifetime, like an OpenSHMEM job's NICs.
+  Fabric(VirtualTimeModel& time, NetworkParams params, int npes);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  /// Drop all pending ops and stats; size the fabric for `npes` PEs.
-  /// Arenas must be re-registered afterwards.
-  void reset(int npes);
-
-  /// Per-run reset: clocks restart at 0, so drop the NIC busy horizons
-  /// and any stray pending non-blocking ops. Arenas and stats survive.
+  /// Per-run reset: clocks restart at 0, so apply any stray pending
+  /// non-blocking ops, drop the NIC busy horizons, op labels and spans,
+  /// and revive and re-arm planned crashes. Arenas and stats survive.
   void new_run();
 
   /// Expose PE `pe`'s symmetric arena to one-sided access.
   void register_arena(int pe, std::byte* base, std::size_t size);
 
-  int npes() const noexcept { return static_cast<int>(arenas_.size()); }
+  int npes() const noexcept { return static_cast<int>(pes_.size()); }
   VirtualTimeModel& time() noexcept { return time_; }
   const NetworkModel& model() const noexcept { return model_; }
 
@@ -169,7 +168,7 @@ class Fabric {
   /// reads unchanged, `pe`'s memory holds nothing new from anyone else:
   /// the scheduler skips owner polls on that (DESIGN.md §5).
   std::uint64_t landed(int pe) const noexcept {
-    return arenas_[static_cast<std::size_t>(pe)].landed;
+    return pes_[static_cast<std::size_t>(pe)].landed;
   }
 
   // --- crash-stop failures ----------------------------------------------
@@ -181,7 +180,7 @@ class Fabric {
   /// through poison verdicts / DeathRegistry probes, not by polling this;
   /// it exists for the fabric's own op handling, assertions, and tests.
   bool alive(int pe) const noexcept {
-    return !dead_[static_cast<std::size_t>(pe)];
+    return !pes_[static_cast<std::size_t>(pe)].dead;
   }
   int num_dead() const noexcept { return ndead_; }
   /// Crash check for non-op wait points (PeContext::compute, quiet polls):
@@ -193,7 +192,7 @@ class Fabric {
   /// `pe`'s planned crash time; kNoPendingDeadline when none is pending.
   /// A parked wait uses it as its deadline (VirtualTimeModel::park).
   Nanos crash_deadline(int pe) const noexcept {
-    return crash_at_[static_cast<std::size_t>(pe)];
+    return pes_[static_cast<std::size_t>(pe)].crash_at;
   }
   /// Disarm `pe`'s planned crash (idempotent). The scheduler calls this
   /// when a PE leaves its scheduling loop: crashes model failures during
@@ -201,7 +200,7 @@ class Fabric {
   /// from a clean exit anyway.
   void disarm_crash(int pe) {
     if (crashes_armed_)
-      crash_at_[static_cast<std::size_t>(pe)] = kNoPendingDeadline;
+      pes_[static_cast<std::size_t>(pe)].crash_at = kNoPendingDeadline;
   }
   /// Mark `pe` dead: drop every pending nbi effect it initiated or that
   /// targets it (reconciling the pending counters).
@@ -243,12 +242,23 @@ class Fabric {
   void reset_stats();
 
  private:
-  struct Arena {
-    std::byte* base = nullptr;
+  /// Everything the fabric keeps for one PE. The target-side fields come
+  /// first: an op's charge and effect read them for its target, the rest
+  /// for its initiator.
+  struct Pe {
+    // --- as a target
+    std::byte* base = nullptr;  ///< registered arena
     std::size_t size = 0;
-    /// landed(): kept beside base/size, which a blocking write's address
-    /// translation reads anyway.
-    std::uint64_t landed = 0;
+    std::uint64_t landed = 0;   ///< landed()
+    Nanos busy_until = 0;       ///< NIC busy horizon (target occupancy)
+    int pending_to = 0;         ///< pending_to()
+    bool dead = false;
+    // --- as an initiator
+    int pending = 0;  ///< pending()
+    Nanos crash_at = kNoPendingDeadline;
+    OpLabel label;
+    std::uint64_t span = 0;  ///< current span; charge copies it into label
+    FabricStats stats;
   };
   struct PendingOp {
     Nanos deadline;
@@ -260,17 +270,12 @@ class Fabric {
       return deadline != o.deadline ? deadline > o.deadline : seq > o.seq;
     }
   };
-  struct LabelSlot {
-    OpLabel l;
-    std::uint64_t span = 0;  ///< current span; charge copies it into l
-  };
-
   std::byte* translate(int target, std::uint64_t offset, std::size_t n) const;
   std::uint64_t* translate_u64(int target, std::uint64_t offset) const;
   /// Throw PeKilled if `pe`'s clock has reached its planned crash time.
   /// Out-of-line slow path; callers pre-check crashes_armed_.
   void maybe_crash(int pe);
-  /// (Re-)load crash_at_ from the plan's CrashEvents.
+  /// (Re-)arm every PE's crash_at from the plan's CrashEvents.
   void arm_crashes();
   /// Post-charge check on every op path: true when the op's target is dead
   /// and the effect must be suppressed (the charge already happened —
@@ -278,7 +283,7 @@ class Fabric {
   bool effect_suppressed(int initiator, int target) {
     if (!crashes_armed_) return false;
     if (alive(target)) return false;
-    ++stats_[static_cast<std::size_t>(initiator)].dead_target_ops;
+    ++pes_[static_cast<std::size_t>(initiator)].stats.dead_target_ops;
     return true;
   }
   /// effect_suppressed() for ops that write the target: when the effect
@@ -287,7 +292,7 @@ class Fabric {
   bool write_suppressed(int initiator, int target) {
     if (effect_suppressed(initiator, target)) return true;
     if (initiator != target)
-      ++arenas_[static_cast<std::size_t>(target)].landed;
+      ++pes_[static_cast<std::size_t>(target)].landed;
     return false;
   }
   /// Charge an op: record `initiator`'s in-flight op label first (see
@@ -310,17 +315,11 @@ class Fabric {
 
   VirtualTimeModel& time_;
   NetworkModel model_;
-  std::vector<Arena> arenas_;
-  /// Per-target NIC busy horizon.
-  std::vector<Nanos> busy_until_;
-  std::vector<FabricStats> stats_;
-  std::vector<LabelSlot> labels_;
+  std::vector<Pe> pes_;
   OpObserver observer_;
 
   std::priority_queue<PendingOp, std::vector<PendingOp>, std::greater<>>
       pending_;
-  std::vector<int> pending_per_pe_;
-  std::vector<int> pending_per_target_;
   std::uint64_t next_seq_ = 0;
 
   /// Present iff model_.params().faults.enabled(); a null injector means
@@ -329,11 +328,9 @@ class Fabric {
 
   // Crash-stop state. crashes_armed_ is constant after construction and
   // gates every check, so un-planned runs pay one predicted-not-taken
-  // branch per op and nothing else. crash_at_ is written only by the
-  // owning PE (disarm) or under reset/new_run.
+  // branch per op and nothing else. Pe::crash_at is written only by the
+  // owning PE (disarm) or by the constructor and new_run.
   bool crashes_armed_ = false;
-  std::vector<Nanos> crash_at_;
-  std::vector<bool> dead_;
   int ndead_ = 0;
 };
 

@@ -27,12 +27,8 @@ FaultInjector::FaultInjector(FaultPlan plan, int npes) : plan_(std::move(plan)) 
             "drop_rate must be a probability");
   SWS_CHECK(plan_.dup_rate >= 0.0 && plan_.dup_rate <= 1.0,
             "dup_rate must be a probability");
-  reset(npes);
-}
-
-void FaultInjector::reset(int npes) {
-  pes_.clear();
-  pes_.resize(static_cast<std::size_t>(npes < 0 ? 0 : npes));
+  SWS_CHECK(npes >= 0, "npes must be non-negative");
+  pes_.resize(static_cast<std::size_t>(npes));
   new_run();
 }
 

@@ -106,8 +106,6 @@ class FaultInjector {
 
   const FaultPlan& plan() const noexcept { return plan_; }
 
-  /// Resize for `npes` PEs and reseed every stream (full reset).
-  void reset(int npes);
   /// Reseed the decision streams so back-to-back runs reproduce; keeps
   /// accumulated stats (they are per-process, like FabricStats).
   void new_run();

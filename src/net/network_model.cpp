@@ -93,8 +93,6 @@ void NetworkParams::validate(int npes) const {
 NetworkModel::NetworkModel(NetworkParams p, int npes)
     : p_(std::move(p)), topo_(p_.topology, npes) {}
 
-void NetworkModel::resize(int npes) { topo_ = Topology(p_.topology, npes); }
-
 Nanos NetworkModel::cost(OpKind kind, std::size_t bytes,
                          Tier t) const noexcept {
   if (t <= 0) {

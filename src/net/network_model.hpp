@@ -95,9 +95,6 @@ class NetworkModel {
   const Topology& topology() const noexcept { return topo_; }
   int ntiers() const noexcept { return topo_.ntiers(); }
 
-  /// Re-bind the topology to a new PE count (Fabric::reset).
-  void resize(int npes);
-
   /// Tier distance of `target` as seen by `initiator` (0 = self).
   Tier tier(int initiator, int target) const noexcept {
     return topo_.distance(initiator, target);

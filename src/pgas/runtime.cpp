@@ -13,8 +13,7 @@ Runtime::Runtime(RuntimeConfig cfg)
   // (cost model, victim selection, fault presets) reads the same
   // NetworkParams::topology, so a bad spec must not get as far as a run.
   cfg_.net.validate(cfg_.npes);
-  fabric_ = std::make_unique<net::Fabric>(
-      time_, net::NetworkModel(cfg_.net, cfg_.npes), cfg_.npes);
+  fabric_ = std::make_unique<net::Fabric>(time_, cfg_.net, cfg_.npes);
   heap_ = std::make_unique<SymmetricHeap>(cfg_.npes, cfg_.heap_bytes);
   for (int pe = 0; pe < cfg_.npes; ++pe)
     fabric_->register_arena(pe, heap_->arena_base(pe), heap_->size());

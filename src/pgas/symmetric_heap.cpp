@@ -49,37 +49,10 @@ std::uint64_t OffsetAllocator::alloc(std::uint64_t bytes,
     free_.erase(it);
     if (pad > 0) free_.emplace(start, pad);
     if (suffix > 0) free_.emplace(aligned + bytes, suffix);
-    live_.emplace(aligned, bytes);
     free_bytes_ -= bytes;
     return aligned;
   }
   return SymPtr::kNull;
-}
-
-void OffsetAllocator::free(std::uint64_t offset) {
-  const auto it = live_.find(offset);
-  SWS_CHECK(it != live_.end(), "free of unknown offset");
-  std::uint64_t start = offset;
-  std::uint64_t len = it->second;
-  live_.erase(it);
-  free_bytes_ += len;
-
-  // Coalesce with the following free block, if adjacent.
-  auto next = free_.lower_bound(start);
-  if (next != free_.end() && next->first == start + len) {
-    len += next->second;
-    next = free_.erase(next);
-  }
-  // Coalesce with the preceding free block, if adjacent.
-  if (next != free_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second == start) {
-      start = prev->first;
-      len += prev->second;
-      free_.erase(prev);
-    }
-  }
-  free_.emplace(start, len);
 }
 
 // ----------------------------------------------------------- SymmetricHeap
@@ -127,11 +100,6 @@ SymPtr SymmetricHeap::alloc(std::size_t bytes, std::size_t align) {
   const std::uint64_t off = allocator_.alloc(bytes, align);
   if (off == SymPtr::kNull) throw std::bad_alloc();
   return SymPtr{off};
-}
-
-void SymmetricHeap::free(SymPtr p) {
-  SWS_CHECK(!p.is_null(), "free of null SymPtr");
-  allocator_.free(p.off);
 }
 
 std::byte* SymmetricHeap::local(int pe, SymPtr p, std::uint64_t delta) const {

@@ -3,8 +3,10 @@
 // Every PE owns an arena of identical size; an allocation returns a
 // *symmetric pointer* (an offset valid in every PE's arena), exactly like
 // shmem_malloc on OpenSHMEM's symmetric heap. Allocation metadata lives
-// only on the allocating side (a first-fit free list with coalescing over
+// only on the allocating side (first-fit over the unallocated ranges of
 // the shared offset space), because the layout is identical everywhere.
+// Nothing is ever freed: symmetric state is allocated once, when the
+// layer that owns it is built, and lives as long as the heap.
 //
 // Each arena is anonymous mapped memory, so a page is backed (and reads
 // zero) only once first touched: a run pays memory for the pages it uses,
@@ -18,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 
 namespace sws::pgas {
 
@@ -34,8 +35,10 @@ struct SymPtr {
   friend bool operator==(SymPtr a, SymPtr b) noexcept { return a.off == b.off; }
 };
 
-/// First-fit free-list allocator over the abstract range [0, size).
-/// Separated from the heap so it can be unit-tested in isolation.
+/// First-fit allocator over the abstract range [0, size). Alignment
+/// padding stays allocatable, so a later small block fills the gap an
+/// aligned one left behind instead of touching a fresh page. Separated
+/// from the heap so it can be unit-tested in isolation.
 class OffsetAllocator {
  public:
   explicit OffsetAllocator(std::uint64_t size);
@@ -43,18 +46,14 @@ class OffsetAllocator {
   /// Returns the offset of a block of `bytes` aligned to `align`, or
   /// SymPtr::kNull if the space is exhausted/fragmented.
   std::uint64_t alloc(std::uint64_t bytes, std::uint64_t align);
-  /// Return a block previously handed out by alloc(). Coalesces neighbors.
-  void free(std::uint64_t offset);
 
   std::uint64_t bytes_free() const noexcept { return free_bytes_; }
   std::uint64_t size() const noexcept { return size_; }
-  std::size_t live_allocations() const noexcept { return live_.size(); }
 
  private:
   std::uint64_t size_;
   std::uint64_t free_bytes_;
-  std::map<std::uint64_t, std::uint64_t> free_;  // offset -> length
-  std::map<std::uint64_t, std::uint64_t> live_;  // offset -> length
+  std::map<std::uint64_t, std::uint64_t> free_;  // hole offset -> length
 };
 
 class SymmetricHeap {
@@ -68,9 +67,9 @@ class SymmetricHeap {
   std::size_t size() const noexcept { return bytes_; }
 
   /// Collective-style allocation: one call reserves the same offset range
-  /// in every PE's arena. Throws std::bad_alloc on exhaustion.
+  /// in every PE's arena, for the heap's lifetime. Throws std::bad_alloc
+  /// on exhaustion.
   SymPtr alloc(std::size_t bytes, std::size_t align = 8);
-  void free(SymPtr p);
 
   std::uint64_t bytes_free() const noexcept { return allocator_.bytes_free(); }
 

@@ -168,8 +168,7 @@ TEST(DeathRegistry, KnowledgeIsPerObserverAndResetsByRow) {
   rc.npes = 5;
   rc.heap_bytes = 1 << 20;
   pgas::Runtime rt(rc);
-  core::DeathRegistry reg;
-  reg.init(rt, core::RecoveryConfig{});
+  core::DeathRegistry reg(rt, core::RecoveryConfig{});
   rt.run([&](pgas::PeContext& ctx) { reg.reset_pe(ctx); });
 
   EXPECT_TRUE(reg.note_dead(1, 0));   // news

@@ -102,7 +102,6 @@ TEST(Explorer, FindsReplaysAndShrinksLostUpdate) {
   ExploreOptions opts;
   opts.mode = ExploreMode::kExhaustive;
   opts.max_schedules = 200;
-  opts.shrink = true;
   Explorer ex(lost_update_scenario(2), opts);
   const ExploreReport rep = ex.run();
   ASSERT_TRUE(rep.failed) << rep.summary();

@@ -16,7 +16,7 @@ class FabricTest : public ::testing::Test {
   static constexpr int kPes = 2;
   static constexpr std::size_t kArena = 4096;
 
-  FabricTest() : time_(kPes), fabric_(time_, NetworkModel{}, kPes) {
+  FabricTest() : time_(kPes), fabric_(time_, NetworkParams{}, kPes) {
     for (int pe = 0; pe < kPes; ++pe) {
       arenas_.emplace_back(kArena, std::byte{0});
       fabric_.register_arena(pe, arenas_.back().data(), kArena);
@@ -208,18 +208,74 @@ TEST_F(FabricTest, QuietUnderNbiStormDeliversEverything) {
   EXPECT_EQ(word_at(1, 104), 0x1000u);
 }
 
-TEST_F(FabricTest, NewRunClearsOpLabels) {
-  // Regression: OpLabels are per-run debug state; a stale label from run
-  // N must not leak into the explorer's event trace for run N+1.
-  run([&](int pe) {
-    if (pe != 0) return;
-    fabric_.amo_fetch_add(0, 1, 8, 1);
-  });
-  EXPECT_EQ(fabric_.last_op(0).kind, OpKind::kAmoFetchAdd);
-  EXPECT_EQ(fabric_.last_op(0).target, 1);
-  fabric_.new_run();
-  EXPECT_EQ(fabric_.last_op(0).kind, OpKind::kCount_) << "label survived new_run";
-  EXPECT_EQ(fabric_.last_op(0).target, -1);
+TEST(FabricNewRun, ResetsRunStateKeepsStatsAndArenas) {
+  // Clocks restart at 0 every run, so new_run() must clear what a run
+  // leaves behind in virtual time: NIC busy horizons, op labels (a stale
+  // one would leak into the explorer's event trace), spans and planned
+  // deaths. Stats and registered arenas outlive runs.
+  constexpr Nanos kCrashAt = 10'000;
+  VirtualTimeModel tm(2);
+  NetworkParams params;
+  params.faults.crashes = {{1, kCrashAt}};
+  Fabric fab(tm, params, 2);
+  std::vector<std::vector<std::byte>> arenas;
+  for (int pe = 0; pe < 2; ++pe) {
+    arenas.emplace_back(256, std::byte{0});
+    fab.register_arena(pe, arenas.back().data(), 256);
+  }
+  struct Run {
+    Nanos wait = 0;     ///< PE 0's occupancy wait this run
+    Nanos died_at = 0;  ///< when PE 1 observed its crash (0 = never)
+  };
+  const auto run = [&](std::uint64_t span) {
+    Run r;
+    const Nanos wait_before = fab.stats(0).occupancy_wait_ns;
+    tm.run_pes(2, [&](int pe) {
+      if (pe == 0) {
+        if (span != 0) fab.set_span(0, span);
+        // The second issue queues behind the first at PE 1's NIC.
+        fab.nbi_amo_add(0, 1, 0, 1);
+        fab.nbi_amo_add(0, 1, 0, 1);
+        fab.quiet(0);
+        return;
+      }
+      try {
+        for (int i = 0; i < 100; ++i) fab.amo_fetch(1, 0, 0);
+      } catch (const PeKilled& k) {
+        r.died_at = k.at_ns;
+      }
+    });
+    r.wait = fab.stats(0).occupancy_wait_ns - wait_before;
+    return r;
+  };
+
+  const Run first = run(/*span=*/7);
+  EXPECT_GT(first.wait, 0u);
+  EXPECT_GE(first.died_at, kCrashAt);
+  EXPECT_EQ(fab.last_op(0).kind, OpKind::kNbiAmoAdd);
+  EXPECT_EQ(fab.last_op(0).span, 7u);
+  EXPECT_FALSE(fab.alive(1));
+  EXPECT_EQ(fab.num_dead(), 1);
+
+  fab.new_run();
+  EXPECT_EQ(fab.last_op(0).kind, OpKind::kCount_) << "label survived new_run";
+  EXPECT_EQ(fab.last_op(0).target, -1);
+  EXPECT_TRUE(fab.alive(1)) << "the crashed PE is alive again";
+  EXPECT_EQ(fab.num_dead(), 0);
+  EXPECT_EQ(fab.crash_deadline(1), kCrashAt) << "the crash is re-armed";
+
+  const Run second = run(/*span=*/0);
+  EXPECT_EQ(second.wait, first.wait) << "NIC busy horizon survived new_run";
+  EXPECT_EQ(fab.last_op(0).span, 0u) << "span survived new_run";
+  EXPECT_EQ(second.died_at, first.died_at) << "the crash did not re-fire";
+  EXPECT_FALSE(fab.alive(1));
+
+  // Stats accumulate across runs, and the arenas stay registered.
+  EXPECT_EQ(fab.stats(0).ops[static_cast<int>(OpKind::kNbiAmoAdd)], 4u);
+  EXPECT_EQ(fab.stats(0).occupancy_wait_ns, first.wait + second.wait);
+  std::uint64_t landed_word = 0;
+  std::memcpy(&landed_word, arenas[1].data(), sizeof(landed_word));
+  EXPECT_EQ(landed_word, 4u);
 }
 
 TEST_F(FabricTest, LandedCountsEveryRemoteEffect) {
@@ -286,7 +342,7 @@ TEST(FabricLanded, DuplicateDeliveriesCountAndDeadTargetsDoNot) {
   NetworkParams params;
   params.faults.dup_rate = 1.0;
   params.faults.crashes = {{2, Nanos{1} << 50}};
-  Fabric fab(tm, NetworkModel(params), 3);
+  Fabric fab(tm, params, 3);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 3; ++pe) {
     arenas.emplace_back(256, std::byte{0});
@@ -320,7 +376,7 @@ TEST(FabricFaults, RetransmitDelayExtendsDeliveryNotHorizon) {
   VirtualTimeModel tm(2);
   NetworkParams params;
   params.faults.drop_rate = 1.0;
-  Fabric fab(tm, NetworkModel(params), 2);
+  Fabric fab(tm, params, 2);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 2; ++pe) {
     arenas.emplace_back(256, std::byte{0});
@@ -349,7 +405,7 @@ TEST(FabricFaults, RetransmitDelayExtendsDeliveryNotHorizon) {
 // once and the op reaches its check.
 TEST(FabricDeath, OutOfBoundsAccessAborts) {
   VirtualTimeModel tm(1);
-  Fabric fab(tm, NetworkModel{}, 1);
+  Fabric fab(tm, NetworkParams{}, 1);
   std::vector<std::byte> arena(256, std::byte{0});
   fab.register_arena(0, arena.data(), arena.size());
   std::uint64_t v = 0;
@@ -358,7 +414,7 @@ TEST(FabricDeath, OutOfBoundsAccessAborts) {
 
 TEST(FabricDeath, MisalignedAmoAborts) {
   VirtualTimeModel tm(1);
-  Fabric fab(tm, NetworkModel{}, 1);
+  Fabric fab(tm, NetworkParams{}, 1);
   std::vector<std::byte> arena(256, std::byte{0});
   fab.register_arena(0, arena.data(), arena.size());
   EXPECT_DEATH(fab.amo_fetch(0, 0, 4), "align");
@@ -366,7 +422,7 @@ TEST(FabricDeath, MisalignedAmoAborts) {
 
 TEST(FabricDeath, UnregisteredArenaAborts) {
   VirtualTimeModel tm(1);
-  Fabric fab(tm, NetworkModel{}, 1);
+  Fabric fab(tm, NetworkParams{}, 1);
   EXPECT_DEATH(fab.amo_fetch(0, 0, 0), "registered");
 }
 
@@ -396,7 +452,7 @@ TEST(FabricOccupancy, SameTargetOpsQueue) {
   VirtualTimeModel tm(4);
   NetworkParams params;
   params.link(1).target_occupancy = 300;
-  Fabric fab(tm, NetworkModel(params), 4);
+  Fabric fab(tm, params, 4);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 4; ++pe) {
     arenas.emplace_back(256, std::byte{0});
@@ -415,7 +471,7 @@ TEST(FabricOccupancy, ZeroOccupancyDisablesQueueing) {
   VirtualTimeModel tm(3);
   NetworkParams params;
   params.link(1).target_occupancy = 0;
-  Fabric fab(tm, NetworkModel(params), 3);
+  Fabric fab(tm, params, 3);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 3; ++pe) {
     arenas.emplace_back(256, std::byte{0});
@@ -473,7 +529,7 @@ TEST(FabricLocality, ChargesByNodeDistance) {
   // PEs {0,1} on one node, {2} on another.
   params.link(1).target_occupancy = 0;
   params.link(2).target_occupancy = 0;
-  Fabric fab(tm, NetworkModel(params, 3), 3);
+  Fabric fab(tm, params, 3);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 3; ++pe) {
     arenas.emplace_back(256, std::byte{0});

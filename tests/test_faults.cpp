@@ -139,8 +139,7 @@ class FaultFabricTest : public ::testing::Test {
     net::NetworkParams params;
     params.faults = plan;
     time_ = std::make_unique<net::VirtualTimeModel>(kPes);
-    fabric_ = std::make_unique<net::Fabric>(*time_, net::NetworkModel(params),
-                                            kPes);
+    fabric_ = std::make_unique<net::Fabric>(*time_, params, kPes);
     arenas_.clear();
     for (int pe = 0; pe < kPes; ++pe) {
       arenas_.emplace_back(kArena, std::byte{0});

@@ -11,7 +11,7 @@ namespace {
 
 TEST(FabricNewRun, DrainsPendingEffectsInsteadOfDroppingThem) {
   net::VirtualTimeModel tm(2);
-  net::Fabric fab(tm, net::NetworkModel{}, 2);
+  net::Fabric fab(tm, net::NetworkParams{}, 2);
   std::vector<std::vector<std::byte>> arenas;
   for (int pe = 0; pe < 2; ++pe) {
     arenas.emplace_back(64, std::byte{0});
