@@ -26,13 +26,6 @@ Options::Options(int argc, const char* const* argv) {
   }
 }
 
-bool Options::has(const std::string& key) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return false;
-  used_[key] = true;
-  return true;
-}
-
 std::string Options::get(const std::string& key,
                          const std::string& fallback) const {
   const auto it = kv_.find(key);

@@ -18,8 +18,6 @@ class Options {
   /// Parse argv; throws std::invalid_argument on malformed input.
   Options(int argc, const char* const* argv);
 
-  bool has(const std::string& key) const;
-
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get(const std::string& key, std::int64_t fallback) const;
   double get(const std::string& key, double fallback) const;

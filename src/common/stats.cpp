@@ -20,25 +20,6 @@ void Summary::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void Summary::merge(const Summary& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel combination of Welford partials.
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double n = na + nb;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  mean_ += delta * nb / n;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Summary::variance() const noexcept {
   return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }

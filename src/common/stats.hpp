@@ -14,7 +14,6 @@ namespace sws {
 class Summary {
  public:
   void add(double x) noexcept;
-  void merge(const Summary& other) noexcept;
   void reset() noexcept { *this = Summary{}; }
 
   std::size_t count() const noexcept { return n_; }

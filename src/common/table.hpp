@@ -30,9 +30,6 @@ class Table {
   /// Render RFC-4180-ish CSV (no quoting of embedded commas expected).
   void print_csv(std::ostream& os) const;
 
-  const std::string& title() const noexcept { return title_; }
-  std::size_t rows() const noexcept { return rows_.size(); }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

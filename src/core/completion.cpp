@@ -46,16 +46,6 @@ std::uint32_t CompletionSpace::finished_prefix(pgas::PeContext& owner,
   return n;
 }
 
-std::uint32_t CompletionSpace::finished_count(pgas::PeContext& owner,
-                                              std::uint32_t epoch,
-                                              std::uint32_t upto) const {
-  SWS_ASSERT(upto <= kSlotsPerEpoch);
-  std::uint32_t n = 0;
-  for (std::uint32_t i = 0; i < upto; ++i)
-    if (read(owner, epoch, i) != 0) ++n;
-  return n;
-}
-
 void CompletionSpace::force_finished(pgas::PeContext& owner,
                                      std::uint32_t epoch, std::uint32_t idx,
                                      std::uint32_t ntasks) const {

@@ -46,10 +46,6 @@ class CompletionSpace {
   std::uint32_t finished_prefix(pgas::PeContext& owner, std::uint32_t epoch,
                                 std::uint32_t upto) const;
 
-  /// Owner side: total finished blocks in [0, upto) (order-independent).
-  std::uint32_t finished_count(pgas::PeContext& owner, std::uint32_t epoch,
-                               std::uint32_t upto) const;
-
   /// Owner side: zero an epoch's slots before reuse (acquire re-init).
   void clear_epoch(pgas::PeContext& owner, std::uint32_t epoch) const;
 

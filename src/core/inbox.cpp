@@ -142,12 +142,4 @@ bool TaskInbox::take_next(pgas::PeContext& owner, Task& out) {
   return true;
 }
 
-bool TaskInbox::looks_empty(pgas::PeContext& owner) const {
-  const std::uint64_t reserve =
-      owner.local_load(base_.plus(kReserveOff));
-  const std::uint64_t drained =
-      owner.local_load(base_.plus(kDrainedOff));
-  return reserve == drained;
-}
-
 }  // namespace sws::core

@@ -73,10 +73,6 @@ class TaskInbox {
     return n;
   }
 
-  /// Owner: tasks currently published but not yet drained (approximate —
-  /// senders may be mid-publish).
-  bool looks_empty(pgas::PeContext& owner) const;
-
   /// Install the pool's death registry; enables the sender-side ledger
   /// (only consulted when the fabric has crashes armed). Null detaches.
   /// The ledger rows are built by the next reset_pe.

@@ -142,7 +142,6 @@ class TaskPool {
   const WorkerStats& worker_stats(int pe) const;
 
   TaskQueue& queue() noexcept { return *queue_; }
-  TaskRegistry& registry() noexcept { return registry_; }
   /// Replace the termination detector (e.g. the checking harness wrapping
   /// the real detector with a ground-truth cross-check). Must not be
   /// called between run_pe entry and exit.

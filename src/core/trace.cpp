@@ -43,7 +43,6 @@ void Tracer::push(int pe, TraceEvent e) noexcept {
   r.buf[r.next] = e;
   r.next = (r.next + 1) % r.buf.size();
   ++r.total;
-  ++r.per_kind[static_cast<std::size_t>(e.kind)];
 }
 
 void Tracer::record(int pe, net::Nanos time, TraceKind kind, std::uint64_t a,
@@ -112,7 +111,6 @@ void Tracer::clear() {
   for (auto& r : rings_) {
     r.next = 0;
     r.total = 0;
-    r.per_kind.fill(0);
     std::fill(r.buf.begin(), r.buf.end(), TraceEvent{});
   }
 }
@@ -245,12 +243,6 @@ std::uint64_t Tracer::count(TraceKind kind) const {
   for (int pe = 0; pe < static_cast<int>(rings_.size()); ++pe)
     for (const TraceEvent& e : events(pe))
       if (e.kind == kind) ++n;
-  return n;
-}
-
-std::uint64_t Tracer::recorded(TraceKind kind) const noexcept {
-  std::uint64_t n = 0;
-  for (const Ring& r : rings_) n += r.per_kind[static_cast<std::size_t>(kind)];
   return n;
 }
 

@@ -17,7 +17,6 @@
 // format Perfetto loads directly (docs/observability.md).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -50,8 +49,6 @@ enum class TraceKind : std::uint8_t {
   kRecoverySpan,   ///< begin; end: a = tasks recovered for re-execution
   kRerouted,       ///< instant: a = dead spawn target, b = tasks rerouted
 };
-inline constexpr std::size_t kTraceKinds =
-    static_cast<std::size_t>(TraceKind::kRerouted) + 1;
 
 enum class TracePhase : std::uint8_t {
   kInstant = 0,
@@ -141,10 +138,6 @@ class Tracer {
   /// Count restricted to one phase (e.g. kStealSpan begins only).
   std::uint64_t count(TraceKind kind, TracePhase phase) const;
 
-  /// Lifetime count of one kind across all PEs (all phases): every event
-  /// recorded since the last clear(), retained or overwritten.
-  std::uint64_t recorded(TraceKind kind) const noexcept;
-
   /// True when any PE's ring wrapped (oldest events were overwritten) —
   /// span begin/end pairs may then be truncated at the front.
   bool truncated() const noexcept;
@@ -154,7 +147,6 @@ class Tracer {
     std::vector<TraceEvent> buf;
     std::size_t next = 0;
     std::uint64_t total = 0;  ///< lifetime events (>= retained)
-    std::array<std::uint64_t, kTraceKinds> per_kind{};  ///< lifetime, by kind
   };
   void push(int pe, TraceEvent e) noexcept;
   std::vector<Ring> rings_;

@@ -209,15 +209,8 @@ class Fabric {
   void mark_dead(int pe);
 
   // --- fault injection --------------------------------------------------
-  bool faults_enabled() const noexcept { return faults_ != nullptr; }
   bool fault_duplicates_possible() const noexcept {
     return faults_ != nullptr && faults_->plan().duplicates_possible();
-  }
-  const FaultInjector* fault_injector() const noexcept {
-    return faults_.get();
-  }
-  FaultStats fault_stats() const {
-    return faults_ ? faults_->total_stats() : FaultStats{};
   }
 
   /// Most recent operation issued by `pe` (see OpLabel).

@@ -1,7 +1,6 @@
 #include "net/fault.hpp"
 
 #include "common/assert.hpp"
-#include "net/topology.hpp"
 
 namespace sws::net {
 
@@ -75,22 +74,6 @@ FaultInjector::Delivery FaultInjector::delivery_verdict(int initiator) {
 const FaultStats& FaultInjector::stats(int pe) const {
   SWS_ASSERT(pe >= 0 && pe < static_cast<int>(pes_.size()));
   return pes_[static_cast<std::size_t>(pe)].stats;
-}
-
-FaultStats FaultInjector::total_stats() const {
-  FaultStats t;
-  for (const PerPe& p : pes_) t.merge(p.stats);
-  return t;
-}
-
-// ---------------------------------------------------- crash preset
-
-FaultPlan node_failure_plan(const Topology& topo, int node, Nanos at_ns) {
-  FaultPlan plan;
-  for (int pe : topo.group_members(1, node))
-    plan.crashes.push_back(CrashEvent{pe, at_ns});
-  SWS_CHECK(!plan.crashes.empty(), "node failure: empty node");
-  return plan;
 }
 
 }  // namespace sws::net

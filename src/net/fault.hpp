@@ -87,14 +87,6 @@ struct FaultStats {
   std::uint64_t drops = 0;  ///< lost transmissions (an op may lose several)
   std::uint64_t retransmit_extra_ns = 0;
   std::uint64_t dups = 0;
-
-  void merge(const FaultStats& o) noexcept {
-    spikes += o.spikes;
-    spike_extra_ns += o.spike_extra_ns;
-    drops += o.drops;
-    retransmit_extra_ns += o.retransmit_extra_ns;
-    dups += o.dups;
-  }
 };
 
 /// Draws fault decisions. One instance per Fabric; per-PE RNG streams and
@@ -124,7 +116,6 @@ class FaultInjector {
   Delivery delivery_verdict(int initiator);
 
   const FaultStats& stats(int pe) const;
-  FaultStats total_stats() const;
 
  private:
   struct PerPe {
@@ -135,12 +126,5 @@ class FaultInjector {
   FaultPlan plan_;
   std::vector<PerPe> pes_;
 };
-
-class Topology;
-
-/// Crash-stop preset (docs/resilience.md "Writing a crash plan"): every
-/// PE of innermost-tier group `node` dies at `at_ns` — a whole node lost
-/// at once.
-FaultPlan node_failure_plan(const Topology& topo, int node, Nanos at_ns);
 
 }  // namespace sws::net

@@ -39,10 +39,6 @@ LinkParams LinkParams::scaled(double factor) const noexcept {
   return s;
 }
 
-NetworkParams NetworkParams::two_level(int pes_per_node) {
-  return tiered(TopologySpec::two_level(pes_per_node));
-}
-
 NetworkParams NetworkParams::tiered(TopologySpec spec, double step_scale,
                                     double step_bandwidth) {
   NetworkParams p;

@@ -57,15 +57,12 @@ struct NetworkParams {
 
   /// Flat single-tier fabric with the EDR-class defaults (== {}).
   static NetworkParams flat() noexcept { return {}; }
-  /// Two-level fabric: unbounded nodes of `pes_per_node` PEs, i.e.
-  /// tiered(TopologySpec::two_level(pes_per_node)). Intra-node links run
-  /// at 0.15x the inter-node latencies (shared-memory ops ~200 ns vs
-  /// 1.5 µs) and 40 B/ns. pes_per_node must be positive.
-  static NetworkParams two_level(int pes_per_node);
   /// N-tier fabric over `spec`: tier links derived from the defaults with
   /// geometric scaling — each step inward scales latency by `step_scale`
   /// and bandwidth by `step_bandwidth`. Outermost tier keeps the flat
-  /// defaults.
+  /// defaults. Over "*xN" (unbounded nodes of N PEs) the intra-node links
+  /// run at 0.15x the inter-node latencies (shared-memory ops ~200 ns vs
+  /// 1.5 µs) and 40 B/ns.
   static NetworkParams tiered(TopologySpec spec, double step_scale = 0.15,
                               double step_bandwidth = 3.2);
 

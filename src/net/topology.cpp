@@ -26,15 +26,6 @@ void check_spec(const std::vector<int>& levels) {
 
 }  // namespace
 
-TopologySpec TopologySpec::two_level(int pes_per_node) {
-  SWS_CHECK(pes_per_node > 0, "pes_per_node must be positive");
-  // Unbounded node count: the classic pes_per_node shape never bounded
-  // how many nodes a run may use.
-  TopologySpec s;
-  s.levels = {pes_per_node, 0};
-  return s;
-}
-
 TopologySpec TopologySpec::parse(const std::string& s) {
   if (s.empty() || s == "flat") return flat();
   std::vector<int> outer_first;
@@ -122,22 +113,6 @@ Tier Topology::distance(int a, int b) const noexcept {
   return nt;
 }
 
-long long Topology::group_size(Tier t) const noexcept {
-  SWS_ASSERT(t >= 0 && t <= ntiers());
-  return block_[t];
-}
-
-int Topology::group_of(int pe, Tier t) const noexcept {
-  SWS_ASSERT(t >= 0 && t <= ntiers());
-  return static_cast<int>(pe / block_[t]);
-}
-
-int Topology::group_count(Tier t) const noexcept {
-  SWS_ASSERT(t >= 0 && t <= ntiers());
-  if (npes_ == 0) return 0;
-  return static_cast<int>((npes_ + block_[t] - 1) / block_[t]);
-}
-
 void Topology::group_range(int pe, Tier t, int& begin,
                            int& end) const noexcept {
   const long long b = (pe / block_[t]) * block_[t];
@@ -145,16 +120,6 @@ void Topology::group_range(int pe, Tier t, int& begin,
   if (e > npes_) e = npes_;
   begin = static_cast<int>(b);
   end = static_cast<int>(e);
-}
-
-std::vector<int> Topology::group_members(Tier t, int g) const {
-  SWS_ASSERT(t >= 0 && t <= ntiers());
-  const long long b = g * block_[t];
-  long long e = b + block_[t];
-  if (e > npes_) e = npes_;
-  std::vector<int> out;
-  for (long long pe = b; pe < e; ++pe) out.push_back(static_cast<int>(pe));
-  return out;
 }
 
 int Topology::peer_count(int pe, Tier t) const noexcept {
@@ -175,14 +140,6 @@ int Topology::peer(int pe, Tier t, int k) const noexcept {
   // continue after it.
   const int before = ib - ob;
   return k < before ? ob + k : ie + (k - before);
-}
-
-std::vector<int> Topology::peers(int pe, Tier t) const {
-  const int n = peer_count(pe, t);
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) out.push_back(peer(pe, t, k));
-  return out;
 }
 
 }  // namespace sws::net

@@ -1,6 +1,6 @@
 // Multi-tier machine topology: the shared description of how PEs group
-// into cores/sockets/nodes/racks that the cost model, victim selection,
-// fault presets, and per-tier accounting all consume.
+// into cores/sockets/nodes/racks that the cost model, victim selection
+// and per-tier accounting all consume.
 //
 // A TopologySpec lists group sizes; a Topology binds a spec to a concrete
 // PE count and answers distance and peer-enumeration queries. The tier
@@ -30,9 +30,6 @@ struct TopologySpec {
 
   /// Flat fabric (one tier, no grouping).
   static TopologySpec flat() noexcept { return {}; }
-  /// The classic two-level shape: nodes of `pes_per_node` PEs
-  /// (positive, else SWS_CHECK).
-  static TopologySpec two_level(int pes_per_node);
   /// Parse an outermost-first spec: "44x48" = 44 nodes x 48 cores,
   /// "2x4x48" = 2 racks x 4 nodes x 48 cores. "flat" or "" = flat.
   /// Throws std::invalid_argument on malformed input.
@@ -71,24 +68,12 @@ class Topology {
   /// does). Symmetric.
   Tier distance(int a, int b) const noexcept;
 
-  /// PEs per tier-`t` group as specced (t in [0, ntiers]; t=0 is the PE
-  /// itself, t=ntiers the whole machine).
-  long long group_size(Tier t) const noexcept;
-  /// Index of the tier-`t` group containing `pe`.
-  int group_of(int pe, Tier t) const noexcept;
-  /// Number of (possibly short) tier-`t` groups over the bound PE count.
-  int group_count(Tier t) const noexcept;
-  /// All PEs of tier-`t` group `g`, ascending.
-  std::vector<int> group_members(Tier t, int g) const;
-
   /// Number of PEs at exactly distance `t` from `pe`.
   int peer_count(int pe, Tier t) const noexcept;
   /// k-th (0-based, ascending PE order) peer of `pe` at exactly distance
   /// `t`; O(1) and allocation-free — the sampling primitive victim
   /// policies draw through. Requires 0 <= k < peer_count(pe, t).
   int peer(int pe, Tier t, int k) const noexcept;
-  /// All PEs at exactly distance `t` from `pe`, ascending.
-  std::vector<int> peers(int pe, Tier t) const;
 
  private:
   /// [begin, end) of `pe`'s tier-`t` group, clipped to npes.

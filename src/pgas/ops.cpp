@@ -18,12 +18,6 @@ std::uint64_t PeContext::fetch_add(int target, SymPtr p, std::uint64_t value) {
   return fabric().amo_fetch_add(pe_, target, p.off, value);
 }
 
-std::uint64_t PeContext::compare_swap(int target, SymPtr p,
-                                      std::uint64_t expected,
-                                      std::uint64_t desired) {
-  return fabric().amo_compare_swap(pe_, target, p.off, expected, desired);
-}
-
 std::uint64_t PeContext::fetch(int target, SymPtr p) {
   return fabric().amo_fetch(pe_, target, p.off);
 }

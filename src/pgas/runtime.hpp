@@ -58,8 +58,6 @@ class PeContext {
   void get(int target, SymPtr p, std::uint64_t delta, void* dst,
            std::size_t n);
   std::uint64_t fetch_add(int target, SymPtr p, std::uint64_t value);
-  std::uint64_t compare_swap(int target, SymPtr p, std::uint64_t expected,
-                             std::uint64_t desired);
   std::uint64_t fetch(int target, SymPtr p);
   void set(int target, SymPtr p, std::uint64_t value);
   void nbi_add(int target, SymPtr p, std::uint64_t value);

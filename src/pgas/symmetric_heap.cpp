@@ -27,7 +27,7 @@ namespace sws::pgas {
 // --------------------------------------------------------- OffsetAllocator
 
 OffsetAllocator::OffsetAllocator(std::uint64_t size)
-    : size_(size), free_bytes_(size) {
+    : free_bytes_(size) {
   if (size > 0) free_.emplace(0, size);
 }
 

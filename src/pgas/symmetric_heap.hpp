@@ -48,10 +48,8 @@ class OffsetAllocator {
   std::uint64_t alloc(std::uint64_t bytes, std::uint64_t align);
 
   std::uint64_t bytes_free() const noexcept { return free_bytes_; }
-  std::uint64_t size() const noexcept { return size_; }
 
  private:
-  std::uint64_t size_;
   std::uint64_t free_bytes_;
   std::map<std::uint64_t, std::uint64_t> free_;  // hole offset -> length
 };
@@ -70,8 +68,6 @@ class SymmetricHeap {
   /// in every PE's arena, for the heap's lifetime. Throws std::bad_alloc
   /// on exhaustion.
   SymPtr alloc(std::size_t bytes, std::size_t align = 8);
-
-  std::uint64_t bytes_free() const noexcept { return allocator_.bytes_free(); }
 
   /// The address of `p` (+delta bytes) within PE `pe`'s arena.
   std::byte* local(int pe, SymPtr p, std::uint64_t delta = 0) const;

@@ -163,16 +163,6 @@ Sha1Digest Sha1::hash(const void* data, std::size_t len) noexcept {
   return h.finish();
 }
 
-std::string to_hex(const Sha1Digest& d) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(40);
-  for (std::uint8_t b : d) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xF]);
-  }
-  return out;
-}
 
 void uts_child_digests(const Sha1Digest& parent, std::uint32_t first,
                        std::span<Sha1Digest> out) noexcept {

@@ -40,9 +40,6 @@ class Sha1 {
   std::size_t buffer_len_;
 };
 
-/// Render a digest as 40 lowercase hex characters.
-std::string to_hex(const Sha1Digest& d);
-
 /// UTS child derivation: digest of (parent digest || big-endian child index),
 /// exactly the composition the UTS benchmark uses to walk the tree. The
 /// padded 24-byte message is one block, so this is a single compression

@@ -47,8 +47,8 @@ struct UtsParams {
   std::uint32_t max_children = 4096;
 };
 
-/// Number of children of a node, given its digest and depth — shared by
-/// the parallel tasks and the sequential reference traversal.
+/// Number of children of a node, given its digest and depth, straight
+/// from the rule: the reference UtsBranching's counts are tested against.
 std::uint32_t uts_num_children(const Sha1Digest& digest, std::uint32_t depth,
                                const UtsParams& p) noexcept;
 

@@ -516,13 +516,13 @@ TEST(CrashRecovery, ArmedButUnfiredPlanStaysExact) {
   }
 }
 
-// Node-granularity failure through the topology preset: a 2x4 job loses
-// one full node (all four of its PEs) at once — the shape the CI smoke
-// runs.
+// Node-granularity failure: a job of two 4-PE nodes loses its second
+// node (all four of its PEs) at once — the shape the CI smoke runs.
 TEST(CrashRecovery, NodeFailurePlanKillsWholeNode) {
-  const net::Topology topo(net::TopologySpec::two_level(4), 8);
-  net::NetworkParams netp = net::NetworkParams::two_level(4);
-  netp.faults = net::node_failure_plan(topo, /*node=*/1, /*at_ns=*/300'000);
+  net::NetworkParams netp =
+      net::NetworkParams::tiered(net::TopologySpec::parse("*x4"));
+  for (int pe = 4; pe < 8; ++pe)
+    netp.faults.crashes.push_back({pe, /*at_ns=*/300'000});
   for (int pe = 0; pe < 8; ++pe)
     netp.faults.crashes.push_back({pe, kWatchdogNs});
   pgas::RuntimeConfig c;

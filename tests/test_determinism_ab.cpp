@@ -220,8 +220,10 @@ constexpr GoldenRun kGolden[] = {
 TEST(DeterminismGolden, SchedulesMatchPreTopologyFingerprints) {
   for (const GoldenRun& g : kGolden) {
     const net::NetworkParams net =
-        g.pes_per_node > 0 ? net::NetworkParams::two_level(g.pes_per_node)
-                           : net::NetworkParams{};
+        g.pes_per_node > 0
+            ? net::NetworkParams::tiered(net::TopologySpec::parse(
+                  "*x" + std::to_string(g.pes_per_node)))
+            : net::NetworkParams{};
     const RunTrace t = run_uts(g.kind, 8, /*trace=*/false, net);
     std::uint64_t blocking = 0, ops = 0, clocks = 0;
     for (const PeSnapshot& s : t.per_pe) {

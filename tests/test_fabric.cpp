@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "obs/metrics.hpp"
 
 namespace sws::net {
 namespace {
@@ -397,7 +398,11 @@ TEST(FabricFaults, RetransmitDelayExtendsDeliveryNotHorizon) {
       EXPECT_EQ(fab.pending(0), 0);
     }
   });
-  EXPECT_EQ(fab.fault_stats().drops, kMaxRetransmits);
+  obs::MetricsRegistry reg(2);
+  fab.publish_metrics(reg);
+  const obs::MetricsSnapshot m = reg.snapshot();
+  ASSERT_NE(m.find("fabric.faults.drops"), nullptr);
+  EXPECT_EQ(m.find("fabric.faults.drops")->total(), kMaxRetransmits);
 }
 
 // Death tests issue their op from the test thread, outside run_pes(): a
@@ -495,7 +500,7 @@ TEST(NetworkModelTest, CostsScaleWithPayload) {
 }
 
 TEST(NetworkModelTest, TwoLevelFabricTiers) {
-  NetworkModel m(NetworkParams::two_level(4), 12);
+  NetworkModel m(NetworkParams::tiered(TopologySpec::parse("*x4")), 12);
   EXPECT_EQ(m.tier(0, 0), 0);
   EXPECT_EQ(m.tier(0, 3), 1);
   EXPECT_EQ(m.tier(0, 4), 2);
@@ -511,7 +516,7 @@ TEST(NetworkModelTest, FlatFabricHasNoIntraNode) {
 }
 
 TEST(NetworkModelTest, IntraNodeOpsAreCheaper) {
-  NetworkModel m(NetworkParams::two_level(8), 16);
+  NetworkModel m(NetworkParams::tiered(TopologySpec::parse("*x8")), 16);
   const Nanos inter = m.cost(OpKind::kAmoFetchAdd, 8, 2);
   const Nanos intra = m.cost(OpKind::kAmoFetchAdd, 8, 1);
   const Nanos self = m.cost(OpKind::kAmoFetchAdd, 8, 0);
@@ -525,7 +530,7 @@ TEST(NetworkModelTest, IntraNodeOpsAreCheaper) {
 
 TEST(FabricLocality, ChargesByNodeDistance) {
   VirtualTimeModel tm(3);
-  NetworkParams params = NetworkParams::two_level(2);
+  NetworkParams params = NetworkParams::tiered(TopologySpec::parse("*x2"));
   // PEs {0,1} on one node, {2} on another.
   params.link(1).target_occupancy = 0;
   params.link(2).target_occupancy = 0;

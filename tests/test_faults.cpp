@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/trace_analysis.hpp"
@@ -119,16 +120,34 @@ TEST(FaultInjectorTest, PerPeStreamsAreIndependent) {
   }
 }
 
-TEST(FaultInjectorTest, TotalStatsMergesAllPes) {
+TEST(FaultInjectorTest, StatsArePerInitiatingPe) {
   FaultPlan f;
   f.dup_rate = 1.0;
   FaultInjector inj(f, 3);
   (void)inj.delivery_verdict(0);
   (void)inj.delivery_verdict(2);
-  EXPECT_EQ(inj.total_stats().dups, 2u);
+  EXPECT_EQ(inj.stats(0).dups, 1u);
+  EXPECT_EQ(inj.stats(1).dups, 0u);
+  EXPECT_EQ(inj.stats(2).dups, 1u);
 }
 
 // ------------------------------------------------------- fabric effects
+
+/// What `fab` publishes under fabric.* (the metrics ablation_faults
+/// reports).
+obs::MetricsSnapshot published(const net::Fabric& fab) {
+  obs::MetricsRegistry reg(fab.npes());
+  fab.publish_metrics(reg);
+  return reg.snapshot();
+}
+
+/// Run total of the published counter fabric.faults.<name>; 0 when the
+/// fabric has no injector and so publishes no fault counters.
+std::uint64_t fault_total(const net::Fabric& fab, const std::string& name) {
+  const obs::MetricsSnapshot m = published(fab);
+  const auto* e = m.find("fabric.faults." + name);
+  return e ? e->total() : 0;
+}
 
 class FaultFabricTest : public ::testing::Test {
  protected:
@@ -164,9 +183,11 @@ class FaultFabricTest : public ::testing::Test {
 
 TEST_F(FaultFabricTest, DisabledPlanInstantiatesNoInjector) {
   build(FaultPlan{});
-  EXPECT_FALSE(fabric_->faults_enabled());
-  EXPECT_EQ(fabric_->fault_injector(), nullptr);
-  EXPECT_EQ(fabric_->fault_stats().drops, 0u);
+  EXPECT_FALSE(fabric_->fault_duplicates_possible());
+  const obs::MetricsSnapshot m = published(*fabric_);
+  for (const auto& e : m.entries)
+    EXPECT_NE(e.name.rfind("fabric.faults.", 0), 0u)
+        << e.name << " published without an injector";
 }
 
 TEST_F(FaultFabricTest, CertainSpikeStretchesBlockingCharge) {
@@ -181,7 +202,7 @@ TEST_F(FaultFabricTest, CertainSpikeStretchesBlockingCharge) {
     fabric_->get(0, 1, 0, &v, 8);
     EXPECT_EQ(time_->now(0) - t0, 10 * model.cost(OpKind::kGet, 8, 1));
   });
-  EXPECT_EQ(fabric_->fault_stats().spikes, 1u);
+  EXPECT_EQ(fault_total(*fabric_, "spikes"), 1u);
 }
 
 TEST_F(FaultFabricTest, DroppedNbiIsRetransmittedNotLost) {
@@ -202,7 +223,7 @@ TEST_F(FaultFabricTest, DroppedNbiIsRetransmittedNotLost) {
     EXPECT_EQ(fabric_->pending(0), 0);
     EXPECT_EQ(word_at(1, 40), 9u);
   });
-  EXPECT_EQ(fabric_->fault_stats().drops, net::kMaxRetransmits);
+  EXPECT_EQ(fault_total(*fabric_, "drops"), net::kMaxRetransmits);
 }
 
 TEST_F(FaultFabricTest, DuplicatedNbiAddDeliversItsEffectTwice) {
@@ -218,7 +239,7 @@ TEST_F(FaultFabricTest, DuplicatedNbiAddDeliversItsEffectTwice) {
     EXPECT_EQ(fabric_->pending_to(1), 0);
     EXPECT_EQ(word_at(1, 48), 10u) << "a duplicated add lands twice";
   });
-  EXPECT_EQ(fabric_->fault_stats().dups, 1u);
+  EXPECT_EQ(fault_total(*fabric_, "dups"), 1u);
 }
 
 TEST_F(FaultFabricTest, DuplicatedNbiSetIsIdempotent) {
@@ -276,7 +297,7 @@ core::PoolConfig chaos_pcfg(core::QueueKind kind) {
 struct ChaosOutcome {
   std::uint64_t tasks = 0;
   std::uint64_t steals = 0;
-  net::FaultStats faults;
+  std::uint64_t drops = 0, dups = 0, spikes = 0;  ///< fabric.faults.* totals
   net::Nanos duration = 0;
 };
 
@@ -290,8 +311,9 @@ ChaosOutcome run_uts_chaos(core::QueueKind kind, const FaultPlan& plan,
     pool.run_pe(ctx, [&](core::Worker& w) { uts.seed(w); });
   });
   const auto r = pool.report();
-  return {r.total.tasks_executed, r.total.steals_ok, rt.fabric().fault_stats(),
-          rt.last_run_duration()};
+  return {r.total.tasks_executed, r.total.steals_ok,
+          fault_total(rt.fabric(), "drops"), fault_total(rt.fabric(), "dups"),
+          fault_total(rt.fabric(), "spikes"), rt.last_run_duration()};
 }
 
 ChaosOutcome run_bpc_chaos(core::QueueKind kind, const FaultPlan& plan,
@@ -304,8 +326,9 @@ ChaosOutcome run_bpc_chaos(core::QueueKind kind, const FaultPlan& plan,
     pool.run_pe(ctx, [&](core::Worker& w) { bpc.seed(w); });
   });
   const auto r = pool.report();
-  return {r.total.tasks_executed, r.total.steals_ok, rt.fabric().fault_stats(),
-          rt.last_run_duration()};
+  return {r.total.tasks_executed, r.total.steals_ok,
+          fault_total(rt.fabric(), "drops"), fault_total(rt.fabric(), "dups"),
+          fault_total(rt.fabric(), "spikes"), rt.last_run_duration()};
 }
 
 /// ~1e5-node tree for the acceptance-scale chaos runs.
@@ -346,7 +369,7 @@ TEST_P(ChaosMatrix, UtsSurvivesDropsDuplicatesAndSpikes) {
   EXPECT_EQ(r.tasks, truth.nodes)
       << "lost or double-executed tasks under drop+dup+spikes";
   EXPECT_GT(r.steals, 0u);
-  EXPECT_GT(r.faults.drops + r.faults.dups + r.faults.spikes, 0u)
+  EXPECT_GT(r.drops + r.dups + r.spikes, 0u)
       << "the plan must actually have fired";
 }
 
@@ -354,7 +377,7 @@ TEST_P(ChaosMatrix, BpcSurvivesDropsDuplicatesAndSpikes) {
   const workloads::BpcParams p = chaos_bpc();
   const ChaosOutcome r = run_bpc_chaos(GetParam(), combined_plan(), p);
   EXPECT_EQ(r.tasks, p.expected_tasks());
-  EXPECT_GT(r.faults.drops + r.faults.dups + r.faults.spikes, 0u);
+  EXPECT_GT(r.drops + r.dups + r.spikes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -373,9 +396,9 @@ TEST(ChaosDeterminism, FaultyVirtualRunsAreBitReproducible) {
     const ChaosOutcome a = run_uts_chaos(kind, combined_plan(), p);
     const ChaosOutcome b = run_uts_chaos(kind, combined_plan(), p);
     EXPECT_EQ(a.duration, b.duration);
-    EXPECT_EQ(a.faults.drops, b.faults.drops);
-    EXPECT_EQ(a.faults.dups, b.faults.dups);
-    EXPECT_EQ(a.faults.spikes, b.faults.spikes);
+    EXPECT_EQ(a.drops, b.drops);
+    EXPECT_EQ(a.dups, b.dups);
+    EXPECT_EQ(a.spikes, b.spikes);
   }
 }
 

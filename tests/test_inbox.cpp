@@ -44,7 +44,7 @@ TEST(Inbox, SingleSenderDeliversInOrder) {
                 10u);
       ASSERT_EQ(got.size(), 10u);
       for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(got[i], i);
-      EXPECT_TRUE(inbox.looks_empty(ctx));
+      EXPECT_EQ(inbox.drain(ctx, [](const Task&) {}), 0u) << "drained dry";
     }
     ctx.barrier();
   });
@@ -147,9 +147,6 @@ TEST(Inbox, ResetClearsUndrainedSlotsOfTheLastRun) {
     inbox.reset_pe(ctx);
     ctx.barrier();
     EXPECT_TRUE(drain(ctx).empty());
-    if (ctx.pe() == 0) {
-      EXPECT_TRUE(inbox.looks_empty(ctx));
-    }
   });
 }
 
@@ -243,7 +240,7 @@ TEST(Inbox, BatchPushDeliversInOrderWithOnePutAndOneTag) {
           10u);
       ASSERT_EQ(got.size(), 10u);
       for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(got[i], i);
-      EXPECT_TRUE(inbox.looks_empty(ctx));
+      EXPECT_EQ(inbox.drain(ctx, [](const Task&) {}), 0u) << "drained dry";
     }
     ctx.barrier();
   });

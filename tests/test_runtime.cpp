@@ -60,8 +60,6 @@ TEST(Runtime, OneSidedSugarRoundTrips) {
       EXPECT_EQ(back, 0xabcdefu);
       EXPECT_EQ(ctx.fetch_add(1, p, 1), 0xabcdefu);
       EXPECT_EQ(ctx.fetch(1, p), 0xabcdf0u);
-      EXPECT_EQ(ctx.compare_swap(1, p, 0xabcdf0, 9), 0xabcdf0u);
-      EXPECT_EQ(ctx.fetch(1, p), 9u);
       ctx.set(1, p, 0);
       EXPECT_EQ(ctx.fetch(1, p), 0u);
     }

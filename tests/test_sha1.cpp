@@ -14,6 +14,18 @@
 namespace sws {
 namespace {
 
+/// A digest as 40 lowercase hex characters, the form reference vectors
+/// are published in.
+std::string to_hex(const Sha1Digest& d) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : d) {
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0xF]);
+  }
+  return out;
+}
+
 TEST(Sha1, EmptyString) {
   EXPECT_EQ(to_hex(Sha1::hash("", 0)),
             "da39a3ee5e6b4b0d3255bfef95601890afd80709");
@@ -235,13 +247,6 @@ TEST(Sha1Kernels, ShaExtensionsMatchScalarOnArbitraryBlocks) {
 #else
   GTEST_SKIP() << "not an x86-64 build: no SHA extensions kernel exists";
 #endif
-}
-
-TEST(Sha1, ToHexFormats40LowercaseDigits) {
-  const auto hex = to_hex(Sha1::hash(std::string("abc")));
-  EXPECT_EQ(hex.size(), 40u);
-  for (char c : hex)
-    EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/stats.hpp"
 
 namespace sws {
@@ -48,34 +47,6 @@ TEST(Summary, RelativeMetricsArePercentages) {
   s.add(101);
   EXPECT_NEAR(s.rel_range_pct(), 2.0, 1e-12);
   EXPECT_NEAR(s.rel_stddev_pct(), 100.0 * std::sqrt(2.0) / 100.0, 1e-9);
-}
-
-TEST(Summary, MergeEqualsSequential) {
-  Xoshiro256 rng(3);
-  Summary whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform() * 100 - 50;
-    whole.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Summary, MergeWithEmptyIsIdentity) {
-  Summary a, empty;
-  a.add(1);
-  a.add(2);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  Summary b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
 }
 
 TEST(LogHistogram, BucketsByPowerOfTwo) {

@@ -91,7 +91,7 @@ TEST_P(HostileFabric, TwoLevelFabricWithTieredVictims) {
   pgas::RuntimeConfig rcfg;
   rcfg.npes = 16;
   rcfg.heap_bytes = 4 << 20;
-  rcfg.net = net::NetworkParams::two_level(4);
+  rcfg.net = net::NetworkParams::tiered(net::TopologySpec::parse("*x4"));
   core::PoolConfig pc = pcfg(GetParam());
   pc.victim.policy = core::VictimPolicy::kTiered;
   const auto truth = workloads::uts_sequential_count(small_tree());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "net/network_model.hpp"
 #include "net/topology.hpp"
@@ -34,7 +35,7 @@ TEST(TopologySpec, ParseUnboundedOuter) {
   EXPECT_EQ(s.ntiers(), 2);
   EXPECT_EQ(s.capacity(), 0) << "unbounded spec has no capacity bound";
   EXPECT_EQ(s.to_string(), "*x48");
-  EXPECT_EQ(s, TopologySpec::two_level(48));
+  EXPECT_EQ(s.levels, (std::vector<int>{48, 0})) << "0 = unbounded";
 }
 
 TEST(TopologySpec, ParseRejectsMalformedInput) {
@@ -65,7 +66,7 @@ TEST(Topology, FlatDistanceIsBinary) {
 }
 
 TEST(Topology, TwoLevelDistance) {
-  const Topology topo(TopologySpec::two_level(4), 12);
+  const Topology topo(TopologySpec::parse("*x4"), 12);
   EXPECT_EQ(topo.distance(0, 0), 0);
   EXPECT_EQ(topo.distance(0, 3), 1);
   EXPECT_EQ(topo.distance(0, 4), 2);
@@ -86,18 +87,28 @@ TEST(Topology, ThreeTierDistanceAndSymmetry) {
       EXPECT_EQ(topo.distance(a, b), topo.distance(b, a));
 }
 
+/// `pe`'s peers at exactly distance `t`, in peer() order.
+std::vector<int> peers(const Topology& topo, int pe, Tier t) {
+  std::vector<int> out;
+  for (int k = 0; k < topo.peer_count(pe, t); ++k)
+    out.push_back(topo.peer(pe, t, k));
+  return out;
+}
+
 TEST(Topology, GroupsAndMembers) {
+  // Nodes {0-3} {4-7} {8-11} {12-15}; racks {0-7} {8-15}.
   const Topology topo(TopologySpec::parse("2x2x4"), 16);
-  EXPECT_EQ(topo.group_size(1), 4);
-  EXPECT_EQ(topo.group_size(2), 8);
-  EXPECT_EQ(topo.group_count(1), 4);
-  EXPECT_EQ(topo.group_count(2), 2);
-  EXPECT_EQ(topo.group_of(6, 1), 1);
-  EXPECT_EQ(topo.group_of(6, 2), 0);
-  EXPECT_EQ(topo.group_of(13, 2), 1);
-  EXPECT_EQ(topo.group_members(1, 1), (std::vector<int>{4, 5, 6, 7}));
-  EXPECT_EQ(topo.group_members(2, 1),
-            (std::vector<int>{8, 9, 10, 11, 12, 13, 14, 15}));
+  for (int a = 0; a < 16; ++a) {
+    for (int b = 0; b < 16; ++b) {
+      EXPECT_EQ(topo.distance(a, b) <= 1, a / 4 == b / 4) << a << " " << b;
+      EXPECT_EQ(topo.distance(a, b) <= 2, a / 8 == b / 8) << a << " " << b;
+    }
+    // A node holds 4 PEs and a rack 8: the PE itself and its peers.
+    EXPECT_EQ(1 + topo.peer_count(a, 1), 4);
+    EXPECT_EQ(1 + topo.peer_count(a, 1) + topo.peer_count(a, 2), 8);
+  }
+  EXPECT_EQ(peers(topo, 6, 1), (std::vector<int>{4, 5, 7}));
+  EXPECT_EQ(peers(topo, 13, 2), (std::vector<int>{8, 9, 10, 11}));
 }
 
 TEST(Topology, PeerEnumerationIsExactAndOrdered) {
@@ -105,25 +116,23 @@ TEST(Topology, PeerEnumerationIsExactAndOrdered) {
   EXPECT_EQ(topo.peer_count(5, 1), 3);
   EXPECT_EQ(topo.peer_count(5, 2), 4);
   EXPECT_EQ(topo.peer_count(5, 3), 8);
-  EXPECT_EQ(topo.peers(5, 1), (std::vector<int>{4, 6, 7}));
-  EXPECT_EQ(topo.peers(5, 2), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(peers(topo, 5, 1), (std::vector<int>{4, 6, 7}));
+  EXPECT_EQ(peers(topo, 5, 2), (std::vector<int>{0, 1, 2, 3}));
   for (Tier t = 1; t <= 3; ++t) {
-    const auto all = topo.peers(5, t);
-    for (int k = 0; k < topo.peer_count(5, t); ++k) {
-      EXPECT_EQ(topo.peer(5, t, k), all[static_cast<std::size_t>(k)]);
-      EXPECT_EQ(topo.distance(5, all[static_cast<std::size_t>(k)]), t);
-    }
+    std::vector<int> at_t;  // every PE at distance t, ascending
+    for (int b = 0; b < 16; ++b)
+      if (topo.distance(5, b) == t) at_t.push_back(b);
+    EXPECT_EQ(peers(topo, 5, t), at_t) << "tier " << t;
   }
 }
 
 TEST(Topology, RaggedTailGroupsAreShort) {
   // 10 PEs in nodes of 4: last node = {8, 9}.
-  const Topology topo(TopologySpec::two_level(4), 10);
-  EXPECT_EQ(topo.group_count(1), 3);
-  EXPECT_EQ(topo.group_members(1, 2), (std::vector<int>{8, 9}));
-  EXPECT_EQ(topo.peer_count(9, 1), 1);
-  EXPECT_EQ(topo.peer(9, 1, 0), 8);
-  EXPECT_EQ(topo.peer_count(9, 2), 8);
+  const Topology topo(TopologySpec::parse("*x4"), 10);
+  EXPECT_EQ(peers(topo, 9, 1), (std::vector<int>{8}));
+  EXPECT_EQ(peers(topo, 8, 1), (std::vector<int>{9}));
+  EXPECT_EQ(peers(topo, 9, 2), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(topo.distance(7, 8), 2) << "the full node ends at PE 7";
 }
 
 TEST(Topology, RejectsMorePesThanCapacity) {
@@ -136,7 +145,7 @@ TEST(Topology, RejectsMorePesThanCapacity) {
 // ----------------------------------------------------- network-param glue
 
 TEST(NetworkParams, ValidateRejectsConflictingSpecs) {
-  NetworkParams p = NetworkParams::two_level(4);
+  NetworkParams p = NetworkParams::tiered(TopologySpec::parse("*x4"));
   EXPECT_NO_THROW(p.validate(8));
   p.links.pop_back();  // link table no longer matches the tier count
   EXPECT_THROW(p.validate(8), std::invalid_argument);
@@ -173,9 +182,9 @@ TEST(NetworkModel, CostIsMonotoneAcrossTiers) {
 }
 
 TEST(NetworkModel, TwoLevelMatchesLegacyIntraScaling) {
-  // two_level derives intra links as 0.15x latency / 40 B/ns — the exact
-  // constants the pre-topology two-level model used.
-  const NetworkParams p = NetworkParams::two_level(4);
+  // tiered over "*x4" derives intra links as 0.15x latency / 40 B/ns —
+  // the exact constants the pre-topology two-level model used.
+  const NetworkParams p = NetworkParams::tiered(TopologySpec::parse("*x4"));
   EXPECT_EQ(p.link(1).amo_latency, 225u);
   EXPECT_EQ(p.link(1).get_latency, 225u);
   EXPECT_EQ(p.link(1).put_latency, 210u);
@@ -192,19 +201,6 @@ TEST(NetworkModel, TwoLevelMatchesLegacyIntraScaling) {
   EXPECT_EQ(m.cost(OpKind::kAmoFetchAdd, 8, 2), 1500u);
 }
 
-TEST(NetworkModel, TieredOfTwoLevelSpecEqualsTwoLevel) {
-  const NetworkParams a = NetworkParams::two_level(8);
-  const NetworkParams b = NetworkParams::tiered(TopologySpec::two_level(8));
-  ASSERT_EQ(a.links.size(), b.links.size());
-  for (std::size_t i = 0; i < a.links.size(); ++i) {
-    EXPECT_EQ(a.links[i].amo_latency, b.links[i].amo_latency);
-    EXPECT_EQ(a.links[i].get_latency, b.links[i].get_latency);
-    EXPECT_EQ(a.links[i].put_latency, b.links[i].put_latency);
-    EXPECT_EQ(a.links[i].nbi_delay, b.links[i].nbi_delay);
-    EXPECT_DOUBLE_EQ(a.links[i].bandwidth, b.links[i].bandwidth);
-  }
-}
-
 TEST(NetworkModel, FlatDefaultKeepsLegacyCosts) {
   const NetworkModel m;  // flat defaults, EDR-class numbers
   EXPECT_EQ(m.ntiers(), 1);
@@ -217,7 +213,8 @@ TEST(NetworkModel, FlatDefaultKeepsLegacyCosts) {
 }
 
 TEST(NetworkModel, ScaledScalesEveryTier) {
-  const NetworkParams p = NetworkParams::two_level(4).scaled(2.0);
+  const NetworkParams p =
+      NetworkParams::tiered(TopologySpec::parse("*x4")).scaled(2.0);
   EXPECT_EQ(p.link(1).amo_latency, 450u);
   EXPECT_EQ(p.link(2).amo_latency, 3000u);
   EXPECT_EQ(p.link(1).nbi_delay, 540u);

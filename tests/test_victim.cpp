@@ -86,7 +86,7 @@ TEST(Victim, TwoPeRandomAlwaysPicksTheOther) {
 TEST(Victim, TieredStaysOnNearestTierWhileSucceeding) {
   // 16 PEs in nodes of 4; self = 5 lives on node 1 = {4..7}. While
   // steals succeed the selector must never leave the node.
-  const Topology topo(TopologySpec::two_level(4), 16);
+  const Topology topo(TopologySpec::parse("*x4"), 16);
   auto v = make(VictimPolicy::kTiered, topo, 5, 11);
   for (int i = 0; i < 500; ++i) {
     const int pick = v->next();
@@ -98,7 +98,7 @@ TEST(Victim, TieredStaysOnNearestTierWhileSucceeding) {
 }
 
 TEST(Victim, TieredEscalatesAfterFailuresAndSnapsBack) {
-  const Topology topo(TopologySpec::two_level(4), 16);
+  const Topology topo(TopologySpec::parse("*x4"), 16);
   auto v = make(VictimPolicy::kTiered, topo, 5, 11);
   // Two failures at tier 1 escalate to tier 2 (off-node victims only);
   // two more at the widest tier cycle back to the nearest.
@@ -126,7 +126,7 @@ TEST(Victim, TieredEscalatesAfterFailuresAndSnapsBack) {
 TEST(Victim, TieredAloneOnNodeStartsOffNode) {
   // 9 PEs in nodes of 4: PE 8 is alone on node 2, so its nearest
   // populated tier is already tier 2.
-  const Topology topo(TopologySpec::two_level(4), 9);
+  const Topology topo(TopologySpec::parse("*x4"), 9);
   auto v = make(VictimPolicy::kTiered, topo, 8, 2);
   for (int i = 0; i < 200; ++i) {
     const int pick = v->next();
@@ -156,7 +156,7 @@ TEST(Victim, DistanceWeightedPrefersNearTiers) {
   // 3 peers (weight 4 each), tier 2 has 12 (weight 1 each): expected
   // intra-node fraction = 12 / (12 + 12) = 0.5 — far above the 3/15 a
   // uniform pick would give.
-  const Topology topo(TopologySpec::two_level(4), 16);
+  const Topology topo(TopologySpec::parse("*x4"), 16);
   auto v = make(VictimPolicy::kDistanceWeighted, topo, 5, 11);
   int local = 0;
   constexpr int kN = 20000;
@@ -174,7 +174,7 @@ TEST(Victim, DistanceWeightedDefaultBiasIsFourToOne) {
   // Fixed 4:1 per-peer bias on a 12-PE two-level fabric, self = 0:
   // tier 1 weight = 3*4 = 12, tier 2 weight = 8*1 = 8; intra fraction
   // 12/20 = 0.6.
-  const Topology topo(TopologySpec::two_level(4), 12);
+  const Topology topo(TopologySpec::parse("*x4"), 12);
   auto v = make(VictimPolicy::kDistanceWeighted, topo, 0, 3);
   int local = 0;
   constexpr int kN = 30000;
@@ -184,7 +184,7 @@ TEST(Victim, DistanceWeightedDefaultBiasIsFourToOne) {
 }
 
 TEST(Victim, DistanceWeightedCoversEveryPeer) {
-  const Topology topo(TopologySpec::two_level(4), 12);
+  const Topology topo(TopologySpec::parse("*x4"), 12);
   auto v = make(VictimPolicy::kDistanceWeighted, topo, 0, 3);
   std::set<int> seen;
   for (int i = 0; i < 5000; ++i) seen.insert(v->next());
