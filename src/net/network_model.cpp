@@ -1,5 +1,6 @@
 #include "net/network_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -23,6 +24,8 @@ const char* op_kind_name(OpKind k) noexcept {
 }
 
 namespace {
+
+constexpr Nanos kNoLatency = ~Nanos{0};
 
 Nanos scale_ns(Nanos v, double factor) noexcept {
   return static_cast<Nanos>(std::llround(static_cast<double>(v) * factor));
@@ -125,6 +128,14 @@ Nanos NetworkModel::delivery_delay(std::size_t bytes, Tier t) const noexcept {
       p_.link(t >= 1 ? t : static_cast<Tier>(p_.links.size()));
   return l.nbi_delay +
          static_cast<Nanos>(static_cast<double>(bytes) / l.bandwidth);
+}
+
+Nanos NetworkModel::min_remote_latency() const noexcept {
+  Nanos m = kNoLatency;
+  for (const LinkParams& l : p_.links)
+    m = std::min({m, l.amo_latency, l.get_latency, l.put_latency,
+                  l.nbi_delay});
+  return m == kNoLatency ? 0 : m;
 }
 
 }  // namespace sws::net

@@ -104,6 +104,12 @@ class NetworkModel {
   /// effect becoming visible at a target `t` tiers away.
   Nanos delivery_delay(std::size_t bytes, Tier t) const noexcept;
 
+  /// Lower bound on the delay between any PE issuing an operation and its
+  /// effect on another PE: the smallest blocking-op latency or nbi delay
+  /// over every link tier. The sequencer's lookahead (time_model.hpp) lets
+  /// a PE doing only local work run this far past the time floor.
+  Nanos min_remote_latency() const noexcept;
+
  private:
   NetworkParams p_{};
   Topology topo_{};
