@@ -11,9 +11,7 @@ namespace sws::core {
 
 TaskInbox::TaskInbox(pgas::Runtime& rt, std::uint32_t capacity,
                      std::uint32_t slot_bytes)
-    : base_(rt.heap().alloc(
-          kSlotsOff + static_cast<std::size_t>(capacity) * (8 + slot_bytes),
-          64)),
+    : base_(rt.heap().alloc(footprint(capacity, slot_bytes), 64)),
       capacity_(capacity),
       slot_bytes_(slot_bytes),
       ledgers_(static_cast<std::size_t>(rt.npes())) {

@@ -46,6 +46,13 @@ class TaskInbox {
 
   std::uint32_t capacity() const noexcept { return capacity_; }
 
+  /// The symmetric range of every PE's inbox: offset and bytes. Remote
+  /// spawns write nothing else, so the pool has the fabric watch it.
+  std::uint64_t offset() const noexcept { return base_.off; }
+  std::size_t bytes() const noexcept {
+    return footprint(capacity_, slot_bytes_);
+  }
+
   /// Collective per-PE reset; barrier before use.
   void reset_pe(pgas::PeContext& ctx);
 
@@ -93,6 +100,11 @@ class TaskInbox {
   /// Owner: consume the next published task in sequence order into `out`;
   /// false when it is not published yet.
   bool take_next(pgas::PeContext& owner, Task& out);
+
+  static std::size_t footprint(std::uint32_t capacity,
+                               std::uint32_t slot_bytes) noexcept {
+    return kSlotsOff + static_cast<std::size_t>(capacity) * (8 + slot_bytes);
+  }
 
   std::uint64_t slot_off(std::uint64_t seq) const noexcept {
     return kSlotsOff + (seq % capacity_) * (8 + slot_bytes_);
