@@ -336,6 +336,31 @@ TEST_F(FabricTest, LandedCountsEveryRemoteEffect) {
   });
 }
 
+TEST_F(FabricTest, LandedWatchedCountsOnlyWritesIntoTheRange) {
+  // The task pool watches its inbox: a remote write that touches
+  // [16, 32) counts there too, one outside it only toward landed().
+  fabric_.watch(16, 16);
+  run([&](int pe) {
+    if (pe != 0) return;
+    const std::uint64_t words[3] = {1, 2, 3};
+    fabric_.amo_set(0, 1, 8, 1);                      // below the range
+    fabric_.amo_set(0, 1, 32, 1);                     // just past it
+    fabric_.put(0, 1, 0, words, 16);                  // [0, 16): touches none
+    EXPECT_EQ(fabric_.landed_watched(1), 0u);
+    fabric_.put(0, 1, 8, words, sizeof words);        // [8, 32) overlaps
+    fabric_.amo_compare_swap(0, 1, 24, 3, 4);         // inside
+    fabric_.amo_set(0, 0, 16, 1);                     // own op: no landing
+    EXPECT_EQ(fabric_.landed_watched(1), 2u);
+    fabric_.nbi_amo_add(0, 1, 16, 1);                 // lands at delivery
+    fabric_.nbi_amo_add(0, 1, 40, 1);
+    EXPECT_EQ(fabric_.landed_watched(1), 2u);
+    fabric_.quiet(0);
+    EXPECT_EQ(fabric_.landed_watched(1), 3u);
+    EXPECT_EQ(fabric_.landed(1), 7u);
+    EXPECT_EQ(fabric_.landed_watched(0), 0u);
+  });
+}
+
 TEST(FabricLanded, DuplicateDeliveriesCountAndDeadTargetsDoNot) {
   // dup_rate 1: every nbi op lands twice. The crash event only arms crash
   // handling (it lies past the test); the test kills PE 2 with mark_dead.
