@@ -147,6 +147,7 @@ ConfigResult run_config(core::QueueKind kind, int npes,
     out.search_ms_per_pe.add(static_cast<double>(r.total.search_time_ns) /
                              npes / 1e6);
     out.tasks = r.total.tasks_executed;
+    out.switches = rt.time().switches();
     out.steals += r.total.steals_ok;
     out.steal_attempts += r.total.steal_attempts;
     out.tasks_stolen += r.total.tasks_stolen;

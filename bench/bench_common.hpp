@@ -68,6 +68,7 @@ struct ConfigResult {
   std::uint64_t tasks_stolen = 0;  ///< tasks moved by successful steals
   std::uint64_t bytes_stolen = 0;  ///< payload bytes those tasks carried
   std::uint64_t remote_ops = 0;    ///< all fabric ops, every PE, all reps
+  std::uint64_t switches = 0;  ///< sequencer switches of the last rep
   // Crash-recovery accounting, summed over reps (zero without a crash plan).
   std::uint64_t reexec_tasks = 0;    ///< fenced from dead claims and re-run
   std::uint64_t rerouted_tasks = 0;  ///< inbox pushes re-homed off dead PEs

@@ -7,7 +7,10 @@
 // aligned human summary on stderr — scripts/bench_report.py folds the
 // JSON into BENCH_*.json. Each row's peak_rss_mib is the process's peak
 // RSS so far: process-wide and monotone, so with ascending --pes each row
-// reports the peak of its own PE count.
+// reports the peak of its own PE count. `switches` is the last rep's
+// runtime.sequencer_switches (deterministic for a seed) and
+// `switches_per_task` that over its tasks: the host events the sequencer
+// spends per simulated task.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -69,10 +72,14 @@ int main(int argc, char** argv) {
               << ",\"wall_s\":" << wall_s
               << ",\"virtual_ms\":" << r.runtime_ms.mean()
               << ",\"tasks\":" << r.tasks << ",\"steals\":" << r.steals
+              << ",\"switches\":" << r.switches << ",\"switches_per_task\":"
+              << static_cast<double>(r.switches) /
+                     static_cast<double>(r.tasks > 0 ? r.tasks : 1)
               << ",\"peak_rss_mib\":" << peak_rss_mib << "}\n";
     std::cerr << "  uts_e2e P=" << npes << ": " << wall_s
-              << " s wall, virtual " << r.runtime_ms.mean() << " ms, peak RSS "
-              << peak_rss_mib << " MiB\n";
+              << " s wall, virtual " << r.runtime_ms.mean() << " ms, "
+              << r.switches << " switches, peak RSS " << peak_rss_mib
+              << " MiB\n";
   }
   return 0;
 }

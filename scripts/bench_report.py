@@ -58,7 +58,11 @@ def run_engine_scale(build_dir, pes):
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
     rows = [json.loads(line) for line in out.stdout.splitlines() if line]
     for r in rows:
-        print(f"  uts_e2e P={r['pes']}: {r['wall_s']:.3g} s wall",
+        # Rows from builds that predate the switch count lack it.
+        switches = (f", {r['switches']} switches "
+                    f"({r['switches_per_task']:.3g}/task)"
+                    if "switches" in r else "")
+        print(f"  uts_e2e P={r['pes']}: {r['wall_s']:.3g} s wall{switches}",
               file=sys.stderr)
     return rows
 
@@ -168,9 +172,14 @@ def compare(path, report, warn_pct=10.0, fail_pct=25.0):
             continue
         old = base_scale[key]["wall_s"]
         delta = 100.0 * (r["wall_s"] - old) / old
+        # The switch count is deterministic: shown, never banded.
+        sw = ""
+        if "switches" in r and "switches" in base_scale[key]:
+            sw = (f", {r['switches']} switches "
+                  f"(committed {base_scale[key]['switches']})")
         # Lower wall time is better: a regression is a positive delta.
         emit(key, f"{r['wall_s']:.3g} s wall "
-                  f"({delta:+.1f}% vs committed)", delta)
+                  f"({delta:+.1f}% vs committed){sw}", delta)
     if fails:
         print(f"  {fails} row(s) regressed past {fail_pct:.0f}%",
               file=sys.stderr)
