@@ -290,7 +290,7 @@ StealResult SdcQueue::steal(pgas::PeContext& thief, int victim,
       // Lock convoy: the holder needs roughly one backoff to drain.
       return {StealOutcome::kRetry, 0, kLockBackoffNs};
     }
-    thief.compute(kLockBackoffNs);
+    thief.pause(kLockBackoffNs);
   }
 
   // (2) fetch the metadata to size the steal.

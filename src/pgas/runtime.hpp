@@ -47,8 +47,17 @@ class PeContext {
   /// Current time on this PE's clock, in virtual ns.
   net::Nanos now() const;
   /// Charge `dt` of task computation to this PE (the DES analogue of
-  /// "this task runs for 5 ms").
+  /// "this task runs for 5 ms"). Computing is local work, so it may run
+  /// ahead of the time floor (net/time_model.hpp, "Conservative
+  /// lookahead"): everything PEs observe through the fabric keeps the
+  /// virtual-time order, but host state that PEs share outside it may see
+  /// their computes finish out of that order.
   void compute(net::Nanos dt);
+  /// Spend `dt` idle before retrying a remote operation (a steal's
+  /// backoff, a lock retry). Exact, not local work: the remote op that
+  /// follows rejoins the time order at once, so running ahead would only
+  /// cost sequencer work.
+  void pause(net::Nanos dt);
   /// Deterministic per-(seed, PE) random stream.
   Xoshiro256& rng() noexcept { return rng_; }
 
