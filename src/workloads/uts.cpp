@@ -46,14 +46,38 @@ double geo_log_q(std::uint32_t depth, const UtsParams& p) noexcept {
   return std::log(1.0 - prob);
 }
 
-/// The digest half of the geometric rule.
-std::uint32_t geo_children(const Sha1Digest& digest, double log_q,
+/// The digest half of the geometric rule, on the digest's leading word r:
+/// floor(log(1 - r·2^-32) / log_q) children, capped at max_children.
+std::uint32_t geo_children(std::uint32_t r, double log_q,
                            const UtsParams& p) noexcept {
   if (log_q == 0.0) return 0;
-  const double u = digest_uniform(digest);
+  const double u = static_cast<double>(r) * 0x1.0p-32;
   const double m = std::floor(std::log(1.0 - u) / log_q);
   if (m <= 0.0) return 0;
   return static_cast<std::uint32_t>(std::min<double>(m, p.max_children));
+}
+
+/// One past the greatest digest word.
+constexpr std::uint64_t kWords = std::uint64_t{1} << 32;
+
+/// The least word r with geo_children(r) >= k (k >= 1), or kWords when no
+/// word has k children. A word has at least k exactly when
+/// 1 - r·2^-32 <= exp(k·log_q), so r ≈ -expm1(k·log_q)·2^32; the rule
+/// itself then walks that estimate to the exact boundary, which is one
+/// because the count never decreases in r (UtsBranching::num_children).
+std::uint64_t least_word_with(std::uint32_t k, double log_q,
+                              const UtsParams& p) noexcept {
+  const auto reaches = [&](std::uint64_t r) {
+    return geo_children(static_cast<std::uint32_t>(r), log_q, p) >= k;
+  };
+  if (log_q == 0.0) return kWords;
+  std::uint64_t r = static_cast<std::uint64_t>(
+      std::clamp(std::ceil(-std::expm1(k * log_q) * 0x1.0p32), 0.0,
+                 0x1.0p32 - 1));
+  while (!reaches(r))
+    if (++r == kWords) return kWords;
+  while (r > 0 && reaches(r - 1)) --r;
+  return r;
 }
 
 std::uint32_t binomial_children(const Sha1Digest& digest, std::uint32_t depth,
@@ -84,7 +108,7 @@ std::uint32_t uts_num_children(const Sha1Digest& digest, std::uint32_t depth,
                                const UtsParams& p) noexcept {
   switch (p.shape) {
     case UtsParams::Shape::kGeometric:
-      return geo_children(digest, geo_log_q(depth, p), p);
+      return geo_children(digest_to_u32(digest), geo_log_q(depth, p), p);
     case UtsParams::Shape::kBinomial:
       return binomial_children(digest, depth, p);
   }
@@ -92,16 +116,43 @@ std::uint32_t uts_num_children(const Sha1Digest& digest, std::uint32_t depth,
 }
 
 UtsBranching::UtsBranching(const UtsParams& p) : p_(p) {
-  if (p.shape != UtsParams::Shape::kGeometric) return;
-  log_q_.resize(p.gen_mx);
-  for (std::uint32_t d = 0; d < p.gen_mx; ++d) log_q_[d] = geo_log_q(d, p);
+  if (p.shape == UtsParams::Shape::kGeometric) rows_.resize(p.gen_mx);
 }
 
+void UtsBranching::build(Row& row, std::uint32_t depth) const noexcept {
+  row.log_q = geo_log_q(depth, p_);
+  for (std::uint32_t k = 1; k <= kRow; ++k)
+    row.below[k - 1] = static_cast<std::uint32_t>(
+        k <= p_.max_children ? least_word_with(k, row.log_q, p_) - 1
+                             : kWords - 1);
+  row.built = true;
+}
+
+/// Why a row is exact: the count floor(log(1 - r·2^-32) / log_q), capped,
+/// never decreases as r grows. 1 - r·2^-32 is exact in a double. Adjacent
+/// words give arguments 2^-32 apart in (0, 1], where log's slope is at
+/// least 1, so their logs differ by at least 2^-32; and |log| < 22.2
+/// there, so one ulp of a log is at most 2^-48. The true logs are thus at
+/// least 2^16 ulp apart, and any libm whose error is under 2^15 ulp
+/// returns them strictly ordered. Dividing by the negative constant
+/// log_q (correctly rounded), floor and the cap keep that order. So the
+/// least word with k children splits the words exactly: every word below
+/// it has fewer, every word at or above it at least k. A word of zero
+/// always has none (log 1 = 0), so each entry is below[k-1] = least - 1.
 std::uint32_t UtsBranching::num_children(const Sha1Digest& digest,
                                          std::uint32_t depth) const noexcept {
   if (p_.shape == UtsParams::Shape::kBinomial)
     return binomial_children(digest, depth, p_);
-  return depth < log_q_.size() ? geo_children(digest, log_q_[depth], p_) : 0;
+  if (depth >= rows_.size()) return 0;
+  Row& row = rows_[depth];
+  if (!row.built) build(row, depth);
+  const std::uint32_t r = digest_to_u32(digest);
+  std::uint32_t k = 0;
+  for (const std::uint32_t b : row.below) k += r > b;
+  // Past the row's last entry the word may have more children than the
+  // row holds: the log rule counts them. (With max_children < kRow the
+  // row's tail is unreachable, so the count never gets there.)
+  return k < kRow ? k : geo_children(r, row.log_q, p_);
 }
 
 Sha1Digest uts_root_digest(const UtsParams& p) noexcept {

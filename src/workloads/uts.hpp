@@ -52,9 +52,12 @@ struct UtsParams {
 std::uint32_t uts_num_children(const Sha1Digest& digest, std::uint32_t depth,
                                const UtsParams& p) noexcept;
 
-/// The same rule with its depth-only half computed once per depth: for
-/// geometric trees, the denominator log(1 - prob(d)) of the inverse
-/// transform, so a node costs one log. Counts equal uts_num_children.
+/// The same rule without a log per node. A geometric node's count never
+/// decreases as its digest word r = digest_to_u32 grows (uts.cpp gives
+/// the argument), so each depth keeps a row of the least words reaching
+/// 1, 2, .. kRow children, built from the rule on the depth's first use;
+/// a node counts the entries at or below its word, and only a word past
+/// the row's last entry runs the log rule. Counts equal uts_num_children.
 class UtsBranching {
  public:
   explicit UtsBranching(const UtsParams& p);
@@ -63,8 +66,22 @@ class UtsBranching {
                              std::uint32_t depth) const noexcept;
 
  private:
+  static constexpr std::uint32_t kRow = 16;
+  struct Row {
+    bool built = false;
+    double log_q = 0;  ///< log(1 - prob(depth)); 0 = no children
+    /// below[k-1]: the greatest word with fewer than k children
+    /// (2^32 - 1 when no word has k).
+    std::uint32_t below[kRow] = {};
+  };
+  /// Out of line, so the per-node path saves no registers for it.
+  [[gnu::noinline]] void build(Row& row, std::uint32_t depth) const noexcept;
+
   UtsParams p_;
-  std::vector<double> log_q_;  ///< geometric: per depth < gen_mx; 0 = none
+  /// Geometric: one row per depth < gen_mx, each built on first use.
+  /// Every PE is a fiber on one host thread, so the lazy build needs no
+  /// synchronisation.
+  mutable std::vector<Row> rows_;
 };
 
 /// Root digest for a parameter set.

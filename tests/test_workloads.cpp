@@ -2,7 +2,11 @@
 // and parallel-vs-sequential agreement, synthetic seeding.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "workloads/bpc.hpp"
 #include "workloads/synthetic.hpp"
@@ -231,6 +235,66 @@ TEST(Uts, PerDepthBranchingTableMatchesDirectRule) {
     for (std::uint32_t i = 0; i < 1000; ++i) {
       d = uts_child_digest(d, i);
       ASSERT_EQ(table.num_children(d, depth), uts_num_children(d, depth, bin));
+    }
+  }
+}
+
+TEST(UtsBranching, ThresholdsMatchTheLogRule) {
+  // The per-depth threshold rows against the log rule, word by word: each
+  // row boundary +-3 words (found by bisecting the rule), the ends of the
+  // word range and 2,000 random words per depth. The sizes give rows that
+  // fill (most words past the row, at b0 = 2000), stop short, or are cut
+  // by a cap below the row's width (max_children = 5).
+  constexpr std::uint64_t kWords = std::uint64_t{1} << 32;
+  const auto word_digest = [](std::uint64_t r) {
+    Sha1Digest d{};
+    for (int b = 0; b < 4; ++b)
+      d[b] = static_cast<std::uint8_t>(r >> (24 - 8 * b));
+    return d;
+  };
+  // {gen_mx, max_children}: the cap cuts the rows of one depth range.
+  const std::pair<std::uint32_t, std::uint32_t> sizes[] = {
+      {1, 4096}, {5, 4096}, {18, 4096}, {40, 4096}, {18, 5}};
+  std::mt19937 rng(2024);
+  for (const auto shape :
+       {UtsParams::GeoShape::kLinear, UtsParams::GeoShape::kExpDec,
+        UtsParams::GeoShape::kCyclic, UtsParams::GeoShape::kFixed}) {
+    for (const std::uint32_t b0 : {1u, 2u, 4u, 8u, 100u, 2000u}) {
+      for (const auto& [gen_mx, max_children] : sizes) {
+        UtsParams p;
+        p.geo_shape = shape;
+        p.b0 = b0;
+        p.gen_mx = gen_mx;
+        p.max_children = max_children;
+        const UtsBranching table(p);
+        for (std::uint32_t depth = 0; depth <= gen_mx; ++depth) {
+          const auto rule = [&](std::uint64_t r) {
+            return uts_num_children(word_digest(r), depth, p);
+          };
+          std::vector<std::uint64_t> words = {0,          1,
+                                              2,          3,
+                                              kWords - 4, kWords - 3,
+                                              kWords - 2, kWords - 1};
+          // Boundaries for 1 .. 17 children: one past the row's width.
+          for (std::uint32_t k = 1; k <= 17; ++k) {
+            std::uint64_t lo = 0, hi = kWords;  // rule(0) = 0 < k
+            while (hi - lo > 1) {
+              const std::uint64_t mid = lo + (hi - lo) / 2;
+              (rule(mid) >= k ? hi : lo) = mid;
+            }
+            if (hi == kWords) break;
+            for (std::uint64_t r = hi < 3 ? 0 : hi - 3;
+                 r <= hi + 3 && r < kWords; ++r)
+              words.push_back(r);
+          }
+          for (int i = 0; i < 2000; ++i) words.push_back(rng());
+          for (const std::uint64_t r : words)
+            ASSERT_EQ(table.num_children(word_digest(r), depth), rule(r))
+                << "shape " << static_cast<int>(shape) << " b0 " << b0
+                << " gen_mx " << gen_mx << " max_children " << max_children
+                << " depth " << depth << " word " << r;
+        }
+      }
     }
   }
 }
