@@ -91,17 +91,6 @@ bool use_shani() noexcept {
 }
 #endif
 
-/// The fastest kernel this CPU runs.
-void compress_one(std::uint32_t h[5], const std::uint32_t block[16]) noexcept {
-#if defined(SWS_SHA1_HAVE_SHANI)
-  if (use_shani()) {
-    sha1_kernels::compress_shani(h, block);
-    return;
-  }
-#endif
-  sha1_kernels::compress(h, block);
-}
-
 }  // namespace
 
 void Sha1::reset() noexcept {
@@ -163,40 +152,27 @@ Sha1Digest Sha1::hash(const void* data, std::size_t len) noexcept {
   return h.finish();
 }
 
-
 void uts_child_digests(const Sha1Digest& parent, std::uint32_t first,
                        std::span<Sha1Digest> out) noexcept {
+#if defined(SWS_SHA1_HAVE_SHANI)
+  if (use_shani()) {
+    sha1_kernels::uts_children_shani(parent, first, out);
+    return;
+  }
+#endif
   // The 24-byte message (parent || be32(index)) plus its padding fills
   // exactly one block: the 0x80 byte, zeros, and the length, 192 bits.
   // Siblings' blocks differ only in word 5, the index.
-  std::uint32_t block[2][16] = {};
-  for (int i = 0; i < 5; ++i) block[0][i] = load_be32(parent.data() + i * 4);
-  block[0][6] = 0x80000000u;
-  block[0][15] = 24 * 8;
-  std::memcpy(block[1], block[0], sizeof(block[0]));
-  std::uint32_t h[2][5];
-  const auto store = [&h, &out](std::size_t lane, std::size_t i) {
-    for (int w = 0; w < 5; ++w) store_be32(out[i].data() + w * 4, h[lane][w]);
-  };
-  std::size_t i = 0;
-#if defined(SWS_SHA1_HAVE_SHANI)
-  if (use_shani()) {
-    for (; i + 1 < out.size(); i += 2) {
-      block[0][5] = first + static_cast<std::uint32_t>(i);
-      block[1][5] = block[0][5] + 1;
-      std::memcpy(h[0], kInitH, sizeof(kInitH));
-      std::memcpy(h[1], kInitH, sizeof(kInitH));
-      sha1_kernels::compress_shani_x2(h[0], block[0], h[1], block[1]);
-      store(0, i);
-      store(1, i + 1);
-    }
-  }
-#endif
-  for (; i < out.size(); ++i) {
-    block[0][5] = first + static_cast<std::uint32_t>(i);
-    std::memcpy(h[0], kInitH, sizeof(kInitH));
-    compress_one(h[0], block[0]);
-    store(0, i);
+  std::uint32_t block[16] = {};
+  for (int i = 0; i < 5; ++i) block[i] = load_be32(parent.data() + i * 4);
+  block[6] = 0x80000000u;
+  block[15] = 24 * 8;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    block[5] = first + static_cast<std::uint32_t>(i);
+    std::uint32_t h[5];
+    std::memcpy(h, kInitH, sizeof(kInitH));
+    sha1_kernels::compress(h, block);
+    for (int w = 0; w < 5; ++w) store_be32(out[i].data() + w * 4, h[w]);
   }
 }
 

@@ -49,9 +49,10 @@ class Sha1 {
 Sha1Digest uts_child_digest(const Sha1Digest& parent,
                             std::uint32_t child_index) noexcept;
 
-/// Children first .. first + out.size() - 1 of `parent`, in order: equal to
-/// that many uts_child_digest calls, but the shared block is built once
-/// and, with the SHA extensions, siblings are hashed two at a time.
+/// Children first .. first + out.size() - 1 of `parent`, in order (the
+/// index wraps mod 2^32): equal to that many uts_child_digest calls. With
+/// the SHA extensions each block is built in registers and siblings are
+/// hashed two at a time; the scalar kernel builds the shared block once.
 void uts_child_digests(const Sha1Digest& parent, std::uint32_t first,
                        std::span<Sha1Digest> out) noexcept;
 

@@ -169,80 +169,52 @@ TEST(UtsDerivation, BatchEqualsSingleChildCalls) {
   }
 }
 
+/// Child `index` of `parent` from the scalar kernel over the padded block
+/// (parent || be32(index)): the reference for the SHA extensions kernel.
+Sha1Digest scalar_child(const Sha1Digest& parent, std::uint32_t index) {
+  std::uint32_t block[16] = {};
+  for (int w = 0; w < 5; ++w)
+    for (int b = 0; b < 4; ++b) block[w] = block[w] << 8 | parent[4 * w + b];
+  block[5] = index;
+  block[6] = 0x80000000u;
+  block[15] = 24 * 8;
+  std::uint32_t h[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
+                        0xC3D2E1F0u};
+  sha1_kernels::compress(h, block);
+  Sha1Digest out;
+  for (int w = 0; w < 5; ++w)
+    for (int b = 0; b < 4; ++b)
+      out[4 * w + b] = static_cast<std::uint8_t>(h[w] >> (24 - 8 * b));
+  return out;
+}
+
 TEST(Sha1Kernels, ShaExtensionsMatchScalar) {
 #if defined(SWS_SHA1_HAVE_SHANI)
   if (!sha1_kernels::shani_supported())
     GTEST_SKIP() << "CPU lacks the SHA extensions: only the scalar kernel "
                     "runs on this host";
-  // UTS child blocks over 1,000 chained parents x 8 indices that fill each
-  // index byte: 8,000 (parent, index) pairs, hashed from the chaining
-  // words of the previous compression so the state varies too.
-  const std::uint32_t indices[] = {0,         1,         255,
-                                   256,       65535,     1u << 24,
-                                   1u << 31,  0xFFFFFFFFu};
-  std::uint32_t parent[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
-                             0x10325476u, 0xC3D2E1F0u};
-  for (int n = 0; n < 1000; ++n) {
-    std::uint32_t block[16] = {};
-    std::memcpy(block, parent, sizeof(parent));
-    block[6] = 0x80000000u;
-    block[15] = 24 * 8;
-    std::uint32_t scalar[5] = {};
-    for (const std::uint32_t i : indices) {
-      block[5] = i;
-      std::memcpy(scalar, parent, sizeof(parent));
-      sha1_kernels::compress(scalar, block);
-      std::uint32_t shani[5];
-      std::memcpy(shani, parent, sizeof(parent));
-      sha1_kernels::compress_shani(shani, block);
-      ASSERT_EQ(0, std::memcmp(scalar, shani, sizeof(scalar)))
-          << "parent " << n << " index " << i;
-
-      // Two lanes: a second, different block must not leak into the first.
-      std::uint32_t other[16];
-      std::memcpy(other, block, sizeof(block));
-      other[5] = ~i;
-      std::uint32_t lane_a[5], lane_b[5], ref_b[5];
-      std::memcpy(lane_a, parent, sizeof(parent));
-      std::memcpy(lane_b, scalar, sizeof(scalar));
-      std::memcpy(ref_b, scalar, sizeof(scalar));
-      sha1_kernels::compress(ref_b, other);
-      sha1_kernels::compress_shani_x2(lane_a, block, lane_b, other);
-      ASSERT_EQ(0, std::memcmp(scalar, lane_a, sizeof(scalar)))
-          << "lane a, parent " << n << " index " << i;
-      ASSERT_EQ(0, std::memcmp(ref_b, lane_b, sizeof(ref_b)))
-          << "lane b, parent " << n << " index " << i;
+  // 1,000 chained parents. Batches of 1, 2, 3 and 5 run a lone lane, a
+  // pair, and pairs with an odd tail; the first indices fill each index
+  // byte, and the last two put a pair across the wrap from 2^32 - 1 to 0.
+  const std::uint32_t firsts[] = {0,        1,        255,
+                                  65535,    1u << 24, 1u << 31,
+                                  0xFFFFFFFEu, 0xFFFFFFFFu};
+  Sha1Digest parent = Sha1::hash(std::string("kernels"));
+  for (std::uint32_t n = 0; n < 1000; ++n) {
+    for (const std::uint32_t first : firsts) {
+      for (const std::size_t count : {1u, 2u, 3u, 5u}) {
+        Sha1Digest out[6];
+        out[count].fill(0xAB);  // sentinel: exactly `count` digests written
+        sha1_kernels::uts_children_shani(parent, first, {out, count});
+        for (std::uint32_t i = 0; i < count; ++i)
+          ASSERT_EQ(out[i], scalar_child(parent, first + i))
+              << "parent " << n << " first " << first << " child " << i;
+        Sha1Digest sentinel;
+        sentinel.fill(0xAB);
+        ASSERT_EQ(out[count], sentinel) << "batch of " << count;
+      }
     }
-    std::memcpy(parent, scalar, sizeof(parent));
-  }
-#else
-  GTEST_SKIP() << "not an x86-64 build: no SHA extensions kernel exists";
-#endif
-}
-
-TEST(Sha1Kernels, ShaExtensionsMatchScalarOnArbitraryBlocks) {
-#if defined(SWS_SHA1_HAVE_SHANI)
-  if (!sha1_kernels::shani_supported())
-    GTEST_SKIP() << "CPU lacks the SHA extensions: only the scalar kernel "
-                    "runs on this host";
-  // Every block word live, not only the UTS layout's first six.
-  std::uint64_t x = 0x9E3779B97F4A7C15ull;
-  const auto next = [&x] {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return static_cast<std::uint32_t>(x >> 16);
-  };
-  for (int n = 0; n < 1000; ++n) {
-    std::uint32_t h[5], block[16];
-    for (auto& w : h) w = next();
-    for (auto& w : block) w = next();
-    std::uint32_t scalar[5], shani[5];
-    std::memcpy(scalar, h, sizeof(h));
-    std::memcpy(shani, h, sizeof(h));
-    sha1_kernels::compress(scalar, block);
-    sha1_kernels::compress_shani(shani, block);
-    ASSERT_EQ(0, std::memcmp(scalar, shani, sizeof(scalar))) << "block " << n;
+    parent = scalar_child(parent, n);
   }
 #else
   GTEST_SKIP() << "not an x86-64 build: no SHA extensions kernel exists";
