@@ -30,18 +30,25 @@ const char* trace_kind_name(TraceKind k) noexcept {
   return "?";
 }
 
-Tracer::Tracer(int npes, std::size_t events_per_pe) {
+Tracer::Tracer(int npes, std::size_t events_per_pe) : cap_(events_per_pe) {
   SWS_CHECK(npes > 0 && events_per_pe > 0, "bad tracer dimensions");
   rings_.resize(static_cast<std::size_t>(npes));
-  for (auto& r : rings_) r.buf.resize(events_per_pe);
 }
 
 void Tracer::push(int pe, TraceEvent e) noexcept {
   Ring& r = rings_[static_cast<std::size_t>(pe)];
   e.pe = pe;
   e.seq = r.total;
-  r.buf[r.next] = e;
-  r.next = (r.next + 1) % r.buf.size();
+  // A ring grows by doubling up to the cap (never past it), then wraps.
+  if (r.buf.size() < cap_) {
+    if (r.buf.size() == r.buf.capacity())
+      r.buf.reserve(
+          std::min(cap_, std::max<std::size_t>(64, 2 * r.buf.size())));
+    r.buf.push_back(e);
+  } else {
+    r.buf[r.next] = e;
+  }
+  r.next = (r.next + 1) % cap_;
   ++r.total;
 }
 
@@ -111,7 +118,7 @@ void Tracer::clear() {
   for (auto& r : rings_) {
     r.next = 0;
     r.total = 0;
-    std::fill(r.buf.begin(), r.buf.end(), TraceEvent{});
+    r.buf.clear();
   }
 }
 

@@ -1,10 +1,10 @@
 // Lightweight per-PE event tracing for the scheduler.
 //
 // Each PE records fixed-size events into its own bounded ring (newest
-// overwrite oldest); recording is a couple of stores, cheap enough to
-// leave on in benchmarks. Dumps merge all PEs in (time, pe, sequence)
-// order — the tool we use to inspect steal storms, release/acquire churn,
-// and termination behaviour.
+// overwrite oldest), grown as events arrive up to its cap; recording is a
+// couple of stores, cheap enough to leave on in benchmarks. Dumps merge all
+// PEs in (time, pe, sequence) order — the tool we use to inspect steal
+// storms, release/acquire churn, and termination behaviour.
 //
 // Beyond instant events, the tracer records *spans*: begin/end pairs
 // correlated by a span id. The scheduler opens one span per steal /
@@ -143,12 +143,15 @@ class Tracer {
   bool truncated() const noexcept;
 
  private:
+  /// Holds the retained events, at most cap_: a ring grows as events
+  /// arrive, so a PE that records few costs few.
   struct Ring {
     std::vector<TraceEvent> buf;
     std::size_t next = 0;
     std::uint64_t total = 0;  ///< lifetime events (>= retained)
   };
   void push(int pe, TraceEvent e) noexcept;
+  std::size_t cap_ = 0;  ///< events per PE a ring retains
   std::vector<Ring> rings_;
 };
 
