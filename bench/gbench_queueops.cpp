@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks for the host-side primitives: stealval
-// packing, steal-half sequence math, SHA-1 / UTS child derivation, task
-// serialization, and local queue operations. These quantify the paper's
-// claim that the compact representation "adds minimal processing to queue
-// metadata upkeep".
+// packing, steal-half sequence math, SHA-1 / UTS child derivation, the UTS
+// branching rule, task serialization, and local queue operations. These
+// quantify the paper's claim that the compact representation "adds minimal
+// processing to queue metadata upkeep".
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/queue_buffer.hpp"
@@ -13,6 +14,7 @@
 #include "core/sws_queue.hpp"
 #include "sha1/sha1.hpp"
 #include "sha1/sha1_kernels.hpp"
+#include "workloads/uts.hpp"
 
 namespace {
 
@@ -78,6 +80,34 @@ void BM_Sha1UtsChildren(benchmark::State& state) {
   state.SetLabel(sha1_kernel_label());
 }
 BENCHMARK(BM_Sha1UtsChildren)->Arg(1)->Arg(4)->Arg(32);
+
+/// UtsBranching::num_children per node, over the first 2^16 nodes of a
+/// depth-first walk of the repository benchmark's uts_p1 tree (geometric,
+/// linear, b0 = 4, depth 18), so the counts and depths are a real mix.
+void BM_UtsNumChildren(benchmark::State& state) {
+  workloads::UtsParams p;
+  p.b0 = 4;
+  p.gen_mx = 18;
+  p.root_seed = 19;
+  const workloads::UtsBranching branching(p);
+  std::vector<std::pair<Sha1Digest, std::uint32_t>> nodes, stack;
+  stack.push_back({workloads::uts_root_digest(p), 0});
+  while (!stack.empty() && nodes.size() < (1u << 16)) {
+    const auto node = stack.back();
+    stack.pop_back();
+    nodes.push_back(node);
+    const std::uint32_t k = branching.num_children(node.first, node.second);
+    for (std::uint32_t i = 0; i < k; ++i)
+      stack.push_back({uts_child_digest(node.first, i), node.second + 1});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        branching.num_children(nodes[i].first, nodes[i].second));
+    if (++i == nodes.size()) i = 0;
+  }
+}
+BENCHMARK(BM_UtsNumChildren);
 
 void BM_TaskSerializeRoundTrip(benchmark::State& state) {
   const auto payload = static_cast<std::uint32_t>(state.range(0));
