@@ -82,7 +82,7 @@ int Explorer::arbitrate(int caller, const std::vector<int>& ready,
 
   const int pe = ready[static_cast<std::size_t>(c)];
   if (arb_.record) {
-    const net::OpLabel& op = rt_->fabric().last_op(pe);
+    const net::OpRecord& op = arb_.issued[static_cast<std::size_t>(pe)];
     std::string line = "+";
     line += std::to_string(now - kExploreEpochNs) + "ns pe" +
             std::to_string(pe) + " ";
@@ -111,7 +111,16 @@ RunOutcome Explorer::exec(const std::vector<std::uint8_t>* forced,
   arb_.events.clear();
   env_.reset(inst_.get());
 
+  // Under the arbiter lookahead is off, so a PE parks only after its op's
+  // observer call: the op recorded here is the one the arbiter names.
+  if (record_events) {
+    arb_.issued.assign(static_cast<std::size_t>(scen_.npes), net::OpRecord{});
+    rt_->fabric().set_op_observer([this](const net::OpRecord& r) {
+      arb_.issued[static_cast<std::size_t>(r.initiator)] = r;
+    });
+  }
   rt_->run([this](pgas::PeContext& ctx) { inst_->body(env_, ctx); });
+  if (record_events) rt_->fabric().set_op_observer(nullptr);
 
   RunOutcome out;
   out.taken = arb_.taken;

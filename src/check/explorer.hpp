@@ -21,7 +21,9 @@
 // A failing schedule is shrunk ddmin-style (zeroing chunks of non-default
 // choices, keeping any candidate that still fails) to a minimal
 // choice-vector, then replayed once more with event recording to produce
-// a human-readable trace of the fatal order.
+// a human-readable trace of the fatal order. A recording run installs a
+// fabric op observer that keeps each PE's last issued op: a PE the
+// arbiter picks applies that op's effect next, so it labels the event.
 #pragma once
 
 #include <cstdint>
@@ -111,7 +113,7 @@ class Explorer {
 
   /// Mutable per-run arbiter state. Mutated by the arbiter while the
   /// sequencer picks the next PE, except `ended`, which PEs bump from
-  /// end_explored.
+  /// end_explored, and `issued`, which the op observer writes.
   struct ArbState {
     bool use_rng = false;
     SplitMix64 rng{0};
@@ -122,6 +124,8 @@ class Explorer {
     int ended = 0;
     bool record = false;
     std::vector<std::string> events;
+    /// Recording runs: each PE's last issued op (kind kCount_ = none yet).
+    std::vector<net::OpRecord> issued;
     std::uint64_t pruned = 0;
   };
 

@@ -140,13 +140,15 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
   }
   if (cfg_.trace.enable) {
     tracer_ = Tracer(rt.npes(), cfg_.trace.events);
-    // Every fabric op issued under a nonzero span becomes a child event
-    // of that span. The callback runs in the initiating PE's fiber and
-    // writes only that PE's trace ring, so it cannot perturb the schedule
-    // (it never touches a clock).
+    // Every fabric op issued inside its PE's open span becomes a child
+    // event of that span; ops outside any span are dropped. The callback
+    // runs in the initiating PE's fiber and writes only that PE's trace
+    // ring, so it cannot perturb the schedule (it never touches a clock).
     rt_.fabric().set_op_observer([this](const net::OpRecord& r) {
+      const std::uint64_t span = tracer_.open_span(r.initiator);
+      if (span == 0) return;
       tracer_.complete(
-          r.initiator, r.begin, r.dur, TraceKind::kFabricOp, r.span,
+          r.initiator, r.begin, r.dur, TraceKind::kFabricOp, span,
           static_cast<std::uint64_t>(r.kind),
           static_cast<std::uint64_t>(static_cast<unsigned>(r.target)) |
               (static_cast<std::uint64_t>(r.bytes) << 16));
@@ -365,19 +367,17 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
   // count this PE's spans. Restarting per run is fine — the tracer is
   // cleared above.
   std::uint64_t span_seq = 0;
-  // Runs `op` inside a traced span of `kind`: begin (carrying `arg`),
-  // label the fabric so op's own fabric ops land as child events, run,
-  // clear the label, end with the args `close` derives from op's result.
-  // Untraced runs just call op.
+  // Runs `op` inside a traced span of `kind`: begin (carrying `arg`) opens
+  // it, so op's own fabric ops land as child events; end, with the args
+  // `close` derives from op's result, closes it. Untraced runs just call
+  // op.
   const auto in_span = [&](TraceKind kind, std::uint64_t arg, auto&& op,
                            auto&& close) {
     if (!tracer_.enabled()) return op();
     const std::uint64_t span =
         (static_cast<std::uint64_t>(ctx.pe() + 1) << 40) | ++span_seq;
     tracer_.begin(ctx.pe(), ctx.now(), kind, span, arg);
-    ctx.fabric().set_span(ctx.pe(), span);
     const auto r = op();
-    ctx.fabric().set_span(ctx.pe(), 0);
     const SpanEnd e = close(r);
     tracer_.end(ctx.pe(), ctx.now(), kind, span, e.a, e.b);
     return r;

@@ -73,6 +73,7 @@ void Tracer::begin(int pe, net::Nanos time, TraceKind kind, std::uint64_t span,
   e.span = span;
   e.a = a;
   push(pe, e);
+  rings_[static_cast<std::size_t>(pe)].open = span;
 }
 
 void Tracer::end(int pe, net::Nanos time, TraceKind kind, std::uint64_t span,
@@ -86,6 +87,7 @@ void Tracer::end(int pe, net::Nanos time, TraceKind kind, std::uint64_t span,
   e.a = a;
   e.b = b;
   push(pe, e);
+  rings_[static_cast<std::size_t>(pe)].open = 0;
 }
 
 void Tracer::complete(int pe, net::Nanos time, net::Nanos dur, TraceKind kind,
@@ -119,6 +121,7 @@ void Tracer::clear() {
     r.next = 0;
     r.total = 0;
     r.buf.clear();
+    r.open = 0;
   }
 }
 

@@ -8,13 +8,14 @@
 //
 // Beyond instant events, the tracer records *spans*: begin/end pairs
 // correlated by a span id. The scheduler opens one span per steal /
-// release / acquire attempt and the fabric attributes every one-sided
-// operation issued inside it as a child (kFabricOp complete events), so a
-// single steal renders as one bar with its fetch-add / get / completion
-// AMO — or SDC's lock / fetch / tail-update / unlock sequence — nested
-// under it. Counter events (queue depth, in-flight nbi ops) add numeric
-// tracks. dump_chrome_json() emits all of this in the Chrome trace-event
-// format Perfetto loads directly (docs/observability.md).
+// release / acquire attempt; the tracer holds each PE's open span, and the
+// pool's fabric op observer files every one-sided operation issued inside
+// it as a child (kFabricOp complete events), so a single steal renders as
+// one bar with its fetch-add / get / completion AMO — or SDC's lock /
+// fetch / tail-update / unlock sequence — nested under it. Counter events
+// (queue depth, in-flight nbi ops) add numeric tracks. dump_chrome_json()
+// emits all of this in the Chrome trace-event format Perfetto loads
+// directly (docs/observability.md).
 #pragma once
 
 #include <cstdint>
@@ -96,11 +97,17 @@ class Tracer {
   void record(int pe, net::Nanos time, TraceKind kind, std::uint64_t a = 0,
               std::uint64_t b = 0) noexcept;
   /// Open / close a span. Begin and end carry the same span id; the pair
-  /// brackets every child op the fabric attributes to that id.
+  /// brackets every child op filed under that id. begin() makes it `pe`'s
+  /// open span; end() leaves `pe` with none.
   void begin(int pe, net::Nanos time, TraceKind kind, std::uint64_t span,
              std::uint64_t a = 0) noexcept;
   void end(int pe, net::Nanos time, TraceKind kind, std::uint64_t span,
            std::uint64_t a = 0, std::uint64_t b = 0) noexcept;
+  /// `pe`'s open span id, 0 when none is open (or tracing is off). A PE
+  /// killed inside a span leaves it open until clear().
+  std::uint64_t open_span(int pe) const noexcept {
+    return rings_.empty() ? 0 : rings_[static_cast<std::size_t>(pe)].open;
+  }
   /// Self-contained duration event (a fabric op inside a span).
   void complete(int pe, net::Nanos time, net::Nanos dur, TraceKind kind,
                 std::uint64_t span, std::uint64_t a = 0,
@@ -109,6 +116,7 @@ class Tracer {
   void counter(int pe, net::Nanos time, TraceKind kind,
                std::uint64_t value) noexcept;
 
+  /// Drop every retained event and close every open span.
   void clear();
 
   /// All retained events of one PE, oldest first.
@@ -149,6 +157,7 @@ class Tracer {
     std::vector<TraceEvent> buf;
     std::size_t next = 0;
     std::uint64_t total = 0;  ///< lifetime events (>= retained)
+    std::uint64_t open = 0;   ///< open_span()
   };
   void push(int pe, TraceEvent e) noexcept;
   std::size_t cap_ = 0;  ///< events per PE a ring retains

@@ -76,8 +76,6 @@ void Fabric::new_run() {
     SWS_ASSERT_MSG(p.pending == 0 && p.pending_to == 0,
                    "pending nbi ops leaked across runs");
     p.busy_until = 0;
-    p.label = OpLabel{};
-    p.span = 0;
     // Clocks restart at 0, so the planned crashes re-fire: every PE is
     // alive again and the same CrashEvents replay (arm_crashes below) —
     // run N+1 reproduces run N's deaths exactly.
@@ -148,20 +146,14 @@ std::uint64_t* Fabric::translate_u64(int target, std::uint64_t offset) const {
   return reinterpret_cast<std::uint64_t*>(translate(target, offset, 8));
 }
 
-const OpLabel& Fabric::last_op(int pe) const {
-  SWS_ASSERT(pe >= 0 && pe < npes());
-  return pes_[static_cast<std::size_t>(pe)].label;
-}
-
-void Fabric::set_span(int pe, std::uint64_t span) noexcept {
-  pes_[static_cast<std::size_t>(pe)].span = span;
+void Fabric::set_op_observer(OpObserver cb) {
+  SWS_CHECK(!observer_ || !cb, "an op observer is already installed");
+  observer_ = std::move(cb);
 }
 
 void Fabric::charge(int initiator, int target, OpKind kind,
                     std::uint64_t offset, std::size_t bytes) {
   SWS_ASSERT(initiator >= 0 && initiator < npes());
-  Pe& ip = pes_[static_cast<std::size_t>(initiator)];
-  ip.label = OpLabel{kind, target, offset, ip.span};
   // Crash-stop: the initiator dies *before* this op's effect if its
   // planned time has passed — the op is never issued.
   if (crashes_armed_) maybe_crash(initiator);
@@ -174,7 +166,7 @@ void Fabric::charge(int initiator, int target, OpKind kind,
   const bool local_work = !remote && !nbi;
   if (!local_work) time_.rejoin();
   Nanos c = model_.cost(kind, bytes, tier);
-  FabricStats& s = ip.stats;
+  FabricStats& s = pes_[static_cast<std::size_t>(initiator)].stats;
   ++s.ops[static_cast<int>(kind)];
   (remote ? s.remote_ops : s.local_ops) += 1;
   if (remote) ++s.tier_ops[static_cast<std::size_t>(tier - 1)];
@@ -196,22 +188,12 @@ void Fabric::charge(int initiator, int target, OpKind kind,
     c += faults_->charge_penalty(initiator, c);
 
   s.blocking_ns += c;
-  // Span-scoped op observation: report the charge window to the tracer
-  // before the clock moves. Reads only — a recorded op must not perturb
-  // the schedule, which is what keeps determinism A/B byte-identical
-  // with tracing enabled.
-  if (observer_ && ip.span != 0) {
-    OpRecord r;
-    r.initiator = initiator;
-    r.target = target;
-    r.kind = kind;
-    r.offset = offset;
-    r.span = ip.span;
-    r.bytes = bytes;
-    r.begin = time_.now(initiator);
-    r.dur = c;
-    observer_(r);
-  }
+  // Op observation: report the charge window before the clock moves.
+  // Reads only — a recorded op must not perturb the schedule, which is
+  // what keeps determinism A/B byte-identical with tracing enabled.
+  if (observer_)
+    observer_(OpRecord{initiator, target, kind, offset, bytes,
+                       time_.now(initiator), c});
   if (local_work) {
     time_.advance_local(initiator, c, [&] { return reach(initiator); });
     return;

@@ -64,41 +64,26 @@ struct PeKilled {
 /// the death signal (core::DeathRegistry::probe).
 inline constexpr std::uint64_t kDeadFetchValue = ~std::uint64_t{0};
 
-/// Label of the operation a PE most recently issued — written before the
-/// op's time charge, so while a PE is parked inside the sequencer its
-/// label names the op whose memory effect it will apply on resume. The
-/// schedule-exploration harness reads these to render human-readable
-/// event traces; the sequencer's baton serializes writer and reader.
-struct OpLabel {
-  OpKind kind = OpKind::kCount_;  ///< kCount_ = no op issued yet
-  int target = -1;
-  std::uint64_t offset = 0;
-  /// Observability span the op was issued under (0 = none): the steal /
-  /// release / acquire lifecycle id the scheduler set via set_span(), so
-  /// a trace can show every fabric op as a child of the protocol
-  /// operation that issued it.
-  std::uint64_t span = 0;
-};
-
 /// One issued fabric operation, as seen by an op observer: identity,
-/// enclosing span, and the initiator-side charge window [begin, begin +
-/// dur). For non-blocking ops the window covers the issue overhead only;
-/// delivery happens later (Fabric semantics above).
+/// footprint ([offset, offset + bytes) of the target's arena), and the
+/// initiator-side charge window [begin, begin + dur). For non-blocking ops
+/// the window covers the issue overhead only; delivery happens later
+/// (Fabric semantics above).
 struct OpRecord {
   int initiator = -1;
   int target = -1;
   OpKind kind = OpKind::kCount_;
   std::uint64_t offset = 0;
-  std::uint64_t span = 0;
   std::size_t bytes = 0;
   Nanos begin = 0;
   Nanos dur = 0;
 };
 
-/// Called for every op issued under a nonzero span, on the initiating
-/// PE's fiber, after the cost is computed and before the clock advances.
-/// Must only observe (record into a per-PE trace ring) — it runs on the
-/// hot path and must not touch the fabric or the clock.
+/// Called for every op a live initiator issues, on its fiber, after the
+/// cost is computed and before the clock advances: the fabric's one
+/// observation seam (the tracer files ops under their spans, the schedule
+/// explorer labels its events). Must only observe — it runs on the hot
+/// path and must not touch the fabric or the clock.
 using OpObserver = std::function<void(const OpRecord&)>;
 
 /// Memory effect of a queued non-blocking op: one 64-bit AMO word.
@@ -119,15 +104,14 @@ class Fabric {
   Fabric& operator=(const Fabric&) = delete;
 
   /// Per-run reset: clocks restart at 0, so apply any stray pending
-  /// non-blocking ops, drop the NIC busy horizons, op labels and spans,
-  /// and revive and re-arm planned crashes. Arenas and stats survive.
+  /// non-blocking ops, drop the NIC busy horizons, and revive and re-arm
+  /// planned crashes. Arenas, stats and the op observer survive.
   void new_run();
 
   /// Expose PE `pe`'s symmetric arena to one-sided access.
   void register_arena(int pe, std::byte* base, std::size_t size);
 
   int npes() const noexcept { return static_cast<int>(pes_.size()); }
-  VirtualTimeModel& time() noexcept { return time_; }
   const NetworkModel& model() const noexcept { return model_; }
 
   // --- blocking one-sided data movement --------------------------------
@@ -245,16 +229,10 @@ class Fabric {
     return faults_ != nullptr && faults_->plan().duplicates_possible();
   }
 
-  /// Most recent operation issued by `pe` (see OpLabel).
-  const OpLabel& last_op(int pe) const;
-
   // --- observability ----------------------------------------------------
-  /// Set `pe`'s current span id; every op `pe` issues until the next
-  /// set_span carries it (OpLabel::span) and is reported to the op
-  /// observer. 0 clears the span. Per-PE state — each PE sets its own.
-  void set_span(int pe, std::uint64_t span) noexcept;
   /// Install (or clear, with nullptr) the op observer before the PEs run.
-  void set_op_observer(OpObserver cb) { observer_ = std::move(cb); }
+  /// There is one: replacing a live observer with another is an error.
+  void set_op_observer(OpObserver cb);
 
   /// Publish this fabric's accounting (per-PE op counts and bytes, fault
   /// totals) into `reg` under the fabric.* namespace
@@ -282,8 +260,6 @@ class Fabric {
     // --- as an initiator
     int pending = 0;  ///< pending()
     Nanos crash_at = kNoPendingDeadline;
-    OpLabel label;
-    std::uint64_t span = 0;  ///< current span; charge copies it into label
     FabricStats stats;
   };
   struct PendingOp {
@@ -327,11 +303,11 @@ class Fabric {
     ++t.landed;
     if (offset < watch_hi_ && offset + bytes > watch_lo_) ++t.landed_watched;
   }
-  /// Charge an op: record `initiator`'s in-flight op label first (see
-  /// OpLabel), then stats + advance; the effect is the caller's next
-  /// statement. A tier-0 blocking op is local work and may run ahead of
-  /// the time floor (advance_local); every other op rejoins the exact
-  /// order before it touches anything another PE can observe.
+  /// Charge an op: crash check, stats, op observer, advance; the effect is
+  /// the caller's next statement. A tier-0 blocking op is local work and
+  /// may run ahead of the time floor (advance_local); every other op
+  /// rejoins the exact order before it touches anything another PE can
+  /// observe.
   void charge(int initiator, int target, OpKind kind, std::uint64_t offset,
               std::size_t bytes);
   /// Queue `effect` for delivery after the modeled nbi delay (plus any

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "check/explorer.hpp"
 
@@ -109,10 +111,23 @@ TEST(Explorer, FindsReplaysAndShrinksLostUpdate) {
       << rep.violation;
 
   // The minimal schedule still reproduces on replay and carries a labeled
-  // event trace from the final recording pass.
+  // event trace from the final recording pass: each line names the op the
+  // chosen PE applies next (its last issued op), pinned byte for byte.
   const RunOutcome replay = ex.run_one_forced(rep.minimal.choices);
   EXPECT_FALSE(replay.violation.empty());
-  EXPECT_FALSE(rep.minimal.events.empty());
+  EXPECT_EQ(rep.minimal.choices, (std::vector<std::uint8_t>{0, 0, 1, 1}));
+  EXPECT_EQ(rep.minimal.events, (std::vector<std::string>{
+                                    "+0ns pe0 amo_set ->pe1 off=0",
+                                    "+0ns pe0 amo_fetch ->pe0 off=152",
+                                    "+0ns pe1 amo_set ->pe0 off=0",
+                                    "+0ns pe1 amo_fetch ->pe0 off=152",
+                                    "+0ns pe0 amo_set ->pe0 off=152",
+                                    "+0ns pe0 amo_set ->pe1 off=0",
+                                }));
+  // A recording replay renders the same lines; a plain one renders none.
+  EXPECT_EQ(ex.run_one_forced(rep.minimal.choices, true).events,
+            rep.minimal.events);
+  EXPECT_TRUE(replay.events.empty());
 
   // Shrinking never adds non-default choices.
   const auto nondefault = [](const std::vector<std::uint8_t>& v) {

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
+#include "core/trace.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 
@@ -211,9 +213,8 @@ TEST_F(FabricTest, QuietUnderNbiStormDeliversEverything) {
 
 TEST(FabricNewRun, ResetsRunStateKeepsStatsAndArenas) {
   // Clocks restart at 0 every run, so new_run() must clear what a run
-  // leaves behind in virtual time: NIC busy horizons, op labels (a stale
-  // one would leak into the explorer's event trace), spans and planned
-  // deaths. Stats and registered arenas outlive runs.
+  // leaves behind in virtual time: NIC busy horizons and planned deaths.
+  // Stats and registered arenas outlive runs.
   constexpr Nanos kCrashAt = 10'000;
   VirtualTimeModel tm(2);
   NetworkParams params;
@@ -228,12 +229,11 @@ TEST(FabricNewRun, ResetsRunStateKeepsStatsAndArenas) {
     Nanos wait = 0;     ///< PE 0's occupancy wait this run
     Nanos died_at = 0;  ///< when PE 1 observed its crash (0 = never)
   };
-  const auto run = [&](std::uint64_t span) {
+  const auto run = [&] {
     Run r;
     const Nanos wait_before = fab.stats(0).occupancy_wait_ns;
     tm.run_pes(2, [&](int pe) {
       if (pe == 0) {
-        if (span != 0) fab.set_span(0, span);
         // The second issue queues behind the first at PE 1's NIC.
         fab.nbi_amo_add(0, 1, 0, 1);
         fab.nbi_amo_add(0, 1, 0, 1);
@@ -250,24 +250,19 @@ TEST(FabricNewRun, ResetsRunStateKeepsStatsAndArenas) {
     return r;
   };
 
-  const Run first = run(/*span=*/7);
+  const Run first = run();
   EXPECT_GT(first.wait, 0u);
   EXPECT_GE(first.died_at, kCrashAt);
-  EXPECT_EQ(fab.last_op(0).kind, OpKind::kNbiAmoAdd);
-  EXPECT_EQ(fab.last_op(0).span, 7u);
   EXPECT_FALSE(fab.alive(1));
   EXPECT_EQ(fab.num_dead(), 1);
 
   fab.new_run();
-  EXPECT_EQ(fab.last_op(0).kind, OpKind::kCount_) << "label survived new_run";
-  EXPECT_EQ(fab.last_op(0).target, -1);
   EXPECT_TRUE(fab.alive(1)) << "the crashed PE is alive again";
   EXPECT_EQ(fab.num_dead(), 0);
   EXPECT_EQ(fab.crash_deadline(1), kCrashAt) << "the crash is re-armed";
 
-  const Run second = run(/*span=*/0);
+  const Run second = run();
   EXPECT_EQ(second.wait, first.wait) << "NIC busy horizon survived new_run";
-  EXPECT_EQ(fab.last_op(0).span, 0u) << "span survived new_run";
   EXPECT_EQ(second.died_at, first.died_at) << "the crash did not re-fire";
   EXPECT_FALSE(fab.alive(1));
 
@@ -277,6 +272,60 @@ TEST(FabricNewRun, ResetsRunStateKeepsStatsAndArenas) {
   std::uint64_t landed_word = 0;
   std::memcpy(&landed_word, arenas[1].data(), sizeof(landed_word));
   EXPECT_EQ(landed_word, 4u);
+}
+
+TEST_F(FabricTest, OpObserverSeesEveryOp) {
+  // The observer is the fabric's one observation seam: it fires for every
+  // op, inside a tracer span or not, with the op's identity, footprint and
+  // charge window, on the initiator's clock before it advances. Installing
+  // nullptr stops it.
+  core::Tracer tracer(kPes, 16);
+  std::vector<OpRecord> seen;
+  fabric_.set_op_observer([&](const OpRecord& r) { seen.push_back(r); });
+  const NetworkModel& m = fabric_.model();
+  const Nanos put_cost = m.cost(OpKind::kPut, 24, 1);
+  run([&](int pe) {
+    if (pe != 0) return;
+    const std::uint64_t src[3] = {1, 2, 3};
+    tracer.begin(0, 0, core::TraceKind::kStealSpan, 1);
+    fabric_.put(0, 1, 64, src, sizeof src);
+    tracer.end(0, put_cost, core::TraceKind::kStealSpan, 1);
+    fabric_.amo_fetch_add(0, 0, 8, 1);
+    fabric_.nbi_amo_set(0, 1, 16, 9);
+    fabric_.quiet(0);
+  });
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].initiator, 0);
+  EXPECT_EQ(seen[0].target, 1);
+  EXPECT_EQ(seen[0].kind, OpKind::kPut);
+  EXPECT_EQ(seen[0].offset, 64u);
+  EXPECT_EQ(seen[0].bytes, 24u);
+  EXPECT_EQ(seen[0].begin, 0u);
+  EXPECT_EQ(seen[0].dur, put_cost);
+  EXPECT_EQ(seen[1].target, 0);
+  EXPECT_EQ(seen[1].kind, OpKind::kAmoFetchAdd);
+  EXPECT_EQ(seen[1].offset, 8u);
+  EXPECT_EQ(seen[1].bytes, 8u);
+  EXPECT_EQ(seen[1].begin, put_cost);
+  EXPECT_EQ(seen[1].dur, m.cost(OpKind::kAmoFetchAdd, 8, 0));
+  EXPECT_EQ(seen[2].target, 1);
+  EXPECT_EQ(seen[2].kind, OpKind::kNbiAmoSet);
+  EXPECT_EQ(seen[2].offset, 16u);
+  EXPECT_EQ(seen[2].begin, seen[1].begin + seen[1].dur);
+  EXPECT_EQ(seen[2].dur, m.cost(OpKind::kNbiAmoSet, 8, 1));
+
+  fabric_.set_op_observer(nullptr);
+  run([&](int pe) { fabric_.amo_fetch(pe, 1 - pe, 0); });
+  EXPECT_EQ(seen.size(), 3u) << "a cleared observer still fired";
+}
+
+TEST_F(FabricTest, OpObserverRefusesASecondObserver) {
+  fabric_.set_op_observer([](const OpRecord&) {});
+  EXPECT_THROW(fabric_.set_op_observer([](const OpRecord&) {}),
+               std::invalid_argument);
+  fabric_.set_op_observer(nullptr);
+  fabric_.set_op_observer([](const OpRecord&) {});  // free again
+  fabric_.set_op_observer(nullptr);
 }
 
 TEST_F(FabricTest, LandedCountsEveryRemoteEffect) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "core/scheduler.hpp"
@@ -241,6 +242,73 @@ TEST(TracerPool, SchedulerEmitsCoherentTrace) {
   }
   EXPECT_GT(steals_ok, 0u);
   EXPECT_EQ(steals_ok, r.total.steals_ok);
+}
+
+TEST(Tracer, OpenSpanFollowsBeginEndAndClear) {
+  Tracer off;
+  EXPECT_EQ(off.open_span(0), 0u);
+  Tracer t(2, 16);
+  EXPECT_EQ(t.open_span(0), 0u);
+  t.begin(0, 100, TraceKind::kStealSpan, 42, 1);
+  EXPECT_EQ(t.open_span(0), 42u);
+  EXPECT_EQ(t.open_span(1), 0u) << "spans are per PE";
+  t.end(0, 200, TraceKind::kStealSpan, 42);
+  EXPECT_EQ(t.open_span(0), 0u);
+  t.begin(0, 300, TraceKind::kReleaseSpan, 43);
+  t.begin(1, 300, TraceKind::kAcquireSpan, 44);
+  t.clear();
+  EXPECT_EQ(t.open_span(0), 0u) << "clear() left a span open";
+  EXPECT_EQ(t.open_span(1), 0u);
+}
+
+TEST(TracerPool, FabricOpsFileUnderTheOpenSpanOnly) {
+  // Every traced fabric op is a child of the span open on its PE when it
+  // was issued; ops outside any span (here, a 3-byte get in each task
+  // body, a size no protocol uses) are dropped.
+  pgas::RuntimeConfig rc;
+  rc.npes = 4;
+  rc.heap_bytes = 2 << 20;
+  pgas::Runtime rt(rc);
+  TaskRegistry reg;
+  TaskFnId fn = 0;
+  fn = reg.register_fn("fan", [&](Worker& w, std::span<const std::byte> b) {
+    std::uint32_t d;
+    std::memcpy(&d, b.data(), 4);
+    char probe[3];
+    w.ctx().fabric().get(w.pe(), w.pe(), 0, probe, sizeof probe);
+    w.compute(5000);
+    if (d > 0)
+      for (int i = 0; i < 4; ++i) w.spawn(Task::of(fn, d - 1));
+  });
+  PoolConfig pc;
+  pc.queue.slot_bytes = 32;
+  pc.trace.enable = true;
+  pc.trace.events = 65536;
+  TaskPool pool(rt, reg, pc);
+  rt.run([&](pgas::PeContext& ctx) {
+    pool.run_pe(ctx, [&](Worker& w) {
+      if (w.pe() == 0) w.spawn(Task::of(fn, std::uint32_t{4}));
+    });
+  });
+  ASSERT_FALSE(pool.tracer().truncated());
+
+  std::uint64_t filed = 0;
+  for (int pe = 0; pe < 4; ++pe) {
+    std::uint64_t open = 0;
+    for (const TraceEvent& e : pool.tracer().events(pe)) {
+      if (e.phase == TracePhase::kBegin) open = e.span;
+      if (e.phase == TracePhase::kEnd) {
+        EXPECT_EQ(e.span, open) << "pe " << pe;
+        open = 0;
+      }
+      if (e.kind != TraceKind::kFabricOp) continue;
+      ++filed;
+      EXPECT_NE(open, 0u) << "pe " << pe << ": op outside any span";
+      EXPECT_EQ(e.span, open) << "pe " << pe;
+      EXPECT_NE(e.b >> 16, 3u) << "pe " << pe << ": a task-body op was filed";
+    }
+  }
+  EXPECT_GT(filed, 0u);
 }
 
 TEST(TracerPool, TraceOffRecordsNothing) {
