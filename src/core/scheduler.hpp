@@ -89,7 +89,6 @@ class Worker {
   int pe() const noexcept { return ctx_.pe(); }
   int npes() const noexcept { return ctx_.npes(); }
   pgas::PeContext& ctx() noexcept { return ctx_; }
-  Xoshiro256& rng() noexcept { return ctx_.rng(); }
 
   /// Add a task to this PE's queue (counts toward termination detection).
   /// Falls back to inline execution if the ring is full.

@@ -255,12 +255,10 @@ RunTrace parse_chrome_trace(std::istream& is) {
       Span s = std::move(it->second);
       open.erase(it);
       s.end_ns = ts;
-      s.a_end = static_cast<std::uint64_t>(args ? args->num_or("a", 0.0) : 0);
       s.b_end = static_cast<std::uint64_t>(args ? args->num_or("b", 0.0) : 0);
       s.closed = true;
       rt.spans.push_back(std::move(s));
     } else if (ph == "X") {
-      ++rt.fabric_ops;
       const std::uint64_t dur = to_ns(ev.num_or("dur", 0.0));
       note_time(ts + dur);
       const std::uint64_t id =
@@ -278,15 +276,6 @@ RunTrace parse_chrome_trace(std::istream& is) {
       op.ts_ns = ts;
       op.dur_ns = dur;
       it->second.ops.push_back(std::move(op));
-    } else if (ph == "C") {
-      ++rt.counters;
-      CounterSample cs;
-      cs.name = name;
-      cs.pe = pe;
-      cs.ts_ns = ts;
-      cs.value = static_cast<std::int64_t>(
-          std::llround(args ? args->num_or("value", 0.0) : 0.0));
-      rt.counter_samples.push_back(std::move(cs));
     } else if (name == "death_detected") {
       ++rt.deaths_detected;
     } else if (name == "rerouted") {

@@ -45,7 +45,6 @@ struct Span {
   std::uint64_t begin_ns = 0;
   std::uint64_t end_ns = 0;
   std::uint64_t a_begin = 0;  ///< steal: victim
-  std::uint64_t a_end = 0;
   std::uint64_t b_end = 0;  ///< steal: outcome | (ntasks << 8)
   bool closed = false;
   std::vector<TraceOp> ops;
@@ -57,16 +56,6 @@ struct Span {
   std::uint32_t ntasks() const noexcept {
     return static_cast<std::uint32_t>(b_end >> 8);
   }
-};
-
-/// One counter-track sample ("ph":"C") — queue depth, pending nbi, or an
-/// injected time-series window value. Values may be negative (time-series
-/// deltas re-attribute small amounts between related categories).
-struct CounterSample {
-  std::string name;
-  int pe = -1;
-  std::uint64_t ts_ns = 0;
-  std::int64_t value = 0;
 };
 
 /// Everything parse_chrome_trace recovers from one trace file.
@@ -85,10 +74,7 @@ struct RunTrace {
   std::uint64_t deaths_detected = 0;  ///< death_detected events (per observer)
   std::uint64_t reroutes = 0;         ///< rerouted events
   std::uint64_t rerouted_tasks = 0;   ///< tasks re-homed off dead inboxes
-  std::uint64_t counters = 0;
-  std::vector<CounterSample> counter_samples;  ///< retained "C" rows
-  std::uint64_t fabric_ops = 0;  ///< attributed + orphaned
-  std::uint64_t duration_ns = 0;  ///< max event end time
+  std::uint64_t duration_ns = 0;  ///< max event end time, "C" rows too
 };
 
 /// Parse a Chrome trace-event JSON array as written by

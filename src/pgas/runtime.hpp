@@ -40,7 +40,6 @@ class PeContext {
 
   int pe() const noexcept { return pe_; }
   int npes() const noexcept;
-  Runtime& runtime() noexcept { return rt_; }
   net::Fabric& fabric() noexcept;
   SymmetricHeap& heap() noexcept;
 

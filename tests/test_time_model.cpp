@@ -1246,10 +1246,10 @@ TEST(LookaheadOracle, PoolRunsMatchTheLiteralSchedule) {
         run_pool(c.kind, c.npes, c.bpc, /*arbiter=*/true, c.tiered);
     const PoolRun opt =
         run_pool(c.kind, c.npes, c.bpc, /*arbiter=*/false, c.tiered);
-    const std::string what =
-        std::string(c.kind == core::QueueKind::kSws ? "sws" : "sdc") +
-        (c.bpc ? " bpc" : " uts") + " P=" + std::to_string(c.npes) +
-        (c.tiered ? " " + tiered_spec(c.npes).to_string() : " flat");
+    std::string what = c.kind == core::QueueKind::kSws ? "sws" : "sdc";
+    what += c.bpc ? " bpc" : " uts";
+    what += " P=" + std::to_string(c.npes) + " ";
+    what += c.tiered ? tiered_spec(c.npes).to_string() : "flat";
     EXPECT_EQ(opt.totals, lit.totals) << what;
     EXPECT_TRUE(opt.timeseries == lit.timeseries) << what << ": time series";
     EXPECT_TRUE(opt.trace == lit.trace) << what << ": trace";
