@@ -14,14 +14,6 @@ constexpr std::uint32_t kMaxBranchPoints = 4096;
 /// Replays the shrink of a failing schedule may spend.
 constexpr std::uint32_t kMaxShrinkRuns = 256;
 
-/// Stable 64-bit combine for (digest, depth) pruning keys.
-std::uint64_t mix_key(std::uint64_t d, std::uint64_t depth) {
-  std::uint64_t z = d ^ (depth * 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 Explorer::Explorer(const Scenario& scenario, ExploreOptions opts)
@@ -57,7 +49,6 @@ int Explorer::arbitrate(int caller, const std::vector<int>& ready,
 
   const auto w = static_cast<std::uint8_t>(
       std::min<std::size_t>(ready.size(), 255));
-  std::uint8_t eff_w = w;
   std::uint8_t c = 0;
   if (arb_.use_rng) {
     c = static_cast<std::uint8_t>(arb_.rng.next() % w);
@@ -66,18 +57,9 @@ int Explorer::arbitrate(int caller, const std::vector<int>& ready,
     // hand-edited vector may overshoot a reshaped tree).
     c = std::min<std::uint8_t>((*arb_.forced)[arb_.idx],
                                static_cast<std::uint8_t>(w - 1));
-  } else if (prune_now_) {
-    // Fresh territory: branch only if this (digest, depth) state has not
-    // been expanded before. Never applied to forced prefixes — that would
-    // corrupt DFS replay.
-    const std::uint64_t d = inst_->digest();
-    if (d != 0 && !visited_.insert(mix_key(d, arb_.idx)).second) {
-      eff_w = 1;
-      ++arb_.pruned;
-    }
   }
   arb_.taken.push_back(c);
-  arb_.width.push_back(eff_w);
+  arb_.width.push_back(w);
   ++arb_.idx;
 
   const int pe = ready[static_cast<std::size_t>(c)];
@@ -191,11 +173,6 @@ ScheduleTrace Explorer::shrink_failing(const ScheduleTrace& failing) {
 
 ExploreReport Explorer::run() {
   ExploreReport rep;
-  arb_.pruned = 0;
-  visited_.clear();
-  prune_now_ =
-      opts_.prune_visited && opts_.mode == ExploreMode::kExhaustive;
-
   if (opts_.mode == ExploreMode::kExhaustive) {
     std::vector<std::uint8_t> forced;  // empty = all-default first schedule
     for (std::uint64_t n = 0; n < opts_.max_schedules; ++n) {
@@ -241,8 +218,6 @@ ExploreReport Explorer::run() {
       }
     }
   }
-  rep.pruned = arb_.pruned;
-  prune_now_ = false;  // replay/shrink must see the un-pruned tree
 
   if (rep.failed) {
     rep.minimal = shrink_failing(rep.failing);
@@ -264,7 +239,6 @@ std::string ExploreReport::summary() const {
   std::string s = "schedules=" + std::to_string(schedules) +
                   " branch_points=" + std::to_string(branch_points);
   if (exhausted) s += " (tree exhausted)";
-  if (pruned > 0) s += " pruned=" + std::to_string(pruned);
   if (!failed) return s + " — all green";
   s += "\nVIOLATION: " + violation;
   s += "\nminimal schedule (" + std::to_string(minimal.choices.size()) +

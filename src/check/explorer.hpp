@@ -11,9 +11,7 @@
 // Modes:
 //  * kExhaustive — stateless-re-execution DFS over the schedule tree.
 //    Each run records (choice, width) at every branch point; the cursor
-//    then advances the deepest incrementable choice and replays. Optional
-//    heuristic pruning collapses branch points whose scenario digest was
-//    already expanded.
+//    then advances the deepest incrementable choice and replays.
 //  * kRandom — seeded sampling. Schedule n draws its choices from
 //    SplitMix64(seed_n) with seed_n derived from the base seed, so any
 //    sampled schedule replays byte-identically from its seed alone.
@@ -29,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "check/scenario.hpp"
@@ -47,11 +44,6 @@ struct ExploreOptions {
   std::uint64_t max_schedules = 4096;
   /// Random mode: base seed; schedule n uses a distinct derived seed.
   std::uint64_t seed = 1;
-  /// Exhaustive mode: heuristic state-digest pruning. Branch points whose
-  /// ScenarioInstance::digest() was already expanded (at the same depth)
-  /// are not branched again. Needs a scenario digest; may skip schedules
-  /// whose states the digest cannot distinguish — off by default.
-  bool prune_visited = false;
 };
 
 /// One explored (or replayed) schedule.
@@ -73,7 +65,6 @@ struct RunOutcome {
 struct ExploreReport {
   std::uint64_t schedules = 0;      ///< schedules executed
   std::uint64_t branch_points = 0;  ///< total choice points across them
-  std::uint64_t pruned = 0;         ///< branch points collapsed by pruning
   bool exhausted = false;           ///< exhaustive: whole tree covered
   bool failed = false;
   std::string violation;
@@ -126,7 +117,6 @@ class Explorer {
     std::vector<std::string> events;
     /// Recording runs: each PE's last issued op (kind kCount_ = none yet).
     std::vector<net::OpRecord> issued;
-    std::uint64_t pruned = 0;
   };
 
   Scenario scen_;
@@ -135,8 +125,6 @@ class Explorer {
   std::unique_ptr<pgas::Runtime> rt_;
   std::unique_ptr<ScenarioInstance> inst_;
   ArbState arb_;
-  std::unordered_set<std::uint64_t> visited_;
-  bool prune_now_ = false;  ///< pruning active for the current run()
 };
 
 }  // namespace sws::check

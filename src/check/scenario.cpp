@@ -103,40 +103,14 @@ class QueueStealRelease final : public ScenarioInstance {
  public:
   static constexpr std::uint64_t kTasks = 12;
 
-  QueueStealRelease(std::unique_ptr<core::TaskQueue> q, int npes)
-      : q_(std::move(q)),
-        npes_(npes),
-        steals_(static_cast<std::size_t>(npes)) {}
+  explicit QueueStealRelease(std::unique_ptr<core::TaskQueue> q)
+      : q_(std::move(q)) {}
 
   std::uint64_t num_ids() const override { return kTasks; }
   core::TaskQueue* audited_queue() override { return q_.get(); }
 
-  std::uint64_t digest() const override {
-    // Progress digest for heuristic DFS pruning: per-PE op counters and
-    // steal outcomes, i.e. how far each side has gotten. Host memory only
-    // (arbiter-safe).
-    std::uint64_t h = 0x243f6a8885a308d3ULL;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
-    for (int pe = 0; pe < npes_; ++pe) {
-      const auto& s = q_->op_stats(pe);
-      mix(s.releases);
-      mix(s.acquires);
-      const StealTally& t = steals_[static_cast<std::size_t>(pe)];
-      mix(t.ok);
-      mix(t.empty);
-      mix(t.retry);
-      mix(t.tasks);
-      mix(s.renews);
-    }
-    return h != 0 ? h : 1;
-  }
-
   void body(ScenarioEnv& env, pgas::PeContext& ctx) override {
     q_->reset_pe(ctx);
-    StealTally& tally = steals_[static_cast<std::size_t>(ctx.pe())];
-    tally = {};
     ctx.barrier();
 
     constexpr int kOwner = 0;
@@ -172,16 +146,7 @@ class QueueStealRelease final : public ScenarioInstance {
     } else {
       std::vector<core::Task> loot;
       for (int i = 0; i < 8; ++i) {
-        const core::StealResult r = q_->steal(ctx, kOwner, loot);
-        switch (r.outcome) {
-          case core::StealOutcome::kSuccess:
-            ++tally.ok;
-            tally.tasks += r.ntasks;
-            break;
-          case core::StealOutcome::kEmpty: ++tally.empty; break;
-          case core::StealOutcome::kRetry: ++tally.retry; break;
-          case core::StealOutcome::kPeerDead: break;
-        }
+        (void)q_->steal(ctx, kOwner, loot);
         env.step(ctx);
       }
       for (const auto& s : loot) env.ledger().extracted(id_of(s));
@@ -208,13 +173,7 @@ class QueueStealRelease final : public ScenarioInstance {
   }
 
  private:
-  struct StealTally {
-    std::uint64_t ok = 0, empty = 0, retry = 0, tasks = 0;
-  };
-
   std::unique_ptr<core::TaskQueue> q_;
-  int npes_;
-  std::vector<StealTally> steals_;  ///< per-PE steal outcomes this run
 };
 
 // ------------------------------------------------- termination scenarios
@@ -421,9 +380,9 @@ Scenario sws_steal_release_scenario(int npes) {
   Scenario s;
   s.name = "sws-steal-release";
   s.npes = npes;
-  s.make = [npes](pgas::Runtime& rt) -> std::unique_ptr<ScenarioInstance> {
+  s.make = [](pgas::Runtime& rt) -> std::unique_ptr<ScenarioInstance> {
     auto q = std::make_unique<core::SwsQueue>(rt, core::QueueConfig{64, 32});
-    return std::make_unique<QueueStealRelease>(std::move(q), npes);
+    return std::make_unique<QueueStealRelease>(std::move(q));
   };
   return s;
 }
@@ -432,7 +391,7 @@ Scenario bulk_steal_scenario(int npes) {
   Scenario s;
   s.name = "sws-bulk-steal";
   s.npes = npes;
-  s.make = [npes](pgas::Runtime& rt) -> std::unique_ptr<ScenarioInstance> {
+  s.make = [](pgas::Runtime& rt) -> std::unique_ptr<ScenarioInstance> {
     // Same protocol exercise, bulk claims on: thieves may take several
     // blocks per fetch-add, so the ledger must still see every task
     // surface exactly once across every interleaving of multi-block
@@ -441,7 +400,7 @@ Scenario bulk_steal_scenario(int npes) {
     bulk.bulk_claim_max = 4;
     auto q = std::make_unique<core::SwsQueue>(rt, core::QueueConfig{64, 32},
                                               bulk);
-    return std::make_unique<QueueStealRelease>(std::move(q), npes);
+    return std::make_unique<QueueStealRelease>(std::move(q));
   };
   return s;
 }
@@ -450,9 +409,9 @@ Scenario sdc_steal_release_scenario(int npes) {
   Scenario s;
   s.name = "sdc-steal-release";
   s.npes = npes;
-  s.make = [npes](pgas::Runtime& rt) -> std::unique_ptr<ScenarioInstance> {
+  s.make = [](pgas::Runtime& rt) -> std::unique_ptr<ScenarioInstance> {
     auto q = std::make_unique<core::SdcQueue>(rt, core::QueueConfig{64, 32});
-    return std::make_unique<QueueStealRelease>(std::move(q), npes);
+    return std::make_unique<QueueStealRelease>(std::move(q));
   };
   return s;
 }

@@ -58,11 +58,6 @@ class ScenarioInstance {
 
   /// Violation detected outside env.fail() (e.g. by a checked detector).
   virtual std::string extra_violation() { return {}; }
-
-  /// Optional state digest for heuristic DFS pruning (0 = unsupported).
-  /// Called while the sequencer picks the next PE: must read host memory
-  /// only — no fabric operations, no time-model calls.
-  virtual std::uint64_t digest() const { return 0; }
 };
 
 /// A named scenario factory the Explorer can instantiate.

@@ -9,10 +9,7 @@ namespace sws {
 Options::Options(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
-    }
+    if (arg.rfind("--", 0) != 0) continue;
     arg.erase(0, 2);
     if (arg.empty()) throw std::invalid_argument("bare '--' not supported");
     const auto eq = arg.find('=');

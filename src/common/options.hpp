@@ -1,6 +1,7 @@
 // Tiny command-line option parser for examples and bench binaries.
 //
-// Supports --key=value, --key value, and bare --flag booleans. Unknown
+// Supports --key=value, --key value, and bare --flag booleans; arguments
+// that are not options are skipped. Unknown
 // options are an error (fail fast beats silently ignored typos in a
 // benchmark sweep): every binary calls exit_if_unknown() after its last
 // get(). Not a general-purpose CLI library on purpose.
@@ -23,11 +24,6 @@ class Options {
   double get(const std::string& key, double fallback) const;
   bool get(const std::string& key, bool fallback) const;
 
-  /// Positional (non --option) arguments in order.
-  const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-
   /// Keys that were parsed but never queried (typos, removed flags).
   std::vector<std::string> unused() const;
   /// Exit with status 2, naming each unused() key on stderr, if there are
@@ -37,7 +33,6 @@ class Options {
  private:
   std::map<std::string, std::string> kv_;
   mutable std::map<std::string, bool> used_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace sws

@@ -14,9 +14,7 @@ namespace sws {
 class Summary {
  public:
   void add(double x) noexcept;
-  void reset() noexcept { *this = Summary{}; }
 
-  std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }

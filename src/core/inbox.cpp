@@ -9,13 +9,10 @@
 
 namespace sws::core {
 
-TaskInbox::TaskInbox(pgas::Runtime& rt, std::uint32_t capacity,
-                     std::uint32_t slot_bytes)
-    : base_(rt.heap().alloc(footprint(capacity, slot_bytes), 64)),
-      capacity_(capacity),
+TaskInbox::TaskInbox(pgas::Runtime& rt, std::uint32_t slot_bytes)
+    : base_(rt.heap().alloc(footprint(slot_bytes), 64)),
       slot_bytes_(slot_bytes),
       ledgers_(static_cast<std::size_t>(rt.npes())) {
-  SWS_CHECK(capacity > 0, "inbox capacity must be positive");
   SWS_CHECK(slot_bytes >= kTaskHeaderBytes, "inbox slot too small");
   SWS_CHECK(slot_bytes % 8 == 0, "inbox slot size must be 8-byte aligned");
 }
@@ -26,7 +23,7 @@ void TaskInbox::reset_pe(pgas::PeContext& ctx) {
   // effect before any reset, and symmetric allocations start zeroed, so
   // zeroing the header and that used prefix leaves the ring all zero.
   const std::uint64_t used = std::min<std::uint64_t>(
-      ctx.local_load(base_.plus(kReserveOff)), capacity_);
+      ctx.local_load(base_.plus(kReserveOff)), kCapacity);
   std::memset(ctx.local(base_), 0,
               kSlotsOff + static_cast<std::size_t>(used) * (8 + slot_bytes_));
   if (recovery_ == nullptr) return;  // the ledger is crash-mode state
@@ -59,8 +56,8 @@ std::uint32_t TaskInbox::remote_push(pgas::PeContext& sender, int target,
       return 0;
     }
     const std::uint64_t used = reserve - drained;
-    if (used >= capacity_) return 0;  // full
-    n = std::min<std::uint64_t>(tasks.size(), capacity_ - used);
+    if (used >= kCapacity) return 0;  // full
+    n = std::min<std::uint64_t>(tasks.size(), kCapacity - used);
     if (fab.amo_compare_swap(sender.pe(), target, base_.off + kReserveOff,
                              reserve, reserve + n) == reserve) {
       seq = reserve;
@@ -80,8 +77,8 @@ std::uint32_t TaskInbox::remote_push(pgas::PeContext& sender, int target,
   std::uint64_t i = 0;
   while (i < n) {
     const std::uint64_t first = seq + i;
-    const std::uint64_t pos = first % capacity_;
-    const std::uint64_t run = std::min(n - i, capacity_ - pos);
+    const std::uint64_t pos = first % kCapacity;
+    const std::uint64_t run = std::min(n - i, kCapacity - pos);
     staged.assign(static_cast<std::size_t>(run * stride), std::byte{0});
     for (std::uint64_t j = 0; j < run; ++j) {
       std::byte* slot = staged.data() + j * stride;

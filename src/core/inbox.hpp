@@ -41,17 +41,16 @@ class DeathRegistry;
 
 class TaskInbox {
  public:
-  TaskInbox(pgas::Runtime& rt, std::uint32_t capacity,
-            std::uint32_t slot_bytes);
+  /// Slots per PE's ring. A sender that finds it full retries, then runs
+  /// the remainder itself (Worker::spawn_on).
+  static constexpr std::uint32_t kCapacity = 1024;
 
-  std::uint32_t capacity() const noexcept { return capacity_; }
+  TaskInbox(pgas::Runtime& rt, std::uint32_t slot_bytes);
 
   /// The symmetric range of every PE's inbox: offset and bytes. Remote
   /// spawns write nothing else, so the pool has the fabric watch it.
   std::uint64_t offset() const noexcept { return base_.off; }
-  std::size_t bytes() const noexcept {
-    return footprint(capacity_, slot_bytes_);
-  }
+  std::size_t bytes() const noexcept { return footprint(slot_bytes_); }
 
   /// Collective per-PE reset; barrier before use.
   void reset_pe(pgas::PeContext& ctx);
@@ -101,13 +100,12 @@ class TaskInbox {
   /// false when it is not published yet.
   bool take_next(pgas::PeContext& owner, Task& out);
 
-  static std::size_t footprint(std::uint32_t capacity,
-                               std::uint32_t slot_bytes) noexcept {
-    return kSlotsOff + static_cast<std::size_t>(capacity) * (8 + slot_bytes);
+  static std::size_t footprint(std::uint32_t slot_bytes) noexcept {
+    return kSlotsOff + std::size_t{kCapacity} * (8 + slot_bytes);
   }
 
   std::uint64_t slot_off(std::uint64_t seq) const noexcept {
-    return kSlotsOff + (seq % capacity_) * (8 + slot_bytes_);
+    return kSlotsOff + (seq % kCapacity) * (8 + slot_bytes_);
   }
 
   /// Host-side send ledger, one row per sender PE (crash mode only):
@@ -119,7 +117,6 @@ class TaskInbox {
   };
 
   pgas::SymPtr base_;
-  std::uint32_t capacity_;
   std::uint32_t slot_bytes_;
   std::vector<SenderLedger> ledgers_;
   DeathRegistry* recovery_ = nullptr;

@@ -24,8 +24,6 @@ class QueueBuffer {
               std::uint32_t slot_bytes);
 
   std::uint32_t capacity() const noexcept { return capacity_; }
-  std::uint32_t slot_bytes() const noexcept { return slot_bytes_; }
-  pgas::SymPtr base() const noexcept { return base_; }
 
   /// Slot index of an absolute position.
   std::uint32_t wrap(std::uint64_t abs) const noexcept {

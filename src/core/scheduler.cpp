@@ -6,6 +6,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 
 namespace sws::core {
 
@@ -124,8 +125,7 @@ TaskPool::TaskPool(pgas::Runtime& rt, TaskRegistry& registry, PoolConfig cfg)
       queue_ = std::make_unique<SdcQueue>(rt, cfg_.queue, cfg_.sdc);
       break;
   }
-  inbox_ = std::make_unique<TaskInbox>(rt, cfg_.inbox_capacity,
-                                       cfg_.queue.slot_bytes);
+  inbox_ = std::make_unique<TaskInbox>(rt, cfg_.queue.slot_bytes);
   if (!rt.fabric().crashes_planned()) {
     term_ = std::make_unique<CounterTermination>(rt);
   } else {
@@ -337,9 +337,8 @@ void TaskPool::run_loop(pgas::PeContext& ctx,
     victims = make_victim_selector(cfg_.victim, netm.topology(), ctx.pe(),
                                    rt_.config().seed);
   const StealTuning& st = cfg_.steal;
-  // Dedicated stream for backoff jitter: draws must not perturb the
-  // workload's ctx.rng() sequence, or backoff would change task-level
-  // results under virtual time.
+  // Backoff jitter draws from its own stream, apart from the victim
+  // selector's, so jitter never shifts which victims a PE picks.
   Xoshiro256 backoff_rng(rt_.config().seed ^ 0xB0FF'0FF5'0000'0000ULL,
                          static_cast<std::uint64_t>(ctx.pe()));
   std::vector<Task> loot;

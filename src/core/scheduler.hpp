@@ -72,8 +72,6 @@ struct PoolConfig {
   /// source of truth; there is no separate node size to agree with.
   VictimConfig victim{};
   StealTuning steal{};
-  /// Per-PE remote-spawn inbox slots (Worker::spawn_on).
-  std::uint32_t inbox_capacity = 1024;
   TraceConfig trace{};
 };
 
@@ -140,14 +138,12 @@ class TaskPool {
   PoolRunReport report() const;
   const WorkerStats& worker_stats(int pe) const;
 
-  TaskQueue& queue() noexcept { return *queue_; }
   /// Replace the termination detector (e.g. the checking harness wrapping
   /// the real detector with a ground-truth cross-check). Must not be
   /// called between run_pe entry and exit.
   void set_detector(std::unique_ptr<TerminationDetector> d) {
     term_ = std::move(d);
   }
-  const PoolConfig& config() const noexcept { return cfg_; }
   /// Disabled (records nothing) unless PoolConfig::trace is set.
   Tracer& tracer() noexcept { return tracer_; }
   /// Chrome trace-event JSON of the last run, stamped with run metadata

@@ -21,9 +21,8 @@ SdcQueue::SdcQueue(pgas::Runtime& rt, const QueueConfig& queue, SdcConfig cfg)
     : TaskQueue(rt, queue),
       cfg_(cfg),
       meta_(rt.heap().alloc(
-          kRingOff + sizeof(std::uint64_t) * cfg.completion_ring * 2, 64)),
+          kRingOff + sizeof(std::uint64_t) * kCompletionRing * 2, 64)),
       owners_(static_cast<std::size_t>(rt.npes())) {
-  SWS_CHECK(cfg.completion_ring > 0, "completion ring must be non-empty");
   SWS_CHECK(queue.capacity <= kCountMask,
             "capacity exceeds the completion-record count field");
   if (rt.config().net.faults.crashes_enabled())
@@ -39,7 +38,7 @@ void SdcQueue::reset_shared(pgas::PeContext& ctx) {
   // below the cursor; a crash-mode thief writes intent[seq] before its
   // claim advances the cursor and may die in between, hence the + 1.
   const std::uint64_t used = std::min<std::uint64_t>(
-      ctx.local_load(meta_.plus(kSeqOff)) + 1, cfg_.completion_ring);
+      ctx.local_load(meta_.plus(kSeqOff)) + 1, kCompletionRing);
   std::byte* meta = ctx.local(meta_);
   std::memset(meta, 0, kRingOff + sizeof(std::uint64_t) * used);
   std::memset(meta + intent_off(0), 0, sizeof(std::uint64_t) * used);
@@ -139,7 +138,7 @@ void SdcQueue::progress(pgas::PeContext& ctx) {
       o.stall_seq = o.reclaim_seq;
       o.stall_since = now;
     } else if (now - o.stall_since >= lease ||
-               cur_seq - o.reclaim_seq > cfg_.completion_ring / 2) {
+               cur_seq - o.reclaim_seq > kCompletionRing / 2) {
       if (reconcile_dead_claims(ctx) > 0) drain_completions(ctx);
       o.stall_seq = o.reclaim_seq;
       o.stall_since = ctx.now();

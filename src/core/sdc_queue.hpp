@@ -30,8 +30,6 @@ namespace sws::core {
 struct SdcConfig {
   /// CAS attempts against a held lock before giving up with kRetry.
   std::uint32_t max_lock_attempts = 4;
-  /// Completion-ring slots; bounds claimed-but-uncopied steals in flight.
-  std::uint32_t completion_ring = 1024;
 };
 
 class SdcQueue final : public TaskQueue {
@@ -51,7 +49,6 @@ class SdcQueue final : public TaskQueue {
   bool claims_open(pgas::PeContext& ctx) const override;
 
   std::string audit(pgas::PeContext& ctx) const override;
-  const SdcConfig& config() const noexcept { return cfg_; }
 
   /// Symmetric offset of the queue spinlock (tests/diagnostics).
   std::uint64_t lock_offset_for_test() const noexcept {
@@ -85,6 +82,8 @@ class SdcQueue final : public TaskQueue {
   static constexpr std::uint64_t kTailOff = 16;
   static constexpr std::uint64_t kSeqOff = 24;
   static constexpr std::uint64_t kRingOff = 32;
+  /// Completion-ring slots; bounds claimed-but-uncopied steals in flight.
+  static constexpr std::uint64_t kCompletionRing = 1024;
 
   // Completion-ring records are tagged with their claim sequence so a
   // duplicated (or very late) delivery is recognizable instead of being
@@ -99,7 +98,7 @@ class SdcQueue final : public TaskQueue {
     return ((seq + 1) << kCountBits) | take;
   }
   std::uint64_t completion_off(std::uint64_t seq) const noexcept {
-    return kRingOff + (seq % cfg_.completion_ring) * 8;
+    return kRingOff + (seq % kCompletionRing) * 8;
   }
 
   // Claim-intent ring (crash-mode only): before a thief's tail/seq claim
@@ -115,8 +114,8 @@ class SdcQueue final : public TaskQueue {
            (static_cast<std::uint64_t>(thief) << kCountBits) | take;
   }
   std::uint64_t intent_off(std::uint64_t seq) const noexcept {
-    return kRingOff + sizeof(std::uint64_t) * cfg_.completion_ring +
-           (seq % cfg_.completion_ring) * 8;
+    return kRingOff + sizeof(std::uint64_t) * kCompletionRing +
+           (seq % kCompletionRing) * 8;
   }
 
   void reset_shared(pgas::PeContext& ctx) override;

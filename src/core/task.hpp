@@ -44,7 +44,6 @@ class Task {
   }
 
   TaskFnId fn() const noexcept { return fn_; }
-  std::uint32_t payload_len() const noexcept { return len_; }
   std::span<const std::byte> payload() const noexcept {
     return {buf_.data(), len_};
   }

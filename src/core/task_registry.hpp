@@ -29,7 +29,6 @@ class TaskRegistry {
   TaskFnId register_fn(std::string name, TaskFn fn);
 
   const TaskFn& fn(TaskFnId id) const;
-  std::size_t size() const noexcept { return fns_.size(); }
 
  private:
   std::vector<TaskFn> fns_;

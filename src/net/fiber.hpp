@@ -92,9 +92,6 @@ class Fiber {
   /// is allowed.
   void arm(FiberContext& ctx, Entry entry, void* arg);
 
-  /// Lowest usable stack address; the guard page is the page below it.
-  const std::byte* stack_lo() const noexcept { return stack_lo_; }
-
   /// Stacks this process has mapped so far.
   static std::uint64_t stacks_mapped() noexcept;
 

@@ -42,8 +42,10 @@ LinkParams LinkParams::scaled(double factor) const noexcept {
   return s;
 }
 
-NetworkParams NetworkParams::tiered(TopologySpec spec, double step_scale,
-                                    double step_bandwidth) {
+NetworkParams NetworkParams::tiered(TopologySpec spec) {
+  // Per step inward: latency scale and bandwidth gain.
+  constexpr double kStepScale = 0.15;
+  constexpr double kStepBandwidth = 3.2;
   NetworkParams p;
   p.topology = std::move(spec);
   const int nt = p.topology.ntiers();
@@ -51,8 +53,8 @@ NetworkParams NetworkParams::tiered(TopologySpec spec, double step_scale,
   // Outermost keeps the defaults; each step inward gets faster.
   for (int t = nt - 1; t >= 1; --t) {
     const LinkParams& outer = p.links[static_cast<std::size_t>(t)];
-    LinkParams inner = outer.scaled(step_scale);
-    inner.bandwidth = outer.bandwidth * step_bandwidth;
+    LinkParams inner = outer.scaled(kStepScale);
+    inner.bandwidth = outer.bandwidth * kStepBandwidth;
     p.links[static_cast<std::size_t>(t - 1)] = inner;
   }
   return p;

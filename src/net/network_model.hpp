@@ -55,16 +55,13 @@ struct NetworkParams {
   /// zero behavioural effect when off.
   FaultPlan faults{};
 
-  /// Flat single-tier fabric with the EDR-class defaults (== {}).
-  static NetworkParams flat() noexcept { return {}; }
   /// N-tier fabric over `spec`: tier links derived from the defaults with
-  /// geometric scaling — each step inward scales latency by `step_scale`
-  /// and bandwidth by `step_bandwidth`. Outermost tier keeps the flat
-  /// defaults. Over "*xN" (unbounded nodes of N PEs) the intra-node links
-  /// run at 0.15x the inter-node latencies (shared-memory ops ~200 ns vs
-  /// 1.5 µs) and 40 B/ns.
-  static NetworkParams tiered(TopologySpec spec, double step_scale = 0.15,
-                              double step_bandwidth = 3.2);
+  /// geometric scaling — each step inward scales latency by 0.15 and
+  /// bandwidth by 3.2. Outermost tier keeps the flat defaults. Over "*xN"
+  /// (unbounded nodes of N PEs) the intra-node links run at 0.15x the
+  /// inter-node latencies (shared-memory ops ~200 ns vs 1.5 µs) and
+  /// 40 B/ns.
+  static NetworkParams tiered(TopologySpec spec);
 
   /// Uniform latency scaling across every tier, for the latency-sweep
   /// ablations.

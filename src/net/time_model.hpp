@@ -240,8 +240,6 @@ class VirtualTimeModel {
   /// are running.
   void set_sample_hook(SampleHook hook, Nanos interval_ns);
 
-  int npes() const noexcept { return npes_; }
-
   /// Install (or clear, with nullptr) the ready-set arbiter. Survives
   /// reset() — it is sequencer configuration, like the delivery hook.
   /// Must not be called while PEs are running. While installed,

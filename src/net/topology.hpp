@@ -43,7 +43,6 @@ struct TopologySpec {
   }
   /// Maximum PEs the spec describes (product of levels); 0 = unbounded.
   long long capacity() const noexcept;
-  bool is_flat() const noexcept { return levels.empty(); }
 
   bool operator==(const TopologySpec&) const = default;
 };

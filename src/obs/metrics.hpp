@@ -66,7 +66,6 @@ class MetricsRegistry {
   explicit MetricsRegistry(int npes);
 
   int npes() const noexcept { return published_.npes; }
-  std::size_t size() const noexcept { return published_.entries.size(); }
 
   /// Publish one value per PE.
   void counter(const std::string& name, const std::string& help,

@@ -29,9 +29,6 @@ std::int64_t export_value(const std::vector<std::uint64_t>& vals,
 
 }  // namespace
 
-TimeSeries::TimeSeries(std::uint64_t interval_ns, std::size_t max_samples)
-    : interval_ns_(interval_ns), max_samples_(max_samples) {}
-
 void TimeSeries::add_series(std::string name, Source src) {
   SWS_CHECK(times_.empty(), "add_series after the first sample");
   SWS_CHECK(static_cast<bool>(src), "series source must be callable");
@@ -47,7 +44,7 @@ void TimeSeries::add_meta(std::string key, std::string raw_json) {
 
 void TimeSeries::sample(std::uint64_t t_ns) {
   if (!times_.empty() && t_ns <= times_.back()) return;  // idempotent finalize
-  if (times_.size() >= max_samples_) {
+  if (times_.size() >= kMaxSamples) {
     truncated_ = true;
     return;
   }

@@ -36,11 +36,13 @@ class TimeSeries {
   /// observation: it runs while every PE fiber is parked.
   using Source = std::function<std::uint64_t()>;
 
+  /// Rows kept; bounds memory. Samples past the cap are dropped and the
+  /// export carries a `truncated` flag.
+  static constexpr std::size_t kMaxSamples = std::size_t{1} << 16;
+
   /// `interval_ns` is recorded in the export header (the sampler owns the
-  /// actual cadence); `max_samples` bounds memory — samples past the cap
-  /// are dropped and the export carries a `truncated` flag.
-  explicit TimeSeries(std::uint64_t interval_ns,
-                      std::size_t max_samples = std::size_t{1} << 16);
+  /// actual cadence).
+  explicit TimeSeries(std::uint64_t interval_ns) : interval_ns_(interval_ns) {}
 
   /// Register a series before the first sample. Registration order is the
   /// export order.
@@ -54,17 +56,13 @@ class TimeSeries {
   /// Append one row at time `t_ns`, reading every source. Rows must be
   /// appended in increasing time order; a sample at or before the last
   /// recorded time is ignored (this makes end-of-run finalization
-  /// idempotent). Past `max_samples` the row is dropped and the series is
+  /// idempotent). Past kMaxSamples the row is dropped and the series is
   /// marked truncated.
   void sample(std::uint64_t t_ns);
 
   /// Drop all recorded rows (keep series + meta); used between benchmark
   /// repetitions the way Tracer::clear() is.
   void clear();
-
-  bool empty() const noexcept { return times_.empty(); }
-  std::size_t samples() const noexcept { return times_.size(); }
-  bool truncated() const noexcept { return truncated_; }
 
   /// {"schema":"sws-timeseries","interval_ns":...,"t":[...],
   ///  "series":[{"name":...,"v":[...]}]}, values as signed per-window
@@ -86,7 +84,6 @@ class TimeSeries {
   };
 
   std::uint64_t interval_ns_;
-  std::size_t max_samples_;
   bool truncated_ = false;
   std::vector<std::uint64_t> times_;
   std::vector<Series> series_;

@@ -384,9 +384,15 @@ void check_success_span(const std::string& protocol, const Span& s,
   }
 }
 
+/// The windows the pathology and convoy scans bucket spans into: a 64th
+/// of the run, at least 1 µs.
+std::uint64_t scan_window_ns(const RunTrace& rt) {
+  return std::max<std::uint64_t>(rt.duration_ns / 64, 1000);
+}
+
 }  // namespace
 
-AnalyzeReport analyze(const RunTrace& rt, const WindowConfig& wc) {
+AnalyzeReport analyze(const RunTrace& rt) {
   AnalyzeReport r;
   r.protocol = rt.protocol;
   r.npes = rt.npes;
@@ -423,9 +429,7 @@ AnalyzeReport analyze(const RunTrace& rt, const WindowConfig& wc) {
   }
   r.ntiers = topo.ntiers();
 
-  r.window_ns = wc.window_ns != 0
-                    ? wc.window_ns
-                    : std::max<std::uint64_t>(rt.duration_ns / 64, 1000);
+  r.window_ns = scan_window_ns(rt);
   // window index -> (fails, oks, retries) for the pathology scan.
   struct Win {
     std::uint64_t fails = 0, oks = 0, retries = 0;
@@ -773,11 +777,9 @@ CriticalPath critical_path(const RunTrace& rt) {
   return cp;
 }
 
-ConvoyReport convoy_report(const RunTrace& rt, const WindowConfig& wc) {
+ConvoyReport convoy_report(const RunTrace& rt) {
   ConvoyReport cr;
-  cr.window_ns = wc.window_ns != 0
-                     ? wc.window_ns
-                     : std::max<std::uint64_t>(rt.duration_ns / 64, 1000);
+  cr.window_ns = scan_window_ns(rt);
   struct Pressure {
     std::uint64_t attempts = 0, ok = 0;
     std::map<std::uint64_t, std::uint64_t> windows;

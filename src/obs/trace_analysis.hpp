@@ -84,11 +84,6 @@ struct RunTrace {
 RunTrace parse_chrome_trace(std::istream& is);
 RunTrace parse_chrome_trace_file(const std::string& path);
 
-/// Pathology window scan parameters.
-struct WindowConfig {
-  std::uint64_t window_ns = 0;  ///< 0 = auto (duration / 64, min 1 µs)
-};
-
 struct AnalyzeReport {
   std::string protocol;
   int npes = 0;
@@ -130,7 +125,7 @@ struct AnalyzeReport {
   sws::LogHistogram lat_empty_ns;  ///< kEmpty attempts
   sws::LogHistogram lat_retry_ns;  ///< kRetry attempts
 
-  std::uint64_t window_ns = 0;
+  std::uint64_t window_ns = 0;  ///< scan window: duration / 64, min 1 µs
   std::uint64_t storm_windows = 0;  ///< fails >= 16 and >= 4x successes
   std::uint64_t churn_windows = 0;  ///< retries >= 8 and >= attempts/2
   std::uint64_t peak_window_fails = 0;
@@ -140,7 +135,7 @@ struct AnalyzeReport {
   std::vector<std::string> violations;
 };
 
-AnalyzeReport analyze(const RunTrace& rt, const WindowConfig& wc = {});
+AnalyzeReport analyze(const RunTrace& rt);
 
 /// Human-readable report (one metric per line, stable ordering).
 void write_report(std::ostream& os, const AnalyzeReport& r);
@@ -182,11 +177,11 @@ struct ConvoyVictim {
 };
 
 struct ConvoyReport {
-  std::uint64_t window_ns = 0;
+  std::uint64_t window_ns = 0;  ///< as AnalyzeReport::window_ns
   std::vector<ConvoyVictim> victims;  ///< every victim, hottest first
 };
 
-ConvoyReport convoy_report(const RunTrace& rt, const WindowConfig& wc = {});
+ConvoyReport convoy_report(const RunTrace& rt);
 
 void write_critical_path(std::ostream& os, const CriticalPath& cp);
 void write_convoy(std::ostream& os, const ConvoyReport& cr,

@@ -95,7 +95,7 @@ void Runtime::run(const std::function<void(PeContext&)>& body) {
 // ---------------------------------------------------------------- context
 
 PeContext::PeContext(Runtime& rt, int pe)
-    : rt_(rt), pe_(pe), rng_(rt.config().seed, static_cast<std::uint64_t>(pe)) {}
+    : rt_(rt), pe_(pe) {}
 
 int PeContext::npes() const noexcept { return rt_.npes(); }
 net::Fabric& PeContext::fabric() noexcept { return rt_.fabric(); }

@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "pgas/symmetric_heap.hpp"
@@ -20,7 +19,7 @@ struct RuntimeConfig {
   int npes = 4;
   std::size_t heap_bytes = std::size_t{4} << 20;  ///< per-PE arena size
   net::NetworkParams net{};
-  std::uint64_t seed = 42;  ///< base seed for per-PE RNG streams
+  std::uint64_t seed = 42;  ///< base seed for per-PE random streams
   /// Ignored: every run goes through the one fiber sequencer. Kept so
   /// existing callers that set it still compile; slated for removal.
   int engine_threads = 1;
@@ -57,8 +56,6 @@ class PeContext {
   /// follows rejoins the time order at once, so running ahead would only
   /// cost sequencer work.
   void pause(net::Nanos dt);
-  /// Deterministic per-(seed, PE) random stream.
-  Xoshiro256& rng() noexcept { return rng_; }
 
   // --- one-sided operations against symmetric objects -------------------
   void put(int target, SymPtr p, std::uint64_t delta, const void* src,
@@ -91,7 +88,6 @@ class PeContext {
  private:
   Runtime& rt_;
   int pe_;
-  Xoshiro256 rng_;
   std::uint64_t barrier_gen_ = 0;
 };
 
@@ -123,7 +119,6 @@ class Runtime {
   /// when config().metrics is set, but other layers (scheduler, bench
   /// harness) may publish into it regardless.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
-  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
   // --- internal symmetric control space used by collectives --------------
   struct CollectiveSpace {

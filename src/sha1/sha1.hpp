@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 
 namespace sws {
 
@@ -29,9 +28,6 @@ class Sha1 {
 
   /// One-shot convenience.
   static Sha1Digest hash(const void* data, std::size_t len) noexcept;
-  static Sha1Digest hash(const std::string& s) noexcept {
-    return hash(s.data(), s.size());
-  }
 
  private:
   std::uint32_t h_[5];

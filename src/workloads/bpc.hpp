@@ -38,8 +38,6 @@ class BpcBenchmark {
  public:
   BpcBenchmark(core::TaskRegistry& registry, BpcParams params);
 
-  const BpcParams& params() const noexcept { return params_; }
-
   /// Seed the pool: PE 0 spawns the root producer.
   void seed(core::Worker& w) const;
 

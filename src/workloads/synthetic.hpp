@@ -20,7 +20,6 @@ class SparseEndgame {
  public:
   SparseEndgame(core::TaskRegistry& registry, SparseEndgameParams params);
 
-  const SparseEndgameParams& params() const noexcept { return params_; }
   void seed(core::Worker& w) const;
 
  private:

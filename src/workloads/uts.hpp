@@ -100,8 +100,6 @@ class UtsBenchmark {
  public:
   UtsBenchmark(core::TaskRegistry& registry, UtsParams params);
 
-  const UtsParams& params() const noexcept { return params_; }
-
   /// Seed: PE 0 spawns the root node task.
   void seed(core::Worker& w) const;
 

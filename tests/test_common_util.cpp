@@ -85,10 +85,11 @@ TEST(Options, MalformedNumberThrows) {
 }
 
 TEST(Options, PositionalArguments) {
+  // Arguments that are not options are skipped: they neither parse as
+  // keys nor count as unknown.
   const auto o = parse({"file1", "--k=v", "file2"});
-  ASSERT_EQ(o.positional().size(), 2u);
-  EXPECT_EQ(o.positional()[0], "file1");
-  EXPECT_EQ(o.positional()[1], "file2");
+  EXPECT_EQ(o.get("k", std::string{}), "v");
+  EXPECT_TRUE(o.unused().empty());
 }
 
 TEST(Options, UnusedDetectsTypos) {

@@ -261,8 +261,13 @@ TalliedRun run_tallied_uts(core::QueueKind kind, int npes,
     pool.run_pe(ctx, [&](core::Worker& w) { uts.seed(w); });
   });
   out.run = snapshot(rt, pool);
-  for (int pe = 0; pe < npes; ++pe)
-    out.recovered.push_back(pool.queue().op_stats(pe).tasks_recovered);
+  obs::MetricsRegistry metrics(npes);
+  pool.publish_metrics(metrics);
+  const obs::MetricsSnapshot published = metrics.snapshot();
+  const obs::MetricsSnapshot::Entry* recovered =
+      published.find("queue.tasks_recovered");
+  EXPECT_NE(recovered, nullptr) << "crash-mode pools publish it";
+  if (recovered != nullptr) out.recovered = recovered->per_pe;
   if (trace) {
     EXPECT_FALSE(pool.tracer().truncated()) << "trace ring wrapped";
     std::stringstream json;

@@ -79,17 +79,6 @@ TEST(Explorer, RandomSamplingSwsGreen) {
   EXPECT_EQ(rep.schedules, 300u);
 }
 
-TEST(Explorer, PruningCollapsesRevisitedStates) {
-  ExploreOptions opts;
-  opts.mode = ExploreMode::kExhaustive;
-  opts.max_schedules = 400;
-  opts.prune_visited = true;
-  Explorer ex(sws_steal_release_scenario(2), opts);
-  const ExploreReport rep = ex.run();
-  EXPECT_FALSE(rep.failed) << rep.summary();
-  EXPECT_GT(rep.pruned, 0u) << rep.summary();
-}
-
 TEST(Explorer, CounterTerminationSound) {
   ExploreOptions opts;
   opts.mode = ExploreMode::kRandom;

@@ -19,8 +19,20 @@ pgas::RuntimeConfig rcfg(int npes) {
   return c;
 }
 
+constexpr std::uint32_t kCap = TaskInbox::kCapacity;
+
 Task mk(std::uint32_t id) { return Task::of(0, id); }
 std::uint32_t id_of(const Task& t) { return t.payload_as<std::uint32_t>(); }
+/// Tasks with ids first .. first + n - 1.
+std::vector<Task> ids(std::uint32_t first, std::uint32_t n) {
+  std::vector<Task> out;
+  for (std::uint32_t i = 0; i < n; ++i) out.push_back(mk(first + i));
+  return out;
+}
+/// The reserve cursor of `owner`'s own inbox (the ring's first word).
+std::uint64_t reserve_cursor(const TaskInbox& inbox, pgas::PeContext& owner) {
+  return owner.local_load(pgas::SymPtr{inbox.offset()});
+}
 /// One-task push through the batched remote_push.
 bool push_one(TaskInbox& inbox, pgas::PeContext& ctx, int target,
               const Task& t) {
@@ -29,7 +41,7 @@ bool push_one(TaskInbox& inbox, pgas::PeContext& ctx, int target,
 
 TEST(Inbox, SingleSenderDeliversInOrder) {
   pgas::Runtime rt(rcfg(2));
-  TaskInbox inbox(rt, 64, 32);
+  TaskInbox inbox(rt, 32);
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
@@ -52,20 +64,21 @@ TEST(Inbox, SingleSenderDeliversInOrder) {
 
 TEST(Inbox, RefusesWhenFull) {
   pgas::Runtime rt(rcfg(2));
-  TaskInbox inbox(rt, 8, 32);
+  TaskInbox inbox(rt, 32);
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
     if (ctx.pe() == 1) {
-      for (std::uint32_t i = 0; i < 8; ++i)
-        ASSERT_TRUE(push_one(inbox, ctx, 0, mk(i)));
+      ASSERT_EQ(inbox.remote_push(ctx, 0, ids(0, kCap - 1)), kCap - 1);
+      ASSERT_TRUE(push_one(inbox, ctx, 0, mk(kCap - 1))) << "the last slot";
       EXPECT_FALSE(push_one(inbox, ctx, 0, mk(99)));
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
+      EXPECT_EQ(reserve_cursor(inbox, ctx), kCap) << "every slot taken";
       std::uint32_t n = 0;
       inbox.drain(ctx, [&](const Task&) { ++n; });
-      EXPECT_EQ(n, 8u);
+      EXPECT_EQ(n, kCap);
     }
     ctx.barrier();
     if (ctx.pe() == 1) {
@@ -77,25 +90,33 @@ TEST(Inbox, RefusesWhenFull) {
 }
 
 TEST(Inbox, RingReusesSlotsAcrossManyWraps) {
+  // Rounds of kCap - 1 tasks start one slot earlier each time, so the
+  // run of a round straddles the wrap at a different slot.
+  constexpr std::uint32_t kRounds = 5;
+  constexpr std::uint32_t kBatch = kCap - 1;
   pgas::Runtime rt(rcfg(2));
-  TaskInbox inbox(rt, 4, 32);
+  TaskInbox inbox(rt, 32);
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
-    for (std::uint32_t round = 0; round < 20; ++round) {
+    for (std::uint32_t round = 0; round < kRounds; ++round) {
       if (ctx.pe() == 1) {
-        for (std::uint32_t i = 0; i < 4; ++i)
-          ASSERT_TRUE(push_one(inbox, ctx, 0, mk(round * 4 + i)));
+        ASSERT_EQ(inbox.remote_push(ctx, 0, ids(round * kBatch, kBatch)),
+                  kBatch);
       }
       ctx.barrier();
       if (ctx.pe() == 0) {
         std::vector<std::uint32_t> got;
         inbox.drain(ctx, [&](const Task& t) { got.push_back(id_of(t)); });
-        ASSERT_EQ(got.size(), 4u);
-        EXPECT_EQ(got[0], round * 4);
-        EXPECT_EQ(got[3], round * 4 + 3);
+        ASSERT_EQ(got.size(), kBatch);
+        for (std::uint32_t i = 0; i < kBatch; ++i)
+          ASSERT_EQ(got[i], round * kBatch + i);
       }
       ctx.barrier();
+    }
+    if (ctx.pe() == 0) {
+      EXPECT_EQ(reserve_cursor(inbox, ctx), std::uint64_t{kRounds} * kBatch);
+      EXPECT_GT(reserve_cursor(inbox, ctx), 4u * kCap) << "four wraps";
     }
   });
 }
@@ -106,11 +127,10 @@ TEST(Inbox, ResetClearsUndrainedSlotsOfTheLastRun) {
   // wrapped. Each run here leaves published slots undrained; the next
   // run's drain must stop after the tasks that run pushed.
   pgas::Runtime rt(rcfg(2));
-  TaskInbox inbox(rt, 8, 32);
+  TaskInbox inbox(rt, 32);
   auto push = [&](pgas::PeContext& ctx, std::uint32_t from, std::uint32_t to) {
     if (ctx.pe() == 1) {
-      for (std::uint32_t i = from; i < to; ++i)
-        EXPECT_TRUE(push_one(inbox, ctx, 0, mk(i))) << i;
+      EXPECT_EQ(inbox.remote_push(ctx, 0, ids(from, to - from)), to - from);
     }
     ctx.barrier();
   };
@@ -121,14 +141,17 @@ TEST(Inbox, ResetClearsUndrainedSlotsOfTheLastRun) {
     ctx.barrier();
     return got;
   };
-  // Run 1: 4 drained, then 6 more wrap the cursor to 10 and stay
-  // published in slots 4-7 and 0-1.
+  // Run 1: 4 drained, then kCap - 2 more wrap the cursor to kCap + 2 and
+  // stay published in slots 4 .. kCap - 1 and 0-1.
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
     push(ctx, 0, 4);
     EXPECT_EQ(drain(ctx).size(), ctx.pe() == 0 ? 4u : 0u);
-    push(ctx, 4, 10);
+    push(ctx, 4, kCap + 2);
+    if (ctx.pe() == 0) {
+      EXPECT_EQ(reserve_cursor(inbox, ctx), kCap + 2u);
+    }
   });
   // Run 2: 4 pushed and drained, then 3 left published below the
   // unwrapped cursor.
@@ -141,6 +164,9 @@ TEST(Inbox, ResetClearsUndrainedSlotsOfTheLastRun) {
       EXPECT_EQ(got, (std::vector<std::uint32_t>{100, 101, 102, 103}));
     }
     push(ctx, 104, 107);
+    if (ctx.pe() == 0) {
+      EXPECT_EQ(reserve_cursor(inbox, ctx), 7u);
+    }
   });
   // Run 3: nothing pushed, nothing drained.
   rt.run([&](pgas::PeContext& ctx) {
@@ -152,7 +178,7 @@ TEST(Inbox, ResetClearsUndrainedSlotsOfTheLastRun) {
 
 TEST(Inbox, MultipleSendersAllDeliver) {
   pgas::Runtime rt(rcfg(5));
-  TaskInbox inbox(rt, 256, 32);
+  TaskInbox inbox(rt, 32);
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
@@ -178,7 +204,7 @@ TEST(Inbox, SinglePushIsTwoFetchesCasPutAndTag) {
   // both cursors, reserve by CAS, put the payload past the tag word, then
   // publish the tag.
   pgas::Runtime rt(rcfg(2));
-  TaskInbox inbox(rt, 64, 32);
+  TaskInbox inbox(rt, 32);
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
@@ -213,7 +239,7 @@ TEST(Inbox, BatchPushDeliversInOrderWithOnePutAndOneTag) {
   // publishes the first slot's tag — the owner's strict in-order drain
   // keeps the rest invisible until then.
   pgas::Runtime rt(rcfg(2));
-  TaskInbox inbox(rt, 64, 32);
+  TaskInbox inbox(rt, 32);
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
@@ -248,20 +274,20 @@ TEST(Inbox, BatchPushDeliversInOrderWithOnePutAndOneTag) {
 
 TEST(Inbox, BatchPushWrapsRingInTwoPuts) {
   pgas::Runtime rt(rcfg(2));
-  TaskInbox inbox(rt, 8, 32);
+  TaskInbox inbox(rt, 32);
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
-    // Advance the ring cursor to 5 so a 6-task batch straddles the wrap.
+    // Advance the ring cursor to kCap - 3 so a 6-task batch straddles the
+    // wrap.
     if (ctx.pe() == 1) {
-      for (std::uint32_t i = 0; i < 5; ++i)
-        ASSERT_TRUE(push_one(inbox, ctx, 0, mk(100 + i)));
+      ASSERT_EQ(inbox.remote_push(ctx, 0, ids(100, kCap - 3)), kCap - 3);
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
       std::uint32_t n = 0;
       inbox.drain(ctx, [&](const Task&) { ++n; });
-      ASSERT_EQ(n, 5u);
+      ASSERT_EQ(n, kCap - 3);
     }
     ctx.barrier();
     if (ctx.pe() == 1) {
@@ -274,6 +300,9 @@ TEST(Inbox, BatchPushWrapsRingInTwoPuts) {
                     before.ops[static_cast<int>(net::OpKind::kPut)],
                 2u)
           << "a wrapping batch is two contiguous-segment puts";
+      EXPECT_EQ(after.bytes_put - before.bytes_put, 6u * (8 + 32) - 8)
+          << "three slots before the wrap, three after; the first tag "
+             "rides the closing AMO";
       EXPECT_EQ(after.ops[static_cast<int>(net::OpKind::kAmoSet)] -
                     before.ops[static_cast<int>(net::OpKind::kAmoSet)],
                 1u);
@@ -284,6 +313,7 @@ TEST(Inbox, BatchPushWrapsRingInTwoPuts) {
       inbox.drain(ctx, [&](const Task& t) { got.push_back(id_of(t)); });
       ASSERT_EQ(got.size(), 6u);
       for (std::uint32_t i = 0; i < 6; ++i) EXPECT_EQ(got[i], i);
+      EXPECT_EQ(reserve_cursor(inbox, ctx), kCap + 3u);
     }
     ctx.barrier();
   });
@@ -291,15 +321,13 @@ TEST(Inbox, BatchPushWrapsRingInTwoPuts) {
 
 TEST(Inbox, BatchPushTakesPartialRunWhenShortOnRoom) {
   pgas::Runtime rt(rcfg(2));
-  TaskInbox inbox(rt, 8, 32);
+  TaskInbox inbox(rt, 32);
   rt.run([&](pgas::PeContext& ctx) {
     inbox.reset_pe(ctx);
     ctx.barrier();
     if (ctx.pe() == 1) {
-      for (std::uint32_t i = 0; i < 5; ++i)
-        ASSERT_TRUE(push_one(inbox, ctx, 0, mk(i)));
-      std::vector<Task> batch;
-      for (std::uint32_t i = 5; i < 11; ++i) batch.push_back(mk(i));
+      ASSERT_EQ(inbox.remote_push(ctx, 0, ids(0, kCap - 3)), kCap - 3);
+      const std::vector<Task> batch = ids(kCap - 3, 6);
       // Only 3 slots left: the batch is clipped, never split or dropped.
       EXPECT_EQ(inbox.remote_push(ctx, 0, batch), 3u);
       // Completely full: a further batch refuses outright.
@@ -307,10 +335,11 @@ TEST(Inbox, BatchPushTakesPartialRunWhenShortOnRoom) {
     }
     ctx.barrier();
     if (ctx.pe() == 0) {
+      EXPECT_EQ(reserve_cursor(inbox, ctx), kCap) << "every slot taken";
       std::vector<std::uint32_t> got;
       inbox.drain(ctx, [&](const Task& t) { got.push_back(id_of(t)); });
-      ASSERT_EQ(got.size(), 8u);
-      for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(got[i], i);
+      ASSERT_EQ(got.size(), kCap);
+      for (std::uint32_t i = 0; i < kCap; ++i) EXPECT_EQ(got[i], i);
     }
     ctx.barrier();
   });
@@ -354,18 +383,18 @@ TEST(InboxPool, SpawnOnMovesTasksAcrossPes) {
 
 TEST(InboxPool, RerunAfterRingWrapConservesTasks) {
   // One chain on 2 PEs hops PE to PE through the inboxes (a PE never holds
-  // two chain tasks, so none is released or stolen). Run 1's 40 hops push
-  // 20 tasks into each capacity-8 inbox, wrapping both reserve cursors;
-  // run 2 on the same pool pushes a handful. Each run executes exactly
-  // the tasks it spawned.
+  // two chain tasks, so none is released or stolen). Run 1's 2 * kCap + 40
+  // hops push kCap + 20 tasks into each inbox, wrapping both reserve
+  // cursors; run 2 on the same pool pushes a handful. Each run executes
+  // exactly the tasks it spawned.
+  constexpr std::uint32_t kWrapHops = 2 * kCap + 40;
   pgas::Runtime rt(rcfg(2));
   TaskRegistry reg;
   RemoteChain chain(reg);
   PoolConfig pc;
   pc.queue.slot_bytes = 32;
-  pc.inbox_capacity = 8;
   TaskPool pool(rt, reg, pc);
-  for (const std::uint32_t hops : {40u, 5u}) {
+  for (const std::uint32_t hops : {kWrapHops, 5u}) {
     rt.run([&](pgas::PeContext& ctx) {
       pool.run_pe(ctx, [&](Worker& w) {
         if (w.pe() == 0) w.spawn(Task::of(chain.fn, hops));
@@ -373,6 +402,13 @@ TEST(InboxPool, RerunAfterRingWrapConservesTasks) {
     });
     EXPECT_EQ(pool.report().total.tasks_executed, hops + 1) << hops;
     EXPECT_EQ(pool.worker_stats(1).tasks_executed, (hops + 1) / 2) << hops;
+    if (hops == kWrapHops) {
+      // Every task but PE 0's seed arrived through an inbox.
+      EXPECT_GT(pool.worker_stats(0).tasks_executed - 1, kCap)
+          << "PE 0's inbox cursor wrapped";
+      EXPECT_GT(pool.worker_stats(1).tasks_executed, kCap)
+          << "PE 1's inbox cursor wrapped";
+    }
   }
 }
 
@@ -458,29 +494,35 @@ TEST(InboxPool, SpawnOnSelfBehavesLikeSpawn) {
 }
 
 TEST(InboxPool, OverflowedInboxFallsBackToLocalExecution) {
-  // PE 1 sits at the post-seed barrier while PE 0 scatters 32 tasks into
-  // its capacity-4 inbox: the pushes past the first 4 must exhaust their
-  // retries and run locally, with no task lost or run twice.
+  // PE 1 sits at the post-seed barrier while PE 0 scatters kCap + 32
+  // tasks into its inbox: the 32 pushes past a full ring must exhaust
+  // their retries and run locally, with no task lost or run twice.
+  constexpr std::uint32_t kOver = 32;
   pgas::Runtime rt(rcfg(2));
   TaskRegistry reg;
-  TaskFnId fn = reg.register_fn("noop", [](Worker& w,
-                                           std::span<const std::byte>) {
+  std::uint32_t ran = 0;
+  TaskFnId fn = reg.register_fn("noop", [&](Worker& w,
+                                            std::span<const std::byte>) {
     w.compute(100);
+    ++ran;
   });
   PoolConfig pc;
   pc.queue.slot_bytes = 32;
-  pc.inbox_capacity = 4;
   TaskPool pool(rt, reg, pc);
+  std::uint32_t ran_while_seeding = 0;
   rt.run([&](pgas::PeContext& ctx) {
     pool.run_pe(ctx, [&](Worker& w) {
-      if (w.pe() == 0)
-        for (int i = 0; i < 32; ++i) w.spawn_on(1, Task(fn, nullptr, 0));
+      if (w.pe() != 0) return;
+      for (std::uint32_t i = 0; i < kCap + kOver; ++i)
+        w.spawn_on(1, Task(fn, nullptr, 0));
+      ran_while_seeding = ran;
     });
   });
-  EXPECT_EQ(pool.report().total.tasks_executed, 32u);
-  EXPECT_GE(pool.worker_stats(0).tasks_executed, 28u)
-      << "overflowed spawns must execute on the sender";
-  EXPECT_LE(pool.worker_stats(1).tasks_executed, 4u);
+  EXPECT_EQ(ran_while_seeding, kOver)
+      << "the ring filled and exactly the overflow ran on the sender";
+  EXPECT_EQ(pool.report().total.tasks_executed, kCap + kOver);
+  EXPECT_GE(pool.worker_stats(0).tasks_executed, kOver);
+  EXPECT_LE(pool.worker_stats(1).tasks_executed, kCap);
 }
 
 TEST(InboxPool, ScatterFromRootBalancesWithoutStealing) {

@@ -47,17 +47,6 @@ TEST(TraceKindNames, AllDistinctAndNamed) {
   }
 }
 
-TEST(SummaryReset, ClearsEverything) {
-  Summary s;
-  s.add(5);
-  s.add(10);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  s.add(3);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
 // -------------------------------------------------- scheduler config knobs
 
 struct Fan {

@@ -73,7 +73,6 @@ TEST(MetricsRegistry, RepublishKeepsPositionAndFirstHelp) {
   reg.counter("first", "first help", {1});
   reg.gauge("second", "", {2});
   reg.counter("first", "different help is ignored", {5});
-  EXPECT_EQ(reg.size(), 2u);
   const MetricsSnapshot snap = reg.snapshot();
   ASSERT_EQ(snap.entries.size(), 2u);
   EXPECT_EQ(snap.entries[0].name, "first");
@@ -87,7 +86,8 @@ TEST(MetricsRegistry, WrongLengthVectorThrows) {
   MetricsRegistry reg(2);
   EXPECT_THROW(reg.counter("short", "", {1}), std::invalid_argument);
   EXPECT_THROW(reg.gauge("long", "", {1, 2, 3}), std::invalid_argument);
-  EXPECT_EQ(reg.size(), 0u) << "a rejected publication leaves no entry";
+  EXPECT_TRUE(reg.snapshot().entries.empty())
+      << "a rejected publication leaves no entry";
 }
 
 TEST(MetricsRegistry, KindMismatchThrows) {
@@ -207,6 +207,14 @@ TEST(TimeSeries, DeltaExport) {
   EXPECT_EQ(parsed.find("c")->v[1], -1);
 }
 
+/// `ts` as the analyzer reads its export.
+TimeSeriesData exported(const TimeSeries& ts) {
+  std::ostringstream os;
+  ts.write_json(os);
+  std::istringstream is(os.str());
+  return parse_timeseries(is);
+}
+
 TEST(TimeSeries, SampleIsMonotoneAndIdempotent) {
   std::uint64_t v = 0;
   TimeSeries ts(10);
@@ -214,27 +222,26 @@ TEST(TimeSeries, SampleIsMonotoneAndIdempotent) {
   ts.sample(10);
   ts.sample(10);  // duplicate finalize: ignored
   ts.sample(5);   // stale time: ignored
-  EXPECT_EQ(ts.samples(), 1u);
+  EXPECT_EQ(exported(ts).t, (std::vector<std::uint64_t>{10}));
   ts.sample(20);
-  EXPECT_EQ(ts.samples(), 2u);
+  EXPECT_EQ(exported(ts).t, (std::vector<std::uint64_t>{10, 20}));
   ts.clear();
-  EXPECT_TRUE(ts.empty());
+  EXPECT_TRUE(exported(ts).t.empty());
   ts.sample(10);  // reusable after clear (bench repetitions)
-  EXPECT_EQ(ts.samples(), 1u);
+  EXPECT_EQ(exported(ts).t, (std::vector<std::uint64_t>{10}));
 }
 
 TEST(TimeSeries, TruncatesAtSampleCap) {
   std::uint64_t v = 0;
-  TimeSeries ts(10, /*max_samples=*/2);
+  TimeSeries ts(10);
   ts.add_series("v", [&] { return v; });
-  ts.sample(10);
-  ts.sample(20);
-  ts.sample(30);  // past the cap: dropped, flagged
-  EXPECT_EQ(ts.samples(), 2u);
-  EXPECT_TRUE(ts.truncated());
-  std::ostringstream os;
-  ts.write_json(os);
-  EXPECT_NE(os.str().find("\"truncated\":1"), std::string::npos);
+  for (std::uint64_t i = 1; i <= TimeSeries::kMaxSamples; ++i) ts.sample(i);
+  EXPECT_FALSE(exported(ts).truncated) << "exactly at the cap";
+  ts.sample(TimeSeries::kMaxSamples + 1);  // past the cap: dropped, flagged
+  const TimeSeriesData d = exported(ts);
+  EXPECT_TRUE(d.truncated);
+  ASSERT_EQ(d.t.size(), TimeSeries::kMaxSamples);
+  EXPECT_EQ(d.t.back(), TimeSeries::kMaxSamples);
 }
 
 TEST(TimeSeries, ChromeCounterRowsFollowTracerFormat) {
@@ -413,7 +420,9 @@ TEST(TraceAnalysis, CriticalPathBlameSumsToPathLength) {
 
 TEST(TraceAnalysis, ConvoyRanksVictimsByPeakWindowPressure) {
   // Three thieves hammer victim 0 inside one window; victim 1 sees one
-  // spread-out attempt. Victim 0 must rank first on peak pressure.
+  // spread-out attempt. Victim 0 must rank first on peak pressure. The
+  // trace's last row, at 128 µs, sets the window: a 64th of the run,
+  // 2 µs.
   core::Tracer t(4, 64);
   for (int pe = 1; pe <= 3; ++pe) {
     const auto id = static_cast<std::uint64_t>(pe);
@@ -424,11 +433,14 @@ TEST(TraceAnalysis, ConvoyRanksVictimsByPeakWindowPressure) {
   }
   t.begin(0, 5000, core::TraceKind::kStealSpan, 9, 1);
   t.end(0, 5100, core::TraceKind::kStealSpan, 9, 1, 1);
+  t.counter(0, 128'000, core::TraceKind::kQueueDepth, 0);
   std::ostringstream os;
   t.dump_chrome_json(os);
   std::istringstream is(os.str());
-  const ConvoyReport cr = convoy_report(parse_chrome_trace(is),
-                                        WindowConfig{.window_ns = 1000});
+  const RunTrace rt = parse_chrome_trace(is);
+  const ConvoyReport cr = convoy_report(rt);
+  EXPECT_EQ(cr.window_ns, 2000u);
+  EXPECT_EQ(analyze(rt).window_ns, 2000u) << "one window for both scans";
   ASSERT_EQ(cr.victims.size(), 2u);
   EXPECT_EQ(cr.victims[0].pe, 0);
   EXPECT_EQ(cr.victims[0].inbound_attempts, 3u);
@@ -437,7 +449,7 @@ TEST(TraceAnalysis, ConvoyRanksVictimsByPeakWindowPressure) {
   EXPECT_EQ(cr.victims[0].peak_window_start_ns, 0u);
   EXPECT_EQ(cr.victims[1].pe, 1);
   EXPECT_EQ(cr.victims[1].peak_window_attempts, 1u);
-  EXPECT_EQ(cr.victims[1].peak_window_start_ns, 5000u);
+  EXPECT_EQ(cr.victims[1].peak_window_start_ns, 4000u);
 }
 
 TEST(TraceAnalysis, CounterRowsExtendDuration) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "pgas/runtime.hpp"
 
 namespace sws::pgas {
@@ -143,22 +144,6 @@ TEST(Runtime, ExceptionInOnePePropagates) {
                std::runtime_error);
 }
 
-TEST(Runtime, RngStreamsDifferAcrossPes) {
-  Runtime rt(cfg(2));
-  std::uint64_t first[2];
-  rt.run([&](PeContext& ctx) { first[ctx.pe()] = ctx.rng().next(); });
-  EXPECT_NE(first[0], first[1]);
-}
-
-TEST(Runtime, RngIsDeterministicAcrossRuns) {
-  Runtime rt(cfg(2));
-  std::uint64_t a[2], b[2];
-  rt.run([&](PeContext& ctx) { a[ctx.pe()] = ctx.rng().next(); });
-  rt.run([&](PeContext& ctx) { b[ctx.pe()] = ctx.rng().next(); });
-  EXPECT_EQ(a[0], b[0]);
-  EXPECT_EQ(a[1], b[1]);
-}
-
 // ------------------------------------------------------------ collectives
 
 TEST(Collectives, BarrierSeparatesPhases) {
@@ -241,9 +226,10 @@ std::vector<obs::MetricsSnapshot> run_snapshots(int npes, int runs) {
   std::vector<obs::MetricsSnapshot> out;
   for (int r = 0; r < runs; ++r) {
     rt.run([&](PeContext& ctx) {
+      Xoshiro256 rng(c.seed, static_cast<std::uint64_t>(ctx.pe()));
       for (int i = 0; i < 30; ++i) {
-        ctx.compute(100 + ctx.rng().next() % 400);
-        ctx.fetch_add(static_cast<int>(ctx.rng().next() %
+        ctx.compute(100 + rng.next() % 400);
+        ctx.fetch_add(static_cast<int>(rng.next() %
                                        static_cast<std::uint64_t>(npes)),
                       word, 1);
       }
@@ -267,7 +253,7 @@ std::vector<std::string> names_of(const obs::MetricsSnapshot& snap) {
 }
 
 TEST(Runtime, SequencerSwitchesGaugeRepeatsForASeed) {
-  // Each run restarts the per-PE RNG streams, so both runs are the same
+  // Each run restarts its per-PE random streams, so both runs are the same
   // schedule: the gauge counts the last run only and repeats exactly.
   const std::vector<obs::MetricsSnapshot> s = run_snapshots(8, 2);
   const std::uint64_t first = total_of(s[0], "runtime.sequencer_switches");

@@ -54,6 +54,19 @@ struct FanOut {
   }
 };
 
+/// Per-PE values of the pool's published metric `name` (queue.*).
+std::vector<std::uint64_t> queue_metric(const TaskPool& pool, int npes,
+                                        const std::string& name) {
+  obs::MetricsRegistry reg(npes);
+  pool.publish_metrics(reg);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricsSnapshot::Entry* e = snap.find(name);
+  EXPECT_NE(e, nullptr) << name;
+  return e != nullptr ? e->per_pe
+                      : std::vector<std::uint64_t>(
+                            static_cast<std::size_t>(npes), 0);
+}
+
 class SchedulerBoth : public ::testing::TestWithParam<QueueKind> {};
 
 TEST_P(SchedulerBoth, ExecutesEveryTaskExactlyOnce) {
@@ -216,10 +229,11 @@ TEST_P(SchedulerBoth, LonePePollsOnlyAfterItsOwnSharedHalfOps) {
     pool.run_pe(ctx, [&](Worker& w) { uts.seed(w); });
   });
   const WorkerStats& s = pool.worker_stats(0);
-  const QueueOpStats& q = pool.queue().op_stats(0);
-  EXPECT_EQ(s.tasks_executed, workloads::uts_sequential_count(uts.params()).nodes);
+  EXPECT_EQ(s.tasks_executed,
+            workloads::uts_sequential_count(workloads::UtsParams{}).nodes);
   EXPECT_GT(s.owner_polls, 0u);
-  EXPECT_LE(s.owner_polls, 2 + q.releases + q.acquires);
+  EXPECT_LE(s.owner_polls, 2 + queue_metric(pool, 1, "queue.releases")[0] +
+                               queue_metric(pool, 1, "queue.acquires")[0]);
   EXPECT_LT(100 * s.owner_polls, s.tasks_executed) << "polled per task";
 }
 
@@ -242,8 +256,9 @@ TEST_P(SchedulerBoth, EveryTracedReleaseSucceeds) {
   });
   std::uint64_t spans = 0;
   std::uint64_t releases = 0;
+  for (const std::uint64_t n : queue_metric(pool, rt.npes(), "queue.releases"))
+    releases += n;
   for (int pe = 0; pe < rt.npes(); ++pe) {
-    releases += pool.queue().op_stats(pe).releases;
     for (const TraceEvent& e : pool.tracer().events(pe)) {
       if (e.kind != TraceKind::kReleaseSpan || e.phase != TracePhase::kEnd)
         continue;
@@ -274,7 +289,7 @@ TEST_P(SchedulerBoth, CrashModePollsEveryPass) {
       pool.run_pe(ctx, [&](Worker& w) { uts.seed(w); });
     });
     ASSERT_EQ(pool.report().total.tasks_executed,
-              workloads::uts_sequential_count(uts.params()).nodes);
+              workloads::uts_sequential_count(workloads::UtsParams{}).nodes);
     for (int pe = 0; crash_mode && pe < c.npes; ++pe) {
       const WorkerStats& s = pool.worker_stats(pe);
       EXPECT_GE(s.owner_polls, s.tasks_executed) << "PE " << pe;

@@ -202,9 +202,21 @@ std::uint64_t steal_round(SdcQueue& q, pgas::PeContext& ctx) {
   return n;
 }
 
+/// SdcQueue's completion and intent rings hold this many records each.
+constexpr std::uint64_t kRing = 1024;
+
+/// The rings really are kRing slots: sequence kRing reuses slot 0.
+void expect_ring_size(const SdcQueue& q) {
+  EXPECT_EQ(q.completion_offset_for_test(kRing),
+            q.completion_offset_for_test(0));
+  EXPECT_NE(q.completion_offset_for_test(kRing - 1),
+            q.completion_offset_for_test(0));
+  EXPECT_EQ(q.intent_offset_for_test(kRing), q.intent_offset_for_test(0));
+}
+
 /// PE 0: every completion record and claim intent reads zero.
 void expect_rings_zero(const SdcQueue& q, pgas::PeContext& ctx) {
-  for (std::uint64_t s = 0; s < q.config().completion_ring; ++s) {
+  for (std::uint64_t s = 0; s < kRing; ++s) {
     EXPECT_EQ(ctx.local_load(pgas::SymPtr{q.completion_offset_for_test(s)}),
               0u) << "completion slot " << s;
     EXPECT_EQ(ctx.local_load(pgas::SymPtr{q.intent_offset_for_test(s)}), 0u)
@@ -214,22 +226,29 @@ void expect_rings_zero(const SdcQueue& q, pgas::PeContext& ctx) {
 
 TEST(SdcQueue, RerunAfterRingWrapStartsClean) {
   // reset_pe zeroes only the ring prefix the last run can have written.
-  // Run 1's 10 steals wrap the 8-slot completion ring, and the owner
-  // leaves the last 4 records (slots 6, 7, 0, 1) undrained; run 2 must
-  // start from an all-zero ring and conserve its tasks.
+  // Run 1's kRing + 2 steals wrap the completion ring, and the owner
+  // leaves the last 4 records (slots kRing - 2, kRing - 1, 0, 1)
+  // undrained; run 2 must start from an all-zero ring and conserve its
+  // tasks.
   pgas::Runtime rt(rcfg(2));
-  SdcConfig cfg;
-  cfg.completion_ring = 8;
-  SdcQueue q(rt, qcfg(), cfg);
+  SdcQueue q(rt, qcfg());
+  expect_ring_size(q);
+  constexpr int kRounds = static_cast<int>(kRing) + 2;
   rt.run([&](pgas::PeContext& ctx) {
     q.reset_pe(ctx);
     ctx.barrier();
     std::uint64_t n = 0;
-    for (int round = 0; round < 10; ++round) {
+    for (int round = 0; round < kRounds; ++round) {
       n += steal_round(q, ctx);
-      if (ctx.pe() == 0 && round < 6) q.progress(ctx);
+      if (ctx.pe() == 0 && round < kRounds - 4) q.progress(ctx);
     }
-    EXPECT_EQ(ctx.sum_u64(n), 20u);
+    EXPECT_EQ(ctx.sum_u64(n), 2u * kRounds);
+    if (ctx.pe() == 0) {
+      // The wrap happened: slot 0 holds steal kRing's undrained record,
+      // {seq kRing, one task}.
+      EXPECT_EQ(ctx.local_load(pgas::SymPtr{q.completion_offset_for_test(0)}),
+                ((kRing + 1) << 24) | 1);
+    }
   });
   rt.run([&](pgas::PeContext& ctx) {
     q.reset_pe(ctx);
@@ -254,9 +273,8 @@ TEST(SdcQueue, ResetClearsTheIntentOfAClaimThatNeverLanded) {
   pgas::RuntimeConfig c = rcfg(2);
   c.net.faults.crashes.push_back({1, 1'000'000'000});  // never reached
   pgas::Runtime rt(c);
-  SdcConfig cfg;
-  cfg.completion_ring = 8;
-  SdcQueue q(rt, qcfg(), cfg);
+  SdcQueue q(rt, qcfg());
+  const std::uint64_t intent = (2ull << 32) | (1ull << 24) | 1;
   rt.run([&](pgas::PeContext& ctx) {
     q.reset_pe(ctx);
     ctx.barrier();
@@ -265,11 +283,18 @@ TEST(SdcQueue, ResetClearsTheIntentOfAClaimThatNeverLanded) {
     EXPECT_EQ(ctx.sum_u64(n), 2u);
     if (ctx.pe() == 1) {
       // Intent {seq 1, thief 1, take 1}: cursor 1 was never claimed.
-      const std::uint64_t intent = (2ull << 32) | (1ull << 24) | 1;
       ctx.fabric().put(1, 0, q.intent_offset_for_test(1), &intent,
                         sizeof intent);
     }
     ctx.barrier();
+    if (ctx.pe() == 0) {
+      // The rings hold records: steal 0's intent and the intent past the
+      // cursor.
+      EXPECT_NE(ctx.local_load(pgas::SymPtr{q.intent_offset_for_test(0)}),
+                0u);
+      EXPECT_EQ(ctx.local_load(pgas::SymPtr{q.intent_offset_for_test(1)}),
+                intent);
+    }
   });
   rt.run([&](pgas::PeContext& ctx) {
     q.reset_pe(ctx);

@@ -10,7 +10,7 @@ namespace {
 
 TEST(Summary, EmptyIsAllZero) {
   Summary s;
-  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.sum(), 0.0);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
@@ -20,7 +20,7 @@ TEST(Summary, EmptyIsAllZero) {
 TEST(Summary, SingleSample) {
   Summary s;
   s.add(7.5);
-  EXPECT_EQ(s.count(), 1u);
+  EXPECT_DOUBLE_EQ(s.sum(), 7.5);
   EXPECT_DOUBLE_EQ(s.mean(), 7.5);
   EXPECT_DOUBLE_EQ(s.min(), 7.5);
   EXPECT_DOUBLE_EQ(s.max(), 7.5);

@@ -14,7 +14,7 @@ struct Args3 {
 TEST(Task, OfPodRoundTrips) {
   const Task t = Task::of(7, Args3{1, 2, 3});
   EXPECT_EQ(t.fn(), 7u);
-  EXPECT_EQ(t.payload_len(), sizeof(Args3));
+  EXPECT_EQ(t.payload().size(), sizeof(Args3));
   const Args3 back = t.payload_as<Args3>();
   EXPECT_EQ(back.a, 1u);
   EXPECT_EQ(back.b, 2u);
@@ -23,7 +23,7 @@ TEST(Task, OfPodRoundTrips) {
 
 TEST(Task, EmptyPayload) {
   const Task t(3, nullptr, 0);
-  EXPECT_EQ(t.payload_len(), 0u);
+  EXPECT_TRUE(t.payload().empty());
   EXPECT_EQ(t.serialized_bytes(), kTaskHeaderBytes);
 }
 
@@ -67,7 +67,7 @@ TEST(Registry, RegisterAndLookup) {
   TaskRegistry reg;
   const TaskFnId id = reg.register_fn(
       "t", [](Worker&, std::span<const std::byte>) {});
-  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(id, 0u);
   EXPECT_TRUE(static_cast<bool>(reg.fn(id)));
 }
 

@@ -144,11 +144,6 @@ TEST(VirtualTime, ResetClearsClocks) {
   EXPECT_EQ(tm.now(1), 0u);
 }
 
-TEST(VirtualTime, IsVirtual) {
-  VirtualTimeModel tm(1);
-  EXPECT_EQ(tm.npes(), 1);
-}
-
 TEST(VirtualTime, HorizonBatchingSkipsHookUntilReportedDeadline) {
   // A single PE has no competing clock, so its batching horizon is
   // whatever deadline the delivery hook reports: advances strictly below
@@ -349,6 +344,21 @@ void on_segv(int, siginfo_t* si, void*) {
   _exit(in_guard && intact ? 3 : 4);
 }
 
+/// The top of the fiber stack that holds `frame`, the address of one of
+/// the fiber's first frames: a fiber stack is page-aligned and a whole
+/// number of pages, and its first frames sit in its top page.
+std::byte* stack_top(const void* frame) {
+  const auto a = reinterpret_cast<std::uintptr_t>(frame);
+  return reinterpret_cast<std::byte*>((a + g_page - 1) & ~(g_page - 1));
+}
+
+/// A fiber that records its stack top and switches back for good.
+struct TopProbe {
+  FiberContext* self = nullptr;
+  FiberContext* host = nullptr;
+  std::byte* top = nullptr;
+};
+
 /// Unbounded in practice: `left` starts far beyond any stack.
 [[gnu::noinline]] int overflow_stack(volatile char* prev, std::uint64_t left) {
   volatile char frame[512];
@@ -365,11 +375,21 @@ TEST(FiberEngineDeathTest, StackOverflowFaultsOnGuardPage) {
         Fiber neighbour;
         FiberContext host;
         FiberContext victim_ctx;
+        FiberContext neighbour_ctx;
         g_page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-        g_guard_lo = victim.stack_lo() - g_page;
-        g_canary = reinterpret_cast<volatile std::uint64_t*>(
-            const_cast<std::byte*>(neighbour.stack_lo()) +
-            Fiber::kStackBytes - 64);
+        TopProbe probe;
+        probe.self = &neighbour_ctx;
+        probe.host = &host;
+        neighbour.arm(
+            neighbour_ctx,
+            [](void* arg) {
+              auto* p = static_cast<TopProbe*>(arg);
+              p->top = stack_top(__builtin_frame_address(0));
+              fiber_switch(*p->self, *p->host, /*from_exits=*/true);
+            },
+            &probe);
+        fiber_switch(host, neighbour_ctx);
+        g_canary = reinterpret_cast<volatile std::uint64_t*>(probe.top - 64);
         *g_canary = kCanary;
         // The handler needs a stack of its own: the faulting one is full.
         static char alt[1 << 16];
@@ -383,7 +403,12 @@ TEST(FiberEngineDeathTest, StackOverflowFaultsOnGuardPage) {
         sigaction(SIGSEGV, &sa, nullptr);
         victim.arm(
             victim_ctx,
-            [](void*) { overflow_stack(nullptr, ~std::uint64_t{0}); },
+            [](void*) {
+              // The guard page lies just below the kStackBytes stack.
+              g_guard_lo = stack_top(__builtin_frame_address(0)) -
+                           Fiber::kStackBytes - g_page;
+              overflow_stack(nullptr, ~std::uint64_t{0});
+            },
             nullptr);
         fiber_switch(host, victim_ctx);
       },

@@ -12,8 +12,8 @@ namespace {
 // ------------------------------------------------------------ spec parsing
 
 TEST(TopologySpec, ParseFlat) {
-  EXPECT_TRUE(TopologySpec::parse("flat").is_flat());
-  EXPECT_TRUE(TopologySpec::parse("").is_flat());
+  EXPECT_EQ(TopologySpec::parse("flat"), TopologySpec::flat());
+  EXPECT_EQ(TopologySpec::parse(""), TopologySpec::flat());
   EXPECT_EQ(TopologySpec::parse("flat").ntiers(), 1);
   EXPECT_EQ(TopologySpec::flat().to_string(), "flat");
 }

@@ -8,12 +8,14 @@
 //   sws-analyze --self-check <trace.json>     protocol op-shape check;
 //                                             exit 1 on any violation
 //
-// Options: --window-ns=N          pathology-scan window (default duration/64)
-//          --timeseries=FILE      also summarize an sws-timeseries JSON
+// Option:  --timeseries=FILE      also summarize an sws-timeseries JSON
 //                                 document (bench_common --timeseries-out)
 //                                 and verify its accounting invariant;
 //                                 exit 1 if any window's category deltas
 //                                 fail to sum to the elapsed delta
+//
+// The pathology and convoy scans bucket spans into windows of a 64th of
+// the run's duration, at least 1 µs.
 //
 // The self-check is what CI runs on every push: each successful SWS steal
 // must be exactly one remote fetch-add + one task-copy get (+ one nbi
@@ -33,7 +35,7 @@ namespace {
 int usage() {
   std::cerr << "usage: sws-analyze [--self-check|--report] <trace.json>\n"
             << "       sws-analyze --diff <a.json> <b.json>\n"
-            << "       options: --window-ns=N --timeseries=FILE\n";
+            << "       option: --timeseries=FILE\n";
   return 2;
 }
 
@@ -59,7 +61,6 @@ int main(int argc, char** argv) {
   try {
     // Hand-rolled parsing: every flag here is positional-file adjacent,
     // which the generic Options "--key value" rule would misread.
-    sws::obs::WindowConfig wc;
     bool diff = false;
     bool self_check = false;
     bool report_mode = false;
@@ -73,8 +74,6 @@ int main(int argc, char** argv) {
         self_check = true;
       } else if (arg == "--report") {
         report_mode = true;
-      } else if (arg.rfind("--window-ns=", 0) == 0) {
-        wc.window_ns = std::stoull(arg.substr(12));
       } else if (arg.rfind("--timeseries=", 0) == 0) {
         timeseries_file = arg.substr(13);
       } else if (arg.rfind("--", 0) == 0) {
@@ -94,10 +93,10 @@ int main(int argc, char** argv) {
         return usage();
       }
       if (files.size() != 2) return usage();
-      const auto a = sws::obs::analyze(
-          sws::obs::parse_chrome_trace_file(files[0]), wc);
-      const auto b = sws::obs::analyze(
-          sws::obs::parse_chrome_trace_file(files[1]), wc);
+      const auto a =
+          sws::obs::analyze(sws::obs::parse_chrome_trace_file(files[0]));
+      const auto b =
+          sws::obs::analyze(sws::obs::parse_chrome_trace_file(files[1]));
       sws::obs::write_diff(std::cout, a, b);
       return 0;
     }
@@ -109,12 +108,12 @@ int main(int argc, char** argv) {
 
     if (files.size() != 1) return usage();
     const auto rt = sws::obs::parse_chrome_trace_file(files[0]);
-    const auto report = sws::obs::analyze(rt, wc);
+    const auto report = sws::obs::analyze(rt);
     sws::obs::write_report(std::cout, report);
 
     if (report_mode) {
       sws::obs::write_critical_path(std::cout, sws::obs::critical_path(rt));
-      sws::obs::write_convoy(std::cout, sws::obs::convoy_report(rt, wc));
+      sws::obs::write_convoy(std::cout, sws::obs::convoy_report(rt));
     }
 
     const int rc =
